@@ -13,12 +13,15 @@ the standard reading and no registry check uses it.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import reduce
 from itertools import combinations
+from operator import and_
 
 import numpy as np
 
 from .config import FAC_SUBSET_CAP
-from .ideals import Ideal, MulClosedSet, all_ideals, annihilator, ideal_generate, principal_members
+from .ideals import Ideal, MulClosedSet, all_ideals, annihilator, first_hit, ideal_generate, lattice, member_row
+from .ideals import principal_members
 
 HOLDS = "Holds"
 FAILS = "Fails"
@@ -59,11 +62,8 @@ class Verdict:
                 return [lab(v) for v in x]
             return ring.labels[int(x)] if ring is not None else int(x)
 
-        out = {"outcome": self.outcome}
-        out["witness"] = lab(self.witness)
-        out["counterexample"] = lab(self.counterexample) if self.counterexample is not None else None
-        out["reason"] = self.reason
-        return out
+        return {"outcome": self.outcome, "witness": lab(self.witness),
+                "counterexample": lab(self.counterexample), "reason": self.reason}
 
 
 def _holds(witness=None):
@@ -78,16 +78,17 @@ def _na(reason):
     return Verdict(NOT_APPLICABLE, reason=reason)
 
 
-def _member_mask(R, members):
-    mask = np.zeros(R.size, dtype=bool)
-    mask[list(members)] = True
-    return mask
-
-
 def _regular_rows(R, mask):
     """rows: regular w ascending; entry [i, z] = (w_i * z in members)."""
     regs = np.fromiter(sorted(R.regulars), dtype=np.intp)
     return regs, mask[R.mul[regs, :]]
+
+
+def _regular_scan(A: Ideal, ok) -> Verdict:
+    """Fails on the lex-first (w, z) with w regular, wz in A and not ok[z]."""
+    regs, prod_in = _regular_rows(A.ring, member_row(A))
+    hit = first_hit(prod_in & ~ok[None, :])
+    return _fails((int(regs[hit[0]]), hit[1])) if hit else _holds()
 
 
 # -- r- and pr-ideals ---------------------------------------------------------------
@@ -95,17 +96,7 @@ def _regular_rows(R, mask):
 
 def is_r_ideal(A: Ideal) -> Verdict:
     """wz in A with Ann(w) = 0 forces z in A."""
-    if not A.is_proper():
-        return _na(NOT_PROPER)
-    R = A.ring
-    mask = _member_mask(R, A.members)
-    regs, prod_in = _regular_rows(R, mask)
-    viol = prod_in & ~mask[None, :]
-    hits = np.argwhere(viol)
-    if len(hits):
-        i, z = hits[0]
-        return _fails((int(regs[i]), int(z)))
-    return _holds()
+    return _regular_scan(A, member_row(A)) if A.is_proper() else _na(NOT_PROPER)
 
 
 def _power_reaches(R, A_members, z) -> bool:
@@ -124,15 +115,7 @@ def is_pr_ideal(A: Ideal) -> Verdict:
     if not A.is_proper():
         return _na(NOT_PROPER)
     R = A.ring
-    mask = _member_mask(R, A.members)
-    regs, prod_in = _regular_rows(R, mask)
-    power_ok = np.fromiter((_power_reaches(R, A.members, z) for z in R.elements()), dtype=bool)
-    viol = prod_in & ~power_ok[None, :]
-    hits = np.argwhere(viol)
-    if len(hits):
-        i, z = hits[0]
-        return _fails((int(regs[i]), int(z)))
-    return _holds()
+    return _regular_scan(A, np.fromiter((_power_reaches(R, A.members, z) for z in R.elements()), dtype=bool))
 
 
 # -- S-indexed predicates -------------------------------------------------------------
@@ -155,28 +138,23 @@ def is_S_r_ideal(
         return _na(NOT_PROPER)
     if enforce_disjoint and (S.members & A.members):
         return _na(DISJOINTNESS_VIOLATED)
-    mask = _member_mask(R, A.members)
+    mask = member_row(A)
     regs, prod_in = _regular_rows(R, mask)
     cands = S.sorted_members
     if per_pair:
         covered = np.zeros(R.size, dtype=bool)
         for s in cands:
             covered |= mask[R.mul[s, :]]
-        viol = prod_in & ~covered[None, :]
-        hits = np.argwhere(viol)
-        if len(hits):
-            i, z = hits[0]
-            return _fails((int(regs[i]), int(z)), last_candidate=cands[-1])
+        hit = first_hit(prod_in & ~covered[None, :])
+        if hit:
+            return _fails((int(regs[hit[0]]), hit[1]), last_candidate=cands[-1])
         return Verdict(HOLDS, reason=PER_PAIR_MODE)
     last_pair = None
     for s in cands:
-        sz_in = mask[R.mul[s, :]]
-        viol = prod_in & ~sz_in[None, :]
-        hits = np.argwhere(viol)
-        if not len(hits):
+        hit = first_hit(prod_in & ~mask[R.mul[s, :]][None, :])
+        if not hit:
             return _holds(witness=int(s))
-        i, z = hits[0]
-        last_pair = (int(regs[i]), int(z))
+        last_pair = (int(regs[hit[0]]), hit[1])
     return _fails(last_pair, last_candidate=cands[-1])
 
 
@@ -192,36 +170,19 @@ def is_S_prime(
         return _na(NOT_PROPER)
     if enforce_disjoint and (S.members & A.members):
         return _na(DISJOINTNESS_VIOLATED)
-    mask = _member_mask(R, A.members)
+    mask = member_row(A)
     prod_in = mask[R.mul]
     cands = S.sorted_members
     last_pair = None
     for s in cands:
         s_in = mask[R.mul[s, :]]
-        viol = prod_in & ~s_in[:, None] & ~s_in[None, :]
-        hits = np.argwhere(viol)
-        if not len(hits):
+        last_pair = first_hit(prod_in & ~s_in[:, None] & ~s_in[None, :])
+        if not last_pair:
             return _holds(witness=int(s))
-        w, z = hits[0]
-        last_pair = (int(w), int(z))
     return _fails(last_pair, last_candidate=cands[-1])
 
 
 # -- z0-ideals -------------------------------------------------------------------------
-
-
-def _ann_classes(R):
-    """Elements grouped by annihilator set."""
-    cached = R._cache.get("ann_classes")
-    if cached is None:
-        groups = {}
-        zero_cols = R.mul == 0
-        for a in R.elements():
-            key = zero_cols[:, a].tobytes()
-            groups.setdefault(key, []).append(a)
-        cached = tuple(tuple(g) for g in groups.values())
-        R._cache["ann_classes"] = cached
-    return cached
 
 
 def is_z0_ideal(A: Ideal, enforce_reduced: bool = True) -> Verdict:
@@ -229,7 +190,7 @@ def is_z0_ideal(A: Ideal, enforce_reduced: bool = True) -> Verdict:
     R = A.ring
     if enforce_reduced and not R.is_reduced():
         return _na(NOT_REDUCED)
-    for cls in _ann_classes(R):
+    for cls in lattice(R).ann_classes:
         inside = [a for a in cls if a in A.members]
         if inside and len(inside) != len(cls):
             w = inside[0]
@@ -250,7 +211,7 @@ def is_S_z0_ideal(
         return _na(NOT_REDUCED)
     if enforce_disjoint and (S.members & A.members):
         return _na(DISJOINTNESS_VIOLATED)
-    classes = [cls for cls in _ann_classes(R) if any(a in A.members for a in cls)]
+    classes = [cls for cls in lattice(R).ann_classes if any(a in A.members for a in cls)]
     cands = S.sorted_members
     last_pair = None
     for s in cands:
@@ -291,17 +252,16 @@ def is_S_uz_ring(R, S: MulClosedSet) -> Verdict:
 def has_property_A(R) -> Verdict:
     """Every (finitely generated) ideal inside zd(R) has nonzero annihilator."""
     for B in all_ideals(R):
-        if B.members <= R.zero_divisors and annihilator(R, B.members).is_zero():
+        if B.members <= R.zero_divisors and annihilator(R, B.generators).is_zero():
             return _fails(B.generators)
     return _holds()
 
 
 def has_ac(R) -> Verdict:
     """Every ideal's annihilator equals the annihilator of a single element."""
-    single = [annihilator(R, (z,)).members for z in R.elements()]
+    single = set(lattice(R).ann)
     for A in all_ideals(R):
-        target = annihilator(R, A.members).members
-        if not any(target == s for s in single):
+        if annihilator(R, A.generators).mask not in single:
             return _fails(A.generators)
     return _holds()
 
@@ -314,15 +274,12 @@ def has_fac(R, cap: int = None) -> Verdict:
     condition itself.
     """
     cap = FAC_SUBSET_CAP if cap is None else cap
-    zero_cols = R.mul == 0
-    masks = [zero_cols[:, a] for a in R.elements()]
+    ann = lattice(R).ann
     for size in range(2, cap + 1):
         for T in combinations(R.elements(), size):
-            joint = masks[T[0]].copy()
-            for t in T[1:]:
-                joint &= masks[t]
-            if not any(np.array_equal(joint, masks[t]) for t in T):
-                return _fails(tuple(T))
+            masks = [ann[t] for t in T]
+            if reduce(and_, masks) not in masks:
+                return _fails(T)
     return _holds()
 
 
@@ -332,9 +289,7 @@ def s_idempotent_ideal_check(R, S: MulClosedSet, gens) -> Verdict:
     Generators failing the gate make the check NotApplicable rather than a
     counterexample; a Fails outcome here flags a genuine bug.
     """
-    s = R.one
-    for x in S.sorted_members:
-        s = R.m(s, x)
+    s = reduce(R.m, S.sorted_members, R.one)
     gens = tuple(int(g) for g in gens)
     for g in gens:
         if R.m(g, g) != R.m(s, g):

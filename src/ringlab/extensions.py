@@ -9,7 +9,7 @@ confirmable on a truncated window.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from itertools import product as iproduct
 from math import gcd
 
@@ -336,9 +336,10 @@ class AmalgRing:
     j: Ideal
     ring: FiniteRing
     carrier: tuple  # pairs (w, y) in index order
+    pos: dict = field(compare=False, repr=False)  # (w, y) -> index
 
     def index_of(self, w, y) -> int:
-        return self.ring._cache["amalg_pos"][(w, y)]
+        return self.pos[(w, y)]
 
 
 def make_amalgamation(H1: FiniteRing, H2: FiniteRing, f: RingHom, J: Ideal, hom_text: str = "hom") -> AmalgRing:
@@ -369,8 +370,7 @@ def make_amalgamation(H1: FiniteRing, H2: FiniteRing, f: RingHom, J: Ideal, hom_
         labels=labels,
         recipe=f"amalg({H1.recipe}, {H2.recipe}, {hom_text}, ({gens_text}))",
     )
-    ring._cache["amalg_pos"] = pos
-    return AmalgRing(H1, H2, f, J, ring, tuple(carrier))
+    return AmalgRing(H1, H2, f, J, ring, tuple(carrier), pos)
 
 
 def amalg_ideal(am: AmalgRing, A: Ideal) -> Ideal:

@@ -2,21 +2,27 @@
 
 All set-valued results use element indices and are returned with a
 deterministic ordering (ascending index) so reports are reproducible.
+
+Each ring carries one IdealLattice, built on first use: a set of elements
+is an int bitmask (bit i = element i), each ideal is interned once per mask
+with its canonical generators, and sums, colons and products are memoised.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from functools import cached_property, reduce
+from operator import and_
 
 import numpy as np
 
 from .config import size_limit
 from .errors import ConstructionBug, InvalidConstruction, NotProperError, SizeLimitError, TypeMismatch
-from .rings import FiniteRing, RingHom, check_hom, idempotent_power
+from .rings import FiniteRing, RingHom, _check_ideal_subset, check_hom, idempotent_power
 
 
 @dataclass(frozen=True)
-class Ideal:
+class _ElementSet:
     ring: FiniteRing
     members: frozenset
     generators: tuple
@@ -25,167 +31,235 @@ class Ideal:
     def sorted_members(self):
         return tuple(sorted(self.members))
 
+    def __contains__(self, x) -> bool:
+        return int(x) in self.members
+
+
+@dataclass(frozen=True)
+class MulClosedSet(_ElementSet):
+    def label(self) -> str:
+        return f"S<{','.join(self.ring.labels[g] for g in self.generators)}>"
+
+
+@dataclass(frozen=True)
+class Ideal(_ElementSet):
+    mask: int = field(compare=False, repr=False)  # bit i set iff element i is a member
+
     def is_proper(self) -> bool:
         return len(self.members) < self.ring.size
 
     def is_zero(self) -> bool:
-        return self.members == frozenset({0})
-
-    def __contains__(self, x) -> bool:
-        return int(x) in self.members
+        return self.mask == 1
 
     def label(self) -> str:
         gens = ",".join(self.ring.labels[g] for g in self.generators)
         return f"({gens})" if self.generators else "(0)"
 
 
-@dataclass(frozen=True)
-class MulClosedSet:
-    ring: FiniteRing
-    members: frozenset
-    generators: tuple
+def _pack(rows) -> list:
+    """The bitmask of each boolean row."""
+    packed = np.packbits(np.atleast_2d(rows), axis=1, bitorder="little")
+    return [int.from_bytes(row.tobytes(), "little") for row in packed]
 
-    @property
-    def sorted_members(self):
-        return tuple(sorted(self.members))
 
-    def __contains__(self, x) -> bool:
-        return int(x) in self.members
+def bits(mask: int) -> list:
+    """The elements of a mask, ascending."""
+    out = []
+    while mask:
+        low = mask & -mask
+        out.append(low.bit_length() - 1)
+        mask ^= low
+    return out
 
-    def label(self) -> str:
-        gens = ",".join(self.ring.labels[g] for g in self.generators)
-        return f"S<{gens}>"
+
+def first_hit(matrix):
+    """Lex-first (row, column) of a boolean matrix that is True, or None."""
+    hits = np.argwhere(matrix)
+    return (int(hits[0][0]), int(hits[0][1])) if len(hits) else None
+
+
+def member_row(A: Ideal):
+    """A's members as a boolean row over the ring's elements."""
+    row = np.zeros(A.ring.size, dtype=bool)
+    row[list(A.members)] = True
+    return row
+
+
+def mask_of(xs) -> int:
+    mask = 0
+    for x in xs:
+        mask |= 1 << int(x)
+    return mask
+
+
+class IdealLattice:
+    """The ideals of one ring, interned by mask, with memoised operations.
+
+    Lives in the ring's ``_lattice`` slot, so every table dies with the ring.
+    """
+
+    def __init__(self, R: FiniteRing):
+        self.ring = R
+        self.full = (1 << R.size) - 1
+        self.ann = tuple(_pack(R.mul == 0))  # ann[a]: bit y set iff ya = 0
+        self.principal = tuple(mask_of(set(row)) for row in R.mul.tolist())  # principal[a]: Ra
+        self.localizations = {}  # S.members -> LocalizationResult
+        self.quotients = {}  # A.mask -> (R/A, projection)
+        self._interned, self._generated, self._sums, self._colons, self._products = {}, {}, {}, {}, {}
+
+    def intern(self, mask: int) -> Ideal:
+        """The one Ideal with these members, with greedy minimal-index generators."""
+        got = self._interned.get(mask)
+        if got is None:
+            members = bits(mask)
+            gens, have = [], 1
+            for a in members:
+                if not have >> a & 1:
+                    gens.append(a)
+                    have = self.sum(have, self.principal[a])
+            got = self._interned[mask] = Ideal(self.ring, frozenset(members), tuple(gens), mask)
+        return got
+
+    def sum(self, xs: int, ys: int) -> int:
+        """{x + y : x in xs, y in ys} via the addition table."""
+        key = (xs, ys) if xs <= ys else (ys, xs)
+        got = self._sums.get(key)
+        if got is None:
+            hit = np.zeros(self.ring.size, dtype=bool)
+            hit[self.ring.add[np.ix_(bits(xs), bits(ys))]] = True
+            got = self._sums[key] = _pack(hit)[0]
+        return got
+
+    def generate(self, gens: tuple) -> Ideal:
+        """The ideal of the generators, labelled by them as given."""
+        got = self._generated.get(gens)
+        if got is None:
+            for g in gens:
+                if not 0 <= g < self.ring.size:
+                    raise TypeMismatch(f"generator {g} out of range")
+            mask = 1
+            for g in sorted(set(gens)):
+                if not mask >> g & 1:
+                    mask = self.sum(mask, self.principal[g])
+            got = self.intern(mask)
+            if got.generators != gens:
+                got = Ideal(self.ring, got.members, gens, mask)
+            self._generated[gens] = got
+        return got
+
+    def colon(self, A: Ideal, ks: int) -> Ideal:
+        got = self._colons.get((A.mask, ks))
+        if got is None:
+            mask = _pack(member_row(A)[self.ring.mul[:, bits(ks)]].all(axis=1))[0] if ks else self.full
+            got = self._colons[(A.mask, ks)] = self.intern(mask)
+        return got
+
+    def product(self, A: Ideal, B: Ideal) -> Ideal:
+        """Ideal generated by pairwise products of generators."""
+        got = self._products.get((A.mask, B.mask))
+        if got is None:
+            mul = self.ring.mul
+            prods = {int(mul[x, y]) for x in A.generators or (0,) for y in B.generators or (0,)}
+            got = self.generate(tuple(sorted(prods)))
+            self._products[(A.mask, B.mask)] = self._products[(B.mask, A.mask)] = got
+        return got
+
+    @cached_property
+    def ideals(self) -> tuple:
+        """Every ideal once, sorted by (cardinality, member tuple).
+
+        The ideals are the closure of {0} under joins with principal ideals;
+        base + Ra is the union of the cosets of base that meet Ra, so each
+        base is joined with every principal ideal in one vectorised step.
+        """
+        R = self.ring
+        if R.size > size_limit():
+            raise SizeLimitError("ideal enumeration beyond the size cap")
+        principals = sorted(set(self.principal))
+        rows, cols = np.array([(i, a) for i, p in enumerate(principals) for a in bits(p)]).T
+        seen, frontier = {1}, [1]
+        while frontier:
+            coset = R.add[:, bits(frontier.pop())].min(axis=1)  # least element of x + base
+            hit = np.zeros((len(principals), R.size), dtype=bool)
+            hit[rows, coset[cols]] = True
+            for grown in _pack(hit[:, coset]):
+                if grown not in seen:
+                    seen.add(grown)
+                    frontier.append(grown)
+        return tuple(self.intern(m) for _, _, m in sorted((m.bit_count(), bits(m), m) for m in seen))
+
+    @cached_property
+    def spec(self) -> tuple:
+        return tuple(A for A in self.ideals if is_prime(A))
+
+    @cached_property
+    def max_ideals(self) -> tuple:
+        return tuple(A for A in self.ideals if is_maximal(A))
+
+    @cached_property
+    def ann_classes(self) -> tuple:
+        """Elements grouped by annihilator, groups in order of first element."""
+        groups = {}
+        for a, m in enumerate(self.ann):
+            groups.setdefault(m, []).append(a)
+        return tuple(tuple(g) for g in groups.values())
+
+
+def lattice(R: FiniteRing) -> IdealLattice:
+    """The ring's ideal lattice, built on first use."""
+    if R._lattice is None:
+        R._lattice = IdealLattice(R)
+    return R._lattice
 
 
 def _sum_sets(R: FiniteRing, xs, ys) -> frozenset:
     """{x + y : x in xs, y in ys} via the addition table."""
-    if len(xs) * len(ys) <= 4096:
-        rows = R.add
-        return frozenset(int(rows[x, y]) for x in xs for y in ys)
-    ax = np.fromiter(xs, dtype=np.intp)
-    ay = np.fromiter(ys, dtype=np.intp)
-    return frozenset(int(v) for v in np.unique(R.add[np.ix_(ax, ay)]))
+    return frozenset(bits(lattice(R).sum(mask_of(xs), mask_of(ys))))
 
 
 def principal_members(R: FiniteRing, g) -> frozenset:
-    cache = R._cache.setdefault("principal", {})
-    got = cache.get(int(g))
-    if got is None:
-        got = frozenset(int(v) for v in np.unique(R.mul[:, g]))
-        cache[int(g)] = got
-    return got
-
-
-def canonical_generators(R: FiniteRing, members) -> tuple:
-    """Greedy minimal-index generating list for an ideal's member set."""
-    gens = []
-    have = frozenset({0})
-    for a in sorted(members):
-        if a not in have:
-            gens.append(a)
-            have = _sum_sets(R, have, principal_members(R, a))
-    return tuple(gens)
+    L = lattice(R)
+    return L.intern(L.principal[int(g)]).members
 
 
 def ideal_generate(R: FiniteRing, gens) -> Ideal:
     """Smallest ideal containing the generators."""
-    gens = tuple(int(g) for g in gens)
-    cache = R._cache.setdefault("ideal_by_gens", {})
-    got = cache.get(gens)
-    if got is not None:
-        return got
-    for g in gens:
-        if not 0 <= g < R.size:
-            raise TypeMismatch(f"generator {g} out of range")
-    members = frozenset({0})
-    for g in sorted(set(gens)):
-        if g not in members:
-            members = _sum_sets(R, members, principal_members(R, g))
-    result = Ideal(R, members, gens)
-    cache[gens] = result
-    return result
+    return lattice(R).generate(tuple(int(g) for g in gens))
 
 
 def ideal_from_members(R: FiniteRing, members) -> Ideal:
-    members = frozenset(int(x) for x in members)
-    return Ideal(R, members, canonical_generators(R, members))
+    return lattice(R).intern(mask_of(members))
 
 
 def validate_ideal(A: Ideal) -> None:
     """Closure checks; raises on violation.  Used by tests and constructions."""
-    R = A.ring
-    if 0 not in A.members:
-        raise TypeMismatch("ideal lacks 0")
-    for x in A.members:
-        for y in A.members:
-            if R.a(x, y) not in A.members:
-                raise TypeMismatch("ideal not closed under addition")
-    for r in R.elements():
-        for x in A.members:
-            if R.m(r, x) not in A.members:
-                raise TypeMismatch("ideal not closed under multiplication")
-    if ideal_generate(R, A.generators).members != A.members:
+    _check_ideal_subset(A.ring, A.members)
+    if ideal_generate(A.ring, A.generators).members != A.members:
         raise TypeMismatch("ideal members differ from the span of its generators")
 
 
 def all_ideals(R: FiniteRing):
     """Every ideal exactly once, sorted by (cardinality, member tuple)."""
-    cached = R._cache.get("ideals")
-    if cached is not None:
-        return cached
-    if R.size > size_limit():
-        raise SizeLimitError("ideal enumeration beyond the size cap")
-    seen = {frozenset({0})}
-    frontier = [frozenset({0})]
-    while frontier:
-        base = frontier.pop()
-        for a in R.elements():
-            if a in base:
-                continue
-            grown = _sum_sets(R, base, principal_members(R, a))
-            if grown not in seen:
-                seen.add(grown)
-                frontier.append(grown)
-    ordered = sorted(seen, key=lambda s: (len(s), tuple(sorted(s))))
-    result = tuple(ideal_from_members(R, s) for s in ordered)
-    R._cache["ideals"] = result
-    return result
+    return lattice(R).ideals
 
 
 def annihilator(R: FiniteRing, T) -> Ideal:
     """{y : yt = 0 for every t in T}; Ann of the empty set is the whole ring."""
-    mask = np.ones(R.size, dtype=bool)
-    for t in T:
-        mask &= R.mul[:, int(t)] == 0
-    return ideal_from_members(R, (int(v) for v in np.where(mask)[0]))
+    L = lattice(R)
+    return L.intern(reduce(and_, (L.ann[int(t)] for t in T), L.full))
 
 
 def colon(A: Ideal, K) -> Ideal:
     """(A : K) = {w : wK subset of A}."""
-    R = A.ring
-    ks = np.fromiter((int(k) for k in K), dtype=np.intp)
-    in_a = np.zeros(R.size, dtype=bool)
-    in_a[list(A.members)] = True
-    if len(ks) == 0:
-        mask = np.ones(R.size, dtype=bool)
-    else:
-        mask = in_a[R.mul[:, ks]].all(axis=1)
-    return ideal_from_members(R, (int(v) for v in np.where(mask)[0]))
+    return lattice(A.ring).colon(A, mask_of(K))
 
 
 def prime_violation(A: Ideal):
     """Lex-first pair (w, z) with wz in A but neither factor in A, or None."""
-    R = A.ring
     if not A.is_proper():
         return None
-    in_a = np.zeros(R.size, dtype=bool)
-    in_a[list(A.members)] = True
-    viol = in_a[R.mul] & ~in_a[:, None] & ~in_a[None, :]
-    hits = np.argwhere(viol)
-    if len(hits) == 0:
-        return None
-    w, z = hits[0]
-    return int(w), int(z)
+    in_a = member_row(A)
+    return first_hit(in_a[A.ring.mul] & ~in_a[:, None] & ~in_a[None, :])
 
 
 def is_prime(A: Ideal) -> bool:
@@ -194,28 +268,18 @@ def is_prime(A: Ideal) -> bool:
 
 def spec(R: FiniteRing):
     """All prime ideals."""
-    cached = R._cache.get("spec")
-    if cached is None:
-        cached = tuple(A for A in all_ideals(R) if is_prime(A))
-        R._cache["spec"] = cached
-    return cached
+    return lattice(R).spec
 
 
 def is_maximal(A: Ideal) -> bool:
-    if not A.is_proper():
-        return False
-    for B in all_ideals(A.ring):
-        if B.is_proper() and A.members < B.members:
-            return False
-    return True
+    full = lattice(A.ring).full
+    return A.is_proper() and not any(
+        B.mask not in (A.mask, full) and A.mask | B.mask == B.mask for B in all_ideals(A.ring)
+    )
 
 
 def max_ideals(R: FiniteRing):
-    cached = R._cache.get("max_ideals")
-    if cached is None:
-        cached = tuple(A for A in all_ideals(R) if is_maximal(A))
-        R._cache["max_ideals"] = cached
-    return cached
+    return lattice(R).max_ideals
 
 
 def min_primes_over(A: Ideal):
@@ -227,10 +291,7 @@ def min_primes_over(A: Ideal):
 
 
 def jacobson_radical(R: FiniteRing) -> Ideal:
-    members = frozenset(range(R.size))
-    for M in max_ideals(R):
-        members &= M.members
-    return ideal_from_members(R, members)
+    return lattice(R).intern(reduce(and_, (M.mask for M in max_ideals(R)), lattice(R).full))
 
 
 def mcs_generate(R: FiniteRing, gens) -> MulClosedSet:
@@ -255,10 +316,9 @@ def mcs_from_members(R: FiniteRing, members, generators=None) -> MulClosedSet:
     members = frozenset(int(x) for x in members)
     if R.one not in members:
         raise InvalidConstruction("a multiplicatively closed set must contain 1")
-    for x in members:
-        for y in members:
-            if R.m(x, y) not in members:
-                raise InvalidConstruction("set is not multiplicatively closed")
+    ordered = sorted(members)
+    if not members.issuperset(R.mul[np.ix_(ordered, ordered)].ravel().tolist()):
+        raise InvalidConstruction("set is not multiplicatively closed")
     gens = tuple(generators) if generators is not None else tuple(sorted(members))
     return MulClosedSet(R, members, gens)
 
@@ -290,35 +350,28 @@ def localize(R: FiniteRing, S: MulClosedSet) -> LocalizationResult:
     """
     if S.ring is not R:
         raise TypeMismatch("m.c.s. belongs to a different ring")
-    key = ("localize", S.members)
-    cached = R._cache.get(key)
+    cached = lattice(R).localizations.get(S.members)
     if cached is not None:
         return cached
     t = R.one
     for s in S.sorted_members:
         t = R.m(t, s)
     e, _ = idempotent_power(R, t)
-    carrier = sorted({R.m(e, a) for a in R.elements()})
-    pos = {x: i for i, x in enumerate(carrier)}
-    k = len(carrier)
-    add = np.zeros((k, k), dtype=np.int16)
-    mul = np.zeros((k, k), dtype=np.int16)
-    for i, x in enumerate(carrier):
-        for j, y in enumerate(carrier):
-            add[i, j] = pos[R.a(x, y)]
-            mul[i, j] = pos[R.m(x, y)]
+    carrier = np.unique(R.mul[e])  # eR, ascending
+    pos = np.zeros(R.size, dtype=np.int16)
+    pos[carrier] = np.arange(len(carrier))
+    tables = (pos[t[np.ix_(carrier, carrier)]] for t in (R.add, R.mul))
     gens_text = ",".join(R.labels[g] for g in S.generators)
     base = f"({R.recipe})" if " x " in R.recipe else R.recipe
     labels = tuple(R.labels[x] for x in carrier)
-    localized = FiniteRing(add, mul, labels=labels, recipe=f"loc({base}, S<{gens_text}>)")
-    image = tuple(pos[R.m(e, a)] for a in R.elements())
+    localized = FiniteRing(*tables, labels=labels, recipe=f"loc({base}, S<{gens_text}>)")
+    image = tuple(int(i) for i in pos[R.mul[e]])
     natural = check_hom(RingHom(R, localized, image))
     for s in S.members:
         if image[s] not in localized.units:
             raise ConstructionBug("localization did not invert a member of S")
-    kernel = ideal_from_members(R, (a for a in R.elements() if R.m(e, a) == 0))
-    result = LocalizationResult(localized, natural, kernel, int(e))
-    R._cache[key] = result
+    kernel = annihilator(R, (e,))
+    result = lattice(R).localizations[S.members] = LocalizationResult(localized, natural, kernel, int(e))
     return result
 
 
@@ -396,26 +449,15 @@ def ideal_pushforward(L: LocalizationResult, A: Ideal) -> Ideal:
 def ideal_sum(A: Ideal, B: Ideal) -> Ideal:
     if A.ring is not B.ring:
         raise TypeMismatch("ideals belong to different rings")
-    return ideal_from_members(A.ring, _sum_sets(A.ring, A.members, B.members))
+    L = lattice(A.ring)
+    return L.intern(L.sum(A.mask, B.mask))
 
 
 def ideal_product(A: Ideal, B: Ideal) -> Ideal:
     """Ideal generated by pairwise products of generators."""
     if A.ring is not B.ring:
         raise TypeMismatch("ideals belong to different rings")
-    R = A.ring
-    cache = R._cache.setdefault("ideal_products", {})
-    key = (A.members, B.members)
-    got = cache.get(key)
-    if got is not None:
-        return got
-    ga = A.generators if A.generators else (0,)
-    gb = B.generators if B.generators else (0,)
-    mul = R.mul
-    result = ideal_generate(R, tuple(sorted({int(mul[x, y]) for x in ga for y in gb})))
-    cache[key] = result
-    cache[(B.members, A.members)] = result
-    return result
+    return lattice(A.ring).product(A, B)
 
 
 def ideal_power(A: Ideal, k: int) -> Ideal:

@@ -29,6 +29,7 @@ from .ideals import (
     ideal_generate,
     ideal_power,
     ideal_product,
+    lattice,
 )
 from .rings import FiniteRing, make_quotient
 
@@ -240,15 +241,6 @@ def _poly_tuples(size: int, max_degree: int):
                     yield tuple(reversed(rest)) + (lead,)
 
 
-def _ann_mask_table(R: FiniteRing):
-    cached = R._cache.get("ann_masks")
-    if cached is None:
-        zero = R.mul == 0
-        cached = tuple(int(sum(1 << y for y in np.where(zero[:, a])[0])) for a in R.elements())
-        R._cache["ann_masks"] = cached
-    return cached
-
-
 def _tuple_regular(R: FiniteRing, coeffs, masks) -> bool:
     acc = (1 << R.size) - 1
     for c in coeffs:
@@ -273,7 +265,7 @@ def bounded_S_r_search(spec: PolyIdealSpec, S_const: MulClosedSet, max_degree: i
         raise TypeMismatch("constant set belongs to a different ring")
     if max_degree > MAX_DEGREE:
         raise DegreeLimitError(f"degree {max_degree} beyond the cap {MAX_DEGREE}")
-    masks = _ann_mask_table(R)
+    masks = lattice(R).ann
     svals = S_const.sorted_members
 
     if spec.kind == EVAL_KERNEL:
@@ -293,15 +285,21 @@ def bounded_S_r_search(spec: PolyIdealSpec, S_const: MulClosedSet, max_degree: i
         return PolyVerdict(NO_VIOLATION_UP_TO, bound=max_degree)
 
     A = spec.ideal
-    quotient, proj = _quotient_cached(R, A)
+    quotients = lattice(R).quotients
+    if A.mask not in quotients:
+        quotients[A.mask] = make_quotient(R, A)
+    quotient, proj = quotients[A.mask]
     p = proj.image
     # residue tuples z-bar that escape the spec under every s
     sbar = sorted({int(p[s]) for s in svals})
     qmul = quotient.mul
+    vecs = None  # every coefficient vector of width max_degree + 1, built on first use
     for zt in _poly_tuples(quotient.size, max_degree):
         if not all(any(int(qmul[s, c]) != 0 for c in zt) for s in sbar):
             continue
-        for wt in _annihilating_vectors(quotient, zt, max_degree + 1):
+        if vecs is None:
+            vecs = np.array(list(iproduct(range(quotient.size), repeat=max_degree + 1)), dtype=np.intp)
+        for wt in _annihilating_vectors(quotient, zt, vecs):
             found = _regular_lift(R, A, p, wt, masks)
             if found is not None:
                 w = Poly.make(R, found)
@@ -311,31 +309,13 @@ def bounded_S_r_search(spec: PolyIdealSpec, S_const: MulClosedSet, max_degree: i
     return PolyVerdict(NO_VIOLATION_UP_TO, bound=max_degree)
 
 
-def _quotient_cached(R: FiniteRing, A: Ideal):
-    cache = R._cache.setdefault("quotients", {})
-    got = cache.get(A.members)
-    if got is None:
-        got = make_quotient(R, A)
-        cache[A.members] = got
-    return got
-
-
-def _all_vectors(Q: FiniteRing, width: int):
-    cache = Q._cache.setdefault("coeff_vectors", {})
-    got = cache.get(width)
-    if got is None:
-        got = np.array(list(iproduct(range(Q.size), repeat=width)), dtype=np.intp)
-        cache[width] = got
-    return got
-
-
-def _annihilating_vectors(Q: FiniteRing, zt, width: int):
-    """Every coefficient vector of fixed width whose product with zt vanishes.
+def _annihilating_vectors(Q: FiniteRing, zt, vecs):
+    """Every row of vecs (all coefficient vectors of one width) whose product with zt vanishes.
 
     Trailing zeros are kept: distinct vectors lift to distinct pools of
     polynomials, so padded forms are genuinely different search branches.
     """
-    vecs = _all_vectors(Q, width)
+    width = vecs.shape[1]
     dz = len(zt) - 1
     out = np.zeros((len(vecs), width + dz), dtype=np.intp)
     for j, b in enumerate(zt):
@@ -376,7 +356,7 @@ def _regular_lift(R: FiniteRing, A: Ideal, p, wt, masks):
     return None
 
 
-def decide_content_S_r(A: Ideal, S: MulClosedSet, max_degree: int = None) -> PolyVerdict:
+def decide_content_S_r(A: Ideal, S: MulClosedSet, max_degree: int = None, fac_cap: int = None) -> PolyVerdict:
     """Is the content ideal A[x] S-r over the polynomial ring?
 
     Gate order: the finite annihilator condition settles it for any S; the
@@ -384,12 +364,14 @@ def decide_content_S_r(A: Ideal, S: MulClosedSet, max_degree: int = None) -> Pol
     elements; otherwise a bounded search runs at the configured degree.
     A gate verdict of Fails still tries to surface a concrete pair; if the
     bounded search cannot find one the discrepancy is flagged, not hidden.
+    The f.a.c. gate sweeps subsets up to ``fac_cap`` (default the config
+    cap); a caller that gates on its own Limits passes the same cap.
     """
     R = A.ring
     if S.members & A.members:
         raise NotApplicableError("DISJOINTNESS_VIOLATED")
     D = DEFAULT_DEGREE if max_degree is None else max_degree
-    fac = has_fac(R)
+    fac = has_fac(R, fac_cap)
     prop_a = has_property_A(R)
     gate = None
     if fac.holds:

@@ -49,6 +49,7 @@ from .ideals import (
     ideal_sum,
     is_prime,
     jacobson_radical,
+    lattice as ideal_lattice,
     localize,
     max_ideals,
     mcs_from_members,
@@ -56,7 +57,6 @@ from .ideals import (
     min_primes_over,
     principal_members,
     spec as prime_spectrum,
-    _sum_sets,
 )
 from .poly import (
     NO,
@@ -106,6 +106,8 @@ class FiniteContext:
             else None
         )
         self._verdicts = {}
+        self._mcs = None  # m.c.s. candidates: depend on Limits and on the pinned ideal
+        self.annsum_pre = None  # P-annsum's (K1, K2, ts, K) table over ideals()
         self.subsampled = False
 
     def ideals(self):
@@ -119,9 +121,8 @@ class FiniteContext:
     def mcs_list(self):
         if self._pinned_mcs is not None:
             return (self._pinned_mcs,)
-        cached = self.ring._cache.get("mcs_candidates")
-        if cached is not None:
-            return cached
+        if self._mcs is not None:
+            return self._mcs
         R = self.ring
         seen = {}
         def put(members, gens):
@@ -149,11 +150,8 @@ class FiniteContext:
                 rng.sample(ordered, take), key=lambda kv: (len(kv[0]), tuple(sorted(kv[0])))
             )
             self.subsampled = True
-        result = tuple(
-            mcs_from_members(R, members, generators=gens) for members, gens in ordered
-        )
-        self.ring._cache["mcs_candidates"] = result
-        return result
+        self._mcs = tuple(mcs_from_members(R, members, generators=gens) for members, gens in ordered)
+        return self._mcs
 
     def regular_mcs(self):
         return mcs_from_members(self.ring, self.ring.regulars)
@@ -776,6 +774,10 @@ def run_p_colon(ctx, dropped):
             for B in ctx.ideals()
             if not B.members <= A.members
         ]
+        derived_by_k = [
+            (k_label, (("colon", colon(A, K)), ("annihilator", annihilator(R, K))))
+            for k_label, K in k_families
+        ]
         checked = 0
         vacuous = True
         failure = None
@@ -783,11 +785,8 @@ def run_p_colon(ctx, dropped):
             v = ctx.s_r(A, S)
             if not v.holds:
                 continue
-            for k_label, K in k_families:
-                for derived_label, derived in (
-                    ("colon", colon(A, K)),
-                    ("annihilator", annihilator(R, K)),
-                ):
+            for k_label, derived_pairs in derived_by_k:
+                for derived_label, derived in derived_pairs:
                     if enforce and (derived.members & S.members):
                         continue
                     if not derived.is_proper():
@@ -823,20 +822,18 @@ def run_p_annsum(ctx, dropped):
     R = ctx.ring
     lattice = ctx.ideals()
     enforce = "disjoint" not in dropped
-    pre = R._cache.get("annsum_pre")
-    if pre is None:
-        pre = []
-        anns = {A.members: annihilator(R, A.members) for A in lattice}
+    if ctx.annsum_pre is None:
+        ctx.annsum_pre = []
+        generated_by = {}  # principal ideal mask -> the elements generating it
+        for t, mask in enumerate(ideal_lattice(R).principal):
+            generated_by.setdefault(mask, set()).add(t)
         for i, K1 in enumerate(lattice):
             for K2 in lattice[i:]:
-                total = _sum_sets(R, K1.members, K2.members)
-                ts = frozenset(
-                    t for t in R.elements() if principal_members(R, t) == total
-                )
+                ts = frozenset(generated_by.get(ideal_sum(K1, K2).mask, ()))
                 if ts:
-                    K = ideal_sum(anns[K1.members], anns[K2.members])
-                    pre.append((K1, K2, ts, K))
-        R._cache["annsum_pre"] = pre
+                    K = ideal_sum(annihilator(R, K1.generators), annihilator(R, K2.generators))
+                    ctx.annsum_pre.append((K1, K2, ts, K))
+    pre = ctx.annsum_pre
     for S in ctx.mcs_list():
         checked = 0
         vacuous = True
@@ -1377,7 +1374,7 @@ def run_t4_2(ctx, dropped):
         for S in ctx.poly_mcs_list():
             if S.members & A.members:
                 continue
-            verdict = decide_content_S_r(A, S, D)
+            verdict = decide_content_S_r(A, S, D, ctx.limits.fac_cap)
             base = ctx.s_r(A, S)
             if not gate.holds:
                 yield _record(

@@ -40,7 +40,10 @@ class FiniteRing:
         "units",
         "regulars",
         "zero_divisors",
-        "_cache",
+        "_reduced",
+        "_idempotents",
+        "_lattice",  # ideals.IdealLattice, built on first use
+        "__weakref__",
     )
 
     def __init__(self, add, mul, labels=None, recipe="?", parts=None):
@@ -63,7 +66,7 @@ class FiniteRing:
         self.zero = 0
         self.neg = tuple(int(np.where(add[a] == 0)[0][0]) for a in range(n))
         self._partition()
-        self._cache = {}
+        self._lattice = None
         for t in (self.add, self.mul):
             t.setflags(write=False)
 
@@ -106,6 +109,10 @@ class FiniteRing:
         self.regulars = frozenset(range(n)) - self.zero_divisors
         if self.regulars != self.units:
             raise ConstructionBug("regular elements differ from units in a finite ring")
+        ar = np.arange(n)
+        sq = m[ar, ar]
+        self._reduced = bool((sq[1:] != 0).all())
+        self._idempotents = tuple(int(a) for a in np.where(sq == ar)[0])
 
     # -- scalar helpers ------------------------------------------------------------
 
@@ -123,20 +130,10 @@ class FiniteRing:
 
     def is_reduced(self) -> bool:
         """No nonzero nilpotents; it suffices to check squares."""
-        cached = self._cache.get("reduced")
-        if cached is None:
-            sq = self.mul[np.arange(self.size), np.arange(self.size)]
-            cached = bool((sq[1:] != 0).all()) if self.size > 1 else True
-            self._cache["reduced"] = cached
-        return cached
+        return self._reduced
 
     def idempotents(self):
-        cached = self._cache.get("idempotents")
-        if cached is None:
-            ar = np.arange(self.size)
-            cached = tuple(int(a) for a in np.where(self.mul[ar, ar] == ar)[0])
-            self._cache["idempotents"] = cached
-        return cached
+        return self._idempotents
 
     def __repr__(self):
         return f"FiniteRing({self.recipe}, size={self.size})"

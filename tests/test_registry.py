@@ -2,7 +2,9 @@ import json
 
 import pytest
 
+from ringlab.classify import has_fac
 from ringlab.corpus import CorpusSpec, Limits, default_corpus, parse_corpus_line
+from ringlab.dsl import parse_ring
 from ringlab.errors import UnknownHypothesis, UnknownTheorem
 from ringlab.registry import (
     CASES,
@@ -102,6 +104,22 @@ def test_mcs_candidate_cap_keeps_units_and_full():
     members = [S.members for S in cands]
     assert frozenset(ctx.ring.units) in members
     assert frozenset(range(12)) in members
+
+
+@pytest.mark.parametrize("fac_cap", [1, 2])
+def test_t4_2_and_the_content_decision_gate_on_the_same_fac_cap(fac_cap):
+    # Z6 fails f.a.c. on pairs, so only the cap-1 sweep (no subsets at all)
+    # passes; a decision gated at the default cap would then disagree with
+    # the T4.2 hypothesis and report spurious violations.
+    limits = Limits.defaults().scaled(fac_cap=fac_cap)
+    records = list(verify(("T4.2",), CorpusSpec((parse_corpus_line("polyring(Z6)"),), limits)))
+    gate = has_fac(parse_ring("Z6"), fac_cap).holds
+    assert gate == (fac_cap == 1)
+    assert records
+    for rec in records:
+        assert rec["hypotheses"] == {"fac": gate, "fac_cap": fac_cap}
+        assert (rec["detail"]["gate"] == "fac") == gate
+        assert rec["outcome"] == ("VERIFIED" if gate else "VACUOUS")
 
 
 def test_determinism_across_runs(mini):
