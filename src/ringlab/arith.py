@@ -20,6 +20,8 @@ from dataclasses import dataclass
 from itertools import product as iproduct
 from math import gcd
 
+import numpy as np
+
 from .classify import DISJOINTNESS_VIOLATED, Verdict, FAILS, HOLDS, NOT_APPLICABLE
 from .errors import InvalidConstruction, NotProperError, TypeMismatch
 
@@ -322,20 +324,9 @@ def arith_is_S_r_ideal(A: ArithIdeal, S: ArithMCS, witness_bound: int = None) ->
 
 # -- window oracle -------------------------------------------------------------------
 
-
-def _window_elements(R: ArithRing, bound):
-    axes = []
-    for f in R.factors:
-        axes.append(range(-bound, bound + 1) if f == INT else range(f[1]))
-    return iproduct(*axes)
-
-
-def _window_mcs(R: ArithRing, S: ArithMCS, bound):
-    axes = [_factor_candidates(S, i, bound) for i in range(R.width)]
-    return [R.reduce(t) for t in iproduct(*axes)]
-
-
+# Verdicts by (factors, descs, S descs, bound); sent window elements by (factors, descs, bound).
 _oracle_cache = {}
+_CHUNK = 1 << 15  # elements per temporary in the window scans
 
 
 def arith_oracle_check(A: ArithIdeal, S: ArithMCS, bound: int) -> bool:
@@ -348,12 +339,37 @@ def arith_oracle_check(A: ArithIdeal, S: ArithMCS, bound: int) -> bool:
     """
     R = A.ring
     key = (R.factors, A.descs, S.descs if S is not None else None, bound)
-    got = _oracle_cache.get(key)
-    if got is not None:
-        return got
-    result = _oracle_check(A, S, bound)
-    _oracle_cache[key] = result
-    return result
+    if key not in _oracle_cache:
+        _oracle_cache[key] = _oracle_check(A, S, bound)
+    return _oracle_cache[key]
+
+
+def _in_ideal(descs, xs):
+    """Which rows of xs lie in the ideal; a Z_n descriptor divides n, so xs need no reducing."""
+    d = np.array(descs, dtype=np.int64)
+    return np.where(d == 0, xs == 0, xs % np.maximum(d, 1) == 0).all(axis=-1)
+
+
+def _products_in(descs, xs, ys, reduce):
+    """For each row x of xs, reduce (np.any or np.all) of "xy is in the ideal" over
+    the rows y of ys; temporaries hold about _CHUNK elements."""
+    step = max(1, _CHUNK // max(1, ys.size))
+    return np.concatenate([
+        reduce(_in_ideal(descs, xs[i : i + step, None] * ys[None]), axis=1) for i in range(0, len(xs), step)
+    ])
+
+
+def _sent(R: ArithRing, descs, bound):
+    """The window elements z, as rows of an array, that some window w with
+    Ann(w) = 0 sends into the ideal (wz in A); built once per (ideal, bound)."""
+    key = (R.factors, descs, bound)
+    if key not in _oracle_cache:
+        axes = [np.arange(-bound, bound + 1) if f == INT else np.arange(f[1]) for f in R.factors]
+        window = np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1).reshape(-1, R.width)
+        mods = np.array([0 if f == INT else f[1] for f in R.factors], dtype=np.int64)
+        regs = window[np.where(mods == 0, window != 0, np.gcd(window, mods) == 1).all(axis=1)]
+        _oracle_cache[key] = window[_products_in(descs, window, regs, np.any)]
+    return _oracle_cache[key]
 
 
 def _oracle_check(A: ArithIdeal, S, bound: int) -> bool:
@@ -363,40 +379,18 @@ def _oracle_check(A: ArithIdeal, S, bound: int) -> bool:
         raise InvalidConstruction("window must cover twice the largest descriptor")
     if S is None:
         verdict = arith_is_r_ideal(A)
-        cands = [None]
     else:
         verdict = arith_is_S_r_ideal(A, S)
         if verdict.not_applicable:
             return True
-        cands = _window_mcs(R, S, bound)
-    regs = [w for w in _window_elements(R, bound) if arith_ann_is_zero(R, w)]
-    window = list(_window_elements(R, bound))
-    mul = R.mul
-    in_a = A.contains
+    sent = _sent(R, A.descs, bound)
     if verdict.holds:
-        s = verdict.witness
-        for z in window:
-            target_ok = in_a(z) if s is None else in_a(mul(s, z))
-            if target_ok:
-                continue
-            for w in regs:
-                if in_a(mul(w, z)):
-                    return False
-        return True
-    for s in cands:
-        found = False
-        for z in window:
-            if in_a(z) if s is None else in_a(mul(s, z)):
-                continue
-            for w in regs:
-                if in_a(mul(w, z)):
-                    found = True
-                    break
-            if found:
-                break
-        if not found:
-            return False
-    return True
+        # no sent z may escape the witness (the r-ideal verdict has none: z itself must stay in A)
+        s = np.array([verdict.witness or (1,) * R.width])
+        return bool(_products_in(A.descs, s, sent, np.all).all())
+    # every window s must have a sent z that escapes it
+    axes = [[1]] * R.width if S is None else [_factor_candidates(S, i, bound) for i in range(R.width)]
+    return not _products_in(A.descs, np.array(list(iproduct(*axes))), sent, np.all).any()
 
 
 # -- ideal arithmetic in closed form ---------------------------------------------------

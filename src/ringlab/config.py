@@ -6,8 +6,11 @@ of degrading, and every bounded search records the bound it ran with.
 
 import os
 
+from .errors import ConfigError
+
 SIZE_LIMIT_ENV = "RINGLAB_SIZE_LIMIT"
 DEFAULT_SIZE_LIMIT = 256
+SIZE_LIMIT_CEILING = 32767  # ring tables are int16; a larger cap would let indices wrap
 
 # Polynomial searches: default working degree and a hard cap.
 DEFAULT_DEGREE = 3
@@ -33,12 +36,18 @@ MCS_CANDIDATE_CAP = 24
 
 
 def size_limit() -> int:
-    """Element-count cap for ring constructions; env override allowed."""
+    """Element-count cap for ring constructions; env override allowed.
+
+    The override must be an integer from 1 to SIZE_LIMIT_CEILING; anything
+    else raises ConfigError naming the variable instead of being ignored.
+    """
     raw = os.environ.get(SIZE_LIMIT_ENV)
     if raw is None:
         return DEFAULT_SIZE_LIMIT
     try:
         value = int(raw)
     except ValueError:
-        return DEFAULT_SIZE_LIMIT
-    return value if value >= 1 else DEFAULT_SIZE_LIMIT
+        value = None
+    if value is None or not 1 <= value <= SIZE_LIMIT_CEILING:
+        raise ConfigError(f"{SIZE_LIMIT_ENV}={raw!r}: expected an integer from 1 to {SIZE_LIMIT_CEILING}")
+    return value

@@ -9,6 +9,10 @@ class InvalidConstruction(RinglabError):
     """The requested structure violates a construction precondition."""
 
 
+class ConfigError(RinglabError):
+    """A run-wide setting, such as an environment override, has an invalid value."""
+
+
 class SizeLimitError(RinglabError):
     """A construction would exceed the configured element-count cap."""
 

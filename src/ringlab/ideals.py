@@ -105,6 +105,7 @@ class IdealLattice:
         self.principal = tuple(mask_of(set(row)) for row in R.mul.tolist())  # principal[a]: Ra
         self.localizations = {}  # S.members -> LocalizationResult
         self.quotients = {}  # A.mask -> (R/A, projection)
+        self.content_tables = {}  # (A.mask, width) -> poly._ContentTables
         self._interned, self._generated, self._sums, self._colons, self._products = {}, {}, {}, {}, {}
 
     def intern(self, mask: int) -> Ideal:

@@ -14,6 +14,7 @@ ideals (all coefficients in A) and evaluation kernels (f(a) in B).
 from __future__ import annotations
 
 import random
+from collections import namedtuple
 from dataclasses import dataclass
 from itertools import product as iproduct
 
@@ -26,6 +27,7 @@ from .ideals import (
     Ideal,
     MulClosedSet,
     annihilator,
+    first_hit,
     ideal_generate,
     ideal_power,
     ideal_product,
@@ -87,13 +89,18 @@ def poly_add(f: Poly, g: Poly) -> Poly:
 
 
 def poly_mul(f: Poly, g: Poly) -> Poly:
+    deg = f.degree + g.degree
+    if deg > MAX_DEGREE and not (f.is_zero() or g.is_zero()):
+        raise DegreeLimitError(f"product degree {deg} beyond the cap {MAX_DEGREE}")
+    return _product(f, g)
+
+
+def _product(f: Poly, g: Poly) -> Poly:
+    """The product without the degree cap (bounded searches run past it)."""
     R = f.base
     if f.is_zero() or g.is_zero():
         return Poly(R, ())
-    deg = f.degree + g.degree
-    if deg > MAX_DEGREE:
-        raise DegreeLimitError(f"product degree {deg} beyond the cap {MAX_DEGREE}")
-    out = [0] * (deg + 1)
+    out = [0] * (f.degree + g.degree + 1)
     for i, a in enumerate(f.coeffs):
         if a == 0:
             continue
@@ -108,20 +115,6 @@ def poly_eval(f: Poly, a) -> int:
     for c in reversed(f.coeffs):
         acc = R.a(R.m(acc, a), c)
     return int(acc)
-
-
-def _mul_uncapped(f: Poly, g: Poly) -> Poly:
-    # search-internal multiply; the public cap does not apply here
-    R = f.base
-    if f.is_zero() or g.is_zero():
-        return Poly(R, ())
-    out = [0] * (f.degree + g.degree + 1)
-    for i, a in enumerate(f.coeffs):
-        if a == 0:
-            continue
-        for j, b in enumerate(g.coeffs):
-            out[i + j] = R.a(out[i + j], R.m(a, b))
-    return Poly.make(R, out)
 
 
 def constant(base: FiniteRing, c) -> Poly:
@@ -232,13 +225,9 @@ class PolyVerdict:
 def _poly_tuples(size: int, max_degree: int):
     """Nonzero coefficient tuples by degree, leading coefficient most significant."""
     for d in range(max_degree + 1):
-        if d == 0:
-            for c in range(1, size):
-                yield (c,)
-        else:
-            for lead in range(1, size):
-                for rest in iproduct(range(size), repeat=d):
-                    yield tuple(reversed(rest)) + (lead,)
+        for lead in range(1, size):
+            for rest in iproduct(range(size), repeat=d):
+                yield rest[::-1] + (lead,)
 
 
 def _tuple_regular(R: FiniteRing, coeffs, masks) -> bool:
@@ -285,75 +274,86 @@ def bounded_S_r_search(spec: PolyIdealSpec, S_const: MulClosedSet, max_degree: i
         return PolyVerdict(NO_VIOLATION_UP_TO, bound=max_degree)
 
     A = spec.ideal
-    quotients = lattice(R).quotients
-    if A.mask not in quotients:
-        quotients[A.mask] = make_quotient(R, A)
-    quotient, proj = quotients[A.mask]
-    p = proj.image
-    # residue tuples z-bar that escape the spec under every s
-    sbar = sorted({int(p[s]) for s in svals})
-    qmul = quotient.mul
-    vecs = None  # every coefficient vector of width max_degree + 1, built on first use
-    for zt in _poly_tuples(quotient.size, max_degree):
-        if not all(any(int(qmul[s, c]) != 0 for c in zt) for s in sbar):
-            continue
-        if vecs is None:
-            vecs = np.array(list(iproduct(range(quotient.size), repeat=max_degree + 1)), dtype=np.intp)
-        for wt in _annihilating_vectors(quotient, zt, vecs):
-            found = _regular_lift(R, A, p, wt, masks)
-            if found is not None:
-                w = Poly.make(R, found)
-                z = Poly.make(R, _min_lift(R, p, zt))
-                deg = max(w.degree, z.degree, 0)
-                return PolyVerdict(NO, pair=(w, z), witness_degree=deg, bound=max_degree)
+    t = _content_tables(R, A, max_degree + 1)
+    Q = t.quotient
+    # residues z-bar that escape the spec under every s, degree by degree in _poly_tuples order
+    sbar = sorted({t.proj.image[s] for s in svals})
+    for d in range(max_degree + 1):
+        zts = t.rows if d == max_degree else _coeff_rows(Q.size, d + 1)
+        zts = zts[Q.size**d :, ::-1]  # nonzero leading coefficient, which is most significant
+        for s in sbar:
+            zts = zts[(Q.mul[s][zts] != 0).any(axis=1)]
+        hit = _first_zero_product(zts, t.prod, t.addf)
+        if hit is not None:
+            zt, wt = zts[hit[0]].tolist(), t.rows[t.liftable][hit[1]].tolist()
+            w = Poly.make(R, _regular_lift(R, [t.cosets[c] for c in wt], masks))
+            z = Poly.make(R, [t.cosets[c][0] for c in zt])  # index-minimal lift
+            return PolyVerdict(NO, pair=(w, z), witness_degree=max(w.degree, z.degree, 0), bound=max_degree)
     return PolyVerdict(NO_VIOLATION_UP_TO, bound=max_degree)
 
 
-def _annihilating_vectors(Q: FiniteRing, zt, vecs):
-    """Every row of vecs (all coefficient vectors of one width) whose product with zt vanishes.
-
-    Trailing zeros are kept: distinct vectors lift to distinct pools of
-    polynomials, so padded forms are genuinely different search branches.
-    """
-    width = vecs.shape[1]
-    dz = len(zt) - 1
-    out = np.zeros((len(vecs), width + dz), dtype=np.intp)
-    for j, b in enumerate(zt):
-        if b == 0:
-            continue
-        prod = Q.mul[vecs, b]
-        out[:, j : j + width] = Q.add[out[:, j : j + width], prod]
-    keep = (out == 0).all(axis=1)
-    return [tuple(int(c) for c in v) for v in vecs[keep]]
+_CHUNK = 1 << 15  # elements per temporary in the content scan
 
 
-def _min_lift(R: FiniteRing, p, zt):
-    """Index-minimal coefficientwise lift of a residue tuple."""
-    lifts = {}
-    for a in R.elements():
-        lifts.setdefault(int(p[a]), a)
-    return [lifts[c] for c in zt]
+# Search tables of one content ideal A at one coefficient width, held on lattice(R).
+# rows: every coefficient vector over R/A in iproduct order (trailing zeros kept,
+# since padded forms lift to different polynomials); liftable: the rows with a
+# coefficientwise lift regular in R[x]; cosets: residue -> members of R over it,
+# ascending; prod[c, l]: c times the l-th liftable row; addf[a * q + b] = a + b in R/A.
+_ContentTables = namedtuple("_ContentTables", "quotient proj cosets rows liftable prod addf")
 
 
-def _coset_elements(R: FiniteRing, p):
-    cosets = {}
-    for a in R.elements():
-        cosets.setdefault(int(p[a]), []).append(a)
-    return cosets
+def _coeff_rows(q: int, width: int):
+    """Every vector of width coefficients in range(q), first most significant."""
+    return np.indices((q,) * width, dtype=np.min_scalar_type(q - 1)).reshape(width, -1).T
 
 
-def _regular_lift(R: FiniteRing, A: Ideal, p, wt, masks):
-    """Search every coefficientwise lift of w-bar for one regular in R[x]."""
-    cosets = _coset_elements(R, p)
-    pools = [cosets[c] for c in wt]
-    full = (1 << R.size) - 1
-    for combo in iproduct(*pools):
-        acc = full
-        for c in combo:
-            acc &= masks[c]
-        if acc == 1:
-            return combo
+def _content_tables(R: FiniteRing, A: Ideal, width: int) -> _ContentTables:
+    lat = lattice(R)
+    got = lat.content_tables.get((A.mask, width))
+    if got is None:
+        if A.mask not in lat.quotients:
+            lat.quotients[A.mask] = make_quotient(R, A)
+        Q, proj = lat.quotients[A.mask]
+        cosets = {c: [a for a, x in enumerate(proj.image) if x == c] for c in range(Q.size)}
+        rows = _coeff_rows(Q.size, width)
+        # liftability depends on the residues with multiplicity, not on their order
+        keys = [tuple(sorted(r)) for r in rows.tolist()]
+        memo = {k: _regular_lift(R, [cosets[c] for c in k], lat.ann) is not None for k in set(keys)}
+        liftable = np.array([memo[k] for k in keys], dtype=bool)
+        got = _ContentTables(Q, proj, cosets, rows, liftable, Q.mul.astype(rows.dtype)[:, rows[liftable]],
+                             Q.add.astype(rows.dtype).ravel())
+        lat.content_tables[(A.mask, width)] = got
+    return got
+
+
+def _first_zero_product(zts, prod, addf):
+    """First (k, l), row-major, with zts[k] times row l of the prod table zero in (R/A)[x].
+
+    Pairs are multiplied in blocks whose temporaries hold about _CHUNK entries."""
+    q, nrows, width = prod.shape
+    span = width + zts.shape[1] - 1
+    per_block = max(1, _CHUNK // span)
+    step = min(nrows, per_block) or 1  # rows per block; several zts only when every row fits
+    kstep = max(1, per_block // max(1, nrows))
+    index_t = np.min_scalar_type(q * q - 1)
+    for k0 in range(0, len(zts), kstep):
+        zc = zts[k0 : k0 + kstep]
+        for l0 in range(0, nrows, step):
+            pc = prod[:, l0 : l0 + step]
+            out = np.zeros((len(zc), pc.shape[1], span), dtype=index_t)
+            for j in range(zc.shape[1]):
+                seg = out[:, :, j : j + width]
+                seg[...] = addf[seg * q + pc[zc[:, j]]]
+            hit = first_hit((out == 0).all(axis=2))
+            if hit is not None:
+                return k0 + hit[0], l0 + hit[1]
     return None
+
+
+def _regular_lift(R: FiniteRing, pools, masks):
+    """The first coefficientwise choice from the pools that is regular in R[x], or None."""
+    return next((c for c in iproduct(*pools) if _tuple_regular(R, c, masks)), None)
 
 
 def decide_content_S_r(A: Ideal, S: MulClosedSet, max_degree: int = None, fac_cap: int = None) -> PolyVerdict:
@@ -424,7 +424,7 @@ def poly_s_unit_check(f: Poly, S_const: MulClosedSet, max_degree: int) -> PolySU
         return PolySUnitResult(S_UNIT_ANALYTIC_NO)
     for coeffs in _poly_tuples(R.size, max_degree):
         g = Poly(R, coeffs)
-        prod = _mul_uncapped(f, g)
+        prod = _product(f, g)
         if prod.degree <= 0 and not prod.is_zero() and prod.coeffs[0] in S_const.members:
             return PolySUnitResult(S_UNIT_YES, witness=g, bound=max_degree)
         if prod.is_zero() and zero_in_s:

@@ -1,7 +1,9 @@
 from itertools import combinations, product as iproduct
 
 import pytest
+from hypothesis import HealthCheck, example, given, settings, strategies as st
 
+import ringlab.arith as ar
 from ringlab.arith import (
     INT,
     ArithIdeal,
@@ -21,7 +23,7 @@ from ringlab.arith import (
     arith_subset_zd,
     mod_factor,
 )
-from ringlab.classify import is_r_ideal, is_S_r_ideal
+from ringlab.classify import FAILS, HOLDS, Verdict, is_r_ideal, is_S_r_ideal
 from ringlab.errors import InvalidConstruction, NotProperError
 from ringlab.ideals import ideal_generate, is_prime, mcs_from_members
 from ringlab.rings import make_product, make_zn
@@ -267,3 +269,139 @@ def test_oracle_agreement_over_corpus_combinations(zz, z):
     for A, S in cases:
         assert arith_oracle_check(A, None, 10)
         assert arith_oracle_check(A, S, 10)
+
+
+# -- window oracle against the tuple-loop reference ----------------------------------
+#
+# The reference is the plain loop the vectorised oracle replaced: it walks the
+# window as coordinate tuples, reducing and multiplying one pair at a time.  It
+# reads the closed-form verdict through the module, so a test that swaps the
+# verdict swaps it for both implementations.
+
+
+def ref_window_elements(R, bound):
+    return iproduct(*(range(-bound, bound + 1) if f == INT else range(f[1]) for f in R.factors))
+
+
+def ref_window_mcs(R, S, bound):
+    axes = [ar._factor_candidates(S, i, bound) for i in range(R.width)]
+    return [R.reduce(t) for t in iproduct(*axes)]
+
+
+def ref_oracle_check(A, S, bound):
+    R = A.ring
+    maxdesc = max((d for f, d in zip(R.factors, A.descs) if f == INT), default=0)
+    if bound < 2 * maxdesc:
+        raise InvalidConstruction("window must cover twice the largest descriptor")
+    if S is None:
+        verdict = ar.arith_is_r_ideal(A)
+        cands = [None]
+    else:
+        verdict = ar.arith_is_S_r_ideal(A, S)
+        if verdict.not_applicable:
+            return True
+        cands = ref_window_mcs(R, S, bound)
+    regs = [w for w in ref_window_elements(R, bound) if arith_ann_is_zero(R, w)]
+    window = list(ref_window_elements(R, bound))
+    mul = R.mul
+    in_a = A.contains
+    if verdict.holds:
+        s = verdict.witness
+        for z in window:
+            if in_a(z) if s is None else in_a(mul(s, z)):
+                continue
+            for w in regs:
+                if in_a(mul(w, z)):
+                    return False
+        return True
+    for s in cands:
+        found = False
+        for z in window:
+            if in_a(z) if s is None else in_a(mul(s, z)):
+                continue
+            for w in regs:
+                if in_a(mul(w, z)):
+                    found = True
+                    break
+            if found:
+                break
+        if not found:
+            return False
+    return True
+
+
+def _flipped(closed_form):
+    """The closed form with Holds and Fails swapped, so the window must object."""
+
+    def flip(A, *rest):
+        v = closed_form(A, *rest)
+        if v.holds:
+            return Verdict(FAILS)
+        if v.fails:
+            return Verdict(HOLDS, witness=A.ring.one() if rest else None)
+        return v
+
+    return flip
+
+
+def _closure_mod(n, gens):
+    members = {1 % n}
+    frontier = list(members)
+    while frontier:
+        a = frontier.pop()
+        for g in gens:
+            b = (a * g) % n
+            if b not in members:
+                members.add(b)
+                frontier.append(b)
+    return frozenset(members)
+
+
+@st.composite
+def oracle_cases(draw):
+    factors = tuple(
+        draw(st.sampled_from([INT] + [mod_factor(n) for n in range(1, 9)]))
+        for _ in range(draw(st.sampled_from([1, 2, 2])))
+    )
+    R = ArithRing(factors)
+    descs = tuple(
+        draw(st.integers(0, 2)) if f == INT else draw(st.sampled_from([d for d in range(1, f[1] + 1) if f[1] % d == 0]))
+        for f in factors
+    )
+    A = ArithIdeal(R, descs)
+    S = None
+    if draw(st.booleans()):
+        parts = []
+        for f in factors:
+            kind = draw(st.sampled_from(["units", "all", "fin"]))
+            if kind != "fin":
+                parts.append((kind,))
+            elif f == INT:
+                parts.append(("fin", draw(st.sampled_from([{1}, {1, -1}, {0, 1}, {0, 1, -1}]))))
+            else:
+                gens = draw(st.lists(st.integers(0, f[1] - 1), max_size=2))
+                parts.append(("fin", _closure_mod(f[1], gens)))
+        S = ArithMCS(R, tuple((p[0], frozenset(p[1])) if p[0] == "fin" else p for p in parts))
+    maxdesc = max((d for f, d in zip(factors, descs) if f == INT), default=0)
+    bound = max(1, 2 * maxdesc + draw(st.integers(0, 1)))
+    return A, S, bound, draw(st.booleans())
+
+
+_ZZ = ArithRing((INT, INT))
+_ZZ4 = ArithRing((INT, mod_factor(4)))
+
+
+# 0 x 2Z is S-r for S = units x Z, with witness (1, 0); a claimed Fails is
+# refuted by that s alone, so the Fails branch must ask every window s for a
+# violating pair (an any/all swap there passes these two and nothing else).
+@example((ArithIdeal(_ZZ, (0, 2)), ArithMCS(_ZZ, (("units",), ("all",))), 4, True))
+@example((ArithIdeal(_ZZ4, (2, 2)), ArithMCS(_ZZ4, (("all",), ("units",))), 4, True))
+@settings(max_examples=60, derandomize=True, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(oracle_cases())
+def test_oracle_matches_tuple_loop_reference(case):
+    A, S, bound, flip = case
+    with pytest.MonkeyPatch.context() as mp:
+        if flip:
+            mp.setattr(ar, "arith_is_r_ideal", _flipped(arith_is_r_ideal))
+            mp.setattr(ar, "arith_is_S_r_ideal", _flipped(arith_is_S_r_ideal))
+        assert ar._oracle_check(A, S, bound) == ref_oracle_check(A, S, bound)

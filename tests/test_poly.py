@@ -4,9 +4,12 @@ from math import gcd
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from ringlab import poly
+from ringlab.dsl import parse_ring
 from ringlab.errors import DegreeLimitError, NotApplicableError
-from ringlab.ideals import all_ideals, ideal_generate, ideal_product, mcs_from_members, mcs_generate
+from ringlab.ideals import all_ideals, ideal_generate, ideal_product, lattice, mcs_from_members, mcs_generate
 from ringlab.poly import (
     GATE_FAC,
     GATE_PROPERTY_A,
@@ -18,6 +21,10 @@ from ringlab.poly import (
     YES_BY_THEOREM,
     Poly,
     PolyIdealSpec,
+    PolyVerdict,
+    _coeff_rows,
+    _first_zero_product,
+    _poly_tuples,
     bounded_S_r_search,
     constant,
     content_ideal,
@@ -31,7 +38,7 @@ from ringlab.poly import (
     poly_mul,
     poly_s_unit_check,
 )
-from ringlab.rings import make_product, make_zn
+from ringlab.rings import make_product, make_quotient, make_zn
 
 
 @pytest.fixture(scope="module")
@@ -397,3 +404,164 @@ def test_root_obstruction_reported(z2):
     res = poly_s_unit_check(Poly.make(z2, [1, 1]), S, 4)
     assert res.kind == S_UNIT_NO_UP_TO
     assert res.obstructions == (1,)
+
+
+# -- content search against the loop reference --------------------------------------------
+#
+# The reference is the per-residue loop the batched search replaced: each
+# escaping z-bar is multiplied against every coefficient vector in turn, and
+# every annihilating vector is tried for a regular lift until one is found.
+
+
+def ref_poly_tuples(size, max_degree):
+    for d in range(max_degree + 1):
+        if d == 0:
+            for c in range(1, size):
+                yield (c,)
+        else:
+            for lead in range(1, size):
+                for rest in iproduct(range(size), repeat=d):
+                    yield tuple(reversed(rest)) + (lead,)
+
+
+def ref_annihilating_vectors(Q, zt, vecs):
+    width = vecs.shape[1]
+    out = np.zeros((len(vecs), width + len(zt) - 1), dtype=np.intp)
+    for j, b in enumerate(zt):
+        if b == 0:
+            continue
+        out[:, j : j + width] = Q.add[out[:, j : j + width], Q.mul[vecs, b]]
+    return [tuple(int(c) for c in v) for v in vecs[(out == 0).all(axis=1)]]
+
+
+def ref_regular_lift(R, p, wt, masks):
+    cosets = {}
+    for a in R.elements():
+        cosets.setdefault(int(p[a]), []).append(a)
+    full = (1 << R.size) - 1
+    for combo in iproduct(*(cosets[c] for c in wt)):
+        acc = full
+        for c in combo:
+            acc &= masks[c]
+        if acc == 1:
+            return combo
+    return None
+
+
+def ref_min_lift(R, p, zt):
+    lifts = {}
+    for a in R.elements():
+        lifts.setdefault(int(p[a]), a)
+    return [lifts[c] for c in zt]
+
+
+def ref_content_search(A, S_const, max_degree):
+    R = A.ring
+    masks = lattice(R).ann
+    quotient, proj = make_quotient(R, A)
+    p = proj.image
+    sbar = sorted({int(p[s]) for s in S_const.sorted_members})
+    vecs = np.array(list(iproduct(range(quotient.size), repeat=max_degree + 1)), dtype=np.intp)
+    for zt in ref_poly_tuples(quotient.size, max_degree):
+        if not all(any(int(quotient.mul[s, c]) != 0 for c in zt) for s in sbar):
+            continue
+        for wt in ref_annihilating_vectors(quotient, zt, vecs):
+            found = ref_regular_lift(R, p, wt, masks)
+            if found is not None:
+                w = Poly.make(R, found)
+                z = Poly.make(R, ref_min_lift(R, p, zt))
+                return PolyVerdict(NO, pair=(w, z), witness_degree=max(w.degree, z.degree, 0), bound=max_degree)
+    return PolyVerdict(NO_VIOLATION_UP_TO, bound=max_degree)
+
+
+def _search_mcs(R, A):
+    """{1}, the units, and the closure of the first element whose powers avoid A."""
+    out = [mcs_generate(R, []), mcs_from_members(R, R.units)]
+    for a in R.elements():
+        S = mcs_generate(R, [a])
+        if a not in R.units and not S.members & A.members:
+            out.append(S)
+            break
+    return [S for S in out if not S.members & A.members]
+
+
+SEARCH_RINGS = [f"Z{n}" for n in range(2, 13)] + ["Z4 x Z2", "triv(Z2, free(1))"]
+
+
+@pytest.mark.parametrize("expr", SEARCH_RINGS)
+def test_content_search_matches_loop_reference(expr):
+    R = parse_ring(expr)
+    for A in all_ideals(R):
+        if not A.is_proper():
+            continue
+        for S in _search_mcs(R, A):
+            for degree in range(3):
+                spec = PolyIdealSpec.content(A)
+                assert bounded_S_r_search(spec, S, degree) == ref_content_search(A, S, degree), (A, S, degree)
+
+
+@settings(max_examples=40, derandomize=True, deadline=None)
+@given(st.data())
+def test_content_search_matches_reference_when_lifts_are_regular(data):
+    """Fake some annihilator masks, so lifts can be regular and the content path
+    finds pairs; the whole verdict, pair included, must match the loop reference.
+    Random masks also make a lift's regularity depend on repeated residues."""
+    R = parse_ring(data.draw(st.sampled_from(["Z4", "Z6", "Z8", "Z2 x Z2", "Z4 x Z2", "triv(Z2, free(1))"])))
+    lat = lattice(R)  # R is fresh, so the faked table reaches no other test
+    fake = data.draw(st.dictionaries(st.integers(1, R.size - 1), st.integers(0, lat.full) | st.just(0)))
+    lat.ann = tuple(fake[a] | 1 if a in fake else m for a, m in enumerate(lat.ann))
+    A = data.draw(st.sampled_from([A for A in all_ideals(R) if A.is_proper()]))
+    S = data.draw(st.sampled_from(_search_mcs(R, A)))
+    degree = data.draw(st.integers(0, 2))
+    assert bounded_S_r_search(PolyIdealSpec.content(A), S, degree) == ref_content_search(A, S, degree)
+
+
+def ref_first_zero_product(Q, zts, rows):
+    for k, zt in enumerate(zts):
+        for l, wt in enumerate(rows):
+            out = [0] * (len(zt) + len(wt) - 1)
+            for i, a in enumerate(zt):
+                for j, b in enumerate(wt):
+                    out[i + j] = Q.a(out[i + j], Q.m(a, b))
+            if not any(out):
+                return k, l
+    return None
+
+
+@settings(max_examples=60, derandomize=True, deadline=None)
+@given(st.data())
+def test_first_zero_product_scan_order_matches_nested_loop(data):
+    """The batched scan returns the first (z-bar, w-bar) of the nested loop, for any row mask and block size."""
+    Q = parse_ring(data.draw(st.sampled_from(["Z4", "Z6", "Z8", "Z2 x Z2", "triv(Z2, free(1))"])))
+    width, degree = data.draw(st.integers(1, 3)), data.draw(st.integers(0, 2))
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**16)))
+    rows = _coeff_rows(Q.size, width)
+    rows = rows[(rng.random(len(rows)) < data.draw(st.sampled_from([0.05, 0.3, 0.8]))) & rows.any(axis=1)]
+    zts = _coeff_rows(Q.size, degree + 1)[Q.size**degree :, ::-1]
+    zts = zts[rng.random(len(zts)) < data.draw(st.sampled_from([0.1, 0.5, 1.0]))]
+    prod = Q.mul.astype(rows.dtype)[:, rows]
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(poly, "_CHUNK", data.draw(st.sampled_from([1, 7, 64, 1 << 15])))
+        got = _first_zero_product(zts, prod, Q.add.astype(rows.dtype).ravel())
+    assert got == ref_first_zero_product(Q, zts.tolist(), rows.tolist())
+
+
+@pytest.mark.parametrize("size", [2, 3, 5])
+def test_coefficient_rows_in_poly_tuple_order(size):
+    """Nonzero-leading rows, reversed, enumerate degree d exactly as _poly_tuples does."""
+    for degree in range(3):
+        zts = _coeff_rows(size, degree + 1)[size**degree :, ::-1]
+        assert [tuple(r) for r in zts.tolist()] == [t for t in ref_poly_tuples(size, degree) if len(t) == degree + 1]
+    assert list(_poly_tuples(size, 2)) == list(ref_poly_tuples(size, 2))
+
+
+def test_first_zero_product_keeps_row_major_order_across_row_blocks():
+    """z0 is killed only by the second row, z1 by the first: with one row per
+    block, the scan must still finish z0 before it looks at z1."""
+    Q = parse_ring("Z2 x Z2")
+    e1, e2 = (a for a in Q.elements() if Q.m(a, a) == a and a not in (0, Q.one))
+    rows = np.array([[e1], [e2]], dtype=np.uint8)
+    zts = np.array([[e1], [e2]], dtype=np.uint8)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(poly, "_CHUNK", 1)
+        assert _first_zero_product(zts, Q.mul.astype(np.uint8)[:, rows], Q.add.astype(np.uint8).ravel()) == (0, 1)

@@ -5,7 +5,7 @@ import pytest
 from ringlab.classify import has_fac
 from ringlab.corpus import CorpusSpec, Limits, default_corpus, parse_corpus_line
 from ringlab.dsl import parse_ring
-from ringlab.errors import UnknownHypothesis, UnknownTheorem
+from ringlab.errors import ConfigError, UnknownHypothesis, UnknownTheorem
 from ringlab.registry import (
     CASES,
     DEFAULT_IDS,
@@ -183,10 +183,22 @@ def test_size_limit_env_override(monkeypatch):
 
     monkeypatch.setenv(config.SIZE_LIMIT_ENV, "64")
     assert config.size_limit() == 64
-    monkeypatch.setenv(config.SIZE_LIMIT_ENV, "junk")
-    assert config.size_limit() == config.DEFAULT_SIZE_LIMIT
+    monkeypatch.setenv(config.SIZE_LIMIT_ENV, str(config.SIZE_LIMIT_CEILING))
+    assert config.size_limit() == config.SIZE_LIMIT_CEILING
     monkeypatch.delenv(config.SIZE_LIMIT_ENV)
     assert config.size_limit() == config.DEFAULT_SIZE_LIMIT
+
+
+@pytest.mark.parametrize("raw", ["junk", "", "2.5", "0", "-3", "32768", "1000000"])
+def test_size_limit_rejects_bad_values(monkeypatch, raw):
+    from ringlab import config
+    from ringlab.rings import make_zn
+
+    monkeypatch.setenv(config.SIZE_LIMIT_ENV, raw)
+    with pytest.raises(ConfigError, match=config.SIZE_LIMIT_ENV):
+        config.size_limit()
+    with pytest.raises(ConfigError, match=config.SIZE_LIMIT_ENV):
+        make_zn(2)  # every construction reads the cap, so a bad value fails loudly
 
 
 def test_hunt_drop_reduced_terminates(mini):
