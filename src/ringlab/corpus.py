@@ -9,6 +9,9 @@ inferred from the expression: a bare ``Z`` factor selects the arithmetic
 lane, ``polyring(<expr>)`` marks a polynomial-ring entry over the given
 finite base, and ``amalgZ(n, d)`` names the infinite amalgamation family
 (Z joined to Z_n along dZ_n).  Everything else is a finite ring.
+
+Reading a line only classifies and canonicalises it; the entry's ring is
+built, and its expression fully checked, by ``registry.build_context``.
 """
 
 from __future__ import annotations
@@ -16,7 +19,7 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 
 from . import config
-from .dsl import is_arith_expression, parse_arith_ring, parse_ring, split_top
+from .dsl import is_arith_expression, split_top
 from .errors import ParseError
 
 FINITE = "finite"
@@ -97,9 +100,7 @@ def parse_corpus_line(line: str):
     stripped = "".join(expr.split())
     if stripped.startswith("polyring(") and stripped.endswith(")"):
         kind = POLY
-        inner = stripped[len("polyring(") : -1]
-        parse_ring(inner)
-        expr_canon = f"polyring({inner})"
+        expr_canon = stripped
     elif stripped.startswith("amalgZ(") and stripped.endswith(")"):
         kind = AMALGZ
         args = split_top(stripped[len("amalgZ(") : -1], ",")
@@ -108,11 +109,9 @@ def parse_corpus_line(line: str):
         expr_canon = f"amalgZ({int(args[0])},{int(args[1])})"
     elif is_arith_expression(expr):
         kind = ARITH
-        parse_arith_ring(expr)
-        expr_canon = " x ".join(s.strip() for s in split_top(stripped, "x"))
+        expr_canon = " x ".join(split_top(stripped, "x"))
     else:
         kind = FINITE
-        parse_ring(expr)
         expr_canon = expr
     text = expr_canon
     if ideal_text:

@@ -166,6 +166,16 @@ def parse_arith_mcs(R: ArithRing, text: str) -> ArithMCS:
 
 def parse_ring(text: str) -> FiniteRing:
     """Parse a finite-ring expression."""
+    return parse_ring_structure(text)[0]
+
+
+def parse_ring_structure(text: str):
+    """Parse a finite-ring expression into (ring, structure).
+
+    ``structure`` is the ``TrivExtRing`` or ``AmalgRing`` the whole
+    expression denotes (parentheses aside), or None when its top level is a
+    product, a quotient or any other atom.
+    """
     text = _strip(text)
     if not text:
         raise ParseError("empty ring expression")
@@ -174,20 +184,17 @@ def parse_ring(text: str) -> FiniteRing:
         ring = parse_ring(factors[0])
         for f in factors[1:]:
             ring = make_product(ring, parse_ring(f))
-        return ring
-    return _parse_term(factors[0])
-
-
-def _parse_term(text: str) -> FiniteRing:
-    pieces = split_top(text, "/")
-    ring = _parse_atom(pieces[0])
+        return ring, None
+    pieces = split_top(factors[0], "/")
+    ring, structure = _parse_atom(pieces[0])
     for q in pieces[1:]:
         q = _strip(q)
         if not (q.startswith("(") and q.endswith(")")):
             raise ParseError(f"quotient needs parenthesized generators, got {q!r}")
         ideal = parse_ideal(ring, q[1:-1])
         ring, _ = make_quotient(ring, ideal)
-    return ring
+        structure = None
+    return ring, structure
 
 
 def _wraps_whole(text: str) -> bool:
@@ -202,12 +209,12 @@ def _wraps_whole(text: str) -> bool:
     return depth == 0
 
 
-def _parse_atom(text: str) -> FiniteRing:
+def _parse_atom(text: str):
     text = _strip(text)
     if text.startswith("(") and text.endswith(")") and _wraps_whole(text):
-        return parse_ring(text[1:-1])
+        return parse_ring_structure(text[1:-1])
     if text.startswith("Z") and text[1:].isdigit():
-        return make_zn(int(text[1:]))
+        return make_zn(int(text[1:])), None
     if _is_call(text, "triv"):
         args = _call_args(text, "triv")
         if len(args) != 2:
@@ -222,7 +229,8 @@ def _parse_atom(text: str) -> FiniteRing:
             module = make_module_quotient(base, parse_ideal(base, gens))
         else:
             raise ParseError(f"module expression must be free(k) or quot(gens), got {mod!r}")
-        return make_trivial_extension(base, module).ring
+        T = make_trivial_extension(base, module)
+        return T.ring, T
     if _is_call(text, "amalg"):
         args = _call_args(text, "amalg")
         if len(args) != 4:
@@ -246,13 +254,14 @@ def _parse_atom(text: str) -> FiniteRing:
         if not (gens.startswith("(") and gens.endswith(")")):
             raise ParseError("amalg generators must be parenthesized")
         J = parse_ideal(h2, gens[1:-1])
-        return make_amalgamation(h1, h2, hom, J, hom_text=spec).ring
+        am = make_amalgamation(h1, h2, hom, J, hom_text=spec)
+        return am.ring, am
     if _is_call(text, "loc"):
         args = _call_args(text, "loc")
         if len(args) != 2:
             raise ParseError("loc needs (ring, S<gens>)")
         base = parse_ring(args[0])
-        return localize(base, parse_mcs(base, args[1])).localized
+        return localize(base, parse_mcs(base, args[1])).localized, None
     raise ParseError(f"cannot parse ring expression {text!r}")
 
 

@@ -8,12 +8,15 @@ flags, and the witness or counterexample data.
 Outcomes: VERIFIED (hypotheses met, statement checked non-vacuously),
 VACUOUS (hypotheses unmet or antecedent never fired), VIOLATION (the
 statement failed; unexpected unless hypotheses were deliberately dropped).
+Most runners state their proposition as a generator of per-instance checks
+and let `_sweep` count them, stop at the first failure and pick the outcome.
 """
 
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
+import time
+from dataclasses import dataclass, replace
 from math import gcd
 
 from . import arith as ar
@@ -24,7 +27,7 @@ from .dsl import (
     parse_arith_mcs,
     parse_arith_ring,
     parse_gens,
-    parse_ring,
+    parse_ring_structure,
     split_top,
 )
 from .errors import ParseError, UnknownHypothesis, UnknownTheorem
@@ -32,12 +35,10 @@ from .extensions import (
     BACKWARD,
     FORWARD,
     AmalgOverZ,
+    AmalgRing,
+    TrivExtRing,
     amalg_transfer_check,
     amalgz_zero_transfer_check,
-    make_amalgamation,
-    make_module_free,
-    make_module_quotient,
-    make_trivial_extension,
     triv_equivalence_check,
 )
 from .ideals import (
@@ -67,7 +68,15 @@ from .poly import (
     decide_content_S_r,
     dedekind_mertens_sweep,
 )
-from .rings import RingHom, check_hom, crt_hom, identity_hom, make_product
+from .rings import (
+    RingHom,
+    ann_pushforward_check,
+    check_hom,
+    crt_hom,
+    identity_hom,
+    is_isomorphism,
+    make_product,
+)
 
 VERIFIED = "VERIFIED"
 VACUOUS = "VACUOUS"
@@ -75,26 +84,26 @@ VIOLATION = "VIOLATION"
 
 
 # -- per-entry contexts ----------------------------------------------------------------
+#
+# A context is an entry built once for every runner: `ring`, `limits`, and the
+# `recipe` that names the ring in records.
+
+
+def _by_size(members):
+    return (len(members), tuple(sorted(members)))
 
 
 class FiniteContext:
     """Parsed entry plus memoized lattice, m.c.s. candidates and verdicts."""
 
+    kind = FINITE
+
     def __init__(self, entry: CorpusEntry, limits: Limits):
         self.entry = entry
         self.limits = limits
-        self.kind = FINITE
-        self.structure = None  # ("triv", TrivExtRing) | ("amalg", AmalgRing)
-        expr = entry.expr
-        stripped = "".join(expr.split())
-        if stripped.startswith("triv("):
-            self.structure = ("triv", _build_triv(expr))
-            self.ring = self.structure[1].ring
-        elif stripped.startswith("amalg("):
-            self.structure = ("amalg", _build_amalg(expr))
-            self.ring = self.structure[1].ring
-        else:
-            self.ring = parse_ring(expr)
+        # the TrivExtRing / AmalgRing the whole expression denotes, if any
+        self.ring, self.structure = parse_ring_structure(entry.expr)
+        self.recipe = self.ring.recipe
         self._pinned_ideal = (
             ideal_generate(self.ring, parse_gens(self.ring, entry.ideal_text))
             if entry.ideal_text
@@ -125,30 +134,23 @@ class FiniteContext:
             return self._mcs
         R = self.ring
         seen = {}
-        def put(members, gens):
-            if members not in seen:
-                seen[members] = gens
-        put(frozenset({R.one}), ())
+        seen[frozenset({R.one})] = ()
         for g in R.elements():
-            S = mcs_generate(R, (g,))
-            put(S.members, (g,))
-        put(frozenset(R.units), tuple(sorted(R.units)))
-        put(frozenset(R.elements()), tuple(sorted(R.elements())))
-        ordered = sorted(seen.items(), key=lambda kv: (len(kv[0]), tuple(sorted(kv[0]))))
+            seen.setdefault(mcs_generate(R, (g,)).members, (g,))
+        units, everything = frozenset(R.units), frozenset(R.elements())
+        seen.setdefault(units, tuple(sorted(R.units)))
+        seen.setdefault(everything, tuple(sorted(R.elements())))
+        ordered = sorted(seen.items(), key=lambda kv: _by_size(kv[0]))
         cap = self.limits.mcs_cap
         if len(ordered) > cap:
-            keep = ordered[: cap - 2]
-            for special in (frozenset(R.units), frozenset(R.elements())):
-                if special not in dict(keep):
-                    keep.append((special, seen[special]))
-            ordered = sorted(set(keep), key=lambda kv: (len(kv[0]), tuple(sorted(kv[0]))))
-        count = len(self.ideals()) * len(ordered)
-        if count > self.limits.annotation_cap:
+            keep = dict(ordered[: cap - 2])
+            for special in (units, everything):
+                keep.setdefault(special, seen[special])
+            ordered = sorted(keep.items(), key=lambda kv: _by_size(kv[0]))
+        if len(self.ideals()) * len(ordered) > self.limits.annotation_cap:
             rng = random.Random(self.limits.subsample_seed)
             take = max(1, self.limits.annotation_cap // max(1, len(self.ideals())))
-            ordered = sorted(
-                rng.sample(ordered, take), key=lambda kv: (len(kv[0]), tuple(sorted(kv[0])))
-            )
+            ordered = sorted(rng.sample(ordered, take), key=lambda kv: _by_size(kv[0]))
             self.subsampled = True
         self._mcs = tuple(mcs_from_members(R, members, generators=gens) for members, gens in ordered)
         return self._mcs
@@ -162,79 +164,40 @@ class FiniteContext:
         key = ("s_r", A.members, S.members, enforce_proper, enforce_disjoint)
         got = self._verdicts.get(key)
         if got is None:
-            got = cl.is_S_r_ideal(A, S, enforce_proper=enforce_proper, enforce_disjoint=enforce_disjoint)
-            self._verdicts[key] = got
+            got = self._verdicts[key] = cl.is_S_r_ideal(
+                A, S, enforce_proper=enforce_proper, enforce_disjoint=enforce_disjoint
+            )
         return got
 
     def r_verdict(self, A):
         key = ("r", A.members)
         got = self._verdicts.get(key)
         if got is None:
-            got = cl.is_r_ideal(A)
-            self._verdicts[key] = got
+            got = self._verdicts[key] = cl.is_r_ideal(A)
         return got
 
     def s_z0(self, A, S, enforce_reduced=True, enforce_disjoint=True):
         key = ("s_z0", A.members, S.members, enforce_reduced, enforce_disjoint)
         got = self._verdicts.get(key)
         if got is None:
-            got = cl.is_S_z0_ideal(A, S, enforce_reduced=enforce_reduced, enforce_disjoint=enforce_disjoint)
-            self._verdicts[key] = got
+            got = self._verdicts[key] = cl.is_S_z0_ideal(
+                A, S, enforce_reduced=enforce_reduced, enforce_disjoint=enforce_disjoint
+            )
         return got
 
     def localization(self, S):
         return localize(self.ring, S)
 
-    # label helpers -------------------------------------------------------------------
-
-    def ideal_label(self, A):
-        return A.label()
-
-    def mcs_label(self, S):
-        return S.label()
-
-
-def _build_triv(expr):
-    body = "".join(expr.split())[len("triv(") : -1]
-    args = split_top(body, ",")
-    base = parse_ring(args[0])
-    mod = args[1]
-    if mod.startswith("free(") and mod.endswith(")"):
-        module = make_module_free(base, int(mod[len("free(") : -1]))
-    elif mod.startswith("quot(") and mod.endswith(")"):
-        gens = mod[len("quot(") : -1]
-        module = make_module_quotient(base, ideal_generate(base, parse_gens(base, gens)))
-    else:
-        raise ParseError(f"bad module expression {mod!r}")
-    return make_trivial_extension(base, module)
-
-
-def _build_amalg(expr):
-    body = "".join(expr.split())[len("amalg(") : -1]
-    args = split_top(body, ",")
-    e1, e2, spec, gens = args
-    if spec == "id":
-        h1 = parse_ring(e1)
-        h2 = h1
-        hom = identity_hom(h1)
-    elif spec == "proj":
-        h1 = parse_ring(e1)
-        pieces = split_top(e2, "/")
-        from .rings import make_quotient
-
-        h2, hom = make_quotient(h1, ideal_generate(h1, parse_gens(h1, pieces[1][1:-1])))
-    else:
-        raise ParseError(f"bad amalg hom spec {spec!r}")
-    J = ideal_generate(h2, parse_gens(h2, gens[1:-1]))
-    return make_amalgamation(h1, h2, hom, J, hom_text=spec)
-
 
 class ArithContext:
+    kind = ARITH
+    subsampled = False
+
     def __init__(self, entry: CorpusEntry, limits: Limits):
         self.entry = entry
         self.limits = limits
-        self.kind = ARITH
         self.ring = parse_arith_ring(entry.expr)
+        self.recipe = self.ring.label()
         if not entry.ideal_text or not entry.mcs_text:
             raise ParseError(f"arith entry needs ideal= and mcs= annotations: {entry.text}")
         self.ideal = parse_arith_ideal(self.ring, entry.ideal_text)
@@ -242,18 +205,11 @@ class ArithContext:
 
 
 class PolyContext(FiniteContext):
+    kind = POLY
+
     def __init__(self, entry: CorpusEntry, limits: Limits):
-        inner = "".join(entry.expr.split())[len("polyring(") : -1]
-        base_entry = CorpusEntry(
-            text=entry.text,
-            kind=FINITE,
-            expr=inner,
-            ideal_text=entry.ideal_text,
-            mcs_text=entry.mcs_text,
-        )
-        super().__init__(base_entry, limits)
+        super().__init__(replace(entry, expr=entry.expr[len("polyring(") : -1]), limits)
         self.entry = entry
-        self.kind = POLY
 
     def poly_mcs_list(self):
         """Constant m.c.s. candidates: trivial, units, and unit-generated."""
@@ -278,39 +234,41 @@ class PolyContext(FiniteContext):
 
 
 class AmalgZContext:
+    kind = AMALGZ
+    subsampled = False
+
     def __init__(self, entry: CorpusEntry, limits: Limits):
         self.entry = entry
         self.limits = limits
-        self.kind = AMALGZ
-        body = "".join(entry.expr.split())[len("amalgZ(") : -1]
-        n, d = (int(x) for x in split_top(body, ","))
+        self.recipe = entry.expr
+        n, d = (int(x) for x in split_top(entry.expr[len("amalgZ(") : -1], ","))
         self.az = AmalgOverZ(n, d)
-        mcs_text = entry.mcs_text or "(units)"
         zring = ar.ArithRing((ar.INT,))
-        self.s_desc = parse_arith_mcs(zring, mcs_text).descs[0]
+        self.s_desc = parse_arith_mcs(zring, entry.mcs_text or "(units)").descs[0]
+
+
+# entry kind -> (its context, the TheoremCase field that holds its runner)
+LANES = {
+    FINITE: (FiniteContext, "runner"),
+    POLY: (PolyContext, "runner"),
+    ARITH: (ArithContext, "arith_runner"),
+    AMALGZ: (AmalgZContext, "arith_runner"),
+}
 
 
 def build_context(entry: CorpusEntry, limits: Limits):
-    if entry.kind == FINITE:
-        return FiniteContext(entry, limits)
-    if entry.kind == ARITH:
-        return ArithContext(entry, limits)
-    if entry.kind == POLY:
-        return PolyContext(entry, limits)
-    if entry.kind == AMALGZ:
-        return AmalgZContext(entry, limits)
-    raise ParseError(f"unknown entry kind {entry.kind}")
+    """Build the entry's ring and annotations: the one place an entry is parsed."""
+    if entry.kind not in LANES:
+        raise ParseError(f"unknown entry kind {entry.kind}")
+    return LANES[entry.kind][0](entry, limits)
 
 
-# -- record helper ------------------------------------------------------------------------
+# -- record and sweep helpers ----------------------------------------------------------------
 
 
-def _record(theorem, ctx, outcome, annotations=None, hypotheses=None, dropped=(), detail=None):
-    ring_name = ctx.ring.recipe if hasattr(ctx, "ring") and hasattr(ctx.ring, "recipe") else (
-        ctx.ring.label() if hasattr(ctx, "ring") else ctx.entry.expr
-    )
+def _record(theorem, ctx, dropped, outcome, annotations=None, hypotheses=None, detail=None):
     annotations = dict(annotations or {})
-    if getattr(ctx, "subsampled", False):
+    if ctx.subsampled:
         annotations["subsample_seed"] = ctx.limits.subsample_seed
     detail = detail or {}
     # surface the principal verdict's witness data at the top level
@@ -321,7 +279,7 @@ def _record(theorem, ctx, outcome, annotations=None, hypotheses=None, dropped=()
     return {
         "theorem": theorem,
         "entry": ctx.entry.text,
-        "recipe": ring_name,
+        "recipe": ctx.recipe,
         "annotations": annotations,
         "hypotheses": hypotheses or {},
         "dropped": sorted(dropped),
@@ -332,29 +290,47 @@ def _record(theorem, ctx, outcome, annotations=None, hypotheses=None, dropped=()
     }
 
 
-def _vjson(v, ring=None):
-    return v.to_json(ring)
+def _sweep(key, checks):
+    """Run per-instance checks up to the first failure.
+
+    Each check yields None (it passed) or a failure dict.  Returns the
+    outcome (VIOLATION at a failure, VACUOUS when nothing was checked,
+    VERIFIED otherwise) and a detail payload counting the checks under
+    `key`, with the failure, if any, under "failure".
+    """
+    checked = 0
+    for failure in checks:
+        checked += 1
+        if failure is not None:
+            return VIOLATION, {key: checked, "failure": failure}
+    return (VERIFIED if checked else VACUOUS), {key: checked}
+
+
+def _small_mcs(ring):
+    """The six smallest m.c.s. generated by at most one element."""
+    found = {}
+    for gens in [()] + [(g,) for g in ring.elements()]:
+        S = mcs_generate(ring, gens)
+        found.setdefault(S.members, S)
+    return sorted(found.values(), key=lambda S: (len(S.members), S.sorted_members))[:6]
 
 
 # -- finite-lane runners -------------------------------------------------------------------
 
 
 def run_degen(ctx, dropped):
-    uz = cl.is_uz_ring(ctx.ring)
-    bad = None
-    checked = 0
-    for A in ctx.proper_ideals():
-        verdict = ctx.r_verdict(A)
-        checked += 1
-        if not verdict.holds:
-            bad = (A, verdict)
-            break
-    ok = uz.holds and bad is None
-    detail = {"uz": _vjson(uz, ctx.ring), "proper_ideals_checked": checked}
-    if bad is not None:
-        detail["failing_ideal"] = ctx.ideal_label(bad[0])
-        detail["verdict"] = _vjson(bad[1], ctx.ring)
-    yield _record("DEGEN", ctx, VERIFIED if ok else VIOLATION, detail=detail, dropped=dropped)
+    R = ctx.ring
+    uz = cl.is_uz_ring(R)
+
+    def checks():
+        for A in ctx.proper_ideals():
+            v = ctx.r_verdict(A)
+            yield None if v.holds else {"failing_ideal": A.label(), "verdict": v.to_json(R)}
+
+    outcome, detail = _sweep("proper_ideals_checked", checks())
+    detail.update(detail.pop("failure", {}), uz=uz.to_json(R))
+    ok = uz.holds and outcome != VIOLATION
+    yield _record("DEGEN", ctx, dropped, VERIFIED if ok else VIOLATION, detail=detail)
 
 
 def run_p_zero(ctx, dropped):
@@ -367,13 +343,10 @@ def run_p_zero(ctx, dropped):
         else:
             outcome = VERIFIED if v.holds else VIOLATION
         yield _record(
-            "P-zero",
-            ctx,
-            outcome,
-            annotations={"ideal": "(0)", "mcs": ctx.mcs_label(S)},
+            "P-zero", ctx, dropped, outcome,
+            annotations={"ideal": "(0)", "mcs": S.label()},
             hypotheses={"disjoint": not (S.members & zero.members)},
-            dropped=dropped,
-            detail={"verdict": _vjson(v, ctx.ring)},
+            detail={"verdict": v.to_json(ctx.ring)},
         )
 
 
@@ -381,91 +354,52 @@ def run_t2_3(ctx, dropped):
     """Monotone transfer along S1 inside S2, plus the conditional converse."""
     R = ctx.ring
     mcs = ctx.mcs_list()
-    inclusions = []
-    for S1 in mcs:
-        for S2 in mcs:
-            if S1.members < S2.members:
-                # converse applies when every s in S2 has some r with rs in S1
-                converse = all(
-                    bool(principal_members(R, s) & S1.members) for s in S2.sorted_members
-                )
-                inclusions.append((S1, S2, converse))
+    # the converse applies when every s in S2 has some r with rs in S1
+    inclusions = [
+        (S1, S2, all(principal_members(R, s) & S1.members for s in S2.sorted_members))
+        for S1 in mcs
+        for S2 in mcs
+        if S1.members < S2.members
+    ]
     enforce = "disjoint" not in dropped
-    for A in ctx.proper_ideals():
-        checked = 0
-        vacuous = True
-        failure = None
+
+    def failure(direction, S1, S2, v):
+        return None if v.holds else {
+            "direction": direction,
+            "mcs1": S1.label(),
+            "mcs2": S2.label(),
+            "verdict": v.to_json(R),
+        }
+
+    def checks(A):
         for S1, S2, converse in inclusions:
-            v1 = ctx.s_r(A, S1)
-            disjoint2 = not (S2.members & A.members)
-            if v1.holds and (disjoint2 or not enforce):
-                v2 = ctx.s_r(A, S2, enforce_disjoint=enforce)
-                checked += 1
-                vacuous = False
-                if not v2.holds:
-                    failure = {
-                        "direction": "forward",
-                        "mcs1": ctx.mcs_label(S1),
-                        "mcs2": ctx.mcs_label(S2),
-                        "verdict": _vjson(v2, R),
-                    }
-                    break
+            if ctx.s_r(A, S1).holds and (not (S2.members & A.members) or not enforce):
+                yield failure("forward", S1, S2, ctx.s_r(A, S2, enforce_disjoint=enforce))
             if converse and ctx.s_r(A, S2).holds:
-                v1b = ctx.s_r(A, S1)
-                checked += 1
-                vacuous = False
-                if not v1b.holds:
-                    failure = {
-                        "direction": "converse",
-                        "mcs1": ctx.mcs_label(S1),
-                        "mcs2": ctx.mcs_label(S2),
-                        "verdict": _vjson(v1b, R),
-                    }
-                    break
-        outcome = VIOLATION if failure else (VACUOUS if vacuous else VERIFIED)
-        yield _record(
-            "T2.3",
-            ctx,
-            outcome,
-            annotations={"ideal": ctx.ideal_label(A)},
-            dropped=dropped,
-            detail={"implications_checked": checked, **({"failure": failure} if failure else {})},
-        )
+                yield failure("converse", S1, S2, ctx.s_r(A, S1))
+
+    for A in ctx.proper_ideals():
+        outcome, detail = _sweep("implications_checked", checks(A))
+        yield _record("T2.3", ctx, dropped, outcome, {"ideal": A.label()}, detail=detail)
 
 
 def run_t2_5(ctx, dropped):
     """r-ideal pushforward to the localization pulls back to S-r."""
+    R = ctx.ring
     need_reg = "s_regular" not in dropped
+
+    def checks(A, candidates):
+        for S in candidates:
+            if cl.is_r_ideal(ideal_pushforward(ctx.localization(S), A)).holds:
+                v = ctx.s_r(A, S)
+                yield None if v.holds else {"mcs": S.label(), "verdict": v.to_json(R)}
+
     for A in ctx.proper_ideals():
-        checked = 0
-        vacuous = True
-        failure = None
-        hyp_any = False
-        for S in ctx.mcs_list():
-            s_regular = S.members <= ctx.ring.regulars
-            if need_reg and not s_regular:
-                continue
-            hyp_any = True
-            loc = ctx.localization(S)
-            pushed = ideal_pushforward(loc, A)
-            antecedent = cl.is_r_ideal(pushed)
-            if not antecedent.holds:
-                continue
-            v = ctx.s_r(A, S)
-            checked += 1
-            vacuous = False
-            if not v.holds:
-                failure = {"mcs": ctx.mcs_label(S), "verdict": _vjson(v, ctx.ring)}
-                break
-        outcome = VIOLATION if failure else (VACUOUS if vacuous else VERIFIED)
+        candidates = [S for S in ctx.mcs_list() if not need_reg or S.members <= R.regulars]
+        outcome, detail = _sweep("implications_checked", checks(A, candidates))
         yield _record(
-            "T2.5",
-            ctx,
-            outcome,
-            annotations={"ideal": ctx.ideal_label(A)},
-            hypotheses={"s_regular_candidates": hyp_any},
-            dropped=dropped,
-            detail={"implications_checked": checked, **({"failure": failure} if failure else {})},
+            "T2.5", ctx, dropped, outcome, {"ideal": A.label()},
+            {"s_regular_candidates": bool(candidates)}, detail,
         )
 
 
@@ -474,55 +408,34 @@ def run_t2_7(ctx, dropped):
     R = ctx.ring
     S = ctx.regular_mcs()
     regs = sorted(R.regulars)
+    enforce = "disjoint" not in dropped
     for A in ctx.ideals():
-        if not A.is_proper() and "disjoint" not in dropped:
+        if enforce and (not A.is_proper() or S.members & A.members):
             continue
-        if S.members & A.members and "disjoint" not in dropped:
-            continue
-        enforce = "disjoint" not in dropped
-        a_side = ctx.s_r(A, S, enforce_proper=enforce, enforce_disjoint=enforce).holds
-
-        def cond_b():
-            for s in regs:
-                ok = True
-                for r in regs:
-                    inter = principal_members(R, r) & A.members
-                    rA = {R.m(r, x) for x in A.members}
-                    if not {R.m(s, x) for x in inter} <= rA:
-                        ok = False
-                        break
-                if ok:
-                    return True
-            return False
-
-        def cond_c():
-            for s in regs:
-                ok = True
-                for r in regs:
-                    cab = colon(A, (r,)).members
-                    if not {R.m(s, x) for x in cab} <= A.members:
-                        ok = False
-                        break
-                if ok:
-                    return True
-            return False
-
-        def cond_d():
-            loc = ctx.localization(S)
-            pushed = ideal_pushforward(loc, A)
-            pre = {x for x in R.elements() if int(loc.map.image[x]) in pushed.members}
-            return any({R.m(s, x) for x in pre} <= A.members for s in regs)
-
-        b_side, c_side, d_side = cond_b(), cond_c(), cond_d()
-        agree = a_side == b_side == c_side == d_side
+        loc = ctx.localization(S)
+        pushed = ideal_pushforward(loc, A)
+        pre = {x for x in R.elements() if int(loc.map.image[x]) in pushed.members}
+        sides = {
+            "s_r": ctx.s_r(A, S, enforce_proper=enforce, enforce_disjoint=enforce).holds,
+            "scaled_intersections": any(
+                all(
+                    {R.m(s, x) for x in principal_members(R, r) & A.members}
+                    <= {R.m(r, x) for x in A.members}
+                    for r in regs
+                )
+                for s in regs
+            ),
+            "scaled_colons": any(
+                all({R.m(s, x) for x in colon(A, (r,)).members} <= A.members for r in regs)
+                for s in regs
+            ),
+            "localization_preimage": any({R.m(s, x) for x in pre} <= A.members for s in regs),
+        }
         yield _record(
-            "T2.7",
-            ctx,
-            VERIFIED if agree else VIOLATION,
-            annotations={"ideal": ctx.ideal_label(A), "mcs": "S<reg>"},
-            hypotheses={"disjoint": not (S.members & A.members)},
-            dropped=dropped,
-            detail={"sides": {"s_r": a_side, "scaled_intersections": b_side, "scaled_colons": c_side, "localization_preimage": d_side}},
+            "T2.7", ctx, dropped, VERIFIED if len(set(sides.values())) == 1 else VIOLATION,
+            {"ideal": A.label(), "mcs": "S<reg>"},
+            {"disjoint": not (S.members & A.members)},
+            {"sides": sides},
         )
 
 
@@ -530,41 +443,29 @@ def run_p2_8(ctx, dropped):
     """The S-r witness s has (A : s) = (A : s^n) for every exponent."""
     R = ctx.ring
     need_reg = "s_regular" not in dropped
-    for A in ctx.proper_ideals():
-        checked = 0
-        vacuous = True
-        failure = None
+
+    def stable(A, s):
+        base_colon = colon(A, (s,)).members
+        power, seen = s, set()
+        while power not in seen:
+            seen.add(power)
+            if colon(A, (power,)).members != base_colon:
+                return False
+            power = R.m(power, s)
+        return True
+
+    def checks(A):
         for S in ctx.mcs_list():
             if need_reg and not S.members <= R.regulars:
                 continue
             v = ctx.s_r(A, S)
-            if not v.holds:
-                continue
-            s = v.witness
-            base_colon = colon(A, (s,)).members
-            power = s
-            seen = set()
-            ok = True
-            while power not in seen:
-                seen.add(power)
-                if colon(A, (power,)).members != base_colon:
-                    ok = False
-                    break
-                power = R.m(power, s)
-            checked += 1
-            vacuous = False
-            if not ok:
-                failure = {"mcs": ctx.mcs_label(S), "witness": R.labels[s]}
-                break
-        outcome = VIOLATION if failure else (VACUOUS if vacuous else VERIFIED)
-        yield _record(
-            "P2.8",
-            ctx,
-            outcome,
-            annotations={"ideal": ctx.ideal_label(A)},
-            dropped=dropped,
-            detail={"witnesses_checked": checked, **({"failure": failure} if failure else {})},
-        )
+            if v.holds:
+                s = v.witness
+                yield None if stable(A, s) else {"mcs": S.label(), "witness": R.labels[s]}
+
+    for A in ctx.proper_ideals():
+        outcome, detail = _sweep("witnesses_checked", checks(A))
+        yield _record("P2.8", ctx, dropped, outcome, {"ideal": A.label()}, detail=detail)
 
 
 def run_p2_10(ctx, dropped):
@@ -573,78 +474,45 @@ def run_p2_10(ctx, dropped):
     reduced = R.is_reduced()
     enforce_reduced = "reduced" not in dropped
     enforce_disjoint = "disjoint" not in dropped
-    for A in ctx.proper_ideals():
-        if enforce_reduced and not reduced:
-            yield _record(
-                "P2.10",
-                ctx,
-                VACUOUS,
-                annotations={"ideal": ctx.ideal_label(A)},
-                hypotheses={"reduced": reduced},
-                dropped=dropped,
-            )
-            continue
-        checked = 0
-        vacuous = True
-        failure = None
+
+    def checks(A):
         for S in ctx.mcs_list():
             v0 = ctx.s_z0(A, S, enforce_reduced=enforce_reduced, enforce_disjoint=enforce_disjoint)
-            if not v0.holds:
-                continue
-            v = ctx.s_r(A, S, enforce_disjoint=enforce_disjoint)
-            checked += 1
-            vacuous = False
-            if not v.holds:
-                failure = {"mcs": ctx.mcs_label(S), "verdict": _vjson(v, R)}
-                break
-        outcome = VIOLATION if failure else (VACUOUS if vacuous else VERIFIED)
-        yield _record(
-            "P2.10",
-            ctx,
-            outcome,
-            annotations={"ideal": ctx.ideal_label(A)},
-            hypotheses={"reduced": reduced},
-            dropped=dropped,
-            detail={"implications_checked": checked, **({"failure": failure} if failure else {})},
-        )
+            if v0.holds:
+                v = ctx.s_r(A, S, enforce_disjoint=enforce_disjoint)
+                yield None if v.holds else {"mcs": S.label(), "verdict": v.to_json(R)}
+
+    for A in ctx.proper_ideals():
+        annotations, hypotheses = {"ideal": A.label()}, {"reduced": reduced}
+        if enforce_reduced and not reduced:
+            yield _record("P2.10", ctx, dropped, VACUOUS, annotations, hypotheses)
+            continue
+        outcome, detail = _sweep("implications_checked", checks(A))
+        yield _record("P2.10", ctx, dropped, outcome, annotations, hypotheses, detail)
 
 
 def run_t2_11(ctx, dropped):
     """Minimal primes over an S-r ideal are S-r when disjoint from S."""
     enforce = "disjoint" not in dropped
-    for A in ctx.proper_ideals():
+
+    def checks(A):
         mins = min_primes_over(A)
-        checked = 0
-        vacuous = True
-        failure = None
         for S in ctx.mcs_list():
-            v = ctx.s_r(A, S)
-            if not v.holds:
+            if not ctx.s_r(A, S).holds:
                 continue
             for L in mins:
                 if enforce and (L.members & S.members):
                     continue
                 vL = ctx.s_r(L, S, enforce_disjoint=enforce)
-                checked += 1
-                vacuous = False
-                if not vL.holds:
-                    failure = {
-                        "mcs": ctx.mcs_label(S),
-                        "min_prime": ctx.ideal_label(L),
-                        "verdict": _vjson(vL, ctx.ring),
-                    }
-                    break
-            if failure:
-                break
-        outcome = VIOLATION if failure else (VACUOUS if vacuous else VERIFIED)
-        yield _record(
-            "T2.11",
-            ctx,
-            outcome,
-            annotations={"ideal": ctx.ideal_label(A)},
-            dropped=dropped,
-            detail={"lifts_checked": checked, **({"failure": failure} if failure else {})},
-        )
+                yield None if vL.holds else {
+                    "mcs": S.label(),
+                    "min_prime": L.label(),
+                    "verdict": vL.to_json(ctx.ring),
+                }
+
+    for A in ctx.proper_ideals():
+        outcome, detail = _sweep("lifts_checked", checks(A))
+        yield _record("T2.11", ctx, dropped, outcome, {"ideal": A.label()}, detail=detail)
 
 
 def run_t2_12(ctx, dropped):
@@ -652,78 +520,43 @@ def run_t2_12(ctx, dropped):
     R = ctx.ring
     need_prime = "prime" not in dropped
     enforce_disjoint = "disjoint" not in dropped
-    for A in ctx.ideals():
-        if not A.is_proper():
-            continue
-        prime = is_prime(A)
-        if need_prime and not prime:
-            yield _record(
-                "T2.12",
-                ctx,
-                VACUOUS,
-                annotations={"ideal": ctx.ideal_label(A)},
-                hypotheses={"prime": prime},
-                dropped=dropped,
-            )
-            continue
+
+    def checks(A):
         in_zd = A.members <= R.zero_divisors
-        checked = 0
-        vacuous = True
-        failure = None
         for S in ctx.mcs_list():
-            disjoint = not (S.members & A.members)
-            if enforce_disjoint and not disjoint:
+            if enforce_disjoint and S.members & A.members:
                 continue
             v = ctx.s_r(A, S, enforce_disjoint=enforce_disjoint)
-            if v.not_applicable:
-                continue
-            checked += 1
-            vacuous = False
-            if v.holds != in_zd:
-                failure = {
-                    "mcs": ctx.mcs_label(S),
+            if not v.not_applicable:
+                yield None if v.holds == in_zd else {
+                    "mcs": S.label(),
                     "s_r": v.holds,
                     "inside_zd": in_zd,
-                    "verdict": _vjson(v, R),
+                    "verdict": v.to_json(R),
                 }
-                break
-        outcome = VIOLATION if failure else (VACUOUS if vacuous else VERIFIED)
-        yield _record(
-            "T2.12",
-            ctx,
-            outcome,
-            annotations={"ideal": ctx.ideal_label(A)},
-            hypotheses={"prime": prime},
-            dropped=dropped,
-            detail={"equivalences_checked": checked, **({"failure": failure} if failure else {})},
-        )
+
+    for A in ctx.proper_ideals():
+        prime = is_prime(A)
+        annotations, hypotheses = {"ideal": A.label()}, {"prime": prime}
+        if need_prime and not prime:
+            yield _record("T2.12", ctx, dropped, VACUOUS, annotations, hypotheses)
+            continue
+        outcome, detail = _sweep("equivalences_checked", checks(A))
+        yield _record("T2.12", ctx, dropped, outcome, annotations, hypotheses, detail)
 
 
 def run_c_zd(ctx, dropped):
     """S-r ideals consist of zero divisors."""
     R = ctx.ring
-    for A in ctx.proper_ideals():
-        checked = 0
-        vacuous = True
-        failure = None
+
+    def checks(A):
         for S in ctx.mcs_list():
-            v = ctx.s_r(A, S)
-            if not v.holds:
-                continue
-            checked += 1
-            vacuous = False
-            if not A.members <= R.zero_divisors:
-                failure = {"mcs": ctx.mcs_label(S)}
-                break
-        outcome = VIOLATION if failure else (VACUOUS if vacuous else VERIFIED)
-        yield _record(
-            "C-zd",
-            ctx,
-            outcome,
-            annotations={"ideal": ctx.ideal_label(A)},
-            dropped=dropped,
-            detail={"checked": checked, **({"failure": failure} if failure else {})},
-        )
+            if ctx.s_r(A, S).holds:
+                yield None if A.members <= R.zero_divisors else {"mcs": S.label()}
+
+    for A in ctx.proper_ideals():
+        outcome, detail = _sweep("checked", checks(A))
+        yield _record("C-zd", ctx, dropped, outcome, {"ideal": A.label()}, detail=detail)
 
 
 def run_p_jac(ctx, dropped):
@@ -731,31 +564,22 @@ def run_p_jac(ctx, dropped):
     R = ctx.ring
     maxes = max_ideals(R)
     if not maxes:
-        yield _record("P-jac", ctx, VACUOUS, dropped=dropped, detail={"reason": "no maximal ideals"})
+        yield _record("P-jac", ctx, dropped, VACUOUS, detail={"reason": "no maximal ideals"})
         return
     jac = jacobson_radical(R)
     need_jac = "in_jacobson" not in dropped
+    everything = frozenset(R.elements())
     for A in ctx.proper_ideals():
         inside = A.members <= jac.members
         if need_jac and not inside:
             continue
         lhs = ctx.r_verdict(A).holds
-        rhs = True
-        for M in maxes:
-            comp = mcs_from_members(R, frozenset(R.elements()) - M.members)
-            v = ctx.s_r(A, comp)
-            if not v.holds:
-                rhs = False
-                break
-        agree = lhs == rhs
+        rhs = all(ctx.s_r(A, mcs_from_members(R, everything - M.members)).holds for M in maxes)
         yield _record(
-            "P-jac",
-            ctx,
-            VERIFIED if agree else VIOLATION,
-            annotations={"ideal": ctx.ideal_label(A)},
-            hypotheses={"inside_jacobson": inside},
-            dropped=dropped,
-            detail={"r_ideal": lhs, "all_complements": rhs, "maximal_count": len(maxes)},
+            "P-jac", ctx, dropped, VERIFIED if lhs == rhs else VIOLATION,
+            {"ideal": A.label()},
+            {"inside_jacobson": inside},
+            {"r_ideal": lhs, "all_complements": rhs, "maximal_count": len(maxes)},
         )
 
 
@@ -763,58 +587,37 @@ def run_p_colon(ctx, dropped):
     """Colon ideals of an S-r ideal stay S-r; annihilators are always S-r."""
     R = ctx.ring
     enforce = "disjoint" not in dropped
-    singles = [x for x in R.elements()]
+    singles = list(R.elements())
     if R.size > 16:
-        stride = R.size // 16
-        singles = singles[::stride]
-    for A in ctx.proper_ideals():
+        singles = singles[:: R.size // 16]
+
+    def checks(A):
         k_families = [(f"{{{R.labels[x]}}}", (x,)) for x in singles if x not in A.members]
         k_families += [
-            (ctx.ideal_label(B), tuple(B.sorted_members))
-            for B in ctx.ideals()
-            if not B.members <= A.members
+            (B.label(), tuple(B.sorted_members)) for B in ctx.ideals() if not B.members <= A.members
         ]
         derived_by_k = [
             (k_label, (("colon", colon(A, K)), ("annihilator", annihilator(R, K))))
             for k_label, K in k_families
         ]
-        checked = 0
-        vacuous = True
-        failure = None
         for S in ctx.mcs_list():
-            v = ctx.s_r(A, S)
-            if not v.holds:
+            if not ctx.s_r(A, S).holds:
                 continue
             for k_label, derived_pairs in derived_by_k:
-                for derived_label, derived in derived_pairs:
-                    if enforce and (derived.members & S.members):
-                        continue
-                    if not derived.is_proper():
+                for kind, derived in derived_pairs:
+                    if (enforce and derived.members & S.members) or not derived.is_proper():
                         continue
                     vd = ctx.s_r(derived, S, enforce_disjoint=enforce)
-                    checked += 1
-                    vacuous = False
-                    if not vd.holds:
-                        failure = {
-                            "mcs": ctx.mcs_label(S),
-                            "K": k_label,
-                            "kind": derived_label,
-                            "verdict": _vjson(vd, R),
-                        }
-                        break
-                if failure:
-                    break
-            if failure:
-                break
-        outcome = VIOLATION if failure else (VACUOUS if vacuous else VERIFIED)
-        yield _record(
-            "P-colon",
-            ctx,
-            outcome,
-            annotations={"ideal": ctx.ideal_label(A)},
-            dropped=dropped,
-            detail={"derived_checked": checked, **({"failure": failure} if failure else {})},
-        )
+                    yield None if vd.holds else {
+                        "mcs": S.label(),
+                        "K": k_label,
+                        "kind": kind,
+                        "verdict": vd.to_json(R),
+                    }
+
+    for A in ctx.proper_ideals():
+        outcome, detail = _sweep("derived_checked", checks(A))
+        yield _record("P-colon", ctx, dropped, outcome, {"ideal": A.label()}, detail=detail)
 
 
 def run_p_annsum(ctx, dropped):
@@ -833,37 +636,17 @@ def run_p_annsum(ctx, dropped):
                 if ts:
                     K = ideal_sum(annihilator(R, K1.generators), annihilator(R, K2.generators))
                     ctx.annsum_pre.append((K1, K2, ts, K))
-    pre = ctx.annsum_pre
-    for S in ctx.mcs_list():
-        checked = 0
-        vacuous = True
-        failure = None
-        for K1, K2, ts, K in pre:
-            if not (ts & S.members):
-                continue
-            if enforce and (K.members & S.members):
-                continue
-            if not K.is_proper():
+
+    def checks(S):
+        for K1, K2, ts, K in ctx.annsum_pre:
+            if not (ts & S.members) or (enforce and K.members & S.members) or not K.is_proper():
                 continue
             v = ctx.s_r(K, S, enforce_disjoint=enforce)
-            checked += 1
-            vacuous = False
-            if not v.holds:
-                failure = {
-                    "K1": ctx.ideal_label(K1),
-                    "K2": ctx.ideal_label(K2),
-                    "verdict": _vjson(v, R),
-                }
-                break
-        outcome = VIOLATION if failure else (VACUOUS if vacuous else VERIFIED)
-        yield _record(
-            "P-annsum",
-            ctx,
-            outcome,
-            annotations={"mcs": ctx.mcs_label(S)},
-            dropped=dropped,
-            detail={"sums_checked": checked, **({"failure": failure} if failure else {})},
-        )
+            yield None if v.holds else {"K1": K1.label(), "K2": K2.label(), "verdict": v.to_json(R)}
+
+    for S in ctx.mcs_list():
+        outcome, detail = _sweep("sums_checked", checks(S))
+        yield _record("P-annsum", ctx, dropped, outcome, {"mcs": S.label()}, detail=detail)
 
 
 def run_p_minidem(ctx, dropped):
@@ -875,61 +658,36 @@ def run_p_minidem(ctx, dropped):
     zero = ideal_generate(R, ())
     mins = min_primes_over(zero) if zero.is_proper() else ()
     idems = R.idempotents()
-    for S in ctx.mcs_list():
-        if enforce_reduced and not reduced:
-            yield _record(
-                "P-minidem",
-                ctx,
-                VACUOUS,
-                annotations={"mcs": ctx.mcs_label(S)},
-                hypotheses={"reduced": reduced},
-                dropped=dropped,
-            )
-            continue
-        checked = 0
-        vacuous = True
-        failure = None
+
+    def checks(S):
         for P in mins:
             for e in idems:
                 for s in S.sorted_members:
-                    se = R.m(s, e)
-                    ann_se = annihilator(R, (se,))
-                    A = ideal_sum(P, ann_se)
-                    if enforce_disjoint and (A.members & S.members):
-                        continue
-                    if not A.is_proper():
+                    A = ideal_sum(P, annihilator(R, (R.m(s, e),)))
+                    if (enforce_disjoint and A.members & S.members) or not A.is_proper():
                         continue
                     v = ctx.s_r(A, S, enforce_disjoint=enforce_disjoint)
-                    checked += 1
-                    vacuous = False
-                    if not v.holds:
-                        failure = {
-                            "min_prime": ctx.ideal_label(P),
-                            "idempotent": R.labels[e],
-                            "s": R.labels[s],
-                            "verdict": _vjson(v, R),
-                        }
-                        break
-                if failure:
-                    break
-            if failure:
-                break
-        outcome = VIOLATION if failure else (VACUOUS if vacuous else VERIFIED)
-        yield _record(
-            "P-minidem",
-            ctx,
-            outcome,
-            annotations={"mcs": ctx.mcs_label(S)},
-            hypotheses={"reduced": reduced},
-            dropped=dropped,
-            detail={"ideals_checked": checked, **({"failure": failure} if failure else {})},
-        )
+                    yield None if v.holds else {
+                        "min_prime": P.label(),
+                        "idempotent": R.labels[e],
+                        "s": R.labels[s],
+                        "verdict": v.to_json(R),
+                    }
+
+    for S in ctx.mcs_list():
+        annotations, hypotheses = {"mcs": S.label()}, {"reduced": reduced}
+        if enforce_reduced and not reduced:
+            yield _record("P-minidem", ctx, dropped, VACUOUS, annotations, hypotheses)
+            continue
+        outcome, detail = _sweep("ideals_checked", checks(S))
+        yield _record("P-minidem", ctx, dropped, outcome, annotations, hypotheses, detail)
 
 
 def run_p_sidem(ctx, dropped):
     """Ideals spanned by elements with a^2 = sa (s the product of S) are S-r."""
     R = ctx.ring
-    for S in ctx.mcs_list():
+
+    def checks(S):
         s = R.one
         for x in S.sorted_members:
             s = R.m(s, x)
@@ -937,58 +695,32 @@ def run_p_sidem(ctx, dropped):
         gen_sets = [(f"[{R.labels[a]}]", (a,)) for a in T]
         if len(T) > 1:
             gen_sets.append(("[all]", T))
-        checked = 0
-        vacuous = True
-        failure = None
         for label, gens in gen_sets:
             v = cl.s_idempotent_ideal_check(R, S, gens)
-            if v.not_applicable:
-                continue
-            checked += 1
-            vacuous = False
-            if not v.holds:
-                failure = {"generators": label, "verdict": _vjson(v, R)}
-                break
-        outcome = VIOLATION if failure else (VACUOUS if vacuous else VERIFIED)
-        yield _record(
-            "P-sidem",
-            ctx,
-            outcome,
-            annotations={"mcs": ctx.mcs_label(S)},
-            dropped=dropped,
-            detail={"ideals_checked": checked, **({"failure": failure} if failure else {})},
-        )
+            if not v.not_applicable:
+                yield None if v.holds else {"generators": label, "verdict": v.to_json(R)}
+
+    for S in ctx.mcs_list():
+        outcome, detail = _sweep("ideals_checked", checks(S))
+        yield _record("P-sidem", ctx, dropped, outcome, {"mcs": S.label()}, detail=detail)
 
 
 def run_p_suz(ctx, dropped):
     """All disjoint ideals S-r  <=>  the ring is an S-uz-ring."""
-    R = ctx.ring
-    for S in ctx.mcs_list():
-        lhs = True
-        lhs_witness = None
-        evaluated = 0
+
+    def checks(S):
         for A in ctx.proper_ideals():
-            if A.members & S.members:
-                continue
-            evaluated += 1
-            if not ctx.s_r(A, S).holds:
-                lhs = False
-                lhs_witness = ctx.ideal_label(A)
-                break
-        rhs = cl.is_S_uz_ring(R, S)
-        agree = lhs == rhs.holds
+            if not A.members & S.members:
+                yield None if ctx.s_r(A, S).holds else {"failing_ideal": A.label()}
+
+    for S in ctx.mcs_list():
+        outcome, detail = _sweep("ideals_evaluated", checks(S))
+        lhs = outcome != VIOLATION
+        rhs = cl.is_S_uz_ring(ctx.ring, S).holds
+        detail.update(detail.pop("failure", {}), all_disjoint_ideals_s_r=lhs, s_uz_ring=rhs)
         yield _record(
-            "P-suz",
-            ctx,
-            VERIFIED if agree else VIOLATION,
-            annotations={"mcs": ctx.mcs_label(S)},
-            dropped=dropped,
-            detail={
-                "all_disjoint_ideals_s_r": lhs,
-                "s_uz_ring": rhs.holds,
-                "ideals_evaluated": evaluated,
-                **({"failing_ideal": lhs_witness} if lhs_witness else {}),
-            },
+            "P-suz", ctx, dropped, VERIFIED if lhs == rhs else VIOLATION, {"mcs": S.label()},
+            detail=detail,
         )
 
 
@@ -998,16 +730,10 @@ def run_p_suzmax(ctx, dropped):
     maxes = max_ideals(R)
     enforce = "max_disjoint" not in dropped
     for S in ctx.mcs_list():
+        annotations = {"mcs": S.label()}
         hyp = all(not (M.members & S.members) for M in maxes)
         if enforce and not hyp:
-            yield _record(
-                "P-suzmax",
-                ctx,
-                VACUOUS,
-                annotations={"mcs": ctx.mcs_label(S)},
-                hypotheses={"maximal_disjoint": hyp},
-                dropped=dropped,
-            )
+            yield _record("P-suzmax", ctx, dropped, VACUOUS, annotations, {"maximal_disjoint": hyp})
             continue
         a_side = cl.is_S_uz_ring(R, S).holds
         b_side = all(
@@ -1016,15 +742,11 @@ def run_p_suzmax(ctx, dropped):
             if not (P.members & S.members) or not enforce
         )
         c_side = all(ctx.s_r(M, S, enforce_disjoint=enforce).holds for M in maxes)
-        agree = a_side == b_side == c_side
         yield _record(
-            "P-suzmax",
-            ctx,
-            VERIFIED if agree else VIOLATION,
-            annotations={"mcs": ctx.mcs_label(S)},
-            hypotheses={"maximal_disjoint": hyp},
-            dropped=dropped,
-            detail={"s_uz": a_side, "primes": b_side, "maximals": c_side},
+            "P-suzmax", ctx, dropped, VERIFIED if a_side == b_side == c_side else VIOLATION,
+            annotations,
+            {"maximal_disjoint": hyp},
+            {"s_uz": a_side, "primes": b_side, "maximals": c_side},
         )
 
 
@@ -1035,9 +757,7 @@ def run_l3_1(ctx, dropped):
     if R.parts is not None:
         R1, R2 = R.parts
         swapped = make_product(R2, R1)
-        image = tuple(
-            (i % R2.size) * R1.size + (i // R2.size) for i in range(R.size)
-        )
+        image = tuple((i % R2.size) * R1.size + (i // R2.size) for i in range(R.size))
         isos.append(("swap", check_hom(RingHom(R, swapped, image))))
     if R.recipe.startswith("Z") and R.recipe[1:].isdigit():
         n = int(R.recipe[1:])
@@ -1045,62 +765,25 @@ def run_l3_1(ctx, dropped):
             if n % a == 0 and gcd(a, n // a) == 1 and a < n // a:
                 isos.append((f"crt({a},{n // a})", crt_hom(n, a, n // a)))
     for name, hom in isos:
-        from .rings import ann_pushforward_check, is_isomorphism
-
         if not is_isomorphism(hom):
             continue
-        bad = None
-        for w in R.elements():
-            if not ann_pushforward_check(hom, w):
-                bad = w
-                break
-        yield _record(
-            "L3.1",
-            ctx,
-            VERIFIED if bad is None else VIOLATION,
-            annotations={"isomorphism": name},
-            dropped=dropped,
-            detail={"elements_checked": R.size, **({"failing_element": R.labels[bad]} if bad is not None else {})},
-        )
+        bad = next((w for w in R.elements() if not ann_pushforward_check(hom, w)), None)
+        detail = {"elements_checked": R.size}
+        if bad is not None:
+            detail["failing_element"] = R.labels[bad]
+        outcome = VERIFIED if bad is None else VIOLATION
+        yield _record("L3.1", ctx, dropped, outcome, {"isomorphism": name}, detail=detail)
 
 
 def run_p3_2(ctx, dropped):
     """S-r transfer across amalgamations, both directions."""
-    if getattr(ctx, "kind", None) == AMALGZ:
-        rep = amalgz_zero_transfer_check(ctx.az, ctx.s_desc, ctx.limits.oracle_bound)
-        hyps = dict(rep.hypotheses)
-        met = all(hyps.values())
-        ok = (not rep.base_verdict.holds) or (rep.ext_holds and rep.window_confirms)
-        outcome = VERIFIED if (met and ok) else (VACUOUS if not met else VIOLATION)
-        yield _record(
-            "P3.2",
-            ctx,
-            outcome,
-            annotations={"ideal": "(0)", "mcs": str(ctx.entry.mcs_text or "(units)")},
-            hypotheses=hyps,
-            dropped=dropped,
-            detail={
-                "direction": "FORWARD",
-                "base": rep.base_verdict.outcome,
-                "extension_holds": rep.ext_holds,
-                "window_pairs_checked": rep.window_pairs_checked,
-                "window_confirms": rep.window_confirms,
-            },
-        )
+    am = ctx.structure
+    if not isinstance(am, AmalgRing):
         return
-    if ctx.structure is None or ctx.structure[0] != "amalg":
-        return
-    am = ctx.structure[1]
-    h1_ideals = tuple(A for A in all_ideals(am.h1) if A.is_proper())
-    h1_mcs = []
-    seen = set()
-    for gens in [()] + [(g,) for g in am.h1.elements()]:
-        S = mcs_generate(am.h1, gens)
-        if S.members not in seen:
-            seen.add(S.members)
-            h1_mcs.append(S)
-    h1_mcs = sorted(h1_mcs, key=lambda S: (len(S.members), S.sorted_members))[:6]
-    for A in h1_ideals:
+    h1_mcs = _small_mcs(am.h1)
+    for A in all_ideals(am.h1):
+        if not A.is_proper():
+            continue
         for S in h1_mcs:
             if S.members & A.members:
                 continue
@@ -1109,10 +792,7 @@ def run_p3_2(ctx, dropped):
             bad = None
             for direction in (FORWARD, BACKWARD):
                 rep = amalg_transfer_check(am, A, S, direction)
-                enforced = {
-                    k: v for k, v in rep.hypotheses.items() if k not in dropped
-                }
-                met = all(enforced.values())
+                met = all(v for k, v in rep.hypotheses.items() if k not in dropped)
                 results[direction] = {
                     "hypotheses": rep.hypotheses,
                     "met": met,
@@ -1122,134 +802,111 @@ def run_p3_2(ctx, dropped):
                 hyps.update({f"{direction.lower()}_{k}": v for k, v in rep.hypotheses.items()})
                 if met and not rep.implication_ok:
                     bad = direction
-            evaluated = [d for d in (FORWARD, BACKWARD) if results[d]["met"]]
-            outcome = (
-                VIOLATION if bad else (VERIFIED if evaluated else VACUOUS)
-            )
+            evaluated = any(r["met"] for r in results.values())
+            outcome = VIOLATION if bad else (VERIFIED if evaluated else VACUOUS)
             yield _record(
-                "P3.2",
-                ctx,
-                outcome,
-                annotations={
-                    "ideal": A.label(),
-                    "mcs": S.label(),
-                },
-                hypotheses=hyps,
-                dropped=dropped,
-                detail={"directions": results},
+                "P3.2", ctx, dropped, outcome, {"ideal": A.label(), "mcs": S.label()}, hyps,
+                {"directions": results},
             )
+
+
+def run_amalgz_p3_2(ctx, dropped):
+    """P3.2 on the amalgZ family: FORWARD transfer of the zero ideal."""
+    rep = amalgz_zero_transfer_check(ctx.az, ctx.s_desc, ctx.limits.oracle_bound)
+    hyps = dict(rep.hypotheses)
+    ok = (not rep.base_verdict.holds) or (rep.ext_holds and rep.window_confirms)
+    outcome = VACUOUS if not all(hyps.values()) else (VERIFIED if ok else VIOLATION)
+    yield _record(
+        "P3.2", ctx, dropped, outcome,
+        {"ideal": "(0)", "mcs": str(ctx.entry.mcs_text or "(units)")},
+        hyps,
+        {
+            "direction": "FORWARD",
+            "base": rep.base_verdict.outcome,
+            "extension_holds": rep.ext_holds,
+            "window_pairs_checked": rep.window_pairs_checked,
+            "window_confirms": rep.window_confirms,
+        },
+    )
+
+
+# P3.3 hypothesis -> the name that drops it; the literal zd-union variant is
+# reported but never enforced
+_P3_3_DROPS = {
+    "disjoint": "disjoint",
+    "torsion_free": "torsion_free",
+    "zd_union_in_ann": "zd_union",
+}
 
 
 def run_p3_3(ctx, dropped):
     """Trivial-extension equivalence of the three S-r statements."""
-    if ctx.structure is None or ctx.structure[0] != "triv":
+    T = ctx.structure
+    if not isinstance(T, TrivExtRing):
         return
-    T = ctx.structure[1]
-    base = T.base
-    base_ideals = tuple(A for A in all_ideals(base) if A.is_proper())
-    seen = set()
-    base_mcs = []
-    for gens in [()] + [(g,) for g in base.elements()]:
-        S = mcs_generate(base, gens)
-        if S.members not in seen:
-            seen.add(S.members)
-            base_mcs.append(S)
-    base_mcs = sorted(base_mcs, key=lambda S: (len(S.members), S.sorted_members))[:6]
-    for A in base_ideals:
+    base_mcs = _small_mcs(T.base)
+    for A in all_ideals(T.base):
+        if not A.is_proper():
+            continue
         for S in base_mcs:
             rep = triv_equivalence_check(T, A, S)
             hyps = dict(rep.hypotheses)
-            enforced = {
-                k: v
-                for k, v in hyps.items()
-                if k != "zd_union_in_ann_literal"
-                and not (k == "torsion_free" and "torsion_free" in dropped)
-                and not (k == "zd_union_in_ann" and "zd_union" in dropped)
-                and not (k == "disjoint" and "disjoint" in dropped)
-            }
-            met = all(enforced.values())
-            outcome = (
-                VACUOUS
-                if not met
-                else (VERIFIED if rep.consistent else VIOLATION)
-            )
+            enforced = (k for k in hyps if k in _P3_3_DROPS and _P3_3_DROPS[k] not in dropped)
+            met = all(hyps[k] for k in enforced)
+            outcome = VACUOUS if not met else (VERIFIED if rep.consistent else VIOLATION)
             yield _record(
-                "P3.3",
-                ctx,
-                outcome,
-                annotations={"ideal": A.label(), "mcs": S.label()},
-                hypotheses=hyps,
-                dropped=dropped,
-                detail={"pattern": "".join("1" if b else "0" for b in rep.pattern)},
+                "P3.3", ctx, dropped, outcome, {"ideal": A.label(), "mcs": S.label()}, hyps,
+                {"pattern": "".join("1" if b else "0" for b in rep.pattern)},
             )
 
 
 # -- arithmetic-lane runners -----------------------------------------------------------------
 
 
+def _arith_annot(ctx, ideal=None):
+    return {"ideal": ideal or ctx.ideal.label(), "mcs": ctx.mcs.label()}
+
+
 def run_arith_t2_12(ctx, dropped):
     A, S = ctx.ideal, ctx.mcs
     prime = A.is_proper() and ar.arith_is_prime(A)
-    need_prime = "prime" not in dropped
-    if need_prime and not prime:
-        yield _record("T2.12", ctx, VACUOUS, annotations=_arith_annot(ctx), hypotheses={"prime": prime}, dropped=dropped)
+    if "prime" not in dropped and not prime:
+        yield _record("T2.12", ctx, dropped, VACUOUS, _arith_annot(ctx), {"prime": prime})
         return
     v = ar.arith_is_S_r_ideal(A, S, ctx.limits.witness_bound)
     if v.not_applicable and "disjoint" not in dropped:
-        yield _record(
-            "T2.12",
-            ctx,
-            VACUOUS,
-            annotations=_arith_annot(ctx),
-            hypotheses={"prime": prime, "disjoint": False},
-            dropped=dropped,
-        )
+        hypotheses = {"prime": prime, "disjoint": False}
+        yield _record("T2.12", ctx, dropped, VACUOUS, _arith_annot(ctx), hypotheses)
         return
     in_zd = ar.arith_subset_zd(A)
-    agree = v.holds == in_zd
     yield _record(
-        "T2.12",
-        ctx,
-        VERIFIED if agree else VIOLATION,
-        annotations=_arith_annot(ctx),
-        hypotheses={"prime": prime, "disjoint": not v.not_applicable},
-        dropped=dropped,
-        detail={"s_r": v.holds, "inside_zd": in_zd, "oracle_bound": ctx.limits.oracle_bound},
+        "T2.12", ctx, dropped, VERIFIED if v.holds == in_zd else VIOLATION, _arith_annot(ctx),
+        {"prime": prime, "disjoint": not v.not_applicable},
+        {"s_r": v.holds, "inside_zd": in_zd, "oracle_bound": ctx.limits.oracle_bound},
     )
 
 
 def run_arith_c_zd(ctx, dropped):
-    A, S = ctx.ideal, ctx.mcs
-    v = ar.arith_is_S_r_ideal(A, S, ctx.limits.witness_bound)
+    v = ar.arith_is_S_r_ideal(ctx.ideal, ctx.mcs, ctx.limits.witness_bound)
     if not v.holds:
-        yield _record("C-zd", ctx, VACUOUS, annotations=_arith_annot(ctx), dropped=dropped)
+        yield _record("C-zd", ctx, dropped, VACUOUS, _arith_annot(ctx))
         return
-    ok = ar.arith_subset_zd(A)
-    yield _record(
-        "C-zd",
-        ctx,
-        VERIFIED if ok else VIOLATION,
-        annotations=_arith_annot(ctx),
-        dropped=dropped,
-        detail={"witness": list(v.witness)},
-    )
+    outcome = VERIFIED if ar.arith_subset_zd(ctx.ideal) else VIOLATION
+    detail = {"witness": list(v.witness)}
+    yield _record("C-zd", ctx, dropped, outcome, _arith_annot(ctx), detail=detail)
 
 
 def run_arith_p_zero(ctx, dropped):
     R, S = ctx.ring, ctx.mcs
     zero = ar.ArithIdeal(R, tuple(0 if f == ar.INT else f[1] for f in R.factors))
+    annotations = _arith_annot(ctx, ideal="(0)")
     v = ar.arith_is_S_r_ideal(zero, S, ctx.limits.witness_bound)
     if v.not_applicable:
-        yield _record("P-zero", ctx, VACUOUS, annotations=_arith_annot(ctx, ideal="(0)"), dropped=dropped)
+        yield _record("P-zero", ctx, dropped, VACUOUS, annotations)
         return
     oracle = ar.arith_oracle_check(zero, S, ctx.limits.oracle_bound)
-    ok = v.holds and oracle
     yield _record(
-        "P-zero",
-        ctx,
-        VERIFIED if ok else VIOLATION,
-        annotations=_arith_annot(ctx, ideal="(0)"),
-        dropped=dropped,
+        "P-zero", ctx, dropped, VERIFIED if v.holds and oracle else VIOLATION, annotations,
         detail={"witness": list(v.witness) if v.witness else None, "oracle": oracle},
     )
 
@@ -1260,19 +917,12 @@ def run_p2_6(ctx, dropped):
     v = ar.arith_is_S_r_ideal(A, S, ctx.limits.witness_bound)
     in_zd = ar.arith_subset_zd(A)
     if not (in_zd and v.fails):
-        yield _record(
-            "P2.6",
-            ctx,
-            VACUOUS,
-            annotations=_arith_annot(ctx),
-            hypotheses={"inside_zd": in_zd, "s_r_fails": v.fails},
-            dropped=dropped,
-        )
+        hypotheses = {"inside_zd": in_zd, "s_r_fails": v.fails}
+        yield _record("P2.6", ctx, dropped, VACUOUS, _arith_annot(ctx), hypotheses)
         return
     s = v.last_candidate
     w, z = v.counterexample
-    sx = ctx.ring.mul(s, z)
-    B = ar.arith_colon_element(A, sx)
+    B = ar.arith_colon_element(A, ctx.ring.mul(s, z))
     K = ar.arith_colon_ideal(A, B)
     conds = {
         "B_meets_regulars": ar.arith_meets_regulars(B),
@@ -1280,45 +930,25 @@ def run_p2_6(ctx, dropped):
         "A_strictly_in_K": ar.arith_contains(K, A) and K.descs != A.descs,
         "BK_in_A": ar.arith_contains(A, ar.arith_product(B, K)),
     }
-    ok = all(conds.values())
     yield _record(
-        "P2.6",
-        ctx,
-        VERIFIED if ok else VIOLATION,
-        annotations=_arith_annot(ctx),
-        hypotheses={"inside_zd": in_zd, "s_r_fails": True},
-        dropped=dropped,
-        detail={
-            "s": list(s),
-            "pair": [list(w), list(z)],
-            "B": B.label(),
-            "K": K.label(),
-            **conds,
-        },
+        "P2.6", ctx, dropped, VERIFIED if all(conds.values()) else VIOLATION, _arith_annot(ctx),
+        {"inside_zd": in_zd, "s_r_fails": True},
+        {"s": list(s), "pair": [list(w), list(z)], "B": B.label(), "K": K.label(), **conds},
     )
 
 
 def run_arith_r_oracle(ctx, dropped):
     """Window confirmation of the closed-form r/S-r verdicts (oracle agreement)."""
     A, S = ctx.ideal, ctx.mcs
-    maxdesc = max(
-        (d for f, d in zip(A.ring.factors, A.descs) if f == ar.INT), default=0
-    )
+    maxdesc = max((d for f, d in zip(A.ring.factors, A.descs) if f == ar.INT), default=0)
     bound = max(ctx.limits.oracle_bound, 2 * maxdesc)
     ok_r = ar.arith_oracle_check(A, None, bound)
     ok_s = ar.arith_oracle_check(A, S, bound)
     yield _record(
-        "ARITH-oracle",
-        ctx,
-        VERIFIED if (ok_r and ok_s) else VIOLATION,
-        annotations=_arith_annot(ctx),
-        dropped=dropped,
+        "ARITH-oracle", ctx, dropped, VERIFIED if (ok_r and ok_s) else VIOLATION,
+        _arith_annot(ctx),
         detail={"r_confirmed": ok_r, "s_r_confirmed": ok_s, "bound": bound},
     )
-
-
-def _arith_annot(ctx, ideal=None):
-    return {"ideal": ideal or ctx.ideal.label(), "mcs": ctx.mcs.label()}
 
 
 # -- polynomial-lane runners ------------------------------------------------------------------
@@ -1333,89 +963,70 @@ def run_t4_1(ctx, dropped):
     for A in ctx.proper_ideals():
         for S in ctx.poly_mcs_list():
             s_regular = S.members <= R.regulars
-            if need_reg and not s_regular:
-                continue
-            if S.members & A.members:
+            if (need_reg and not s_regular) or S.members & A.members:
                 continue
             base = ctx.s_r(A, S)
             search = bounded_S_r_search(PolyIdealSpec.content(A), S, D)
-            coherent = (base.holds and search.outcome == NO_VIOLATION_UP_TO) or (
-                base.fails and search.outcome == NO
-            )
-            outcome = (
-                VERIFIED
-                if (gate.holds and coherent)
-                else (VACUOUS if not gate.holds else VIOLATION)
-            )
             if base.fails and search.outcome == NO_VIOLATION_UP_TO:
-                # counterexample may live above the bound; flagged, not failed
+                # the counterexample may live above the bound: flagged, not failed
                 outcome = VACUOUS
+            elif not gate.holds:
+                outcome = VACUOUS
+            else:
+                coherent = (base.holds and search.outcome == NO_VIOLATION_UP_TO) or (
+                    base.fails and search.outcome == NO
+                )
+                outcome = VERIFIED if coherent else VIOLATION
+            detail = {"base": base.outcome, "search": search.outcome}
+            if search.pair:
+                detail["pair"] = [search.pair[0].text(), search.pair[1].text()]
             yield _record(
-                "T4.1",
-                ctx,
-                outcome,
-                annotations={"ideal": ctx.ideal_label(A), "mcs": ctx.mcs_label(S), "degree": D},
-                hypotheses={"property_a": gate.holds, "s_regular": s_regular},
-                dropped=dropped,
-                detail={
-                    "base": base.outcome,
-                    "search": search.outcome,
-                    **({"pair": [search.pair[0].text(), search.pair[1].text()]} if search.pair else {}),
-                },
+                "T4.1", ctx, dropped, outcome,
+                {"ideal": A.label(), "mcs": S.label(), "degree": D},
+                {"property_a": gate.holds, "s_regular": s_regular},
+                detail,
             )
 
 
 def run_t4_2(ctx, dropped):
     """Finite-annihilator-condition gate for content ideals, any S."""
     R = ctx.ring
-    gate = cl.has_fac(R, ctx.limits.fac_cap)
+    cap = ctx.limits.fac_cap
+    gate = cl.has_fac(R, cap)
     D = ctx.search_degree()
     for A in ctx.proper_ideals():
         for S in ctx.poly_mcs_list():
             if S.members & A.members:
                 continue
-            verdict = decide_content_S_r(A, S, D, ctx.limits.fac_cap)
+            verdict = decide_content_S_r(A, S, D, cap)
             base = ctx.s_r(A, S)
+            detail = {"decided": verdict.outcome, "gate": verdict.gate}
             if not gate.holds:
-                yield _record(
-                    "T4.2",
-                    ctx,
-                    VACUOUS,
-                    annotations={"ideal": ctx.ideal_label(A), "mcs": ctx.mcs_label(S), "degree": D},
-                    hypotheses={"fac": False, "fac_cap": ctx.limits.fac_cap},
-                    dropped=dropped,
-                    detail={"decided": verdict.outcome, "gate": verdict.gate},
+                outcome = VACUOUS
+            else:
+                coherent = (base.holds and verdict.outcome == YES_BY_THEOREM) or (
+                    base.fails and verdict.outcome == NO
                 )
-                continue
-            coherent = (base.holds and verdict.outcome == YES_BY_THEOREM) or (
-                base.fails and verdict.outcome == NO
-            )
+                outcome = VERIFIED if coherent else VIOLATION
+                detail["base"] = base.outcome
             yield _record(
-                "T4.2",
-                ctx,
-                VERIFIED if coherent else VIOLATION,
-                annotations={"ideal": ctx.ideal_label(A), "mcs": ctx.mcs_label(S), "degree": D},
-                hypotheses={"fac": True, "fac_cap": ctx.limits.fac_cap},
-                dropped=dropped,
-                detail={"base": base.outcome, "decided": verdict.outcome, "gate": verdict.gate},
+                "T4.2", ctx, dropped, outcome,
+                {"ideal": A.label(), "mcs": S.label(), "degree": D},
+                {"fac": gate.holds, "fac_cap": cap},
+                detail,
             )
 
 
 def run_dm(ctx, dropped):
     """Content-product identity over seeded random pairs."""
-    checked, failure = dedekind_mertens_sweep(
-        ctx.ring, ctx.limits.dm_pairs, ctx.limits.dm_seed
-    )
+    checked, failure = dedekind_mertens_sweep(ctx.ring, ctx.limits.dm_pairs, ctx.limits.dm_seed)
+    detail = {"checked": checked}
+    if failure:
+        detail["failure"] = [failure[0].text(), failure[1].text()]
     yield _record(
-        "DM",
-        ctx,
-        VERIFIED if failure is None else VIOLATION,
-        annotations={"pairs": ctx.limits.dm_pairs, "seed": ctx.limits.dm_seed},
-        dropped=dropped,
-        detail={
-            "checked": checked,
-            **({"failure": [failure[0].text(), failure[1].text()]} if failure else {}),
-        },
+        "DM", ctx, dropped, VERIFIED if failure is None else VIOLATION,
+        {"pairs": ctx.limits.dm_pairs, "seed": ctx.limits.dm_seed},
+        detail=detail,
     )
 
 
@@ -1430,6 +1041,12 @@ class TheoremCase:
     hypotheses: tuple
     runner: object
     arith_runner: object = None
+
+    def __post_init__(self):
+        for kind in self.scopes:
+            field = LANES[kind][1]
+            if getattr(self, field) is None:
+                raise ValueError(f"{self.id} is in scope on the {kind} lane but has no {field}")
 
 
 CASES = {
@@ -1449,11 +1066,11 @@ CASES = {
         TheoremCase("P-colon", "colon ideals and annihilators inherit S-r", (FINITE,), ("disjoint",), run_p_colon),
         TheoremCase("P-annsum", "annihilator sums over principal covers are S-r", (FINITE,), ("disjoint",), run_p_annsum),
         TheoremCase("P-minidem", "minimal prime plus idempotent annihilator is S-r", (FINITE,), ("reduced", "disjoint"), run_p_minidem),
-        TheoremCase("P-sidem", "scaled-idempotent spans are S-r", (FINITE,), ("disjoint",), run_p_sidem),
+        TheoremCase("P-sidem", "scaled-idempotent spans are S-r", (FINITE,), (), run_p_sidem),
         TheoremCase("P-suz", "all disjoint ideals S-r iff S-uz-ring", (FINITE,), (), run_p_suz),
         TheoremCase("P-suzmax", "S-uz iff disjoint primes S-r iff maximals S-r", (FINITE,), ("max_disjoint",), run_p_suzmax),
         TheoremCase("L3.1", "isomorphisms transport annihilators", (FINITE,), (), run_l3_1),
-        TheoremCase("P3.2", "S-r transfer across amalgamations", (FINITE, AMALGZ), ("epimorphism", "h1_domain", "j_in_zd", "isomorphism"), run_p3_2),
+        TheoremCase("P3.2", "S-r transfer across amalgamations", (FINITE, AMALGZ), ("epimorphism", "h1_domain", "j_in_zd", "isomorphism"), run_p3_2, run_amalgz_p3_2),
         TheoremCase("P3.3", "trivial-extension three-way equivalence", (FINITE,), ("torsion_free", "zd_union", "disjoint"), run_p3_3),
         TheoremCase("T4.1", "content ideals: gate via zero-divisor annihilators", (POLY,), ("s_regular",), run_t4_1),
         TheoremCase("T4.2", "content ideals: gate via the finite annihilator condition", (POLY,), (), run_t4_2),
@@ -1467,24 +1084,15 @@ DEFAULT_IDS = tuple(i for i in CASES if i != "ARITH-oracle") + ("ARITH-oracle",)
 
 
 def _run_entry(entry, ids, dropped, limits, timings=False):
-    import time
-
     ctx = build_context(entry, limits)
+    field = LANES[ctx.kind][1]
     records = []
     mark = time.perf_counter()
     for tid in ids:
         case = CASES[tid]
         if ctx.kind not in case.scopes:
             continue
-        if ctx.kind in (ARITH, AMALGZ) and case.arith_runner is not None:
-            runner = case.arith_runner
-        elif ctx.kind == ARITH and case.arith_runner is None:
-            continue
-        else:
-            runner = case.runner
-        if runner is None:
-            continue
-        for rec in runner(ctx, dropped):
+        for rec in getattr(case, field)(ctx, dropped):
             if timings:
                 now = time.perf_counter()
                 rec["millis"] = int((now - mark) * 1000)
@@ -1496,6 +1104,15 @@ def _run_entry(entry, ids, dropped, limits, timings=False):
 def _worker(args):
     index, entry, ids, dropped_t, limits, timings = args
     return index, _run_entry(entry, ids, frozenset(dropped_t), limits, timings)
+
+
+def _check_ids(ids, dropped):
+    for tid in ids:
+        if tid not in CASES:
+            raise UnknownTheorem(tid)
+        for h in dropped:
+            if h not in CASES[tid].hypotheses:
+                raise UnknownHypothesis(f"{tid} has no hypothesis {h!r}")
 
 
 def verify(
@@ -1513,14 +1130,8 @@ def verify(
     reruns.
     """
     ids = tuple(ids) if ids else DEFAULT_IDS
-    for tid in ids:
-        if tid not in CASES:
-            raise UnknownTheorem(tid)
     dropped = frozenset(dropped)
-    for tid in ids:
-        for h in dropped:
-            if h not in CASES[tid].hypotheses:
-                raise UnknownHypothesis(f"{tid} has no hypothesis {h!r}")
+    _check_ids(ids, dropped)
     tasks = [
         (i, entry, ids, tuple(sorted(dropped)), corpus.limits, timings)
         for i, entry in enumerate(corpus.entries)
@@ -1550,13 +1161,8 @@ def counterexample_search(theorem_id: str, corpus: CorpusSpec, drop, jobs: int =
     Violations found here are expected findings: they demonstrate that the
     dropped hypothesis was load-bearing.
     """
-    if theorem_id not in CASES:
-        raise UnknownTheorem(theorem_id)
-    case = CASES[theorem_id]
     drop = frozenset(drop)
-    for h in drop:
-        if h not in case.hypotheses:
-            raise UnknownHypothesis(f"{theorem_id} has no hypothesis {h!r}")
+    _check_ids((theorem_id,), drop)
     return verify(
         (theorem_id,),
         corpus,

@@ -5,6 +5,7 @@ lines.  Everything is exact arithmetic; tolerances are equality except for
 the stated wall-clock budgets.
 """
 
+import hashlib
 import json
 import time
 
@@ -59,6 +60,11 @@ def serial_run(corpus):
     records = list(verify(None, corpus))
     elapsed = time.perf_counter() - t0
     return records, elapsed
+
+
+# sha256 of the default-corpus report `ringlab verify --json` writes; a change
+# that alters report content on purpose records the new value in CHANGES.md
+GOLDEN_REPORT_SHA256 = "3c891add10f76b07499ed5dd92ca6d560fc1ac9f0c0f670bc14593ad86189143"
 
 
 def _jsonl(records):
@@ -214,3 +220,10 @@ def test_acceptance_9_hunts_and_determinism(corpus, serial_run):
         f"hunts terminate ({len(found1)} and {len(found2)} expected findings); "
         "two full runs are byte-identical",
     )
+
+
+def test_acceptance_10_golden_report(serial_run):
+    records, _ = serial_run
+    digest = hashlib.sha256((_jsonl(records) + "\n").encode()).hexdigest()
+    assert digest == GOLDEN_REPORT_SHA256
+    _report(10, f"default-corpus report bytes match the golden sha256 {digest[:12]}")

@@ -1,3 +1,4 @@
+import hashlib
 import json
 
 import pytest
@@ -26,6 +27,48 @@ MINI_LINES = [
     "amalgZ(4, 2) ; mcs=(units)",
     "polyring(Z3)",
 ]
+
+
+HUNT_LINES = [
+    "Z12", "Z6", "Z8", "Z2 x Z3", "Z2 x Z4", "Z4 x Z4", "Z9/(3)",
+    "triv(Z2, free(1))", "triv(Z4, quot(2))",
+    "amalg(Z4, Z4, id, (2))", "amalg(Z2 x Z2, Z2 x Z2, id, ((1,0)))",
+    "Z ; ideal=(3) ; mcs=(units)",
+    "Z x Z ; ideal=(0,2) ; mcs=(units,all)",
+    "Z x Z ; ideal=(0,2) ; mcs=(units,units)",
+    "amalgZ(4, 2) ; mcs=(units)", "amalgZ(6, 2) ; mcs=({1,-1})",
+    "polyring(Z3)", "polyring(Z6)",
+]
+
+# sha256 of the report bytes (as `ringlab verify --json` writes them) over
+# HUNT_LINES: a plain verify, and one hunt per declared hypothesis
+VERIFY_PIN = "56121aa8fa0b246abec916d63693a08cbd0e0e84aecac0fb6058dfa507096517"
+HUNT_PINS = {
+    ("T2.3", "disjoint"): "5a8cfda00de7b50498e6f3830038a40f550f3ce7d5b48b1cc341682db73ff5e7",
+    ("T2.5", "s_regular"): "3cfc2342e0463fcfcaf96edb460efa003a9be716adad019b86804e189f8e54ad",
+    ("T2.7", "disjoint"): "13c4464e8cd82abbaa3a274caf7878508a3ab16e2ed674786d95f914bcc17427",
+    ("P2.8", "s_regular"): "448bb70855b8b312108d1645d3cec08375328ee5973ea657e79e260685672ef4",
+    ("P2.10", "reduced"): "2e09e0d36d033e1f93d5f981631a4e6e3919cae5953ae3422072346b4c3293e5",
+    ("P2.10", "disjoint"): "80c459383631772ff5f9546289487cc7aab571544223fac0d26cebfcd4483302",
+    ("T2.11", "disjoint"): "2463d4294d80cfd0aecd7510f039f092d713586655a22dff080338b5bbf2d1e5",
+    ("T2.12", "prime"): "36badd98dd8a105037de1a75b2c2d6f35673e14955ae71b8f813c91370a0a3ee",
+    ("T2.12", "disjoint"): "fc961ec6c2832f1076e9228501b0a6b59f4a534f1786b081d286d18565b1efc9",
+    ("P-jac", "in_jacobson"): "3e38220cdba41ff62048058c9334e3e9d1ab75e80fca87d207f0850114e5471a",
+    ("P-zero", "disjoint"): "b786ae7f9f3aeee860d07df7dec6d27160ea3dedbace1f6463b59601441c77a5",
+    ("P-colon", "disjoint"): "b3ee0729c39964233d0b1fa490e59ec81b23721c78053401e5ceebe8553050b3",
+    ("P-annsum", "disjoint"): "d37dace663d042718aa5bb4d7e8364a708bb5c2a65eb6fcfe6eb6d958e0a314c",
+    ("P-minidem", "reduced"): "3f575633bfcb623303ae6116f8a2ab79556b4b716b16f593719cb700d49596dd",
+    ("P-minidem", "disjoint"): "1b46f4b7dcd2c5a50858a5ba9747ce57cc6063a97aa60fe204ed205050a98cc9",
+    ("P-suzmax", "max_disjoint"): "0343bff1c7bb22ecee67c4aff5bd78f5d527414c3f3188c175ed3eca08cefd9e",
+    ("P3.2", "epimorphism"): "5a4a3136c01649fdd66327aa8d950560e1f5cf1fb563ebee6b6702dd59822412",
+    ("P3.2", "h1_domain"): "a2fc45655a373e27468ade7bdd8eebfa63f6748ddb47c2db66ffd50579fbda15",
+    ("P3.2", "j_in_zd"): "1eb62196ab2b7bfb083a8baa0ffbe2cde3730519888d2a3904e6f42c3193130b",
+    ("P3.2", "isomorphism"): "3c7739a64eeb7eae9677758870da2c576370bf7cbe70c1350e5622aa0b4ebfd1",
+    ("P3.3", "torsion_free"): "5e00f78e66f150ee944ce4fc2ed13fbfbbeb96a2f8de40157a418f2153d9f3e6",
+    ("P3.3", "zd_union"): "f13ca5b265c8f60bbe5ea3ccb15388c2fb1fea152d03b5d4cfd82f42dc1772c9",
+    ("P3.3", "disjoint"): "09cdbb9258ead1740cf50e67e5e939c465503f1fd13ab075e7b1ab531a13781c",
+    ("T4.1", "s_regular"): "3679504a5a5f25186e73ac981f863f7dd3e472bdb1c1d09e5348b157ebf51422",
+}
 
 
 @pytest.fixture(scope="module")
@@ -288,6 +331,16 @@ def test_cli_verify_writes_json(tmp_path, capsys):
         assert "millis" not in rec
 
 
+@pytest.mark.parametrize("jobs", ["1", "2"])
+def test_cli_verify_bad_corpus_ring_exits_2(tmp_path, capsys, jobs):
+    from ringlab.cli import main
+
+    corpus = tmp_path / "bad.corpus"
+    corpus.write_text("Z6\nQ8\n", encoding="utf-8")
+    assert main(["verify", "--corpus", str(corpus), "--jobs", jobs]) == 2
+    assert "Q8" in capsys.readouterr().err
+
+
 def test_cli_verify_timings_adds_wall_time(tmp_path, capsys):
     from ringlab.cli import main
 
@@ -298,3 +351,68 @@ def test_cli_verify_timings_adds_wall_time(tmp_path, capsys):
     assert code == 0
     recs = [json.loads(line) for line in out_path.read_text().strip().splitlines()]
     assert all("millis" in r and r["millis"] >= 0 for r in recs)
+
+
+# -- report pins -------------------------------------------------------------------
+
+
+def _report_sha256(records):
+    lines = (json.dumps(r, sort_keys=True, separators=(",", ":")) + "\n" for r in records)
+    return hashlib.sha256("".join(lines).encode()).hexdigest()
+
+
+@pytest.fixture(scope="module")
+def hunt_corpus():
+    return CorpusSpec(tuple(parse_corpus_line(line) for line in HUNT_LINES), Limits.defaults())
+
+
+def test_verify_report_pin(hunt_corpus):
+    assert _report_sha256(verify(None, hunt_corpus)) == VERIFY_PIN
+
+
+def test_every_declared_hypothesis_has_a_hunt_pin():
+    declared = {(cid, h) for cid, case in CASES.items() for h in case.hypotheses}
+    assert declared == set(HUNT_PINS)
+
+
+@pytest.mark.parametrize("case_id,hypothesis", list(HUNT_PINS))
+def test_hunt_report_pin(hunt_corpus, case_id, hypothesis):
+    records = counterexample_search(case_id, hunt_corpus, (hypothesis,))
+    assert _report_sha256(records) == HUNT_PINS[case_id, hypothesis]
+
+
+# -- entry structure -----------------------------------------------------------------
+
+
+def _extension_records(line):
+    spec = CorpusSpec((parse_corpus_line(line),), Limits.defaults())
+    return list(verify(("P3.2", "P3.3"), spec))
+
+
+@pytest.mark.parametrize(
+    "line",
+    [
+        "triv(Z2, free(1)) x Z2",
+        "amalg(Z4, Z4, id, (2)) x Z2",
+        "triv(Z2, free(1))/(1)",
+        "amalg(Z4, Z4, id, (2))/(1)",
+    ],
+)
+def test_products_and_quotients_of_extensions_build_without_transfer_records(line):
+    ctx = build_context(parse_corpus_line(line), Limits.defaults())
+    assert ctx.structure is None
+    assert ctx.ring.size == parse_ring(line).size
+    assert _extension_records(line) == []
+
+
+def test_parenthesized_trivial_extension_keeps_its_transfer_records():
+    bare = _extension_records("triv(Z2, free(1))")
+    wrapped = _extension_records("(triv(Z2, free(1)))")
+    assert bare and all(r["theorem"] == "P3.3" for r in bare)
+    drop_entry = lambda recs: [{k: v for k, v in r.items() if k != "entry"} for r in recs]
+    assert drop_entry(wrapped) == drop_entry(bare)
+
+
+def test_p_sidem_declares_no_disjoint_hypothesis(mini):
+    with pytest.raises(UnknownHypothesis):
+        counterexample_search("P-sidem", mini, ("disjoint",))
