@@ -25,7 +25,7 @@ from .errors import (
     TypeMismatch,
 )
 from .ideals import Ideal, MulClosedSet, ideal_from_members, mcs_from_members
-from .rings import FiniteRing, RingHom, check_hom, is_isomorphism
+from .rings import FiniteRing, RingHom, abelian_generators, check_hom, is_isomorphism
 
 
 # -- finite modules ------------------------------------------------------------------
@@ -52,28 +52,32 @@ class FiniteModule:
         t = self.add
         if t.shape != (n, n) or t.min() < 0 or t.max() >= n:
             raise InvalidConstruction("module addition table is not total")
-        if not np.array_equal(t, t.T) or not np.array_equal(t[t], t[:, t]):
+        if not np.array_equal(t, t.T):
             raise InvalidConstruction("module addition is not an abelian group")
         if not np.array_equal(t[0], idx) or not (t == 0).any(axis=1).all():
             raise InvalidConstruction("module addition lacks zero or inverses")
+        gens = abelian_generators(t, "module addition is not an abelian group")
         act = self.action
         R = self.ring
         if act.shape != (R.size, n) or act.min() < 0 or act.max() >= n:
             raise InvalidConstruction("scalar action table is not total")
         if not np.array_equal(act[R.one], idx):
             raise InvalidConstruction("1 does not act as identity")
-        # (rs)m = r(sm)
-        for r in range(R.size):
-            for s in range(R.size):
-                if not np.array_equal(act[R.mul[r, s]], act[r][act[s]]):
-                    raise InvalidConstruction("scalar action is not associative")
-        # r(m+n) = rm + rn ; (r+s)m = rm + sm
-        if not np.array_equal(act[:, t], t[act[:, :, None], act[:, None, :]]):
-            raise InvalidConstruction("action does not distribute over module addition")
-        for r in range(R.size):
-            for s in range(R.size):
-                if not np.array_equal(act[R.add[r, s]], t[act[r], act[s]]):
-                    raise InvalidConstruction("action does not distribute over ring addition")
+        # Each law below is checked on the generators g of (M, +) only: given
+        # the laws checked before it, the m that satisfy it for all r, s are
+        # closed under +, so it then holds for every m.
+        for g in gens:
+            # r(m+g) = rm + rg
+            if not np.array_equal(act[:, t[:, g]], t[act, act[:, g, None]]):
+                raise InvalidConstruction("action does not distribute over module addition")
+        for g in gens:
+            col = act[:, g]
+            # (rs)g = r(sg)
+            if not np.array_equal(col[R.mul], act[:, col]):
+                raise InvalidConstruction("scalar action is not associative")
+            # (r+s)g = rg + sg
+            if not np.array_equal(col[R.add], t[col[:, None], col[None, :]]):
+                raise InvalidConstruction("action does not distribute over ring addition")
 
     def m_add(self, x, y):
         return int(self.add[x, y])

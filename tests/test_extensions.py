@@ -1,9 +1,13 @@
+import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
 
-from ringlab.errors import NotAnIdealError
+from ringlab.dsl import parse_ring
+from ringlab.errors import InvalidConstruction, NotAnIdealError
 from ringlab.extensions import (
     BACKWARD,
     FORWARD,
+    FiniteModule,
     S_FULL,
     S_ZERO,
     AmalgOverZ,
@@ -238,3 +242,99 @@ def test_amalgz_with_zero_in_s():
     rep = amalgz_zero_transfer_check(AmalgOverZ(6, 3), ("all",), 6)
     assert not rep.hypotheses["disjoint"]
     assert not rep.base_verdict.holds
+
+
+# -- module axioms against the loop-based scan ----------------------------------------
+
+
+def loop_module_axioms(R, add, act) -> bool:
+    """Reference: every module law on every pair or triple, by direct loops."""
+    add, act = np.asarray(add), np.asarray(act)
+    n = add.shape[0]
+    idx = np.arange(n)
+    if add.shape != (n, n) or add.min() < 0 or add.max() >= n:
+        return False
+    if not np.array_equal(add, add.T) or not np.array_equal(add[add], add[:, add]):
+        return False
+    if not np.array_equal(add[0], idx) or not (add == 0).any(axis=1).all():
+        return False
+    if act.shape != (R.size, n) or act.min() < 0 or act.max() >= n:
+        return False
+    if not np.array_equal(act[R.one], idx):
+        return False
+    if not np.array_equal(act[:, add], add[act[:, :, None], act[:, None, :]]):
+        return False
+    return all(
+        np.array_equal(act[R.mul[r, s]], act[r][act[s]]) and np.array_equal(act[R.add[r, s]], add[act[r], act[s]])
+        for r in range(R.size)
+        for s in range(R.size)
+    )
+
+
+def module_accepts(R, add, act) -> bool:
+    try:
+        FiniteModule(R, add, act)
+    except InvalidConstruction:
+        return False
+    return True
+
+
+@st.composite
+def perturbed_modules(draw):
+    """A small module's tables after 1-2 entry edits, maybe relabelled."""
+    R, k = draw(st.sampled_from([("Z2", 1), ("Z2", 2), ("Z2", 3), ("Z3", 1), ("Z3", 2), ("Z4", 1), ("Z6", 1), ("Z2 x Z2", 1), ("Z4", 2)]))
+    M = make_module_free(parse_ring(R), k)
+    n = M.size
+    add, act = np.array(M.add), np.array(M.action)
+    for _ in range(draw(st.integers(1, 2))):
+        if draw(st.booleans()):
+            i, j = draw(st.integers(0, n - 1)), draw(st.integers(0, n - 1))
+            add[i, j] = add[j, i] = draw(st.integers(0, n - 1))
+        else:
+            act[draw(st.integers(0, M.ring.size - 1)), draw(st.integers(0, n - 1))] = draw(st.integers(0, n - 1))
+    if draw(st.booleans()):
+        perm = np.array([0] + draw(st.permutations(range(1, n))), dtype=np.int16)
+        relabelled = np.empty_like(add)
+        relabelled[np.ix_(perm, perm)] = perm[add]
+        add = relabelled
+        act = perm[act][:, np.argsort(perm)]
+    return M.ring, add, act
+
+
+@settings(max_examples=200, derandomize=True, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(perturbed_modules())
+def test_module_check_matches_the_loop_scan_on_perturbed_modules(case):
+    R, add, act = case
+    assert module_accepts(R, add, act) == loop_module_axioms(R, add, act)
+
+
+Z2_MOD = [[0, 1], [1, 0]]
+Z3_MOD = [[0, 1, 2], [1, 2, 0], [2, 0, 1]]
+
+# (ring, module addition, action, message of the first failing check)
+MODULE_FAILURES = [
+    ("Z2", [[0, 1], [1, 2]], [[0, 0], [0, 1]], "module addition table is not total"),
+    ("Z2", [[0, 1], [0, 0]], [[0, 0], [0, 1]], "module addition is not an abelian group"),
+    # commutative with zero and inverses, but (1+1)+2 = 2 and 1+(1+2) = 1
+    ("Z2", [[0, 1, 2], [1, 0, 0], [2, 0, 0]], [[0, 0, 0], [0, 1, 2]], "module addition is not an abelian group"),
+    ("Z2", [[0, 1], [1, 1]], [[0, 0], [0, 1]], "module addition lacks zero or inverses"),
+    ("Z2", Z2_MOD, [[0, 0], [0, 2]], "scalar action table is not total"),
+    ("Z2", Z2_MOD, [[0, 0], [0, 0]], "1 does not act as identity"),
+    ("Z3", Z3_MOD, [[0, 0, 0], [0, 1, 2], [0, 1, 1]], "action does not distribute over module addition"),
+    # Z2[e] acting on Z2 with e acting as 1: additive in r, but (ee)m = 0 and e(em) = m
+    ("triv(Z2, free(1))", Z2_MOD, [[0, 0], [0, 1], [0, 1], [0, 0]], "scalar action is not associative"),
+    # the same on Z2^2 (index 2a + b) with e: (a, b) -> (a, 0), which is
+    # associative on the first additive generator (0, 1) and not on (1, 0)
+    ("triv(Z2, free(1))", [[i ^ j for j in range(4)] for i in range(4)],
+     [[0, 0, 0, 0], [0, 0, 2, 2], [0, 1, 2, 3], [0, 1, 0, 1]], "scalar action is not associative"),
+    # 2 acts as 1 on Z3: (1+1)m = m but m + m = 2m
+    ("Z3", Z3_MOD, [[0, 0, 0], [0, 1, 2], [0, 1, 2]], "action does not distribute over ring addition"),
+]
+
+
+@pytest.mark.parametrize("ring, add, act, message", MODULE_FAILURES)
+def test_each_module_axiom_failure_is_reported_by_name(ring, add, act, message):
+    R = parse_ring(ring)
+    with pytest.raises(InvalidConstruction, match=f"^{message}$"):
+        FiniteModule(R, add, act)
+    assert not loop_module_axioms(R, add, act)
