@@ -38,11 +38,9 @@ from .ideals import (
     is_prime,
     jacobson_radical,
     localize,
-    localize_oracle,
     max_ideals,
     mcs_generate,
     min_primes_over,
-    s_units,
     spec,
 )
 from .poly import (
@@ -66,8 +64,6 @@ from .rings import (
     RingHom,
     ann_pushforward_check,
     check_hom,
-    element_partition,
-    find_isomorphism,
     idempotent_power,
     is_isomorphism,
     make_product,

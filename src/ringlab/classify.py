@@ -5,9 +5,7 @@ disjointness, reducedness) yield NotApplicable, never Fails: a theorem is
 not contradicted by an input that does not meet its hypotheses.
 
 The S-indexed predicates use the uniform-witness quantifier order: one
-single s in S must work for every pair (w, z).  A per-pair variant is
-available behind the ``per_pair`` flag for exploratory contrast; it is not
-the standard reading and no registry check uses it.
+single s in S must work for every pair (w, z).
 """
 
 from __future__ import annotations
@@ -31,7 +29,6 @@ NOT_PROPER = "NOT_PROPER"
 DISJOINTNESS_VIOLATED = "DISJOINTNESS_VIOLATED"
 NOT_REDUCED = "NOT_REDUCED"
 GENERATOR_GATE = "GENERATOR_GATE"
-PER_PAIR_MODE = "PER_PAIR_MODE"
 
 
 @dataclass(frozen=True)
@@ -121,12 +118,23 @@ def is_pr_ideal(A: Ideal) -> Verdict:
 # -- S-indexed predicates -------------------------------------------------------------
 
 
+def _uniform_witness(S: MulClosedSet, defeat) -> Verdict:
+    """Holds with the least s in S that no pair defeats; else Fails with the
+    pair ``defeat`` returns for the last s, which goes in ``last_candidate``."""
+    cands = S.sorted_members
+    pair = None
+    for s in cands:
+        pair = defeat(s)
+        if pair is None:
+            return _holds(witness=int(s))
+    return _fails(pair, last_candidate=cands[-1])
+
+
 def is_S_r_ideal(
     A: Ideal,
     S: MulClosedSet,
     enforce_proper: bool = True,
     enforce_disjoint: bool = True,
-    per_pair: bool = False,
 ) -> Verdict:
     """Some uniform s in S with: wz in A and Ann(w) = 0 imply sz in A.
 
@@ -140,22 +148,12 @@ def is_S_r_ideal(
         return _na(DISJOINTNESS_VIOLATED)
     mask = member_row(A)
     regs, prod_in = _regular_rows(R, mask)
-    cands = S.sorted_members
-    if per_pair:
-        covered = np.zeros(R.size, dtype=bool)
-        for s in cands:
-            covered |= mask[R.mul[s, :]]
-        hit = first_hit(prod_in & ~covered[None, :])
-        if hit:
-            return _fails((int(regs[hit[0]]), hit[1]), last_candidate=cands[-1])
-        return Verdict(HOLDS, reason=PER_PAIR_MODE)
-    last_pair = None
-    for s in cands:
+
+    def defeat(s):
         hit = first_hit(prod_in & ~mask[R.mul[s, :]][None, :])
-        if not hit:
-            return _holds(witness=int(s))
-        last_pair = (int(regs[hit[0]]), hit[1])
-    return _fails(last_pair, last_candidate=cands[-1])
+        return (int(regs[hit[0]]), hit[1]) if hit else None
+
+    return _uniform_witness(S, defeat)
 
 
 def is_S_prime(
@@ -172,14 +170,12 @@ def is_S_prime(
         return _na(DISJOINTNESS_VIOLATED)
     mask = member_row(A)
     prod_in = mask[R.mul]
-    cands = S.sorted_members
-    last_pair = None
-    for s in cands:
+
+    def defeat(s):
         s_in = mask[R.mul[s, :]]
-        last_pair = first_hit(prod_in & ~s_in[:, None] & ~s_in[None, :])
-        if not last_pair:
-            return _holds(witness=int(s))
-    return _fails(last_pair, last_candidate=cands[-1])
+        return first_hit(prod_in & ~s_in[:, None] & ~s_in[None, :])
+
+    return _uniform_witness(S, defeat)
 
 
 # -- z0-ideals -------------------------------------------------------------------------
@@ -212,20 +208,15 @@ def is_S_z0_ideal(
     if enforce_disjoint and (S.members & A.members):
         return _na(DISJOINTNESS_VIOLATED)
     classes = [cls for cls in lattice(R).ann_classes if any(a in A.members for a in cls)]
-    cands = S.sorted_members
-    last_pair = None
-    for s in cands:
-        bad = None
+
+    def defeat(s):
         for cls in classes:
-            w = next(a for a in cls if a in A.members)
             z = next((a for a in cls if R.m(s, a) not in A.members), None)
             if z is not None:
-                bad = (w, z)
-                break
-        if bad is None:
-            return _holds(witness=int(s))
-        last_pair = bad
-    return _fails(last_pair, last_candidate=cands[-1])
+                return next(a for a in cls if a in A.members), z
+        return None
+
+    return _uniform_witness(S, defeat)
 
 
 # -- ring-level predicates ---------------------------------------------------------------

@@ -16,7 +16,7 @@ built, and its expression fully checked, by ``registry.build_context``.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 from . import config
 from .dsl import is_arith_expression, split_top
@@ -30,7 +30,6 @@ AMALGZ = "amalgz"
 
 @dataclass(frozen=True)
 class Limits:
-    size_limit: int
     degree: int
     fac_cap: int
     dm_pairs: int
@@ -44,7 +43,6 @@ class Limits:
     @staticmethod
     def defaults() -> "Limits":
         return Limits(
-            size_limit=config.size_limit(),
             degree=config.DEFAULT_DEGREE,
             fac_cap=config.FAC_SUBSET_CAP,
             dm_pairs=config.DM_PAIRS,
@@ -55,9 +53,6 @@ class Limits:
             mcs_cap=config.MCS_CANDIDATE_CAP,
             subsample_seed=config.SUBSAMPLE_SEED,
         )
-
-    def scaled(self, **kw) -> "Limits":
-        return replace(self, **kw)
 
 
 @dataclass(frozen=True)

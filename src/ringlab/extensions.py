@@ -25,7 +25,7 @@ from .errors import (
     TypeMismatch,
 )
 from .ideals import Ideal, MulClosedSet, ideal_from_members, mcs_from_members
-from .rings import FiniteRing, RingHom, abelian_generators, check_hom, is_isomorphism
+from .rings import FiniteRing, RingHom, abelian_generators, check_hom, is_isomorphism, make_quotient
 
 
 # -- finite modules ------------------------------------------------------------------
@@ -34,7 +34,7 @@ from .rings import FiniteRing, RingHom, abelian_generators, check_hom, is_isomor
 class FiniteModule:
     """A finite module over a FiniteRing: abelian group plus scalar action."""
 
-    __slots__ = ("ring", "size", "add", "action", "labels", "recipe", "_cache")
+    __slots__ = ("ring", "size", "add", "action", "labels", "recipe")
 
     def __init__(self, ring, add, action, labels=None, recipe="?"):
         self.ring = ring
@@ -43,7 +43,6 @@ class FiniteModule:
         self.size = self.add.shape[0]
         self.labels = tuple(labels) if labels is not None else tuple(str(i) for i in range(self.size))
         self.recipe = recipe
-        self._cache = {}
         self._validate()
 
     def _validate(self):
@@ -118,30 +117,9 @@ def make_module_free(R: FiniteRing, k: int) -> FiniteModule:
 
 def make_module_quotient(R: FiniteRing, J: Ideal) -> FiniteModule:
     """R/J as a module over R with the induced action."""
-    if J.ring is not R:
-        raise TypeMismatch("ideal belongs to a different ring")
-    members = sorted(J.members)
-    coset_of = [None] * R.size
-    reps = []
-    for a in R.elements():
-        if coset_of[a] is not None:
-            continue
-        idx = len(reps)
-        reps.append(a)
-        for i in members:
-            coset_of[R.a(a, i)] = idx
-    n = len(reps)
-    add = np.zeros((n, n), dtype=np.int16)
-    for i, a in enumerate(reps):
-        for j, b in enumerate(reps):
-            add[i, j] = coset_of[R.a(a, b)]
-    act = np.zeros((R.size, n), dtype=np.int16)
-    for r in range(R.size):
-        for i, a in enumerate(reps):
-            act[r, i] = coset_of[R.m(r, a)]
+    Q, proj = make_quotient(R, J)
     gens_text = ",".join(R.labels[g] for g in J.generators) if J.generators else "0"
-    labels = tuple(f"{R.labels[a]}+({gens_text})" for a in reps)
-    return FiniteModule(R, add, act, labels=labels, recipe=f"quot({gens_text})")
+    return FiniteModule(R, Q.add, Q.mul[list(proj.image)], labels=Q.labels, recipe=f"quot({gens_text})")
 
 
 def module_is_torsion_free(M: FiniteModule) -> bool:
@@ -172,43 +150,6 @@ def zd_union_inside_module_ann(M: FiniteModule, include_zero: bool = False):
     for a in range(start, R.size):
         union |= {y for y in R.elements() if R.m(y, a) == 0}
     return frozenset(union) <= module_ann(M).members
-
-
-def submodules(M: FiniteModule):
-    """Every submodule, sorted by (cardinality, member tuple)."""
-    cached = M._cache.get("submodules")
-    if cached is not None:
-        return cached
-
-    def orbit_plus(base, x):
-        grown = set(base)
-        grown |= {M.act(r, x) for r in M.ring.elements()}
-        # additive closure
-        changed = True
-        while changed:
-            changed = False
-            for a in list(grown):
-                for b in list(grown):
-                    c = M.m_add(a, b)
-                    if c not in grown:
-                        grown.add(c)
-                        changed = True
-        return frozenset(grown)
-
-    seen = {frozenset({0})}
-    frontier = [frozenset({0})]
-    while frontier:
-        base = frontier.pop()
-        for x in M.elements():
-            if x in base:
-                continue
-            grown = orbit_plus(base, x)
-            if grown not in seen:
-                seen.add(grown)
-                frontier.append(grown)
-    cached = tuple(sorted(seen, key=lambda s: (len(s), tuple(sorted(s)))))
-    M._cache["submodules"] = cached
-    return cached
 
 
 # -- trivial extension ----------------------------------------------------------------

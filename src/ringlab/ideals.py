@@ -18,7 +18,7 @@ import numpy as np
 
 from .config import size_limit
 from .errors import ConstructionBug, InvalidConstruction, NotProperError, SizeLimitError, TypeMismatch
-from .rings import FiniteRing, RingHom, _check_ideal_subset, check_hom, idempotent_power
+from .rings import FiniteRing, RingHom, check_hom, idempotent_power
 
 
 @dataclass(frozen=True)
@@ -232,13 +232,6 @@ def ideal_from_members(R: FiniteRing, members) -> Ideal:
     return lattice(R).intern(mask_of(members))
 
 
-def validate_ideal(A: Ideal) -> None:
-    """Closure checks; raises on violation.  Used by tests and constructions."""
-    _check_ideal_subset(A.ring, A.members)
-    if ideal_generate(A.ring, A.generators).members != A.members:
-        raise TypeMismatch("ideal members differ from the span of its generators")
-
-
 def all_ideals(R: FiniteRing):
     """Every ideal exactly once, sorted by (cardinality, member tuple)."""
     return lattice(R).ideals
@@ -324,13 +317,6 @@ def mcs_from_members(R: FiniteRing, members, generators=None) -> MulClosedSet:
     return MulClosedSet(R, members, gens)
 
 
-def s_units(R: FiniteRing, S: MulClosedSet) -> frozenset:
-    """{a : the principal ideal Ra meets S}."""
-    if S.ring is not R:
-        raise TypeMismatch("m.c.s. belongs to a different ring")
-    return frozenset(a for a in R.elements() if principal_members(R, a) & S.members)
-
-
 # -- localization -----------------------------------------------------------------
 
 
@@ -374,67 +360,6 @@ def localize(R: FiniteRing, S: MulClosedSet) -> LocalizationResult:
     kernel = annihilator(R, (e,))
     result = lattice(R).localizations[S.members] = LocalizationResult(localized, natural, kernel, int(e))
     return result
-
-
-def localize_oracle(R: FiniteRing, S: MulClosedSet) -> FiniteRing:
-    """Independent fraction construction: classes of pairs (a, s).
-
-    (a,s) ~ (b,u) iff v(ua - sb) = 0 for some v in S.  Must be isomorphic
-    to localize(R, S).localized; exists purely as a cross-check.
-    """
-    if S.ring is not R:
-        raise TypeMismatch("m.c.s. belongs to a different ring")
-    if R.size * len(S.members) > size_limit() ** 2:
-        raise SizeLimitError("fraction table beyond the size cap")
-    dens = sorted(S.members)
-    pairs = [(a, s) for a in R.elements() for s in dens]
-    index = {p: i for i, p in enumerate(pairs)}
-    m = len(pairs)
-    av = np.fromiter((p[0] for p in pairs), dtype=np.intp)
-    sv = np.fromiter((p[1] for p in pairs), dtype=np.intp)
-    neg = np.fromiter(R.neg, dtype=np.intp)
-    # diff[i, j] = u_j * a_i - s_i * b_j
-    ua = R.mul[av[:, None], sv[None, :]]  # a_i * u_j
-    sb = R.mul[sv[:, None], av[None, :]]  # s_i * b_j
-    diff = R.add[ua, neg[sb]]
-    kill = (R.mul[np.ix_(np.fromiter(dens, dtype=np.intp), np.arange(R.size))] == 0).any(axis=0)
-    eq = kill[diff]
-    parent = list(range(m))
-
-    def find(i):
-        while parent[i] != i:
-            parent[i] = parent[parent[i]]
-            i = parent[i]
-        return i
-
-    for i, j in np.argwhere(eq):
-        if i < j:
-            ri, rj = find(int(i)), find(int(j))
-            if ri != rj:
-                parent[max(ri, rj)] = min(ri, rj)
-    roots = []
-    root_of = {}
-    cls = [None] * m
-    for i in range(m):
-        r = find(i)
-        if r not in root_of:
-            root_of[r] = len(roots)
-            roots.append(r)
-        cls[i] = root_of[r]
-    k = len(roots)
-    add = np.zeros((k, k), dtype=np.int16)
-    mul = np.zeros((k, k), dtype=np.int16)
-    for i, ri in enumerate(roots):
-        a, s = pairs[ri]
-        for j, rj in enumerate(roots):
-            b, u = pairs[rj]
-            num = R.a(R.m(a, u), R.m(b, s))
-            den = R.m(s, u)
-            add[i, j] = cls[index[(num, den)]]
-            mul[i, j] = cls[index[(R.m(a, b), den)]]
-    labels = tuple(f"{R.labels[pairs[r][0]]}/{R.labels[pairs[r][1]]}" for r in roots)
-    gens_text = ",".join(R.labels[g] for g in S.generators)
-    return FiniteRing(add, mul, labels=labels, recipe=f"frac({R.recipe}, S<{gens_text}>)")
 
 
 def ideal_pushforward(L: LocalizationResult, A: Ideal) -> Ideal:

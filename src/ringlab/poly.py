@@ -27,7 +27,6 @@ from .ideals import (
     Ideal,
     MulClosedSet,
     annihilator,
-    first_hit,
     ideal_generate,
     ideal_power,
     ideal_product,
@@ -248,6 +247,20 @@ def bounded_S_r_search(spec: PolyIdealSpec, S_const: MulClosedSet, max_degree: i
     for evaluation kernels everything factors through values at the point,
     and for content ideals through coefficient residues modulo A, with
     regularity checked on actual lifts.
+
+    For content ideals only constant z-bar are tried: a scan of z-bar by
+    degree, 0 to D, always finds its first hit at degree 0. Proof: R/A is a
+    product of local rings Q_i. Let e (in S-bar) be the idempotent power of
+    the product of S-bar and U = {i : e_i = 1}. For i in U a power of that
+    product is 1 in Q_i, so every s-bar_i is a unit. Hence z-bar escapes
+    every s-bar iff z-bar_i != 0 for some i in U (otherwise e kills z-bar).
+    Let w-bar z-bar = 0 with z-bar escaping and z-bar_i != 0, i in U. Then
+    w-bar_i is a zero divisor in Q_i[x], and McCoy's theorem (Amer. Math.
+    Monthly 49, 1942) gives a constant c_i != 0 with c_i w-bar_i = 0. The
+    constant with c_i in slot i and 0 elsewhere kills w-bar and escapes
+    every s-bar. So the first hit (c-bar, w-bar), c-bar ascending, then
+    w-bar in row order, is the first hit of the full scan: same verdict,
+    same pair.
     """
     R = spec.base
     if S_const.ring is not R:
@@ -276,31 +289,25 @@ def bounded_S_r_search(spec: PolyIdealSpec, S_const: MulClosedSet, max_degree: i
     A = spec.ideal
     t = _content_tables(R, A, max_degree + 1)
     Q = t.quotient
-    # residues z-bar that escape the spec under every s, degree by degree in _poly_tuples order
     sbar = sorted({t.proj.image[s] for s in svals})
-    for d in range(max_degree + 1):
-        zts = t.rows if d == max_degree else _coeff_rows(Q.size, d + 1)
-        zts = zts[Q.size**d :, ::-1]  # nonzero leading coefficient, which is most significant
-        for s in sbar:
-            zts = zts[(Q.mul[s][zts] != 0).any(axis=1)]
-        hit = _first_zero_product(zts, t.prod, t.addf)
-        if hit is not None:
-            zt, wt = zts[hit[0]].tolist(), t.rows[t.liftable][hit[1]].tolist()
-            w = Poly.make(R, _regular_lift(R, [t.cosets[c] for c in wt], masks))
-            z = Poly.make(R, [t.cosets[c][0] for c in zt])  # index-minimal lift
-            return PolyVerdict(NO, pair=(w, z), witness_degree=max(w.degree, z.degree, 0), bound=max_degree)
+    for c in range(1, Q.size):
+        if (Q.mul[sbar, c] == 0).any():  # some s-bar kills the constant c-bar
+            continue
+        kills = np.flatnonzero((t.prod[c] == 0).all(axis=1))
+        if kills.size:
+            wt = t.rows[t.liftable][kills[0]].tolist()
+            w = Poly.make(R, _regular_lift(R, [t.cosets[b] for b in wt], masks))
+            z = constant(R, t.cosets[c][0])  # index-minimal lift
+            return PolyVerdict(NO, pair=(w, z), witness_degree=max(w.degree, 0), bound=max_degree)
     return PolyVerdict(NO_VIOLATION_UP_TO, bound=max_degree)
-
-
-_CHUNK = 1 << 15  # elements per temporary in the content scan
 
 
 # Search tables of one content ideal A at one coefficient width, held on lattice(R).
 # rows: every coefficient vector over R/A in iproduct order (trailing zeros kept,
 # since padded forms lift to different polynomials); liftable: the rows with a
 # coefficientwise lift regular in R[x]; cosets: residue -> members of R over it,
-# ascending; prod[c, l]: c times the l-th liftable row; addf[a * q + b] = a + b in R/A.
-_ContentTables = namedtuple("_ContentTables", "quotient proj cosets rows liftable prod addf")
+# ascending; prod[c, l]: c times the l-th liftable row.
+_ContentTables = namedtuple("_ContentTables", "quotient proj cosets rows liftable prod")
 
 
 def _coeff_rows(q: int, width: int):
@@ -321,34 +328,9 @@ def _content_tables(R: FiniteRing, A: Ideal, width: int) -> _ContentTables:
         keys = [tuple(sorted(r)) for r in rows.tolist()]
         memo = {k: _regular_lift(R, [cosets[c] for c in k], lat.ann) is not None for k in set(keys)}
         liftable = np.array([memo[k] for k in keys], dtype=bool)
-        got = _ContentTables(Q, proj, cosets, rows, liftable, Q.mul.astype(rows.dtype)[:, rows[liftable]],
-                             Q.add.astype(rows.dtype).ravel())
+        got = _ContentTables(Q, proj, cosets, rows, liftable, Q.mul.astype(rows.dtype)[:, rows[liftable]])
         lat.content_tables[(A.mask, width)] = got
     return got
-
-
-def _first_zero_product(zts, prod, addf):
-    """First (k, l), row-major, with zts[k] times row l of the prod table zero in (R/A)[x].
-
-    Pairs are multiplied in blocks whose temporaries hold about _CHUNK entries."""
-    q, nrows, width = prod.shape
-    span = width + zts.shape[1] - 1
-    per_block = max(1, _CHUNK // span)
-    step = min(nrows, per_block) or 1  # rows per block; several zts only when every row fits
-    kstep = max(1, per_block // max(1, nrows))
-    index_t = np.min_scalar_type(q * q - 1)
-    for k0 in range(0, len(zts), kstep):
-        zc = zts[k0 : k0 + kstep]
-        for l0 in range(0, nrows, step):
-            pc = prod[:, l0 : l0 + step]
-            out = np.zeros((len(zc), pc.shape[1], span), dtype=index_t)
-            for j in range(zc.shape[1]):
-                seg = out[:, :, j : j + width]
-                seg[...] = addf[seg * q + pc[zc[:, j]]]
-            hit = first_hit((out == 0).all(axis=2))
-            if hit is not None:
-                return k0 + hit[0], l0 + hit[1]
-    return None
 
 
 def _regular_lift(R: FiniteRing, pools, masks):

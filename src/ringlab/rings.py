@@ -186,11 +186,6 @@ class FiniteRing:
         return f"FiniteRing({self.recipe}, size={self.size})"
 
 
-def element_partition(R: FiniteRing):
-    """(units, regulars, zero divisors); the first two coincide, 0 counts as zd."""
-    return R.units, R.regulars, R.zero_divisors
-
-
 def idempotent_power(R: FiniteRing, t: int):
     """Smallest k >= 1 with t^k idempotent; returns (t^k, k)."""
     p = int(t)
@@ -355,104 +350,3 @@ def ann_pushforward_check(h: RingHom, w: int) -> bool:
         raise NotApplicableError("annihilator transport needs an isomorphism")
     pushed = frozenset(int(h.image[y]) for y in _ann_set(h.domain, w))
     return pushed == _ann_set(h.codomain, int(h.image[w]))
-
-
-# -- isomorphism search -----------------------------------------------------------
-
-
-def _additive_order(R: FiniteRing, a: int) -> int:
-    k, cur = 1, a
-    while cur != 0:
-        cur = R.a(cur, a)
-        k += 1
-    return k
-
-
-def element_invariant(R: FiniteRing, a: int):
-    """Cheap iso-invariant fingerprint of a single element."""
-    col = R.mul[:, a]
-    ann = int((col == 0).sum())
-    sq = R.m(a, a)
-    e, k = idempotent_power(R, a)
-    return (
-        _additive_order(R, a),
-        a in R.units,
-        sq == a,
-        e == 0,  # nilpotent iff the eventual idempotent is 0
-        k,
-        ann,
-    )
-
-
-def fingerprint(R: FiniteRing):
-    """(size, unit count, idempotent count, characteristic)."""
-    return (R.size, len(R.units), len(R.idempotents()), _additive_order(R, R.one))
-
-
-def find_isomorphism(R1: FiniteRing, R2: FiniteRing):
-    """Exhaustive backtracking search for a ring isomorphism R1 -> R2.
-
-    Returns the image tuple or None.  Assignments are propagated through
-    both operation tables, so most of the map is forced once a generator
-    image is chosen; candidates are pruned by element invariants.
-    """
-    n = R1.size
-    if R2.size != n:
-        return None
-    inv1 = [element_invariant(R1, a) for a in range(n)]
-    inv2 = [element_invariant(R2, a) for a in range(n)]
-    if sorted(inv1) != sorted(inv2):
-        return None
-    cands = {a: [b for b in range(n) if inv2[b] == inv1[a]] for a in range(n)}
-    fwd = [None] * n
-    rev = [None] * n
-
-    def assign(x, y, trail):
-        stack = [(x, y)]
-        while stack:
-            x, y = stack.pop()
-            if fwd[x] is not None:
-                if fwd[x] != y:
-                    return False
-                continue
-            if rev[y] is not None or inv1[x] != inv2[y]:
-                return False
-            fwd[x] = y
-            rev[y] = x
-            trail.append((x, y))
-            for a in range(n):
-                fa = fwd[a]
-                if fa is None:
-                    continue
-                stack.append((R1.a(x, a), R2.a(y, fa)))
-                stack.append((R1.m(x, a), R2.m(y, fa)))
-        return True
-
-    def undo(trail, mark):
-        while len(trail) > mark:
-            x, y = trail.pop()
-            fwd[x] = None
-            rev[y] = None
-
-    trail = []
-    if not assign(0, 0, trail) or not assign(R1.one, R2.one, trail):
-        return None
-
-    def solve():
-        x = next((i for i in range(n) if fwd[i] is None), None)
-        if x is None:
-            return True
-        for y in cands[x]:
-            if rev[y] is not None:
-                continue
-            mark = len(trail)
-            if assign(x, y, trail) and solve():
-                return True
-            undo(trail, mark)
-        return False
-
-    return tuple(fwd) if solve() else None
-
-
-def isomorphic(R1: FiniteRing, R2: FiniteRing) -> bool:
-    return find_isomorphism(R1, R2) is not None

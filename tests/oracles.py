@@ -1,0 +1,209 @@
+"""Brute-force references and helpers that only the tests use.
+
+Each one checks the package from outside: an ideal's closure, S-units, the
+fraction construction of a localization, an isomorphism search between
+finite rings, and the submodule lattice of a finite module.
+"""
+
+import numpy as np
+
+from ringlab.config import size_limit
+from ringlab.errors import SizeLimitError, TypeMismatch
+from ringlab.extensions import FiniteModule
+from ringlab.ideals import Ideal, MulClosedSet, ideal_generate, principal_members
+from ringlab.rings import FiniteRing, _check_ideal_subset, idempotent_power
+
+
+def validate_ideal(A: Ideal) -> None:
+    """Closure checks; raises on violation."""
+    _check_ideal_subset(A.ring, A.members)
+    if ideal_generate(A.ring, A.generators).members != A.members:
+        raise TypeMismatch("ideal members differ from the span of its generators")
+
+
+def s_units(R: FiniteRing, S: MulClosedSet) -> frozenset:
+    """{a : the principal ideal Ra meets S}."""
+    if S.ring is not R:
+        raise TypeMismatch("m.c.s. belongs to a different ring")
+    return frozenset(a for a in R.elements() if principal_members(R, a) & S.members)
+
+
+def localize_oracle(R: FiniteRing, S: MulClosedSet):
+    """Independent fraction construction: classes of pairs (a, s).
+
+    (a,s) ~ (b,u) iff v(ua - sb) = 0 for some v in S.  Returns the fraction
+    ring, which must be isomorphic to localize(R, S).localized, and the
+    class of each pair (a, s) as a dict.
+    """
+    if S.ring is not R:
+        raise TypeMismatch("m.c.s. belongs to a different ring")
+    if R.size * len(S.members) > size_limit() ** 2:
+        raise SizeLimitError("fraction table beyond the size cap")
+    dens = sorted(S.members)
+    pairs = [(a, s) for a in R.elements() for s in dens]
+    index = {p: i for i, p in enumerate(pairs)}
+    m = len(pairs)
+    av = np.fromiter((p[0] for p in pairs), dtype=np.intp)
+    sv = np.fromiter((p[1] for p in pairs), dtype=np.intp)
+    neg = np.fromiter(R.neg, dtype=np.intp)
+    # diff[i, j] = u_j * a_i - s_i * b_j
+    ua = R.mul[av[:, None], sv[None, :]]  # a_i * u_j
+    sb = R.mul[sv[:, None], av[None, :]]  # s_i * b_j
+    diff = R.add[ua, neg[sb]]
+    kill = (R.mul[np.ix_(np.fromiter(dens, dtype=np.intp), np.arange(R.size))] == 0).any(axis=0)
+    eq = kill[diff]
+    # classes are the connected components of eq: spread the least index
+    # through each component until nothing changes
+    root = np.arange(m)
+    while True:
+        reached = np.where(eq, root[None, :], m).min(axis=1)
+        if np.array_equal(reached, root):
+            break
+        root = reached
+    roots = np.unique(root).tolist()
+    cls = np.searchsorted(roots, root).tolist()
+    k = len(roots)
+    add = np.zeros((k, k), dtype=np.int16)
+    mul = np.zeros((k, k), dtype=np.int16)
+    for i, ri in enumerate(roots):
+        a, s = pairs[ri]
+        for j, rj in enumerate(roots):
+            b, u = pairs[rj]
+            num = R.a(R.m(a, u), R.m(b, s))
+            den = R.m(s, u)
+            add[i, j] = cls[index[(num, den)]]
+            mul[i, j] = cls[index[(R.m(a, b), den)]]
+    labels = tuple(f"{R.labels[pairs[r][0]]}/{R.labels[pairs[r][1]]}" for r in roots)
+    gens_text = ",".join(R.labels[g] for g in S.generators)
+    ring = FiniteRing(add, mul, labels=labels, recipe=f"frac({R.recipe}, S<{gens_text}>)")
+    return ring, dict(zip(pairs, cls))
+
+
+def element_partition(R: FiniteRing):
+    """(units, regulars, zero divisors); the first two coincide, 0 counts as zd."""
+    return R.units, R.regulars, R.zero_divisors
+
+
+def _additive_order(R: FiniteRing, a: int) -> int:
+    k, cur = 1, a
+    while cur != 0:
+        cur = R.a(cur, a)
+        k += 1
+    return k
+
+
+def element_invariant(R: FiniteRing, a: int):
+    """Cheap iso-invariant fingerprint of a single element."""
+    col = R.mul[:, a]
+    ann = int((col == 0).sum())
+    sq = R.m(a, a)
+    e, k = idempotent_power(R, a)
+    return (
+        _additive_order(R, a),
+        a in R.units,
+        sq == a,
+        e == 0,  # nilpotent iff the eventual idempotent is 0
+        k,
+        ann,
+    )
+
+
+def fingerprint(R: FiniteRing):
+    """(size, unit count, idempotent count, characteristic)."""
+    return (R.size, len(R.units), len(R.idempotents()), _additive_order(R, R.one))
+
+
+def find_isomorphism(R1: FiniteRing, R2: FiniteRing):
+    """Exhaustive backtracking search for a ring isomorphism R1 -> R2.
+
+    Returns the image tuple or None.  Assignments are propagated through
+    both operation tables, so most of the map is forced once a generator
+    image is chosen; candidates are pruned by element invariants.
+    """
+    n = R1.size
+    if R2.size != n:
+        return None
+    inv1 = [element_invariant(R1, a) for a in range(n)]
+    inv2 = [element_invariant(R2, a) for a in range(n)]
+    if sorted(inv1) != sorted(inv2):
+        return None
+    cands = {a: [b for b in range(n) if inv2[b] == inv1[a]] for a in range(n)}
+    fwd = [None] * n
+    rev = [None] * n
+
+    def assign(x, y, trail):
+        stack = [(x, y)]
+        while stack:
+            x, y = stack.pop()
+            if fwd[x] is not None:
+                if fwd[x] != y:
+                    return False
+                continue
+            if rev[y] is not None or inv1[x] != inv2[y]:
+                return False
+            fwd[x] = y
+            rev[y] = x
+            trail.append((x, y))
+            for a in range(n):
+                fa = fwd[a]
+                if fa is None:
+                    continue
+                stack.append((R1.a(x, a), R2.a(y, fa)))
+                stack.append((R1.m(x, a), R2.m(y, fa)))
+        return True
+
+    def undo(trail, mark):
+        while len(trail) > mark:
+            x, y = trail.pop()
+            fwd[x] = None
+            rev[y] = None
+
+    trail = []
+    if not assign(0, 0, trail) or not assign(R1.one, R2.one, trail):
+        return None
+
+    def solve():
+        x = next((i for i in range(n) if fwd[i] is None), None)
+        if x is None:
+            return True
+        for y in cands[x]:
+            if rev[y] is not None:
+                continue
+            mark = len(trail)
+            if assign(x, y, trail) and solve():
+                return True
+            undo(trail, mark)
+        return False
+
+    return tuple(fwd) if solve() else None
+
+
+def submodules(M: FiniteModule):
+    """Every submodule, sorted by (cardinality, member tuple)."""
+    def orbit_plus(base, x):
+        grown = set(base)
+        grown |= {M.act(r, x) for r in M.ring.elements()}
+        # additive closure
+        changed = True
+        while changed:
+            changed = False
+            for a in list(grown):
+                for b in list(grown):
+                    c = M.m_add(a, b)
+                    if c not in grown:
+                        grown.add(c)
+                        changed = True
+        return frozenset(grown)
+
+    seen = {frozenset({0})}
+    frontier = [frozenset({0})]
+    while frontier:
+        base = frontier.pop()
+        for x in M.elements():
+            if x in base:
+                continue
+            grown = orbit_plus(base, x)
+            if grown not in seen:
+                seen.add(grown)
+                frontier.append(grown)
+    return tuple(sorted(seen, key=lambda s: (len(s), tuple(sorted(s)))))

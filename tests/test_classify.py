@@ -128,12 +128,6 @@ def test_disjointness_gate(z12):
     assert v.not_applicable and v.reason == DISJOINTNESS_VIOLATED
 
 
-def test_per_pair_mode_is_weaker(z12):
-    A = ideal_generate(z12, [4])
-    S = mcs_generate(z12, [5])
-    assert is_S_r_ideal(A, S, per_pair=True).holds
-
-
 # -- S-prime -----------------------------------------------------------------------
 
 

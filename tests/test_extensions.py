@@ -23,13 +23,14 @@ from ringlab.extensions import (
     make_trivial_extension,
     module_ann,
     module_is_torsion_free,
-    submodules,
     triv_equivalence_check,
     triv_ideal,
     zd_union_inside_module_ann,
 )
 from ringlab.ideals import all_ideals, ideal_generate, mcs_generate
-from ringlab.rings import find_isomorphism, identity_hom, make_product, make_zn
+from ringlab.rings import identity_hom, make_product, make_zn
+
+from oracles import find_isomorphism, submodules
 
 
 @pytest.fixture(scope="module")

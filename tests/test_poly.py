@@ -6,7 +6,6 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from ringlab import poly
 from ringlab.dsl import parse_ring
 from ringlab.errors import DegreeLimitError, NotApplicableError
 from ringlab.ideals import all_ideals, ideal_generate, ideal_product, lattice, mcs_from_members, mcs_generate
@@ -23,7 +22,6 @@ from ringlab.poly import (
     PolyIdealSpec,
     PolyVerdict,
     _coeff_rows,
-    _first_zero_product,
     _poly_tuples,
     bounded_S_r_search,
     constant,
@@ -408,9 +406,10 @@ def test_root_obstruction_reported(z2):
 
 # -- content search against the loop reference --------------------------------------------
 #
-# The reference is the per-residue loop the batched search replaced: each
-# escaping z-bar is multiplied against every coefficient vector in turn, and
-# every annihilating vector is tried for a regular lift until one is found.
+# The reference is the full-degree scan: each escaping z-bar of degree 0..D
+# is multiplied against every coefficient vector in turn, and every
+# annihilating vector is tried for a regular lift until one is found.  The
+# search itself tries constant z-bar only, which McCoy's theorem justifies.
 
 
 def ref_poly_tuples(size, max_degree):
@@ -500,68 +499,53 @@ def test_content_search_matches_loop_reference(expr):
                 assert bounded_S_r_search(spec, S, degree) == ref_content_search(A, S, degree), (A, S, degree)
 
 
-@settings(max_examples=40, derandomize=True, deadline=None)
-@given(st.data())
-def test_content_search_matches_reference_when_lifts_are_regular(data):
+def _faked_mask_case(data):
     """Fake some annihilator masks, so lifts can be regular and the content path
-    finds pairs; the whole verdict, pair included, must match the loop reference.
-    Random masks also make a lift's regularity depend on repeated residues."""
+    finds pairs.  Random masks also make a lift's regularity depend on repeated
+    residues.  Returns (A, S, degree)."""
     R = parse_ring(data.draw(st.sampled_from(["Z4", "Z6", "Z8", "Z2 x Z2", "Z4 x Z2", "triv(Z2, free(1))"])))
     lat = lattice(R)  # R is fresh, so the faked table reaches no other test
     fake = data.draw(st.dictionaries(st.integers(1, R.size - 1), st.integers(0, lat.full) | st.just(0)))
     lat.ann = tuple(fake[a] | 1 if a in fake else m for a, m in enumerate(lat.ann))
     A = data.draw(st.sampled_from([A for A in all_ideals(R) if A.is_proper()]))
     S = data.draw(st.sampled_from(_search_mcs(R, A)))
-    degree = data.draw(st.integers(0, 2))
+    return A, S, data.draw(st.integers(0, 2))
+
+
+@settings(max_examples=40, derandomize=True, deadline=None)
+@given(st.data())
+def test_content_search_matches_reference_when_lifts_are_regular(data):
+    """With faked masks the whole verdict, pair included, must match the loop reference."""
+    A, S, degree = _faked_mask_case(data)
     assert bounded_S_r_search(PolyIdealSpec.content(A), S, degree) == ref_content_search(A, S, degree)
 
 
-def ref_first_zero_product(Q, zts, rows):
-    for k, zt in enumerate(zts):
-        for l, wt in enumerate(rows):
-            out = [0] * (len(zt) + len(wt) - 1)
-            for i, a in enumerate(zt):
-                for j, b in enumerate(wt):
-                    out[i + j] = Q.a(out[i + j], Q.m(a, b))
-            if not any(out):
-                return k, l
-    return None
+def _assert_first_hit_constant(A, S, degree):
+    v = ref_content_search(A, S, degree)
+    assert v.outcome == NO_VIOLATION_UP_TO or v.pair[1].degree == 0, (A, S, degree, v)
 
 
-@settings(max_examples=60, derandomize=True, deadline=None)
+@pytest.mark.parametrize("expr", SEARCH_RINGS)
+def test_reference_scan_first_hits_a_constant(expr):
+    """McCoy's theorem: the full-degree scan never finds its first hit above degree 0."""
+    R = parse_ring(expr)
+    for A in all_ideals(R):
+        if A.is_proper():
+            for S in _search_mcs(R, A):
+                for degree in range(3):
+                    _assert_first_hit_constant(A, S, degree)
+
+
+@settings(max_examples=40, derandomize=True, deadline=None)
 @given(st.data())
-def test_first_zero_product_scan_order_matches_nested_loop(data):
-    """The batched scan returns the first (z-bar, w-bar) of the nested loop, for any row mask and block size."""
-    Q = parse_ring(data.draw(st.sampled_from(["Z4", "Z6", "Z8", "Z2 x Z2", "triv(Z2, free(1))"])))
-    width, degree = data.draw(st.integers(1, 3)), data.draw(st.integers(0, 2))
-    rng = np.random.default_rng(data.draw(st.integers(0, 2**16)))
-    rows = _coeff_rows(Q.size, width)
-    rows = rows[(rng.random(len(rows)) < data.draw(st.sampled_from([0.05, 0.3, 0.8]))) & rows.any(axis=1)]
-    zts = _coeff_rows(Q.size, degree + 1)[Q.size**degree :, ::-1]
-    zts = zts[rng.random(len(zts)) < data.draw(st.sampled_from([0.1, 0.5, 1.0]))]
-    prod = Q.mul.astype(rows.dtype)[:, rows]
-    with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(poly, "_CHUNK", data.draw(st.sampled_from([1, 7, 64, 1 << 15])))
-        got = _first_zero_product(zts, prod, Q.add.astype(rows.dtype).ravel())
-    assert got == ref_first_zero_product(Q, zts.tolist(), rows.tolist())
+def test_reference_scan_first_hits_a_constant_when_lifts_are_regular(data):
+    _assert_first_hit_constant(*_faked_mask_case(data))
 
 
 @pytest.mark.parametrize("size", [2, 3, 5])
 def test_coefficient_rows_in_poly_tuple_order(size):
-    """Nonzero-leading rows, reversed, enumerate degree d exactly as _poly_tuples does."""
-    for degree in range(3):
-        zts = _coeff_rows(size, degree + 1)[size**degree :, ::-1]
-        assert [tuple(r) for r in zts.tolist()] == [t for t in ref_poly_tuples(size, degree) if len(t) == degree + 1]
+    """Coefficient rows come in iproduct order, which fixes the first liftable row;
+    _poly_tuples enumerates as the reference does."""
+    for width in range(1, 4):
+        assert [tuple(r) for r in _coeff_rows(size, width).tolist()] == list(iproduct(range(size), repeat=width))
     assert list(_poly_tuples(size, 2)) == list(ref_poly_tuples(size, 2))
-
-
-def test_first_zero_product_keeps_row_major_order_across_row_blocks():
-    """z0 is killed only by the second row, z1 by the first: with one row per
-    block, the scan must still finish z0 before it looks at z1."""
-    Q = parse_ring("Z2 x Z2")
-    e1, e2 = (a for a in Q.elements() if Q.m(a, a) == a and a not in (0, Q.one))
-    rows = np.array([[e1], [e2]], dtype=np.uint8)
-    zts = np.array([[e1], [e2]], dtype=np.uint8)
-    with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(poly, "_CHUNK", 1)
-        assert _first_zero_product(zts, Q.mul.astype(np.uint8)[:, rows], Q.add.astype(np.uint8).ravel()) == (0, 1)

@@ -1,5 +1,6 @@
 import hashlib
 import json
+from dataclasses import replace
 
 import pytest
 
@@ -140,7 +141,7 @@ def test_records_are_replayable_shape(mini_records):
 
 def test_mcs_candidate_cap_keeps_units_and_full():
     entry = parse_corpus_line("Z12")
-    limits = Limits.defaults().scaled(mcs_cap=4)
+    limits = replace(Limits.defaults(), mcs_cap=4)
     ctx = build_context(entry, limits)
     cands = ctx.mcs_list()
     assert len(cands) <= 4
@@ -154,7 +155,7 @@ def test_t4_2_and_the_content_decision_gate_on_the_same_fac_cap(fac_cap):
     # Z6 fails f.a.c. on pairs, so only the cap-1 sweep (no subsets at all)
     # passes; a decision gated at the default cap would then disagree with
     # the T4.2 hypothesis and report spurious violations.
-    limits = Limits.defaults().scaled(fac_cap=fac_cap)
+    limits = replace(Limits.defaults(), fac_cap=fac_cap)
     records = list(verify(("T4.2",), CorpusSpec((parse_corpus_line("polyring(Z6)"),), limits)))
     gate = has_fac(parse_ring("Z6"), fac_cap).holds
     assert gate == (fac_cap == 1)

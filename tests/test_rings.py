@@ -20,9 +20,6 @@ from ringlab.rings import (
     ann_pushforward_check,
     check_hom,
     crt_hom,
-    element_partition,
-    find_isomorphism,
-    fingerprint,
     identity_hom,
     idempotent_power,
     is_isomorphism,
@@ -30,6 +27,8 @@ from ringlab.rings import (
     make_quotient,
     make_zn,
 )
+
+from oracles import element_partition, find_isomorphism, fingerprint
 
 
 def brute_regulars(n):
