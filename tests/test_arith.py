@@ -358,16 +358,21 @@ def _closure_mod(n, gens):
 
 
 @st.composite
-def oracle_cases(draw):
+def oracle_cases(draw, pair=False):
+    """(A, S, bound, flip); with pair, (A, S, bound, B, x) for a second ideal B and a window element x."""
     factors = tuple(
         draw(st.sampled_from([INT] + [mod_factor(n) for n in range(1, 9)]))
         for _ in range(draw(st.sampled_from([1, 2, 2])))
     )
     R = ArithRing(factors)
-    descs = tuple(
-        draw(st.integers(0, 2)) if f == INT else draw(st.sampled_from([d for d in range(1, f[1] + 1) if f[1] % d == 0]))
-        for f in factors
-    )
+
+    def draw_descs():
+        return tuple(
+            draw(st.integers(0, 2)) if f == INT else draw(st.sampled_from([d for d in range(1, f[1] + 1) if f[1] % d == 0]))
+            for f in factors
+        )
+
+    descs = draw_descs()
     A = ArithIdeal(R, descs)
     S = None
     if draw(st.booleans()):
@@ -384,6 +389,8 @@ def oracle_cases(draw):
         S = ArithMCS(R, tuple((p[0], frozenset(p[1])) if p[0] == "fin" else p for p in parts))
     maxdesc = max((d for f, d in zip(factors, descs) if f == INT), default=0)
     bound = max(1, 2 * maxdesc + draw(st.integers(0, 1)))
+    if pair:
+        return A, S, bound, ArithIdeal(R, draw_descs()), draw(st.sampled_from(list(ref_window_elements(R, bound))))
     return A, S, bound, draw(st.booleans())
 
 
@@ -405,3 +412,66 @@ def test_oracle_matches_tuple_loop_reference(case):
             mp.setattr(ar, "arith_is_r_ideal", _flipped(arith_is_r_ideal))
             mp.setattr(ar, "arith_is_S_r_ideal", _flipped(arith_is_S_r_ideal))
         assert ar._oracle_check(A, S, bound) == ref_oracle_check(A, S, bound)
+
+
+# -- every closed form against the window -------------------------------------------
+#
+# Each set is built from its generator by multiplying and reducing window
+# tuples, never through ``contains`` or ``arith_ann_is_zero``: an ideal is the
+# multiples of its descriptor tuple, a unit is a factor element with an inverse
+# in the window, and a regular element kills no nonzero window element.  Z
+# descriptors are at most 2 and the bound is at least twice A's largest, so every
+# descriptor the closed forms return is inside the window and the window sets
+# tell the ideals apart.
+
+
+def ref_multiples(R, g, radius):
+    """g times every window tuple of the given radius, reduced."""
+    return {R.mul(g, t) for t in ref_window_elements(R, radius)}
+
+
+def ref_factor_axes(R, S, bound):
+    """Per factor, the window members of S and the window regular elements."""
+    members, regulars = [], []
+    for f, d in zip(R.factors, S.descs if S is not None else [None] * R.width):
+        one = ArithRing((f,))
+        axis = [t[0] for t in ref_window_elements(one, bound)]
+        mul = lambda u, v: one.mul((u,), (v,))[0]
+        regulars.append([u for u in axis if all(mul(u, v) != 0 for v in axis if v != 0)])
+        if d is None or d[0] == "all":
+            members.append(axis)
+        elif d[0] == "units":
+            members.append([u for u in axis if any(mul(u, v) == one.one()[0] for v in axis)])
+        else:
+            members.append(sorted({one.reduce((x,))[0] for x in d[1]}))
+    return set(iproduct(*members)), set(iproduct(*regulars))
+
+
+@settings(max_examples=60, derandomize=True, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(oracle_cases(pair=True))
+def test_closed_forms_match_window_reference(case):
+    A, S, bound, B, x = case
+    R = A.ring
+    W = set(ref_window_elements(R, bound))
+    reach = bound * max(bound, 2)  # covers w * z and w * descriptor for window w, z
+
+    def window(I):
+        return ref_multiples(R, I.descs, bound) & W
+
+    in_a = ref_multiples(R, A.descs, reach)
+    s_members, regs = ref_factor_axes(R, S, bound)
+    assert window(arith_colon_element(A, x)) == {w for w in W if R.mul(w, x) in in_a}
+    assert window(arith_colon_ideal(A, B)) == {w for w in W if R.mul(w, B.descs) in in_a}
+    assert arith_contains(A, B) == (ref_multiples(R, B.descs, bound) <= in_a)
+    products = {R.mul(a, b) for a in ref_multiples(R, A.descs, bound) for b in ref_multiples(R, B.descs, bound)}
+    assert window(arith_product(A, B)) == products & W
+    assert arith_meets_regulars(A) == bool(window(A) & regs)
+    assert arith_subset_zd(A) == (not window(A) & regs)
+    if S is not None:
+        assert arith_disjoint(A, S) == (not s_members & in_a)
+    if R.one() in in_a:
+        with pytest.raises(NotProperError):
+            arith_is_prime(A)
+    elif arith_is_prime(A):
+        # one-sided: a prime verdict admits no window pair ab in A with a, b outside A
+        assert all(a in in_a or b in in_a for a in W for b in W if R.mul(a, b) in in_a)
