@@ -6,10 +6,14 @@ genuinely discriminating examples live here: ideals of Z x Z such as
 an exact closed form per factor, cross-checked by a truncated brute-force
 window oracle.
 
+Z is read as Z/0Z, so each closed form is one formula in the modulus n:
+"c mod n" is c itself when n = 0, and "d divides c" means c = 0 when d = 0.
+Only regularity, the r-ideal obstruction and the window tell Z from Z_n.
+
 Descriptors:
-  factor    ("Z",) for the integers, ("Zn", n) for Z_n
-  ideal     per factor: for Z an integer m >= 0 (0 -> {0}, 1 -> Z, m -> mZ);
-            for Z_n a divisor d of n (the ideal dZ_n; d = n is {0})
+  factor    the modulus n: 0 for Z (INT), n >= 1 for Z_n
+  ideal     per factor a divisor d of n, the ideal dZ_n (for Z any m >= 0:
+            0 -> {0}, 1 -> Z, m -> mZ; for Z_n, d = n is {0})
   m.c.s.    per factor: ("units",) | ("all",) | ("fin", frozenset) where a
             finite set must be multiplicatively closed and contain 1
 """
@@ -25,13 +29,36 @@ import numpy as np
 from .classify import DISJOINTNESS_VIOLATED, Verdict, FAILS, HOLDS, NOT_APPLICABLE
 from .errors import InvalidConstruction, NotProperError, TypeMismatch
 
-INT = ("Z",)
+INT = 0
 
 
 def mod_factor(n: int):
     if n < 1:
         raise InvalidConstruction("Z_n factor needs n >= 1")
-    return ("Zn", n)
+    return n
+
+
+def _mod(c: int, n: int) -> int:
+    return c % n if n else c
+
+
+def _divides(d: int, c: int) -> bool:
+    return c % d == 0 if d else c == 0
+
+
+def _regular(c: int, n: int) -> bool:
+    """Ann(c) = 0 in Z/nZ: c nonzero in Z, a unit in Z_n."""
+    return c != 0 if n == 0 else gcd(c, n) == 1
+
+
+def _obstructs(n: int, d: int) -> bool:
+    """dZ is not an r-ideal of Z for d >= 2: d * 1 lies in it with d regular."""
+    return n == 0 and d >= 2
+
+
+def _axis(n: int, bound: int):
+    """The window coordinates of a factor: [-bound, bound] for Z, all of Z_n."""
+    return range(-bound, bound + 1) if n == 0 else range(n)
 
 
 def _is_prime_int(p: int) -> bool:
@@ -52,19 +79,16 @@ class ArithRing:
     def __post_init__(self):
         if not self.factors:
             raise InvalidConstruction("at least one factor required")
-        for f in self.factors:
-            if f != INT and (f[0] != "Zn" or f[1] < 1):
-                raise InvalidConstruction(f"bad factor {f}")
+        for n in self.factors:
+            if not (isinstance(n, int) and n >= 0):
+                raise InvalidConstruction(f"bad factor {n}")
 
     @property
     def width(self):
         return len(self.factors)
 
     def reduce(self, coords):
-        out = []
-        for f, c in zip(self.factors, coords):
-            out.append(int(c) if f == INT else int(c) % f[1])
-        return tuple(out)
+        return tuple(_mod(int(c), n) for n, c in zip(self.factors, coords))
 
     def mul(self, x, y):
         return self.reduce(tuple(a * b for a, b in zip(x, y)))
@@ -73,7 +97,7 @@ class ArithRing:
         return self.reduce((1,) * self.width)
 
     def label(self):
-        return " x ".join("Z" if f == INT else f"Z{f[1]}" for f in self.factors)
+        return " x ".join(f"Z{n or ''}" for n in self.factors)
 
 
 @dataclass(frozen=True)
@@ -84,31 +108,25 @@ class ArithIdeal:
     def __post_init__(self):
         if len(self.descs) != self.ring.width:
             raise TypeMismatch("descriptor count differs from factor count")
-        for f, d in zip(self.ring.factors, self.descs):
-            if f == INT:
-                if d < 0:
-                    raise InvalidConstruction("Z-factor descriptor must be >= 0")
-            elif not (1 <= d <= f[1] and f[1] % d == 0):
-                raise InvalidConstruction(f"descriptor {d} does not divide {f[1]}")
+        for n, d in zip(self.ring.factors, self.descs):
+            if d < 0:
+                raise InvalidConstruction("descriptor must be >= 0")
+            if not _divides(d, n):
+                raise InvalidConstruction(f"descriptor {d} does not divide {n}")
 
     def is_proper(self) -> bool:
         return any(d != 1 for d in self.descs)
 
     def contains(self, w) -> bool:
-        w = self.ring.reduce(w)
-        for f, d, c in zip(self.ring.factors, self.descs, w):
-            if f == INT:
-                if d == 0 and c != 0:
-                    return False
-                if d >= 2 and c % d != 0:
-                    return False
-            else:
-                if c % d != 0:
-                    return False
-        return True
+        return all(_divides(d, c) for d, c in zip(self.descs, self.ring.reduce(w)))
 
     def label(self):
         return "(" + ",".join(str(d) for d in self.descs) + ")"
+
+
+def zero_ideal(R: ArithRing) -> ArithIdeal:
+    """(0): descriptor n on each factor, so 0 on Z."""
+    return ArithIdeal(R, R.factors)
 
 
 @dataclass(frozen=True)
@@ -119,41 +137,24 @@ class ArithMCS:
     def __post_init__(self):
         if len(self.descs) != self.ring.width:
             raise TypeMismatch("descriptor count differs from factor count")
-        for f, d in zip(self.ring.factors, self.descs):
+        for n, d in zip(self.ring.factors, self.descs):
             if d[0] == "fin":
-                members = d[1]
-                if f == INT:
-                    if 1 not in members:
-                        raise InvalidConstruction("finite m.c.s. factor must contain 1")
-                    for a in members:
-                        for b in members:
-                            if a * b not in members:
-                                raise InvalidConstruction("finite factor set not closed")
-                else:
-                    n = f[1]
-                    reduced = {x % n for x in members}
-                    if 1 % n not in reduced:
-                        raise InvalidConstruction("finite m.c.s. factor must contain 1")
-                    for a in reduced:
-                        for b in reduced:
-                            if (a * b) % n not in reduced:
-                                raise InvalidConstruction("finite factor set not closed")
+                reduced = {_mod(x, n) for x in d[1]}
+                if _mod(1, n) not in reduced:
+                    raise InvalidConstruction("finite m.c.s. factor must contain 1")
+                if any(_mod(a * b, n) not in reduced for a in reduced for b in reduced):
+                    raise InvalidConstruction("finite factor set not closed")
             elif d[0] not in ("units", "all"):
                 raise InvalidConstruction(f"unknown m.c.s. descriptor {d}")
 
     def factor_contains(self, i, c) -> bool:
-        f = self.ring.factors[i]
+        n = self.ring.factors[i]
         d = self.descs[i]
         if d[0] == "all":
             return True
         if d[0] == "units":
-            if f == INT:
-                return c in (1, -1)
-            return gcd(c, f[1]) == 1
-        members = d[1]
-        if f == INT:
-            return c in members
-        return (c % f[1]) in {x % f[1] for x in members}
+            return gcd(c, n) == 1  # gcd(c, 0) = |c|: the units of Z are +-1
+        return _mod(c, n) in {_mod(x, n) for x in d[1]}
 
     def contains(self, w) -> bool:
         w = self.ring.reduce(w)
@@ -174,27 +175,15 @@ class ArithMCS:
 
 def arith_ann_is_zero(R: ArithRing, w) -> bool:
     """Ann(w) = 0: every Z coordinate nonzero, every Z_n coordinate a unit."""
-    w = R.reduce(w)
-    for f, c in zip(R.factors, w):
-        if f == INT:
-            if c == 0:
-                return False
-        elif gcd(c, f[1]) != 1:
-            return False
-    return True
+    return all(_regular(c, n) for n, c in zip(R.factors, R.reduce(w)))
 
 
 def arith_is_prime(A: ArithIdeal) -> bool:
-    """Exactly one non-full factor, and it carries a prime descriptor."""
+    """Exactly one non-full factor, and it carries descriptor 0 or a prime."""
     if not A.is_proper():
         raise NotProperError("primality is defined for proper ideals")
-    nonfull = [(f, d) for f, d in zip(A.ring.factors, A.descs) if d != 1]
-    if len(nonfull) != 1:
-        return False
-    f, d = nonfull[0]
-    if f == INT:
-        return d == 0 or _is_prime_int(d)
-    return _is_prime_int(d)
+    nonfull = [d for d in A.descs if d != 1]
+    return len(nonfull) == 1 and (nonfull[0] == 0 or _is_prime_int(nonfull[0]))
 
 
 # -- key ordering for witness coordinates -------------------------------------------
@@ -207,23 +196,14 @@ def _abs_key(x: int):
 
 def _factor_candidates(S: ArithMCS, i, bound):
     """Members of the i-th factor set within the search window, key-sorted."""
-    f = S.ring.factors[i]
+    n = S.ring.factors[i]
     d = S.descs[i]
-    if f == INT:
-        if d[0] == "units":
-            pool = [1, -1]
-        elif d[0] == "all":
-            pool = list(range(-bound, bound + 1))
-        else:
-            pool = sorted(d[1])
+    if d[0] == "all":
+        pool = _axis(n, bound)
+    elif d[0] == "units":
+        pool = [x for x in _axis(n, 1) if gcd(x, n) == 1]  # every unit of Z lies in [-1, 1]
     else:
-        n = f[1]
-        if d[0] == "units":
-            pool = [x for x in range(n) if gcd(x, n) == 1]
-        elif d[0] == "all":
-            pool = list(range(n))
-        else:
-            pool = sorted({x % n for x in d[1]})
+        pool = {_mod(x, n) for x in d[1]}
     return sorted(pool, key=_abs_key)
 
 
@@ -232,10 +212,7 @@ def _factor_candidates(S: ArithMCS, i, bound):
 
 def _first_obstruction(A: ArithIdeal):
     """Index of the first Z factor with descriptor >= 2, else None."""
-    for i, (f, d) in enumerate(zip(A.ring.factors, A.descs)):
-        if f == INT and d >= 2:
-            return i
-    return None
+    return next((i for i, (n, d) in enumerate(zip(A.ring.factors, A.descs)) if _obstructs(n, d)), None)
 
 
 def _violating_pair(A: ArithIdeal, i):
@@ -258,29 +235,16 @@ def arith_is_r_ideal(A: ArithIdeal) -> Verdict:
 
 
 def arith_disjoint(A: ArithIdeal, S: ArithMCS) -> bool:
-    """S and A are disjoint iff some factor has empty intersection."""
-    for i, (f, d) in enumerate(zip(A.ring.factors, A.descs)):
-        sd = S.descs[i]
-        if f == INT:
-            if d == 0:
-                hit = S.factor_contains(i, 0)
-            elif d == 1:
-                hit = True  # factor set always meets the whole line (contains 1)
-            else:
-                if sd[0] == "units":
-                    hit = False
-                elif sd[0] == "all":
-                    hit = True
-                else:
-                    hit = any(x % d == 0 for x in sd[1])
+    """S and A are disjoint iff some factor has empty intersection: the units
+    meet dZ_n only when d = 1, the whole factor always, a finite set when
+    one of its members is a multiple of d."""
+    for d, sd in zip(A.descs, S.descs):
+        if sd[0] == "units":
+            hit = d == 1
+        elif sd[0] == "all":
+            hit = True
         else:
-            n = f[1]
-            if sd[0] == "units":
-                hit = d == 1
-            elif sd[0] == "all":
-                hit = True
-            else:
-                hit = any((x % n) % d == 0 for x in sd[1])
+            hit = any(_divides(d, x) for x in sd[1])
         if not hit:
             return True
     return False
@@ -304,20 +268,11 @@ def arith_is_S_r_ideal(A: ArithIdeal, S: ArithMCS, witness_bound: int = None) ->
     if not arith_disjoint(A, S):
         return Verdict(NOT_APPLICABLE, reason=DISJOINTNESS_VIOLATED)
     witness = []
-    for i, (f, d) in enumerate(zip(R.factors, A.descs)):
-        cands = _factor_candidates(S, i, bound)
-        if f == INT and d >= 2:
-            ok = next((c for c in cands if c % d == 0), None)
-        else:
-            ok = cands[0] if cands else None
+    for i, (n, d) in enumerate(zip(R.factors, A.descs)):
+        ok = next((c for c in _factor_candidates(S, i, bound) if not _obstructs(n, d) or c % d == 0), None)
         if ok is None:
             default = tuple(_factor_candidates(S, j, bound)[0] for j in range(R.width))
-            w, z = _violating_pair(A, i)
-            return Verdict(
-                FAILS,
-                counterexample=(w, z),
-                last_candidate=R.reduce(default),
-            )
+            return Verdict(FAILS, counterexample=_violating_pair(A, i), last_candidate=R.reduce(default))
         witness.append(ok)
     return Verdict(HOLDS, witness=R.reduce(tuple(witness)))
 
@@ -364,18 +319,22 @@ def _sent(R: ArithRing, descs, bound):
     Ann(w) = 0 sends into the ideal (wz in A); built once per (ideal, bound)."""
     key = (R.factors, descs, bound)
     if key not in _oracle_cache:
-        axes = [np.arange(-bound, bound + 1) if f == INT else np.arange(f[1]) for f in R.factors]
+        axes = [np.array(_axis(n, bound)) for n in R.factors]
         window = np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1).reshape(-1, R.width)
-        mods = np.array([0 if f == INT else f[1] for f in R.factors], dtype=np.int64)
+        mods = np.array(R.factors, dtype=np.int64)
         regs = window[np.where(mods == 0, window != 0, np.gcd(window, mods) == 1).all(axis=1)]
         _oracle_cache[key] = window[_products_in(descs, window, regs, np.any)]
     return _oracle_cache[key]
 
 
+def window_floor(A: ArithIdeal) -> int:
+    """The least oracle bound for A: twice its largest Z descriptor."""
+    return 2 * max((d for n, d in zip(A.ring.factors, A.descs) if n == 0), default=0)
+
+
 def _oracle_check(A: ArithIdeal, S, bound: int) -> bool:
     R = A.ring
-    maxdesc = max((d for f, d in zip(R.factors, A.descs) if f == INT), default=0)
-    if bound < 2 * maxdesc:
+    if bound < window_floor(A):
         raise InvalidConstruction("window must cover twice the largest descriptor")
     if S is None:
         verdict = arith_is_r_ideal(A)
@@ -396,73 +355,37 @@ def _oracle_check(A: ArithIdeal, S, bound: int) -> bool:
 # -- ideal arithmetic in closed form ---------------------------------------------------
 
 
-def _colon_desc(f, a, x):
-    """Descriptor of ({a-ideal} : x) in one factor."""
-    if f == INT:
-        if a == 0:
-            return 1 if x == 0 else 0
-        if a == 1:
-            return 1
-        return a // gcd(a, abs(x)) if x != 0 else 1
-    n = f[1]
-    x = x % n
+def _colon_desc(n, a, x):
+    """Descriptor of (aZ_n : x): a / gcd(a, x), or the whole factor when x = 0 in Z_n."""
+    x = _mod(x, n)
     return a // gcd(a, x) if x != 0 else 1
 
 
 def arith_colon_element(A: ArithIdeal, x) -> ArithIdeal:
     x = A.ring.reduce(x)
-    descs = tuple(_colon_desc(f, a, c) for f, a, c in zip(A.ring.factors, A.descs, x))
-    return ArithIdeal(A.ring, descs)
+    return ArithIdeal(A.ring, tuple(map(_colon_desc, A.ring.factors, A.descs, x)))
 
 
 def arith_colon_ideal(A: ArithIdeal, B: ArithIdeal) -> ArithIdeal:
     """(A : B) per factor, using the factor generator of B."""
-    descs = tuple(
-        _colon_desc(f, a, b) for f, a, b in zip(A.ring.factors, A.descs, B.descs)
-    )
-    return ArithIdeal(A.ring, descs)
+    return ArithIdeal(A.ring, tuple(map(_colon_desc, A.ring.factors, A.descs, B.descs)))
 
 
 def arith_contains(A: ArithIdeal, B: ArithIdeal) -> bool:
-    """B subset of A, factorwise."""
-    for f, a, b in zip(A.ring.factors, A.descs, B.descs):
-        if f == INT:
-            if b == 0:
-                continue
-            if a == 0 or b % a != 0:
-                return False
-        else:
-            if b % a != 0:
-                return False
-    return True
+    """B subset of A: a divides b in every factor."""
+    return all(_divides(a, b) for a, b in zip(A.descs, B.descs))
 
 
 def arith_product(A: ArithIdeal, B: ArithIdeal) -> ArithIdeal:
-    descs = []
-    for f, a, b in zip(A.ring.factors, A.descs, B.descs):
-        descs.append(a * b if f == INT else gcd(a * b, f[1]))
-    return ArithIdeal(A.ring, tuple(descs))
+    return ArithIdeal(A.ring, tuple(gcd(a * b, n) for n, a, b in zip(A.ring.factors, A.descs, B.descs)))
 
 
 def arith_meets_regulars(A: ArithIdeal) -> bool:
-    """Does A contain an element with zero annihilator?"""
-    for f, d in zip(A.ring.factors, A.descs):
-        if f == INT:
-            if d == 0:
-                return False
-        else:
-            if d != 1:
-                return False
-    return True
+    """Does A contain an element with zero annihilator?  A product element is
+    regular iff every coordinate is, so iff the generator tuple is."""
+    return arith_ann_is_zero(A.ring, A.descs)
 
 
 def arith_subset_zd(A: ArithIdeal) -> bool:
-    """Is every member of A a zero divisor?
-
-    A product element is a zero divisor iff some coordinate fails the unit /
-    nonzero test; the product ideal avoids that for all members iff every
-    factor descriptor can produce a regular coordinate simultaneously, i.e.
-    the generator tuple itself is regular.
-    """
-    gen = tuple(d if f == INT else d % f[1] for f, d in zip(A.ring.factors, A.descs))
-    return not arith_ann_is_zero(A.ring, gen)
+    """Is every member of A a zero divisor?"""
+    return not arith_meets_regulars(A)

@@ -243,8 +243,7 @@ class AmalgZContext:
         self.recipe = entry.expr
         n, d = (int(x) for x in split_top(entry.expr[len("amalgZ(") : -1], ","))
         self.az = AmalgOverZ(n, d)
-        zring = ar.ArithRing((ar.INT,))
-        self.s_desc = parse_arith_mcs(zring, entry.mcs_text or "(units)").descs[0]
+        self.s_desc = parse_arith_mcs(parse_arith_ring("Z"), entry.mcs_text or "(units)").descs[0]
 
 
 # entry kind -> (its context, the TheoremCase field that holds its runner)
@@ -898,7 +897,7 @@ def run_arith_c_zd(ctx, dropped):
 
 def run_arith_p_zero(ctx, dropped):
     R, S = ctx.ring, ctx.mcs
-    zero = ar.ArithIdeal(R, tuple(0 if f == ar.INT else f[1] for f in R.factors))
+    zero = ar.zero_ideal(R)
     annotations = _arith_annot(ctx, ideal="(0)")
     v = ar.arith_is_S_r_ideal(zero, S, ctx.limits.witness_bound)
     if v.not_applicable:
@@ -940,8 +939,7 @@ def run_p2_6(ctx, dropped):
 def run_arith_r_oracle(ctx, dropped):
     """Window confirmation of the closed-form r/S-r verdicts (oracle agreement)."""
     A, S = ctx.ideal, ctx.mcs
-    maxdesc = max((d for f, d in zip(A.ring.factors, A.descs) if f == ar.INT), default=0)
-    bound = max(ctx.limits.oracle_bound, 2 * maxdesc)
+    bound = max(ctx.limits.oracle_bound, ar.window_floor(A))
     ok_r = ar.arith_oracle_check(A, None, bound)
     ok_s = ar.arith_oracle_check(A, S, bound)
     yield _record(

@@ -280,7 +280,7 @@ def test_oracle_agreement_over_corpus_combinations(zz, z):
 
 
 def ref_window_elements(R, bound):
-    return iproduct(*(range(-bound, bound + 1) if f == INT else range(f[1]) for f in R.factors))
+    return iproduct(*(range(-bound, bound + 1) if f == INT else range(f) for f in R.factors))
 
 
 def ref_window_mcs(R, S, bound):
@@ -368,7 +368,7 @@ def oracle_cases(draw, pair=False):
 
     def draw_descs():
         return tuple(
-            draw(st.integers(0, 2)) if f == INT else draw(st.sampled_from([d for d in range(1, f[1] + 1) if f[1] % d == 0]))
+            draw(st.integers(0, 2)) if f == INT else draw(st.sampled_from([d for d in range(1, f + 1) if f % d == 0]))
             for f in factors
         )
 
@@ -384,8 +384,8 @@ def oracle_cases(draw, pair=False):
             elif f == INT:
                 parts.append(("fin", draw(st.sampled_from([{1}, {1, -1}, {0, 1}, {0, 1, -1}]))))
             else:
-                gens = draw(st.lists(st.integers(0, f[1] - 1), max_size=2))
-                parts.append(("fin", _closure_mod(f[1], gens)))
+                gens = draw(st.lists(st.integers(0, f - 1), max_size=2))
+                parts.append(("fin", _closure_mod(f, gens)))
         S = ArithMCS(R, tuple((p[0], frozenset(p[1])) if p[0] == "fin" else p for p in parts))
     maxdesc = max((d for f, d in zip(factors, descs) if f == INT), default=0)
     bound = max(1, 2 * maxdesc + draw(st.integers(0, 1)))
