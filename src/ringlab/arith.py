@@ -22,7 +22,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import product as iproduct
-from math import gcd
+from math import gcd, isqrt
 
 import numpy as np
 
@@ -62,14 +62,7 @@ def _axis(n: int, bound: int):
 
 
 def _is_prime_int(p: int) -> bool:
-    if p < 2:
-        return False
-    d = 2
-    while d * d <= p:
-        if p % d == 0:
-            return False
-        d += 1
-    return True
+    return p >= 2 and all(p % d for d in range(2, isqrt(p) + 1))
 
 
 @dataclass(frozen=True)
@@ -161,12 +154,7 @@ class ArithMCS:
         return all(self.factor_contains(i, c) for i, c in enumerate(w))
 
     def label(self):
-        parts = []
-        for d in self.descs:
-            if d[0] == "fin":
-                parts.append("{" + ",".join(str(x) for x in sorted(d[1])) + "}")
-            else:
-                parts.append(d[0])
+        parts = ("{" + ",".join(str(x) for x in sorted(d[1])) + "}" if d[0] == "fin" else d[0] for d in self.descs)
         return "(" + ",".join(parts) + ")"
 
 
@@ -210,11 +198,6 @@ def _factor_candidates(S: ArithMCS, i, bound):
 # -- r- and S-r verdicts -------------------------------------------------------------
 
 
-def _first_obstruction(A: ArithIdeal):
-    """Index of the first Z factor with descriptor >= 2, else None."""
-    return next((i for i, (n, d) in enumerate(zip(A.ring.factors, A.descs)) if _obstructs(n, d)), None)
-
-
 def _violating_pair(A: ArithIdeal, i):
     """(w, z) with wz in A, Ann(w) = 0, z escaping A at factor i."""
     R = A.ring
@@ -228,7 +211,7 @@ def arith_is_r_ideal(A: ArithIdeal) -> Verdict:
     """Holds iff no Z factor carries a descriptor >= 2 (Z_n factors never obstruct)."""
     if not A.is_proper():
         return Verdict(NOT_APPLICABLE, reason="NOT_PROPER")
-    i = _first_obstruction(A)
+    i = next((i for i, (n, d) in enumerate(zip(A.ring.factors, A.descs)) if _obstructs(n, d)), None)
     if i is None:
         return Verdict(HOLDS)
     return Verdict(FAILS, counterexample=_violating_pair(A, i))

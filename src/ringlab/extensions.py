@@ -164,9 +164,6 @@ class TrivExtRing:
     def pair_index(self, r, m) -> int:
         return r * self.module.size + m
 
-    def split_index(self, i):
-        return divmod(i, self.module.size)
-
 
 def make_trivial_extension(R: FiniteRing, M: FiniteModule) -> TrivExtRing:
     """Ring on pairs (r, m) with (w,e)(z,f) = (wz, wf + ze)."""

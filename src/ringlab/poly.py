@@ -261,6 +261,13 @@ def bounded_S_r_search(spec: PolyIdealSpec, S_const: MulClosedSet, max_degree: i
     every s-bar. So the first hit (c-bar, w-bar), c-bar ascending, then
     w-bar in row order, is the first hit of the full scan: same verdict,
     same pair.
+
+    Over a finite base the content branch never returns NO: a regular w has
+    Ann(c(w)) = 0 (McCoy again), and an ideal of a finite R with zero
+    annihilator is R, for a proper one lies in a nilpotent maximal ideal m_i
+    of a local factor, which a nonzero t_i in the last nonzero power of m_i
+    (1_i if m_i = 0) kills. So a liftable w-bar has unit content, and
+    c-bar w-bar = 0 forces c-bar = 0.
     """
     R = spec.base
     if S_const.ring is not R:

@@ -169,9 +169,6 @@ class FiniteRing:
     def m(self, x, y):
         return int(self.mul[x, y])
 
-    def label(self, x):
-        return self.labels[x]
-
     def elements(self):
         return range(self.size)
 
@@ -339,14 +336,12 @@ def crt_hom(n: int, a: int, b: int):
     return check_hom(RingHom(zn, prod, image))
 
 
-def _ann_set(R: FiniteRing, w) -> frozenset:
-    col = R.mul[:, w]
-    return frozenset(int(y) for y in np.where(col == 0)[0])
-
-
-def ann_pushforward_check(h: RingHom, w: int) -> bool:
-    """Does the image of Ann(w) equal Ann(h(w))?  Requires an isomorphism."""
+def ann_pushforward_check(h: RingHom):
+    """The first w with h(Ann(w)) != Ann(h(w)), else None.  h must be an isomorphism, so
+    that holds iff yw = 0 exactly when h(y)h(w) = 0: one table comparison for every w."""
     if not is_isomorphism(h):
         raise NotApplicableError("annihilator transport needs an isomorphism")
-    pushed = frozenset(int(h.image[y]) for y in _ann_set(h.domain, w))
-    return pushed == _ann_set(h.codomain, int(h.image[w]))
+    img = np.asarray(h.image, dtype=np.intp)
+    moved = (h.domain.mul == 0) != (h.codomain.mul[img[:, None], img[None, :]] == 0)
+    bad = np.flatnonzero(moved.any(axis=0))
+    return int(bad[0]) if bad.size else None

@@ -8,7 +8,7 @@ from hypothesis import given, settings, strategies as st
 
 from ringlab.dsl import parse_ring
 from ringlab.errors import DegreeLimitError, NotApplicableError
-from ringlab.ideals import all_ideals, ideal_generate, ideal_product, lattice, mcs_from_members, mcs_generate
+from ringlab.ideals import all_ideals, annihilator, ideal_generate, ideal_product, lattice, mcs_from_members, mcs_generate
 from ringlab.poly import (
     GATE_FAC,
     GATE_PROPERTY_A,
@@ -523,6 +523,16 @@ def test_content_search_matches_reference_when_lifts_are_regular(data):
 def _assert_first_hit_constant(A, S, degree):
     v = ref_content_search(A, S, degree)
     assert v.outcome == NO_VIOLATION_UP_TO or v.pair[1].degree == 0, (A, S, degree, v)
+
+
+@pytest.mark.parametrize("expr", SEARCH_RINGS)
+def test_ideal_with_zero_annihilator_is_whole_ring(expr):
+    """Why no content search on a finite base returns NO: a regular polynomial
+    has content with zero annihilator, and only the whole ring has one."""
+    R = parse_ring(expr)
+    for A in all_ideals(R):
+        if annihilator(R, A.members).members == {0}:
+            assert not A.is_proper(), A.label()
 
 
 @pytest.mark.parametrize("expr", SEARCH_RINGS)

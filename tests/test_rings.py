@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
+import ringlab.rings as rings
 from ringlab.dsl import parse_ring
 from ringlab.errors import (
     InvalidConstruction,
@@ -141,7 +142,7 @@ def test_additive_order_obstruction():
 def test_ann_pushforward_identity():
     R = make_zn(12)
     h = identity_hom(R)
-    assert all(ann_pushforward_check(h, w) for w in R.elements())
+    assert ann_pushforward_check(h) is None
 
 
 def test_ann_pushforward_swap():
@@ -150,22 +151,35 @@ def test_ann_pushforward_swap():
     image = tuple((i % 2) * 2 + (i // 2) for i in range(4))
     h = check_hom(RingHom(R, swapped, image))
     assert is_isomorphism(h)
-    w = R.labels.index("(1,0)")
-    assert ann_pushforward_check(h, w)
+    assert ann_pushforward_check(h) is None
 
 
 def test_ann_pushforward_crt():
     h = crt_hom(12, 3, 4)
     assert is_isomorphism(h)
-    assert ann_pushforward_check(h, 4)
-    assert all(ann_pushforward_check(h, w) for w in range(12))
+    assert ann_pushforward_check(h) is None
+
+
+def test_ann_pushforward_reports_first_moved_element(monkeypatch):
+    # swapping 2 and 3 in Z6 is a bijection but no homomorphism; past the guard,
+    # the first w with h(Ann(w)) != Ann(h(w)) comes back, as the set comparison finds it
+    R = make_zn(6)
+    image = (0, 1, 3, 2, 4, 5)
+    monkeypatch.setattr(rings, "is_isomorphism", lambda h: True)
+
+    def ann(w):
+        return {y for y in R.elements() if R.m(y, w) == 0}
+
+    expected = next(w for w in R.elements() if {image[y] for y in ann(w)} != ann(image[w]))
+    assert expected == 2
+    assert ann_pushforward_check(RingHom(R, R, image)) == expected
 
 
 def test_ann_pushforward_requires_isomorphism():
     R = make_zn(12)
     _, proj = make_quotient(R, ideal_generate(R, [4]))
     with pytest.raises(NotApplicableError):
-        ann_pushforward_check(proj, 1)
+        ann_pushforward_check(proj)
 
 
 def test_quotient_z12_by_4():
