@@ -75,25 +75,30 @@ def _na(reason):
     return Verdict(NOT_APPLICABLE, reason=reason)
 
 
-def _regular_rows(R, mask):
-    """rows: regular w ascending; entry [i, z] = (w_i * z in members)."""
+def _defeat(A: Ideal, ok):
+    """Lex-first (w, z) with w regular, wz in A and not ok[z], or None."""
+    R = A.ring
     regs = np.fromiter(sorted(R.regulars), dtype=np.intp)
-    return regs, mask[R.mul[regs, :]]
+    hit = first_hit(member_row(A)[R.mul[regs, :]] & ~ok[None, :])
+    return (int(regs[hit[0]]), hit[1]) if hit else None
 
 
 def _regular_scan(A: Ideal, ok) -> Verdict:
     """Fails on the lex-first (w, z) with w regular, wz in A and not ok[z]."""
-    regs, prod_in = _regular_rows(A.ring, member_row(A))
-    hit = first_hit(prod_in & ~ok[None, :])
-    return _fails((int(regs[hit[0]]), hit[1])) if hit else _holds()
+    pair = _defeat(A, ok)
+    return _fails(pair) if pair else _holds()
 
 
 # -- r- and pr-ideals ---------------------------------------------------------------
 
 
 def is_r_ideal(A: Ideal) -> Verdict:
-    """wz in A with Ann(w) = 0 forces z in A."""
-    return _regular_scan(A, member_row(A)) if A.is_proper() else _na(NOT_PROPER)
+    """wz in A with Ann(w) = 0 forces z in A: 1 lies in the witness mask W(A)."""
+    if not A.is_proper():
+        return _na(NOT_PROPER)
+    if lattice(A.ring).witnesses(A) >> A.ring.one & 1:
+        return _holds()
+    return _regular_scan(A, member_row(A))
 
 
 def _power_reaches(R, A_members, z) -> bool:
@@ -138,22 +143,19 @@ def is_S_r_ideal(
 ) -> Verdict:
     """Some uniform s in S with: wz in A and Ann(w) = 0 imply sz in A.
 
+    The good s form the witness mask W(A), so A is S-r iff W(A) meets S.
     Holds reports the smallest such s.  Fails reports the pair that defeats
-    the last candidate examined, with that candidate in ``last_candidate``.
+    the last candidate, with that candidate in ``last_candidate``.
     """
-    R = A.ring
     if enforce_proper and not A.is_proper():
         return _na(NOT_PROPER)
-    if enforce_disjoint and (S.members & A.members):
+    if enforce_disjoint and A.mask & S.mask:
         return _na(DISJOINTNESS_VIOLATED)
-    mask = member_row(A)
-    regs, prod_in = _regular_rows(R, mask)
-
-    def defeat(s):
-        hit = first_hit(prod_in & ~mask[R.mul[s, :]][None, :])
-        return (int(regs[hit[0]]), hit[1]) if hit else None
-
-    return _uniform_witness(S, defeat)
+    good = lattice(A.ring).witnesses(A) & S.mask
+    if good:
+        return _holds(witness=(good & -good).bit_length() - 1)
+    last = max(S.members)
+    return _fails(_defeat(A, member_row(A)[A.ring.mul[last, :]]), last_candidate=last)
 
 
 def is_S_prime(

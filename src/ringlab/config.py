@@ -10,7 +10,10 @@ from .errors import ConfigError
 
 SIZE_LIMIT_ENV = "RINGLAB_SIZE_LIMIT"
 DEFAULT_SIZE_LIMIT = 256
-SIZE_LIMIT_CEILING = 32767  # ring tables are int16; a larger cap would let indices wrap
+# The add and mul tables are int16, so n elements take 2 * 2n^2 = 4n^2 bytes:
+# 64 MiB at 4,096 elements, and 4.3 GB at 32,767, where int16 indices would
+# wrap.  Each mask kernel call adds an n^2-byte boolean table on top.
+SIZE_LIMIT_CEILING = 4096
 
 # Polynomial searches: default working degree and a hard cap.
 DEFAULT_DEGREE = 3
@@ -49,5 +52,9 @@ def size_limit() -> int:
     except ValueError:
         value = None
     if value is None or not 1 <= value <= SIZE_LIMIT_CEILING:
-        raise ConfigError(f"{SIZE_LIMIT_ENV}={raw!r}: expected an integer from 1 to {SIZE_LIMIT_CEILING}")
+        raise ConfigError(
+            f"{SIZE_LIMIT_ENV}={raw!r}: expected an integer from 1 to {SIZE_LIMIT_CEILING}; the two "
+            f"int16 tables of an n-element ring take 4n^2 bytes ({4 * SIZE_LIMIT_CEILING**2 >> 20} MiB "
+            "at the ceiling, 4.3 GB at the int16 limit 32767) and each mask kernel call adds n^2 bytes"
+        )
     return value

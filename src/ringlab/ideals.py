@@ -26,6 +26,7 @@ class _ElementSet:
     ring: FiniteRing
     members: frozenset
     generators: tuple
+    mask: int = field(compare=False, repr=False)  # bit i set iff element i is a member
 
     @property
     def sorted_members(self):
@@ -43,8 +44,6 @@ class MulClosedSet(_ElementSet):
 
 @dataclass(frozen=True)
 class Ideal(_ElementSet):
-    mask: int = field(compare=False, repr=False)  # bit i set iff element i is a member
-
     def is_proper(self) -> bool:
         return len(self.members) < self.ring.size
 
@@ -103,10 +102,11 @@ class IdealLattice:
         self.full = (1 << R.size) - 1
         self.ann = tuple(_pack(R.mul == 0))  # ann[a]: bit y set iff ya = 0
         self.principal = tuple(mask_of(set(row)) for row in R.mul.tolist())  # principal[a]: Ra
-        self.localizations = {}  # S.members -> LocalizationResult
+        self.localizations = {}  # absorbing idempotent e -> LocalizationResult
         self.quotients = {}  # A.mask -> (R/A, projection)
         self.content_tables = {}  # (A.mask, width) -> poly._ContentTables
         self._interned, self._generated, self._sums, self._colons, self._products = {}, {}, {}, {}, {}
+        self._witnesses = {}  # A.mask -> W(A)
 
     def intern(self, mask: int) -> Ideal:
         """The one Ideal with these members, with greedy minimal-index generators."""
@@ -163,6 +163,20 @@ class IdealLattice:
             prods = {int(mul[x, y]) for x in A.generators or (0,) for y in B.generators or (0,)}
             got = self.generate(tuple(sorted(prods)))
             self._products[(A.mask, B.mask)] = self._products[(B.mask, A.mask)] = got
+        return got
+
+    def witnesses(self, A: Ideal) -> int:
+        """W(A): the mask of every s with sz in A whenever wz in A for a regular w.
+
+        A is S-r iff W(A) meets S, and an r-ideal iff 1 lies in W(A).  With N
+        the z that some regular w sends into A, W(A) = (A : N).  The regulars
+        are read from the ring, never assumed to be its units.
+        """
+        got = self._witnesses.get(A.mask)
+        if got is None:
+            mul, inside = self.ring.mul, member_row(A)
+            need = inside[mul[sorted(self.ring.regulars)]].any(axis=0)
+            got = self._witnesses[A.mask] = _pack(inside[mul[:, need]].all(axis=1))[0]
         return got
 
     @cached_property
@@ -303,7 +317,7 @@ def mcs_generate(R: FiniteRing, gens) -> MulClosedSet:
             if p not in members:
                 members.add(p)
                 frontier.append(p)
-    return MulClosedSet(R, frozenset(members), gens)
+    return MulClosedSet(R, frozenset(members), gens, mask_of(members))
 
 
 def mcs_from_members(R: FiniteRing, members, generators=None) -> MulClosedSet:
@@ -314,7 +328,7 @@ def mcs_from_members(R: FiniteRing, members, generators=None) -> MulClosedSet:
     if not members.issuperset(R.mul[np.ix_(ordered, ordered)].ravel().tolist()):
         raise InvalidConstruction("set is not multiplicatively closed")
     gens = tuple(generators) if generators is not None else tuple(sorted(members))
-    return MulClosedSet(R, members, gens)
+    return MulClosedSet(R, members, gens, mask_of(members))
 
 
 # -- localization -----------------------------------------------------------------
@@ -332,33 +346,33 @@ def localize(R: FiniteRing, S: MulClosedSet) -> LocalizationResult:
     """S^{-1}R realized as the corner ring eR for the absorbing idempotent e.
 
     e is the eventual idempotent power of the product of all members of S;
-    the natural map sends a to ea.  Every image of S must land in the units
-    of eR (asserted), and the kernel is {a : ea = 0}.
+    the natural map sends a to ea, and the kernel is {a : ea = 0}.  One
+    result is built per e, named after the S that built it, and shared by
+    every S with the same e; each call asserts that S lands in the units of
+    eR.
     """
     if S.ring is not R:
         raise TypeMismatch("m.c.s. belongs to a different ring")
-    cached = lattice(R).localizations.get(S.members)
-    if cached is not None:
-        return cached
     t = R.one
     for s in S.sorted_members:
         t = R.m(t, s)
     e, _ = idempotent_power(R, t)
-    carrier = np.unique(R.mul[e])  # eR, ascending
-    pos = np.zeros(R.size, dtype=np.int16)
-    pos[carrier] = np.arange(len(carrier))
-    tables = (pos[t[np.ix_(carrier, carrier)]] for t in (R.add, R.mul))
-    gens_text = ",".join(R.labels[g] for g in S.generators)
-    base = f"({R.recipe})" if " x " in R.recipe else R.recipe
-    labels = tuple(R.labels[x] for x in carrier)
-    localized = FiniteRing(*tables, labels=labels, recipe=f"loc({base}, S<{gens_text}>)")
-    image = tuple(int(i) for i in pos[R.mul[e]])
-    natural = check_hom(RingHom(R, localized, image))
-    for s in S.members:
-        if image[s] not in localized.units:
-            raise ConstructionBug("localization did not invert a member of S")
-    kernel = annihilator(R, (e,))
-    result = lattice(R).localizations[S.members] = LocalizationResult(localized, natural, kernel, int(e))
+    L = lattice(R)
+    result = L.localizations.get(e)
+    if result is None:
+        carrier = np.unique(R.mul[e])  # eR, ascending
+        pos = np.zeros(R.size, dtype=np.int16)
+        pos[carrier] = np.arange(len(carrier))
+        tables = (pos[t[np.ix_(carrier, carrier)]] for t in (R.add, R.mul))
+        gens_text = ",".join(R.labels[g] for g in S.generators)
+        base = f"({R.recipe})" if " x " in R.recipe else R.recipe
+        labels = tuple(R.labels[x] for x in carrier)
+        localized = FiniteRing(*tables, labels=labels, recipe=f"loc({base}, S<{gens_text}>)")
+        natural = check_hom(RingHom(R, localized, tuple(int(i) for i in pos[R.mul[e]])))
+        result = L.localizations[e] = LocalizationResult(localized, natural, annihilator(R, (e,)), e)
+    units, image = result.localized.units, result.map.image
+    if any(image[s] not in units for s in S.members):
+        raise ConstructionBug("localization did not invert a member of S")
     return result
 
 

@@ -160,7 +160,7 @@ class FiniteContext:
     # memoized classifier calls -----------------------------------------------------
 
     def s_r(self, A, S, enforce_proper=True, enforce_disjoint=True):
-        key = ("s_r", A.members, S.members, enforce_proper, enforce_disjoint)
+        key = ("s_r", A.mask, S.mask, enforce_proper, enforce_disjoint)
         got = self._verdicts.get(key)
         if got is None:
             got = self._verdicts[key] = cl.is_S_r_ideal(
@@ -169,14 +169,14 @@ class FiniteContext:
         return got
 
     def r_verdict(self, A):
-        key = ("r", A.members)
+        key = ("r", A.mask)
         got = self._verdicts.get(key)
         if got is None:
             got = self._verdicts[key] = cl.is_r_ideal(A)
         return got
 
     def s_z0(self, A, S, enforce_reduced=True, enforce_disjoint=True):
-        key = ("s_z0", A.members, S.members, enforce_reduced, enforce_disjoint)
+        key = ("s_z0", A.mask, S.mask, enforce_reduced, enforce_disjoint)
         got = self._verdicts.get(key)
         if got is None:
             got = self._verdicts[key] = cl.is_S_z0_ideal(
@@ -585,6 +585,7 @@ def run_p_colon(ctx, dropped):
     """Colon ideals of an S-r ideal stay S-r; annihilators are always S-r."""
     R = ctx.ring
     enforce = "disjoint" not in dropped
+    full = ideal_lattice(R).full
     singles = list(R.elements())
     if R.size > 16:
         singles = singles[:: R.size // 16]
@@ -594,24 +595,27 @@ def run_p_colon(ctx, dropped):
         k_families += [
             (B.label(), tuple(B.sorted_members)) for B in ctx.ideals() if not B.members <= A.members
         ]
-        derived_by_k = [
-            (k_label, (("colon", colon(A, K)), ("annihilator", annihilator(R, K))))
+        derived = [
+            (k_label, kind, d)
             for k_label, K in k_families
+            for kind, d in (("colon", colon(A, K)), ("annihilator", annihilator(R, K)))
         ]
         for S in ctx.mcs_list():
             if not ctx.s_r(A, S).holds:
                 continue
-            for k_label, derived_pairs in derived_by_k:
-                for kind, derived in derived_pairs:
-                    if (enforce and derived.members & S.members) or not derived.is_proper():
-                        continue
-                    vd = ctx.s_r(derived, S, enforce_disjoint=enforce)
-                    yield None if vd.holds else {
-                        "mcs": S.label(),
-                        "K": k_label,
-                        "kind": kind,
-                        "verdict": vd.to_json(R),
-                    }
+            verdicts = {}  # d.mask -> its verdict, asked once per S
+            for k_label, kind, d in derived:
+                if (enforce and d.mask & S.mask) or d.mask == full:
+                    continue
+                vd = verdicts.get(d.mask)
+                if vd is None:
+                    vd = verdicts[d.mask] = ctx.s_r(d, S, enforce_disjoint=enforce)
+                yield None if vd.holds else {
+                    "mcs": S.label(),
+                    "K": k_label,
+                    "kind": kind,
+                    "verdict": vd.to_json(R),
+                }
 
     for A in ctx.proper_ideals():
         outcome, detail = _sweep("derived_checked", checks(A))
@@ -656,13 +660,17 @@ def run_p_minidem(ctx, dropped):
     zero = ideal_generate(R, ())
     mins = min_primes_over(zero) if zero.is_proper() else ()
     idems = R.idempotents()
+    sums = {}  # (P.mask, se) -> P + Ann(se)
 
     def checks(S):
         for P in mins:
             for e in idems:
                 for s in S.sorted_members:
-                    A = ideal_sum(P, annihilator(R, (R.m(s, e),)))
-                    if (enforce_disjoint and A.members & S.members) or not A.is_proper():
+                    se = R.m(s, e)
+                    A = sums.get((P.mask, se))
+                    if A is None:
+                        A = sums[(P.mask, se)] = ideal_sum(P, annihilator(R, (se,)))
+                    if (enforce_disjoint and A.mask & S.mask) or not A.is_proper():
                         continue
                     v = ctx.s_r(A, S, enforce_disjoint=enforce_disjoint)
                     yield None if v.holds else {

@@ -1,16 +1,25 @@
 """Brute-force references and helpers that only the tests use.
 
 Each one checks the package from outside: an ideal's closure, S-units, the
-fraction construction of a localization, an isomorphism search between
-finite rings, and the submodule lattice of a finite module.
+per-candidate S-r scan, the fraction construction of a localization, an
+isomorphism search between finite rings, and the submodule lattice of a
+finite module.
 """
 
 import numpy as np
 
+from ringlab.classify import (
+    DISJOINTNESS_VIOLATED,
+    FAILS,
+    HOLDS,
+    NOT_APPLICABLE,
+    NOT_PROPER,
+    Verdict,
+)
 from ringlab.config import size_limit
 from ringlab.errors import SizeLimitError, TypeMismatch
 from ringlab.extensions import FiniteModule
-from ringlab.ideals import Ideal, MulClosedSet, ideal_generate, principal_members
+from ringlab.ideals import Ideal, MulClosedSet, first_hit, ideal_generate, member_row, principal_members
 from ringlab.rings import FiniteRing, _check_ideal_subset, idempotent_power
 
 
@@ -26,6 +35,39 @@ def s_units(R: FiniteRing, S: MulClosedSet) -> frozenset:
     if S.ring is not R:
         raise TypeMismatch("m.c.s. belongs to a different ring")
     return frozenset(a for a in R.elements() if principal_members(R, a) & S.members)
+
+
+def ref_is_S_r_ideal(A: Ideal, S: MulClosedSet, enforce_proper=True, enforce_disjoint=True) -> Verdict:
+    """S-r by trying each s in S in turn: the first s that no pair defeats.
+
+    A pair (w, z) defeats s when w is regular, wz is in A and sz is not; the
+    lex-first one is reported for the last candidate when every s fails.
+    """
+    R = A.ring
+    if enforce_proper and not A.is_proper():
+        return Verdict(NOT_APPLICABLE, reason=NOT_PROPER)
+    if enforce_disjoint and S.members & A.members:
+        return Verdict(NOT_APPLICABLE, reason=DISJOINTNESS_VIOLATED)
+    inside = member_row(A)
+    regs = np.fromiter(sorted(R.regulars), dtype=np.intp)
+    prod_in = inside[R.mul[regs, :]]
+    pair = None
+    for s in S.sorted_members:
+        hit = first_hit(prod_in & ~inside[R.mul[s, :]][None, :])
+        if hit is None:
+            return Verdict(HOLDS, witness=s)
+        pair = (int(regs[hit[0]]), hit[1])
+    return Verdict(FAILS, counterexample=pair, last_candidate=S.sorted_members[-1])
+
+
+def ref_is_r_ideal(A: Ideal) -> Verdict:
+    """The r-ideal verdict as the S-r scan at S = {1}, without its witness."""
+    if not A.is_proper():
+        return Verdict(NOT_APPLICABLE, reason=NOT_PROPER)
+    R = A.ring
+    one = MulClosedSet(R, frozenset({R.one}), (), 1 << R.one)
+    v = ref_is_S_r_ideal(A, one)
+    return Verdict(FAILS, counterexample=v.counterexample) if v.fails else Verdict(HOLDS)
 
 
 def localize_oracle(R: FiniteRing, S: MulClosedSet):

@@ -1,3 +1,5 @@
+from itertools import product
+
 import pytest
 
 from ringlab.classify import (
@@ -33,7 +35,12 @@ from ringlab.ideals import (
     principal_members,
     spec,
 )
+from ringlab.corpus import Limits, parse_corpus_line
+from ringlab.registry import build_context
 from ringlab.rings import make_product, make_zn
+
+from oracles import ref_is_r_ideal, ref_is_S_r_ideal
+from test_poly import SEARCH_RINGS
 
 
 @pytest.fixture(scope="module")
@@ -126,6 +133,50 @@ def test_disjointness_gate(z12):
     S = mcs_generate(z12, [4])
     v = is_S_r_ideal(A, S)
     assert v.not_applicable and v.reason == DISJOINTNESS_VIOLATED
+
+
+# -- the witness mask against the per-candidate scan ------------------------------------
+
+KERNEL_RINGS = SEARCH_RINGS + ["amalg(Z4, Z4, id, (2))", "loc(Z12, S<3>)"]
+
+
+def _context(expr):
+    return build_context(parse_corpus_line(expr), Limits.defaults())
+
+
+def _compare_with_scan(ctx):
+    """Every verdict of ideals() x mcs_list() under the four enforce flags."""
+    verdicts = []
+    for A in ctx.ideals():
+        assert is_r_ideal(A) == ref_is_r_ideal(A), A
+        for S, (proper, disjoint) in product(ctx.mcs_list(), product((True, False), repeat=2)):
+            v = is_S_r_ideal(A, S, enforce_proper=proper, enforce_disjoint=disjoint)
+            assert v == ref_is_S_r_ideal(A, S, proper, disjoint), (A, S, proper, disjoint)
+            verdicts.append((S, v))
+    return verdicts
+
+
+@pytest.mark.parametrize("expr", KERNEL_RINGS)
+def test_witness_mask_matches_scan(expr):
+    verdicts = _compare_with_scan(_context(expr))
+    # regular = unit in a finite ring, so 1 always witnesses
+    assert all(v.holds and v.witness == min(S.members) for S, v in verdicts if not v.not_applicable)
+
+
+@pytest.mark.parametrize("expr", KERNEL_RINGS)
+def test_witness_mask_matches_scan_with_zero_divisors_declared_regular(expr):
+    """Declaring a zero divisor regular makes S-r fail and moves the witness."""
+    zero_divisors = sorted(_context(expr).ring.zero_divisors - {0})
+    fails = late_witness = 0
+    for z in zero_divisors:
+        ctx = _context(expr)  # a fresh ring: nothing memoised under the true regulars
+        ctx.ring.regulars = ctx.ring.units | {z}
+        for S, v in _compare_with_scan(ctx):
+            fails += v.fails
+            late_witness += v.holds and v.witness != min(S.members)
+    assert bool(fails) == bool(zero_divisors)
+    # only these rings have an S whose least member fails while a later one works
+    assert bool(late_witness) == (expr in ("Z6", "Z10", "Z12"))
 
 
 # -- S-prime -----------------------------------------------------------------------

@@ -1,5 +1,8 @@
+from itertools import combinations
+
 import pytest
 
+from ringlab.dsl import parse_ring
 from ringlab.errors import NotProperError
 from ringlab.ideals import (
     all_ideals,
@@ -12,8 +15,10 @@ from ringlab.ideals import (
     is_maximal,
     is_prime,
     jacobson_radical,
+    lattice,
     localize,
     max_ideals,
+    mcs_from_members,
     mcs_generate,
     min_primes_over,
     prime_violation,
@@ -226,6 +231,32 @@ def test_localize_matches_oracle(n):
         oracle, _ = localize_oracle(R, S)
         assert built.size == oracle.size
         assert find_isomorphism(built, oracle) is not None
+
+
+def _every_mcs(R):
+    """Every multiplicatively closed subset that contains 1."""
+    others = [x for x in R.elements() if x != R.one]
+    for k in range(len(others) + 1):
+        for extra in combinations(others, k):
+            members = {R.one, *extra}
+            if all(R.m(a, b) in members for a in members for b in members):
+                yield mcs_from_members(R, members)
+
+
+@pytest.mark.parametrize("expr", ["Z12", "Z2 x Z4"])
+def test_localize_once_per_idempotent_matches_oracle(expr):
+    R = parse_ring(expr)  # a fresh ring: no localization memoised yet
+    by_idempotent = {}
+    for S in _every_mcs(R):
+        L = localize(R, S)
+        oracle, cls = localize_oracle(R, S)
+        natural = [cls[(a, R.one)] for a in R.elements()]  # a -> a/1
+        # both maps are onto and have the same fibres
+        assert L.localized.size == oracle.size == len(set(L.map.image)) == len(set(natural))
+        assert len(set(zip(L.map.image, natural))) == oracle.size
+        assert L.kernel.members == {a for a in R.elements() if natural[a] == natural[0]}
+        assert by_idempotent.setdefault(L.absorbing_idempotent, L) is L
+    assert lattice(R).localizations == by_idempotent
 
 
 def test_pushforward_zero(z6):

@@ -233,7 +233,7 @@ def test_size_limit_env_override(monkeypatch):
     assert config.size_limit() == config.DEFAULT_SIZE_LIMIT
 
 
-@pytest.mark.parametrize("raw", ["junk", "", "2.5", "0", "-3", "32768", "1000000"])
+@pytest.mark.parametrize("raw", ["junk", "", "2.5", "0", "-3", "4097", "32768", "1000000"])
 def test_size_limit_rejects_bad_values(monkeypatch, raw):
     from ringlab import config
     from ringlab.rings import make_zn
