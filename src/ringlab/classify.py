@@ -5,7 +5,9 @@ disjointness, reducedness) yield NotApplicable, never Fails: a theorem is
 not contradicted by an input that does not meet its hypotheses.
 
 The S-indexed predicates use the uniform-witness quantifier order: one
-single s in S must work for every pair (w, z).
+single s in S must work for every pair (w, z).  Each computes the bitmask of
+the s that work, and `_uniform_witness` reports the least member of S in it,
+or the pair that defeats the largest member.
 """
 
 from __future__ import annotations
@@ -18,8 +20,8 @@ from operator import and_
 import numpy as np
 
 from .config import FAC_SUBSET_CAP
-from .ideals import Ideal, MulClosedSet, all_ideals, annihilator, first_hit, ideal_generate, lattice, member_row
-from .ideals import principal_members
+from .ideals import Ideal, MulClosedSet, all_ideals, annihilator, first_hit, ideal_generate, lattice, mask_of
+from .ideals import member_row, min_primes_over, principal_members
 
 HOLDS = "Holds"
 FAILS = "Fails"
@@ -83,10 +85,14 @@ def _defeat(A: Ideal, ok):
     return (int(regs[hit[0]]), hit[1]) if hit else None
 
 
-def _regular_scan(A: Ideal, ok) -> Verdict:
-    """Fails on the lex-first (w, z) with w regular, wz in A and not ok[z]."""
-    pair = _defeat(A, ok)
-    return _fails(pair) if pair else _holds()
+def _uniform_witness(S: MulClosedSet, good: int, defeat) -> Verdict:
+    """Holds with the least s of S in the mask ``good``; else Fails with the
+    pair ``defeat`` returns for the largest s, which goes in ``last_candidate``."""
+    hit = good & S.mask
+    if hit:
+        return _holds(witness=(hit & -hit).bit_length() - 1)
+    last = max(S.members)
+    return _fails(defeat(last), last_candidate=last)
 
 
 # -- r- and pr-ideals ---------------------------------------------------------------
@@ -96,43 +102,20 @@ def is_r_ideal(A: Ideal) -> Verdict:
     """wz in A with Ann(w) = 0 forces z in A: 1 lies in the witness mask W(A)."""
     if not A.is_proper():
         return _na(NOT_PROPER)
-    if lattice(A.ring).witnesses(A) >> A.ring.one & 1:
-        return _holds()
-    return _regular_scan(A, member_row(A))
-
-
-def _power_reaches(R, A_members, z) -> bool:
-    seen = set()
-    cur = int(z)
-    while cur not in seen:
-        if cur in A_members:
-            return True
-        seen.add(cur)
-        cur = R.m(cur, z)
-    return False
+    pair = None if lattice(A.ring).witnesses(A) >> A.ring.one & 1 else _defeat(A, member_row(A))
+    return _fails(pair) if pair else _holds()
 
 
 def is_pr_ideal(A: Ideal) -> Verdict:
-    """wz in A with Ann(w) = 0 forces z^n in A for some n."""
+    """wz in A with Ann(w) = 0 forces z^n in A for some n: z lies in the radical of A."""
     if not A.is_proper():
         return _na(NOT_PROPER)
-    R = A.ring
-    return _regular_scan(A, np.fromiter((_power_reaches(R, A.members, z) for z in R.elements()), dtype=bool))
+    radical = lattice(A.ring).intern(reduce(and_, (P.mask for P in min_primes_over(A))))
+    pair = _defeat(A, member_row(radical))
+    return _fails(pair) if pair else _holds()
 
 
 # -- S-indexed predicates -------------------------------------------------------------
-
-
-def _uniform_witness(S: MulClosedSet, defeat) -> Verdict:
-    """Holds with the least s in S that no pair defeats; else Fails with the
-    pair ``defeat`` returns for the last s, which goes in ``last_candidate``."""
-    cands = S.sorted_members
-    pair = None
-    for s in cands:
-        pair = defeat(s)
-        if pair is None:
-            return _holds(witness=int(s))
-    return _fails(pair, last_candidate=cands[-1])
 
 
 def is_S_r_ideal(
@@ -144,18 +127,13 @@ def is_S_r_ideal(
     """Some uniform s in S with: wz in A and Ann(w) = 0 imply sz in A.
 
     The good s form the witness mask W(A), so A is S-r iff W(A) meets S.
-    Holds reports the smallest such s.  Fails reports the pair that defeats
-    the last candidate, with that candidate in ``last_candidate``.
     """
     if enforce_proper and not A.is_proper():
         return _na(NOT_PROPER)
     if enforce_disjoint and A.mask & S.mask:
         return _na(DISJOINTNESS_VIOLATED)
-    good = lattice(A.ring).witnesses(A) & S.mask
-    if good:
-        return _holds(witness=(good & -good).bit_length() - 1)
-    last = max(S.members)
-    return _fails(_defeat(A, member_row(A)[A.ring.mul[last, :]]), last_candidate=last)
+    inside = member_row(A)
+    return _uniform_witness(S, lattice(A.ring).witnesses(A), lambda s: _defeat(A, inside[A.ring.mul[s, :]]))
 
 
 def is_S_prime(
@@ -164,37 +142,52 @@ def is_S_prime(
     enforce_proper: bool = True,
     enforce_disjoint: bool = True,
 ) -> Verdict:
-    """Some uniform s in S with: wz in A implies sw in A or sz in A."""
+    """Some uniform s in S with: wz in A implies sw in A or sz in A.
+
+    With out[x, s] true when sx is not in A, s is defeated by a pair with wz
+    in A, out[w, s] and out[z, s].  For P the pairs with wz in A, (P @ out)
+    finds a z for every (w, s) at once, so one boolean matrix product over
+    the members of S gives the good s.
+    """
     R = A.ring
     if enforce_proper and not A.is_proper():
         return _na(NOT_PROPER)
-    if enforce_disjoint and (S.members & A.members):
+    if enforce_disjoint and A.mask & S.mask:
         return _na(DISJOINTNESS_VIOLATED)
-    mask = member_row(A)
-    prod_in = mask[R.mul]
+    inside = member_row(A)
+    prod_in = inside[R.mul]
+    members = np.array(S.sorted_members, dtype=np.intp)
+    out = ~prod_in[:, members]
+    good = mask_of(members[~((prod_in @ out) & out).any(axis=0)])
 
     def defeat(s):
-        s_in = mask[R.mul[s, :]]
+        s_in = inside[R.mul[s, :]]
         return first_hit(prod_in & ~s_in[:, None] & ~s_in[None, :])
 
-    return _uniform_witness(S, defeat)
+    return _uniform_witness(S, good, defeat)
 
 
 # -- z0-ideals -------------------------------------------------------------------------
 
 
-def is_z0_ideal(A: Ideal, enforce_reduced: bool = True) -> Verdict:
-    """In a reduced ring: w in A and Ann(w) = Ann(z) force z in A."""
+def _z0_defeat(A: Ideal, s):
+    """In the first annihilator class meeting A with a z where sz leaves A:
+    (its first member in A, that z), or None."""
     R = A.ring
-    if enforce_reduced and not R.is_reduced():
-        return _na(NOT_REDUCED)
     for cls in lattice(R).ann_classes:
         inside = [a for a in cls if a in A.members]
-        if inside and len(inside) != len(cls):
-            w = inside[0]
-            z = next(a for a in cls if a not in A.members)
-            return _fails((w, z))
-    return _holds()
+        outside = [a for a in cls if R.m(s, a) not in A.members]
+        if inside and outside:
+            return inside[0], outside[0]
+    return None
+
+
+def is_z0_ideal(A: Ideal, enforce_reduced: bool = True) -> Verdict:
+    """In a reduced ring: w in A and Ann(w) = Ann(z) force z in A."""
+    if enforce_reduced and not A.ring.is_reduced():
+        return _na(NOT_REDUCED)
+    pair = _z0_defeat(A, A.ring.one)
+    return _fails(pair) if pair else _holds()
 
 
 def is_S_z0_ideal(
@@ -203,22 +196,20 @@ def is_S_z0_ideal(
     enforce_reduced: bool = True,
     enforce_disjoint: bool = True,
 ) -> Verdict:
-    """Uniform s with: w in A and Ann(w) = Ann(z) imply sz in A."""
+    """Uniform s with: w in A and Ann(w) = Ann(z) imply sz in A.
+
+    With N the union of the annihilator classes that meet A, the good s
+    form (A : N).
+    """
     R = A.ring
     if enforce_reduced and not R.is_reduced():
         return _na(NOT_REDUCED)
-    if enforce_disjoint and (S.members & A.members):
+    if enforce_disjoint and A.mask & S.mask:
         return _na(DISJOINTNESS_VIOLATED)
-    classes = [cls for cls in lattice(R).ann_classes if any(a in A.members for a in cls)]
-
-    def defeat(s):
-        for cls in classes:
-            z = next((a for a in cls if R.m(s, a) not in A.members), None)
-            if z is not None:
-                return next(a for a in cls if a in A.members), z
-        return None
-
-    return _uniform_witness(S, defeat)
+    L = lattice(R)
+    in_a = {L.ann[w] for w in A.members}
+    reach = mask_of(z for z, m in enumerate(L.ann) if m in in_a)
+    return _uniform_witness(S, L.colon(A, reach).mask, lambda s: _z0_defeat(A, s))
 
 
 # -- ring-level predicates ---------------------------------------------------------------
@@ -282,7 +273,7 @@ def s_idempotent_ideal_check(R, S: MulClosedSet, gens) -> Verdict:
     Generators failing the gate make the check NotApplicable rather than a
     counterexample; a Fails outcome here flags a genuine bug.
     """
-    s = reduce(R.m, S.sorted_members, R.one)
+    s = S.product()
     gens = tuple(int(g) for g in gens)
     for g in gens:
         if R.m(g, g) != R.m(s, g):

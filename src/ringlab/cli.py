@@ -14,17 +14,9 @@ from collections import Counter
 
 from . import classify as cl
 from .corpus import Limits, default_corpus, load_corpus
-from .dsl import parse_gens, parse_mcs, parse_ring
+from .dsl import parse_element, parse_ideal, parse_mcs, parse_ring, split_top
 from .errors import RinglabError
-from .ideals import (
-    all_ideals,
-    ideal_generate,
-    is_maximal,
-    is_prime,
-    localize,
-    mcs_generate,
-    prime_violation,
-)
+from .ideals import all_ideals, is_maximal, is_prime, localize, prime_violation
 from .poly import (
     NO,
     PolyIdealSpec,
@@ -83,8 +75,9 @@ def cmd_classify(args):
     rows = []
     rows.append(("ring", ring.recipe))
     rows.append(("size", str(ring.size)))
+    S = parse_mcs(ring, args.mcs) if args.mcs is not None else None
     if args.ideal is not None:
-        A = ideal_generate(ring, parse_gens(ring, args.ideal))
+        A = parse_ideal(ring, args.ideal)
         rows.append(("ideal", A.label() + " = {" + ",".join(ring.labels[m] for m in A.sorted_members) + "}"))
         rows.append(("r-ideal", _verdict_text(cl.is_r_ideal(A), ring)))
         rows.append(("pr-ideal", _verdict_text(cl.is_pr_ideal(A), ring)))
@@ -94,8 +87,7 @@ def cmd_classify(args):
         rows.append(("maximal", "yes" if is_maximal(A) else "no"))
         if args.all_predicates:
             rows.append(("z0-ideal", _verdict_text(cl.is_z0_ideal(A), ring)))
-        if args.mcs is not None:
-            S = mcs_generate(ring, parse_gens(ring, args.mcs))
+        if S is not None:
             rows.append(("mcs", S.label() + " = {" + ",".join(ring.labels[m] for m in S.sorted_members) + "}"))
             rows.append(("S-r-ideal", _verdict_text(cl.is_S_r_ideal(A, S), ring)))
             rows.append(("S-prime", _verdict_text(cl.is_S_prime(A, S), ring)))
@@ -106,8 +98,7 @@ def cmd_classify(args):
         rows.append(("property A", _verdict_text(cl.has_property_A(ring), ring)))
         rows.append(("a.c.", _verdict_text(cl.has_ac(ring), ring)))
         rows.append(("f.a.c.", _verdict_text(cl.has_fac(ring), ring)))
-        if args.mcs is not None:
-            S = mcs_generate(ring, parse_gens(ring, args.mcs))
+        if S is not None:
             rows.append(("S-uz-ring", _verdict_text(cl.is_S_uz_ring(ring, S), ring)))
     width = max(len(k) for k, _ in rows)
     for k, v in rows:
@@ -179,25 +170,26 @@ def cmd_hunt(args):
 
 def cmd_poly(args):
     base = parse_ring(args.base)
-    S = mcs_generate(base, parse_gens(base, args.mcs)) if args.mcs else mcs_generate(base, ())
+    S = parse_mcs(base, args.mcs or "")
+    coeffs = None  # parsed before the search, so a bad coefficient prints nothing
+    if args.s_unit_check:
+        coeffs = [parse_element(base, c) for c in split_top(args.s_unit_check, ",")]
     if args.kind == "content":
-        A = ideal_generate(base, parse_gens(base, ",".join(args.args))) if args.args else ideal_generate(base, ())
-        spec = PolyIdealSpec.content(A)
+        spec = PolyIdealSpec.content(parse_ideal(base, ",".join(args.args)))
     else:
         if not args.args:
             print("kernel needs an evaluation point", file=sys.stderr)
             return 2
-        point = parse_gens(base, args.args[0])[0]
-        B = ideal_generate(base, parse_gens(base, ",".join(args.args[1:]))) if len(args.args) > 1 else ideal_generate(base, ())
-        spec = PolyIdealSpec.eval_kernel(point, B)
+        point = parse_element(base, args.args[0])
+        spec = PolyIdealSpec.eval_kernel(point, parse_ideal(base, ",".join(args.args[1:])))
     verdict = bounded_S_r_search(spec, S, args.degree)
     if verdict.outcome == NO:
         w, z = verdict.pair
         print(f"NO at degree {verdict.witness_degree}, counterexample ({w.text()}, {z.text()})")
     else:
         print(f"NO_VIOLATION_UP_TO degree {verdict.bound}")
-    if args.s_unit_check:
-        f = Poly.make(base, [parse_gens(base, c)[0] for c in args.s_unit_check.split(",")])
+    if coeffs is not None:
+        f = Poly.make(base, coeffs)
         res = poly_s_unit_check(f, S, args.degree)
         line = f"s-unit({f.text()}): {res.kind}"
         if res.witness is not None:
@@ -210,7 +202,7 @@ def cmd_poly(args):
 
 def cmd_localize(args):
     ring = parse_ring(args.ring)
-    S = parse_mcs(ring, args.mcs) if args.mcs else mcs_generate(ring, ())
+    S = parse_mcs(ring, args.mcs or "")
     result = localize(ring, S)
     loc = result.localized
     print(f"ring      {ring.recipe} (size {ring.size})")

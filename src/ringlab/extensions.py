@@ -118,8 +118,7 @@ def make_module_free(R: FiniteRing, k: int) -> FiniteModule:
 def make_module_quotient(R: FiniteRing, J: Ideal) -> FiniteModule:
     """R/J as a module over R with the induced action."""
     Q, proj = make_quotient(R, J)
-    gens_text = ",".join(R.labels[g] for g in J.generators) if J.generators else "0"
-    return FiniteModule(R, Q.add, Q.mul[list(proj.image)], labels=Q.labels, recipe=f"quot({gens_text})")
+    return FiniteModule(R, Q.add, Q.mul[list(proj.image)], labels=Q.labels, recipe=f"quot{J.label()}")
 
 
 def module_is_torsion_free(M: FiniteModule) -> bool:
@@ -305,13 +304,8 @@ def make_amalgamation(H1: FiniteRing, H2: FiniteRing, f: RingHom, J: Ideal, hom_
             add[i, j] = pos[(H1.a(w1, w2), H2.a(y1, y2))]
             mul[i, j] = pos[(H1.m(w1, w2), H2.m(y1, y2))]
     labels = tuple(f"({H1.labels[w]},{H2.labels[y]})" for w, y in carrier)
-    gens_text = ",".join(H2.labels[g] for g in J.generators) if J.generators else "0"
-    ring = FiniteRing(
-        add,
-        mul,
-        labels=labels,
-        recipe=f"amalg({H1.recipe}, {H2.recipe}, {hom_text}, ({gens_text}))",
-    )
+    recipe = f"amalg({H1.recipe}, {H2.recipe}, {hom_text}, {J.label()})"
+    ring = FiniteRing(add, mul, labels=labels, recipe=recipe)
     return AmalgRing(H1, H2, f, J, ring, tuple(carrier), pos)
 
 

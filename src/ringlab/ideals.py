@@ -18,7 +18,7 @@ import numpy as np
 
 from .config import size_limit
 from .errors import ConstructionBug, InvalidConstruction, NotProperError, SizeLimitError, TypeMismatch
-from .rings import FiniteRing, RingHom, check_hom, idempotent_power
+from .rings import FiniteRing, RingHom, check_hom, idempotent_power, operand
 
 
 @dataclass(frozen=True)
@@ -38,6 +38,10 @@ class _ElementSet:
 
 @dataclass(frozen=True)
 class MulClosedSet(_ElementSet):
+    def product(self) -> int:
+        """The product of every member."""
+        return reduce(self.ring.m, self.sorted_members, self.ring.one)
+
     def label(self) -> str:
         return f"S<{','.join(self.ring.labels[g] for g in self.generators)}>"
 
@@ -353,10 +357,7 @@ def localize(R: FiniteRing, S: MulClosedSet) -> LocalizationResult:
     """
     if S.ring is not R:
         raise TypeMismatch("m.c.s. belongs to a different ring")
-    t = R.one
-    for s in S.sorted_members:
-        t = R.m(t, s)
-    e, _ = idempotent_power(R, t)
+    e, _ = idempotent_power(R, S.product())
     L = lattice(R)
     result = L.localizations.get(e)
     if result is None:
@@ -364,10 +365,8 @@ def localize(R: FiniteRing, S: MulClosedSet) -> LocalizationResult:
         pos = np.zeros(R.size, dtype=np.int16)
         pos[carrier] = np.arange(len(carrier))
         tables = (pos[t[np.ix_(carrier, carrier)]] for t in (R.add, R.mul))
-        gens_text = ",".join(R.labels[g] for g in S.generators)
-        base = f"({R.recipe})" if " x " in R.recipe else R.recipe
         labels = tuple(R.labels[x] for x in carrier)
-        localized = FiniteRing(*tables, labels=labels, recipe=f"loc({base}, S<{gens_text}>)")
+        localized = FiniteRing(*tables, labels=labels, recipe=f"loc({operand(R)}, {S.label()})")
         natural = check_hom(RingHom(R, localized, tuple(int(i) for i in pos[R.mul[e]])))
         result = L.localizations[e] = LocalizationResult(localized, natural, annihilator(R, (e,)), e)
     units, image = result.localized.units, result.map.image

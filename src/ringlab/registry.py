@@ -26,7 +26,8 @@ from .dsl import (
     parse_arith_ideal,
     parse_arith_mcs,
     parse_arith_ring,
-    parse_gens,
+    parse_ideal,
+    parse_mcs,
     parse_ring_structure,
     split_top,
 )
@@ -88,10 +89,6 @@ VIOLATION = "VIOLATION"
 # `recipe` that names the ring in records.
 
 
-def _by_size(members):
-    return (len(members), tuple(sorted(members)))
-
-
 class FiniteContext:
     """Parsed entry plus memoized lattice, m.c.s. candidates and verdicts."""
 
@@ -103,16 +100,8 @@ class FiniteContext:
         # the TrivExtRing / AmalgRing the whole expression denotes, if any
         self.ring, self.structure = parse_ring_structure(entry.expr)
         self.recipe = self.ring.recipe
-        self._pinned_ideal = (
-            ideal_generate(self.ring, parse_gens(self.ring, entry.ideal_text))
-            if entry.ideal_text
-            else None
-        )
-        self._pinned_mcs = (
-            mcs_generate(self.ring, parse_gens(self.ring, entry.mcs_text))
-            if entry.mcs_text
-            else None
-        )
+        self._pinned_ideal = parse_ideal(self.ring, entry.ideal_text) if entry.ideal_text else None
+        self._pinned_mcs = parse_mcs(self.ring, entry.mcs_text) if entry.mcs_text else None
         self._verdicts = {}
         self._mcs = None  # m.c.s. candidates: depend on Limits and on the pinned ideal
         self.annsum_pre = None  # P-annsum's (K1, K2, ts, K) table over ideals()
@@ -132,30 +121,18 @@ class FiniteContext:
         if self._mcs is not None:
             return self._mcs
         R = self.ring
-        seen = {}
-        seen[frozenset({R.one})] = ()
-        for g in R.elements():
-            seen.setdefault(mcs_generate(R, (g,)).members, (g,))
-        units, everything = frozenset(R.units), frozenset(R.elements())
-        seen.setdefault(units, tuple(sorted(R.units)))
-        seen.setdefault(everything, tuple(sorted(R.elements())))
-        ordered = sorted(seen.items(), key=lambda kv: _by_size(kv[0]))
+        special = (frozenset(R.units), frozenset(R.elements()))
+        ordered = _distinct(_small_mcs(R) + [mcs_from_members(R, m) for m in special])
         cap = self.limits.mcs_cap
         if len(ordered) > cap:
-            keep = dict(ordered[: cap - 2])
-            for special in (units, everything):
-                keep.setdefault(special, seen[special])
-            ordered = sorted(keep.items(), key=lambda kv: _by_size(kv[0]))
+            ordered = _distinct(ordered[: cap - 2] + [S for S in ordered if S.members in special])
         if len(self.ideals()) * len(ordered) > self.limits.annotation_cap:
             rng = random.Random(self.limits.subsample_seed)
             take = max(1, self.limits.annotation_cap // max(1, len(self.ideals())))
-            ordered = sorted(rng.sample(ordered, take), key=lambda kv: _by_size(kv[0]))
+            ordered = _distinct(rng.sample(ordered, take))
             self.subsampled = True
-        self._mcs = tuple(mcs_from_members(R, members, generators=gens) for members, gens in ordered)
+        self._mcs = tuple(ordered)
         return self._mcs
-
-    def regular_mcs(self):
-        return mcs_from_members(self.ring, self.ring.regulars)
 
     # memoized classifier calls -----------------------------------------------------
 
@@ -176,16 +153,8 @@ class FiniteContext:
         return got
 
     def s_z0(self, A, S, enforce_reduced=True, enforce_disjoint=True):
-        key = ("s_z0", A.mask, S.mask, enforce_reduced, enforce_disjoint)
-        got = self._verdicts.get(key)
-        if got is None:
-            got = self._verdicts[key] = cl.is_S_z0_ideal(
-                A, S, enforce_reduced=enforce_reduced, enforce_disjoint=enforce_disjoint
-            )
-        return got
-
-    def localization(self, S):
-        return localize(self.ring, S)
+        # not memoised: no runner asks the same (A, S, flags) twice
+        return cl.is_S_z0_ideal(A, S, enforce_reduced=enforce_reduced, enforce_disjoint=enforce_disjoint)
 
 
 class ArithContext:
@@ -215,16 +184,9 @@ class PolyContext(FiniteContext):
         if self._pinned_mcs is not None:
             return (self._pinned_mcs,)
         R = self.ring
-        seen = {}
-        def put(S):
-            seen.setdefault(S.members, S)
-        put(mcs_generate(R, ()))
-        put(mcs_from_members(R, R.units))
-        for g in sorted(R.units):
-            put(mcs_generate(R, (g,)))
-        for g in sorted(set(R.elements()) - set(R.units))[:2]:
-            put(mcs_generate(R, (g,)))
-        return tuple(sorted(seen.values(), key=lambda S: (len(S.members), S.sorted_members)))
+        singles = sorted(R.units) + sorted(set(R.elements()) - R.units)[:2]
+        found = [mcs_generate(R, ()), mcs_from_members(R, R.units)] + [mcs_generate(R, (g,)) for g in singles]
+        return tuple(_distinct(found))
 
     def search_degree(self):
         # quotient coefficient spaces grow as |Q|^(D+1); keep the registry
@@ -288,14 +250,17 @@ def _record(theorem, ctx, dropped, outcome, annotations=None, hypotheses=None, d
     }
 
 
-def _sweep(key, checks):
+def _sweep(key, checks, met=True):
     """Run per-instance checks up to the first failure.
 
     Each check yields None (it passed) or a failure dict.  Returns the
-    outcome (VIOLATION at a failure, VACUOUS when nothing was checked,
-    VERIFIED otherwise) and a detail payload counting the checks under
-    `key`, with the failure, if any, under "failure".
+    outcome (VIOLATION at a failure, VACUOUS when the hypothesis is not
+    ``met`` or nothing was checked, VERIFIED otherwise) and a detail payload
+    counting the checks under `key`, with the failure, if any, under
+    "failure"; an unmet hypothesis runs no check and has no payload.
     """
+    if not met:
+        return VACUOUS, None
     checked = 0
     for failure in checks:
         checked += 1
@@ -304,13 +269,17 @@ def _sweep(key, checks):
     return (VERIFIED if checked else VACUOUS), {key: checked}
 
 
-def _small_mcs(ring):
-    """The six smallest m.c.s. generated by at most one element."""
-    found = {}
-    for gens in [()] + [(g,) for g in ring.elements()]:
-        S = mcs_generate(ring, gens)
-        found.setdefault(S.members, S)
-    return sorted(found.values(), key=lambda S: (len(S.members), S.sorted_members))[:6]
+def _distinct(candidates):
+    """The first m.c.s. given per member set, ordered by (size, members)."""
+    first = {}
+    for S in candidates:
+        first.setdefault(S.members, S)
+    return sorted(first.values(), key=lambda S: (len(S.members), S.sorted_members))
+
+
+def _small_mcs(ring, keep=None):
+    """The ``keep`` smallest m.c.s. generated by at most one element (all of them by default)."""
+    return _distinct([mcs_generate(ring, ())] + [mcs_generate(ring, (g,)) for g in ring.elements()])[:keep]
 
 
 # -- finite-lane runners -------------------------------------------------------------------
@@ -388,7 +357,7 @@ def run_t2_5(ctx, dropped):
 
     def checks(A, candidates):
         for S in candidates:
-            if cl.is_r_ideal(ideal_pushforward(ctx.localization(S), A)).holds:
+            if cl.is_r_ideal(ideal_pushforward(localize(R, S), A)).holds:
                 v = ctx.s_r(A, S)
                 yield None if v.holds else {"mcs": S.label(), "verdict": v.to_json(R)}
 
@@ -404,13 +373,13 @@ def run_t2_5(ctx, dropped):
 def run_t2_7(ctx, dropped):
     """Four-way characterization at S = regular elements."""
     R = ctx.ring
-    S = ctx.regular_mcs()
+    S = mcs_from_members(R, R.regulars)
     regs = sorted(R.regulars)
     enforce = "disjoint" not in dropped
     for A in ctx.ideals():
         if enforce and (not A.is_proper() or S.members & A.members):
             continue
-        loc = ctx.localization(S)
+        loc = localize(R, S)
         pushed = ideal_pushforward(loc, A)
         pre = {x for x in R.elements() if int(loc.map.image[x]) in pushed.members}
         sides = {
@@ -481,12 +450,8 @@ def run_p2_10(ctx, dropped):
                 yield None if v.holds else {"mcs": S.label(), "verdict": v.to_json(R)}
 
     for A in ctx.proper_ideals():
-        annotations, hypotheses = {"ideal": A.label()}, {"reduced": reduced}
-        if enforce_reduced and not reduced:
-            yield _record("P2.10", ctx, dropped, VACUOUS, annotations, hypotheses)
-            continue
-        outcome, detail = _sweep("implications_checked", checks(A))
-        yield _record("P2.10", ctx, dropped, outcome, annotations, hypotheses, detail)
+        outcome, detail = _sweep("implications_checked", checks(A), met=reduced or not enforce_reduced)
+        yield _record("P2.10", ctx, dropped, outcome, {"ideal": A.label()}, {"reduced": reduced}, detail)
 
 
 def run_t2_11(ctx, dropped):
@@ -535,12 +500,8 @@ def run_t2_12(ctx, dropped):
 
     for A in ctx.proper_ideals():
         prime = is_prime(A)
-        annotations, hypotheses = {"ideal": A.label()}, {"prime": prime}
-        if need_prime and not prime:
-            yield _record("T2.12", ctx, dropped, VACUOUS, annotations, hypotheses)
-            continue
-        outcome, detail = _sweep("equivalences_checked", checks(A))
-        yield _record("T2.12", ctx, dropped, outcome, annotations, hypotheses, detail)
+        outcome, detail = _sweep("equivalences_checked", checks(A), met=prime or not need_prime)
+        yield _record("T2.12", ctx, dropped, outcome, {"ideal": A.label()}, {"prime": prime}, detail)
 
 
 def run_c_zd(ctx, dropped):
@@ -681,12 +642,8 @@ def run_p_minidem(ctx, dropped):
                     }
 
     for S in ctx.mcs_list():
-        annotations, hypotheses = {"mcs": S.label()}, {"reduced": reduced}
-        if enforce_reduced and not reduced:
-            yield _record("P-minidem", ctx, dropped, VACUOUS, annotations, hypotheses)
-            continue
-        outcome, detail = _sweep("ideals_checked", checks(S))
-        yield _record("P-minidem", ctx, dropped, outcome, annotations, hypotheses, detail)
+        outcome, detail = _sweep("ideals_checked", checks(S), met=reduced or not enforce_reduced)
+        yield _record("P-minidem", ctx, dropped, outcome, {"mcs": S.label()}, {"reduced": reduced}, detail)
 
 
 def run_p_sidem(ctx, dropped):
@@ -694,9 +651,7 @@ def run_p_sidem(ctx, dropped):
     R = ctx.ring
 
     def checks(S):
-        s = R.one
-        for x in S.sorted_members:
-            s = R.m(s, x)
+        s = S.product()
         T = tuple(a for a in R.elements() if R.m(a, a) == R.m(s, a))
         gen_sets = [(f"[{R.labels[a]}]", (a,)) for a in T]
         if len(T) > 1:
@@ -787,7 +742,7 @@ def run_p3_2(ctx, dropped):
     am = ctx.structure
     if not isinstance(am, AmalgRing):
         return
-    h1_mcs = _small_mcs(am.h1)
+    h1_mcs = _small_mcs(am.h1, 6)
     for A in all_ideals(am.h1):
         if not A.is_proper():
             continue
@@ -851,7 +806,7 @@ def run_p3_3(ctx, dropped):
     T = ctx.structure
     if not isinstance(T, TrivExtRing):
         return
-    base_mcs = _small_mcs(T.base)
+    base_mcs = _small_mcs(T.base, 6)
     for A in all_ideals(T.base):
         if not A.is_proper():
             continue
@@ -1086,7 +1041,7 @@ CASES = {
     )
 }
 
-DEFAULT_IDS = tuple(i for i in CASES if i != "ARITH-oracle") + ("ARITH-oracle",)
+DEFAULT_IDS = tuple(CASES)
 
 
 def _run_entry(entry, ids, dropped, limits, timings=False):

@@ -208,6 +208,11 @@ def make_zn(n: int) -> FiniteRing:
     return FiniteRing(add, mul, recipe=f"Z{n}")
 
 
+def operand(R: FiniteRing) -> str:
+    """R's recipe as the operand of a derived ring: a product goes in parentheses."""
+    return f"({R.recipe})" if " x " in R.recipe else R.recipe
+
+
 def make_product(R1: FiniteRing, R2: FiniteRing) -> FiniteRing:
     """Componentwise ring on pairs; index (i, j) -> i*|R2| + j."""
     n1, n2 = R1.size, R2.size
@@ -220,8 +225,7 @@ def make_product(R1: FiniteRing, R2: FiniteRing) -> FiniteRing:
     add = (a1[:, None, :, None] * n2 + a2[None, :, None, :]).reshape(n1 * n2, n1 * n2)
     mul = (m1[:, None, :, None] * n2 + m2[None, :, None, :]).reshape(n1 * n2, n1 * n2)
     labels = tuple(f"({R1.labels[i]},{R2.labels[j]})" for i in range(n1) for j in range(n2))
-    r1 = f"({R1.recipe})" if " x " in R1.recipe else R1.recipe
-    return FiniteRing(add, mul, labels=labels, recipe=f"{r1} x {R2.recipe}", parts=(R1, R2))
+    return FiniteRing(add, mul, labels=labels, recipe=f"{operand(R1)} x {R2.recipe}", parts=(R1, R2))
 
 
 def _check_ideal_subset(R: FiniteRing, members) -> None:
@@ -265,10 +269,9 @@ def make_quotient(R: FiniteRing, ideal):
         for j, b in enumerate(reps):
             add[i, j] = coset_of[R.a(a, b)]
             mul[i, j] = coset_of[R.m(a, b)]
-    gens_text = ",".join(R.labels[g] for g in ideal.generators) if ideal.generators else "0"
-    labels = tuple(f"{R.labels[r]}+({gens_text})" for r in reps)
-    base = f"({R.recipe})" if " x " in R.recipe else R.recipe
-    quotient = FiniteRing(add, mul, labels=labels, recipe=f"{base}/({gens_text})")
+    name = ideal.label()
+    labels = tuple(f"{R.labels[r]}+{name}" for r in reps)
+    quotient = FiniteRing(add, mul, labels=labels, recipe=f"{operand(R)}/{name}")
     proj = check_hom(RingHom(R, quotient, tuple(coset_of)))
     kernel = frozenset(a for a in R.elements() if coset_of[a] == 0)
     if kernel != ideal.members:

@@ -1,9 +1,10 @@
 """Brute-force references and helpers that only the tests use.
 
 Each one checks the package from outside: an ideal's closure, S-units, the
-per-candidate S-r scan, the fraction construction of a localization, an
-isomorphism search between finite rings, and the submodule lattice of a
-finite module.
+per-candidate scans of the uniform-witness predicates (S-r, S-prime, S-z0),
+the power iteration of the pr test, the fraction construction of a
+localization, an isomorphism search between finite rings, and the submodule
+lattice of a finite module.
 """
 
 import numpy as np
@@ -14,12 +15,13 @@ from ringlab.classify import (
     HOLDS,
     NOT_APPLICABLE,
     NOT_PROPER,
+    NOT_REDUCED,
     Verdict,
 )
 from ringlab.config import size_limit
 from ringlab.errors import SizeLimitError, TypeMismatch
 from ringlab.extensions import FiniteModule
-from ringlab.ideals import Ideal, MulClosedSet, first_hit, ideal_generate, member_row, principal_members
+from ringlab.ideals import Ideal, MulClosedSet, annihilator, first_hit, ideal_generate, member_row, principal_members
 from ringlab.rings import FiniteRing, _check_ideal_subset, idempotent_power
 
 
@@ -37,6 +39,16 @@ def s_units(R: FiniteRing, S: MulClosedSet) -> frozenset:
     return frozenset(a for a in R.elements() if principal_members(R, a) & S.members)
 
 
+def _uniform_scan(S: MulClosedSet, defeat) -> Verdict:
+    """The least s in S that no pair defeats; else Fails with the last s's pair."""
+    pair = None
+    for s in S.sorted_members:
+        pair = defeat(s)
+        if pair is None:
+            return Verdict(HOLDS, witness=s)
+    return Verdict(FAILS, counterexample=pair, last_candidate=S.sorted_members[-1])
+
+
 def ref_is_S_r_ideal(A: Ideal, S: MulClosedSet, enforce_proper=True, enforce_disjoint=True) -> Verdict:
     """S-r by trying each s in S in turn: the first s that no pair defeats.
 
@@ -51,13 +63,12 @@ def ref_is_S_r_ideal(A: Ideal, S: MulClosedSet, enforce_proper=True, enforce_dis
     inside = member_row(A)
     regs = np.fromiter(sorted(R.regulars), dtype=np.intp)
     prod_in = inside[R.mul[regs, :]]
-    pair = None
-    for s in S.sorted_members:
+
+    def defeat(s):
         hit = first_hit(prod_in & ~inside[R.mul[s, :]][None, :])
-        if hit is None:
-            return Verdict(HOLDS, witness=s)
-        pair = (int(regs[hit[0]]), hit[1])
-    return Verdict(FAILS, counterexample=pair, last_candidate=S.sorted_members[-1])
+        return None if hit is None else (int(regs[hit[0]]), hit[1])
+
+    return _uniform_scan(S, defeat)
 
 
 def ref_is_r_ideal(A: Ideal) -> Verdict:
@@ -68,6 +79,74 @@ def ref_is_r_ideal(A: Ideal) -> Verdict:
     one = MulClosedSet(R, frozenset({R.one}), (), 1 << R.one)
     v = ref_is_S_r_ideal(A, one)
     return Verdict(FAILS, counterexample=v.counterexample) if v.fails else Verdict(HOLDS)
+
+
+def _power_reaches(R: FiniteRing, A: Ideal, z: int) -> bool:
+    seen, cur = set(), z
+    while cur not in seen:
+        if cur in A.members:
+            return True
+        seen.add(cur)
+        cur = R.m(cur, z)
+    return False
+
+
+def ref_is_pr_ideal(A: Ideal) -> Verdict:
+    """pr by iterating the powers of each z until one lands in A or they cycle."""
+    if not A.is_proper():
+        return Verdict(NOT_APPLICABLE, reason=NOT_PROPER)
+    R = A.ring
+    reaches = np.array([_power_reaches(R, A, z) for z in R.elements()])
+    regs = np.fromiter(sorted(R.regulars), dtype=np.intp)
+    hit = first_hit(member_row(A)[R.mul[regs, :]] & ~reaches[None, :])
+    return Verdict(FAILS, counterexample=(int(regs[hit[0]]), hit[1])) if hit else Verdict(HOLDS)
+
+
+def ref_is_S_prime(A: Ideal, S: MulClosedSet, enforce_proper=True, enforce_disjoint=True) -> Verdict:
+    """S-prime by trying each s in S: no wz in A with sw and sz both outside A."""
+    R = A.ring
+    if enforce_proper and not A.is_proper():
+        return Verdict(NOT_APPLICABLE, reason=NOT_PROPER)
+    if enforce_disjoint and S.members & A.members:
+        return Verdict(NOT_APPLICABLE, reason=DISJOINTNESS_VIOLATED)
+    inside = member_row(A)
+    prod_in = inside[R.mul]
+
+    def defeat(s):
+        s_in = inside[R.mul[s, :]]
+        return first_hit(prod_in & ~s_in[:, None] & ~s_in[None, :])
+
+    return _uniform_scan(S, defeat)
+
+
+def _z0_pair(A: Ideal, s: int):
+    """(first member in A, first z with sz outside A) of the first annihilator class that has one."""
+    R = A.ring
+    classes = {}
+    for a in R.elements():
+        classes.setdefault(frozenset(annihilator(R, (a,)).members), []).append(a)
+    for cls in classes.values():
+        inside = [a for a in cls if a in A.members]
+        outside = [a for a in cls if R.m(s, a) not in A.members]
+        if inside and outside:
+            return inside[0], outside[0]
+    return None
+
+
+def ref_is_z0_ideal(A: Ideal, enforce_reduced=True) -> Verdict:
+    if enforce_reduced and not A.ring.is_reduced():
+        return Verdict(NOT_APPLICABLE, reason=NOT_REDUCED)
+    pair = _z0_pair(A, A.ring.one)
+    return Verdict(FAILS, counterexample=pair) if pair else Verdict(HOLDS)
+
+
+def ref_is_S_z0_ideal(A: Ideal, S: MulClosedSet, enforce_reduced=True, enforce_disjoint=True) -> Verdict:
+    """S-z0 by trying each s in S: w in A and Ann(w) = Ann(z) force sz in A."""
+    if enforce_reduced and not A.ring.is_reduced():
+        return Verdict(NOT_APPLICABLE, reason=NOT_REDUCED)
+    if enforce_disjoint and S.members & A.members:
+        return Verdict(NOT_APPLICABLE, reason=DISJOINTNESS_VIOLATED)
+    return _uniform_scan(S, lambda s: _z0_pair(A, s))
 
 
 def localize_oracle(R: FiniteRing, S: MulClosedSet):

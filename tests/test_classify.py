@@ -1,3 +1,4 @@
+from collections import Counter
 from itertools import product
 
 import pytest
@@ -39,7 +40,14 @@ from ringlab.corpus import Limits, parse_corpus_line
 from ringlab.registry import build_context
 from ringlab.rings import make_product, make_zn
 
-from oracles import ref_is_r_ideal, ref_is_S_r_ideal
+from oracles import (
+    ref_is_pr_ideal,
+    ref_is_r_ideal,
+    ref_is_S_prime,
+    ref_is_S_r_ideal,
+    ref_is_S_z0_ideal,
+    ref_is_z0_ideal,
+)
 from test_poly import SEARCH_RINGS
 
 
@@ -137,44 +145,80 @@ def test_disjointness_gate(z12):
 
 # -- the witness mask against the per-candidate scan ------------------------------------
 
-KERNEL_RINGS = SEARCH_RINGS + ["amalg(Z4, Z4, id, (2))", "loc(Z12, S<3>)"]
+KERNEL_RINGS = SEARCH_RINGS + ["amalg(Z4, Z4, id, (2))", "loc(Z12, S<3>)", "triv(Z2, free(3))"]
 
 
 def _context(expr):
     return build_context(parse_corpus_line(expr), Limits.defaults())
 
 
-def _compare_with_scan(ctx):
-    """Every verdict of ideals() x mcs_list() under the four enforce flags."""
+# (predicate, reference) with the signature (A, S, flag, flag); S-r first
+S_PREDICATES = (
+    (is_S_r_ideal, ref_is_S_r_ideal),
+    (is_S_prime, ref_is_S_prime),
+    (is_S_z0_ideal, ref_is_S_z0_ideal),
+)
+
+
+def _compare_with_scan(ctx, predicates=S_PREDICATES):
+    """Whole verdicts of r, pr and z0 on every ideal, and of each predicate on
+    ideals() x mcs_list() under the four enforce flags, against the scans.
+
+    Returns (predicate name, S, verdict) for every S-indexed verdict.
+    """
     verdicts = []
     for A in ctx.ideals():
         assert is_r_ideal(A) == ref_is_r_ideal(A), A
-        for S, (proper, disjoint) in product(ctx.mcs_list(), product((True, False), repeat=2)):
-            v = is_S_r_ideal(A, S, enforce_proper=proper, enforce_disjoint=disjoint)
-            assert v == ref_is_S_r_ideal(A, S, proper, disjoint), (A, S, proper, disjoint)
-            verdicts.append((S, v))
+        assert is_pr_ideal(A) == ref_is_pr_ideal(A), A
+        for reduced in (True, False):
+            assert is_z0_ideal(A, reduced) == ref_is_z0_ideal(A, reduced), (A, reduced)
+        for S, flags in product(ctx.mcs_list(), product((True, False), repeat=2)):
+            for fast, ref in predicates:
+                v = fast(A, S, *flags)
+                assert v == ref(A, S, *flags), (fast.__name__, A, S, flags)
+                verdicts.append((fast.__name__, S, v))
     return verdicts
 
 
 @pytest.mark.parametrize("expr", KERNEL_RINGS)
 def test_witness_mask_matches_scan(expr):
     verdicts = _compare_with_scan(_context(expr))
-    # regular = unit in a finite ring, so 1 always witnesses
-    assert all(v.holds and v.witness == min(S.members) for S, v in verdicts if not v.not_applicable)
+    # regular = unit in a finite ring, so 1 always witnesses S-r
+    s_r = [(S, v) for name, S, v in verdicts if name == "is_S_r_ideal"]
+    assert all(v.holds and v.witness == min(S.members) for S, v in s_r if not v.not_applicable)
+
+
+def test_scan_comparison_meets_failing_verdicts():
+    """The kernel rings give the S-prime, S-z0 and z0 comparisons Fails to check."""
+    fails = Counter()
+    for expr in KERNEL_RINGS:
+        ctx = _context(expr)
+        for A in ctx.ideals():
+            fails["pr"] += is_pr_ideal(A).fails
+            fails["z0"] += is_z0_ideal(A, enforce_reduced=False).fails
+            for S, flags in product(ctx.mcs_list(), product((True, False), repeat=2)):
+                fails["S-prime"] += is_S_prime(A, S, *flags).fails
+                fails["S-z0"] += is_S_z0_ideal(A, S, *flags).fails
+    assert fails["S-prime"] and fails["S-z0"] and fails["z0"]
+    # every regular element of a finite ring is a unit, so pr never fails
+    assert fails["pr"] == 0
 
 
 @pytest.mark.parametrize("expr", KERNEL_RINGS)
 def test_witness_mask_matches_scan_with_zero_divisors_declared_regular(expr):
-    """Declaring a zero divisor regular makes S-r fail and moves the witness."""
+    """Declaring a zero divisor regular makes S-r and pr fail and moves the witness."""
     zero_divisors = sorted(_context(expr).ring.zero_divisors - {0})
-    fails = late_witness = 0
+    fails = pr_fails = late_witness = 0
     for z in zero_divisors:
         ctx = _context(expr)  # a fresh ring: nothing memoised under the true regulars
         ctx.ring.regulars = ctx.ring.units | {z}
-        for S, v in _compare_with_scan(ctx):
+        # S-prime and S-z0 never read the regulars
+        for _, S, v in _compare_with_scan(ctx, S_PREDICATES[:1]):
             fails += v.fails
             late_witness += v.holds and v.witness != min(S.members)
-    assert bool(fails) == bool(zero_divisors)
+        # w = z sends 1 into (z), and 1 is in no proper radical
+        pr_fails += sum(is_pr_ideal(A).fails for A in ctx.proper_ideals())
+    assert bool(fails) == bool(pr_fails) == bool(zero_divisors)
     # only these rings have an S whose least member fails while a later one works
     assert bool(late_witness) == (expr in ("Z6", "Z10", "Z12"))
 

@@ -11,6 +11,7 @@ from ringlab.errors import ConfigError, UnknownHypothesis, UnknownTheorem
 from ringlab.registry import (
     CASES,
     DEFAULT_IDS,
+    _small_mcs,
     build_context,
     counterexample_search,
     verify,
@@ -148,6 +149,25 @@ def test_mcs_candidate_cap_keeps_units_and_full():
     members = [S.members for S in cands]
     assert frozenset(ctx.ring.units) in members
     assert frozenset(range(12)) in members
+
+
+def _labels(candidates):
+    return [S.label() for S in candidates]
+
+
+def test_mcs_catalogue_labels():
+    """The first m.c.s. given per member set names it: S<> for {1}, S<2> for Z9's units."""
+    def ctx(line, **limits):
+        return build_context(parse_corpus_line(line), replace(Limits.defaults(), **limits))
+
+    assert _labels(ctx("polyring(Z2)").poly_mcs_list()) == ["S<>", "S<0>"]
+    assert _labels(ctx("polyring(Z12)").poly_mcs_list()) == [
+        "S<>", "S<0>", "S<5>", "S<7>", "S<11>", "S<2>", "S<1,5,7,11>",
+    ]
+    assert _labels(_small_mcs(ctx("triv(Z12, free(1))").structure.base, 6)) == [
+        "S<>", "S<0>", "S<4>", "S<5>", "S<7>", "S<9>",
+    ]
+    assert _labels(ctx("Z9", mcs_cap=4).mcs_list()) == ["S<>", "S<0>", "S<2>", "S<0,1,2,3,4,5,6,7,8>"]
 
 
 @pytest.mark.parametrize("fac_cap", [1, 2])
@@ -309,6 +329,58 @@ def test_cli_localize(capsys):
     assert main(["localize", "Z6", "--mcs", "3"]) == 0
     out = capsys.readouterr().out
     assert "size 2" in out
+
+
+CLASSIFY_Z12_4_MCS_3 = """\
+ring        Z12
+size        12
+ideal       (4) = {0,4,8}
+r-ideal     Holds
+pr-ideal    Holds
+prime       no (pair (2,2))
+maximal     no
+z0-ideal    NotApplicable  reason=NOT_REDUCED
+mcs         S<3> = {1,3,9}
+S-r-ideal   Holds  witness=1
+S-prime     Fails  counterexample=(2,2)
+S-z0-ideal  NotApplicable  reason=NOT_REDUCED
+uz-ring     Holds
+property A  Holds
+a.c.        Holds
+f.a.c.      Fails  counterexample=(2,3)
+S-uz-ring   Holds
+"""
+
+
+@pytest.mark.parametrize("mcs", ["3", "S<3>"])
+def test_cli_classify_all_predicates_output(capsys, mcs):
+    from ringlab.cli import main
+
+    assert main(["classify", "Z12", "--ideal", "4", "--mcs", mcs, "--all-predicates"]) == 0
+    assert capsys.readouterr().out == CLASSIFY_Z12_4_MCS_3
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["poly", "Z3", "kernel", ""],
+        ["poly", "Z3", "kernel", "1,2"],  # one point, not a point and a generator
+        ["poly", "Z3", "content", "--s-unit-check", "1,,2"],
+    ],
+)
+def test_cli_poly_bad_element_exits_2(capsys, argv):
+    from ringlab.cli import main
+
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and "neither a label nor an index" in captured.err
+
+
+def test_cli_poly_s_unit_check_reads_product_labels(capsys):
+    from ringlab.cli import main
+
+    assert main(["poly", "Z2 x Z2", "content", "--s-unit-check", "(1,1),(1,0)"]) == 0
+    assert capsys.readouterr().out.splitlines()[-1] == "s-unit((1,0)x+(1,1)): no_up_to"
 
 
 def test_cli_parse_error_exit_code(capsys):
