@@ -132,8 +132,8 @@ def is_S_r_ideal(
         return _na(NOT_PROPER)
     if enforce_disjoint and A.mask & S.mask:
         return _na(DISJOINTNESS_VIOLATED)
-    inside = member_row(A)
-    return _uniform_witness(S, lattice(A.ring).witnesses(A), lambda s: _defeat(A, inside[A.ring.mul[s, :]]))
+    good = lattice(A.ring).witnesses(A)
+    return _uniform_witness(S, good, lambda s: _defeat(A, member_row(A)[A.ring.mul[s, :]]))
 
 
 def is_S_prime(

@@ -38,9 +38,13 @@ class _ElementSet:
 
 @dataclass(frozen=True)
 class MulClosedSet(_ElementSet):
-    def product(self) -> int:
-        """The product of every member."""
+    @cached_property
+    def _product(self) -> int:
         return reduce(self.ring.m, self.sorted_members, self.ring.one)
+
+    def product(self) -> int:
+        """The product of every member, computed once per set."""
+        return self._product
 
     def label(self) -> str:
         return f"S<{','.join(self.ring.labels[g] for g in self.generators)}>"
@@ -110,6 +114,7 @@ class IdealLattice:
         self.quotients = {}  # A.mask -> (R/A, projection)
         self.content_tables = {}  # (A.mask, width) -> poly._ContentTables
         self._interned, self._generated, self._sums, self._colons, self._products = {}, {}, {}, {}, {}
+        self._colon_rows = {}  # A.mask -> ((A : x) for every element x)
         self._witnesses = {}  # A.mask -> W(A)
 
     def intern(self, mask: int) -> Ideal:
@@ -152,11 +157,19 @@ class IdealLattice:
             self._generated[gens] = got
         return got
 
+    def colon_rows(self, A: Ideal) -> list:
+        """The mask of (A : x) = {w : wx in A} for every element x, built in one step."""
+        got = self._colon_rows.get(A.mask)
+        if got is None:
+            got = self._colon_rows[A.mask] = _pack(member_row(A)[self.ring.mul].T)
+        return got
+
     def colon(self, A: Ideal, ks: int) -> Ideal:
+        """(A : K), the meet of the rows (A : x) over the x in K."""
         got = self._colons.get((A.mask, ks))
         if got is None:
-            mask = _pack(member_row(A)[self.ring.mul[:, bits(ks)]].all(axis=1))[0] if ks else self.full
-            got = self._colons[(A.mask, ks)] = self.intern(mask)
+            rows = self.colon_rows(A)
+            got = self._colons[(A.mask, ks)] = self.intern(reduce(and_, (rows[x] for x in bits(ks)), self.full))
         return got
 
     def product(self, A: Ideal, B: Ideal) -> Ideal:

@@ -16,8 +16,11 @@ from __future__ import annotations
 
 import random
 import time
+from collections import Counter
 from dataclasses import dataclass, replace
 from math import gcd
+
+import numpy as np
 
 from . import arith as ar
 from . import classify as cl
@@ -53,6 +56,7 @@ from .ideals import (
     jacobson_radical,
     lattice as ideal_lattice,
     localize,
+    mask_of,
     max_ideals,
     mcs_from_members,
     mcs_generate,
@@ -253,16 +257,20 @@ def _record(theorem, ctx, dropped, outcome, annotations=None, hypotheses=None, d
 def _sweep(key, checks, met=True):
     """Run per-instance checks up to the first failure.
 
-    Each check yields None (it passed) or a failure dict.  Returns the
-    outcome (VIOLATION at a failure, VACUOUS when the hypothesis is not
-    ``met`` or nothing was checked, VERIFIED otherwise) and a detail payload
-    counting the checks under `key`, with the failure, if any, under
-    "failure"; an unmet hypothesis runs no check and has no payload.
+    Each check yields None (it passed), a failure dict, or an int: that many
+    checks passed at once.  Returns the outcome (VIOLATION at a failure,
+    VACUOUS when the hypothesis is not ``met`` or nothing was checked,
+    VERIFIED otherwise) and a detail payload counting the checks under `key`,
+    with the failure, if any, under "failure"; an unmet hypothesis runs no
+    check and has no payload.
     """
     if not met:
         return VACUOUS, None
     checked = 0
     for failure in checks:
+        if isinstance(failure, int):
+            checked += failure
+            continue
         checked += 1
         if failure is not None:
             return VIOLATION, {key: checked, "failure": failure}
@@ -354,20 +362,43 @@ def run_t2_5(ctx, dropped):
     """r-ideal pushforward to the localization pulls back to S-r."""
     R = ctx.ring
     need_reg = "s_regular" not in dropped
+    candidates = [S for S in ctx.mcs_list() if not need_reg or S.members <= R.regulars]
+    localized = [(S, localize(R, S)) for S in candidates]
+    pushed_r = {}  # (absorbing idempotent, A.mask) -> whether A pushes forward to an r-ideal
 
-    def checks(A, candidates):
-        for S in candidates:
-            if cl.is_r_ideal(ideal_pushforward(localize(R, S), A)).holds:
+    def checks(A):
+        for S, loc in localized:
+            key = (loc.absorbing_idempotent, A.mask)
+            if key not in pushed_r:
+                pushed_r[key] = cl.is_r_ideal(ideal_pushforward(loc, A)).holds
+            if pushed_r[key]:
                 v = ctx.s_r(A, S)
                 yield None if v.holds else {"mcs": S.label(), "verdict": v.to_json(R)}
 
     for A in ctx.proper_ideals():
-        candidates = [S for S in ctx.mcs_list() if not need_reg or S.members <= R.regulars]
-        outcome, detail = _sweep("implications_checked", checks(A, candidates))
+        outcome, detail = _sweep("implications_checked", checks(A))
         yield _record(
             "T2.5", ctx, dropped, outcome, {"ideal": A.label()},
             {"s_regular_candidates": bool(candidates)}, detail,
         )
+
+
+def _t2_7_sides(A, regs, pre: int) -> dict:
+    """The scaled sides of T2.7 over the elements ``regs``, with ``pre`` a mask.
+
+    s.X lies in B iff X lies in (B : s), and rA is the ideal (Rr)A, so each
+    side is a test of mask inclusion between colon rows: for some s in regs,
+    (Rr meet A) in (rA : s) and (A : r) in (A : s) for every r in regs, and
+    pre in (A : s).
+    """
+    L = ideal_lattice(A.ring)
+    rows = L.colon_rows(A)
+    scaled = [(L.principal[r] & A.mask, L.colon_rows(L.product(L.intern(L.principal[r]), A))) for r in regs]
+    return {
+        "scaled_intersections": any(all(not meet & ~r_rows[s] for meet, r_rows in scaled) for s in regs),
+        "scaled_colons": any(all(not rows[r] & ~rows[s] for r in regs) for s in regs),
+        "localization_preimage": any(not pre & ~rows[s] for s in regs),
+    }
 
 
 def run_t2_7(ctx, dropped):
@@ -376,27 +407,15 @@ def run_t2_7(ctx, dropped):
     S = mcs_from_members(R, R.regulars)
     regs = sorted(R.regulars)
     enforce = "disjoint" not in dropped
+    loc = localize(R, S)
     for A in ctx.ideals():
         if enforce and (not A.is_proper() or S.members & A.members):
             continue
-        loc = localize(R, S)
-        pushed = ideal_pushforward(loc, A)
-        pre = {x for x in R.elements() if int(loc.map.image[x]) in pushed.members}
+        pushed = ideal_pushforward(loc, A).mask
+        pre = mask_of(x for x, y in enumerate(loc.map.image) if pushed >> y & 1)
         sides = {
             "s_r": ctx.s_r(A, S, enforce_proper=enforce, enforce_disjoint=enforce).holds,
-            "scaled_intersections": any(
-                all(
-                    {R.m(s, x) for x in principal_members(R, r) & A.members}
-                    <= {R.m(r, x) for x in A.members}
-                    for r in regs
-                )
-                for s in regs
-            ),
-            "scaled_colons": any(
-                all({R.m(s, x) for x in colon(A, (r,)).members} <= A.members for r in regs)
-                for s in regs
-            ),
-            "localization_preimage": any({R.m(s, x) for x in pre} <= A.members for s in regs),
+            **_t2_7_sides(A, regs, pre),
         }
         yield _record(
             "T2.7", ctx, dropped, VERIFIED if len(set(sides.values())) == 1 else VIOLATION,
@@ -543,40 +562,54 @@ def run_p_jac(ctx, dropped):
 
 
 def run_p_colon(ctx, dropped):
-    """Colon ideals of an S-r ideal stay S-r; annihilators are always S-r."""
+    """Colon ideals of an S-r ideal stay S-r; annihilators are always S-r.
+
+    Each S asks one verdict per distinct derived mask and counts the derived
+    ideals that pass in bulk; only a failing verdict re-walks them in order,
+    so that the count stops at the first failure.
+    """
     R = ctx.ring
+    L = ideal_lattice(R)
     enforce = "disjoint" not in dropped
-    full = ideal_lattice(R).full
     singles = list(R.elements())
     if R.size > 16:
         singles = singles[:: R.size // 16]
+    # K runs over the sampled singletons and every ideal; Ann(K) does not depend on A
+    k_families = [(f"{{{R.labels[x]}}}", 1 << x, annihilator(R, (x,))) for x in singles]
+    k_families += [(B.label(), B.mask, annihilator(R, B.sorted_members)) for B in ctx.ideals()]
+
+    def asked(d, S):
+        return not ((enforce and d.mask & S.mask) or d.mask == L.full)
 
     def checks(A):
-        k_families = [(f"{{{R.labels[x]}}}", (x,)) for x in singles if x not in A.members]
-        k_families += [
-            (B.label(), tuple(B.sorted_members)) for B in ctx.ideals() if not B.members <= A.members
-        ]
         derived = [
             (k_label, kind, d)
-            for k_label, K in k_families
-            for kind, d in (("colon", colon(A, K)), ("annihilator", annihilator(R, K)))
+            for k_label, ks, ann in k_families
+            if ks & ~A.mask
+            for kind, d in (("colon", L.colon(A, ks)), ("annihilator", ann))
         ]
+        distinct = [(L.intern(mask), n) for mask, n in Counter(d.mask for _, _, d in derived).items()]
         for S in ctx.mcs_list():
             if not ctx.s_r(A, S).holds:
                 continue
-            verdicts = {}  # d.mask -> its verdict, asked once per S
+            passed = 0
+            for d, n in distinct:
+                if asked(d, S):
+                    if not ctx.s_r(d, S, enforce_disjoint=enforce).holds:
+                        break
+                    passed += n
+            else:
+                yield passed
+                continue
             for k_label, kind, d in derived:
-                if (enforce and d.mask & S.mask) or d.mask == full:
-                    continue
-                vd = verdicts.get(d.mask)
-                if vd is None:
-                    vd = verdicts[d.mask] = ctx.s_r(d, S, enforce_disjoint=enforce)
-                yield None if vd.holds else {
-                    "mcs": S.label(),
-                    "K": k_label,
-                    "kind": kind,
-                    "verdict": vd.to_json(R),
-                }
+                if asked(d, S):
+                    vd = ctx.s_r(d, S, enforce_disjoint=enforce)
+                    yield None if vd.holds else {
+                        "mcs": S.label(),
+                        "K": k_label,
+                        "kind": kind,
+                        "verdict": vd.to_json(R),
+                    }
 
     for A in ctx.proper_ideals():
         outcome, detail = _sweep("derived_checked", checks(A))
@@ -651,8 +684,7 @@ def run_p_sidem(ctx, dropped):
     R = ctx.ring
 
     def checks(S):
-        s = S.product()
-        T = tuple(a for a in R.elements() if R.m(a, a) == R.m(s, a))
+        T = tuple(np.flatnonzero(R.mul.diagonal() == R.mul[S.product()]).tolist())
         gen_sets = [(f"[{R.labels[a]}]", (a,)) for a in T]
         if len(T) > 1:
             gen_sets.append(("[all]", T))

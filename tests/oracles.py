@@ -2,9 +2,10 @@
 
 Each one checks the package from outside: an ideal's closure, S-units, the
 per-candidate scans of the uniform-witness predicates (S-r, S-prime, S-z0),
-the power iteration of the pr test, the fraction construction of a
-localization, an isomorphism search between finite rings, and the submodule
-lattice of a finite module.
+the power iteration of the pr test, the per-call column test of a colon, the
+set forms of T2.7's scaled sides, the per-entry loops of P-colon and T2.5,
+the fraction construction of a localization, an isomorphism search between
+finite rings, and the submodule lattice of a finite module.
 """
 
 import numpy as np
@@ -21,7 +22,20 @@ from ringlab.classify import (
 from ringlab.config import size_limit
 from ringlab.errors import SizeLimitError, TypeMismatch
 from ringlab.extensions import FiniteModule
-from ringlab.ideals import Ideal, MulClosedSet, annihilator, first_hit, ideal_generate, member_row, principal_members
+from ringlab.ideals import (
+    Ideal,
+    MulClosedSet,
+    annihilator,
+    bits,
+    colon,
+    first_hit,
+    ideal_generate,
+    ideal_pushforward,
+    localize,
+    mask_of,
+    member_row,
+    principal_members,
+)
 from ringlab.rings import FiniteRing, _check_ideal_subset, idempotent_power
 
 
@@ -147,6 +161,95 @@ def ref_is_S_z0_ideal(A: Ideal, S: MulClosedSet, enforce_reduced=True, enforce_d
     if enforce_disjoint and S.members & A.members:
         return Verdict(NOT_APPLICABLE, reason=DISJOINTNESS_VIOLATED)
     return _uniform_scan(S, lambda s: _z0_pair(A, s))
+
+
+def ref_colon_mask(A: Ideal, ks: int) -> int:
+    """(A : K) as one column test per call: w is in it iff wk lies in A for every k in K."""
+    R = A.ring
+    if not ks:
+        return (1 << R.size) - 1
+    return mask_of(np.flatnonzero(member_row(A)[R.mul[:, bits(ks)]].all(axis=1)))
+
+
+def ref_t2_7_sides(A: Ideal, regs, pre) -> dict:
+    """T2.7's scaled sides by scaling each set: for some s in regs, every r in
+    regs has s(Rr meet A) in rA and s(A : r) in A, and s.pre lies in A."""
+    R = A.ring
+    return {
+        "scaled_intersections": any(
+            all(
+                {R.m(s, x) for x in principal_members(R, r) & A.members} <= {R.m(r, x) for x in A.members}
+                for r in regs
+            )
+            for s in regs
+        ),
+        "scaled_colons": any(
+            all({R.m(s, x) for x in colon(A, (r,)).members} <= A.members for r in regs) for s in regs
+        ),
+        "localization_preimage": any({R.m(s, x) for x in pre} <= A.members for s in regs),
+    }
+
+
+def _outcome(checked, failure):
+    detail = {"failure": failure} if failure else {}
+    return ("VIOLATION" if failure else "VERIFIED" if checked else "VACUOUS"), detail
+
+
+def ref_p_colon(ctx, dropped):
+    """P-colon as (ideal label, outcome, detail) per proper ideal, asking
+    ctx.s_r once per derived entry and stopping at the first failure."""
+    R = ctx.ring
+    enforce = "disjoint" not in dropped
+    full = (1 << R.size) - 1
+    singles = list(R.elements())
+    if R.size > 16:
+        singles = singles[:: R.size // 16]
+    out = []
+    for A in ctx.proper_ideals():
+        families = [(f"{{{R.labels[x]}}}", (x,)) for x in singles if x not in A.members]
+        families += [(B.label(), B.sorted_members) for B in ctx.ideals() if not B.members <= A.members]
+        derived = [
+            (label, kind, d)
+            for label, K in families
+            for kind, d in (("colon", colon(A, K)), ("annihilator", annihilator(R, K)))
+        ]
+        checked, failure = 0, None
+        for S in ctx.mcs_list():
+            if failure is not None or not ctx.s_r(A, S).holds:
+                continue
+            for label, kind, d in derived:
+                if (enforce and d.mask & S.mask) or d.mask == full:
+                    continue
+                checked += 1
+                v = ctx.s_r(d, S, enforce_disjoint=enforce)
+                if not v.holds:
+                    failure = {"mcs": S.label(), "K": label, "kind": kind, "verdict": v.to_json(R)}
+                    break
+        outcome, detail = _outcome(checked, failure)
+        out.append((A.label(), outcome, {"derived_checked": checked, **detail}))
+    return out
+
+
+def ref_t2_5(ctx, dropped):
+    """T2.5 as (ideal label, outcome, detail) per proper ideal, localizing and
+    pushing A forward once per (A, S)."""
+    R = ctx.ring
+    need_reg = "s_regular" not in dropped
+    out = []
+    for A in ctx.proper_ideals():
+        checked, failure = 0, None
+        for S in ctx.mcs_list():
+            if need_reg and not S.members <= R.regulars:
+                continue
+            if ref_is_r_ideal(ideal_pushforward(localize(R, S), A)).holds:
+                checked += 1
+                v = ctx.s_r(A, S)
+                if not v.holds:
+                    failure = {"mcs": S.label(), "verdict": v.to_json(R)}
+                    break
+        outcome, detail = _outcome(checked, failure)
+        out.append((A.label(), outcome, {"implications_checked": checked, **detail}))
+    return out
 
 
 def localize_oracle(R: FiniteRing, S: MulClosedSet):

@@ -8,11 +8,13 @@ fresh recomputation.
 """
 
 import gc
+import random
 import sys
 import weakref
 from itertools import combinations
 
 import numpy as np
+import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
 from ringlab.dsl import parse_ring
@@ -25,9 +27,13 @@ from ringlab.ideals import (
     ideal_generate,
     ideal_product,
     ideal_sum,
+    lattice,
     principal_members,
 )
 from ringlab.rings import make_product, make_quotient, make_zn
+
+from oracles import ref_colon_mask
+from test_poly import SEARCH_RINGS
 
 # -- frozenset reference ----------------------------------------------------------
 
@@ -199,6 +205,18 @@ def test_colon_ignores_order_and_duplicates():
     assert colon(A, [6, 4, 4, 6, 6]) is first
     assert colon(A, frozenset({4, 6})) is first
     assert first.members == ref_colon(R, A.members, (4, 6))
+
+
+@pytest.mark.parametrize("expr", SEARCH_RINGS + ["Z2 x Z2 x Z2", "triv(Z2, free(3))", "Z16/(8)"])
+def test_colon_rows_match_the_column_test(expr):
+    R = parse_ring(expr)
+    L = lattice(R)
+    rng = random.Random(expr)
+    ideals = all_ideals(R)
+    for A in ideals:
+        assert L.colon_rows(A) == [ref_colon_mask(A, 1 << x) for x in R.elements()]
+        for ks in [0] + [B.mask for B in ideals] + [rng.getrandbits(R.size) for _ in range(8)]:
+            assert L.colon(A, ks).mask == ref_colon_mask(A, ks), (A.label(), ks)
 
 
 def _populated_ring():

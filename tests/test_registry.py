@@ -1,21 +1,31 @@
 import hashlib
 import json
+import random
 from dataclasses import replace
+from itertools import combinations
 
 import pytest
 
-from ringlab.classify import has_fac
+from ringlab.classify import FAILS, Verdict, has_fac
 from ringlab.corpus import CorpusSpec, Limits, default_corpus, parse_corpus_line
 from ringlab.dsl import parse_ring
 from ringlab.errors import ConfigError, UnknownHypothesis, UnknownTheorem
+from ringlab.ideals import all_ideals, ideal_pushforward, localize, mask_of, mcs_from_members
 from ringlab.registry import (
     CASES,
     DEFAULT_IDS,
+    FiniteContext,
     _small_mcs,
+    _t2_7_sides,
     build_context,
     counterexample_search,
+    run_p_colon,
+    run_t2_5,
     verify,
 )
+
+from oracles import ref_p_colon, ref_t2_5, ref_t2_7_sides
+from test_poly import SEARCH_RINGS
 
 MINI_LINES = [
     "Z12",
@@ -294,6 +304,66 @@ def test_p26_verified_on_failing_entry(mini_records):
 def test_degen_nonvacuous(mini_records):
     degen = [r for r in mini_records if r["theorem"] == "DEGEN"]
     assert degen and all(r["outcome"] == "VERIFIED" for r in degen)
+
+
+# -- the bulk runners against their per-entry loops ------------------------------------------
+
+
+def test_t2_7_mask_sides_match_the_set_forms():
+    """Sets of nonzero elements stand in for the regulars and the preimage, so
+    that sides come out False too: on the corpus every finite side is True,
+    and s = 0 would make every side True.  scaled_intersections holds for
+    every set tried on the SEARCH_RINGS rings; on Z4 x Z4 it fails for
+    A = 2Z4 x 2Z4 and regs {(1,2), (2,1)}, where rA is 2Z4 x 0 for one r
+    and 0 x 2Z4 for the other."""
+    seen = set()
+    for expr in SEARCH_RINGS + ["Z4 x Z4"]:
+        R = parse_ring(expr)
+        loc = localize(R, mcs_from_members(R, R.regulars))
+        rng = random.Random(expr)
+        nonzero = range(1, R.size)
+        for A in all_ideals(R):
+            pushed = ideal_pushforward(loc, A).members
+            draws = [(sorted(R.regulars), {x for x in R.elements() if loc.map.image[x] in pushed})]
+            for regs in [*combinations(nonzero, 2), *(rng.sample(nonzero, min(4, len(nonzero))) for _ in range(4))]:
+                draws.append((sorted(regs), set(rng.sample(nonzero, rng.randint(0, len(nonzero))))))
+            for regs, pre in draws:
+                sides = _t2_7_sides(A, regs, mask_of(pre))
+                assert sides == ref_t2_7_sides(A, regs, pre), (expr, A.label(), regs, pre)
+                seen.update(sides.items())
+    assert seen == {(side, value) for side in sides for value in (True, False)}
+
+
+def _failing_on(ctx, mask, mcs_mask):
+    """Let ctx.s_r report Fails wherever it would hold for the ideal with this
+    mask, at the m.c.s. with ``mcs_mask`` or, when that is None, at every one."""
+
+    def s_r(A, S, **flags):
+        v = FiniteContext.s_r(ctx, A, S, **flags)
+        if v.holds and A.mask == mask and mcs_mask in (None, S.mask):
+            return Verdict(FAILS, counterexample=(0, 0), last_candidate=max(S.members))
+        return v
+
+    ctx.s_r = s_r
+
+
+@pytest.mark.parametrize(
+    "runner,reference,hypothesis", [(run_p_colon, ref_p_colon, "disjoint"), (run_t2_5, ref_t2_5, "s_regular")]
+)
+def test_bulk_runner_failures_match_the_per_entry_loop(runner, reference, hypothesis):
+    """The golden run never fails a derived verdict; one chosen mask failing
+    must give the counts and failure dict of the loop that asks every entry."""
+    counts = []
+    for line in ["Z12", "Z8", "Z6", "Z4 x Z2", "Z2 x Z2 x Z2", "triv(Z2, free(1))"]:
+        ctx = build_context(parse_corpus_line(line), Limits.defaults())
+        for dropped in (frozenset(), frozenset({hypothesis})):
+            for mask in [None] + [A.mask for A in all_ideals(ctx.ring)]:
+                for mcs_mask in (None, mcs_from_members(ctx.ring, ctx.ring.units).mask):
+                    _failing_on(ctx, mask, mcs_mask)
+                    got = [(r["annotations"]["ideal"], r["outcome"], r["detail"]) for r in runner(ctx, dropped)]
+                    assert got == reference(ctx, dropped), (line, dropped, mask, mcs_mask)
+                    counts += [next(iter(detail.values())) for _, outcome, detail in got if outcome == "VIOLATION"]
+    assert min(counts) == 1 and max(counts) > 1
 
 
 # -- CLI ---------------------------------------------------------------------------
