@@ -21,7 +21,7 @@ import numpy as np
 
 from .config import FAC_SUBSET_CAP
 from .ideals import Ideal, MulClosedSet, all_ideals, annihilator, first_hit, ideal_generate, lattice, mask_of
-from .ideals import member_row, min_primes_over, principal_members
+from .ideals import member_row, min_primes_over
 
 HOLDS = "Holds"
 FAILS = "Fails"
@@ -224,11 +224,10 @@ def is_uz_ring(R) -> Verdict:
 
 
 def is_S_uz_ring(R, S: MulClosedSet) -> Verdict:
-    """Every element is an S-unit or a zero divisor."""
-    for a in R.elements():
-        if a in R.zero_divisors:
-            continue
-        if not (principal_members(R, a) & S.members):
+    """Every element is an S-unit or a zero divisor: each regular a has Ra meeting S."""
+    principal = lattice(R).principal
+    for a in sorted(R.regulars):
+        if not principal[a] & S.mask:
             return _fails((a,))
     return _holds()
 

@@ -213,6 +213,13 @@ def cmd_localize(args):
     return 0
 
 
+def _worker_count(text):
+    n = int(text)
+    if n < 1:
+        raise argparse.ArgumentTypeError(f"expected a worker count of at least 1, got {text!r}")
+    return n
+
+
 def build_parser():
     p = argparse.ArgumentParser(prog="ringlab", description="classify ideals and machine-check the S-r-ideal proposition catalogue")
     sub = p.add_subparsers(dest="command", required=True)
@@ -231,7 +238,7 @@ def build_parser():
     v = sub.add_parser("verify", help="run the proposition registry over a corpus")
     v.add_argument("--theorems", help="comma-separated registry ids (default: all)")
     v.add_argument("--corpus", help="corpus file (default: built-in corpus)")
-    v.add_argument("--jobs", type=int, default=1)
+    v.add_argument("--jobs", type=_worker_count, default=1)
     v.add_argument("--json", help="write JSON-lines report here")
     v.add_argument("--timings", action="store_true", help="include wall-time fields (breaks byte-determinism)")
     v.set_defaults(func=cmd_verify)
@@ -240,7 +247,7 @@ def build_parser():
     h.add_argument("theorem")
     h.add_argument("--drop", action="append", help="hypothesis name to stop enforcing")
     h.add_argument("--corpus")
-    h.add_argument("--jobs", type=int, default=1)
+    h.add_argument("--jobs", type=_worker_count, default=1)
     h.add_argument("--json")
     h.add_argument("--timings", action="store_true")
     h.set_defaults(func=cmd_hunt)

@@ -157,6 +157,11 @@ class IdealLattice:
             self._generated[gens] = got
         return got
 
+    def join(self, A: Ideal, B: Ideal) -> Ideal:
+        """A + B: the first ideal, in size order, that contains both."""
+        both = A.mask | B.mask
+        return next(J for J in self.ideals if not both & ~J.mask)
+
     def colon_rows(self, A: Ideal) -> list:
         """The mask of (A : x) = {w : wx in A} for every element x, built in one step."""
         got = self._colon_rows.get(A.mask)
@@ -249,11 +254,6 @@ def _sum_sets(R: FiniteRing, xs, ys) -> frozenset:
     return frozenset(bits(lattice(R).sum(mask_of(xs), mask_of(ys))))
 
 
-def principal_members(R: FiniteRing, g) -> frozenset:
-    L = lattice(R)
-    return L.intern(L.principal[int(g)]).members
-
-
 def ideal_generate(R: FiniteRing, gens) -> Ideal:
     """Smallest ideal containing the generators."""
     return lattice(R).generate(tuple(int(g) for g in gens))
@@ -325,15 +325,15 @@ def mcs_generate(R: FiniteRing, gens) -> MulClosedSet:
     for g in gens:
         if not 0 <= g < R.size:
             raise TypeMismatch(f"generator {g} out of range")
-    members = {R.one, *gens}
-    frontier = list(members)
+    # multiplying by one generator at a time reaches every product: 1, g, g^2, ...
+    rows = [R.mul[g].tolist() for g in gens]
+    members, frontier = {R.one}, [R.one]
     while frontier:
         x = frontier.pop()
-        for y in tuple(members):
-            p = R.m(x, y)
-            if p not in members:
-                members.add(p)
-                frontier.append(p)
+        for row in rows:
+            if row[x] not in members:
+                members.add(row[x])
+                frontier.append(row[x])
     return MulClosedSet(R, frozenset(members), gens, mask_of(members))
 
 

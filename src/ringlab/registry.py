@@ -48,6 +48,7 @@ from .extensions import (
 from .ideals import (
     all_ideals,
     annihilator,
+    bits,
     colon,
     ideal_generate,
     ideal_pushforward,
@@ -61,7 +62,6 @@ from .ideals import (
     mcs_from_members,
     mcs_generate,
     min_primes_over,
-    principal_members,
     spec as prime_spectrum,
 )
 from .poly import (
@@ -326,16 +326,20 @@ def run_p_zero(ctx, dropped):
 
 
 def run_t2_3(ctx, dropped):
-    """Monotone transfer along S1 inside S2, plus the conditional converse."""
+    """Monotone transfer along S1 inside S2, plus the conditional converse.
+
+    Each ideal counts its implications in bulk from its row of verdicts over
+    the m.c.s.; only a failing one re-walks the pairs, as P-colon does.
+    """
     R = ctx.ring
     mcs = ctx.mcs_list()
-    # the converse applies when every s in S2 has some r with rs in S1
-    inclusions = [
-        (S1, S2, all(principal_members(R, s) & S1.members for s in S2.sorted_members))
-        for S1 in mcs
-        for S2 in mcs
-        if S1.members < S2.members
-    ]
+    principal = ideal_lattice(R).principal
+    # above[i]: the j with mcs[i] strictly inside mcs[j]; conv[i]: those j where
+    # the converse applies, every s of mcs[j] having Rs meet mcs[i]
+    above = [mask_of(j for j, S2 in enumerate(mcs) if S1.members < S2.members) for S1 in mcs]
+    meets = [mask_of(s for s, p in enumerate(principal) if p & S1.mask) for S1 in mcs]
+    conv = [mask_of(j for j in bits(up) if not mcs[j].mask & ~m) for up, m in zip(above, meets)]
+    inclusions = [(mcs[i], mcs[j], conv[i] >> j & 1) for i in range(len(mcs)) for j in bits(above[i])]
     enforce = "disjoint" not in dropped
 
     def failure(direction, S1, S2, v):
@@ -346,12 +350,24 @@ def run_t2_3(ctx, dropped):
             "verdict": v.to_json(R),
         }
 
-    def checks(A):
+    def walk(A):
         for S1, S2, converse in inclusions:
             if ctx.s_r(A, S1).holds and (not (S2.members & A.members) or not enforce):
                 yield failure("forward", S1, S2, ctx.s_r(A, S2, enforce_disjoint=enforce))
             if converse and ctx.s_r(A, S2).holds:
                 yield failure("converse", S1, S2, ctx.s_r(A, S1))
+
+    def row(A, **flags):
+        return mask_of(i for i, S in enumerate(mcs) if ctx.s_r(A, S, **flags).holds)
+
+    def checks(A):
+        holds = row(A)
+        to = holds if enforce else row(A, enforce_disjoint=False)  # the verdict forward asks of S2
+        reach = mask_of(j for j, S in enumerate(mcs) if not (enforce and S.mask & A.mask))
+        forward = [above[i] & reach for i in bits(holds)]
+        converse = [conv[i] & holds for i in range(len(mcs))]
+        failed = any(f & ~to for f in forward) or any(c for i, c in enumerate(converse) if not holds >> i & 1)
+        yield from walk(A) if failed else [sum(f.bit_count() for f in forward + converse)]
 
     for A in ctx.proper_ideals():
         outcome, detail = _sweep("implications_checked", checks(A))
@@ -368,10 +384,12 @@ def run_t2_5(ctx, dropped):
 
     def checks(A):
         for S, loc in localized:
-            key = (loc.absorbing_idempotent, A.mask)
-            if key not in pushed_r:
-                pushed_r[key] = cl.is_r_ideal(ideal_pushforward(loc, A)).holds
-            if pushed_r[key]:
+            e = loc.absorbing_idempotent
+            if (e, A.mask) not in pushed_r:
+                # at e = 1 the natural map is an isomorphism onto the copy of R
+                v = ctx.r_verdict(A) if e == R.one else cl.is_r_ideal(ideal_pushforward(loc, A))
+                pushed_r[(e, A.mask)] = v.holds
+            if pushed_r[(e, A.mask)]:
                 v = ctx.s_r(A, S)
                 yield None if v.holds else {"mcs": S.label(), "verdict": v.to_json(R)}
 
@@ -407,15 +425,15 @@ def run_t2_7(ctx, dropped):
     S = mcs_from_members(R, R.regulars)
     regs = sorted(R.regulars)
     enforce = "disjoint" not in dropped
-    loc = localize(R, S)
+    # the pushforward of A is eA, and ex lies in eA iff ex lies in A, so the
+    # preimage of the pushforward is the colon row (A : e)
+    e = localize(R, S).absorbing_idempotent
     for A in ctx.ideals():
         if enforce and (not A.is_proper() or S.members & A.members):
             continue
-        pushed = ideal_pushforward(loc, A).mask
-        pre = mask_of(x for x, y in enumerate(loc.map.image) if pushed >> y & 1)
         sides = {
             "s_r": ctx.s_r(A, S, enforce_proper=enforce, enforce_disjoint=enforce).holds,
-            **_t2_7_sides(A, regs, pre),
+            **_t2_7_sides(A, regs, ideal_lattice(R).colon_rows(A)[e]),
         }
         yield _record(
             "T2.7", ctx, dropped, VERIFIED if len(set(sides.values())) == 1 else VIOLATION,
@@ -619,23 +637,23 @@ def run_p_colon(ctx, dropped):
 def run_p_annsum(ctx, dropped):
     """If K1 + K2 = Rt with t in S then Ann(K1) + Ann(K2) is S-r when disjoint."""
     R = ctx.ring
-    lattice = ctx.ideals()
+    L = ideal_lattice(R)
     enforce = "disjoint" not in dropped
     if ctx.annsum_pre is None:
         ctx.annsum_pre = []
-        generated_by = {}  # principal ideal mask -> the elements generating it
-        for t, mask in enumerate(ideal_lattice(R).principal):
-            generated_by.setdefault(mask, set()).add(t)
-        for i, K1 in enumerate(lattice):
-            for K2 in lattice[i:]:
-                ts = frozenset(generated_by.get(ideal_sum(K1, K2).mask, ()))
+        generated_by = {}  # principal ideal mask -> the mask of the elements generating it
+        for t, mask in enumerate(L.principal):
+            generated_by[mask] = generated_by.get(mask, 0) | 1 << t
+        pairs = [(K, annihilator(R, K.generators)) for K in ctx.ideals()]
+        for i, (K1, ann1) in enumerate(pairs):
+            for K2, ann2 in pairs[i:]:
+                ts = generated_by.get(L.join(K1, K2).mask)
                 if ts:
-                    K = ideal_sum(annihilator(R, K1.generators), annihilator(R, K2.generators))
-                    ctx.annsum_pre.append((K1, K2, ts, K))
+                    ctx.annsum_pre.append((K1, K2, ts, L.join(ann1, ann2)))
 
     def checks(S):
         for K1, K2, ts, K in ctx.annsum_pre:
-            if not (ts & S.members) or (enforce and K.members & S.members) or not K.is_proper():
+            if not ts & S.mask or (enforce and K.mask & S.mask) or K.mask == L.full:
                 continue
             v = ctx.s_r(K, S, enforce_disjoint=enforce)
             yield None if v.holds else {"K1": K1.label(), "K2": K2.label(), "verdict": v.to_json(R)}
@@ -653,14 +671,15 @@ def run_p_minidem(ctx, dropped):
     enforce_disjoint = "disjoint" not in dropped
     zero = ideal_generate(R, ())
     mins = min_primes_over(zero) if zero.is_proper() else ()
-    idems = R.idempotents()
+    idems = [(e, R.mul[e].tolist()) for e in R.idempotents()]
     sums = {}  # (P.mask, se) -> P + Ann(se)
 
     def checks(S):
+        members = S.sorted_members
         for P in mins:
-            for e in idems:
-                for s in S.sorted_members:
-                    se = R.m(s, e)
+            for e, times_e in idems:
+                for s in members:
+                    se = times_e[s]
                     A = sums.get((P.mask, se))
                     if A is None:
                         A = sums[(P.mask, se)] = ideal_sum(P, annihilator(R, (se,)))
@@ -680,7 +699,10 @@ def run_p_minidem(ctx, dropped):
 
 
 def run_p_sidem(ctx, dropped):
-    """Ideals spanned by elements with a^2 = sa (s the product of S) are S-r."""
+    """Ideals spanned by elements with a^2 = sa (s the product of S) are S-r.
+
+    T is the elements that pass that gate, so each span goes straight to its verdict.
+    """
     R = ctx.ring
 
     def checks(S):
@@ -689,7 +711,7 @@ def run_p_sidem(ctx, dropped):
         if len(T) > 1:
             gen_sets.append(("[all]", T))
         for label, gens in gen_sets:
-            v = cl.s_idempotent_ideal_check(R, S, gens)
+            v = ctx.s_r(ideal_generate(R, gens), S)
             if not v.not_applicable:
                 yield None if v.holds else {"generators": label, "verdict": v.to_json(R)}
 

@@ -1,11 +1,13 @@
 """Brute-force references and helpers that only the tests use.
 
-Each one checks the package from outside: an ideal's closure, S-units, the
-per-candidate scans of the uniform-witness predicates (S-r, S-prime, S-z0),
-the power iteration of the pr test, the per-call column test of a colon, the
-set forms of T2.7's scaled sides, the per-entry loops of P-colon and T2.5,
-the fraction construction of a localization, an isomorphism search between
-finite rings, and the submodule lattice of a finite module.
+Each one checks the package from outside: an ideal's closure, principal
+ideals, S-units, the pairwise closure of an m.c.s., the per-candidate scans
+of the uniform-witness predicates (S-r, S-prime, S-z0), the element loop of
+S-uz, the power iteration of the pr test, the per-call column test of a
+colon, the set forms of T2.7's scaled sides, the per-entry loops of T2.3,
+T2.5, P-colon and P-annsum, the fraction construction of a localization, an
+isomorphism search between finite rings, and the submodule lattice of a
+finite module.
 """
 
 import numpy as np
@@ -31,10 +33,10 @@ from ringlab.ideals import (
     first_hit,
     ideal_generate,
     ideal_pushforward,
+    ideal_sum,
     localize,
     mask_of,
     member_row,
-    principal_members,
 )
 from ringlab.rings import FiniteRing, _check_ideal_subset, idempotent_power
 
@@ -46,11 +48,40 @@ def validate_ideal(A: Ideal) -> None:
         raise TypeMismatch("ideal members differ from the span of its generators")
 
 
+def ref_principal(R: FiniteRing, g: int) -> frozenset:
+    """The principal ideal Rg, read off the multiplication table."""
+    return frozenset(int(v) for v in np.unique(R.mul[:, g]))
+
+
 def s_units(R: FiniteRing, S: MulClosedSet) -> frozenset:
     """{a : the principal ideal Ra meets S}."""
     if S.ring is not R:
         raise TypeMismatch("m.c.s. belongs to a different ring")
-    return frozenset(a for a in R.elements() if principal_members(R, a) & S.members)
+    return frozenset(a for a in R.elements() if ref_principal(R, a) & S.members)
+
+
+def ref_mcs_closure(R: FiniteRing, gens) -> frozenset:
+    """The members of the m.c.s. generated by gens: {1} and gens closed under
+    the product of every pair of members."""
+    members = {R.one, *gens}
+    frontier = list(members)
+    while frontier:
+        x = frontier.pop()
+        for y in tuple(members):
+            p = R.m(x, y)
+            if p not in members:
+                members.add(p)
+                frontier.append(p)
+    return frozenset(members)
+
+
+def ref_is_S_uz_ring(R: FiniteRing, S: MulClosedSet) -> Verdict:
+    """S-uz by the element loop: the first element that is neither a zero
+    divisor nor an S-unit fails it."""
+    for a in R.elements():
+        if a not in R.zero_divisors and not ref_principal(R, a) & S.members:
+            return Verdict(FAILS, counterexample=(a,))
+    return Verdict(HOLDS)
 
 
 def _uniform_scan(S: MulClosedSet, defeat) -> Verdict:
@@ -178,7 +209,7 @@ def ref_t2_7_sides(A: Ideal, regs, pre) -> dict:
     return {
         "scaled_intersections": any(
             all(
-                {R.m(s, x) for x in principal_members(R, r) & A.members} <= {R.m(r, x) for x in A.members}
+                {R.m(s, x) for x in ref_principal(R, r) & A.members} <= {R.m(r, x) for x in A.members}
                 for r in regs
             )
             for s in regs
@@ -227,6 +258,70 @@ def ref_p_colon(ctx, dropped):
                     break
         outcome, detail = _outcome(checked, failure)
         out.append((A.label(), outcome, {"derived_checked": checked, **detail}))
+    return out
+
+
+def ref_t2_3(ctx, dropped):
+    """T2.3 as (ideal label, outcome, detail) per proper ideal: the converse
+    hypothesis decided by the principal ideal of every s of S2, and ctx.s_r
+    asked once per implication, stopping at the first failure."""
+    R = ctx.ring
+    mcs = ctx.mcs_list()
+    enforce = "disjoint" not in dropped
+    inclusions = [
+        (S1, S2, all(ref_principal(R, s) & S1.members for s in S2.sorted_members))
+        for S1 in mcs
+        for S2 in mcs
+        if S1.members < S2.members
+    ]
+
+    def implications(A):
+        for S1, S2, converse in inclusions:
+            if ctx.s_r(A, S1).holds and (not (S2.members & A.members) or not enforce):
+                yield "forward", S1, S2, ctx.s_r(A, S2, enforce_disjoint=enforce)
+            if converse and ctx.s_r(A, S2).holds:
+                yield "converse", S1, S2, ctx.s_r(A, S1)
+
+    out = []
+    for A in ctx.proper_ideals():
+        checked, failure = 0, None
+        for direction, S1, S2, v in implications(A):
+            checked += 1
+            if not v.holds:
+                failure = {"direction": direction, "mcs1": S1.label(), "mcs2": S2.label(), "verdict": v.to_json(R)}
+                break
+        outcome, detail = _outcome(checked, failure)
+        out.append((A.label(), outcome, {"implications_checked": checked, **detail}))
+    return out
+
+
+def ref_p_annsum(ctx, dropped):
+    """P-annsum as (m.c.s. label, outcome, detail) per m.c.s.: the (K1, K2)
+    table built with ideal_sum and the principal ideal of every t, and ctx.s_r
+    asked once per pair, stopping at the first failure."""
+    R = ctx.ring
+    enforce = "disjoint" not in dropped
+    ideals = ctx.ideals()
+    table = []
+    for i, K1 in enumerate(ideals):
+        for K2 in ideals[i:]:
+            total = ideal_sum(K1, K2).members
+            ts = {t for t in R.elements() if ref_principal(R, t) == total}
+            if ts:
+                table.append((K1, K2, ts, ideal_sum(annihilator(R, K1.generators), annihilator(R, K2.generators))))
+    out = []
+    for S in ctx.mcs_list():
+        checked, failure = 0, None
+        for K1, K2, ts, K in table:
+            if not ts & S.members or (enforce and K.members & S.members) or not K.is_proper():
+                continue
+            checked += 1
+            v = ctx.s_r(K, S, enforce_disjoint=enforce)
+            if not v.holds:
+                failure = {"K1": K1.label(), "K2": K2.label(), "verdict": v.to_json(R)}
+                break
+        outcome, detail = _outcome(checked, failure)
+        out.append((S.label(), outcome, {"sums_checked": checked, **detail}))
     return out
 
 

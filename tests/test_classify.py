@@ -29,19 +29,23 @@ from ringlab.ideals import (
     jacobson_radical,
     localize,
     ideal_pushforward,
+    mask_of,
     max_ideals,
+    MulClosedSet,
     mcs_from_members,
     mcs_generate,
     min_primes_over,
-    principal_members,
     spec,
 )
 from ringlab.corpus import Limits, parse_corpus_line
-from ringlab.registry import build_context
+from ringlab.dsl import parse_ring
+from ringlab.registry import _small_mcs, build_context
 from ringlab.rings import make_product, make_zn
 
 from oracles import (
+    ref_principal,
     ref_is_pr_ideal,
+    ref_is_S_uz_ring,
     ref_is_r_ideal,
     ref_is_S_prime,
     ref_is_S_r_ideal,
@@ -437,7 +441,7 @@ def test_four_way_characterization_at_regulars(z12):
         a_side = is_S_r_ideal(A, S).holds
         b_side = any(
             all(
-                {R.m(s, x) for x in (principal_members(R, r) & A.members)}
+                {R.m(s, x) for x in (ref_principal(R, r) & A.members)}
                 <= {R.m(r, x) for x in A.members}
                 for r in regs
             )
@@ -478,7 +482,7 @@ def test_annihilator_sum_property(z12):
         for K1 in lattice:
             for K2 in lattice:
                 total = ideal_sum(K1, K2)
-                ok_t = [t for t in S.sorted_members if principal_members(z12, t) == total.members]
+                ok_t = [t for t in S.sorted_members if ref_principal(z12, t) == total.members]
                 if not ok_t:
                     continue
                 K = ideal_sum(annihilator(z12, K1.members), annihilator(z12, K2.members))
@@ -537,3 +541,19 @@ def test_s_uz_equivalence(z12):
             if A.is_proper() and not (A.members & S.members)
         )
         assert lhs == is_S_uz_ring(z12, S).holds
+
+
+def test_s_uz_mask_form_matches_the_element_loop():
+    """Over a finite ring every m.c.s. makes it S-uz, since each regular
+    element is a unit and 1 lies in S; so each m.c.s. is also tried without
+    1, where the mask form must fail at the same element as the loop."""
+    outcomes = set()
+    for expr in SEARCH_RINGS + ["Z4 x Z4"]:
+        R = parse_ring(expr)
+        for S in _small_mcs(R):
+            others = S.members - {R.one}
+            for T in (S, MulClosedSet(R, others, S.generators, mask_of(others))):
+                v = is_S_uz_ring(R, T)
+                assert v == ref_is_S_uz_ring(R, T), (expr, T.label())
+                outcomes.add(v.outcome)
+    assert outcomes == {"Holds", "Fails"}

@@ -22,17 +22,17 @@ from ringlab.ideals import (
     _sum_sets,
     all_ideals,
     annihilator,
+    bits,
     colon,
     ideal_from_members,
     ideal_generate,
     ideal_product,
     ideal_sum,
     lattice,
-    principal_members,
 )
 from ringlab.rings import make_product, make_quotient, make_zn
 
-from oracles import ref_colon_mask
+from oracles import ref_colon_mask, ref_principal
 from test_poly import SEARCH_RINGS
 
 # -- frozenset reference ----------------------------------------------------------
@@ -40,10 +40,6 @@ from test_poly import SEARCH_RINGS
 
 def ref_sum_sets(R, xs, ys):
     return frozenset(int(R.add[x, y]) for x in xs for y in ys)
-
-
-def ref_principal(R, g):
-    return frozenset(int(v) for v in np.unique(R.mul[:, g]))
 
 
 def ref_generate(R, gens):
@@ -128,28 +124,28 @@ def _sample(rng, items, k):
 @settings(max_examples=40, derandomize=True, deadline=None, suppress_health_check=[HealthCheck.too_slow])
 @given(R=small_rings(), rng=st.randoms(use_true_random=False))
 def test_kernel_matches_frozenset_reference(R, rng):
-    lattice = all_ideals(R)
+    ideals = all_ideals(R)
     reference = ref_all_ideals(R)
-    assert [A.members for A in lattice] == reference
-    assert [A.generators for A in lattice] == [ref_canonical_generators(R, s) for s in reference]
-    for A in lattice:
+    assert [A.members for A in ideals] == reference
+    assert [A.generators for A in ideals] == [ref_canonical_generators(R, s) for s in reference]
+    for A in ideals:
         assert ideal_from_members(R, A.members) is A
         assert ideal_generate(R, A.generators) is A
     for g in R.elements():
-        assert principal_members(R, g) == ref_principal(R, g)
+        assert frozenset(bits(lattice(R).principal[g])) == ref_principal(R, g)
         ann = annihilator(R, (g,))
         assert ann.members == ref_annihilator(R, (g,))
         assert ann.generators == ref_canonical_generators(R, ann.members)
     subsets = [tuple(rng.sample(range(R.size), rng.randint(0, min(4, R.size)))) for _ in range(6)]
-    subsets += [A.sorted_members for A in _sample(rng, lattice, 4)]
+    subsets += [A.sorted_members for A in _sample(rng, ideals, 4)]
     for T in subsets:
         assert annihilator(R, T).members == ref_annihilator(R, T)
         assert _sum_sets(R, T, subsets[0]) == ref_sum_sets(R, T, subsets[0])
-        for A in _sample(rng, lattice, 5):
+        for A in _sample(rng, ideals, 5):
             got = colon(A, T)
             assert got.members == ref_colon(R, A.members, T)
             assert got.generators == ref_canonical_generators(R, got.members)
-    for A, B in _sample(rng, combinations(lattice, 2), 25):
+    for A, B in _sample(rng, combinations(ideals, 2), 25):
         total = ideal_sum(A, B)
         assert total.members == ref_sum_sets(R, A.members, B.members)
         assert total.generators == ref_canonical_generators(R, total.members)
@@ -242,3 +238,11 @@ def test_ring_with_a_populated_lattice_is_collected():
     del R
     gc.collect()
     assert alive() is None
+
+
+def test_lattice_join_matches_ideal_sum():
+    for expr in SEARCH_RINGS + ["Z4 x Z4"]:
+        R = parse_ring(expr)
+        for A in all_ideals(R):
+            for B in all_ideals(R):
+                assert lattice(R).join(A, B) is ideal_sum(A, B), (expr, A.label(), B.label())

@@ -1,3 +1,4 @@
+import random
 from itertools import combinations
 
 import pytest
@@ -17,6 +18,7 @@ from ringlab.ideals import (
     jacobson_radical,
     lattice,
     localize,
+    mask_of,
     max_ideals,
     mcs_from_members,
     mcs_generate,
@@ -26,7 +28,8 @@ from ringlab.ideals import (
 )
 from ringlab.rings import make_product, make_zn
 
-from oracles import find_isomorphism, localize_oracle, s_units, validate_ideal
+from oracles import find_isomorphism, localize_oracle, ref_mcs_closure, s_units, validate_ideal
+from test_poly import SEARCH_RINGS
 
 
 @pytest.fixture(scope="module")
@@ -306,3 +309,36 @@ def test_ideal_sum_and_product(z12):
     assert ideal_product(A, B).members == {0}  # 24 = 0 mod 12
     C = ideal_generate(z12, [2])
     assert ideal_product(C, C).members == ideal_generate(z12, [4]).members
+
+
+def test_mcs_generate_matches_the_pairwise_closure():
+    """Multiplying by one generator at a time reaches every product of
+    generators: the powers of each single element, and random sets of two and
+    three generators."""
+    for expr in SEARCH_RINGS + ["Z4 x Z4"]:
+        R = parse_ring(expr)
+        rng = random.Random(expr)
+        gen_sets = [()] + [(g,) for g in R.elements()]
+        gen_sets += [tuple(rng.sample(range(R.size), min(k, R.size))) for k in (2, 3) for _ in range(5)]
+        for gens in gen_sets:
+            S = mcs_generate(R, gens)
+            assert S.members == ref_mcs_closure(R, gens), (expr, gens)
+            assert S.mask == mask_of(S.members) and S.generators == gens
+
+
+def test_colon_row_at_e_is_the_preimage_of_the_pushforward():
+    """The pushforward of A to eR is eA, and ex lies in eA iff ex lies in A,
+    so its preimage under x -> ex is (A : e); e = 1 and e != 1 both occur
+    (Z12 at S<3> localizes at e = 9)."""
+    seen = set()
+    for expr in SEARCH_RINGS + ["Z4 x Z4"]:
+        R = parse_ring(expr)
+        for S in [mcs_generate(R, ())] + [mcs_generate(R, (g,)) for g in R.elements()]:
+            loc = localize(R, S)
+            e = loc.absorbing_idempotent
+            seen.add(e == R.one)
+            for A in all_ideals(R):
+                pushed = ideal_pushforward(loc, A).members
+                pre = mask_of(x for x in R.elements() if loc.map.image[x] in pushed)
+                assert lattice(R).colon_rows(A)[e] == pre, (expr, S.label(), A.label())
+    assert seen == {True, False}

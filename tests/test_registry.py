@@ -19,12 +19,14 @@ from ringlab.registry import (
     _t2_7_sides,
     build_context,
     counterexample_search,
+    run_p_annsum,
     run_p_colon,
+    run_t2_3,
     run_t2_5,
     verify,
 )
 
-from oracles import ref_p_colon, ref_t2_5, ref_t2_7_sides
+from oracles import ref_p_annsum, ref_p_colon, ref_t2_3, ref_t2_5, ref_t2_7_sides
 from test_poly import SEARCH_RINGS
 
 MINI_LINES = [
@@ -348,11 +350,19 @@ def _failing_on(ctx, mask, mcs_mask):
 
 
 @pytest.mark.parametrize(
-    "runner,reference,hypothesis", [(run_p_colon, ref_p_colon, "disjoint"), (run_t2_5, ref_t2_5, "s_regular")]
+    "runner,reference,hypothesis",
+    [
+        (run_p_colon, ref_p_colon, "disjoint"),
+        (run_t2_5, ref_t2_5, "s_regular"),
+        (run_t2_3, ref_t2_3, "disjoint"),
+        (run_p_annsum, ref_p_annsum, "disjoint"),
+    ],
 )
 def test_bulk_runner_failures_match_the_per_entry_loop(runner, reference, hypothesis):
     """The golden run never fails a derived verdict; one chosen mask failing
-    must give the counts and failure dict of the loop that asks every entry."""
+    must give the counts and failure dict of the loop that asks every entry.
+    A record is named by its first annotation: the ideal, or the m.c.s. for
+    P-annsum."""
     counts = []
     for line in ["Z12", "Z8", "Z6", "Z4 x Z2", "Z2 x Z2 x Z2", "triv(Z2, free(1))"]:
         ctx = build_context(parse_corpus_line(line), Limits.defaults())
@@ -360,7 +370,7 @@ def test_bulk_runner_failures_match_the_per_entry_loop(runner, reference, hypoth
             for mask in [None] + [A.mask for A in all_ideals(ctx.ring)]:
                 for mcs_mask in (None, mcs_from_members(ctx.ring, ctx.ring.units).mask):
                     _failing_on(ctx, mask, mcs_mask)
-                    got = [(r["annotations"]["ideal"], r["outcome"], r["detail"]) for r in runner(ctx, dropped)]
+                    got = [(next(iter(r["annotations"].values())), r["outcome"], r["detail"]) for r in runner(ctx, dropped)]
                     assert got == reference(ctx, dropped), (line, dropped, mask, mcs_mask)
                     counts += [next(iter(detail.values())) for _, outcome, detail in got if outcome == "VIOLATION"]
     assert min(counts) == 1 and max(counts) > 1
@@ -482,6 +492,15 @@ def test_cli_verify_bad_corpus_ring_exits_2(tmp_path, capsys, jobs):
     corpus.write_text("Z6\nQ8\n", encoding="utf-8")
     assert main(["verify", "--corpus", str(corpus), "--jobs", jobs]) == 2
     assert "Q8" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", [["verify"], ["hunt", "T2.3"]])
+@pytest.mark.parametrize("jobs", ["0", "-1"])
+def test_cli_rejects_a_worker_count_below_1(capsys, command, jobs):
+    from ringlab.cli import main
+
+    assert main([*command, "--jobs", jobs]) == 2
+    assert "--jobs" in capsys.readouterr().err
 
 
 def test_cli_verify_timings_adds_wall_time(tmp_path, capsys):
