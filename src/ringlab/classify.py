@@ -255,11 +255,21 @@ def has_fac(R, cap: int = None) -> Verdict:
     For every nonempty T of bounded size some w in T must satisfy
     Ann(T) = Ann(w).  The cap is a documented sweep bound, not part of the
     condition itself.
+
+    Ann(T) depends only on the annihilator classes T meets, and a T inside
+    one class passes, so T runs over the classes' first members.  If every
+    pair passes, the annihilators form a chain, and every T passes with its
+    least mask: the first failure is a pair.  The lex-first failing pair
+    (a, b) of elements gives the failing pair of their classes' first
+    members, sorted; it is elementwise <= (a, b), so it is (a, b) itself.
+    On Holds at most C(c, 3) sets are tried, where c <= log2 n + 1 is the
+    length of the chain.
     """
     cap = FAC_SUBSET_CAP if cap is None else cap
-    ann = lattice(R).ann
+    L = lattice(R)
+    ann, reps = L.ann, [cls[0] for cls in L.ann_classes]
     for size in range(2, cap + 1):
-        for T in combinations(R.elements(), size):
+        for T in combinations(reps, size):
             masks = [ann[t] for t in T]
             if reduce(and_, masks) not in masks:
                 return _fails(T)

@@ -16,7 +16,7 @@ from . import classify as cl
 from .corpus import Limits, default_corpus, load_corpus
 from .dsl import parse_element, parse_ideal, parse_mcs, parse_ring, split_top
 from .errors import RinglabError
-from .ideals import all_ideals, is_maximal, is_prime, localize, prime_violation
+from .ideals import all_ideals, is_maximal, is_prime, localize, max_ideals, prime_violation, spec
 from .poly import (
     NO,
     PolyIdealSpec,
@@ -109,17 +109,11 @@ def cmd_classify(args):
 def cmd_ideals(args):
     ring = parse_ring(args.ring)
     lattice = all_ideals(ring)
+    tables = (("prime", {P.mask for P in spec(ring)}), ("maximal", {M.mask for M in max_ideals(ring)}))
     print(f"{ring.recipe}: {len(lattice)} ideals")
     for A in lattice:
         members = ",".join(ring.labels[m] for m in A.sorted_members)
-        tags = []
-        if A.is_proper():
-            if is_prime(A):
-                tags.append("prime")
-            if is_maximal(A):
-                tags.append("maximal")
-        else:
-            tags.append("improper")
+        tags = [name for name, masks in tables if A.mask in masks] if A.is_proper() else ["improper"]
         tag = f"  [{' '.join(tags)}]" if tags else ""
         print(f"  {A.label():<12} {{{members}}}{tag}")
     return 0

@@ -19,7 +19,8 @@ SIZE_LIMIT_CEILING = 4096
 DEFAULT_DEGREE = 3
 MAX_DEGREE = 8
 
-# Finite-annihilator-condition sweep: subsets of size <= this cap.
+# Finite-annihilator-condition sweep: subsets of size <= this cap.  A set past
+# size 2 can never fail first (classify.has_fac), so sizes 3.. only confirm.
 FAC_SUBSET_CAP = 3
 
 # Seeded content-identity sweeps (documented fixed seed for reproducibility).

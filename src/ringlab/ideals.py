@@ -226,12 +226,14 @@ class IdealLattice:
         return tuple(self.intern(m) for _, _, m in sorted((m.bit_count(), bits(m), m) for m in seen))
 
     @cached_property
-    def spec(self) -> tuple:
-        return tuple(A for A in self.ideals if is_prime(A))
-
-    @cached_property
     def max_ideals(self) -> tuple:
-        return tuple(A for A in self.ideals if is_maximal(A))
+        """In lattice order, from one descending pass: a proper ideal is
+        maximal iff no maximal ideal found so far, each larger, contains it."""
+        found = []
+        for A in reversed(self.ideals):
+            if A.is_proper() and not any(A.mask & ~M.mask == 0 for M in found):
+                found.append(A)
+        return tuple(reversed(found))
 
     @cached_property
     def ann_classes(self) -> tuple:
@@ -292,15 +294,12 @@ def is_prime(A: Ideal) -> bool:
 
 
 def spec(R: FiniteRing):
-    """All prime ideals."""
-    return lattice(R).spec
+    """All prime ideals: the maximal ones, as R/P is a finite domain, hence a field."""
+    return lattice(R).max_ideals
 
 
 def is_maximal(A: Ideal) -> bool:
-    full = lattice(A.ring).full
-    return A.is_proper() and not any(
-        B.mask not in (A.mask, full) and A.mask | B.mask == B.mask for B in all_ideals(A.ring)
-    )
+    return any(M.mask == A.mask for M in max_ideals(A.ring))
 
 
 def max_ideals(R: FiniteRing):
@@ -308,11 +307,10 @@ def max_ideals(R: FiniteRing):
 
 
 def min_primes_over(A: Ideal):
-    """Minimal primes containing A."""
+    """Minimal primes containing A: every one, as distinct maximal ideals are incomparable."""
     if not A.is_proper():
         raise NotProperError("minimal primes are defined over proper ideals")
-    over = [P for P in spec(A.ring) if A.members <= P.members]
-    return tuple(P for P in over if not any(Q.members < P.members for Q in over))
+    return tuple(P for P in spec(A.ring) if A.mask & ~P.mask == 0)
 
 
 def jacobson_radical(R: FiniteRing) -> Ideal:

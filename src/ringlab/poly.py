@@ -238,6 +238,11 @@ def _tuple_regular(R: FiniteRing, coeffs, masks) -> bool:
     return acc == 1
 
 
+def _check_degree(max_degree: int) -> None:
+    if not 0 <= max_degree <= MAX_DEGREE:
+        raise DegreeLimitError(f"degree {max_degree} outside 0..{MAX_DEGREE}")
+
+
 def bounded_S_r_search(spec: PolyIdealSpec, S_const: MulClosedSet, max_degree: int) -> PolyVerdict:
     """Search degree <= max_degree for a pair defeating every constant s.
 
@@ -272,8 +277,7 @@ def bounded_S_r_search(spec: PolyIdealSpec, S_const: MulClosedSet, max_degree: i
     R = spec.base
     if S_const.ring is not R:
         raise TypeMismatch("constant set belongs to a different ring")
-    if max_degree > MAX_DEGREE:
-        raise DegreeLimitError(f"degree {max_degree} beyond the cap {MAX_DEGREE}")
+    _check_degree(max_degree)
     masks = lattice(R).ann
     svals = S_const.sorted_members
 
@@ -404,6 +408,7 @@ def poly_s_unit_check(f: Poly, S_const: MulClosedSet, max_degree: int) -> PolySU
     R = f.base
     if S_const.ring is not R:
         raise TypeMismatch("constant set belongs to a different ring")
+    _check_degree(max_degree)
     zero_in_s = 0 in S_const.members
     if not zero_in_s and not f.is_zero() and f.coeffs[0] == 0:
         return PolySUnitResult(S_UNIT_ANALYTIC_NO)

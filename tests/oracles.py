@@ -3,12 +3,16 @@
 Each one checks the package from outside: an ideal's closure, principal
 ideals, S-units, the pairwise closure of an m.c.s., the per-candidate scans
 of the uniform-witness predicates (S-r, S-prime, S-z0), the element loop of
-S-uz, the power iteration of the pr test, the per-call column test of a
-colon, the set forms of T2.7's scaled sides, the per-entry loops of T2.3,
-T2.5, P-colon and P-annsum, the fraction construction of a localization, an
-isomorphism search between finite rings, and the submodule lattice of a
-finite module.
+S-uz, the element-subset loop of f.a.c., the per-ideal maximality scan, the
+power iteration of the pr test, the per-call column test of a colon, the set
+forms of T2.7's scaled sides, the per-entry loops of T2.3, T2.5, P-colon and
+P-annsum, the fraction construction of a localization, an isomorphism search
+between finite rings, and the submodule lattice of a finite module.
 """
+
+from functools import reduce
+from itertools import combinations
+from operator import and_
 
 import numpy as np
 
@@ -27,6 +31,7 @@ from ringlab.extensions import FiniteModule
 from ringlab.ideals import (
     Ideal,
     MulClosedSet,
+    all_ideals,
     annihilator,
     bits,
     colon,
@@ -82,6 +87,28 @@ def ref_is_S_uz_ring(R: FiniteRing, S: MulClosedSet) -> Verdict:
         if a not in R.zero_divisors and not ref_principal(R, a) & S.members:
             return Verdict(FAILS, counterexample=(a,))
     return Verdict(HOLDS)
+
+
+def ref_has_fac(R: FiniteRing, cap: int) -> Verdict:
+    """f.a.c. by the element-subset loop: the first T of size 2..cap, by size
+    then lexicographically, whose joint annihilator is no member's own."""
+    ann = [mask_of(np.flatnonzero(R.mul[:, a] == 0)) for a in R.elements()]
+    for size in range(2, cap + 1):
+        for T in combinations(R.elements(), size):
+            masks = [ann[t] for t in T]
+            if reduce(and_, masks) not in masks:
+                return Verdict(FAILS, counterexample=T)
+    return Verdict(HOLDS)
+
+
+def ref_max_ideals(R: FiniteRing) -> tuple:
+    """The proper ideals that no other proper ideal contains, by one scan per ideal."""
+    ideals, full = all_ideals(R), (1 << R.size) - 1
+
+    def inside_another(A):
+        return any(B.mask not in (A.mask, full) and A.mask | B.mask == B.mask for B in ideals)
+
+    return tuple(A for A in ideals if A.is_proper() and not inside_another(A))
 
 
 def _uniform_scan(S: MulClosedSet, defeat) -> Verdict:

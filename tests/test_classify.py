@@ -26,6 +26,7 @@ from ringlab.ideals import (
     colon,
     ideal_generate,
     ideal_sum,
+    is_prime,
     jacobson_radical,
     localize,
     ideal_pushforward,
@@ -43,6 +44,8 @@ from ringlab.registry import _small_mcs, build_context
 from ringlab.rings import make_product, make_zn
 
 from oracles import (
+    ref_has_fac,
+    ref_max_ideals,
     ref_principal,
     ref_is_pr_ideal,
     ref_is_S_uz_ring,
@@ -332,6 +335,32 @@ def test_fac_holds_for_chain_rings():
     # Z_{p^k} annihilators are totally ordered, so the minimum works
     for n in (4, 8, 9, 27, 25):
         assert has_fac(make_zn(n)).holds
+
+
+LATTICE_RINGS = SEARCH_RINGS + [f"Z{n}" for n in range(13, 65)] + [
+    "Z2 x Z2 x Z2", "Z2 x Z2 x Z2 x Z2", "Z4 x Z4", "Z16/(8)",
+    "triv(Z2, free(3))", "amalg(Z4, Z4, id, (2))", "loc(Z12, S<3>)",
+]
+
+
+def test_fac_over_class_representatives_matches_the_element_loop():
+    """The whole Verdict, counterexample included, for caps 1 to 4; the
+    element loop's cap-4 sweep is skipped above 40 elements."""
+    outcomes = set()
+    for expr in LATTICE_RINGS:
+        R = parse_ring(expr)
+        for cap in range(1, 5 if R.size <= 40 else 4):
+            v = has_fac(R, cap)
+            assert v == ref_has_fac(R, cap), (expr, cap)
+            outcomes.add(v.outcome)
+    assert outcomes == {"Holds", "Fails"}
+
+
+def test_spec_and_max_ideals_match_the_scans():
+    for expr in LATTICE_RINGS:
+        R = parse_ring(expr)
+        assert spec(R) == tuple(A for A in all_ideals(R) if is_prime(A)), expr
+        assert max_ideals(R) == ref_max_ideals(R), expr
 
 
 # -- scaled idempotents ----------------------------------------------------------------

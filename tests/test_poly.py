@@ -404,6 +404,18 @@ def test_root_obstruction_reported(z2):
     assert res.obstructions == (1,)
 
 
+def test_negative_degree_is_refused():
+    """(1+2x)^2 = 1 over Z4, so a degree -1 search must not report "no"."""
+    z4 = make_zn(4)
+    S = mcs_generate(z4, [])
+    with pytest.raises(DegreeLimitError):
+        poly_s_unit_check(Poly.make(z4, [1, 2]), S, -1)
+    B = ideal_generate(z4, [2])
+    for spec in (PolyIdealSpec.content(B), PolyIdealSpec.eval_kernel(1, B)):
+        with pytest.raises(DegreeLimitError):
+            bounded_S_r_search(spec, S, -1)
+
+
 # -- content search against the loop reference --------------------------------------------
 #
 # The reference is the full-degree scan: each escaping z-bar of degree 0..D

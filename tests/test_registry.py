@@ -383,8 +383,33 @@ def test_cli_ideals(capsys):
     from ringlab.cli import main
 
     assert main(["ideals", "Z12"]) == 0
-    out = capsys.readouterr().out
-    assert "6 ideals" in out
+    assert capsys.readouterr().out == (
+        "Z12: 6 ideals\n"
+        "  (0)          {0}\n"
+        "  (6)          {0,6}\n"
+        "  (4)          {0,4,8}\n"
+        "  (3)          {0,3,6,9}  [prime maximal]\n"
+        "  (2)          {0,2,4,6,8,10}  [prime maximal]\n"
+        "  (1)          {0,1,2,3,4,5,6,7,8,9,10,11}  [improper]\n"
+    )
+
+
+def test_cli_ideals_of_a_product_with_three_maximal_ideals(capsys):
+    from ringlab.cli import main
+
+    assert main(["ideals", "Z2 x Z2 x Z2"]) == 0
+    assert capsys.readouterr().out == (
+        "(Z2 x Z2) x Z2: 8 ideals\n"
+        "  (0)          {((0,0),0)}\n"
+        "  (((0,0),1))  {((0,0),0),((0,0),1)}\n"
+        "  (((0,1),0))  {((0,0),0),((0,1),0)}\n"
+        "  (((1,0),0))  {((0,0),0),((1,0),0)}\n"
+        "  (((0,0),1),((0,1),0)) {((0,0),0),((0,0),1),((0,1),0),((0,1),1)}  [prime maximal]\n"
+        "  (((0,0),1),((1,0),0)) {((0,0),0),((0,0),1),((1,0),0),((1,0),1)}  [prime maximal]\n"
+        "  (((0,1),0),((1,0),0)) {((0,0),0),((0,1),0),((1,0),0),((1,1),0)}  [prime maximal]\n"
+        "  (((0,0),1),((0,1),0),((1,0),0)) {((0,0),0),((0,0),1),((0,1),0),((0,1),1),((1,0),0),"
+        "((1,0),1),((1,1),0),((1,1),1)}  [improper]\n"
+    )
 
 
 def test_cli_classify(capsys):
@@ -454,6 +479,15 @@ def test_cli_poly_bad_element_exits_2(capsys, argv):
     assert main(argv) == 2
     captured = capsys.readouterr()
     assert captured.out == "" and "neither a label nor an index" in captured.err
+
+
+@pytest.mark.parametrize("kind_args", [["content", "2"], ["kernel", "1", "2"]])
+def test_cli_poly_negative_degree_exits_2(capsys, kind_args):
+    from ringlab.cli import main
+
+    assert main(["poly", "Z4", *kind_args, "--degree", "-1"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and "degree -1" in captured.err
 
 
 def test_cli_poly_s_unit_check_reads_product_labels(capsys):
