@@ -3,8 +3,10 @@
 Regularity in the full polynomial ring is decided exactly through constant
 annihilators (a polynomial is a zero divisor iff a nonzero ring element
 kills every coefficient), content ideals support the classical
-content-product identity, and the S-r story over the polynomial ring is
-decided either through the base-ring gates (finite annihilator condition /
+content-product identity (Dedekind-Mertens), whose seeded sweep keys every
+pair by its content triple in one table step and decides the identity once
+per distinct key, and the S-r story over the polynomial ring is decided
+either through the base-ring gates (finite annihilator condition /
 annihilator-of-zero-divisor-ideals) or by a bounded two-sided search.
 
 Polynomial ideal membership is restricted to two decidable shapes: content
@@ -31,6 +33,7 @@ from .ideals import (
     ideal_power,
     ideal_product,
     lattice,
+    member_row,
 )
 from .rings import FiniteRing, make_quotient
 
@@ -138,31 +141,77 @@ def mccoy_regular(f: Poly) -> bool:
     return annihilator(f.base, content_set(f)).is_zero()
 
 
+def _dm_identity(cw: Ideal, cz: Ideal, cwz: Ideal, m: int) -> bool:
+    """c(z)^(m+1) c(w) == c(z)^m c(wz), from the three content ideals."""
+    zm = ideal_power(cz, m)
+    return ideal_product(ideal_product(zm, cz), cw).mask == ideal_product(zm, cwz).mask
+
+
 def dedekind_mertens_check(w: Poly, z: Poly) -> bool:
     """c(z)^(m+1) c(w) == c(z)^m c(wz) with m the degree of w."""
     if w.base is not z.base:
         raise TypeMismatch("polynomials over different rings")
-    m = max(w.degree, 0)
-    cz = content_ideal(z)
-    cw = content_ideal(w)
-    cwz = content_ideal(poly_mul(w, z))
-    zm = ideal_power(cz, m)
-    lhs = ideal_product(ideal_product(zm, cz), cw)
-    rhs = ideal_product(zm, cwz)
-    return lhs.members == rhs.members
+    return _dm_identity(content_ideal(w), content_ideal(z), content_ideal(poly_mul(w, z)), max(w.degree, 0))
+
+
+# The sweep's table, one row per drawn pair: the coefficient rows of w and z, the key
+# (c(w), c(z), c(wz) as indices into lattice(R).ideals, then deg w floored at 0), and
+# whether poly_mul refuses the product (degree past MAX_DEGREE, both factors nonzero).
+_DMTable = namedtuple("_DMTable", "w z keys over")
+
+
+def _degrees(F):
+    """The last nonzero index of each row, -1 for a zero row."""
+    return ((F != 0) * np.arange(1, F.shape[1] + 1)).max(axis=1, initial=0) - 1
+
+
+def _dm_table(R: FiniteRing, pairs: int, seed: int, max_degree: int) -> _DMTable:
+    """Draw the pairs as the per-pair loop does (w's coefficients, then z's) and key each.
+
+    Every product wz is taken at once, one vector step per index pair (i, j).
+    c(f) is the first ideal in size order that holds f's coefficients (0 lies
+    in every ideal, so the zero polynomial gets {0}), found for every row in
+    one matrix step: the count of coefficients outside each ideal.
+    """
+    rng = random.Random(seed)
+    count, width = max(pairs, 0), max(max_degree + 1, 0)
+    draws = np.array([rng.randrange(R.size) for _ in range(2 * width * count)], dtype=np.intp)
+    w, z = draws.reshape(count, 2, width).transpose(1, 0, 2)
+    wz = np.zeros((count, max(2 * width - 1, 0)), dtype=R.add.dtype)
+    for i in range(width):
+        for j in range(width):
+            wz[:, i + j] = R.add[wz[:, i + j], R.mul[w[:, i], z[:, j]]]
+    present = np.zeros((3, count, R.size), dtype=bool)
+    for k, F in enumerate((w, z, wz)):
+        present[k, np.arange(count)[:, None], F] = True
+    outside = ~np.array([member_row(A) for A in lattice(R).ideals])
+    escapes = present.reshape(-1, R.size).astype(np.float32) @ outside.T.astype(np.float32)
+    cw, cz, cwz = (escapes == 0).argmax(axis=1).reshape(3, count)
+    dw, dz = _degrees(w), _degrees(z)
+    over = (dw + dz > MAX_DEGREE) & (dw >= 0) & (dz >= 0)
+    return _DMTable(w, z, np.column_stack((cw, cz, cwz, np.maximum(dw, 0))), over)
 
 
 def dedekind_mertens_sweep(R: FiniteRing, pairs: int, seed: int, max_degree: int = DM_MAX_DEGREE):
-    """Seeded random product-content sweep; returns (checked, first_failure)."""
-    rng = random.Random(seed)
-    checked = 0
-    for _ in range(pairs):
-        w = Poly.make(R, [rng.randrange(R.size) for _ in range(max_degree + 1)])
-        z = Poly.make(R, [rng.randrange(R.size) for _ in range(max_degree + 1)])
-        if not dedekind_mertens_check(w, z):
-            return checked, (w, z)
-        checked += 1
-    return checked, None
+    """Seeded random product-content sweep; returns (checked, first_failure).
+
+    The identity is decided once per distinct key (c(w), c(z), c(wz), deg w),
+    and the answer is the first pair in draw order that fails it or whose
+    product poly_mul refuses; the latter raises DegreeLimitError there, as
+    checking the pairs one by one would.
+    """
+    t = _dm_table(R, pairs, seed, max_degree)
+    ideals = lattice(R).ideals
+    distinct, inverse = np.unique(t.keys, axis=0, return_inverse=True)
+    holds = np.array([_dm_identity(ideals[a], ideals[b], ideals[c], m) for a, b, c, m in distinct.tolist()], dtype=bool)
+    bad = np.flatnonzero(~holds[inverse.reshape(-1)] | t.over)
+    if not bad.size:
+        return len(t.keys), None
+    first = int(bad[0])
+    w, z = Poly.make(R, t.w[first]), Poly.make(R, t.z[first])
+    if t.over[first]:
+        poly_mul(w, z)  # raises DegreeLimitError
+    return first, (w, z)
 
 
 # -- polynomial ideal specifications -----------------------------------------------------

@@ -6,10 +6,12 @@ of the uniform-witness predicates (S-r, S-prime, S-z0), the element loop of
 S-uz, the element-subset loop of f.a.c., the per-ideal maximality scan, the
 power iteration of the pr test, the per-call column test of a colon, the set
 forms of T2.7's scaled sides, the per-entry loops of T2.3, T2.5, P-colon and
-P-annsum, the fraction construction of a localization, an isomorphism search
-between finite rings, and the submodule lattice of a finite module.
+P-annsum, the per-pair loop of the Dedekind-Mertens sweep, the fraction
+construction of a localization, an isomorphism search between finite rings,
+and the submodule lattice of a finite module.
 """
 
+import random
 from functools import reduce
 from itertools import combinations
 from operator import and_
@@ -25,7 +27,7 @@ from ringlab.classify import (
     NOT_REDUCED,
     Verdict,
 )
-from ringlab.config import size_limit
+from ringlab.config import DM_MAX_DEGREE, size_limit
 from ringlab.errors import SizeLimitError, TypeMismatch
 from ringlab.extensions import FiniteModule
 from ringlab.ideals import (
@@ -43,6 +45,7 @@ from ringlab.ideals import (
     mask_of,
     member_row,
 )
+from ringlab.poly import Poly, dedekind_mertens_check
 from ringlab.rings import FiniteRing, _check_ideal_subset, idempotent_power
 
 
@@ -372,6 +375,23 @@ def ref_t2_5(ctx, dropped):
         outcome, detail = _outcome(checked, failure)
         out.append((A.label(), outcome, {"implications_checked": checked, **detail}))
     return out
+
+
+def ref_dedekind_mertens_sweep(R: FiniteRing, pairs: int, seed: int, max_degree: int = DM_MAX_DEGREE):
+    """The per-pair loop: draw w, then z, and check the pair on its own.
+
+    Returns (checked, first_failure); the check's poly_mul raises
+    DegreeLimitError at the first pair whose product passes the degree cap.
+    """
+    rng = random.Random(seed)
+    checked = 0
+    for _ in range(pairs):
+        w = Poly.make(R, [rng.randrange(R.size) for _ in range(max_degree + 1)])
+        z = Poly.make(R, [rng.randrange(R.size) for _ in range(max_degree + 1)])
+        if not dedekind_mertens_check(w, z):
+            return checked, (w, z)
+        checked += 1
+    return checked, None
 
 
 def localize_oracle(R: FiniteRing, S: MulClosedSet):

@@ -1,4 +1,5 @@
 import random
+from dataclasses import replace
 from itertools import product as iproduct
 from math import gcd
 
@@ -6,6 +7,9 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from ringlab import poly
+from ringlab.config import DM_MAX_DEGREE, DM_PAIRS, DM_SEED
+from ringlab.corpus import CorpusSpec, Limits, parse_corpus_line
 from ringlab.dsl import parse_ring
 from ringlab.errors import DegreeLimitError, NotApplicableError
 from ringlab.ideals import all_ideals, annihilator, ideal_generate, ideal_product, lattice, mcs_from_members, mcs_generate
@@ -22,6 +26,7 @@ from ringlab.poly import (
     PolyIdealSpec,
     PolyVerdict,
     _coeff_rows,
+    _dm_table,
     _poly_tuples,
     bounded_S_r_search,
     constant,
@@ -36,7 +41,10 @@ from ringlab.poly import (
     poly_mul,
     poly_s_unit_check,
 )
+from ringlab.registry import verify
 from ringlab.rings import make_product, make_quotient, make_zn
+
+from oracles import ref_dedekind_mertens_sweep
 
 
 @pytest.fixture(scope="module")
@@ -571,3 +579,100 @@ def test_coefficient_rows_in_poly_tuple_order(size):
     for width in range(1, 4):
         assert [tuple(r) for r in _coeff_rows(size, width).tolist()] == list(iproduct(range(size), repeat=width))
     assert list(_poly_tuples(size, 2)) == list(ref_poly_tuples(size, 2))
+
+
+# -- the Dedekind-Mertens sweep against the per-pair loop --------------------------------------
+#
+# The sweep keys every drawn pair by (c(w), c(z), c(wz), deg w) in one table step and
+# decides the identity once per distinct key; the reference checks pair by pair.
+
+CORPUS_BASES = ["Z2", "Z3", "Z6", "Z12"]  # the default corpus's polyring entries
+DM_RINGS = SEARCH_RINGS + ["Z16", "Z2 x Z2 x Z2"]
+DM_SEEDS = (DM_SEED, 0, 1)
+
+
+def _dm_outcome(sweep, R, pairs, seed, max_degree):
+    checked, failure = sweep(R, pairs, seed, max_degree)
+    return checked, failure and (failure[0].text(), failure[1].text())
+
+
+@pytest.mark.parametrize("expr", DM_RINGS)
+def test_dm_sweep_matches_per_pair_loop(expr):
+    # Short sweeps at every seed and degree; full 1,000-pair sweeps at the
+    # registry's seed and degree, and on the corpus bases at every seed and
+    # degree (the loop costs about 9 s over the whole grid).
+    R = parse_ring(expr)
+    full = {(DM_SEED, DM_MAX_DEGREE)}
+    if expr in CORPUS_BASES:
+        full |= {(seed, DM_MAX_DEGREE) for seed in DM_SEEDS} | {(DM_SEED, d) for d in range(5)}
+    for seed, max_degree in iproduct(DM_SEEDS, range(5)):
+        for pairs in (0, 1, 7) + ((DM_PAIRS,) if (seed, max_degree) in full else ()):
+            got = _dm_outcome(dedekind_mertens_sweep, R, pairs, seed, max_degree)
+            assert got == _dm_outcome(ref_dedekind_mertens_sweep, R, pairs, seed, max_degree) == (pairs, None)
+
+
+def _refuses(sweep, R, pairs, seed, max_degree):
+    """The DegreeLimitError message the sweep raises, or None."""
+    try:
+        sweep(R, pairs, seed, max_degree)
+    except DegreeLimitError as err:
+        return str(err)
+    return None
+
+
+@pytest.mark.parametrize("expr", DM_RINGS)
+def test_dm_sweep_refuses_the_same_pair_past_the_degree_cap(expr):
+    R = parse_ring(expr)
+    for seed in DM_SEEDS:
+        first = next(k for k in range(DM_PAIRS) if _refuses(ref_dedekind_mertens_sweep, R, k + 1, seed, 5))
+        assert dedekind_mertens_sweep(R, first, seed, 5) == (first, None)
+        message = _refuses(ref_dedekind_mertens_sweep, R, DM_PAIRS, seed, 5)
+        assert _refuses(dedekind_mertens_sweep, R, first + 1, seed, 5) == message
+        assert _refuses(dedekind_mertens_sweep, R, DM_PAIRS, seed, 5) == message
+
+
+# triv(Z4, free(1)) is Z4[e]/(e^2), which is not Gaussian: at degree 1 some drawn
+# pairs have c(wz) strictly inside c(w)c(z).  Every corpus base is a product of
+# chain rings, where the two are always equal.
+@pytest.mark.parametrize("expr, max_degree", [(e, DM_MAX_DEGREE) for e in CORPUS_BASES] + [("triv(Z4, free(1))", 1)])
+def test_dm_table_keys_match_per_pair_contents(expr, max_degree):
+    R = parse_ring(expr)
+    t = _dm_table(R, DM_PAIRS, DM_SEED, max_degree)
+    ideals = lattice(R).ideals
+    rng = random.Random(DM_SEED)
+    gaps = 0
+    for wc, zc, (cw, cz, cwz, m) in zip(t.w.tolist(), t.z.tolist(), t.keys.tolist()):
+        assert wc == [rng.randrange(R.size) for _ in range(max_degree + 1)]
+        assert zc == [rng.randrange(R.size) for _ in range(max_degree + 1)]
+        w, z = Poly.make(R, wc), Poly.make(R, zc)
+        assert ideals[cw].mask == content_ideal(w).mask
+        assert ideals[cz].mask == content_ideal(z).mask
+        assert ideals[cwz].mask == content_ideal(poly_mul(w, z)).mask
+        assert m == max(w.degree, 0)
+        gaps += ideal_product(ideals[cw], ideals[cz]).mask != ideals[cwz].mask
+    assert not t.over.any()
+    assert (gaps > 0) == (expr not in CORPUS_BASES)
+
+
+@pytest.mark.parametrize("where", ["first", "middle", "last"])
+def test_dm_sweep_reports_a_faked_failure_like_the_loop(monkeypatch, where):
+    """Fail the identity on one key, whose first pair sits first, in the middle
+    or last of the sweep: sweep, loop and DM record agree on the failing pair."""
+    R = parse_ring("Z12")
+    t = _dm_table(R, DM_PAIRS, DM_SEED, DM_MAX_DEGREE)
+    keys = [tuple(k) for k in t.keys.tolist()]
+    late = max(keys.index(k) for k in set(keys))  # the key seen last for the first time
+    at, pairs = {"first": (0, DM_PAIRS), "middle": (late, 2 * late + 1), "last": (late, late + 1)}[where]
+    ideals = lattice(R).ideals
+    cw, cz, cwz, m = keys[at]
+    faked = (ideals[cw].mask, ideals[cz].mask, ideals[cwz].mask, m)
+    real = poly._dm_identity
+    monkeypatch.setattr(poly, "_dm_identity", lambda *k: (k[0].mask, k[1].mask, k[2].mask, k[3]) != faked and real(*k))
+
+    got = _dm_outcome(dedekind_mertens_sweep, R, pairs, DM_SEED, DM_MAX_DEGREE)
+    assert got == _dm_outcome(ref_dedekind_mertens_sweep, R, pairs, DM_SEED, DM_MAX_DEGREE)
+    assert got[0] == at and got[1] == (Poly.make(R, t.w[at]).text(), Poly.make(R, t.z[at]).text())
+    corpus = CorpusSpec((parse_corpus_line("polyring(Z12)"),), replace(Limits.defaults(), dm_pairs=pairs))
+    [record] = verify(("DM",), corpus)
+    assert record["outcome"] == "VIOLATION"
+    assert record["detail"] == {"checked": at, "failure": list(got[1])}

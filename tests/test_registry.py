@@ -182,6 +182,22 @@ def test_mcs_catalogue_labels():
     assert _labels(ctx("Z9", mcs_cap=4).mcs_list()) == ["S<>", "S<0>", "S<2>", "S<0,1,2,3,4,5,6,7,8>"]
 
 
+def _dm_records(dm_pairs):
+    limits = replace(Limits.defaults(), dm_pairs=dm_pairs)
+    return list(verify(("DM",), CorpusSpec((parse_corpus_line("polyring(Z6)"),), limits)))
+
+
+def test_dm_with_no_pairs_is_vacuous():
+    [record] = _dm_records(0)
+    assert record["outcome"] == "VACUOUS"
+    assert record["detail"] == {"checked": 0}
+
+
+def test_dm_refuses_a_negative_pair_count():
+    with pytest.raises(ConfigError, match="dm_pairs=-3"):
+        _dm_records(-3)
+
+
 @pytest.mark.parametrize("fac_cap", [1, 2])
 def test_t4_2_and_the_content_decision_gate_on_the_same_fac_cap(fac_cap):
     # Z6 fails f.a.c. on pairs, so only the cap-1 sweep (no subsets at all)
