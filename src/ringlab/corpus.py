@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 from . import config
 from .dsl import is_arith_expression, split_top
-from .errors import ParseError
+from .errors import ConfigError, ParseError
 
 FINITE = "finite"
 ARITH = "arith"
@@ -39,6 +39,13 @@ class Limits:
     annotation_cap: int
     mcs_cap: int
     subsample_seed: int
+
+    def __post_init__(self):
+        """Refuse a negative degree, cap, bound or pair count; the seeds may be any integer."""
+        for name in ("degree", "fac_cap", "dm_pairs", "oracle_bound", "witness_bound", "annotation_cap", "mcs_cap"):
+            value = getattr(self, name)
+            if value < 0:
+                raise ConfigError(f"{name}={value}: expected 0 or more")
 
     @staticmethod
     def defaults() -> "Limits":

@@ -109,7 +109,9 @@ class IdealLattice:
         self.ring = R
         self.full = (1 << R.size) - 1
         self.ann = tuple(_pack(R.mul == 0))  # ann[a]: bit y set iff ya = 0
-        self.principal = tuple(mask_of(set(row)) for row in R.mul.tolist())  # principal[a]: Ra
+        inside = np.zeros((R.size, R.size), dtype=bool)
+        inside[np.arange(R.size)[:, None], R.mul] = True
+        self.principal = tuple(_pack(inside))  # principal[a]: Ra
         self.localizations = {}  # absorbing idempotent e -> LocalizationResult
         self.quotients = {}  # A.mask -> (R/A, projection)
         self.content_tables = {}  # (A.mask, width) -> poly._ContentTables
@@ -205,19 +207,27 @@ class IdealLattice:
     def ideals(self) -> tuple:
         """Every ideal once, sorted by (cardinality, member tuple).
 
-        The ideals are the closure of {0} under joins with principal ideals;
-        base + Ra is the union of the cosets of base that meet Ra, so each
-        base is joined with every principal ideal in one vectorised step.
+        Every ideal is a sum of principal ideals; a principal ideal that is the
+        sum of those strictly inside it adds nothing, so the closure of (0) under
+        joins with the join-irreducible principal ideals is every ideal.  base +
+        Ra is the union of the cosets of base that meet Ra, so each base is
+        joined with all of those in one vectorised step.
         """
         R = self.ring
         if R.size > size_limit():
             raise SizeLimitError("ideal enumeration beyond the size cap")
-        principals = sorted(set(self.principal))
-        rows, cols = np.array([(i, a) for i, p in enumerate(principals) for a in bits(p)]).T
+        irreducible = []  # by induction on size, the kept ones inside p span all those inside p
+        for p in sorted(set(self.principal), key=int.bit_count):
+            below = reduce(self.sum, (q for q in irreducible if not q & ~p), 1)
+            if below != p:
+                irreducible.append(p)
+        if not irreducible:  # the zero ring: (0) is its only ideal
+            return (self.intern(1),)
+        rows, cols = np.array([(i, a) for i, p in enumerate(irreducible) for a in bits(p)]).T
         seen, frontier = {1}, [1]
         while frontier:
             coset = R.add[:, bits(frontier.pop())].min(axis=1)  # least element of x + base
-            hit = np.zeros((len(principals), R.size), dtype=bool)
+            hit = np.zeros((len(irreducible), R.size), dtype=bool)
             hit[rows, coset[cols]] = True
             for grown in _pack(hit[:, coset]):
                 if grown not in seen:

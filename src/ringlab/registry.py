@@ -34,7 +34,7 @@ from .dsl import (
     parse_ring_structure,
     split_top,
 )
-from .errors import ConfigError, NotApplicableError, ParseError, UnknownHypothesis, UnknownTheorem
+from .errors import NotApplicableError, ParseError, UnknownHypothesis, UnknownTheorem
 from .extensions import (
     BACKWARD,
     FORWARD,
@@ -1034,8 +1034,6 @@ def run_t4_2(ctx, dropped):
 
 def run_dm(ctx, dropped):
     """Content-product identity over seeded random pairs; VACUOUS when none is drawn."""
-    if ctx.limits.dm_pairs < 0:
-        raise ConfigError(f"dm_pairs={ctx.limits.dm_pairs}: expected a pair count of 0 or more")
     checked, failure = dedekind_mertens_sweep(ctx.ring, ctx.limits.dm_pairs, ctx.limits.dm_seed)
     detail = {"checked": checked}
     if failure:

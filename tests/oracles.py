@@ -1,14 +1,15 @@
 """Brute-force references and helpers that only the tests use.
 
 Each one checks the package from outside: an ideal's closure, principal
-ideals, S-units, the pairwise closure of an m.c.s., the per-candidate scans
-of the uniform-witness predicates (S-r, S-prime, S-z0), the element loop of
-S-uz, the element-subset loop of f.a.c., the per-ideal maximality scan, the
-power iteration of the pr test, the per-call column test of a colon, the set
-forms of T2.7's scaled sides, the per-entry loops of T2.3, T2.5, P-colon and
-P-annsum, the per-pair loop of the Dedekind-Mertens sweep, the fraction
-construction of a localization, an isomorphism search between finite rings,
-and the submodule lattice of a finite module.
+ideals, the lattice closure over every principal ideal, S-units, the
+pairwise closure of an m.c.s., the per-candidate scans of the uniform-witness
+predicates (S-r, S-prime, S-z0), the element loop of S-uz, the element-subset
+loop of f.a.c., the per-ideal maximality scan, the power iteration of the pr
+test, the per-call column test of a colon, the set forms of T2.7's scaled
+sides, the per-entry loops of T2.3, T2.5, P-colon and P-annsum, the per-pair
+loop of the Dedekind-Mertens sweep, the fraction construction of a
+localization, an isomorphism search between finite rings, and the submodule
+lattice of a finite module.
 """
 
 import random
@@ -33,6 +34,7 @@ from ringlab.extensions import FiniteModule
 from ringlab.ideals import (
     Ideal,
     MulClosedSet,
+    _pack,
     all_ideals,
     annihilator,
     bits,
@@ -59,6 +61,27 @@ def validate_ideal(A: Ideal) -> None:
 def ref_principal(R: FiniteRing, g: int) -> frozenset:
     """The principal ideal Rg, read off the multiplication table."""
     return frozenset(int(v) for v in np.unique(R.mul[:, g]))
+
+
+def ref_ideal_masks(R: FiniteRing) -> tuple:
+    """Every ideal's mask, sorted by (cardinality, member tuple): the closure of
+    (0) under joins with every distinct principal ideal.
+
+    base + Ra is the union of the cosets of base that meet Ra, so each base is
+    joined with every principal ideal in one vectorised step.
+    """
+    principals = sorted({mask_of(ref_principal(R, a)) for a in R.elements()})
+    rows, cols = np.array([(i, a) for i, p in enumerate(principals) for a in bits(p)]).T
+    seen, frontier = {1}, [1]
+    while frontier:
+        coset = R.add[:, bits(frontier.pop())].min(axis=1)  # least element of x + base
+        hit = np.zeros((len(principals), R.size), dtype=bool)
+        hit[rows, coset[cols]] = True
+        for grown in _pack(hit[:, coset]):
+            if grown not in seen:
+                seen.add(grown)
+                frontier.append(grown)
+    return tuple(sorted(seen, key=lambda m: (m.bit_count(), bits(m))))
 
 
 def s_units(R: FiniteRing, S: MulClosedSet) -> frozenset:

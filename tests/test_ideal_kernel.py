@@ -7,11 +7,15 @@ colons.  They keep no state, so every kernel answer is checked against a
 fresh recomputation.
 """
 
+import ast
 import gc
 import random
 import sys
 import weakref
+from functools import reduce
 from itertools import combinations
+from operator import or_
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -29,10 +33,11 @@ from ringlab.ideals import (
     ideal_product,
     ideal_sum,
     lattice,
+    mask_of,
 )
 from ringlab.rings import make_product, make_quotient, make_zn
 
-from oracles import ref_colon_mask, ref_principal
+from oracles import ref_colon_mask, ref_ideal_masks, ref_principal
 from test_poly import SEARCH_RINGS
 
 # -- frozenset reference ----------------------------------------------------------
@@ -246,3 +251,57 @@ def test_lattice_join_matches_ideal_sum():
         for A in all_ideals(R):
             for B in all_ideals(R):
                 assert lattice(R).join(A, B) is ideal_sum(A, B), (expr, A.label(), B.label())
+
+
+def _read_cap_rings():
+    """The factor tuples of the benchmark's cap-rings workload, read from its source."""
+    source = (Path(__file__).resolve().parents[1] / "perfbench" / "workloads.py").read_text()
+    [value] = [
+        node.value for node in ast.parse(source).body
+        if isinstance(node, ast.Assign) and [getattr(t, "id", None) for t in node.targets] == ["CAP_RINGS"]
+    ]
+    return eval(compile(ast.Expression(value), "CAP_RINGS", "eval"), {"__builtins__": {}})
+
+
+CAP_RINGS = _read_cap_rings()
+CAP_EXPRS = [" x ".join(f"Z{n}" for n in factors) for factors in CAP_RINGS]
+LATTICE_RINGS = (
+    ["Z1"]
+    + [" x ".join(["Z2"] * k) for k in range(1, 7)]
+    + ["Z4 x Z4 x Z2", "Z2 x Z2 x Z8", "Z3 x Z9"]
+    + CAP_EXPRS
+    + ["amalg(Z4, Z4, id, (2))", "amalg(Z2 x Z2, Z2 x Z2, id, ((1,0)))", "triv(Z2, free(3))", "Z16/(8)",
+       "loc(Z12, S<3>)"]
+)
+
+
+@pytest.mark.parametrize("expr", LATTICE_RINGS)
+def test_lattice_matches_the_closure_over_every_principal_ideal(expr):
+    R = parse_ring(expr)
+    masks = ref_ideal_masks(R)
+    ideals = all_ideals(R)
+    assert [A.mask for A in ideals] == list(masks)
+    assert [A.members for A in ideals] == [frozenset(bits(m)) for m in masks]
+    assert [A.generators for A in ideals] == [ref_canonical_generators(R, frozenset(bits(m))) for m in masks]
+    for g in R.elements():
+        assert frozenset(bits(lattice(R).principal[g])) == ref_principal(R, g)
+
+
+def _sums_of_smaller_principals(R):
+    """The nonzero principal ideals that equal the join of the ideals strictly inside them."""
+    masks = ref_ideal_masks(R)
+    out = set()
+    for p in {mask_of(ref_principal(R, a)) for a in R.elements()} - {1}:
+        union = reduce(or_, (m for m in masks if m != p and not m & ~p), 0)
+        if next(m for m in masks if not union & ~m) == p:  # the least ideal over the union
+            out.add(p)
+    return out
+
+
+def test_lattice_rings_include_a_dropped_principal_ideal_and_a_chain_ring():
+    assert "Z2 x Z2" in LATTICE_RINGS and _sums_of_smaller_principals(parse_ring("Z2 x Z2")) == {0b1111}
+    assert "Z256" in LATTICE_RINGS
+    chain = parse_ring("Z256")
+    masks = ref_ideal_masks(chain)
+    assert all(not a & ~b for a, b in zip(masks, masks[1:]))  # the ideals form a chain
+    assert not _sums_of_smaller_principals(chain)

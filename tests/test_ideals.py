@@ -1,5 +1,6 @@
 import random
-from itertools import combinations
+from itertools import combinations, product
+from math import prod
 
 import pytest
 
@@ -29,6 +30,7 @@ from ringlab.ideals import (
 from ringlab.rings import make_product, make_zn
 
 from oracles import find_isomorphism, localize_oracle, ref_mcs_closure, s_units, validate_ideal
+from test_ideal_kernel import CAP_EXPRS, CAP_RINGS
 from test_poly import SEARCH_RINGS
 
 
@@ -72,10 +74,33 @@ def test_all_ideals_field(p):
     assert len(all_ideals(make_zn(p))) == 2
 
 
+def _divisors(n):
+    return [d for d in range(1, n + 1) if n % d == 0]
+
+
+def _cyclic_product_ideals(ns):
+    """The member sets of dZ_n1 x ... x dZ_nk over every choice of divisors,
+    with (x1, ..., xk) at index (...(x1 n2 + x2) n3 + ...) nk + xk."""
+    out = set()
+    for ds in product(*map(_divisors, ns)):
+        members = [0]
+        for n, d in zip(ns, ds):
+            members = [i * n + x for i in members for x in range(0, n, d)]
+        out.add(frozenset(members))
+    return out
+
+
 def test_all_ideals_product_is_componentwise():
     # ideals of a product are products of ideals: 2 x 2 for Z2 x Z2
     R = make_product(make_zn(2), make_zn(2))
     assert len(all_ideals(R)) == 4
+    assert {A.members for A in all_ideals(R)} == _cyclic_product_ideals((2, 2))
+    for ns in ((4, 6), (2, 2, 2, 2), (3, 5, 17)):
+        ideals = all_ideals(parse_ring(" x ".join(f"Z{n}" for n in ns)))
+        assert len(ideals) == len(_cyclic_product_ideals(ns))
+        assert {A.members for A in ideals} == _cyclic_product_ideals(ns)
+    for ns, expr in zip(CAP_RINGS, CAP_EXPRS):
+        assert len(all_ideals(parse_ring(expr))) == prod(len(_divisors(n)) for n in ns), expr
 
 
 def test_annihilator_examples(z12, z6):

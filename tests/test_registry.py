@@ -198,6 +198,22 @@ def test_dm_refuses_a_negative_pair_count():
         _dm_records(-3)
 
 
+COUNT_LIMITS = ("degree", "fac_cap", "dm_pairs", "oracle_bound", "witness_bound", "annotation_cap", "mcs_cap")
+
+
+@pytest.mark.parametrize("name", COUNT_LIMITS)
+def test_limits_refuse_a_negative_count(name):
+    with pytest.raises(ConfigError, match=f"^{name}=-1: "):
+        replace(Limits.defaults(), **{name: -1})
+    assert getattr(replace(Limits.defaults(), **{name: 0}), name) == 0
+
+
+def test_limits_take_any_seed():
+    assert set(Limits.__annotations__) == {*COUNT_LIMITS, "dm_seed", "subsample_seed"}
+    limits = replace(Limits.defaults(), dm_seed=-5, subsample_seed=-1)
+    assert (limits.dm_seed, limits.subsample_seed) == (-5, -1)
+
+
 @pytest.mark.parametrize("fac_cap", [1, 2])
 def test_t4_2_and_the_content_decision_gate_on_the_same_fac_cap(fac_cap):
     # Z6 fails f.a.c. on pairs, so only the cap-1 sweep (no subsets at all)
