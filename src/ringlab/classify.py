@@ -20,7 +20,7 @@ from operator import and_
 import numpy as np
 
 from .config import FAC_SUBSET_CAP
-from .ideals import Ideal, MulClosedSet, all_ideals, annihilator, first_hit, ideal_generate, lattice, mask_of
+from .ideals import Ideal, MulClosedSet, all_ideals, annihilator, bits, first_hit, ideal_generate, lattice, mask_of
 from .ideals import member_row, min_primes_over
 
 HOLDS = "Holds"
@@ -80,7 +80,7 @@ def _na(reason):
 def _defeat(A: Ideal, ok):
     """Lex-first (w, z) with w regular, wz in A and not ok[z], or None."""
     R = A.ring
-    regs = np.fromiter(sorted(R.regulars), dtype=np.intp)
+    regs = np.array(bits(lattice(R).regulars), dtype=np.intp)
     hit = first_hit(member_row(A)[R.mul[regs, :]] & ~ok[None, :])
     return (int(regs[hit[0]]), hit[1]) if hit else None
 
@@ -91,7 +91,7 @@ def _uniform_witness(S: MulClosedSet, good: int, defeat) -> Verdict:
     hit = good & S.mask
     if hit:
         return _holds(witness=(hit & -hit).bit_length() - 1)
-    last = max(S.members)
+    last = S.mask.bit_length() - 1
     return _fails(defeat(last), last_candidate=last)
 
 
@@ -175,8 +175,8 @@ def _z0_defeat(A: Ideal, s):
     (its first member in A, that z), or None."""
     R = A.ring
     for cls in lattice(R).ann_classes:
-        inside = [a for a in cls if a in A.members]
-        outside = [a for a in cls if R.m(s, a) not in A.members]
+        inside = [a for a in cls if a in A]
+        outside = [a for a in cls if R.m(s, a) not in A]
         if inside and outside:
             return inside[0], outside[0]
     return None
@@ -207,7 +207,7 @@ def is_S_z0_ideal(
     if enforce_disjoint and A.mask & S.mask:
         return _na(DISJOINTNESS_VIOLATED)
     L = lattice(R)
-    in_a = {L.ann[w] for w in A.members}
+    in_a = {L.ann[w] for w in A.sorted_members}
     reach = mask_of(z for z, m in enumerate(L.ann) if m in in_a)
     return _uniform_witness(S, L.colon(A, reach).mask, lambda s: _z0_defeat(A, s))
 
@@ -225,9 +225,9 @@ def is_uz_ring(R) -> Verdict:
 
 def is_S_uz_ring(R, S: MulClosedSet) -> Verdict:
     """Every element is an S-unit or a zero divisor: each regular a has Ra meeting S."""
-    principal = lattice(R).principal
-    for a in sorted(R.regulars):
-        if not principal[a] & S.mask:
+    L = lattice(R)
+    for a in bits(L.regulars):
+        if not L.principal[a] & S.mask:
             return _fails((a,))
     return _holds()
 
@@ -235,7 +235,7 @@ def is_S_uz_ring(R, S: MulClosedSet) -> Verdict:
 def has_property_A(R) -> Verdict:
     """Every (finitely generated) ideal inside zd(R) has nonzero annihilator."""
     for B in all_ideals(R):
-        if B.members <= R.zero_divisors and annihilator(R, B.generators).is_zero():
+        if not B.mask & lattice(R).regulars and annihilator(R, B.generators).is_zero():
             return _fails(B.generators)
     return _holds()
 
@@ -288,6 +288,6 @@ def s_idempotent_ideal_check(R, S: MulClosedSet, gens) -> Verdict:
         if R.m(g, g) != R.m(s, g):
             return _na(GENERATOR_GATE)
     A = ideal_generate(R, gens)
-    if S.members & A.members:
+    if A.mask & S.mask:
         return _na(DISJOINTNESS_VIOLATED)
     return is_S_r_ideal(A, S)

@@ -106,7 +106,7 @@ def parse_corpus_line(line: str):
     elif stripped.startswith("amalgZ(") and stripped.endswith(")"):
         kind = AMALGZ
         args = split_top(stripped[len("amalgZ(") : -1], ",")
-        if len(args) != 2 or not all(a.lstrip("-").isdigit() for a in args):
+        if len(args) != 2 or not all(a.removeprefix("-").isdecimal() for a in args):
             raise ParseError(f"amalgZ needs two integers, got {expr!r}")
         expr_canon = f"amalgZ({int(args[0])},{int(args[1])})"
     elif is_arith_expression(expr):

@@ -24,7 +24,7 @@ from .errors import (
     SizeLimitError,
     TypeMismatch,
 )
-from .ideals import Ideal, MulClosedSet, ideal_from_members, mcs_from_members
+from .ideals import Ideal, MulClosedSet, bits, ideal_from_members, lattice, mcs_from_members
 from .rings import FiniteRing, RingHom, abelian_generators, check_hom, is_isomorphism, make_quotient
 
 
@@ -143,12 +143,10 @@ def zd_union_inside_module_ann(M: FiniteModule, include_zero: bool = False):
     whole ring; that reading forces M = 0, so the nonzero reading is the
     operative one.  Both are reported.
     """
-    R = M.ring
-    union = set()
-    start = 0 if include_zero else 1
-    for a in range(start, R.size):
-        union |= {y for y in R.elements() if R.m(y, a) == 0}
-    return frozenset(union) <= module_ann(M).members
+    union = 0
+    for ann in lattice(M.ring).ann[0 if include_zero else 1 :]:
+        union |= ann
+    return not union & ~module_ann(M).mask
 
 
 # -- trivial extension ----------------------------------------------------------------
@@ -198,11 +196,11 @@ def triv_ideal(T: TrivExtRing, A: Ideal, N) -> Ideal:
         raise TypeMismatch("ideal belongs to a different ring")
     N = frozenset(int(x) for x in N)
     M = T.module
-    for a in sorted(A.members):
+    for a in bits(A.mask):
         for m in M.elements():
             if M.act(a, m) not in N:
                 raise NotAnIdealError("A*M escapes N", witness=(a, m))
-    members = frozenset(T.pair_index(a, x) for a in A.members for x in N)
+    members = frozenset(T.pair_index(a, x) for a in bits(A.mask) for x in N)
     return ideal_from_members(T.ring, members)
 
 
@@ -215,12 +213,12 @@ def lift_mcs_triv(T: TrivExtRing, S: MulClosedSet, mode: str) -> MulClosedSet:
     if S.ring is not T.base:
         raise TypeMismatch("m.c.s. belongs to a different ring")
     if mode == S_ZERO:
-        members = {T.pair_index(s, 0) for s in S.members}
+        members = {T.pair_index(s, 0) for s in bits(S.mask)}
     elif mode == S_FULL:
-        members = {T.pair_index(s, m) for s in S.members for m in T.module.elements()}
+        members = {T.pair_index(s, m) for s in bits(S.mask) for m in T.module.elements()}
     else:
         raise InvalidConstruction(f"unknown lift mode {mode}")
-    return mcs_from_members(T.ring, members, generators=tuple(sorted(members)))
+    return mcs_from_members(T.ring, members)
 
 
 @dataclass(frozen=True)
@@ -250,7 +248,7 @@ def triv_equivalence_check(T: TrivExtRing, A: Ideal, S: MulClosedSet) -> TrivEqu
     agree; hypothesis failures are reported, never raised.
     """
     hyps = {
-        "disjoint": not (S.members & A.members),
+        "disjoint": not A.mask & S.mask,
         "torsion_free": module_is_torsion_free(T.module),
         "zd_union_in_ann": zd_union_inside_module_ann(T.module),
         "zd_union_in_ann_literal": zd_union_inside_module_ann(T.module, include_zero=True),
@@ -290,10 +288,10 @@ def make_amalgamation(H1: FiniteRing, H2: FiniteRing, f: RingHom, J: Ideal, hom_
     if J.ring is not H2:
         raise TypeMismatch("ideal must live in the second component")
     check_hom(f)
-    n = H1.size * len(J.members)
+    n = H1.size * J.mask.bit_count()
     if n > size_limit():
         raise SizeLimitError("amalgamation beyond the size cap")
-    carrier = sorted({(w, H2.a(f.image[w], j)) for w in H1.elements() for j in sorted(J.members)})
+    carrier = sorted({(w, H2.a(f.image[w], j)) for w in H1.elements() for j in bits(J.mask)})
     if len(carrier) != n:
         raise InvalidConstruction("amalgamation carrier size must be |H1| * |J|")
     pos = {p: i for i, p in enumerate(carrier)}
@@ -314,7 +312,7 @@ def amalg_ideal(am: AmalgRing, A: Ideal) -> Ideal:
     if A.ring is not am.h1:
         raise TypeMismatch("ideal belongs to a different ring")
     members = {
-        am.index_of(a, am.h2.a(am.f.image[a], j)) for a in A.members for j in am.j.members
+        am.index_of(a, am.h2.a(am.f.image[a], j)) for a in bits(A.mask) for j in bits(am.j.mask)
     }
     return ideal_from_members(am.ring, members)
 
@@ -323,9 +321,9 @@ def amalg_mcs(am: AmalgRing, S: MulClosedSet) -> MulClosedSet:
     if S.ring is not am.h1:
         raise TypeMismatch("m.c.s. belongs to a different ring")
     members = {
-        am.index_of(s, am.h2.a(am.f.image[s], j)) for s in S.members for j in am.j.members
+        am.index_of(s, am.h2.a(am.f.image[s], j)) for s in bits(S.mask) for j in bits(am.j.mask)
     }
-    return mcs_from_members(am.ring, members, generators=tuple(sorted(members)))
+    return mcs_from_members(am.ring, members)
 
 
 def is_domain(R: FiniteRing) -> bool:
@@ -369,7 +367,7 @@ def amalg_transfer_check(am: AmalgRing, A: Ideal, S: MulClosedSet, direction: st
         hyps = {
             "epimorphism": surjective,
             "h1_domain": is_domain(am.h1),
-            "j_in_zd": am.j.is_zero() or am.j.members <= am.h2.zero_divisors,
+            "j_in_zd": am.j.is_zero() or not am.j.mask & lattice(am.h2).regulars,
         }
     else:
         hyps = {"isomorphism": is_isomorphism(am.f)}
@@ -395,7 +393,7 @@ class AmalgOverZ:
     d: int
 
     def __post_init__(self):
-        if self.n < 2 or self.n % self.d != 0 or self.d < 2:
+        if self.n < 2 or self.d < 2 or self.n % self.d != 0:
             raise InvalidConstruction("need n >= 2 and a divisor d >= 2")
 
     def j_members(self):

@@ -10,7 +10,7 @@ with its canonical generators, and sums, colons and products are memoised.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property, reduce
 from operator import and_
 
@@ -24,16 +24,19 @@ from .rings import FiniteRing, RingHom, check_hom, idempotent_power, operand
 @dataclass(frozen=True)
 class _ElementSet:
     ring: FiniteRing
-    members: frozenset
+    mask: int  # bit i set iff element i is a member
     generators: tuple
-    mask: int = field(compare=False, repr=False)  # bit i set iff element i is a member
 
-    @property
-    def sorted_members(self):
-        return tuple(sorted(self.members))
+    @cached_property
+    def members(self) -> frozenset:
+        return frozenset(self.sorted_members)
+
+    @cached_property
+    def sorted_members(self) -> tuple:
+        return tuple(bits(self.mask))
 
     def __contains__(self, x) -> bool:
-        return int(x) in self.members
+        return int(x) >= 0 and self.mask >> int(x) & 1 == 1
 
 
 @dataclass(frozen=True)
@@ -53,7 +56,7 @@ class MulClosedSet(_ElementSet):
 @dataclass(frozen=True)
 class Ideal(_ElementSet):
     def is_proper(self) -> bool:
-        return len(self.members) < self.ring.size
+        return self.mask.bit_count() < self.ring.size
 
     def is_zero(self) -> bool:
         return self.mask == 1
@@ -87,9 +90,9 @@ def first_hit(matrix):
 
 def member_row(A: Ideal):
     """A's members as a boolean row over the ring's elements."""
-    row = np.zeros(A.ring.size, dtype=bool)
-    row[list(A.members)] = True
-    return row
+    n = A.ring.size
+    packed = np.frombuffer(A.mask.to_bytes((n + 7) // 8, "little"), dtype=np.uint8)
+    return np.unpackbits(packed, count=n, bitorder="little").view(bool)
 
 
 def mask_of(xs) -> int:
@@ -108,6 +111,7 @@ class IdealLattice:
     def __init__(self, R: FiniteRing):
         self.ring = R
         self.full = (1 << R.size) - 1
+        self.regulars = mask_of(R.regulars)  # S is inside reg(R) iff not S.mask & ~regulars
         self.ann = tuple(_pack(R.mul == 0))  # ann[a]: bit y set iff ya = 0
         inside = np.zeros((R.size, R.size), dtype=bool)
         inside[np.arange(R.size)[:, None], R.mul] = True
@@ -123,13 +127,12 @@ class IdealLattice:
         """The one Ideal with these members, with greedy minimal-index generators."""
         got = self._interned.get(mask)
         if got is None:
-            members = bits(mask)
             gens, have = [], 1
-            for a in members:
+            for a in bits(mask):
                 if not have >> a & 1:
                     gens.append(a)
                     have = self.sum(have, self.principal[a])
-            got = self._interned[mask] = Ideal(self.ring, frozenset(members), tuple(gens), mask)
+            got = self._interned[mask] = Ideal(self.ring, mask, tuple(gens))
         return got
 
     def sum(self, xs: int, ys: int) -> int:
@@ -155,7 +158,7 @@ class IdealLattice:
                     mask = self.sum(mask, self.principal[g])
             got = self.intern(mask)
             if got.generators != gens:
-                got = Ideal(self.ring, got.members, gens, mask)
+                got = Ideal(self.ring, mask, gens)
             self._generated[gens] = got
         return got
 
@@ -199,7 +202,7 @@ class IdealLattice:
         got = self._witnesses.get(A.mask)
         if got is None:
             mul, inside = self.ring.mul, member_row(A)
-            need = inside[mul[sorted(self.ring.regulars)]].any(axis=0)
+            need = inside[mul[bits(self.regulars)]].any(axis=0)
             got = self._witnesses[A.mask] = _pack(inside[mul[:, need]].all(axis=1))[0]
         return got
 
@@ -335,25 +338,25 @@ def mcs_generate(R: FiniteRing, gens) -> MulClosedSet:
             raise TypeMismatch(f"generator {g} out of range")
     # multiplying by one generator at a time reaches every product: 1, g, g^2, ...
     rows = [R.mul[g].tolist() for g in gens]
-    members, frontier = {R.one}, [R.one]
+    mask, frontier = 1 << R.one, [R.one]
     while frontier:
         x = frontier.pop()
         for row in rows:
-            if row[x] not in members:
-                members.add(row[x])
+            if not mask >> row[x] & 1:
+                mask |= 1 << row[x]
                 frontier.append(row[x])
-    return MulClosedSet(R, frozenset(members), gens, mask_of(members))
+    return MulClosedSet(R, mask, gens)
 
 
 def mcs_from_members(R: FiniteRing, members, generators=None) -> MulClosedSet:
-    members = frozenset(int(x) for x in members)
-    if R.one not in members:
+    mask = mask_of(members)
+    S = MulClosedSet(R, mask, tuple(bits(mask) if generators is None else generators))
+    if R.one not in S:
         raise InvalidConstruction("a multiplicatively closed set must contain 1")
-    ordered = sorted(members)
-    if not members.issuperset(R.mul[np.ix_(ordered, ordered)].ravel().tolist()):
+    ordered = S.sorted_members
+    if not member_row(S)[R.mul[np.ix_(ordered, ordered)]].all():
         raise InvalidConstruction("set is not multiplicatively closed")
-    gens = tuple(generators) if generators is not None else tuple(sorted(members))
-    return MulClosedSet(R, members, gens, mask_of(members))
+    return S
 
 
 # -- localization -----------------------------------------------------------------
@@ -391,7 +394,7 @@ def localize(R: FiniteRing, S: MulClosedSet) -> LocalizationResult:
         natural = check_hom(RingHom(R, localized, tuple(int(i) for i in pos[R.mul[e]])))
         result = L.localizations[e] = LocalizationResult(localized, natural, annihilator(R, (e,)), e)
     units, image = result.localized.units, result.map.image
-    if any(image[s] not in units for s in S.members):
+    if any(image[s] not in units for s in S.sorted_members):
         raise ConstructionBug("localization did not invert a member of S")
     return result
 

@@ -240,8 +240,8 @@ class PolyIdealSpec:
 
     def contains(self, f: Poly) -> bool:
         if self.kind == CONTENT:
-            return content_set(f) <= self.ideal.members
-        return poly_eval(f, self.point) in self.ideal.members
+            return all(c in self.ideal for c in content_set(f))
+        return poly_eval(f, self.point) in self.ideal
 
     def label(self) -> str:
         if self.kind == CONTENT:
@@ -332,7 +332,7 @@ def bounded_S_r_search(spec: PolyIdealSpec, S_const: MulClosedSet, max_degree: i
 
     if spec.kind == EVAL_KERNEL:
         a, B = spec.point, spec.ideal
-        vbad = [v for v in R.elements() if all(R.m(s, v) not in B.members for s in svals)]
+        vbad = [v for v in R.elements() if all(R.m(s, v) not in B for s in svals)]
         if vbad:
             for coeffs in _poly_tuples(R.size, max_degree):
                 if not _tuple_regular(R, coeffs, masks):
@@ -340,7 +340,7 @@ def bounded_S_r_search(spec: PolyIdealSpec, S_const: MulClosedSet, max_degree: i
                 w = Poly(R, coeffs)
                 u = poly_eval(w, a)
                 for v in vbad:
-                    if R.m(u, v) in B.members:
+                    if R.m(u, v) in B:
                         z = constant(R, v)
                         deg = max(w.degree, z.degree, 0)
                         return PolyVerdict(NO, pair=(w, z), witness_degree=deg, bound=max_degree)
@@ -410,7 +410,7 @@ def decide_content_S_r(A: Ideal, S: MulClosedSet, max_degree: int = None, fac_ca
     cap); a caller that gates on its own Limits passes the same cap.
     """
     R = A.ring
-    if S.members & A.members:
+    if A.mask & S.mask:
         raise NotApplicableError("DISJOINTNESS_VIOLATED")
     D = DEFAULT_DEGREE if max_degree is None else max_degree
     fac = has_fac(R, fac_cap)
@@ -418,7 +418,7 @@ def decide_content_S_r(A: Ideal, S: MulClosedSet, max_degree: int = None, fac_ca
     gate = None
     if fac.holds:
         gate = GATE_FAC
-    elif prop_a.holds and S.members <= R.regulars:
+    elif prop_a.holds and not S.mask & ~lattice(R).regulars:
         gate = GATE_PROPERTY_A
     if gate is None:
         return bounded_S_r_search(PolyIdealSpec.content(A), S, D)
@@ -458,7 +458,7 @@ def poly_s_unit_check(f: Poly, S_const: MulClosedSet, max_degree: int) -> PolySU
     if S_const.ring is not R:
         raise TypeMismatch("constant set belongs to a different ring")
     _check_degree(max_degree)
-    zero_in_s = 0 in S_const.members
+    zero_in_s = 0 in S_const
     if not zero_in_s and not f.is_zero() and f.coeffs[0] == 0:
         return PolySUnitResult(S_UNIT_ANALYTIC_NO)
     if f.is_zero():
@@ -468,7 +468,7 @@ def poly_s_unit_check(f: Poly, S_const: MulClosedSet, max_degree: int) -> PolySU
     for coeffs in _poly_tuples(R.size, max_degree):
         g = Poly(R, coeffs)
         prod = _product(f, g)
-        if prod.degree <= 0 and not prod.is_zero() and prod.coeffs[0] in S_const.members:
+        if prod.degree <= 0 and not prod.is_zero() and prod.coeffs[0] in S_const:
             return PolySUnitResult(S_UNIT_YES, witness=g, bound=max_degree)
         if prod.is_zero() and zero_in_s:
             return PolySUnitResult(S_UNIT_YES, witness=g, bound=max_degree)

@@ -108,7 +108,6 @@ class FiniteContext:
         self._pinned_mcs = parse_mcs(self.ring, entry.mcs_text) if entry.mcs_text else None
         self._verdicts = {}
         self._mcs = None  # m.c.s. candidates: depend on Limits and on the pinned ideal
-        self.annsum_pre = None  # P-annsum's (K1, K2, ts, K) table over ideals()
         self.subsampled = False
 
     def ideals(self):
@@ -125,11 +124,11 @@ class FiniteContext:
         if self._mcs is not None:
             return self._mcs
         R = self.ring
-        special = (frozenset(R.units), frozenset(R.elements()))
-        ordered = _distinct(_small_mcs(R) + [mcs_from_members(R, m) for m in special])
+        special = [mcs_from_members(R, R.units), mcs_from_members(R, R.elements())]
+        ordered = _distinct(_small_mcs(R) + special)
         cap = self.limits.mcs_cap
         if len(ordered) > cap:
-            ordered = _distinct(ordered[: cap - 2] + [S for S in ordered if S.members in special])
+            ordered = _distinct(ordered[: cap - 2] + [S for S in ordered if S.mask in {T.mask for T in special}])
         if len(self.ideals()) * len(ordered) > self.limits.annotation_cap:
             rng = random.Random(self.limits.subsample_seed)
             take = max(1, self.limits.annotation_cap // max(1, len(self.ideals())))
@@ -206,6 +205,8 @@ class AmalgZContext:
         self.entry = entry
         self.limits = limits
         self.recipe = entry.expr
+        if entry.ideal_text:  # the lane decides only the zero ideal
+            raise ParseError(f"amalgZ takes no ideal= annotation: {entry.text}")
         n, d = (int(x) for x in split_top(entry.expr[len("amalgZ(") : -1], ","))
         self.az = AmalgOverZ(n, d)
         self.s_desc = parse_arith_mcs(parse_arith_ring("Z"), entry.mcs_text or "(units)").descs[0]
@@ -281,8 +282,8 @@ def _distinct(candidates):
     """The first m.c.s. given per member set, ordered by (size, members)."""
     first = {}
     for S in candidates:
-        first.setdefault(S.members, S)
-    return sorted(first.values(), key=lambda S: (len(S.members), S.sorted_members))
+        first.setdefault(S.mask, S)
+    return sorted(first.values(), key=lambda S: (S.mask.bit_count(), S.sorted_members))
 
 
 def _small_mcs(ring, keep=None):
@@ -320,7 +321,7 @@ def run_p_zero(ctx, dropped):
         yield _record(
             "P-zero", ctx, dropped, outcome,
             annotations={"ideal": "(0)", "mcs": S.label()},
-            hypotheses={"disjoint": not (S.members & zero.members)},
+            hypotheses={"disjoint": not S.mask & zero.mask},
             detail={"verdict": v.to_json(ctx.ring)},
         )
 
@@ -336,7 +337,7 @@ def run_t2_3(ctx, dropped):
     principal = ideal_lattice(R).principal
     # above[i]: the j with mcs[i] strictly inside mcs[j]; conv[i]: those j where
     # the converse applies, every s of mcs[j] having Rs meet mcs[i]
-    above = [mask_of(j for j, S2 in enumerate(mcs) if S1.members < S2.members) for S1 in mcs]
+    above = [mask_of(j for j, S2 in enumerate(mcs) if S1.mask != S2.mask and not S1.mask & ~S2.mask) for S1 in mcs]
     meets = [mask_of(s for s, p in enumerate(principal) if p & S1.mask) for S1 in mcs]
     conv = [mask_of(j for j in bits(up) if not mcs[j].mask & ~m) for up, m in zip(above, meets)]
     inclusions = [(mcs[i], mcs[j], conv[i] >> j & 1) for i in range(len(mcs)) for j in bits(above[i])]
@@ -352,7 +353,7 @@ def run_t2_3(ctx, dropped):
 
     def walk(A):
         for S1, S2, converse in inclusions:
-            if ctx.s_r(A, S1).holds and (not (S2.members & A.members) or not enforce):
+            if ctx.s_r(A, S1).holds and (not S2.mask & A.mask or not enforce):
                 yield failure("forward", S1, S2, ctx.s_r(A, S2, enforce_disjoint=enforce))
             if converse and ctx.s_r(A, S2).holds:
                 yield failure("converse", S1, S2, ctx.s_r(A, S1))
@@ -378,7 +379,7 @@ def run_t2_5(ctx, dropped):
     """r-ideal pushforward to the localization pulls back to S-r."""
     R = ctx.ring
     need_reg = "s_regular" not in dropped
-    candidates = [S for S in ctx.mcs_list() if not need_reg or S.members <= R.regulars]
+    candidates = [S for S in ctx.mcs_list() if not need_reg or not S.mask & ~ideal_lattice(R).regulars]
     localized = [(S, localize(R, S)) for S in candidates]
     pushed_r = {}  # (absorbing idempotent, A.mask) -> whether A pushes forward to an r-ideal
 
@@ -423,13 +424,13 @@ def run_t2_7(ctx, dropped):
     """Four-way characterization at S = regular elements."""
     R = ctx.ring
     S = mcs_from_members(R, R.regulars)
-    regs = sorted(R.regulars)
+    regs = bits(S.mask)
     enforce = "disjoint" not in dropped
     # the pushforward of A is eA, and ex lies in eA iff ex lies in A, so the
     # preimage of the pushforward is the colon row (A : e)
     e = localize(R, S).absorbing_idempotent
     for A in ctx.ideals():
-        if enforce and (not A.is_proper() or S.members & A.members):
+        if enforce and (not A.is_proper() or A.mask & S.mask):
             continue
         sides = {
             "s_r": ctx.s_r(A, S, enforce_proper=enforce, enforce_disjoint=enforce).holds,
@@ -438,7 +439,7 @@ def run_t2_7(ctx, dropped):
         yield _record(
             "T2.7", ctx, dropped, VERIFIED if len(set(sides.values())) == 1 else VIOLATION,
             {"ideal": A.label(), "mcs": "S<reg>"},
-            {"disjoint": not (S.members & A.members)},
+            {"disjoint": not A.mask & S.mask},
             {"sides": sides},
         )
 
@@ -449,18 +450,18 @@ def run_p2_8(ctx, dropped):
     need_reg = "s_regular" not in dropped
 
     def stable(A, s):
-        base_colon = colon(A, (s,)).members
+        base_colon = colon(A, (s,)).mask
         power, seen = s, set()
         while power not in seen:
             seen.add(power)
-            if colon(A, (power,)).members != base_colon:
+            if colon(A, (power,)).mask != base_colon:
                 return False
             power = R.m(power, s)
         return True
 
     def checks(A):
         for S in ctx.mcs_list():
-            if need_reg and not S.members <= R.regulars:
+            if need_reg and S.mask & ~ideal_lattice(R).regulars:
                 continue
             v = ctx.s_r(A, S)
             if v.holds:
@@ -501,7 +502,7 @@ def run_t2_11(ctx, dropped):
             if not ctx.s_r(A, S).holds:
                 continue
             for L in mins:
-                if enforce and (L.members & S.members):
+                if enforce and L.mask & S.mask:
                     continue
                 vL = ctx.s_r(L, S, enforce_disjoint=enforce)
                 yield None if vL.holds else {
@@ -522,9 +523,9 @@ def run_t2_12(ctx, dropped):
     enforce_disjoint = "disjoint" not in dropped
 
     def checks(A):
-        in_zd = A.members <= R.zero_divisors
+        in_zd = not A.mask & ideal_lattice(R).regulars
         for S in ctx.mcs_list():
-            if enforce_disjoint and S.members & A.members:
+            if enforce_disjoint and A.mask & S.mask:
                 continue
             v = ctx.s_r(A, S, enforce_disjoint=enforce_disjoint)
             if not v.not_applicable:
@@ -543,12 +544,11 @@ def run_t2_12(ctx, dropped):
 
 def run_c_zd(ctx, dropped):
     """S-r ideals consist of zero divisors."""
-    R = ctx.ring
 
     def checks(A):
         for S in ctx.mcs_list():
             if ctx.s_r(A, S).holds:
-                yield None if A.members <= R.zero_divisors else {"mcs": S.label()}
+                yield None if not A.mask & ideal_lattice(ctx.ring).regulars else {"mcs": S.label()}
 
     for A in ctx.proper_ideals():
         outcome, detail = _sweep("checked", checks(A))
@@ -564,13 +564,13 @@ def run_p_jac(ctx, dropped):
         return
     jac = jacobson_radical(R)
     need_jac = "in_jacobson" not in dropped
-    everything = frozenset(R.elements())
+    complements = [mcs_from_members(R, bits(ideal_lattice(R).full & ~M.mask)) for M in maxes]
     for A in ctx.proper_ideals():
-        inside = A.members <= jac.members
+        inside = not A.mask & ~jac.mask
         if need_jac and not inside:
             continue
         lhs = ctx.r_verdict(A).holds
-        rhs = all(ctx.s_r(A, mcs_from_members(R, everything - M.members)).holds for M in maxes)
+        rhs = all(ctx.s_r(A, S).holds for S in complements)
         yield _record(
             "P-jac", ctx, dropped, VERIFIED if lhs == rhs else VIOLATION,
             {"ideal": A.label()},
@@ -639,20 +639,19 @@ def run_p_annsum(ctx, dropped):
     R = ctx.ring
     L = ideal_lattice(R)
     enforce = "disjoint" not in dropped
-    if ctx.annsum_pre is None:
-        ctx.annsum_pre = []
-        generated_by = {}  # principal ideal mask -> the mask of the elements generating it
-        for t, mask in enumerate(L.principal):
-            generated_by[mask] = generated_by.get(mask, 0) | 1 << t
-        pairs = [(K, annihilator(R, K.generators)) for K in ctx.ideals()]
-        for i, (K1, ann1) in enumerate(pairs):
-            for K2, ann2 in pairs[i:]:
-                ts = generated_by.get(L.join(K1, K2).mask)
-                if ts:
-                    ctx.annsum_pre.append((K1, K2, ts, L.join(ann1, ann2)))
+    generated_by = {}  # principal ideal mask -> the mask of the elements generating it
+    for t, mask in enumerate(L.principal):
+        generated_by[mask] = generated_by.get(mask, 0) | 1 << t
+    pairs = [(K, annihilator(R, K.generators)) for K in ctx.ideals()]
+    sums = []  # (K1, K2, the t with K1 + K2 = Rt, Ann(K1) + Ann(K2))
+    for i, (K1, ann1) in enumerate(pairs):
+        for K2, ann2 in pairs[i:]:
+            ts = generated_by.get(L.join(K1, K2).mask)
+            if ts:
+                sums.append((K1, K2, ts, L.join(ann1, ann2)))
 
     def checks(S):
-        for K1, K2, ts, K in ctx.annsum_pre:
+        for K1, K2, ts, K in sums:
             if not ts & S.mask or (enforce and K.mask & S.mask) or K.mask == L.full:
                 continue
             v = ctx.s_r(K, S, enforce_disjoint=enforce)
@@ -725,7 +724,7 @@ def run_p_suz(ctx, dropped):
 
     def checks(S):
         for A in ctx.proper_ideals():
-            if not A.members & S.members:
+            if not A.mask & S.mask:
                 yield None if ctx.s_r(A, S).holds else {"failing_ideal": A.label()}
 
     for S in ctx.mcs_list():
@@ -746,7 +745,7 @@ def run_p_suzmax(ctx, dropped):
     enforce = "max_disjoint" not in dropped
     for S in ctx.mcs_list():
         annotations = {"mcs": S.label()}
-        hyp = all(not (M.members & S.members) for M in maxes)
+        hyp = all(not M.mask & S.mask for M in maxes)
         if enforce and not hyp:
             yield _record("P-suzmax", ctx, dropped, VACUOUS, annotations, {"maximal_disjoint": hyp})
             continue
@@ -754,7 +753,7 @@ def run_p_suzmax(ctx, dropped):
         b_side = all(
             ctx.s_r(P, S, enforce_disjoint=enforce).holds
             for P in prime_spectrum(R)
-            if not (P.members & S.members) or not enforce
+            if not P.mask & S.mask or not enforce
         )
         c_side = all(ctx.s_r(M, S, enforce_disjoint=enforce).holds for M in maxes)
         yield _record(
@@ -801,7 +800,7 @@ def run_p3_2(ctx, dropped):
         if not A.is_proper():
             continue
         for S in h1_mcs:
-            if S.members & A.members:
+            if A.mask & S.mask:
                 continue
             results = {}
             hyps = {}
@@ -977,8 +976,8 @@ def run_t4_1(ctx, dropped):
     D = ctx.search_degree()
     for A in ctx.proper_ideals():
         for S in ctx.poly_mcs_list():
-            s_regular = S.members <= R.regulars
-            if (need_reg and not s_regular) or S.members & A.members:
+            s_regular = not S.mask & ~ideal_lattice(R).regulars
+            if (need_reg and not s_regular) or A.mask & S.mask:
                 continue
             base = ctx.s_r(A, S)
             search = bounded_S_r_search(PolyIdealSpec.content(A), S, D)
@@ -1011,7 +1010,7 @@ def run_t4_2(ctx, dropped):
     D = ctx.search_degree()
     for A in ctx.proper_ideals():
         for S in ctx.poly_mcs_list():
-            if S.members & A.members:
+            if A.mask & S.mask:
                 continue
             verdict = decide_content_S_r(A, S, D, cap)
             base = ctx.s_r(A, S)
@@ -1124,7 +1123,7 @@ def _worker(args):
 def _check_ids(ids, dropped):
     for tid in ids:
         if tid not in CASES:
-            raise UnknownTheorem(tid)
+            raise UnknownTheorem(f"unknown theorem id {tid!r}")
         for h in dropped:
             if h not in CASES[tid].hypotheses:
                 raise UnknownHypothesis(f"{tid} has no hypothesis {h!r}")

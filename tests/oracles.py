@@ -174,7 +174,7 @@ def ref_is_r_ideal(A: Ideal) -> Verdict:
     if not A.is_proper():
         return Verdict(NOT_APPLICABLE, reason=NOT_PROPER)
     R = A.ring
-    one = MulClosedSet(R, frozenset({R.one}), (), 1 << R.one)
+    one = MulClosedSet(R, 1 << R.one, ())
     v = ref_is_S_r_ideal(A, one)
     return Verdict(FAILS, counterexample=v.counterexample) if v.fails else Verdict(HOLDS)
 

@@ -581,7 +581,7 @@ def test_s_uz_mask_form_matches_the_element_loop():
         R = parse_ring(expr)
         for S in _small_mcs(R):
             others = S.members - {R.one}
-            for T in (S, MulClosedSet(R, others, S.generators, mask_of(others))):
+            for T in (S, MulClosedSet(R, mask_of(others), S.generators)):
                 v = is_S_uz_ring(R, T)
                 assert v == ref_is_S_uz_ring(R, T), (expr, T.label())
                 outcomes.add(v.outcome)

@@ -4,11 +4,13 @@ from math import prod
 
 import pytest
 
+from ringlab.corpus import Limits, parse_corpus_line
 from ringlab.dsl import parse_ring
 from ringlab.errors import NotProperError
 from ringlab.ideals import (
     all_ideals,
     annihilator,
+    bits,
     colon,
     ideal_generate,
     ideal_product,
@@ -23,10 +25,12 @@ from ringlab.ideals import (
     max_ideals,
     mcs_from_members,
     mcs_generate,
+    member_row,
     min_primes_over,
     prime_violation,
     spec,
 )
+from ringlab.registry import build_context
 from ringlab.rings import make_product, make_zn
 
 from oracles import find_isomorphism, localize_oracle, ref_mcs_closure, s_units, validate_ideal
@@ -367,3 +371,32 @@ def test_colon_row_at_e_is_the_preimage_of_the_pushforward():
                 pre = mask_of(x for x in R.elements() if loc.map.image[x] in pushed)
                 assert lattice(R).colon_rows(A)[e] == pre, (expr, S.label(), A.label())
     assert seen == {True, False}
+
+
+@pytest.mark.parametrize(
+    "expr",
+    ["Z1", "Z12", "Z2 x Z2 x Z2 x Z2", "Z4 x Z6", "triv(Z2, free(2))", "amalg(Z4, Z4, id, (2))", "loc(Z12, S<3>)"],
+)
+def test_element_set_views_and_relations_follow_the_mask(expr):
+    """An element set stores only its mask: every view reads it, and the mask
+    forms of disjointness, S inside reg and A inside zd are the set forms."""
+    ctx = build_context(parse_corpus_line(expr), Limits.defaults())
+    R, L = ctx.ring, lattice(ctx.ring)
+    all_ideals(R)
+    ideals, mcs = list(L._interned.values()), ctx.mcs_list()
+    for X in ideals + list(mcs):
+        elems = bits(X.mask)
+        assert elems == [x for x in range(R.size) if X.mask >> x & 1]
+        assert X.members == frozenset(elems) and X.sorted_members == tuple(elems)
+        assert [x for x in range(-1, R.size + 1) if x in X] == elems
+        assert member_row(X).tolist() == [x in X.members for x in R.elements()]
+    for A in ideals:
+        assert A.is_proper() == (len(A.members) < R.size)
+        assert (not A.mask & L.regulars) == (A.members <= R.zero_divisors)
+        assert ideal_generate(R, A.generators) is A
+        relabelled = ideal_generate(R, A.generators + (0,))
+        assert relabelled.mask == A.mask and relabelled != A
+        for S in mcs:
+            assert (not A.mask & S.mask) == (not A.members & S.members)
+    for S in mcs:
+        assert (not S.mask & ~L.regulars) == (S.members <= R.regulars)

@@ -560,6 +560,32 @@ def test_cli_verify_bad_corpus_ring_exits_2(tmp_path, capsys, jobs):
     assert "Q8" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "line,message",
+    [
+        ("amalgZ(4, 0)", "need n >= 2 and a divisor d >= 2"),
+        ("amalgZ(--4, 2)", "amalgZ needs two integers"),
+        ("amalgZ(4, 2) ; ideal=(2) ; mcs=(units)", "takes no ideal= annotation"),
+    ],
+)
+def test_cli_verify_bad_amalgz_line_exits_2(tmp_path, capsys, line, message):
+    from ringlab.cli import main
+
+    corpus = tmp_path / "bad.corpus"
+    corpus.write_text(line + "\n", encoding="utf-8")
+    assert main(["verify", "--corpus", str(corpus)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and message in err
+
+
+@pytest.mark.parametrize("theorems,named", [("T2.3,", "''"), ("T9.9", "'T9.9'")])
+def test_cli_verify_unknown_theorem_names_the_id(capsys, theorems, named):
+    from ringlab.cli import main
+
+    assert main(["verify", "--theorems", theorems]) == 2
+    assert capsys.readouterr().err == f"error: unknown theorem id {named}\n"
+
+
 @pytest.mark.parametrize("command", [["verify"], ["hunt", "T2.3"]])
 @pytest.mark.parametrize("jobs", ["0", "-1"])
 def test_cli_rejects_a_worker_count_below_1(capsys, command, jobs):
