@@ -1,13 +1,20 @@
-"""Ideal and ring predicates decided by exhaustive scan over finite rings.
+"""Ideal and ring predicates over finite rings.
 
 Every predicate returns a Verdict.  Hypothesis violations (properness,
 disjointness, reducedness) yield NotApplicable, never Fails: a theorem is
 not contradicted by an input that does not meet its hypotheses.
 
-The S-indexed predicates use the uniform-witness quantifier order: one
-single s in S must work for every pair (w, z).  Each computes the bitmask of
-the s that work, and `_uniform_witness` reports the least member of S in it,
-or the pair that defeats the largest member.
+Regular = unit: in a finite ring Ann(w) = 0 makes x -> wx injective, hence
+onto, so xw = 1 for some x (`FiniteRing` checks this when built).  Then wz
+in A gives z = x(wz) in A, and sz in A for every s.  So every proper ideal
+is r and pr; A is S-r iff it passes the proper and disjoint gates, with the
+least s of S as witness; and the ring is uz, and S-uz for every nonempty S,
+since a regular a has Ra = R.  These predicates read only their gates.
+
+S-prime and S-z0 are not constant on finite rings.  They use the
+uniform-witness quantifier order: one single s in S must work for every
+pair.  Each computes the bitmask of the s that work, and `_uniform_witness`
+reports the least member of S in it, or the pair that defeats the largest.
 """
 
 from __future__ import annotations
@@ -20,8 +27,7 @@ from operator import and_
 import numpy as np
 
 from .config import FAC_SUBSET_CAP
-from .ideals import Ideal, MulClosedSet, all_ideals, annihilator, bits, first_hit, ideal_generate, lattice, mask_of
-from .ideals import member_row, min_primes_over
+from .ideals import Ideal, MulClosedSet, all_ideals, annihilator, first_hit, ideal_generate, lattice, mask_of, member_row
 
 HOLDS = "Holds"
 FAILS = "Fails"
@@ -77,14 +83,6 @@ def _na(reason):
     return Verdict(NOT_APPLICABLE, reason=reason)
 
 
-def _defeat(A: Ideal, ok):
-    """Lex-first (w, z) with w regular, wz in A and not ok[z], or None."""
-    R = A.ring
-    regs = np.array(bits(lattice(R).regulars), dtype=np.intp)
-    hit = first_hit(member_row(A)[R.mul[regs, :]] & ~ok[None, :])
-    return (int(regs[hit[0]]), hit[1]) if hit else None
-
-
 def _uniform_witness(S: MulClosedSet, good: int, defeat) -> Verdict:
     """Holds with the least s of S in the mask ``good``; else Fails with the
     pair ``defeat`` returns for the largest s, which goes in ``last_candidate``."""
@@ -99,20 +97,13 @@ def _uniform_witness(S: MulClosedSet, good: int, defeat) -> Verdict:
 
 
 def is_r_ideal(A: Ideal) -> Verdict:
-    """wz in A with Ann(w) = 0 forces z in A: 1 lies in the witness mask W(A)."""
-    if not A.is_proper():
-        return _na(NOT_PROPER)
-    pair = None if lattice(A.ring).witnesses(A) >> A.ring.one & 1 else _defeat(A, member_row(A))
-    return _fails(pair) if pair else _holds()
+    """wz in A with Ann(w) = 0 forces z in A: every proper ideal, by regular = unit."""
+    return _holds() if A.is_proper() else _na(NOT_PROPER)
 
 
 def is_pr_ideal(A: Ideal) -> Verdict:
-    """wz in A with Ann(w) = 0 forces z^n in A for some n: z lies in the radical of A."""
-    if not A.is_proper():
-        return _na(NOT_PROPER)
-    radical = lattice(A.ring).intern(reduce(and_, (P.mask for P in min_primes_over(A))))
-    pair = _defeat(A, member_row(radical))
-    return _fails(pair) if pair else _holds()
+    """wz in A with Ann(w) = 0 forces z^n in A for some n: every proper ideal, as it is r."""
+    return _holds() if A.is_proper() else _na(NOT_PROPER)
 
 
 # -- S-indexed predicates -------------------------------------------------------------
@@ -126,14 +117,13 @@ def is_S_r_ideal(
 ) -> Verdict:
     """Some uniform s in S with: wz in A and Ann(w) = 0 imply sz in A.
 
-    The good s form the witness mask W(A), so A is S-r iff W(A) meets S.
+    By regular = unit every s works, so past the gates the least one is the witness.
     """
     if enforce_proper and not A.is_proper():
         return _na(NOT_PROPER)
     if enforce_disjoint and A.mask & S.mask:
         return _na(DISJOINTNESS_VIOLATED)
-    good = lattice(A.ring).witnesses(A)
-    return _uniform_witness(S, good, lambda s: _defeat(A, member_row(A)[A.ring.mul[s, :]]))
+    return _holds(witness=(S.mask & -S.mask).bit_length() - 1)
 
 
 def is_S_prime(
@@ -216,20 +206,14 @@ def is_S_z0_ideal(
 
 
 def is_uz_ring(R) -> Verdict:
-    """Every element is a unit or a zero divisor."""
-    for a in R.elements():
-        if a not in R.units and a not in R.zero_divisors:
-            return _fails((a,))
+    """Every element is a unit or a zero divisor: every finite ring, by regular = unit."""
     return _holds()
 
 
 def is_S_uz_ring(R, S: MulClosedSet) -> Verdict:
-    """Every element is an S-unit or a zero divisor: each regular a has Ra meeting S."""
-    L = lattice(R)
-    for a in bits(L.regulars):
-        if not L.principal[a] & S.mask:
-            return _fails((a,))
-    return _holds()
+    """Every element is an S-unit or a zero divisor: a regular a is a unit, so
+    Ra = R meets S unless S is empty, where the least unit fails."""
+    return _holds() if S.mask else _fails((min(R.units),))
 
 
 def has_property_A(R) -> Verdict:

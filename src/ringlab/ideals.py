@@ -102,6 +102,15 @@ def mask_of(xs) -> int:
     return mask
 
 
+def _elements(R: FiniteRing, xs, what: str = "generator") -> tuple:
+    """xs as ints, each checked to be an element of R."""
+    xs = tuple(int(x) for x in xs)
+    for x in xs:
+        if not 0 <= x < R.size:
+            raise TypeMismatch(f"{what} {x} out of range")
+    return xs
+
+
 class IdealLattice:
     """The ideals of one ring, interned by mask, with memoised operations.
 
@@ -121,7 +130,6 @@ class IdealLattice:
         self.content_tables = {}  # (A.mask, width) -> poly._ContentTables
         self._interned, self._generated, self._sums, self._colons, self._products = {}, {}, {}, {}, {}
         self._colon_rows = {}  # A.mask -> ((A : x) for every element x)
-        self._witnesses = {}  # A.mask -> W(A)
 
     def intern(self, mask: int) -> Ideal:
         """The one Ideal with these members, with greedy minimal-index generators."""
@@ -149,9 +157,7 @@ class IdealLattice:
         """The ideal of the generators, labelled by them as given."""
         got = self._generated.get(gens)
         if got is None:
-            for g in gens:
-                if not 0 <= g < self.ring.size:
-                    raise TypeMismatch(f"generator {g} out of range")
+            _elements(self.ring, gens)
             mask = 1
             for g in sorted(set(gens)):
                 if not mask >> g & 1:
@@ -190,20 +196,6 @@ class IdealLattice:
             prods = {int(mul[x, y]) for x in A.generators or (0,) for y in B.generators or (0,)}
             got = self.generate(tuple(sorted(prods)))
             self._products[(A.mask, B.mask)] = self._products[(B.mask, A.mask)] = got
-        return got
-
-    def witnesses(self, A: Ideal) -> int:
-        """W(A): the mask of every s with sz in A whenever wz in A for a regular w.
-
-        A is S-r iff W(A) meets S, and an r-ideal iff 1 lies in W(A).  With N
-        the z that some regular w sends into A, W(A) = (A : N).  The regulars
-        are read from the ring, never assumed to be its units.
-        """
-        got = self._witnesses.get(A.mask)
-        if got is None:
-            mul, inside = self.ring.mul, member_row(A)
-            need = inside[mul[bits(self.regulars)]].any(axis=0)
-            got = self._witnesses[A.mask] = _pack(inside[mul[:, need]].all(axis=1))[0]
         return got
 
     @cached_property
@@ -275,7 +267,7 @@ def ideal_generate(R: FiniteRing, gens) -> Ideal:
 
 
 def ideal_from_members(R: FiniteRing, members) -> Ideal:
-    return lattice(R).intern(mask_of(members))
+    return lattice(R).intern(mask_of(_elements(R, members, "member")))
 
 
 def all_ideals(R: FiniteRing):
@@ -332,10 +324,7 @@ def jacobson_radical(R: FiniteRing) -> Ideal:
 
 def mcs_generate(R: FiniteRing, gens) -> MulClosedSet:
     """Multiplicative closure of gens together with 1.  May contain 0."""
-    gens = tuple(int(g) for g in gens)
-    for g in gens:
-        if not 0 <= g < R.size:
-            raise TypeMismatch(f"generator {g} out of range")
+    gens = _elements(R, gens)
     # multiplying by one generator at a time reaches every product: 1, g, g^2, ...
     rows = [R.mul[g].tolist() for g in gens]
     mask, frontier = 1 << R.one, [R.one]
@@ -349,7 +338,7 @@ def mcs_generate(R: FiniteRing, gens) -> MulClosedSet:
 
 
 def mcs_from_members(R: FiniteRing, members, generators=None) -> MulClosedSet:
-    mask = mask_of(members)
+    mask = mask_of(_elements(R, members, "member"))
     S = MulClosedSet(R, mask, tuple(bits(mask) if generators is None else generators))
     if R.one not in S:
         raise InvalidConstruction("a multiplicatively closed set must contain 1")

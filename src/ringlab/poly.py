@@ -267,7 +267,6 @@ class PolyVerdict:
     pair: tuple = None  # (w, z) defeating every s
     witness_degree: int = None
     bound: int = None
-    discrepancy: bool = False
 
 
 def _poly_tuples(size: int, max_degree: int):
@@ -404,10 +403,10 @@ def decide_content_S_r(A: Ideal, S: MulClosedSet, max_degree: int = None, fac_ca
     Gate order: the finite annihilator condition settles it for any S; the
     zero-divisor-annihilator gate settles it for S inside the regular
     elements; otherwise a bounded search runs at the configured degree.
-    A gate verdict of Fails still tries to surface a concrete pair; if the
-    bounded search cannot find one the discrepancy is flagged, not hidden.
-    The f.a.c. gate sweeps subsets up to ``fac_cap`` (default the config
-    cap); a caller that gates on its own Limits passes the same cap.
+    Once a gate fires the base verdict decides, and over a finite base ring
+    it never fails (regular = unit, see `classify`).  The f.a.c. gate sweeps
+    subsets up to ``fac_cap`` (default the config cap); a caller that gates
+    on its own Limits passes the same cap.
     """
     R = A.ring
     if A.mask & S.mask:
@@ -423,13 +422,7 @@ def decide_content_S_r(A: Ideal, S: MulClosedSet, max_degree: int = None, fac_ca
     if gate is None:
         return bounded_S_r_search(PolyIdealSpec.content(A), S, D)
     base = is_S_r_ideal(A, S)
-    if base.holds or base.not_applicable:
-        return PolyVerdict(YES_BY_THEOREM if base.holds else NO_VIOLATION_UP_TO, gate=gate, base_verdict=base, bound=D)
-    search = bounded_S_r_search(PolyIdealSpec.content(A), S, D)
-    if search.outcome == NO:
-        return PolyVerdict(NO, gate=gate, base_verdict=base, pair=search.pair,
-                           witness_degree=search.witness_degree, bound=D)
-    return PolyVerdict(NO_VIOLATION_UP_TO, gate=gate, base_verdict=base, bound=D, discrepancy=True)
+    return PolyVerdict(YES_BY_THEOREM if base.holds else NO_VIOLATION_UP_TO, gate=gate, base_verdict=base, bound=D)
 
 
 # -- S-units in the polynomial ring -------------------------------------------------------

@@ -327,20 +327,18 @@ def run_p_zero(ctx, dropped):
 
 
 def run_t2_3(ctx, dropped):
-    """Monotone transfer along S1 inside S2, plus the conditional converse.
-
-    Each ideal counts its implications in bulk from its row of verdicts over
-    the m.c.s.; only a failing one re-walks the pairs, as P-colon does.
-    """
+    """Monotone transfer along S1 inside S2, plus the converse when every s
+    of S2 has Rs meeting S1."""
     R = ctx.ring
     mcs = ctx.mcs_list()
     principal = ideal_lattice(R).principal
-    # above[i]: the j with mcs[i] strictly inside mcs[j]; conv[i]: those j where
-    # the converse applies, every s of mcs[j] having Rs meet mcs[i]
-    above = [mask_of(j for j, S2 in enumerate(mcs) if S1.mask != S2.mask and not S1.mask & ~S2.mask) for S1 in mcs]
-    meets = [mask_of(s for s, p in enumerate(principal) if p & S1.mask) for S1 in mcs]
-    conv = [mask_of(j for j in bits(up) if not mcs[j].mask & ~m) for up, m in zip(above, meets)]
-    inclusions = [(mcs[i], mcs[j], conv[i] >> j & 1) for i in range(len(mcs)) for j in bits(above[i])]
+    meets = {S.mask: mask_of(s for s, p in enumerate(principal) if p & S.mask) for S in mcs}
+    inclusions = [
+        (S1, S2, not S2.mask & ~meets[S1.mask])
+        for S1 in mcs
+        for S2 in mcs
+        if S1.mask != S2.mask and not S1.mask & ~S2.mask
+    ]
     enforce = "disjoint" not in dropped
 
     def failure(direction, S1, S2, v):
@@ -351,24 +349,12 @@ def run_t2_3(ctx, dropped):
             "verdict": v.to_json(R),
         }
 
-    def walk(A):
+    def checks(A):
         for S1, S2, converse in inclusions:
             if ctx.s_r(A, S1).holds and (not S2.mask & A.mask or not enforce):
                 yield failure("forward", S1, S2, ctx.s_r(A, S2, enforce_disjoint=enforce))
             if converse and ctx.s_r(A, S2).holds:
                 yield failure("converse", S1, S2, ctx.s_r(A, S1))
-
-    def row(A, **flags):
-        return mask_of(i for i, S in enumerate(mcs) if ctx.s_r(A, S, **flags).holds)
-
-    def checks(A):
-        holds = row(A)
-        to = holds if enforce else row(A, enforce_disjoint=False)  # the verdict forward asks of S2
-        reach = mask_of(j for j, S in enumerate(mcs) if not (enforce and S.mask & A.mask))
-        forward = [above[i] & reach for i in bits(holds)]
-        converse = [conv[i] & holds for i in range(len(mcs))]
-        failed = any(f & ~to for f in forward) or any(c for i, c in enumerate(converse) if not holds >> i & 1)
-        yield from walk(A) if failed else [sum(f.bit_count() for f in forward + converse)]
 
     for A in ctx.proper_ideals():
         outcome, detail = _sweep("implications_checked", checks(A))
@@ -981,10 +967,7 @@ def run_t4_1(ctx, dropped):
                 continue
             base = ctx.s_r(A, S)
             search = bounded_S_r_search(PolyIdealSpec.content(A), S, D)
-            if base.fails and search.outcome == NO_VIOLATION_UP_TO:
-                # the counterexample may live above the bound: flagged, not failed
-                outcome = VACUOUS
-            elif not gate.holds:
+            if not gate.holds:
                 outcome = VACUOUS
             else:
                 coherent = (base.holds and search.outcome == NO_VIOLATION_UP_TO) or (

@@ -3,7 +3,7 @@
 Each one checks the package from outside: an ideal's closure, principal
 ideals, the lattice closure over every principal ideal, S-units, the
 pairwise closure of an m.c.s., the per-candidate scans of the uniform-witness
-predicates (S-r, S-prime, S-z0), the element loop of S-uz, the element-subset
+predicates (S-r, S-prime, S-z0), the element loops of uz and S-uz, the element-subset
 loop of f.a.c., the per-ideal maximality scan, the power iteration of the pr
 test, the per-call column test of a colon, the set forms of T2.7's scaled
 sides, the per-entry loops of T2.3, T2.5, P-colon and P-annsum, the per-pair
@@ -104,6 +104,15 @@ def ref_mcs_closure(R: FiniteRing, gens) -> frozenset:
                 members.add(p)
                 frontier.append(p)
     return frozenset(members)
+
+
+def ref_is_uz_ring(R: FiniteRing) -> Verdict:
+    """uz by the element loop: the first element that is neither a unit nor a
+    zero divisor fails it."""
+    for a in R.elements():
+        if a not in R.units and a not in R.zero_divisors:
+            return Verdict(FAILS, counterexample=(a,))
+    return Verdict(HOLDS)
 
 
 def ref_is_S_uz_ring(R: FiniteRing, S: MulClosedSet) -> Verdict:

@@ -38,7 +38,7 @@ from ringlab.ideals import (
     min_primes_over,
     spec,
 )
-from ringlab.corpus import Limits, parse_corpus_line
+from ringlab.corpus import FINITE, POLY, Limits, default_corpus, parse_corpus_line
 from ringlab.dsl import parse_ring
 from ringlab.registry import _small_mcs, build_context
 from ringlab.rings import make_product, make_zn
@@ -50,6 +50,7 @@ from oracles import (
     ref_is_pr_ideal,
     ref_is_S_uz_ring,
     ref_is_r_ideal,
+    ref_is_uz_ring,
     ref_is_S_prime,
     ref_is_S_r_ideal,
     ref_is_S_z0_ideal,
@@ -159,7 +160,7 @@ def _context(expr):
     return build_context(parse_corpus_line(expr), Limits.defaults())
 
 
-# (predicate, reference) with the signature (A, S, flag, flag); S-r first
+# (predicate, reference) with the signature (A, S, flag, flag)
 S_PREDICATES = (
     (is_S_r_ideal, ref_is_S_r_ideal),
     (is_S_prime, ref_is_S_prime),
@@ -167,7 +168,7 @@ S_PREDICATES = (
 )
 
 
-def _compare_with_scan(ctx, predicates=S_PREDICATES):
+def _compare_with_scan(ctx):
     """Whole verdicts of r, pr and z0 on every ideal, and of each predicate on
     ideals() x mcs_list() under the four enforce flags, against the scans.
 
@@ -180,7 +181,7 @@ def _compare_with_scan(ctx, predicates=S_PREDICATES):
         for reduced in (True, False):
             assert is_z0_ideal(A, reduced) == ref_is_z0_ideal(A, reduced), (A, reduced)
         for S, flags in product(ctx.mcs_list(), product((True, False), repeat=2)):
-            for fast, ref in predicates:
+            for fast, ref in S_PREDICATES:
                 v = fast(A, S, *flags)
                 assert v == ref(A, S, *flags), (fast.__name__, A, S, flags)
                 verdicts.append((fast.__name__, S, v))
@@ -213,21 +214,51 @@ def test_scan_comparison_meets_failing_verdicts():
 
 @pytest.mark.parametrize("expr", KERNEL_RINGS)
 def test_witness_mask_matches_scan_with_zero_divisors_declared_regular(expr):
-    """Declaring a zero divisor regular makes S-r and pr fail and moves the witness."""
-    zero_divisors = sorted(_context(expr).ring.zero_divisors - {0})
+    """Declaring a zero divisor regular makes the S-r and pr references fail
+    and moves the S-r witness.  No finite ring has such an element, and the
+    predicates decide by regular = unit, so only the references run here."""
+    ctx = _context(expr)
+    R = ctx.ring
+    zero_divisors = sorted(R.zero_divisors - {0})
     fails = pr_fails = late_witness = 0
     for z in zero_divisors:
-        ctx = _context(expr)  # a fresh ring: nothing memoised under the true regulars
-        ctx.ring.regulars = ctx.ring.units | {z}
-        # S-prime and S-z0 never read the regulars
-        for _, S, v in _compare_with_scan(ctx, S_PREDICATES[:1]):
-            fails += v.fails
-            late_witness += v.holds and v.witness != min(S.members)
+        R.regulars = R.units | {z}
+        for A in ctx.ideals():
+            for S, flags in product(ctx.mcs_list(), product((True, False), repeat=2)):
+                v = ref_is_S_r_ideal(A, S, *flags)
+                fails += v.fails
+                late_witness += v.holds and v.witness != min(S.members)
         # w = z sends 1 into (z), and 1 is in no proper radical
-        pr_fails += sum(is_pr_ideal(A).fails for A in ctx.proper_ideals())
+        pr_fails += sum(ref_is_pr_ideal(A).fails for A in ctx.proper_ideals())
     assert bool(fails) == bool(pr_fails) == bool(zero_divisors)
     # only these rings have an S whose least member fails while a later one works
     assert bool(late_witness) == (expr in ("Z6", "Z10", "Z12"))
+
+
+def test_regular_unit_lemma_matches_the_references_over_the_corpus():
+    """Over every finite and polynomial-base ring of the default corpus, the
+    predicates decided by regular = unit equal the scans: r and pr on every
+    ideal, S-r with both gates off on every ideal and catalogue m.c.s., and
+    uz and S-uz."""
+    spec = default_corpus()
+    rings = s_r_verdicts = 0
+    for entry in spec.entries:
+        if entry.kind not in (FINITE, POLY):
+            continue
+        ctx = build_context(entry, spec.limits)
+        R = ctx.ring
+        rings += 1
+        assert is_uz_ring(R) == ref_is_uz_ring(R), entry.text
+        for S in ctx.mcs_list():
+            assert is_S_uz_ring(R, S) == ref_is_S_uz_ring(R, S), (entry.text, S.label())
+        for A in ctx.ideals():
+            assert is_r_ideal(A) == ref_is_r_ideal(A), (entry.text, A.label())
+            assert is_pr_ideal(A) == ref_is_pr_ideal(A), (entry.text, A.label())
+            for S in ctx.mcs_list():
+                v = is_S_r_ideal(A, S, enforce_proper=False, enforce_disjoint=False)
+                assert v == ref_is_S_r_ideal(A, S, False, False), (entry.text, A.label(), S.label())
+                s_r_verdicts += 1
+    assert (rings, s_r_verdicts) == (135, 16807)
 
 
 # -- S-prime -----------------------------------------------------------------------

@@ -6,12 +6,13 @@ import pytest
 
 from ringlab.corpus import Limits, parse_corpus_line
 from ringlab.dsl import parse_ring
-from ringlab.errors import NotProperError
+from ringlab.errors import NotProperError, TypeMismatch
 from ringlab.ideals import (
     all_ideals,
     annihilator,
     bits,
     colon,
+    ideal_from_members,
     ideal_generate,
     ideal_product,
     ideal_pushforward,
@@ -205,6 +206,13 @@ def test_mcs_generate(z12):
     assert mcs_generate(z12, [5]).members == {1, 5}
     assert mcs_generate(z12, []).members == {1}
     assert mcs_generate(z12, [2]).members == {1, 2, 4, 8}
+
+
+@pytest.mark.parametrize("build", [mcs_from_members, ideal_from_members])
+@pytest.mark.parametrize("members, bad", [([1, 7], 7), ([1, -1], -1), ([0, 9], 9), ([0, -2], -2)])
+def test_members_out_of_range_raise_type_mismatch(z6, build, members, bad):
+    with pytest.raises(TypeMismatch, match=f"member {bad} out of range"):
+        build(z6, members)
 
 
 def test_s_units(z12):
