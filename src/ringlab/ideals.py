@@ -126,8 +126,6 @@ class IdealLattice:
         inside[np.arange(R.size)[:, None], R.mul] = True
         self.principal = tuple(_pack(inside))  # principal[a]: Ra
         self.localizations = {}  # absorbing idempotent e -> LocalizationResult
-        self.quotients = {}  # A.mask -> (R/A, projection)
-        self.content_tables = {}  # (A.mask, width) -> poly._ContentTables
         self._interned, self._generated, self._sums, self._colons, self._products = {}, {}, {}, {}, {}
         self._colon_rows = {}  # A.mask -> ((A : x) for every element x)
 

@@ -22,7 +22,7 @@ from itertools import product as iproduct
 
 import numpy as np
 
-from .classify import Verdict, has_fac, has_property_A, is_S_r_ideal
+from .classify import Verdict, has_fac, is_S_r_ideal
 from .config import DEFAULT_DEGREE, DM_MAX_DEGREE, MAX_DEGREE
 from .errors import DegreeLimitError, NotApplicableError, TypeMismatch
 from .ideals import (
@@ -35,7 +35,7 @@ from .ideals import (
     lattice,
     member_row,
 )
-from .rings import FiniteRing, make_quotient
+from .rings import FiniteRing
 
 
 @dataclass(frozen=True)
@@ -295,114 +295,45 @@ def bounded_S_r_search(spec: PolyIdealSpec, S_const: MulClosedSet, max_degree: i
     """Search degree <= max_degree for a pair defeating every constant s.
 
     A pair (w, z) is a violation when wz lies in the spec, w is regular in
-    the full polynomial ring, and sz escapes the spec for every s in S.  The
-    enumeration is organized so the verdict equals the plain all-pairs scan:
-    for evaluation kernels everything factors through values at the point,
-    and for content ideals through coefficient residues modulo A, with
-    regularity checked on actual lifts.
-
-    For content ideals only constant z-bar are tried: a scan of z-bar by
-    degree, 0 to D, always finds its first hit at degree 0. Proof: R/A is a
-    product of local rings Q_i. Let e (in S-bar) be the idempotent power of
-    the product of S-bar and U = {i : e_i = 1}. For i in U a power of that
-    product is 1 in Q_i, so every s-bar_i is a unit. Hence z-bar escapes
-    every s-bar iff z-bar_i != 0 for some i in U (otherwise e kills z-bar).
-    Let w-bar z-bar = 0 with z-bar escaping and z-bar_i != 0, i in U. Then
-    w-bar_i is a zero divisor in Q_i[x], and McCoy's theorem (Amer. Math.
-    Monthly 49, 1942) gives a constant c_i != 0 with c_i w-bar_i = 0. The
-    constant with c_i in slot i and 0 elsewhere kills w-bar and escapes
-    every s-bar. So the first hit (c-bar, w-bar), c-bar ascending, then
-    w-bar in row order, is the first hit of the full scan: same verdict,
-    same pair.
+    the full polynomial ring, and sz escapes the spec for every s in S.  For
+    evaluation kernels everything factors through values at the point, so
+    the enumeration gives the verdict of the plain all-pairs scan.
 
     Over a finite base the content branch never returns NO: a regular w has
-    Ann(c(w)) = 0 (McCoy again), and an ideal of a finite R with zero
-    annihilator is R, for a proper one lies in a nilpotent maximal ideal m_i
-    of a local factor, which a nonzero t_i in the last nonzero power of m_i
-    (1_i if m_i = 0) kills. So a liftable w-bar has unit content, and
-    c-bar w-bar = 0 forces c-bar = 0.
+    Ann(c(w)) = 0 (McCoy, Amer. Math. Monthly 49, 1942), so c(w) = R, since
+    only R has zero annihilator (see `classify`).  Then w stays regular over
+    R/A, and wz in A[x] forces z in A[x].
     """
     R = spec.base
     if S_const.ring is not R:
         raise TypeMismatch("constant set belongs to a different ring")
     _check_degree(max_degree)
-    masks = lattice(R).ann
-    svals = S_const.sorted_members
-
-    if spec.kind == EVAL_KERNEL:
-        a, B = spec.point, spec.ideal
-        vbad = [v for v in R.elements() if all(R.m(s, v) not in B for s in svals)]
-        if vbad:
-            for coeffs in _poly_tuples(R.size, max_degree):
-                if not _tuple_regular(R, coeffs, masks):
-                    continue
-                w = Poly(R, coeffs)
-                u = poly_eval(w, a)
-                for v in vbad:
-                    if R.m(u, v) in B:
-                        z = constant(R, v)
-                        deg = max(w.degree, z.degree, 0)
-                        return PolyVerdict(NO, pair=(w, z), witness_degree=deg, bound=max_degree)
+    if spec.kind == CONTENT:
         return PolyVerdict(NO_VIOLATION_UP_TO, bound=max_degree)
-
-    A = spec.ideal
-    t = _content_tables(R, A, max_degree + 1)
-    Q = t.quotient
-    sbar = sorted({t.proj.image[s] for s in svals})
-    for c in range(1, Q.size):
-        if (Q.mul[sbar, c] == 0).any():  # some s-bar kills the constant c-bar
-            continue
-        kills = np.flatnonzero((t.prod[c] == 0).all(axis=1))
-        if kills.size:
-            wt = t.rows[t.liftable][kills[0]].tolist()
-            w = Poly.make(R, _regular_lift(R, [t.cosets[b] for b in wt], masks))
-            z = constant(R, t.cosets[c][0])  # index-minimal lift
-            return PolyVerdict(NO, pair=(w, z), witness_degree=max(w.degree, 0), bound=max_degree)
+    masks = lattice(R).ann
+    a, B = spec.point, spec.ideal
+    vbad = [v for v in R.elements() if all(R.m(s, v) not in B for s in S_const.sorted_members)]
+    if vbad:
+        for coeffs in _poly_tuples(R.size, max_degree):
+            if not _tuple_regular(R, coeffs, masks):
+                continue
+            w = Poly(R, coeffs)
+            u = poly_eval(w, a)
+            for v in vbad:
+                if R.m(u, v) in B:
+                    z = constant(R, v)
+                    deg = max(w.degree, z.degree, 0)
+                    return PolyVerdict(NO, pair=(w, z), witness_degree=deg, bound=max_degree)
     return PolyVerdict(NO_VIOLATION_UP_TO, bound=max_degree)
-
-
-# Search tables of one content ideal A at one coefficient width, held on lattice(R).
-# rows: every coefficient vector over R/A in iproduct order (trailing zeros kept,
-# since padded forms lift to different polynomials); liftable: the rows with a
-# coefficientwise lift regular in R[x]; cosets: residue -> members of R over it,
-# ascending; prod[c, l]: c times the l-th liftable row.
-_ContentTables = namedtuple("_ContentTables", "quotient proj cosets rows liftable prod")
-
-
-def _coeff_rows(q: int, width: int):
-    """Every vector of width coefficients in range(q), first most significant."""
-    return np.indices((q,) * width, dtype=np.min_scalar_type(q - 1)).reshape(width, -1).T
-
-
-def _content_tables(R: FiniteRing, A: Ideal, width: int) -> _ContentTables:
-    lat = lattice(R)
-    got = lat.content_tables.get((A.mask, width))
-    if got is None:
-        if A.mask not in lat.quotients:
-            lat.quotients[A.mask] = make_quotient(R, A)
-        Q, proj = lat.quotients[A.mask]
-        cosets = {c: [a for a, x in enumerate(proj.image) if x == c] for c in range(Q.size)}
-        rows = _coeff_rows(Q.size, width)
-        # liftability depends on the residues with multiplicity, not on their order
-        keys = [tuple(sorted(r)) for r in rows.tolist()]
-        memo = {k: _regular_lift(R, [cosets[c] for c in k], lat.ann) is not None for k in set(keys)}
-        liftable = np.array([memo[k] for k in keys], dtype=bool)
-        got = _ContentTables(Q, proj, cosets, rows, liftable, Q.mul.astype(rows.dtype)[:, rows[liftable]])
-        lat.content_tables[(A.mask, width)] = got
-    return got
-
-
-def _regular_lift(R: FiniteRing, pools, masks):
-    """The first coefficientwise choice from the pools that is regular in R[x], or None."""
-    return next((c for c in iproduct(*pools) if _tuple_regular(R, c, masks)), None)
 
 
 def decide_content_S_r(A: Ideal, S: MulClosedSet, max_degree: int = None, fac_cap: int = None) -> PolyVerdict:
     """Is the content ideal A[x] S-r over the polynomial ring?
 
-    Gate order: the finite annihilator condition settles it for any S; the
-    zero-divisor-annihilator gate settles it for S inside the regular
-    elements; otherwise a bounded search runs at the configured degree.
+    Gate order: the finite annihilator condition settles it for any S;
+    Property A, which every finite ring has (see `classify`), settles it for
+    S inside the regular elements; otherwise a bounded search runs at the
+    configured degree.
     Once a gate fires the base verdict decides, and over a finite base ring
     it never fails (regular = unit, see `classify`).  The f.a.c. gate sweeps
     subsets up to ``fac_cap`` (default the config cap); a caller that gates
@@ -412,14 +343,11 @@ def decide_content_S_r(A: Ideal, S: MulClosedSet, max_degree: int = None, fac_ca
     if A.mask & S.mask:
         raise NotApplicableError("DISJOINTNESS_VIOLATED")
     D = DEFAULT_DEGREE if max_degree is None else max_degree
-    fac = has_fac(R, fac_cap)
-    prop_a = has_property_A(R)
-    gate = None
-    if fac.holds:
+    if has_fac(R, fac_cap).holds:
         gate = GATE_FAC
-    elif prop_a.holds and not S.mask & ~lattice(R).regulars:
+    elif not S.mask & ~lattice(R).regulars:
         gate = GATE_PROPERTY_A
-    if gate is None:
+    else:
         return bounded_S_r_search(PolyIdealSpec.content(A), S, D)
     base = is_S_r_ideal(A, S)
     return PolyVerdict(YES_BY_THEOREM if base.holds else NO_VIOLATION_UP_TO, gate=gate, base_verdict=base, bound=D)

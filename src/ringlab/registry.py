@@ -65,7 +65,6 @@ from .ideals import (
     spec as prime_spectrum,
 )
 from .poly import (
-    NO,
     NO_VIOLATION_UP_TO,
     YES_BY_THEOREM,
     PolyIdealSpec,
@@ -295,17 +294,21 @@ def _small_mcs(ring, keep=None):
 
 
 def run_degen(ctx, dropped):
+    """`classify`'s two lemmas from the lattice tables (Ann = 0 exactly on the units, every
+    proper ideal has nonzero annihilator); then every proper ideal is r and the ring is uz."""
     R = ctx.ring
     uz = cl.is_uz_ring(R)
+    regular_is_unit = mask_of(a for a, m in enumerate(ideal_lattice(R).ann) if m == 1) == mask_of(R.units)
 
     def checks():
         for A in ctx.proper_ideals():
             v = ctx.r_verdict(A)
-            yield None if v.holds else {"failing_ideal": A.label(), "verdict": v.to_json(R)}
+            ok = v.holds and not annihilator(R, A.generators).is_zero()
+            yield None if ok else {"failing_ideal": A.label(), "verdict": v.to_json(R)}
 
     outcome, detail = _sweep("proper_ideals_checked", checks())
     detail.update(detail.pop("failure", {}), uz=uz.to_json(R))
-    ok = uz.holds and outcome != VIOLATION
+    ok = uz.holds and regular_is_unit and outcome != VIOLATION
     yield _record("DEGEN", ctx, dropped, VERIFIED if ok else VIOLATION, detail=detail)
 
 
@@ -955,7 +958,8 @@ def run_arith_r_oracle(ctx, dropped):
 
 
 def run_t4_1(ctx, dropped):
-    """Zero-divisor-annihilator gate for content ideals, S inside regulars."""
+    """Zero-divisor-annihilator gate for content ideals, S inside regulars; over a
+    finite base the gate always holds and the search never returns NO (`classify`)."""
     R = ctx.ring
     gate = cl.has_property_A(R)
     need_reg = "s_regular" not in dropped
@@ -967,21 +971,12 @@ def run_t4_1(ctx, dropped):
                 continue
             base = ctx.s_r(A, S)
             search = bounded_S_r_search(PolyIdealSpec.content(A), S, D)
-            if not gate.holds:
-                outcome = VACUOUS
-            else:
-                coherent = (base.holds and search.outcome == NO_VIOLATION_UP_TO) or (
-                    base.fails and search.outcome == NO
-                )
-                outcome = VERIFIED if coherent else VIOLATION
-            detail = {"base": base.outcome, "search": search.outcome}
-            if search.pair:
-                detail["pair"] = [search.pair[0].text(), search.pair[1].text()]
+            coherent = base.holds and search.outcome == NO_VIOLATION_UP_TO
             yield _record(
-                "T4.1", ctx, dropped, outcome,
+                "T4.1", ctx, dropped, VERIFIED if coherent else VIOLATION,
                 {"ideal": A.label(), "mcs": S.label(), "degree": D},
                 {"property_a": gate.holds, "s_regular": s_regular},
-                detail,
+                {"base": base.outcome, "search": search.outcome},
             )
 
 
@@ -1001,10 +996,7 @@ def run_t4_2(ctx, dropped):
             if not gate.holds:
                 outcome = VACUOUS
             else:
-                coherent = (base.holds and verdict.outcome == YES_BY_THEOREM) or (
-                    base.fails and verdict.outcome == NO
-                )
-                outcome = VERIFIED if coherent else VIOLATION
+                outcome = VERIFIED if base.holds and verdict.outcome == YES_BY_THEOREM else VIOLATION
                 detail["base"] = base.outcome
             yield _record(
                 "T4.2", ctx, dropped, outcome,

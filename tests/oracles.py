@@ -3,18 +3,21 @@
 Each one checks the package from outside: an ideal's closure, principal
 ideals, the lattice closure over every principal ideal, S-units, the
 pairwise closure of an m.c.s., the per-candidate scans of the uniform-witness
-predicates (S-r, S-prime, S-z0), the element loops of uz and S-uz, the element-subset
-loop of f.a.c., the per-ideal maximality scan, the power iteration of the pr
-test, the per-call column test of a colon, the set forms of T2.7's scaled
-sides, the per-entry loops of T2.3, T2.5, P-colon and P-annsum, the per-pair
-loop of the Dedekind-Mertens sweep, the fraction construction of a
-localization, an isomorphism search between finite rings, and the submodule
-lattice of a finite module.
+predicates (S-r, S-prime, S-z0), the element loops of uz and S-uz, the
+element-subset loop of f.a.c., the per-ideal scan of Property A, the
+per-ideal maximality scan, the power iteration of the pr test, the per-call
+column test of a colon, the set forms of T2.7's scaled sides, the per-entry
+loops of T2.3, T2.5, P-colon and P-annsum, the per-pair loop of the
+Dedekind-Mertens sweep, the full-degree content search over R/A, the fraction
+construction of a localization, an isomorphism search between finite rings,
+and the submodule lattice of a finite module.  CAP_RINGS lists the cyclic
+factors of eight products of cyclic rings at the 256-element size cap, and
+CAP_EXPRS spells them.
 """
 
 import random
 from functools import reduce
-from itertools import combinations
+from itertools import combinations, product as iproduct
 from operator import and_
 
 import numpy as np
@@ -43,12 +46,16 @@ from ringlab.ideals import (
     ideal_generate,
     ideal_pushforward,
     ideal_sum,
+    lattice,
     localize,
     mask_of,
     member_row,
 )
-from ringlab.poly import Poly, dedekind_mertens_check
-from ringlab.rings import FiniteRing, _check_ideal_subset, idempotent_power
+from ringlab.poly import NO, NO_VIOLATION_UP_TO, Poly, PolyVerdict, dedekind_mertens_check
+from ringlab.rings import FiniteRing, _check_ideal_subset, idempotent_power, make_quotient
+
+CAP_RINGS = ((256,), (2,) * 8, (4,) * 4, (2, 128), (3, 5, 17), (2, 3, 5, 7), (64,), (128,))
+CAP_EXPRS = [" x ".join(f"Z{n}" for n in factors) for factors in CAP_RINGS]
 
 
 def validate_ideal(A: Ideal) -> None:
@@ -136,6 +143,15 @@ def ref_has_fac(R: FiniteRing, cap: int) -> Verdict:
     return Verdict(HOLDS)
 
 
+def ref_has_property_A(R: FiniteRing) -> Verdict:
+    """Property A by the per-ideal scan: the first ideal inside zd(R) with zero
+    annihilator fails it."""
+    for B in all_ideals(R):
+        if not B.members & R.regulars and annihilator(R, B.generators).is_zero():
+            return Verdict(FAILS, counterexample=B.generators)
+    return Verdict(HOLDS)
+
+
 def ref_max_ideals(R: FiniteRing) -> tuple:
     """The proper ideals that no other proper ideal contains, by one scan per ideal."""
     ideals, full = all_ideals(R), (1 << R.size) - 1
@@ -153,7 +169,7 @@ def _uniform_scan(S: MulClosedSet, defeat) -> Verdict:
         pair = defeat(s)
         if pair is None:
             return Verdict(HOLDS, witness=s)
-    return Verdict(FAILS, counterexample=pair, last_candidate=S.sorted_members[-1])
+    return Verdict(FAILS, counterexample=pair, last_candidate=S.sorted_members[-1] if S.mask else None)
 
 
 def ref_is_S_r_ideal(A: Ideal, S: MulClosedSet, enforce_proper=True, enforce_disjoint=True) -> Verdict:
@@ -424,6 +440,72 @@ def ref_dedekind_mertens_sweep(R: FiniteRing, pairs: int, seed: int, max_degree:
             return checked, (w, z)
         checked += 1
     return checked, None
+
+
+# The full-degree content search: each z-bar of degree 0..D over R/A that escapes
+# every s-bar is multiplied against every coefficient vector in turn, and every
+# annihilating vector is tried for a regular lift until one is found.
+
+
+def ref_poly_tuples(size, max_degree):
+    for d in range(max_degree + 1):
+        if d == 0:
+            for c in range(1, size):
+                yield (c,)
+        else:
+            for lead in range(1, size):
+                for rest in iproduct(range(size), repeat=d):
+                    yield tuple(reversed(rest)) + (lead,)
+
+
+def ref_annihilating_vectors(Q, zt, vecs):
+    width = vecs.shape[1]
+    out = np.zeros((len(vecs), width + len(zt) - 1), dtype=np.intp)
+    for j, b in enumerate(zt):
+        if b == 0:
+            continue
+        out[:, j : j + width] = Q.add[out[:, j : j + width], Q.mul[vecs, b]]
+    return [tuple(int(c) for c in v) for v in vecs[(out == 0).all(axis=1)]]
+
+
+def ref_regular_lift(R, p, wt, masks):
+    cosets = {}
+    for a in R.elements():
+        cosets.setdefault(int(p[a]), []).append(a)
+    full = (1 << R.size) - 1
+    for combo in iproduct(*(cosets[c] for c in wt)):
+        acc = full
+        for c in combo:
+            acc &= masks[c]
+        if acc == 1:
+            return combo
+    return None
+
+
+def ref_min_lift(R, p, zt):
+    lifts = {}
+    for a in R.elements():
+        lifts.setdefault(int(p[a]), a)
+    return [lifts[c] for c in zt]
+
+
+def ref_content_search(A, S_const, max_degree):
+    R = A.ring
+    masks = lattice(R).ann
+    quotient, proj = make_quotient(R, A)
+    p = proj.image
+    sbar = sorted({int(p[s]) for s in S_const.sorted_members})
+    vecs = np.array(list(iproduct(range(quotient.size), repeat=max_degree + 1)), dtype=np.intp)
+    for zt in ref_poly_tuples(quotient.size, max_degree):
+        if not all(any(int(quotient.mul[s, c]) != 0 for c in zt) for s in sbar):
+            continue
+        for wt in ref_annihilating_vectors(quotient, zt, vecs):
+            found = ref_regular_lift(R, p, wt, masks)
+            if found is not None:
+                w = Poly.make(R, found)
+                z = Poly.make(R, ref_min_lift(R, p, zt))
+                return PolyVerdict(NO, pair=(w, z), witness_degree=max(w.degree, z.degree, 0), bound=max_degree)
+    return PolyVerdict(NO_VIOLATION_UP_TO, bound=max_degree)
 
 
 def localize_oracle(R: FiniteRing, S: MulClosedSet):

@@ -45,6 +45,7 @@ from ringlab.rings import make_product, make_zn
 
 from oracles import (
     ref_has_fac,
+    ref_has_property_A,
     ref_max_ideals,
     ref_principal,
     ref_is_pr_ideal,
@@ -238,8 +239,8 @@ def test_witness_mask_matches_scan_with_zero_divisors_declared_regular(expr):
 def test_regular_unit_lemma_matches_the_references_over_the_corpus():
     """Over every finite and polynomial-base ring of the default corpus, the
     predicates decided by regular = unit equal the scans: r and pr on every
-    ideal, S-r with both gates off on every ideal and catalogue m.c.s., and
-    uz and S-uz."""
+    ideal, S-r with both gates off on every ideal and catalogue m.c.s., uz
+    and S-uz; so does Property A, decided by zero annihilator = whole ring."""
     spec = default_corpus()
     rings = s_r_verdicts = 0
     for entry in spec.entries:
@@ -249,6 +250,7 @@ def test_regular_unit_lemma_matches_the_references_over_the_corpus():
         R = ctx.ring
         rings += 1
         assert is_uz_ring(R) == ref_is_uz_ring(R), entry.text
+        assert has_property_A(R) == ref_has_property_A(R), entry.text
         for S in ctx.mcs_list():
             assert is_S_uz_ring(R, S) == ref_is_S_uz_ring(R, S), (entry.text, S.label())
         for A in ctx.ideals():
@@ -259,6 +261,14 @@ def test_regular_unit_lemma_matches_the_references_over_the_corpus():
                 assert v == ref_is_S_r_ideal(A, S, False, False), (entry.text, A.label(), S.label())
                 s_r_verdicts += 1
     assert (rings, s_r_verdicts) == (135, 16807)
+
+
+@pytest.mark.parametrize("predicate", [is_S_r_ideal, is_S_prime, is_S_z0_ideal])
+def test_empty_mcs_fails_without_witness_or_last_candidate(z6, predicate):
+    """No s at all: the uniform-witness predicates fail, naming no element."""
+    v = predicate(ideal_generate(z6, [2]), MulClosedSet(z6, 0, ()))
+    assert v.fails and v.witness is None and v.last_candidate is None
+    assert v.to_json(z6)["witness"] is None
 
 
 # -- S-prime -----------------------------------------------------------------------

@@ -7,7 +7,6 @@ colons.  They keep no state, so every kernel answer is checked against a
 fresh recomputation.
 """
 
-import ast
 import gc
 import random
 import sys
@@ -15,7 +14,6 @@ import weakref
 from functools import reduce
 from itertools import combinations
 from operator import or_
-from pathlib import Path
 
 import numpy as np
 import pytest
@@ -37,7 +35,7 @@ from ringlab.ideals import (
 )
 from ringlab.rings import make_product, make_quotient, make_zn
 
-from oracles import ref_colon_mask, ref_ideal_masks, ref_principal
+from oracles import CAP_EXPRS, ref_colon_mask, ref_ideal_masks, ref_principal
 from test_poly import SEARCH_RINGS
 
 # -- frozenset reference ----------------------------------------------------------
@@ -253,18 +251,6 @@ def test_lattice_join_matches_ideal_sum():
                 assert lattice(R).join(A, B) is ideal_sum(A, B), (expr, A.label(), B.label())
 
 
-def _read_cap_rings():
-    """The factor tuples of the benchmark's cap-rings workload, read from its source."""
-    source = (Path(__file__).resolve().parents[1] / "perfbench" / "workloads.py").read_text()
-    [value] = [
-        node.value for node in ast.parse(source).body
-        if isinstance(node, ast.Assign) and [getattr(t, "id", None) for t in node.targets] == ["CAP_RINGS"]
-    ]
-    return eval(compile(ast.Expression(value), "CAP_RINGS", "eval"), {"__builtins__": {}})
-
-
-CAP_RINGS = _read_cap_rings()
-CAP_EXPRS = [" x ".join(f"Z{n}" for n in factors) for factors in CAP_RINGS]
 LATTICE_RINGS = (
     ["Z1"]
     + [" x ".join(["Z2"] * k) for k in range(1, 7)]

@@ -34,8 +34,7 @@ from ringlab.ideals import (
 from ringlab.registry import build_context
 from ringlab.rings import make_product, make_zn
 
-from oracles import find_isomorphism, localize_oracle, ref_mcs_closure, s_units, validate_ideal
-from test_ideal_kernel import CAP_EXPRS, CAP_RINGS
+from oracles import CAP_EXPRS, CAP_RINGS, find_isomorphism, localize_oracle, ref_mcs_closure, s_units, validate_ideal
 from test_poly import SEARCH_RINGS
 
 

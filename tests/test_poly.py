@@ -24,8 +24,6 @@ from ringlab.poly import (
     YES_BY_THEOREM,
     Poly,
     PolyIdealSpec,
-    PolyVerdict,
-    _coeff_rows,
     _dm_table,
     _poly_tuples,
     bounded_S_r_search,
@@ -42,9 +40,9 @@ from ringlab.poly import (
     poly_s_unit_check,
 )
 from ringlab.registry import verify
-from ringlab.rings import make_product, make_quotient, make_zn
+from ringlab.rings import make_product, make_zn
 
-from oracles import ref_dedekind_mertens_sweep
+from oracles import ref_content_search, ref_dedekind_mertens_sweep, ref_poly_tuples
 
 
 @pytest.fixture(scope="module")
@@ -426,71 +424,9 @@ def test_negative_degree_is_refused():
 
 # -- content search against the loop reference --------------------------------------------
 #
-# The reference is the full-degree scan: each escaping z-bar of degree 0..D
-# is multiplied against every coefficient vector in turn, and every
-# annihilating vector is tried for a regular lift until one is found.  The
-# search itself tries constant z-bar only, which McCoy's theorem justifies.
-
-
-def ref_poly_tuples(size, max_degree):
-    for d in range(max_degree + 1):
-        if d == 0:
-            for c in range(1, size):
-                yield (c,)
-        else:
-            for lead in range(1, size):
-                for rest in iproduct(range(size), repeat=d):
-                    yield tuple(reversed(rest)) + (lead,)
-
-
-def ref_annihilating_vectors(Q, zt, vecs):
-    width = vecs.shape[1]
-    out = np.zeros((len(vecs), width + len(zt) - 1), dtype=np.intp)
-    for j, b in enumerate(zt):
-        if b == 0:
-            continue
-        out[:, j : j + width] = Q.add[out[:, j : j + width], Q.mul[vecs, b]]
-    return [tuple(int(c) for c in v) for v in vecs[(out == 0).all(axis=1)]]
-
-
-def ref_regular_lift(R, p, wt, masks):
-    cosets = {}
-    for a in R.elements():
-        cosets.setdefault(int(p[a]), []).append(a)
-    full = (1 << R.size) - 1
-    for combo in iproduct(*(cosets[c] for c in wt)):
-        acc = full
-        for c in combo:
-            acc &= masks[c]
-        if acc == 1:
-            return combo
-    return None
-
-
-def ref_min_lift(R, p, zt):
-    lifts = {}
-    for a in R.elements():
-        lifts.setdefault(int(p[a]), a)
-    return [lifts[c] for c in zt]
-
-
-def ref_content_search(A, S_const, max_degree):
-    R = A.ring
-    masks = lattice(R).ann
-    quotient, proj = make_quotient(R, A)
-    p = proj.image
-    sbar = sorted({int(p[s]) for s in S_const.sorted_members})
-    vecs = np.array(list(iproduct(range(quotient.size), repeat=max_degree + 1)), dtype=np.intp)
-    for zt in ref_poly_tuples(quotient.size, max_degree):
-        if not all(any(int(quotient.mul[s, c]) != 0 for c in zt) for s in sbar):
-            continue
-        for wt in ref_annihilating_vectors(quotient, zt, vecs):
-            found = ref_regular_lift(R, p, wt, masks)
-            if found is not None:
-                w = Poly.make(R, found)
-                z = Poly.make(R, ref_min_lift(R, p, zt))
-                return PolyVerdict(NO, pair=(w, z), witness_degree=max(w.degree, z.degree, 0), bound=max_degree)
-    return PolyVerdict(NO_VIOLATION_UP_TO, bound=max_degree)
+# The reference (`oracles.ref_content_search`) is the full-degree scan over R/A;
+# the search returns NO_VIOLATION_UP_TO at once, since over a finite base only R
+# has zero annihilator.
 
 
 def _search_mcs(R, A):
@@ -520,8 +456,8 @@ def test_content_search_matches_loop_reference(expr):
 
 
 def _faked_mask_case(data):
-    """Fake some annihilator masks, so lifts can be regular and the content path
-    finds pairs.  Random masks also make a lift's regularity depend on repeated
+    """Fake some annihilator masks, so lifts can be regular and the reference
+    content scan finds pairs.  Random masks also make a lift's regularity depend on repeated
     residues.  Returns (A, S, degree)."""
     R = parse_ring(data.draw(st.sampled_from(["Z4", "Z6", "Z8", "Z2 x Z2", "Z4 x Z2", "triv(Z2, free(1))"])))
     lat = lattice(R)  # R is fresh, so the faked table reaches no other test
@@ -530,14 +466,6 @@ def _faked_mask_case(data):
     A = data.draw(st.sampled_from([A for A in all_ideals(R) if A.is_proper()]))
     S = data.draw(st.sampled_from(_search_mcs(R, A)))
     return A, S, data.draw(st.integers(0, 2))
-
-
-@settings(max_examples=40, derandomize=True, deadline=None)
-@given(st.data())
-def test_content_search_matches_reference_when_lifts_are_regular(data):
-    """With faked masks the whole verdict, pair included, must match the loop reference."""
-    A, S, degree = _faked_mask_case(data)
-    assert bounded_S_r_search(PolyIdealSpec.content(A), S, degree) == ref_content_search(A, S, degree)
 
 
 def _assert_first_hit_constant(A, S, degree):
@@ -574,10 +502,7 @@ def test_reference_scan_first_hits_a_constant_when_lifts_are_regular(data):
 
 @pytest.mark.parametrize("size", [2, 3, 5])
 def test_coefficient_rows_in_poly_tuple_order(size):
-    """Coefficient rows come in iproduct order, which fixes the first liftable row;
-    _poly_tuples enumerates as the reference does."""
-    for width in range(1, 4):
-        assert [tuple(r) for r in _coeff_rows(size, width).tolist()] == list(iproduct(range(size), repeat=width))
+    """_poly_tuples enumerates coefficient tuples as the reference does."""
     assert list(_poly_tuples(size, 2)) == list(ref_poly_tuples(size, 2))
 
 

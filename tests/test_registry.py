@@ -10,7 +10,7 @@ from ringlab.classify import FAILS, Verdict, has_fac
 from ringlab.corpus import CorpusSpec, Limits, default_corpus, parse_corpus_line
 from ringlab.dsl import parse_ring
 from ringlab.errors import ConfigError, UnknownHypothesis, UnknownTheorem
-from ringlab.ideals import all_ideals, ideal_pushforward, localize, mask_of, mcs_from_members
+from ringlab.ideals import all_ideals, ideal_pushforward, lattice, localize, mask_of, mcs_from_members
 from ringlab.registry import (
     CASES,
     DEFAULT_IDS,
@@ -20,6 +20,7 @@ from ringlab.registry import (
     build_context,
     counterexample_search,
     run_p_annsum,
+    run_degen,
     run_p_colon,
     run_t2_3,
     run_t2_5,
@@ -338,6 +339,30 @@ def test_p26_verified_on_failing_entry(mini_records):
 def test_degen_nonvacuous(mini_records):
     degen = [r for r in mini_records if r["theorem"] == "DEGEN"]
     assert degen and all(r["outcome"] == "VERIFIED" for r in degen)
+
+
+@pytest.mark.parametrize("element, row", [(2, 0b0001), (3, 0b1001)])
+def test_degen_catches_a_faked_annihilator_row(element, row):
+    """DEGEN reads both lemmas from the tables: a nonunit 2 with Ann = 0 (so the
+    proper ideal (2) has zero annihilator), or a unit 3 with Ann != 0, is a VIOLATION."""
+    ctx = build_context(parse_corpus_line("Z4"), Limits.defaults())
+    lat = lattice(ctx.ring)  # the ring is fresh, so the faked row reaches no other test
+    lat.ann = tuple(row if a == element else m for a, m in enumerate(lat.ann))
+    [record] = run_degen(ctx, frozenset())
+    assert record["outcome"] == "VIOLATION"
+
+
+def test_degen_catches_a_proper_ideal_with_zero_annihilator():
+    """Fake Ann(g) for the first generator g of a two-generator proper ideal so
+    that it meets Ann(h) only in 0; no element gets Ann = 0, so only the second
+    lemma's check can see it."""
+    ctx = build_context(parse_corpus_line("Z2 x Z2 x Z2"), Limits.defaults())
+    lat = lattice(ctx.ring)  # the ring is fresh, so the faked row reaches no other test
+    g, h = next(A.generators for A in ctx.proper_ideals() if len(A.generators) == 2)
+    lat.ann = tuple(1 | lat.full & ~lat.ann[h] if a == g else m for a, m in enumerate(lat.ann))
+    assert 1 not in (lat.ann[g], lat.ann[h])
+    [record] = run_degen(ctx, frozenset())
+    assert record["outcome"] == "VIOLATION"
 
 
 # -- the bulk runners against their per-entry loops ------------------------------------------
