@@ -289,7 +289,7 @@ def _in_ideal(descs, xs):
 
 
 def _products_in(descs, xs, ys, reduce):
-    """For each row x of xs, reduce (np.any or np.all) of "xy is in the ideal" over
+    """For each row x of xs, reduce (np.any, np.all or np.sum) of "xy is in the ideal" over
     the rows y of ys; temporaries hold about _CHUNK elements."""
     step = max(1, _CHUNK // max(1, ys.size))
     return np.concatenate([

@@ -19,7 +19,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from . import config
-from .dsl import is_arith_expression, split_top
+from .dsl import int_args, is_arith_expression, split_top
 from .errors import ConfigError, ParseError
 
 FINITE = "finite"
@@ -105,10 +105,7 @@ def parse_corpus_line(line: str):
         expr_canon = stripped
     elif stripped.startswith("amalgZ(") and stripped.endswith(")"):
         kind = AMALGZ
-        args = split_top(stripped[len("amalgZ(") : -1], ",")
-        if len(args) != 2 or not all(a.removeprefix("-").isdecimal() for a in args):
-            raise ParseError(f"amalgZ needs two integers, got {expr!r}")
-        expr_canon = f"amalgZ({int(args[0])},{int(args[1])})"
+        expr_canon = "amalgZ({},{})".format(*int_args(stripped, "amalgZ", 2))
     elif is_arith_expression(expr):
         kind = ARITH
         expr_canon = " x ".join(split_top(stripped, "x"))

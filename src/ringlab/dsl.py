@@ -68,6 +68,17 @@ def _is_call(text: str, name: str) -> bool:
     return text.startswith(name + "(") and text.endswith(")")
 
 
+_COUNTS = {1: "one integer", 2: "two integers"}
+
+
+def int_args(text: str, name: str, count: int):
+    """The integer arguments of ``name(i1, ..., i_count)``, e.g. ``free(k)`` or ``amalgZ(n, d)``."""
+    args = _call_args(_strip(text), name)
+    if len(args) != count or not all(a.removeprefix("-").isdecimal() for a in args):
+        raise ParseError(f"{name} needs {_COUNTS[count]}, got {text!r}")
+    return tuple(int(a) for a in args)
+
+
 def parse_element(R: FiniteRing, token: str) -> int:
     token = _strip(token)
     for i, lab in enumerate(R.labels):
@@ -93,7 +104,7 @@ def parse_gens(R: FiniteRing, text: str):
         return (parse_element(R, text),)
     except ParseError:
         pass
-    if text.startswith("(") and text.endswith(")") and _wraps_whole(text):
+    if _parenthesized(text):
         return parse_gens(R, text[1:-1])
     raise ParseError(f"cannot resolve generator list {text!r} in {R.recipe}")
 
@@ -109,10 +120,6 @@ def parse_mcs(R: FiniteRing, text: str) -> MulClosedSet:
     return mcs_generate(R, parse_gens(R, text))
 
 
-def _is_arith_product(text: str) -> bool:
-    return any(_strip(f) == "Z" for f in split_top(_strip(text), "x"))
-
-
 def parse_arith_ring(text: str) -> ArithRing:
     factors = []
     for f in split_top(_strip(text), "x"):
@@ -126,29 +133,26 @@ def parse_arith_ring(text: str) -> ArithRing:
     return ArithRing(tuple(factors))
 
 
-def parse_arith_ideal(R: ArithRing, text: str) -> ArithIdeal:
+def _descriptors(R: ArithRing, text: str, what: str):
+    """The per-factor descriptor texts of an annotation such as ``(0,2)``, one per factor of R."""
     text = _strip(text)
-    if text.startswith("(") and text.endswith(")"):
-        text = text[1:-1]
-    parts = split_top(text, ",")
+    parts = split_top(text[1:-1] if _parenthesized(text) else text, ",")
     if len(parts) != R.width:
-        raise ParseError(f"expected {R.width} ideal descriptors, got {len(parts)}")
+        raise ParseError(f"expected {R.width} {what} descriptors, got {len(parts)}")
+    return parts
+
+
+def parse_arith_ideal(R: ArithRing, text: str) -> ArithIdeal:
     try:
-        descs = tuple(int(p) for p in parts)
+        descs = tuple(int(p) for p in _descriptors(R, text, "ideal"))
     except ValueError:
         raise ParseError(f"ideal descriptors must be integers: {text!r}") from None
     return ArithIdeal(R, descs)
 
 
 def parse_arith_mcs(R: ArithRing, text: str) -> ArithMCS:
-    text = _strip(text)
-    if text.startswith("(") and text.endswith(")"):
-        text = text[1:-1]
-    parts = split_top(text, ",")
-    if len(parts) != R.width:
-        raise ParseError(f"expected {R.width} m.c.s. descriptors, got {len(parts)}")
     descs = []
-    for p in parts:
+    for p in _descriptors(R, text, "m.c.s."):
         if p == "units":
             descs.append(("units",))
         elif p == "all":
@@ -188,16 +192,22 @@ def parse_ring_structure(text: str):
     pieces = split_top(factors[0], "/")
     ring, structure = _parse_atom(pieces[0])
     for q in pieces[1:]:
-        q = _strip(q)
-        if not (q.startswith("(") and q.endswith(")")):
-            raise ParseError(f"quotient needs parenthesized generators, got {q!r}")
-        ideal = parse_ideal(ring, q[1:-1])
-        ring, _ = make_quotient(ring, ideal)
+        ring, _ = _quotient(ring, q)
         structure = None
     return ring, structure
 
 
-def _wraps_whole(text: str) -> bool:
+def _quotient(R: FiniteRing, text: str):
+    """R/(gens) and its projection, for the text ``(gens)`` after a ``/``."""
+    text = _strip(text)
+    if not _parenthesized(text):
+        raise ParseError(f"quotient needs parenthesized generators, got {text!r}")
+    return make_quotient(R, parse_ideal(R, text[1:-1]))
+
+
+def _parenthesized(text: str) -> bool:
+    if not (text.startswith("(") and text.endswith(")")):
+        return False
     depth = 0
     for i, ch in enumerate(text):
         if ch in _OPEN:
@@ -211,7 +221,7 @@ def _wraps_whole(text: str) -> bool:
 
 def _parse_atom(text: str):
     text = _strip(text)
-    if text.startswith("(") and text.endswith(")") and _wraps_whole(text):
+    if _parenthesized(text):
         return parse_ring_structure(text[1:-1])
     if text.startswith("Z") and text[1:].isdigit():
         return make_zn(int(text[1:])), None
@@ -222,8 +232,7 @@ def _parse_atom(text: str):
         base = parse_ring(args[0])
         mod = _strip(args[1])
         if _is_call(mod, "free"):
-            (karg,) = _call_args(mod, "free")
-            module = make_module_free(base, int(karg))
+            module = make_module_free(base, *int_args(mod, "free", 1))
         elif _is_call(mod, "quot"):
             gens = ",".join(_call_args(mod, "quot"))
             module = make_module_quotient(base, parse_ideal(base, gens))
@@ -247,11 +256,10 @@ def _parse_atom(text: str):
             if len(pieces) != 2 or _strip(pieces[0]) != e1:
                 raise ParseError("amalg with proj needs ring2 = ring1/(gens)")
             h1 = parse_ring(e1)
-            q = _strip(pieces[1])
-            h2, hom = make_quotient(h1, parse_ideal(h1, q[1:-1]))
+            h2, hom = _quotient(h1, pieces[1])
         else:
             raise ParseError(f"hom spec must be id or proj, got {spec!r}")
-        if not (gens.startswith("(") and gens.endswith(")")):
+        if not _parenthesized(gens):
             raise ParseError("amalg generators must be parenthesized")
         J = parse_ideal(h2, gens[1:-1])
         am = make_amalgamation(h1, h2, hom, J, hom_text=spec)
@@ -267,6 +275,6 @@ def _parse_atom(text: str):
 
 def is_arith_expression(text: str) -> bool:
     try:
-        return _is_arith_product(text)
+        return any(f == "Z" for f in split_top(_strip(text), "x"))
     except ParseError:
         return False

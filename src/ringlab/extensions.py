@@ -15,17 +15,15 @@ from math import gcd
 
 import numpy as np
 
-from .arith import INT, ArithIdeal, ArithMCS, ArithRing, _factor_candidates, arith_is_S_r_ideal
+from .arith import INT, ArithIdeal, ArithMCS, ArithRing, _factor_candidates, _in_ideal, _products_in, arith_is_S_r_ideal
 from .classify import Verdict, is_S_r_ideal
-from .config import size_limit
 from .errors import (
     InvalidConstruction,
     NotAnIdealError,
-    SizeLimitError,
     TypeMismatch,
 )
 from .ideals import Ideal, MulClosedSet, bits, ideal_from_members, lattice, mcs_from_members
-from .rings import FiniteRing, RingHom, abelian_generators, check_hom, is_isomorphism, make_quotient
+from .rings import FiniteRing, RingHom, abelian_generators, check_hom, check_size, is_isomorphism, make_quotient
 
 
 # -- finite modules ------------------------------------------------------------------
@@ -96,8 +94,7 @@ def make_module_free(R: FiniteRing, k: int) -> FiniteModule:
     if k < 0:
         raise InvalidConstruction("rank must be >= 0")
     n = R.size**k
-    if n > size_limit():
-        raise SizeLimitError("free module beyond the size cap")
+    check_size(n)
     tuples = list(iproduct(range(R.size), repeat=k))
     pos = {t: i for i, t in enumerate(tuples)}
     add = np.zeros((n, n), dtype=np.int16)
@@ -167,8 +164,7 @@ def make_trivial_extension(R: FiniteRing, M: FiniteModule) -> TrivExtRing:
     if M.ring is not R:
         raise TypeMismatch("module is over a different ring")
     n = R.size * M.size
-    if n > size_limit():
-        raise SizeLimitError("trivial extension beyond the size cap")
+    check_size(n)
     ms = M.size
     add = np.zeros((n, n), dtype=np.int16)
     mul = np.zeros((n, n), dtype=np.int16)
@@ -289,8 +285,7 @@ def make_amalgamation(H1: FiniteRing, H2: FiniteRing, f: RingHom, J: Ideal, hom_
         raise TypeMismatch("ideal must live in the second component")
     check_hom(f)
     n = H1.size * J.mask.bit_count()
-    if n > size_limit():
-        raise SizeLimitError("amalgamation beyond the size cap")
+    check_size(n)
     carrier = sorted({(w, H2.a(f.image[w], j)) for w in H1.elements() for j in bits(J.mask)})
     if len(carrier) != n:
         raise InvalidConstruction("amalgamation carrier size must be |H1| * |J|")
@@ -402,20 +397,6 @@ class AmalgOverZ:
     def element(self, w, j):
         return (w, (w + j) % self.n)
 
-    def is_regular(self, el) -> bool:
-        """(w, y) is regular iff w != 0 and no nonzero member of J kills y."""
-        w, y = el
-        if w == 0:
-            return False
-        return all((k * y) % self.n != 0 for k in self.j_members() if k != 0)
-
-    def in_zero_ideal(self, el) -> bool:
-        w, y = el
-        return w == 0 and y % self.d == 0
-
-    def mul(self, e1, e2):
-        return (e1[0] * e2[0], (e1[1] * e2[1]) % self.n)
-
 
 @dataclass(frozen=True)
 class AmalgZReport:
@@ -433,8 +414,10 @@ def amalgz_zero_transfer_check(az: AmalgOverZ, S_desc, bound: int) -> AmalgZRepo
     S_desc is a one-factor m.c.s. descriptor over Z.  The extension side
     0 x J is an (S join J)-r-ideal whenever disjointness holds: a product
     landing in 0 x J with regular first element forces the second element's
-    integer coordinate to zero, after which any candidate works.  The window
-    oracle re-verifies that reasoning pair by pair.
+    integer coordinate to zero, after which any candidate works.  arith's
+    membership kernel re-verifies that reasoning on the window rows
+    (w, (w + j) mod n) of Z x Z_n, |w| <= bound, where 0 x J has descriptors
+    (0, d) and (w, y) is regular iff w != 0 and no nonzero j in J kills y.
     """
     zring = ArithRing((INT,))
     S = ArithMCS(zring, (S_desc,))
@@ -455,18 +438,12 @@ def amalgz_zero_transfer_check(az: AmalgOverZ, S_desc, bound: int) -> AmalgZRepo
     checked = 0
     confirms = True
     if ext_holds:
-        js = az.j_members()
-        for w in range(-bound, bound + 1):
-            for j1 in js:
-                e1 = az.element(w, j1)
-                if not az.is_regular(e1):
-                    continue
-                for z in range(-bound, bound + 1):
-                    for j2 in js:
-                        e2 = az.element(z, j2)
-                        if not az.in_zero_ideal(az.mul(e1, e2)):
-                            continue
-                        checked += 1
-                        if not az.in_zero_ideal(az.mul(witness, e2)):
-                            confirms = False
+        descs = (0, az.d)
+        ws, js = np.meshgrid(np.arange(-bound, bound + 1), az.j_members(), indexing="ij")
+        window = np.stack([ws.ravel(), (ws + js).ravel() % az.n], axis=1)
+        kills = window[:, 1:] * np.arange(az.d, az.n, az.d) % az.n == 0
+        regs = window[(window[:, 0] != 0) & ~kills.any(axis=1)]
+        sends = _products_in(descs, window, regs, np.sum)  # regular e1 with e1 e2 in 0 x J, per e2
+        checked = int(sends.sum())
+        confirms = bool(_in_ideal(descs, np.array(witness) * window[sends > 0]).all())
     return AmalgZReport(hyps, base, ext_holds, witness, checked, confirms)

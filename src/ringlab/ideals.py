@@ -16,9 +16,8 @@ from operator import and_
 
 import numpy as np
 
-from .config import size_limit
-from .errors import ConstructionBug, InvalidConstruction, NotProperError, SizeLimitError, TypeMismatch
-from .rings import FiniteRing, RingHom, check_hom, idempotent_power, operand
+from .errors import ConstructionBug, InvalidConstruction, NotProperError, TypeMismatch
+from .rings import FiniteRing, RingHom, check_hom, check_size, idempotent_power, operand
 
 
 @dataclass(frozen=True)
@@ -207,8 +206,7 @@ class IdealLattice:
         joined with all of those in one vectorised step.
         """
         R = self.ring
-        if R.size > size_limit():
-            raise SizeLimitError("ideal enumeration beyond the size cap")
+        check_size(R.size)
         irreducible = []  # by induction on size, the kept ones inside p span all those inside p
         for p in sorted(set(self.principal), key=int.bit_count):
             below = reduce(self.sum, (q for q in irreducible if not q & ~p), 1)

@@ -26,13 +26,13 @@ from . import arith as ar
 from . import classify as cl
 from .corpus import AMALGZ, ARITH, FINITE, POLY, CorpusEntry, CorpusSpec, Limits
 from .dsl import (
+    int_args,
     parse_arith_ideal,
     parse_arith_mcs,
     parse_arith_ring,
     parse_ideal,
     parse_mcs,
     parse_ring_structure,
-    split_top,
 )
 from .errors import NotApplicableError, ParseError, UnknownHypothesis, UnknownTheorem
 from .extensions import (
@@ -191,8 +191,8 @@ class PolyContext(FiniteContext):
         return tuple(_distinct(found))
 
     def search_degree(self):
-        # quotient coefficient spaces grow as |Q|^(D+1); keep the registry
-        # sweep bounded on the larger bases, and record the bound used
+        # T4.1 and T4.2 record this degree in their annotations, so the cap on
+        # the larger bases is part of the report, though the searches cost nothing
         return self.limits.degree if self.ring.size <= 6 else min(2, self.limits.degree)
 
 
@@ -206,8 +206,7 @@ class AmalgZContext:
         self.recipe = entry.expr
         if entry.ideal_text:  # the lane decides only the zero ideal
             raise ParseError(f"amalgZ takes no ideal= annotation: {entry.text}")
-        n, d = (int(x) for x in split_top(entry.expr[len("amalgZ(") : -1], ","))
-        self.az = AmalgOverZ(n, d)
+        self.az = AmalgOverZ(*int_args(entry.expr, "amalgZ", 2))
         self.s_desc = parse_arith_mcs(parse_arith_ring("Z"), entry.mcs_text or "(units)").descs[0]
 
 

@@ -94,8 +94,7 @@ class FiniteRing:
         n = add.shape[0]
         if n < 1:
             raise InvalidConstruction("a ring needs at least one element")
-        if n > size_limit():
-            raise SizeLimitError(f"{n} elements exceeds the cap {size_limit()}")
+        check_size(n)
         self.size = n
         self.add = add
         self.mul = mul
@@ -198,10 +197,17 @@ def idempotent_power(R: FiniteRing, t: int):
 # -- constructors -----------------------------------------------------------------
 
 
+def check_size(n: int) -> None:
+    """Raise SizeLimitError for n elements over the cap; constructors call it before building any table."""
+    if n > size_limit():
+        raise SizeLimitError(f"{n} elements exceeds the cap {size_limit()}")
+
+
 def make_zn(n: int) -> FiniteRing:
     """The ring of integers modulo n."""
     if n < 1:
         raise InvalidConstruction("Z_n needs n >= 1")
+    check_size(n)
     idx = np.arange(n)
     add = np.mod(np.add.outer(idx, idx), n)
     mul = np.mod(np.multiply.outer(idx, idx), n)
@@ -216,8 +222,7 @@ def operand(R: FiniteRing) -> str:
 def make_product(R1: FiniteRing, R2: FiniteRing) -> FiniteRing:
     """Componentwise ring on pairs; index (i, j) -> i*|R2| + j."""
     n1, n2 = R1.size, R2.size
-    if n1 * n2 > size_limit():
-        raise SizeLimitError(f"product size {n1 * n2} exceeds the cap")
+    check_size(n1 * n2)
     a1 = R1.add.astype(np.int32)
     a2 = R2.add.astype(np.int32)
     m1 = R1.mul.astype(np.int32)

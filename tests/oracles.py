@@ -10,17 +10,20 @@ column test of a colon, the set forms of T2.7's scaled sides, the per-entry
 loops of T2.3, T2.5, P-colon and P-annsum, the per-pair loop of the
 Dedekind-Mertens sweep, the full-degree content search over R/A, the fraction
 construction of a localization, an isomorphism search between finite rings,
-and the submodule lattice of a finite module.  CAP_RINGS lists the cyclic
-factors of eight products of cyclic rings at the 256-element size cap, and
-CAP_EXPRS spells them.
+the submodule lattice of a finite module, and the pair-by-pair loop over the
+amalgZ window.  CAP_RINGS lists the cyclic factors of eight products of
+cyclic rings at the 256-element size cap, and CAP_EXPRS spells them.
 """
 
 import random
 from functools import reduce
 from itertools import combinations, product as iproduct
+from math import gcd
 from operator import and_
 
 import numpy as np
+
+from ringlab.arith import INT, ArithIdeal, ArithMCS, ArithRing, _factor_candidates, arith_is_S_r_ideal
 
 from ringlab.classify import (
     DISJOINTNESS_VIOLATED,
@@ -33,7 +36,7 @@ from ringlab.classify import (
 )
 from ringlab.config import DM_MAX_DEGREE, size_limit
 from ringlab.errors import SizeLimitError, TypeMismatch
-from ringlab.extensions import FiniteModule
+from ringlab.extensions import AmalgOverZ, AmalgZReport, FiniteModule
 from ringlab.ideals import (
     Ideal,
     MulClosedSet,
@@ -687,3 +690,48 @@ def submodules(M: FiniteModule):
                 seen.add(grown)
                 frontier.append(grown)
     return tuple(sorted(seen, key=lambda s: (len(s), tuple(sorted(s)))))
+
+
+# The amalgZ window walked pair by pair: every regular e1 and every e2 of
+# Z joined to Z_n along J = dZ_n, with integer coordinates in [-bound, bound].
+
+
+def ref_amalgz_is_regular(az: AmalgOverZ, el) -> bool:
+    """(w, y) is regular iff w != 0 and no nonzero member of J kills y."""
+    w, y = el
+    return w != 0 and all((k * y) % az.n != 0 for k in az.j_members() if k != 0)
+
+
+def _amalgz_in_zero_ideal(az: AmalgOverZ, el) -> bool:
+    w, y = el
+    return w == 0 and y % az.d == 0
+
+
+def ref_amalgz_zero_transfer_check(az: AmalgOverZ, S_desc, bound: int) -> AmalgZReport:
+    S = ArithMCS(ArithRing((INT,)), (S_desc,))
+    base = arith_is_S_r_ideal(ArithIdeal(S.ring, (0,)), S)
+    hyps = {
+        "epimorphism": True,
+        "h1_domain": True,
+        "j_in_zd": all(k == 0 or gcd(k, az.n) > 1 for k in az.j_members()),
+        "disjoint": not S.factor_contains(0, 0),
+    }
+    witness = az.element(_factor_candidates(S, 0, bound)[0], 0)
+    checked = 0
+    confirms = True
+    if hyps["disjoint"]:
+        js = az.j_members()
+        for w in range(-bound, bound + 1):
+            for j1 in js:
+                e1 = az.element(w, j1)
+                if not ref_amalgz_is_regular(az, e1):
+                    continue
+                for z in range(-bound, bound + 1):
+                    for j2 in js:
+                        e2 = az.element(z, j2)
+                        if not _amalgz_in_zero_ideal(az, (e1[0] * e2[0], e1[1] * e2[1] % az.n)):
+                            continue
+                        checked += 1
+                        if not _amalgz_in_zero_ideal(az, (witness[0] * e2[0], witness[1] * e2[1] % az.n)):
+                            confirms = False
+    return AmalgZReport(hyps, base, hyps["disjoint"], witness, checked, confirms)

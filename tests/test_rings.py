@@ -92,6 +92,12 @@ def test_product_size_limit():
         make_product(make_zn(17), make_zn(17))
 
 
+def test_zn_size_limit_before_tables():
+    """Z99999's tables would need tens of GiB, so the cap must be checked first."""
+    with pytest.raises(SizeLimitError, match="99999 elements exceeds the cap"):
+        parse_ring("Z99999")
+
+
 def test_element_partition_z12():
     units, regulars, zds = element_partition(make_zn(12))
     expected = brute_regulars(12)
