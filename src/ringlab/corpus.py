@@ -41,11 +41,13 @@ class Limits:
     subsample_seed: int
 
     def __post_init__(self):
-        """Refuse a negative degree, cap, bound or pair count; the seeds may be any integer."""
+        """Refuse a negative degree, cap, bound or pair count, and an m.c.s. cap below the
+        two sets that are always kept (the units and the whole ring); the seeds may be any integer."""
         for name in ("degree", "fac_cap", "dm_pairs", "oracle_bound", "witness_bound", "annotation_cap", "mcs_cap"):
             value = getattr(self, name)
-            if value < 0:
-                raise ConfigError(f"{name}={value}: expected 0 or more")
+            least = 2 if name == "mcs_cap" else 0
+            if value < least:
+                raise ConfigError(f"{name}={value}: expected {least} or more")
 
     @staticmethod
     def defaults() -> "Limits":
@@ -90,15 +92,15 @@ def parse_corpus_line(line: str):
         return None
     parts = [p.strip() for p in split_top(body, ";")]
     expr = parts[0]
-    ideal_text = None
-    mcs_text = None
-    for extra in parts[1:]:
-        if extra.startswith("ideal="):
-            ideal_text = extra[len("ideal=") :].strip()
-        elif extra.startswith("mcs="):
-            mcs_text = extra[len("mcs=") :].strip()
-        elif extra:
+    notes = {}
+    for extra in filter(None, parts[1:]):
+        key, eq, value = extra.partition("=")
+        if not eq or key not in ("ideal", "mcs"):
             raise ParseError(f"unknown annotation {extra!r}")
+        if key in notes or not value.strip():
+            raise ParseError(f"{'repeated' if key in notes else 'empty'} annotation {extra!r}")
+        notes[key] = value.strip()
+    ideal_text, mcs_text = notes.get("ideal"), notes.get("mcs")
     stripped = "".join(expr.split())
     if stripped.startswith("polyring(") and stripped.endswith(")"):
         kind = POLY

@@ -23,7 +23,7 @@ from .errors import (
     TypeMismatch,
 )
 from .ideals import Ideal, MulClosedSet, bits, ideal_from_members, lattice, mcs_from_members
-from .rings import FiniteRing, RingHom, abelian_generators, check_hom, check_size, is_isomorphism, make_quotient
+from .rings import FiniteRing, RingHom, abelian_generators, check_hom, check_size, is_isomorphism, make_quotient, pair_table
 
 
 # -- finite modules ------------------------------------------------------------------
@@ -76,15 +76,6 @@ class FiniteModule:
             if not np.array_equal(col[R.add], t[col[:, None], col[None, :]]):
                 raise InvalidConstruction("action does not distribute over ring addition")
 
-    def m_add(self, x, y):
-        return int(self.add[x, y])
-
-    def act(self, r, x):
-        return int(self.action[r, x])
-
-    def elements(self):
-        return range(self.size)
-
     def __repr__(self):
         return f"FiniteModule({self.recipe}, size={self.size})"
 
@@ -93,18 +84,13 @@ def make_module_free(R: FiniteRing, k: int) -> FiniteModule:
     """R^k with componentwise addition and scalar action."""
     if k < 0:
         raise InvalidConstruction("rank must be >= 0")
-    n = R.size**k
-    check_size(n)
+    check_size(R.size**k)
+    add = np.zeros((1, 1), dtype=np.int16)
+    act = np.zeros((R.size, 1), dtype=np.int16)
+    for _ in range(k):  # R^k as R^(k-1) x R
+        add = pair_table(add, R.add)
+        act = (act[:, :, None] * R.size + R.mul[:, None, :]).reshape(R.size, -1)
     tuples = list(iproduct(range(R.size), repeat=k))
-    pos = {t: i for i, t in enumerate(tuples)}
-    add = np.zeros((n, n), dtype=np.int16)
-    for i, x in enumerate(tuples):
-        for j, y in enumerate(tuples):
-            add[i, j] = pos[tuple(R.a(a, b) for a, b in zip(x, y))]
-    act = np.zeros((R.size, n), dtype=np.int16)
-    for r in range(R.size):
-        for i, x in enumerate(tuples):
-            act[r, i] = pos[tuple(R.m(r, a) for a in x)]
     if k == 1:
         labels = tuple(R.labels[t[0]] for t in tuples)
     else:
@@ -120,17 +106,12 @@ def make_module_quotient(R: FiniteRing, J: Ideal) -> FiniteModule:
 
 def module_is_torsion_free(M: FiniteModule) -> bool:
     """rm = 0 forces r = 0 or m = 0."""
-    for r in range(1, M.ring.size):
-        for x in range(1, M.size):
-            if M.act(r, x) == 0:
-                return False
-    return True
+    return not (M.action[1:, 1:] == 0).any()
 
 
 def module_ann(M: FiniteModule) -> Ideal:
     """{r : rM = 0}."""
-    members = [r for r in M.ring.elements() if all(M.act(r, x) == 0 for x in M.elements())]
-    return ideal_from_members(M.ring, members)
+    return ideal_from_members(M.ring, np.flatnonzero((M.action == 0).all(axis=1)))
 
 
 def zd_union_inside_module_ann(M: FiniteModule, include_zero: bool = False):
@@ -155,7 +136,8 @@ class TrivExtRing:
     module: FiniteModule
     ring: FiniteRing
 
-    def pair_index(self, r, m) -> int:
+    def pair_index(self, r, m):
+        """The code of (r, m); arrays of r and m broadcast to the array of codes."""
         return r * self.module.size + m
 
 
@@ -166,38 +148,27 @@ def make_trivial_extension(R: FiniteRing, M: FiniteModule) -> TrivExtRing:
     n = R.size * M.size
     check_size(n)
     ms = M.size
-    add = np.zeros((n, n), dtype=np.int16)
-    mul = np.zeros((n, n), dtype=np.int16)
-    for i in range(n):
-        r1, m1 = divmod(i, ms)
-        for j in range(n):
-            r2, m2 = divmod(j, ms)
-            add[i, j] = R.a(r1, r2) * ms + M.m_add(m1, m2)
-            mul[i, j] = R.m(r1, r2) * ms + M.m_add(M.act(r1, m2), M.act(r2, m1))
-    labels = tuple(
-        f"({R.labels[i // ms]},{M.labels[i % ms]})" for i in range(n)
-    )
-    ring = FiniteRing(add, mul, labels=labels, recipe=f"triv({R.recipe}, {M.recipe})")
-    ext = TrivExtRing(R, M, ring)
-    for m in range(ms):
-        i = ext.pair_index(0, m)
-        if ring.m(i, i) != 0:
-            raise InvalidConstruction("(0, m) failed to square to zero")
-    return ext
+    r, m = np.divmod(np.arange(n), ms)
+    # (r1, m1)(r2, m2) = (r1 r2, r1 m2 + r2 m1)
+    mul = R.mul[r[:, None], r] * ms + M.add[M.action[r[:, None], m], M.action[r, m[:, None]]]
+    labels = tuple(f"({R.labels[i]},{M.labels[j]})" for i, j in zip(r.tolist(), m.tolist()))
+    ring = FiniteRing(pair_table(R.add, M.add), mul, labels=labels, recipe=f"triv({R.recipe}, {M.recipe})")
+    if np.diagonal(ring.mul)[:ms].any():  # (0, m) is coded m
+        raise InvalidConstruction("(0, m) failed to square to zero")
+    return TrivExtRing(R, M, ring)
 
 
 def triv_ideal(T: TrivExtRing, A: Ideal, N) -> Ideal:
     """A (x) N as an ideal of the extension; requires AM inside N."""
     if A.ring is not T.base:
         raise TypeMismatch("ideal belongs to a different ring")
-    N = frozenset(int(x) for x in N)
-    M = T.module
-    for a in bits(A.mask):
-        for m in M.elements():
-            if M.act(a, m) not in N:
-                raise NotAnIdealError("A*M escapes N", witness=(a, m))
-    members = frozenset(T.pair_index(a, x) for a in bits(A.mask) for x in N)
-    return ideal_from_members(T.ring, members)
+    a = np.array(bits(A.mask))
+    N = list(N)
+    escapes = np.argwhere(~np.isin(T.module.action[a], N))
+    if escapes.size:
+        i, m = escapes[0]
+        raise NotAnIdealError("A*M escapes N", witness=(int(a[i]), int(m)))
+    return ideal_from_members(T.ring, T.pair_index(a[:, None], N).ravel())
 
 
 S_ZERO = "S_ZERO"
@@ -208,13 +179,10 @@ def lift_mcs_triv(T: TrivExtRing, S: MulClosedSet, mode: str) -> MulClosedSet:
     """Lift S to the extension: pairs (s, 0) or all pairs (s, m)."""
     if S.ring is not T.base:
         raise TypeMismatch("m.c.s. belongs to a different ring")
-    if mode == S_ZERO:
-        members = {T.pair_index(s, 0) for s in bits(S.mask)}
-    elif mode == S_FULL:
-        members = {T.pair_index(s, m) for s in bits(S.mask) for m in T.module.elements()}
-    else:
+    if mode not in (S_ZERO, S_FULL):
         raise InvalidConstruction(f"unknown lift mode {mode}")
-    return mcs_from_members(T.ring, members)
+    ms = range(T.module.size if mode == S_FULL else 1)
+    return mcs_from_members(T.ring, T.pair_index(np.array(bits(S.mask), dtype=np.intp)[:, None], ms).ravel())
 
 
 @dataclass(frozen=True)
@@ -250,7 +218,7 @@ def triv_equivalence_check(T: TrivExtRing, A: Ideal, S: MulClosedSet) -> TrivEqu
         "zd_union_in_ann_literal": zd_union_inside_module_ann(T.module, include_zero=True),
     }
     v1 = is_S_r_ideal(A, S)
-    big = triv_ideal(T, A, frozenset(T.module.elements()))
+    big = triv_ideal(T, A, range(T.module.size))
     v2 = is_S_r_ideal(big, lift_mcs_triv(T, S, S_ZERO))
     v3 = is_S_r_ideal(big, lift_mcs_triv(T, S, S_FULL))
     return TrivEquivalenceReport(
@@ -270,11 +238,11 @@ class AmalgRing:
     f: RingHom
     j: Ideal
     ring: FiniteRing
-    carrier: tuple  # pairs (w, y) in index order
-    pos: dict = field(compare=False, repr=False)  # (w, y) -> index
+    pos: np.ndarray = field(compare=False, repr=False)  # w * |H2| + y -> index of (w, y), -1 off the carrier
 
-    def index_of(self, w, y) -> int:
-        return self.pos[(w, y)]
+    def index_of(self, w, y):
+        """The index of (w, y); arrays of w and y broadcast to the array of indices."""
+        return self.pos[np.multiply(w, self.h2.size, dtype=np.intp) + y]
 
 
 def make_amalgamation(H1: FiniteRing, H2: FiniteRing, f: RingHom, J: Ideal, hom_text: str = "hom") -> AmalgRing:
@@ -286,39 +254,41 @@ def make_amalgamation(H1: FiniteRing, H2: FiniteRing, f: RingHom, J: Ideal, hom_
     check_hom(f)
     n = H1.size * J.mask.bit_count()
     check_size(n)
-    carrier = sorted({(w, H2.a(f.image[w], j)) for w in H1.elements() for j in bits(J.mask)})
-    if len(carrier) != n:
+    ws = np.arange(H1.size, dtype=np.intp)
+    on_carrier = np.zeros(H1.size * H2.size, dtype=bool)
+    on_carrier[ws[:, None] * H2.size + _joined(f, J, ws)] = True
+    codes = np.flatnonzero(on_carrier)  # the carrier, sorted by (w, y)
+    if codes.size != n:
         raise InvalidConstruction("amalgamation carrier size must be |H1| * |J|")
-    pos = {p: i for i, p in enumerate(carrier)}
-    add = np.zeros((n, n), dtype=np.int16)
-    mul = np.zeros((n, n), dtype=np.int16)
-    for i, (w1, y1) in enumerate(carrier):
-        for j, (w2, y2) in enumerate(carrier):
-            add[i, j] = pos[(H1.a(w1, w2), H2.a(y1, y2))]
-            mul[i, j] = pos[(H1.m(w1, w2), H2.m(y1, y2))]
-    labels = tuple(f"({H1.labels[w]},{H2.labels[y]})" for w, y in carrier)
+    pos = np.full(H1.size * H2.size, -1, dtype=np.intp)
+    pos[codes] = np.arange(n)
+    w, y = np.divmod(codes, H2.size)
+    ops = ((H1.add, H2.add), (H1.mul, H2.mul))
+    add, mul = (pos[t1[w[:, None], w].astype(np.intp) * H2.size + t2[y[:, None], y]] for t1, t2 in ops)
+    labels = tuple(f"({H1.labels[a]},{H2.labels[b]})" for a, b in zip(w.tolist(), y.tolist()))
     recipe = f"amalg({H1.recipe}, {H2.recipe}, {hom_text}, {J.label()})"
     ring = FiniteRing(add, mul, labels=labels, recipe=recipe)
-    return AmalgRing(H1, H2, f, J, ring, tuple(carrier), pos)
+    return AmalgRing(H1, H2, f, J, ring, pos)
+
+
+def _joined(f: RingHom, J: Ideal, w):
+    """f(w) + j for each w (rows) and each j in J (columns)."""
+    return f.codomain.add[np.asarray(f.image)[w]][:, bits(J.mask)]
 
 
 def amalg_ideal(am: AmalgRing, A: Ideal) -> Ideal:
     """A joined along J: {(a, f(a)+j) : a in A, j in J} as an ideal."""
     if A.ring is not am.h1:
         raise TypeMismatch("ideal belongs to a different ring")
-    members = {
-        am.index_of(a, am.h2.a(am.f.image[a], j)) for a in bits(A.mask) for j in bits(am.j.mask)
-    }
-    return ideal_from_members(am.ring, members)
+    a = np.array(bits(A.mask), dtype=np.intp)
+    return ideal_from_members(am.ring, am.index_of(a[:, None], _joined(am.f, am.j, a)).ravel())
 
 
 def amalg_mcs(am: AmalgRing, S: MulClosedSet) -> MulClosedSet:
     if S.ring is not am.h1:
         raise TypeMismatch("m.c.s. belongs to a different ring")
-    members = {
-        am.index_of(s, am.h2.a(am.f.image[s], j)) for s in bits(S.mask) for j in bits(am.j.mask)
-    }
-    return mcs_from_members(am.ring, members)
+    s = np.array(bits(S.mask), dtype=np.intp)
+    return mcs_from_members(am.ring, am.index_of(s[:, None], _joined(am.f, am.j, s)).ravel())
 
 
 def is_domain(R: FiniteRing) -> bool:

@@ -34,7 +34,7 @@ from .dsl import (
     parse_mcs,
     parse_ring_structure,
 )
-from .errors import NotApplicableError, ParseError, UnknownHypothesis, UnknownTheorem
+from .errors import ConfigError, NotApplicableError, ParseError, UnknownHypothesis, UnknownTheorem
 from .extensions import (
     BACKWARD,
     FORWARD,
@@ -1095,6 +1095,9 @@ def _worker(args):
 
 
 def _check_ids(ids, dropped):
+    repeated = [tid for i, tid in enumerate(ids) if tid in ids[:i]]
+    if repeated:
+        raise ConfigError(f"theorem id {repeated[0]!r} given more than once")
     for tid in ids:
         if tid not in CASES:
             raise UnknownTheorem(f"unknown theorem id {tid!r}")

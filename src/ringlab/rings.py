@@ -219,32 +219,33 @@ def operand(R: FiniteRing) -> str:
     return f"({R.recipe})" if " x " in R.recipe else R.recipe
 
 
+def pair_table(t1, t2):
+    """The table of pairs from one table per coordinate: entry ((i, j), (k, l)) is
+    t1[i, k] * len(t2) + t2[j, l], each pair coded i * len(t2) + j."""
+    n1, n2 = len(t1), len(t2)
+    codes = t1.astype(np.int32)[:, None, :, None] * n2 + t2.astype(np.int32)[None, :, None, :]
+    return codes.reshape(n1 * n2, n1 * n2)
+
+
 def make_product(R1: FiniteRing, R2: FiniteRing) -> FiniteRing:
     """Componentwise ring on pairs; index (i, j) -> i*|R2| + j."""
     n1, n2 = R1.size, R2.size
     check_size(n1 * n2)
-    a1 = R1.add.astype(np.int32)
-    a2 = R2.add.astype(np.int32)
-    m1 = R1.mul.astype(np.int32)
-    m2 = R2.mul.astype(np.int32)
-    add = (a1[:, None, :, None] * n2 + a2[None, :, None, :]).reshape(n1 * n2, n1 * n2)
-    mul = (m1[:, None, :, None] * n2 + m2[None, :, None, :]).reshape(n1 * n2, n1 * n2)
     labels = tuple(f"({R1.labels[i]},{R2.labels[j]})" for i in range(n1) for j in range(n2))
-    return FiniteRing(add, mul, labels=labels, recipe=f"{operand(R1)} x {R2.recipe}", parts=(R1, R2))
+    recipe = f"{operand(R1)} x {R2.recipe}"
+    return FiniteRing(pair_table(R1.add, R2.add), pair_table(R1.mul, R2.mul), labels=labels, recipe=recipe, parts=(R1, R2))
 
 
 def _check_ideal_subset(R: FiniteRing, members) -> None:
-    mem = frozenset(int(x) for x in members)
-    if 0 not in mem:
+    mem = np.fromiter(members, dtype=np.intp)
+    inside = np.zeros(R.size, dtype=bool)
+    inside[mem] = True
+    if not inside[0]:
         raise TypeMismatch("not an ideal: 0 missing")
-    for x in mem:
-        for y in mem:
-            if R.a(x, y) not in mem:
-                raise TypeMismatch("not an ideal: not closed under addition")
-    for r in R.elements():
-        for x in mem:
-            if R.m(r, x) not in mem:
-                raise TypeMismatch("not an ideal: not closed under ring multiplication")
+    if not inside[R.add[np.ix_(mem, mem)]].all():
+        raise TypeMismatch("not an ideal: not closed under addition")
+    if not inside[R.mul[:, mem]].all():
+        raise TypeMismatch("not an ideal: not closed under ring multiplication")
 
 
 def make_quotient(R: FiniteRing, ideal):
@@ -257,29 +258,17 @@ def make_quotient(R: FiniteRing, ideal):
     if ideal.ring is not R:
         raise TypeMismatch("ideal belongs to a different ring")
     _check_ideal_subset(R, ideal.members)
-    members = sorted(ideal.members)
-    coset_of = [None] * R.size
-    reps = []
-    for a in R.elements():
-        if coset_of[a] is not None:
-            continue
-        idx = len(reps)
-        reps.append(a)
-        for i in members:
-            coset_of[R.a(a, i)] = idx
-    k = len(reps)
-    add = np.zeros((k, k), dtype=np.int16)
-    mul = np.zeros((k, k), dtype=np.int16)
-    for i, a in enumerate(reps):
-        for j, b in enumerate(reps):
-            add[i, j] = coset_of[R.a(a, b)]
-            mul[i, j] = coset_of[R.m(a, b)]
+    least = R.add[:, list(ideal.sorted_members)].min(axis=1)  # least member of each coset a + I
+    reps = np.flatnonzero(least == np.arange(R.size))  # the elements least in their own coset
+    rank = np.zeros(R.size, dtype=np.intp)
+    rank[reps] = np.arange(reps.size)
+    coset_of = rank[least]
     name = ideal.label()
     labels = tuple(f"{R.labels[r]}+{name}" for r in reps)
+    add, mul = (coset_of[t[np.ix_(reps, reps)]] for t in (R.add, R.mul))
     quotient = FiniteRing(add, mul, labels=labels, recipe=f"{operand(R)}/{name}")
-    proj = check_hom(RingHom(R, quotient, tuple(coset_of)))
-    kernel = frozenset(a for a in R.elements() if coset_of[a] == 0)
-    if kernel != ideal.members:
+    proj = check_hom(RingHom(R, quotient, tuple(coset_of.tolist())))
+    if not np.array_equal(np.flatnonzero(coset_of == 0), ideal.sorted_members):
         raise ConstructionBug("projection kernel differs from the quotient ideal")
     return quotient, proj
 

@@ -10,8 +10,9 @@ column test of a colon, the set forms of T2.7's scaled sides, the per-entry
 loops of T2.3, T2.5, P-colon and P-annsum, the per-pair loop of the
 Dedekind-Mertens sweep, the full-degree content search over R/A, the fraction
 construction of a localization, an isomorphism search between finite rings,
-the submodule lattice of a finite module, and the pair-by-pair loop over the
-amalgZ window.  CAP_RINGS lists the cyclic factors of eight products of
+the submodule lattice of a finite module, the element-pair loops that built
+quotients, free modules, trivial extensions and amalgamations, and the
+pair-by-pair loop over the amalgZ window.  CAP_RINGS lists the cyclic factors of eight products of
 cyclic rings at the 256-element size cap, and CAP_EXPRS spells them.
 """
 
@@ -36,7 +37,7 @@ from ringlab.classify import (
 )
 from ringlab.config import DM_MAX_DEGREE, size_limit
 from ringlab.errors import SizeLimitError, TypeMismatch
-from ringlab.extensions import AmalgOverZ, AmalgZReport, FiniteModule
+from ringlab.extensions import AmalgOverZ, AmalgZReport, FiniteModule, TrivExtRing
 from ringlab.ideals import (
     Ideal,
     MulClosedSet,
@@ -55,7 +56,7 @@ from ringlab.ideals import (
     member_row,
 )
 from ringlab.poly import NO, NO_VIOLATION_UP_TO, Poly, PolyVerdict, dedekind_mertens_check
-from ringlab.rings import FiniteRing, _check_ideal_subset, idempotent_power, make_quotient
+from ringlab.rings import FiniteRing, RingHom, _check_ideal_subset, idempotent_power, make_quotient, operand
 
 CAP_RINGS = ((256,), (2,) * 8, (4,) * 4, (2, 128), (3, 5, 17), (2, 3, 5, 7), (64,), (128,))
 CAP_EXPRS = [" x ".join(f"Z{n}" for n in factors) for factors in CAP_RINGS]
@@ -665,14 +666,14 @@ def submodules(M: FiniteModule):
     """Every submodule, sorted by (cardinality, member tuple)."""
     def orbit_plus(base, x):
         grown = set(base)
-        grown |= {M.act(r, x) for r in M.ring.elements()}
+        grown |= {int(v) for v in M.action[:, x]}
         # additive closure
         changed = True
         while changed:
             changed = False
             for a in list(grown):
                 for b in list(grown):
-                    c = M.m_add(a, b)
+                    c = int(M.add[a, b])
                     if c not in grown:
                         grown.add(c)
                         changed = True
@@ -682,7 +683,7 @@ def submodules(M: FiniteModule):
     frontier = [frozenset({0})]
     while frontier:
         base = frontier.pop()
-        for x in M.elements():
+        for x in range(M.size):
             if x in base:
                 continue
             grown = orbit_plus(base, x)
@@ -735,3 +736,85 @@ def ref_amalgz_zero_transfer_check(az: AmalgOverZ, S_desc, bound: int) -> AmalgZ
                         if not _amalgz_in_zero_ideal(az, (witness[0] * e2[0], witness[1] * e2[1] % az.n)):
                             confirms = False
     return AmalgZReport(hyps, base, hyps["disjoint"], witness, checked, confirms)
+
+
+# The derived-ring constructors, built one element pair at a time.
+
+
+def ref_make_quotient(R: FiniteRing, ideal):
+    """R / I on the least member of each coset, found in ascending order, with
+    the projection."""
+    members = sorted(ideal.members)
+    coset_of = [None] * R.size
+    reps = []
+    for a in R.elements():
+        if coset_of[a] is not None:
+            continue
+        idx = len(reps)
+        reps.append(a)
+        for i in members:
+            coset_of[R.a(a, i)] = idx
+    k = len(reps)
+    add = np.zeros((k, k), dtype=np.int16)
+    mul = np.zeros((k, k), dtype=np.int16)
+    for i, a in enumerate(reps):
+        for j, b in enumerate(reps):
+            add[i, j] = coset_of[R.a(a, b)]
+            mul[i, j] = coset_of[R.m(a, b)]
+    name = ideal.label()
+    labels = tuple(f"{R.labels[r]}+{name}" for r in reps)
+    quotient = FiniteRing(add, mul, labels=labels, recipe=f"{operand(R)}/{name}")
+    return quotient, RingHom(R, quotient, tuple(coset_of))
+
+
+def ref_make_module_free(R: FiniteRing, k: int) -> FiniteModule:
+    """R^k on the k-tuples in lexicographic order."""
+    n = R.size**k
+    tuples = list(iproduct(range(R.size), repeat=k))
+    pos = {t: i for i, t in enumerate(tuples)}
+    add = np.zeros((n, n), dtype=np.int16)
+    for i, x in enumerate(tuples):
+        for j, y in enumerate(tuples):
+            add[i, j] = pos[tuple(R.a(a, b) for a, b in zip(x, y))]
+    act = np.zeros((R.size, n), dtype=np.int16)
+    for r in range(R.size):
+        for i, x in enumerate(tuples):
+            act[r, i] = pos[tuple(R.m(r, a) for a in x)]
+    if k == 1:
+        labels = tuple(R.labels[t[0]] for t in tuples)
+    else:
+        labels = tuple("(" + ",".join(R.labels[a] for a in t) + ")" for t in tuples)
+    return FiniteModule(R, add, act, labels=labels, recipe=f"free({k})")
+
+
+def ref_make_trivial_extension(R: FiniteRing, M: FiniteModule) -> TrivExtRing:
+    """R x M with (w, e)(z, f) = (wz, wf + ze), (r, m) coded r * |M| + m."""
+    n = R.size * M.size
+    ms = M.size
+    add = np.zeros((n, n), dtype=np.int16)
+    mul = np.zeros((n, n), dtype=np.int16)
+    for i in range(n):
+        r1, m1 = divmod(i, ms)
+        for j in range(n):
+            r2, m2 = divmod(j, ms)
+            add[i, j] = R.a(r1, r2) * ms + M.add[m1, m2]
+            mul[i, j] = R.m(r1, r2) * ms + M.add[M.action[r1, m2], M.action[r2, m1]]
+    labels = tuple(f"({R.labels[i // ms]},{M.labels[i % ms]})" for i in range(n))
+    return TrivExtRing(R, M, FiniteRing(add, mul, labels=labels, recipe=f"triv({R.recipe}, {M.recipe})"))
+
+
+def ref_make_amalgamation(H1: FiniteRing, H2: FiniteRing, f: RingHom, J: Ideal, hom_text: str = "hom"):
+    """The subring {(w, f(w) + j)} of H1 x H2 on its sorted carrier pairs, with
+    that carrier."""
+    carrier = sorted({(w, H2.a(f.image[w], j)) for w in H1.elements() for j in J.members})
+    n = len(carrier)
+    pos = {p: i for i, p in enumerate(carrier)}
+    add = np.zeros((n, n), dtype=np.int16)
+    mul = np.zeros((n, n), dtype=np.int16)
+    for i, (w1, y1) in enumerate(carrier):
+        for j, (w2, y2) in enumerate(carrier):
+            add[i, j] = pos[(H1.a(w1, w2), H2.a(y1, y2))]
+            mul[i, j] = pos[(H1.m(w1, w2), H2.m(y1, y2))]
+    labels = tuple(f"({H1.labels[w]},{H2.labels[y]})" for w, y in carrier)
+    recipe = f"amalg({H1.recipe}, {H2.recipe}, {hom_text}, {J.label()})"
+    return FiniteRing(add, mul, labels=labels, recipe=recipe), carrier

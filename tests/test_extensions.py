@@ -28,12 +28,16 @@ from ringlab.extensions import (
     zd_union_inside_module_ann,
 )
 from ringlab.ideals import all_ideals, ideal_generate, mcs_generate
-from ringlab.rings import identity_hom, make_product, make_zn
+from ringlab.rings import identity_hom, make_product, make_quotient, make_zn
 
 from oracles import (
     find_isomorphism,
     ref_amalgz_is_regular,
     ref_amalgz_zero_transfer_check,
+    ref_make_amalgamation,
+    ref_make_module_free,
+    ref_make_quotient,
+    ref_make_trivial_extension,
     submodules,
 )
 
@@ -103,7 +107,7 @@ def test_triv_ideal_always_for_full_module(z4):
     T = make_trivial_extension(z4, M)
     for gens in ([], [2]):
         A = ideal_generate(z4, gens)
-        full = triv_ideal(T, A, frozenset(M.elements()))
+        full = triv_ideal(T, A, range(M.size))
         assert len(full.members) == len(A.members) * M.size
         zero_sub = triv_ideal(T, ideal_generate(z4, []), frozenset({0}))
         assert zero_sub.members == {0}
@@ -124,7 +128,7 @@ def test_triv_ideal_criterion_sweep(z2, z4):
         T = make_trivial_extension(R, M)
         for A in all_ideals(R):
             for N in submodules(M):
-                ok = all(M.act(a, m) in N for a in A.members for m in M.elements())
+                ok = all(M.action[a, m] in N for a in A.members for m in range(M.size))
                 if ok:
                     triv_ideal(T, A, N)
                 else:
@@ -146,7 +150,7 @@ def test_lift_mcs(z2):
 def test_lift_disjointness_mirrors_base(z4):
     M = make_module_free(z4, 1)
     T = make_trivial_extension(z4, M)
-    full = frozenset(M.elements())
+    full = range(M.size)
     for gens in ([], [2]):
         A = ideal_generate(z4, gens)
         big = triv_ideal(T, A, full)
@@ -220,6 +224,50 @@ def test_amalg_ideal_and_mcs_embed(z4):
     assert len(A.members) == 2 * 2
     S = amalg_mcs(am, mcs_generate(z4, [3]))
     assert len(S.members) == 2 * 2
+
+
+def _same_ring(built, ref):
+    assert np.array_equal(built.add, ref.add) and np.array_equal(built.mul, ref.mul), ref.recipe
+    assert (built.labels, built.recipe) == (ref.labels, ref.recipe)
+
+
+def test_constructors_match_the_pair_loops():
+    """Quotients by every ideal, free modules and trivial extensions up to 128
+    elements, and amalgamations along every ideal, by id and by every
+    projection, of the bases below against the element-pair loops; plus a
+    256-element trivial extension and amalg(Z256, Z256, id, (0)), whose pair
+    codes w * 256 + y pass the int16 range."""
+    bases = [make_zn(n) for n in range(1, 13)] + [parse_ring(e) for e in ("Z2 x Z2", "Z2 x Z4", "Z2 x Z2 x Z2")]
+    z16, z256 = make_zn(16), make_zn(256)
+    amalgs = [(z256, z256, identity_hom(z256), ideal_generate(z256, []))]
+    trivs = [(z16, make_module_free(z16, 1))]
+    for R in bases:
+        modules = []
+        for A in all_ideals(R):
+            Q, proj = make_quotient(R, A)
+            ref_Q, ref_proj = ref_make_quotient(R, A)
+            _same_ring(Q, ref_Q)
+            assert proj.image == ref_proj.image
+            modules.append(make_module_quotient(R, A))
+            if R.size <= 8:
+                amalgs += [(R, Q, proj, J) for J in all_ideals(Q)] + [(R, R, identity_hom(R), A)]
+        for k in range(9):
+            if R.size**k > 128:
+                break
+            M, ref_M = make_module_free(R, k), ref_make_module_free(R, k)
+            assert np.array_equal(M.add, ref_M.add) and np.array_equal(M.action, ref_M.action)
+            assert (M.labels, M.recipe) == (ref_M.labels, ref_M.recipe)
+            modules.append(M)
+        trivs += [(R, M) for M in modules if R.size * M.size <= 128]
+    for R, M in trivs:
+        _same_ring(make_trivial_extension(R, M).ring, ref_make_trivial_extension(R, M).ring)
+    for case in amalgs:
+        am = make_amalgamation(*case)
+        ref_ring, carrier = ref_make_amalgamation(*case)
+        _same_ring(am.ring, ref_ring)
+        assert [am.index_of(w, y) for w, y in carrier] == list(range(len(carrier)))
+        assert np.count_nonzero(am.pos >= 0) == len(carrier)
+    assert (len(trivs), len(amalgs)) == (99, 131)
 
 
 def test_is_domain(z2, z4):

@@ -204,9 +204,18 @@ COUNT_LIMITS = ("degree", "fac_cap", "dm_pairs", "oracle_bound", "witness_bound"
 
 @pytest.mark.parametrize("name", COUNT_LIMITS)
 def test_limits_refuse_a_negative_count(name):
-    with pytest.raises(ConfigError, match=f"^{name}=-1: "):
-        replace(Limits.defaults(), **{name: -1})
-    assert getattr(replace(Limits.defaults(), **{name: 0}), name) == 0
+    """Every count accepts 0 except mcs_cap, whose least value is 2."""
+    least = 2 if name == "mcs_cap" else 0
+    for value in range(-1, least):
+        with pytest.raises(ConfigError, match=f"^{name}={value}: expected {least} or more$"):
+            replace(Limits.defaults(), **{name: value})
+    assert getattr(replace(Limits.defaults(), **{name: least}), name) == least
+
+
+def test_mcs_cap_2_keeps_exactly_the_units_and_the_ring():
+    ctx = build_context(parse_corpus_line("Z30"), replace(Limits.defaults(), mcs_cap=2))
+    R = ctx.ring
+    assert [S.members for S in ctx.mcs_list()] == [R.units, frozenset(range(30))]
 
 
 def test_limits_take_any_seed():
@@ -620,6 +629,32 @@ def test_cli_verify_bad_amalgz_line_exits_2(tmp_path, capsys, line, message):
     assert main(["verify", "--corpus", str(corpus)]) == 2
     err = capsys.readouterr().err
     assert err.startswith("error: ") and message in err
+
+
+@pytest.mark.parametrize(
+    "line,message",
+    [
+        ("Z6 ; ideal=(2) ; ideal=(3)", "repeated annotation 'ideal=(3)'"),
+        ("Z6 ; ideal=", "empty annotation 'ideal='"),
+        ("Z6 ; mcs=", "empty annotation 'mcs='"),
+    ],
+)
+def test_cli_verify_refuses_an_empty_or_repeated_annotation(tmp_path, capsys, line, message):
+    from ringlab.cli import main
+
+    corpus = tmp_path / "bad.corpus"
+    corpus.write_text(line + "\n", encoding="utf-8")
+    assert main(["verify", "--corpus", str(corpus)]) == 2
+    captured = capsys.readouterr()
+    assert captured.err == f"error: {message}\n" and captured.out == ""
+
+
+def test_cli_verify_refuses_a_repeated_theorem_id(capsys):
+    from ringlab.cli import main
+
+    assert main(["verify", "--theorems", "T2.3,T2.3"]) == 2
+    captured = capsys.readouterr()
+    assert captured.err == "error: theorem id 'T2.3' given more than once\n" and captured.out == ""
 
 
 @pytest.mark.parametrize("theorems,named", [("T2.3,", "''"), ("T9.9", "'T9.9'")])
