@@ -51,9 +51,6 @@ from .poly import (
     content_ideal,
     content_set,
     decide_content_S_r,
-    dedekind_mertens_check,
-    mccoy_regular,
-    poly_add,
     poly_eval,
     poly_mul,
     poly_s_unit_check,

@@ -282,19 +282,36 @@ def arith_oracle_check(A: ArithIdeal, S: ArithMCS, bound: int) -> bool:
     return _oracle_cache[key]
 
 
-def _in_ideal(descs, xs):
-    """Which rows of xs lie in the ideal; a Z_n descriptor divides n, so xs need no reducing."""
-    d = np.array(descs, dtype=np.int64)
-    return np.where(d == 0, xs == 0, xs % np.maximum(d, 1) == 0).all(axis=-1)
+def _in_factor_ideal(d, cs):
+    """Which entries of cs lie in dZ_n; a Z_n descriptor divides n, so cs need no reducing."""
+    return cs == 0 if d == 0 else cs % d == 0
 
 
 def _products_in(descs, xs, ys, reduce):
     """For each row x of xs, reduce (np.any, np.all or np.sum) of "xy is in the ideal" over
-    the rows y of ys; temporaries hold about _CHUNK elements."""
-    step = max(1, _CHUNK // max(1, ys.size))
-    return np.concatenate([
-        reduce(_in_ideal(descs, xs[i : i + step, None] * ys[None]), axis=1) for i in range(0, len(xs), step)
-    ])
+    the rows y of ys.
+
+    This relies on a componentwise product and an ideal that is a product of per-factor
+    ideals: xy lies in A iff x_i y_i lies in d_i Z_{n_i} at every coordinate i.  So each
+    coordinate gets one boolean table, a row per distinct value of xs and a column per row
+    of ys, built from the real products of the distinct values; the pair grid is then an AND
+    of table rows gathered by index, in blocks of about _CHUNK pairs, with no multiplication
+    or modulo inside it.  A product that is not componentwise needs its own product step.
+    """
+    tables = []
+    for i, d in enumerate(descs):
+        xv, xi = np.unique(xs[:, i], return_inverse=True)
+        yv, yi = np.unique(ys[:, i], return_inverse=True)
+        # row a, column j: is (a-th distinct x value) * ys[j, i] in the ideal at factor i
+        tables.append((_in_factor_ideal(d, xv[:, None] * yv)[:, yi], xi))
+    step = max(1, _CHUNK // max(1, len(ys)))
+    chunks = []
+    for s in range(0, len(xs), step):
+        grid = np.ones((len(xs[s : s + step]), len(ys)), dtype=bool)
+        for table, xi in tables:
+            grid &= table[xi[s : s + step]]
+        chunks.append(reduce(grid, axis=1))
+    return np.concatenate(chunks)
 
 
 def _sent(R: ArithRing, descs, bound):

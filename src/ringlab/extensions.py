@@ -15,14 +15,14 @@ from math import gcd
 
 import numpy as np
 
-from .arith import INT, ArithIdeal, ArithMCS, ArithRing, _factor_candidates, _in_ideal, _products_in, arith_is_S_r_ideal
+from .arith import INT, ArithIdeal, ArithMCS, ArithRing, _factor_candidates, _products_in, arith_is_S_r_ideal
 from .classify import Verdict, is_S_r_ideal
 from .errors import (
     InvalidConstruction,
     NotAnIdealError,
     TypeMismatch,
 )
-from .ideals import Ideal, MulClosedSet, bits, ideal_from_members, lattice, mcs_from_members
+from .ideals import Ideal, MulClosedSet, _elements, bits, ideal_from_members, lattice, mcs_from_members
 from .rings import FiniteRing, RingHom, abelian_generators, check_hom, check_size, is_isomorphism, make_quotient, pair_table
 
 
@@ -159,11 +159,11 @@ def make_trivial_extension(R: FiniteRing, M: FiniteModule) -> TrivExtRing:
 
 
 def triv_ideal(T: TrivExtRing, A: Ideal, N) -> Ideal:
-    """A (x) N as an ideal of the extension; requires AM inside N."""
+    """A (x) N as an ideal of the extension; requires N inside the module and AM inside N."""
     if A.ring is not T.base:
         raise TypeMismatch("ideal belongs to a different ring")
     a = np.array(bits(A.mask))
-    N = list(N)
+    N = list(_elements(T.module, N, "module element"))
     escapes = np.argwhere(~np.isin(T.module.action[a], N))
     if escapes.size:
         i, m = escapes[0]
@@ -415,5 +415,5 @@ def amalgz_zero_transfer_check(az: AmalgOverZ, S_desc, bound: int) -> AmalgZRepo
         regs = window[(window[:, 0] != 0) & ~kills.any(axis=1)]
         sends = _products_in(descs, window, regs, np.sum)  # regular e1 with e1 e2 in 0 x J, per e2
         checked = int(sends.sum())
-        confirms = bool(_in_ideal(descs, np.array(witness) * window[sends > 0]).all())
+        confirms = bool(_products_in(descs, np.array([witness]), window[sends > 0], np.all)[0])
     return AmalgZReport(hyps, base, ext_holds, witness, checked, confirms)

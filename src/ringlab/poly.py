@@ -28,7 +28,6 @@ from .errors import DegreeLimitError, NotApplicableError, TypeMismatch
 from .ideals import (
     Ideal,
     MulClosedSet,
-    annihilator,
     ideal_generate,
     ideal_power,
     ideal_product,
@@ -79,17 +78,6 @@ class Poly:
         return "+".join(terms)
 
 
-def poly_add(f: Poly, g: Poly) -> Poly:
-    R = f.base
-    n = max(len(f.coeffs), len(g.coeffs))
-    out = []
-    for i in range(n):
-        a = f.coeffs[i] if i < len(f.coeffs) else 0
-        b = g.coeffs[i] if i < len(g.coeffs) else 0
-        out.append(R.a(a, b))
-    return Poly.make(R, out)
-
-
 def poly_mul(f: Poly, g: Poly) -> Poly:
     deg = f.degree + g.degree
     if deg > MAX_DEGREE and not (f.is_zero() or g.is_zero()):
@@ -131,27 +119,10 @@ def content_ideal(f: Poly) -> Ideal:
     return ideal_generate(f.base, sorted(content_set(f)))
 
 
-def mccoy_regular(f: Poly) -> bool:
-    """Regular in the full polynomial ring iff Ann(content) = 0.
-
-    A nonzero annihilating polynomial of minimal degree forces a nonzero
-    constant annihilator, so the constant test decides regularity at every
-    degree, not just up to a bound.
-    """
-    return annihilator(f.base, content_set(f)).is_zero()
-
-
 def _dm_identity(cw: Ideal, cz: Ideal, cwz: Ideal, m: int) -> bool:
     """c(z)^(m+1) c(w) == c(z)^m c(wz), from the three content ideals."""
     zm = ideal_power(cz, m)
     return ideal_product(ideal_product(zm, cz), cw).mask == ideal_product(zm, cwz).mask
-
-
-def dedekind_mertens_check(w: Poly, z: Poly) -> bool:
-    """c(z)^(m+1) c(w) == c(z)^m c(wz) with m the degree of w."""
-    if w.base is not z.base:
-        raise TypeMismatch("polynomials over different rings")
-    return _dm_identity(content_ideal(w), content_ideal(z), content_ideal(poly_mul(w, z)), max(w.degree, 0))
 
 
 # The sweep's table, one row per drawn pair: the coefficient rows of w and z, the key
@@ -165,6 +136,24 @@ def _degrees(F):
     return ((F != 0) * np.arange(1, F.shape[1] + 1)).max(axis=1, initial=0) - 1
 
 
+def _randrange_block(rng: random.Random, n: int, count: int) -> np.ndarray:
+    """The values of [rng.randrange(n) for _ in range(count)], drawn in blocks of words.
+
+    randrange(n) keeps the top k = n.bit_length() bits of one 32-bit word and draws again
+    while the value is n or more; getrandbits(32 m) returns m such words, the first in the
+    low bits.  Each block is sized for the values still missing and is topped up when
+    rejections leave it short.  rng ends past where the loop would stop.
+    """
+    k = n.bit_length()
+    assert 1 <= k <= 32, n
+    out = np.empty(0, dtype=np.intp)
+    while len(out) < count:
+        m = ((count - len(out)) << k) // n + 16
+        words = np.frombuffer(rng.getrandbits(32 * m).to_bytes(4 * m, "little"), dtype="<u4") >> (32 - k)
+        out = np.concatenate((out, words[words < n]))
+    return out[:count]
+
+
 def _dm_table(R: FiniteRing, pairs: int, seed: int, max_degree: int) -> _DMTable:
     """Draw the pairs as the per-pair loop does (w's coefficients, then z's) and key each.
 
@@ -173,9 +162,8 @@ def _dm_table(R: FiniteRing, pairs: int, seed: int, max_degree: int) -> _DMTable
     in every ideal, so the zero polynomial gets {0}), found for every row in
     one matrix step: the count of coefficients outside each ideal.
     """
-    rng = random.Random(seed)
     count, width = max(pairs, 0), max(max_degree + 1, 0)
-    draws = np.array([rng.randrange(R.size) for _ in range(2 * width * count)], dtype=np.intp)
+    draws = _randrange_block(random.Random(seed), R.size, 2 * width * count)
     w, z = draws.reshape(count, 2, width).transpose(1, 0, 2)
     wz = np.zeros((count, max(2 * width - 1, 0)), dtype=R.add.dtype)
     for i in range(width):

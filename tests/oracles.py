@@ -11,9 +11,12 @@ loops of T2.3, T2.5, P-colon and P-annsum, the per-pair loop of the
 Dedekind-Mertens sweep, the full-degree content search over R/A, the fraction
 construction of a localization, an isomorphism search between finite rings,
 the submodule lattice of a finite module, the element-pair loops that built
-quotients, free modules, trivial extensions and amalgamations, and the
-pair-by-pair loop over the amalgZ window.  CAP_RINGS lists the cyclic factors of eight products of
-cyclic rings at the 256-element size cap, and CAP_EXPRS spells them.
+quotients, free modules, trivial extensions and amalgamations, the broadcast
+pair grid of the arithmetic window, and the pair-by-pair loop over the amalgZ
+window.  It also holds the polynomial helpers only the tests call (sum, McCoy
+regularity, the one-pair Dedekind-Mertens check).  CAP_RINGS lists the cyclic
+factors of eight products of cyclic rings at the 256-element size cap, and
+CAP_EXPRS spells them.
 """
 
 import random
@@ -24,7 +27,7 @@ from operator import and_
 
 import numpy as np
 
-from ringlab.arith import INT, ArithIdeal, ArithMCS, ArithRing, _factor_candidates, arith_is_S_r_ideal
+from ringlab.arith import _CHUNK, INT, ArithIdeal, ArithMCS, ArithRing, _factor_candidates, arith_is_S_r_ideal
 
 from ringlab.classify import (
     DISJOINTNESS_VIOLATED,
@@ -55,7 +58,8 @@ from ringlab.ideals import (
     mask_of,
     member_row,
 )
-from ringlab.poly import NO, NO_VIOLATION_UP_TO, Poly, PolyVerdict, dedekind_mertens_check
+from ringlab import poly
+from ringlab.poly import NO, NO_VIOLATION_UP_TO, Poly, PolyVerdict, content_ideal, content_set, poly_mul
 from ringlab.rings import FiniteRing, RingHom, _check_ideal_subset, idempotent_power, make_quotient, operand
 
 CAP_RINGS = ((256,), (2,) * 8, (4,) * 4, (2, 128), (3, 5, 17), (2, 3, 5, 7), (64,), (128,))
@@ -429,6 +433,35 @@ def ref_t2_5(ctx, dropped):
     return out
 
 
+def poly_add(f: Poly, g: Poly) -> Poly:
+    R = f.base
+    n = max(len(f.coeffs), len(g.coeffs))
+    out = []
+    for i in range(n):
+        a = f.coeffs[i] if i < len(f.coeffs) else 0
+        b = g.coeffs[i] if i < len(g.coeffs) else 0
+        out.append(R.a(a, b))
+    return Poly.make(R, out)
+
+
+def mccoy_regular(f: Poly) -> bool:
+    """Regular in the full polynomial ring iff Ann(content) = 0.
+
+    A nonzero annihilating polynomial of minimal degree forces a nonzero
+    constant annihilator, so the constant test decides regularity at every
+    degree, not just up to a bound.
+    """
+    return annihilator(f.base, content_set(f)).is_zero()
+
+
+def dedekind_mertens_check(w: Poly, z: Poly) -> bool:
+    """c(z)^(m+1) c(w) == c(z)^m c(wz) with m the degree of w."""
+    if w.base is not z.base:
+        raise TypeMismatch("polynomials over different rings")
+    # looked up on the module, so a test that patches poly._dm_identity reaches this check too
+    return poly._dm_identity(content_ideal(w), content_ideal(z), content_ideal(poly_mul(w, z)), max(w.degree, 0))
+
+
 def ref_dedekind_mertens_sweep(R: FiniteRing, pairs: int, seed: int, max_degree: int = DM_MAX_DEGREE):
     """The per-pair loop: draw w, then z, and check the pair on its own.
 
@@ -691,6 +724,22 @@ def submodules(M: FiniteModule):
                 seen.add(grown)
                 frontier.append(grown)
     return tuple(sorted(seen, key=lambda s: (len(s), tuple(sorted(s)))))
+
+
+def ref_products_in(descs, xs, ys, reduce):
+    """The window's pair grid by broadcast: for each row x of xs, reduce (np.any, np.all or
+    np.sum) of "xy is in the ideal" over the rows y of ys, each product x * y taken as an
+    int64 row and every coordinate tested modulo its descriptor; temporaries hold about
+    _CHUNK elements."""
+    d = np.array(descs, dtype=np.int64)
+
+    def in_ideal(rows):
+        return np.where(d == 0, rows == 0, rows % np.maximum(d, 1) == 0).all(axis=-1)
+
+    step = max(1, _CHUNK // max(1, ys.size))
+    return np.concatenate([
+        reduce(in_ideal(xs[i : i + step, None] * ys[None]), axis=1) for i in range(0, len(xs), step)
+    ])
 
 
 # The amalgZ window walked pair by pair: every regular e1 and every e2 of

@@ -1,5 +1,6 @@
 from itertools import combinations, product as iproduct
 
+import numpy as np
 import pytest
 from hypothesis import HealthCheck, example, given, settings, strategies as st
 
@@ -27,6 +28,8 @@ from ringlab.classify import FAILS, HOLDS, Verdict, is_r_ideal, is_S_r_ideal
 from ringlab.errors import InvalidConstruction, NotProperError
 from ringlab.ideals import ideal_generate, is_prime, mcs_from_members
 from ringlab.rings import make_product, make_zn
+
+from oracles import ref_products_in
 
 
 @pytest.fixture(scope="module")
@@ -412,6 +415,41 @@ def test_oracle_matches_tuple_loop_reference(case):
             mp.setattr(ar, "arith_is_r_ideal", _flipped(arith_is_r_ideal))
             mp.setattr(ar, "arith_is_S_r_ideal", _flipped(arith_is_S_r_ideal))
         assert ar._oracle_check(A, S, bound) == ref_oracle_check(A, S, bound)
+
+
+# -- the pair-grid kernel against the broadcast reference ----------------------------
+
+
+def _kernel_case(descs, nx, ny, seed, reduce):
+    """Rows with every coordinate in [-12, 12]: negative and unreduced values included."""
+    rng = np.random.default_rng(seed)
+    return descs, rng.integers(-12, 13, (nx, len(descs))), rng.integers(-12, 13, (ny, len(descs))), reduce
+
+
+@st.composite
+def kernel_cases(draw):
+    """(descs, xs, ys, reduce) over Z and Z_n factors, n <= 12, with descriptors 0 (Z
+    only), 1, a proper divisor and n."""
+    factors = draw(st.lists(st.sampled_from([INT, *range(1, 13)]), min_size=1, max_size=3))
+    descs = tuple(
+        draw(st.sampled_from([0, 1, 2, 3] if n == INT else [d for d in range(1, n + 1) if n % d == 0]))
+        for n in factors
+    )
+    sizes = st.integers(0, 30)
+    return _kernel_case(
+        descs, draw(sizes.filter(bool)), draw(sizes), draw(st.integers(0, 2**16)),
+        draw(st.sampled_from([np.any, np.all, np.sum])),
+    )
+
+
+# descriptors (2, 3) of Z x Z6: 120,000 pairs over several chunks, and an empty ys
+@example(_kernel_case((2, 3), 300, 400, 1, np.sum))
+@example(_kernel_case((2, 3), 5, 0, 2, np.all))
+@settings(max_examples=100, derandomize=True, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(kernel_cases())
+def test_products_in_matches_broadcast_reference(case):
+    got, want = ar._products_in(*case), ref_products_in(*case)
+    assert got.dtype == want.dtype and np.array_equal(got, want)
 
 
 # -- every closed form against the window -------------------------------------------

@@ -3,7 +3,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
 from ringlab.dsl import parse_ring
-from ringlab.errors import InvalidConstruction, NotAnIdealError
+from ringlab.errors import InvalidConstruction, NotAnIdealError, TypeMismatch
 from ringlab.extensions import (
     BACKWARD,
     FORWARD,
@@ -119,6 +119,15 @@ def test_triv_ideal_gate(z4):
     with pytest.raises(NotAnIdealError) as err:
         triv_ideal(T, ideal_generate(z4, [2]), frozenset({0}))
     assert err.value.witness == (2, 1)
+
+
+def test_triv_ideal_refuses_members_outside_the_module(z2):
+    """On triv(Z2, free(1)) the code 2 is no module element; read as a pair code it is
+    (1, 0), and {0, 1, 2} would come back as a set that is not an ideal."""
+    T = make_trivial_extension(z2, make_module_free(z2, 1))
+    for N in ({0, 1, 2}, {0, -1}):
+        with pytest.raises(TypeMismatch):
+            triv_ideal(T, ideal_generate(z2, []), N)
 
 
 def test_triv_ideal_criterion_sweep(z2, z4):

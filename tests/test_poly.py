@@ -26,16 +26,14 @@ from ringlab.poly import (
     Poly,
     PolyIdealSpec,
     _dm_table,
+    _randrange_block,
     _poly_tuples,
     bounded_S_r_search,
     constant,
     content_ideal,
     content_set,
     decide_content_S_r,
-    dedekind_mertens_check,
     dedekind_mertens_sweep,
-    mccoy_regular,
-    poly_add,
     poly_eval,
     poly_mul,
     poly_s_unit_check,
@@ -43,7 +41,14 @@ from ringlab.poly import (
 from ringlab.registry import verify
 from ringlab.rings import make_product, make_zn
 
-from oracles import ref_content_search, ref_dedekind_mertens_sweep, ref_poly_tuples
+from oracles import (
+    dedekind_mertens_check,
+    mccoy_regular,
+    poly_add,
+    ref_content_search,
+    ref_dedekind_mertens_sweep,
+    ref_poly_tuples,
+)
 
 
 @pytest.fixture(scope="module")
@@ -580,6 +585,14 @@ def test_dm_table_keys_match_per_pair_contents(expr, max_degree):
         gaps += ideal_product(ideals[cw], ideals[cz]).mask != ideals[cwz].mask
     assert not t.over.any()
     assert (gaps > 0) == (expr not in CORPUS_BASES)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 12, 16, 17, 255, 256])
+def test_randrange_block_matches_the_randrange_loop(n):
+    for count in (0, 1, 7, 10_000):
+        for seed in (DM_SEED, 0, 1):
+            rng = random.Random(seed)
+            assert _randrange_block(random.Random(seed), n, count).tolist() == [rng.randrange(n) for _ in range(count)]
 
 
 @pytest.mark.parametrize("where", ["first", "middle", "last"])
