@@ -233,16 +233,14 @@ def arith_disjoint(A: ArithIdeal, S: ArithMCS) -> bool:
     return False
 
 
-def arith_is_S_r_ideal(A: ArithIdeal, S: ArithMCS, witness_bound: int = None) -> Verdict:
+def arith_is_S_r_ideal(A: ArithIdeal, S: ArithMCS) -> Verdict:
     """Closed form: some s in S must have every obstructing modulus dividing
     the matching coordinate; all other factors impose no condition.
 
     The witness takes the key-minimal admissible coordinate per factor
-    (minimal absolute value, positive before negative).
+    (minimal absolute value, positive before negative).  On an `all` factor
+    that coordinate is 0, which passes every divisibility test, so only 0 is read there.
     """
-    from .config import ARITH_WITNESS_BOUND
-
-    bound = ARITH_WITNESS_BOUND if witness_bound is None else witness_bound
     R = A.ring
     if S.ring is not R and S.ring != R:
         raise TypeMismatch("m.c.s. belongs to a different ring")
@@ -252,9 +250,9 @@ def arith_is_S_r_ideal(A: ArithIdeal, S: ArithMCS, witness_bound: int = None) ->
         return Verdict(NOT_APPLICABLE, reason=DISJOINTNESS_VIOLATED)
     witness = []
     for i, (n, d) in enumerate(zip(R.factors, A.descs)):
-        ok = next((c for c in _factor_candidates(S, i, bound) if not _obstructs(n, d) or c % d == 0), None)
+        ok = next((c for c in _factor_candidates(S, i, 0) if not _obstructs(n, d) or c % d == 0), None)
         if ok is None:
-            default = tuple(_factor_candidates(S, j, bound)[0] for j in range(R.width))
+            default = tuple(_factor_candidates(S, j, 0)[0] for j in range(R.width))
             return Verdict(FAILS, counterexample=_violating_pair(A, i), last_candidate=R.reduce(default))
         witness.append(ok)
     return Verdict(HOLDS, witness=R.reduce(tuple(witness)))

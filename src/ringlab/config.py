@@ -30,7 +30,6 @@ DM_MAX_DEGREE = 4
 
 # Truncated-window oracle for arithmetic rings.
 ARITH_ORACLE_BOUND = 10
-ARITH_WITNESS_BOUND = 100
 
 # Per-ring cap on (ideal, m.c.s.) annotation combinations; beyond it the
 # verifier subsamples deterministically with the recorded seed.

@@ -35,7 +35,6 @@ class Limits:
     dm_pairs: int
     dm_seed: int
     oracle_bound: int
-    witness_bound: int
     annotation_cap: int
     mcs_cap: int
     subsample_seed: int
@@ -43,7 +42,7 @@ class Limits:
     def __post_init__(self):
         """Refuse a negative degree, cap, bound or pair count, and an m.c.s. cap below the
         two sets that are always kept (the units and the whole ring); the seeds may be any integer."""
-        for name in ("degree", "fac_cap", "dm_pairs", "oracle_bound", "witness_bound", "annotation_cap", "mcs_cap"):
+        for name in ("degree", "fac_cap", "dm_pairs", "oracle_bound", "annotation_cap", "mcs_cap"):
             value = getattr(self, name)
             least = 2 if name == "mcs_cap" else 0
             if value < least:
@@ -57,7 +56,6 @@ class Limits:
             dm_pairs=config.DM_PAIRS,
             dm_seed=config.DM_SEED,
             oracle_bound=config.ARITH_ORACLE_BOUND,
-            witness_bound=config.ARITH_WITNESS_BOUND,
             annotation_cap=config.ANNOTATION_CAP,
             mcs_cap=config.MCS_CANDIDATE_CAP,
             subsample_seed=config.SUBSAMPLE_SEED,

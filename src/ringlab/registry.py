@@ -1,9 +1,11 @@
 """The proposition registry: every catalogued statement as an executable check.
 
-Each registry case maps a stable id to a runner that sweeps one corpus
-entry and yields report records.  Records carry everything needed to
-replay a finding: the entry text, the annotation labels, the hypothesis
-flags, and the witness or counterexample data.
+Each registry case maps a stable id to a runner that sweeps one corpus entry
+and yields findings (outcome, annotation labels, hypothesis flags, detail).
+`_run_entry` alone writes them as records, adding the case id, the entry, its
+recipe, the dropped hypotheses, the witness or counterexample, and the seed
+when the entry's m.c.s. catalogue was subsampled; so a record depends only on
+its entry, its case and the run limits, and can be replayed from them.
 
 Outcomes: VERIFIED (hypotheses met, statement checked non-vacuously),
 VACUOUS (hypotheses unmet or antecedent never fired), VIOLATION (the
@@ -16,8 +18,9 @@ from __future__ import annotations
 
 import random
 import time
-from collections import Counter
+from collections import Counter, namedtuple
 from dataclasses import dataclass, replace
+from functools import cached_property
 from math import gcd
 
 import numpy as np
@@ -106,8 +109,6 @@ class FiniteContext:
         self._pinned_ideal = parse_ideal(self.ring, entry.ideal_text) if entry.ideal_text else None
         self._pinned_mcs = parse_mcs(self.ring, entry.mcs_text) if entry.mcs_text else None
         self._verdicts = {}
-        self._mcs = None  # m.c.s. candidates: depend on Limits and on the pinned ideal
-        self.subsampled = False
 
     def ideals(self):
         if self._pinned_ideal is not None:
@@ -118,23 +119,29 @@ class FiniteContext:
         return tuple(A for A in self.ideals() if A.is_proper())
 
     def mcs_list(self):
-        if self._pinned_mcs is not None:
-            return (self._pinned_mcs,)
-        if self._mcs is not None:
-            return self._mcs
+        return (self._pinned_mcs,) if self._pinned_mcs is not None else self._catalogue[0]
+
+    @property
+    def subsampled(self):
+        """Whether the m.c.s. catalogue was subsampled; every record of the entry then says so."""
+        return self._pinned_mcs is None and self._catalogue[1]
+
+    @cached_property
+    def _catalogue(self):
+        """(m.c.s. candidates, whether they were subsampled): they depend on Limits and on
+        the pinned ideal.  The units and the whole ring are kept past both caps."""
         R = self.ring
         special = [mcs_from_members(R, R.units), mcs_from_members(R, R.elements())]
         ordered = _distinct(_small_mcs(R) + special)
-        cap = self.limits.mcs_cap
-        if len(ordered) > cap:
-            ordered = _distinct(ordered[: cap - 2] + [S for S in ordered if S.mask in {T.mask for T in special}])
-        if len(self.ideals()) * len(ordered) > self.limits.annotation_cap:
-            rng = random.Random(self.limits.subsample_seed)
-            take = max(1, self.limits.annotation_cap // max(1, len(self.ideals())))
-            ordered = _distinct(rng.sample(ordered, take))
-            self.subsampled = True
-        self._mcs = tuple(ordered)
-        return self._mcs
+        masks = {S.mask for S in special}
+        kept = [S for S in ordered if S.mask in masks]  # labelled as in ordered
+        if len(ordered) > self.limits.mcs_cap:
+            ordered = _distinct(ordered[: self.limits.mcs_cap - 2] + kept)
+        if len(self.ideals()) * len(ordered) <= self.limits.annotation_cap:
+            return tuple(ordered), False
+        rest = [S for S in ordered if S not in kept]
+        take = max(0, self.limits.annotation_cap // len(self.ideals()) - len(kept))
+        return tuple(_distinct(kept + random.Random(self.limits.subsample_seed).sample(rest, take))), True
 
     # memoized classifier calls -----------------------------------------------------
 
@@ -160,6 +167,8 @@ class FiniteContext:
 
 
 class ArithContext:
+    """The pinned (ideal, m.c.s.) pair, its annotations, its S-r verdict and whether A lies in zd."""
+
     kind = ARITH
     subsampled = False
 
@@ -172,10 +181,14 @@ class ArithContext:
             raise ParseError(f"arith entry needs ideal= and mcs= annotations: {entry.text}")
         self.ideal = parse_arith_ideal(self.ring, entry.ideal_text)
         self.mcs = parse_arith_mcs(self.ring, entry.mcs_text)
+        self.annotations = {"ideal": self.ideal.label(), "mcs": self.mcs.label()}
+        self.verdict = ar.arith_is_S_r_ideal(self.ideal, self.mcs)
+        self.in_zd = ar.arith_subset_zd(self.ideal)
 
 
 class PolyContext(FiniteContext):
     kind = POLY
+    subsampled = False  # its runners read only the constant candidates
 
     def __init__(self, entry: CorpusEntry, limits: Limits):
         super().__init__(replace(entry, expr=entry.expr[len("polyring(") : -1]), limits)
@@ -229,11 +242,15 @@ def build_context(entry: CorpusEntry, limits: Limits):
 # -- record and sweep helpers ----------------------------------------------------------------
 
 
-def _record(theorem, ctx, dropped, outcome, annotations=None, hypotheses=None, detail=None):
-    annotations = dict(annotations or {})
+# What a runner yields per statement instance; `_run_entry` writes it as a report record.
+Finding = namedtuple("Finding", "outcome annotations hypotheses detail", defaults=(None, None, None))
+
+
+def _record(theorem, ctx, dropped, finding):
+    annotations = dict(finding.annotations or {})
     if ctx.subsampled:
         annotations["subsample_seed"] = ctx.limits.subsample_seed
-    detail = detail or {}
+    detail = finding.detail or {}
     # surface the principal verdict's witness data at the top level
     verdict = detail.get("verdict")
     if not isinstance(verdict, dict):
@@ -244,9 +261,9 @@ def _record(theorem, ctx, dropped, outcome, annotations=None, hypotheses=None, d
         "entry": ctx.entry.text,
         "recipe": ctx.recipe,
         "annotations": annotations,
-        "hypotheses": hypotheses or {},
+        "hypotheses": finding.hypotheses or {},
         "dropped": sorted(dropped),
-        "outcome": outcome,
+        "outcome": finding.outcome,
         "witness": verdict.get("witness") if isinstance(verdict, dict) else None,
         "counterexample": verdict.get("counterexample") if isinstance(verdict, dict) else None,
         "detail": detail,
@@ -308,7 +325,7 @@ def run_degen(ctx, dropped):
     outcome, detail = _sweep("proper_ideals_checked", checks())
     detail.update(detail.pop("failure", {}), uz=uz.to_json(R))
     ok = uz.holds and regular_is_unit and outcome != VIOLATION
-    yield _record("DEGEN", ctx, dropped, VERIFIED if ok else VIOLATION, detail=detail)
+    yield Finding(VERIFIED if ok else VIOLATION, detail=detail)
 
 
 def run_p_zero(ctx, dropped):
@@ -320,12 +337,8 @@ def run_p_zero(ctx, dropped):
             outcome = VACUOUS
         else:
             outcome = VERIFIED if v.holds else VIOLATION
-        yield _record(
-            "P-zero", ctx, dropped, outcome,
-            annotations={"ideal": "(0)", "mcs": S.label()},
-            hypotheses={"disjoint": not S.mask & zero.mask},
-            detail={"verdict": v.to_json(ctx.ring)},
-        )
+        hypotheses = {"disjoint": not S.mask & zero.mask}
+        yield Finding(outcome, {"ideal": "(0)", "mcs": S.label()}, hypotheses, {"verdict": v.to_json(ctx.ring)})
 
 
 def run_t2_3(ctx, dropped):
@@ -360,7 +373,7 @@ def run_t2_3(ctx, dropped):
 
     for A in ctx.proper_ideals():
         outcome, detail = _sweep("implications_checked", checks(A))
-        yield _record("T2.3", ctx, dropped, outcome, {"ideal": A.label()}, detail=detail)
+        yield Finding(outcome, {"ideal": A.label()}, detail=detail)
 
 
 def run_t2_5(ctx, dropped):
@@ -384,10 +397,7 @@ def run_t2_5(ctx, dropped):
 
     for A in ctx.proper_ideals():
         outcome, detail = _sweep("implications_checked", checks(A))
-        yield _record(
-            "T2.5", ctx, dropped, outcome, {"ideal": A.label()},
-            {"s_regular_candidates": bool(candidates)}, detail,
-        )
+        yield Finding(outcome, {"ideal": A.label()}, {"s_regular_candidates": bool(candidates)}, detail)
 
 
 def _t2_7_sides(A, regs, pre: int) -> dict:
@@ -424,8 +434,8 @@ def run_t2_7(ctx, dropped):
             "s_r": ctx.s_r(A, S, enforce_proper=enforce, enforce_disjoint=enforce).holds,
             **_t2_7_sides(A, regs, ideal_lattice(R).colon_rows(A)[e]),
         }
-        yield _record(
-            "T2.7", ctx, dropped, VERIFIED if len(set(sides.values())) == 1 else VIOLATION,
+        yield Finding(
+            VERIFIED if len(set(sides.values())) == 1 else VIOLATION,
             {"ideal": A.label(), "mcs": "S<reg>"},
             {"disjoint": not A.mask & S.mask},
             {"sides": sides},
@@ -458,7 +468,7 @@ def run_p2_8(ctx, dropped):
 
     for A in ctx.proper_ideals():
         outcome, detail = _sweep("witnesses_checked", checks(A))
-        yield _record("P2.8", ctx, dropped, outcome, {"ideal": A.label()}, detail=detail)
+        yield Finding(outcome, {"ideal": A.label()}, detail=detail)
 
 
 def run_p2_10(ctx, dropped):
@@ -477,7 +487,7 @@ def run_p2_10(ctx, dropped):
 
     for A in ctx.proper_ideals():
         outcome, detail = _sweep("implications_checked", checks(A), met=reduced or not enforce_reduced)
-        yield _record("P2.10", ctx, dropped, outcome, {"ideal": A.label()}, {"reduced": reduced}, detail)
+        yield Finding(outcome, {"ideal": A.label()}, {"reduced": reduced}, detail)
 
 
 def run_t2_11(ctx, dropped):
@@ -501,7 +511,7 @@ def run_t2_11(ctx, dropped):
 
     for A in ctx.proper_ideals():
         outcome, detail = _sweep("lifts_checked", checks(A))
-        yield _record("T2.11", ctx, dropped, outcome, {"ideal": A.label()}, detail=detail)
+        yield Finding(outcome, {"ideal": A.label()}, detail=detail)
 
 
 def run_t2_12(ctx, dropped):
@@ -527,7 +537,7 @@ def run_t2_12(ctx, dropped):
     for A in ctx.proper_ideals():
         prime = is_prime(A)
         outcome, detail = _sweep("equivalences_checked", checks(A), met=prime or not need_prime)
-        yield _record("T2.12", ctx, dropped, outcome, {"ideal": A.label()}, {"prime": prime}, detail)
+        yield Finding(outcome, {"ideal": A.label()}, {"prime": prime}, detail)
 
 
 def run_c_zd(ctx, dropped):
@@ -540,7 +550,7 @@ def run_c_zd(ctx, dropped):
 
     for A in ctx.proper_ideals():
         outcome, detail = _sweep("checked", checks(A))
-        yield _record("C-zd", ctx, dropped, outcome, {"ideal": A.label()}, detail=detail)
+        yield Finding(outcome, {"ideal": A.label()}, detail=detail)
 
 
 def run_p_jac(ctx, dropped):
@@ -548,7 +558,7 @@ def run_p_jac(ctx, dropped):
     R = ctx.ring
     maxes = max_ideals(R)
     if not maxes:
-        yield _record("P-jac", ctx, dropped, VACUOUS, detail={"reason": "no maximal ideals"})
+        yield Finding(VACUOUS, detail={"reason": "no maximal ideals"})
         return
     jac = jacobson_radical(R)
     need_jac = "in_jacobson" not in dropped
@@ -559,8 +569,8 @@ def run_p_jac(ctx, dropped):
             continue
         lhs = ctx.r_verdict(A).holds
         rhs = all(ctx.s_r(A, S).holds for S in complements)
-        yield _record(
-            "P-jac", ctx, dropped, VERIFIED if lhs == rhs else VIOLATION,
+        yield Finding(
+            VERIFIED if lhs == rhs else VIOLATION,
             {"ideal": A.label()},
             {"inside_jacobson": inside},
             {"r_ideal": lhs, "all_complements": rhs, "maximal_count": len(maxes)},
@@ -619,7 +629,7 @@ def run_p_colon(ctx, dropped):
 
     for A in ctx.proper_ideals():
         outcome, detail = _sweep("derived_checked", checks(A))
-        yield _record("P-colon", ctx, dropped, outcome, {"ideal": A.label()}, detail=detail)
+        yield Finding(outcome, {"ideal": A.label()}, detail=detail)
 
 
 def run_p_annsum(ctx, dropped):
@@ -647,7 +657,7 @@ def run_p_annsum(ctx, dropped):
 
     for S in ctx.mcs_list():
         outcome, detail = _sweep("sums_checked", checks(S))
-        yield _record("P-annsum", ctx, dropped, outcome, {"mcs": S.label()}, detail=detail)
+        yield Finding(outcome, {"mcs": S.label()}, detail=detail)
 
 
 def run_p_minidem(ctx, dropped):
@@ -682,7 +692,7 @@ def run_p_minidem(ctx, dropped):
 
     for S in ctx.mcs_list():
         outcome, detail = _sweep("ideals_checked", checks(S), met=reduced or not enforce_reduced)
-        yield _record("P-minidem", ctx, dropped, outcome, {"mcs": S.label()}, {"reduced": reduced}, detail)
+        yield Finding(outcome, {"mcs": S.label()}, {"reduced": reduced}, detail)
 
 
 def run_p_sidem(ctx, dropped):
@@ -704,7 +714,7 @@ def run_p_sidem(ctx, dropped):
 
     for S in ctx.mcs_list():
         outcome, detail = _sweep("ideals_checked", checks(S))
-        yield _record("P-sidem", ctx, dropped, outcome, {"mcs": S.label()}, detail=detail)
+        yield Finding(outcome, {"mcs": S.label()}, detail=detail)
 
 
 def run_p_suz(ctx, dropped):
@@ -720,10 +730,7 @@ def run_p_suz(ctx, dropped):
         lhs = outcome != VIOLATION
         rhs = cl.is_S_uz_ring(ctx.ring, S).holds
         detail.update(detail.pop("failure", {}), all_disjoint_ideals_s_r=lhs, s_uz_ring=rhs)
-        yield _record(
-            "P-suz", ctx, dropped, VERIFIED if lhs == rhs else VIOLATION, {"mcs": S.label()},
-            detail=detail,
-        )
+        yield Finding(VERIFIED if lhs == rhs else VIOLATION, {"mcs": S.label()}, detail=detail)
 
 
 def run_p_suzmax(ctx, dropped):
@@ -735,7 +742,7 @@ def run_p_suzmax(ctx, dropped):
         annotations = {"mcs": S.label()}
         hyp = all(not M.mask & S.mask for M in maxes)
         if enforce and not hyp:
-            yield _record("P-suzmax", ctx, dropped, VACUOUS, annotations, {"maximal_disjoint": hyp})
+            yield Finding(VACUOUS, annotations, {"maximal_disjoint": hyp})
             continue
         a_side = cl.is_S_uz_ring(R, S).holds
         b_side = all(
@@ -744,8 +751,8 @@ def run_p_suzmax(ctx, dropped):
             if not P.mask & S.mask or not enforce
         )
         c_side = all(ctx.s_r(M, S, enforce_disjoint=enforce).holds for M in maxes)
-        yield _record(
-            "P-suzmax", ctx, dropped, VERIFIED if a_side == b_side == c_side else VIOLATION,
+        yield Finding(
+            VERIFIED if a_side == b_side == c_side else VIOLATION,
             annotations,
             {"maximal_disjoint": hyp},
             {"s_uz": a_side, "primes": b_side, "maximals": c_side},
@@ -774,8 +781,7 @@ def run_l3_1(ctx, dropped):
         detail = {"elements_checked": R.size}
         if bad is not None:
             detail["failing_element"] = R.labels[bad]
-        outcome = VERIFIED if bad is None else VIOLATION
-        yield _record("L3.1", ctx, dropped, outcome, {"isomorphism": name}, detail=detail)
+        yield Finding(VERIFIED if bad is None else VIOLATION, {"isomorphism": name}, detail=detail)
 
 
 def run_p3_2(ctx, dropped):
@@ -807,10 +813,7 @@ def run_p3_2(ctx, dropped):
                     bad = direction
             evaluated = any(r["met"] for r in results.values())
             outcome = VIOLATION if bad else (VERIFIED if evaluated else VACUOUS)
-            yield _record(
-                "P3.2", ctx, dropped, outcome, {"ideal": A.label(), "mcs": S.label()}, hyps,
-                {"directions": results},
-            )
+            yield Finding(outcome, {"ideal": A.label(), "mcs": S.label()}, hyps, {"directions": results})
 
 
 def run_amalgz_p3_2(ctx, dropped):
@@ -819,8 +822,8 @@ def run_amalgz_p3_2(ctx, dropped):
     hyps = dict(rep.hypotheses)
     ok = (not rep.base_verdict.holds) or (rep.ext_holds and rep.window_confirms)
     outcome = VACUOUS if not all(hyps.values()) else (VERIFIED if ok else VIOLATION)
-    yield _record(
-        "P3.2", ctx, dropped, outcome,
+    yield Finding(
+        outcome,
         {"ideal": "(0)", "mcs": str(ctx.entry.mcs_text or "(units)")},
         hyps,
         {
@@ -857,71 +860,55 @@ def run_p3_3(ctx, dropped):
             enforced = (k for k in hyps if k in _P3_3_DROPS and _P3_3_DROPS[k] not in dropped)
             met = all(hyps[k] for k in enforced)
             outcome = VACUOUS if not met else (VERIFIED if rep.consistent else VIOLATION)
-            yield _record(
-                "P3.3", ctx, dropped, outcome, {"ideal": A.label(), "mcs": S.label()}, hyps,
-                {"pattern": "".join("1" if b else "0" for b in rep.pattern)},
-            )
+            pattern = "".join("1" if b else "0" for b in rep.pattern)
+            yield Finding(outcome, {"ideal": A.label(), "mcs": S.label()}, hyps, {"pattern": pattern})
 
 
 # -- arithmetic-lane runners -----------------------------------------------------------------
 
 
-def _arith_annot(ctx, ideal=None):
-    return {"ideal": ideal or ctx.ideal.label(), "mcs": ctx.mcs.label()}
-
-
 def run_arith_t2_12(ctx, dropped):
-    A, S = ctx.ideal, ctx.mcs
+    A, v = ctx.ideal, ctx.verdict
     prime = A.is_proper() and ar.arith_is_prime(A)
     if "prime" not in dropped and not prime:
-        yield _record("T2.12", ctx, dropped, VACUOUS, _arith_annot(ctx), {"prime": prime})
-        return
-    v = ar.arith_is_S_r_ideal(A, S, ctx.limits.witness_bound)
-    if v.not_applicable and "disjoint" not in dropped:
-        hypotheses = {"prime": prime, "disjoint": False}
-        yield _record("T2.12", ctx, dropped, VACUOUS, _arith_annot(ctx), hypotheses)
-        return
-    in_zd = ar.arith_subset_zd(A)
-    yield _record(
-        "T2.12", ctx, dropped, VERIFIED if v.holds == in_zd else VIOLATION, _arith_annot(ctx),
-        {"prime": prime, "disjoint": not v.not_applicable},
-        {"s_r": v.holds, "inside_zd": in_zd, "oracle_bound": ctx.limits.oracle_bound},
-    )
+        yield Finding(VACUOUS, ctx.annotations, {"prime": prime})
+    elif v.not_applicable and "disjoint" not in dropped:
+        yield Finding(VACUOUS, ctx.annotations, {"prime": prime, "disjoint": False})
+    else:
+        yield Finding(
+            VERIFIED if v.holds == ctx.in_zd else VIOLATION, ctx.annotations,
+            {"prime": prime, "disjoint": not v.not_applicable},
+            {"s_r": v.holds, "inside_zd": ctx.in_zd, "oracle_bound": ctx.limits.oracle_bound},
+        )
 
 
 def run_arith_c_zd(ctx, dropped):
-    v = ar.arith_is_S_r_ideal(ctx.ideal, ctx.mcs, ctx.limits.witness_bound)
-    if not v.holds:
-        yield _record("C-zd", ctx, dropped, VACUOUS, _arith_annot(ctx))
-        return
-    outcome = VERIFIED if ar.arith_subset_zd(ctx.ideal) else VIOLATION
-    detail = {"witness": list(v.witness)}
-    yield _record("C-zd", ctx, dropped, outcome, _arith_annot(ctx), detail=detail)
+    if not ctx.verdict.holds:
+        yield Finding(VACUOUS, ctx.annotations)
+    else:
+        detail = {"witness": list(ctx.verdict.witness)}
+        yield Finding(VERIFIED if ctx.in_zd else VIOLATION, ctx.annotations, detail=detail)
 
 
 def run_arith_p_zero(ctx, dropped):
-    R, S = ctx.ring, ctx.mcs
-    zero = ar.zero_ideal(R)
-    annotations = _arith_annot(ctx, ideal="(0)")
-    v = ar.arith_is_S_r_ideal(zero, S, ctx.limits.witness_bound)
+    zero = ar.zero_ideal(ctx.ring)
+    annotations = {**ctx.annotations, "ideal": "(0)"}
+    v = ar.arith_is_S_r_ideal(zero, ctx.mcs)
     if v.not_applicable:
-        yield _record("P-zero", ctx, dropped, VACUOUS, annotations)
+        yield Finding(VACUOUS, annotations)
         return
-    oracle = ar.arith_oracle_check(zero, S, ctx.limits.oracle_bound)
-    yield _record(
-        "P-zero", ctx, dropped, VERIFIED if v.holds and oracle else VIOLATION, annotations,
+    oracle = ar.arith_oracle_check(zero, ctx.mcs, ctx.limits.oracle_bound)
+    yield Finding(
+        VERIFIED if v.holds and oracle else VIOLATION, annotations,
         detail={"witness": list(v.witness) if v.witness else None, "oracle": oracle},
     )
 
 
 def run_p2_6(ctx, dropped):
     """Failing S-r inside zd produces the two-ideal factorization."""
-    A, S = ctx.ideal, ctx.mcs
-    v = ar.arith_is_S_r_ideal(A, S, ctx.limits.witness_bound)
-    in_zd = ar.arith_subset_zd(A)
-    if not (in_zd and v.fails):
-        hypotheses = {"inside_zd": in_zd, "s_r_fails": v.fails}
-        yield _record("P2.6", ctx, dropped, VACUOUS, _arith_annot(ctx), hypotheses)
+    A, v = ctx.ideal, ctx.verdict
+    if not (ctx.in_zd and v.fails):
+        yield Finding(VACUOUS, ctx.annotations, {"inside_zd": ctx.in_zd, "s_r_fails": v.fails})
         return
     s = v.last_candidate
     w, z = v.counterexample
@@ -933,9 +920,9 @@ def run_p2_6(ctx, dropped):
         "A_strictly_in_K": ar.arith_contains(K, A) and K.descs != A.descs,
         "BK_in_A": ar.arith_contains(A, ar.arith_product(B, K)),
     }
-    yield _record(
-        "P2.6", ctx, dropped, VERIFIED if all(conds.values()) else VIOLATION, _arith_annot(ctx),
-        {"inside_zd": in_zd, "s_r_fails": True},
+    yield Finding(
+        VERIFIED if all(conds.values()) else VIOLATION, ctx.annotations,
+        {"inside_zd": True, "s_r_fails": True},
         {"s": list(s), "pair": [list(w), list(z)], "B": B.label(), "K": K.label(), **conds},
     )
 
@@ -946,9 +933,8 @@ def run_arith_r_oracle(ctx, dropped):
     bound = max(ctx.limits.oracle_bound, ar.window_floor(A))
     ok_r = ar.arith_oracle_check(A, None, bound)
     ok_s = ar.arith_oracle_check(A, S, bound)
-    yield _record(
-        "ARITH-oracle", ctx, dropped, VERIFIED if (ok_r and ok_s) else VIOLATION,
-        _arith_annot(ctx),
+    yield Finding(
+        VERIFIED if (ok_r and ok_s) else VIOLATION, ctx.annotations,
         detail={"r_confirmed": ok_r, "s_r_confirmed": ok_s, "bound": bound},
     )
 
@@ -971,8 +957,8 @@ def run_t4_1(ctx, dropped):
             base = ctx.s_r(A, S)
             search = bounded_S_r_search(PolyIdealSpec.content(A), S, D)
             coherent = base.holds and search.outcome == NO_VIOLATION_UP_TO
-            yield _record(
-                "T4.1", ctx, dropped, VERIFIED if coherent else VIOLATION,
+            yield Finding(
+                VERIFIED if coherent else VIOLATION,
                 {"ideal": A.label(), "mcs": S.label(), "degree": D},
                 {"property_a": gate.holds, "s_regular": s_regular},
                 {"base": base.outcome, "search": search.outcome},
@@ -997,12 +983,8 @@ def run_t4_2(ctx, dropped):
             else:
                 outcome = VERIFIED if base.holds and verdict.outcome == YES_BY_THEOREM else VIOLATION
                 detail["base"] = base.outcome
-            yield _record(
-                "T4.2", ctx, dropped, outcome,
-                {"ideal": A.label(), "mcs": S.label(), "degree": D},
-                {"fac": gate.holds, "fac_cap": cap},
-                detail,
-            )
+            annotations = {"ideal": A.label(), "mcs": S.label(), "degree": D}
+            yield Finding(outcome, annotations, {"fac": gate.holds, "fac_cap": cap}, detail)
 
 
 def run_dm(ctx, dropped):
@@ -1011,8 +993,8 @@ def run_dm(ctx, dropped):
     detail = {"checked": checked}
     if failure:
         detail["failure"] = [failure[0].text(), failure[1].text()]
-    yield _record(
-        "DM", ctx, dropped, VIOLATION if failure else (VERIFIED if checked else VACUOUS),
+    yield Finding(
+        VIOLATION if failure else (VERIFIED if checked else VACUOUS),
         {"pairs": ctx.limits.dm_pairs, "seed": ctx.limits.dm_seed},
         detail=detail,
     )
@@ -1080,7 +1062,8 @@ def _run_entry(entry, ids, dropped, limits, timings=False):
         case = CASES[tid]
         if ctx.kind not in case.scopes:
             continue
-        for rec in getattr(case, field)(ctx, dropped):
+        for finding in getattr(case, field)(ctx, dropped):
+            rec = _record(tid, ctx, dropped, finding)
             if timings:
                 now = time.perf_counter()
                 rec["millis"] = int((now - mark) * 1000)

@@ -269,6 +269,18 @@ def test_dm_zero_factor(z6):
     assert dedekind_mertens_check(Poly.make(z6, [1, 2]), Poly.make(z6, []))
 
 
+def test_dm_identity_needs_the_exponent_off_a_gaussian_base():
+    """triv(Z4, free(1)) is Z4[e]/(e^2); w = z = (2,0)x + (0,1) is e + 2x, with wz = 0
+    but c(w)c(z) = (2e).  So the identity fails at m = 0 and holds at m = 1."""
+    R = parse_ring("triv(Z4, free(1))")
+    w = Poly.make(R, [R.labels.index("(0,1)"), R.labels.index("(2,0)")])
+    assert w.text() == "(2,0)x+(0,1)"
+    cw, cwz = content_ideal(w), content_ideal(poly_mul(w, w))
+    assert ideal_product(cw, cw).mask != cwz.mask
+    assert not poly._dm_identity(cw, cw, cwz, 0)
+    assert poly._dm_identity(cw, cw, cwz, 1)
+
+
 def test_dm_worked_example(z6):
     w = Poly.make(z6, [1, 2])
     z = Poly.make(z6, [2, 3])

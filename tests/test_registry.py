@@ -199,7 +199,7 @@ def test_dm_refuses_a_negative_pair_count():
         _dm_records(-3)
 
 
-COUNT_LIMITS = ("degree", "fac_cap", "dm_pairs", "oracle_bound", "witness_bound", "annotation_cap", "mcs_cap")
+COUNT_LIMITS = ("degree", "fac_cap", "dm_pairs", "oracle_bound", "annotation_cap", "mcs_cap")
 
 
 @pytest.mark.parametrize("name", COUNT_LIMITS)
@@ -216,6 +216,35 @@ def test_mcs_cap_2_keeps_exactly_the_units_and_the_ring():
     ctx = build_context(parse_corpus_line("Z30"), replace(Limits.defaults(), mcs_cap=2))
     R = ctx.ring
     assert [S.members for S in ctx.mcs_list()] == [R.units, frozenset(range(30))]
+
+
+@pytest.mark.parametrize("annotation_cap, kept", [(48, 6), (8, 2), (0, 2)])
+def test_subsampling_keeps_the_units_and_the_ring(annotation_cap, kept):
+    """Z30 has 8 ideals, so a cap of 48 keeps 6 m.c.s.; below 2 per ideal the two
+    special sets are still kept, as on the mcs_cap path."""
+    ctx = build_context(parse_corpus_line("Z30"), replace(Limits.defaults(), annotation_cap=annotation_cap))
+    R = ctx.ring
+    members = [S.members for S in ctx.mcs_list()]
+    assert ctx.subsampled and len(members) == kept
+    assert R.units in members and frozenset(range(30)) in members
+
+
+SELECTION_CORPORA = [
+    (("Z30",), {"annotation_cap": 48}),
+    (("Z12", "polyring(Z3)", "Z x Z ; ideal=(0,2) ; mcs=(units,all)", "amalgZ(4, 2) ; mcs=(units)"), {}),
+]
+
+
+@pytest.mark.parametrize("lines, limits", SELECTION_CORPORA)
+def test_a_record_does_not_depend_on_which_theorems_ran(lines, limits):
+    """Each case run alone gives exactly its records of the full run; on a
+    subsampled entry every record carries the seed."""
+    corpus = CorpusSpec(tuple(parse_corpus_line(line) for line in lines), replace(Limits.defaults(), **limits))
+    full = list(verify(None, corpus))
+    for tid in CASES:
+        assert list(verify((tid,), corpus)) == [r for r in full if r["theorem"] == tid], tid
+    seeded = {r["annotations"].get("subsample_seed") for r in full}
+    assert seeded == ({corpus.limits.subsample_seed} if limits else {None})
 
 
 def test_limits_take_any_seed():
@@ -357,8 +386,8 @@ def test_degen_catches_a_faked_annihilator_row(element, row):
     ctx = build_context(parse_corpus_line("Z4"), Limits.defaults())
     lat = lattice(ctx.ring)  # the ring is fresh, so the faked row reaches no other test
     lat.ann = tuple(row if a == element else m for a, m in enumerate(lat.ann))
-    [record] = run_degen(ctx, frozenset())
-    assert record["outcome"] == "VIOLATION"
+    [finding] = run_degen(ctx, frozenset())
+    assert finding.outcome == "VIOLATION"
 
 
 def test_degen_catches_a_proper_ideal_with_zero_annihilator():
@@ -370,8 +399,8 @@ def test_degen_catches_a_proper_ideal_with_zero_annihilator():
     g, h = next(A.generators for A in ctx.proper_ideals() if len(A.generators) == 2)
     lat.ann = tuple(1 | lat.full & ~lat.ann[h] if a == g else m for a, m in enumerate(lat.ann))
     assert 1 not in (lat.ann[g], lat.ann[h])
-    [record] = run_degen(ctx, frozenset())
-    assert record["outcome"] == "VIOLATION"
+    [finding] = run_degen(ctx, frozenset())
+    assert finding.outcome == "VIOLATION"
 
 
 # -- the bulk runners against their per-entry loops ------------------------------------------
@@ -436,7 +465,7 @@ def test_bulk_runner_failures_match_the_per_entry_loop(runner, reference, hypoth
             for mask in [None] + [A.mask for A in all_ideals(ctx.ring)]:
                 for mcs_mask in (None, mcs_from_members(ctx.ring, ctx.ring.units).mask):
                     _failing_on(ctx, mask, mcs_mask)
-                    got = [(next(iter(r["annotations"].values())), r["outcome"], r["detail"]) for r in runner(ctx, dropped)]
+                    got = [(next(iter(f.annotations.values())), f.outcome, f.detail) for f in runner(ctx, dropped)]
                     assert got == reference(ctx, dropped), (line, dropped, mask, mcs_mask)
                     counts += [next(iter(detail.values())) for _, outcome, detail in got if outcome == "VIOLATION"]
     assert min(counts) == 1 and max(counts) > 1
