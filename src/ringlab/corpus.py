@@ -93,6 +93,7 @@ def parse_corpus_line(line: str):
     notes = {}
     for extra in filter(None, parts[1:]):
         key, eq, value = extra.partition("=")
+        key = key.strip()
         if not eq or key not in ("ideal", "mcs"):
             raise ParseError(f"unknown annotation {extra!r}")
         if key in notes or not value.strip():

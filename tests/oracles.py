@@ -411,6 +411,123 @@ def ref_p_annsum(ctx, dropped):
     return out
 
 
+def _ref_min_primes(A: Ideal) -> list:
+    """The primes minimal over A, in lattice order, each prime tested from the definition."""
+    R = A.ring
+
+    def prime(P):
+        return P.is_proper() and all(
+            x in P.members or y in P.members for x in R.elements() for y in R.elements() if R.m(x, y) in P.members
+        )
+
+    over = [P for P in all_ideals(R) if A.members <= P.members and prime(P)]
+    return [P for P in over if not any(Q.members < P.members for Q in over)]
+
+
+def ref_t2_11(ctx, dropped):
+    """T2.11 as (ideal label, outcome, detail) per proper ideal: the minimal
+    primes over A found from the definition of a prime, and ctx.s_r asked once
+    per (m.c.s., minimal prime), stopping at the first failure."""
+    enforce = "disjoint" not in dropped
+    out = []
+    for A in ctx.proper_ideals():
+        checked, failure = 0, None
+        mins = _ref_min_primes(A)
+        for S in ctx.mcs_list():
+            if failure is not None or not ctx.s_r(A, S).holds:
+                continue
+            for P in mins:
+                if enforce and P.members & S.members:
+                    continue
+                checked += 1
+                v = ctx.s_r(P, S, enforce_disjoint=enforce)
+                if not v.holds:
+                    failure = {"mcs": S.label(), "min_prime": P.label(), "verdict": v.to_json(ctx.ring)}
+                    break
+        outcome, detail = _outcome(checked, failure)
+        out.append((A.label(), outcome, {"lifts_checked": checked, **detail}))
+    return out
+
+
+def ref_p2_10(ctx, dropped):
+    """P2.10 as (ideal label, outcome, detail) per proper ideal: S-z0 decided by
+    the scan reference, and ctx.s_r asked once per S-z0 pair, stopping at the
+    first failure; no payload when the ring is not reduced and that is enforced."""
+    R = ctx.ring
+    enforce_reduced = "reduced" not in dropped
+    enforce_disjoint = "disjoint" not in dropped
+    out = []
+    for A in ctx.proper_ideals():
+        if enforce_reduced and not R.is_reduced():
+            out.append((A.label(), "VACUOUS", None))
+            continue
+        checked, failure = 0, None
+        for S in ctx.mcs_list():
+            if ref_is_S_z0_ideal(A, S, enforce_reduced, enforce_disjoint).holds:
+                checked += 1
+                v = ctx.s_r(A, S, enforce_disjoint=enforce_disjoint)
+                if not v.holds:
+                    failure = {"mcs": S.label(), "verdict": v.to_json(R)}
+                    break
+        outcome, detail = _outcome(checked, failure)
+        out.append((A.label(), outcome, {"implications_checked": checked, **detail}))
+    return out
+
+
+def ref_p_minidem(ctx, dropped):
+    """P-minidem as (m.c.s. label, outcome, detail) per m.c.s.: P + Ann(se)
+    built with ideal_sum for every minimal prime P over zero, idempotent e and
+    s in S, and ctx.s_r asked once per proper one, stopping at the first failure."""
+    R = ctx.ring
+    enforce_reduced = "reduced" not in dropped
+    enforce_disjoint = "disjoint" not in dropped
+    zero = ideal_generate(R, ())
+    mins = _ref_min_primes(zero) if zero.is_proper() else []
+    idems = [e for e in R.elements() if R.m(e, e) == e]
+    out = []
+    for S in ctx.mcs_list():
+        if enforce_reduced and not R.is_reduced():
+            out.append((S.label(), "VACUOUS", None))
+            continue
+        checked, failure = 0, None
+        for P, e, s in ((P, e, s) for P in mins for e in idems for s in S.sorted_members):
+            A = ideal_sum(P, annihilator(R, (R.m(s, e),)))
+            if (enforce_disjoint and A.members & S.members) or not A.is_proper():
+                continue
+            checked += 1
+            v = ctx.s_r(A, S, enforce_disjoint=enforce_disjoint)
+            if not v.holds:
+                failure = {"min_prime": P.label(), "idempotent": R.labels[e], "s": R.labels[s], "verdict": v.to_json(R)}
+                break
+        outcome, detail = _outcome(checked, failure)
+        out.append((S.label(), outcome, {"ideals_checked": checked, **detail}))
+    return out
+
+
+def ref_p_sidem(ctx, dropped):
+    """P-sidem as (m.c.s. label, outcome, detail) per m.c.s.: the elements with
+    a^2 = sa found by multiplying out s, the product of S, and ctx.s_r asked
+    once per span that is not NOT_APPLICABLE, stopping at the first failure."""
+    R = ctx.ring
+    out = []
+    for S in ctx.mcs_list():
+        s = reduce(R.m, S.sorted_members, R.one)
+        T = [a for a in R.elements() if R.m(a, a) == R.m(s, a)]
+        spans = [(f"[{R.labels[a]}]", (a,)) for a in T] + ([("[all]", tuple(T))] if len(T) > 1 else [])
+        checked, failure = 0, None
+        for label, gens in spans:
+            v = ctx.s_r(ideal_generate(R, gens), S)
+            if v.not_applicable:
+                continue
+            checked += 1
+            if not v.holds:
+                failure = {"generators": label, "verdict": v.to_json(R)}
+                break
+        outcome, detail = _outcome(checked, failure)
+        out.append((S.label(), outcome, {"ideals_checked": checked, **detail}))
+    return out
+
+
 def ref_t2_5(ctx, dropped):
     """T2.5 as (ideal label, outcome, detail) per proper ideal, localizing and
     pushing A forward once per (A, S)."""

@@ -135,6 +135,23 @@ def test_corpus_line_parsing():
         parse_corpus_line("Z12 ; bogus=1")
 
 
+@pytest.mark.parametrize(
+    "spaced,tight",
+    [
+        ("Z6 ; ideal = (2)", "Z6 ; ideal=(2)"),
+        ("Z6 ; mcs = (3)", "Z6 ; mcs=(3)"),
+    ],
+)
+def test_spaces_around_an_annotation_key_are_ignored(spaced, tight):
+    from ringlab.corpus import CorpusSpec, Limits
+    from ringlab.registry import verify
+
+    entry, want = parse_corpus_line(spaced), parse_corpus_line(tight)
+    assert entry == want
+    records = [list(verify((), CorpusSpec((e,), Limits.defaults()))) for e in (entry, want)]
+    assert records[0] == records[1] and records[0]
+
+
 def test_bad_expressions():
     for text in ("", "Q8", "Z12/(", "triv(Z2)", "amalg(Z2, Z2, flip, (0))"):
         with pytest.raises(ParseError):

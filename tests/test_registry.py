@@ -19,15 +19,29 @@ from ringlab.registry import (
     _t2_7_sides,
     build_context,
     counterexample_search,
+    run_p2_10,
     run_p_annsum,
     run_degen,
     run_p_colon,
+    run_p_minidem,
+    run_p_sidem,
     run_t2_3,
     run_t2_5,
+    run_t2_11,
     verify,
 )
 
-from oracles import ref_p_annsum, ref_p_colon, ref_t2_3, ref_t2_5, ref_t2_7_sides
+from oracles import (
+    ref_p2_10,
+    ref_p_annsum,
+    ref_p_colon,
+    ref_p_minidem,
+    ref_p_sidem,
+    ref_t2_3,
+    ref_t2_5,
+    ref_t2_7_sides,
+    ref_t2_11,
+)
 from test_poly import SEARCH_RINGS
 
 MINI_LINES = [
@@ -451,17 +465,21 @@ def _failing_on(ctx, mask, mcs_mask):
         (run_t2_5, ref_t2_5, "s_regular"),
         (run_t2_3, ref_t2_3, "disjoint"),
         (run_p_annsum, ref_p_annsum, "disjoint"),
+        (run_t2_11, ref_t2_11, "disjoint"),
+        (run_p2_10, ref_p2_10, "reduced"),
+        (run_p_minidem, ref_p_minidem, "reduced"),
+        (run_p_sidem, ref_p_sidem, None),
     ],
 )
 def test_bulk_runner_failures_match_the_per_entry_loop(runner, reference, hypothesis):
     """The golden run never fails a derived verdict; one chosen mask failing
     must give the counts and failure dict of the loop that asks every entry.
     A record is named by its first annotation: the ideal, or the m.c.s. for
-    P-annsum."""
+    P-annsum, P-minidem and P-sidem.  P-sidem has no hypothesis to drop."""
     counts = []
     for line in ["Z12", "Z8", "Z6", "Z4 x Z2", "Z2 x Z2 x Z2", "triv(Z2, free(1))"]:
         ctx = build_context(parse_corpus_line(line), Limits.defaults())
-        for dropped in (frozenset(), frozenset({hypothesis})):
+        for dropped in [frozenset()] + [frozenset({hypothesis})] * (hypothesis is not None):
             for mask in [None] + [A.mask for A in all_ideals(ctx.ring)]:
                 for mcs_mask in (None, mcs_from_members(ctx.ring, ctx.ring.units).mask):
                     _failing_on(ctx, mask, mcs_mask)
