@@ -149,10 +149,6 @@ class ArithMCS:
             return gcd(c, n) == 1  # gcd(c, 0) = |c|: the units of Z are +-1
         return _mod(c, n) in {_mod(x, n) for x in d[1]}
 
-    def contains(self, w) -> bool:
-        w = self.ring.reduce(w)
-        return all(self.factor_contains(i, c) for i, c in enumerate(w))
-
     def label(self):
         parts = ("{" + ",".join(str(x) for x in sorted(d[1])) + "}" if d[0] == "fin" else d[0] for d in self.descs)
         return "(" + ",".join(parts) + ")"

@@ -10,7 +10,9 @@ in A gives z = x(wz) in A, and sz in A for every s.  So every proper ideal
 is r and pr; A is S-r iff it passes the proper and disjoint gates and S is
 nonempty, with the least s of S as witness; and the ring is uz, and S-uz
 for every nonempty S, since a regular a has Ra = R.  These predicates read
-only their gates.
+only their gates, and build nothing: `_holds` keeps one shared Verdict per
+witness and `_na` one per reason, at most size-cap + 1 witnesses and four
+reasons, and no ring.  Sharing is safe because a Verdict is frozen.
 
 Zero annihilator = whole ring: a proper ideal A of a finite ring has a
 nonzero annihilator.  R is a product of local rings R_i, and A lies in the
@@ -28,7 +30,7 @@ reports the least member of S in it, or the pair that defeats the largest.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import reduce
+from functools import cache, reduce
 from itertools import combinations
 from operator import and_
 
@@ -79,6 +81,7 @@ class Verdict:
                 "counterexample": lab(self.counterexample), "reason": self.reason}
 
 
+@cache
 def _holds(witness=None):
     return Verdict(HOLDS, witness=witness)
 
@@ -87,6 +90,7 @@ def _fails(counterexample, last_candidate=None):
     return Verdict(FAILS, counterexample=counterexample, last_candidate=last_candidate)
 
 
+@cache
 def _na(reason):
     return Verdict(NOT_APPLICABLE, reason=reason)
 
@@ -97,7 +101,7 @@ def _uniform_witness(S: MulClosedSet, good: int, defeat) -> Verdict:
     ``last_candidate``."""
     hit = good & S.mask
     if hit:
-        return _holds(witness=(hit & -hit).bit_length() - 1)
+        return _holds((hit & -hit).bit_length() - 1)
     if not S.mask:
         return _fails(None)
     last = S.mask.bit_length() - 1
@@ -129,13 +133,13 @@ def is_S_r_ideal(
     """Some uniform s in S with: wz in A and Ann(w) = 0 imply sz in A.
 
     By regular = unit every s works, so past the gates the least one is the witness.
-    An empty S has none and fails.
+    An empty S has none and fails.  The verdict is shared across ideals and rings.
     """
     if enforce_proper and not A.is_proper():
         return _na(NOT_PROPER)
     if enforce_disjoint and A.mask & S.mask:
         return _na(DISJOINTNESS_VIOLATED)
-    return _uniform_witness(S, S.mask, None)
+    return _holds((S.mask & -S.mask).bit_length() - 1) if S.mask else _fails(None)
 
 
 def is_S_prime(

@@ -98,7 +98,7 @@ VIOLATION = "VIOLATION"
 
 
 class FiniteContext:
-    """Parsed entry plus memoized lattice, m.c.s. candidates and verdicts."""
+    """Parsed entry plus its m.c.s. candidates; verdicts come from `classify`, which shares them."""
 
     kind = FINITE
 
@@ -110,7 +110,6 @@ class FiniteContext:
         self.recipe = self.ring.recipe
         self._pinned_ideal = parse_ideal(self.ring, entry.ideal_text) if entry.ideal_text else None
         self._pinned_mcs = parse_mcs(self.ring, entry.mcs_text) if entry.mcs_text else None
-        self._verdicts = {}
 
     def ideals(self):
         if self._pinned_ideal is not None:
@@ -145,27 +144,14 @@ class FiniteContext:
         take = max(0, self.limits.annotation_cap // len(self.ideals()) - len(kept))
         return tuple(_distinct(kept + random.Random(self.limits.subsample_seed).sample(rest, take))), True
 
-    # memoized classifier calls -----------------------------------------------------
-
     def s_r(self, A, S, enforce_proper=True, enforce_disjoint=True):
-        key = ("s_r", A.mask, S.mask, enforce_proper, enforce_disjoint)
-        got = self._verdicts.get(key)
-        if got is None:
-            got = self._verdicts[key] = cl.is_S_r_ideal(
-                A, S, enforce_proper=enforce_proper, enforce_disjoint=enforce_disjoint
-            )
-        return got
+        return cl.is_S_r_ideal(A, S, enforce_proper, enforce_disjoint)
 
     def r_verdict(self, A):
-        key = ("r", A.mask)
-        got = self._verdicts.get(key)
-        if got is None:
-            got = self._verdicts[key] = cl.is_r_ideal(A)
-        return got
+        return cl.is_r_ideal(A)
 
     def s_z0(self, A, S, enforce_reduced=True, enforce_disjoint=True):
-        # not memoised: no runner asks the same (A, S, flags) twice
-        return cl.is_S_z0_ideal(A, S, enforce_reduced=enforce_reduced, enforce_disjoint=enforce_disjoint)
+        return cl.is_S_z0_ideal(A, S, enforce_reduced, enforce_disjoint)
 
 
 class ArithContext:
@@ -254,10 +240,7 @@ def _record(theorem, ctx, dropped, finding):
         annotations["subsample_seed"] = ctx.limits.subsample_seed
     detail = finding.detail or {}
     # surface the principal verdict's witness data at the top level
-    verdict = detail.get("verdict")
-    if not isinstance(verdict, dict):
-        failure = detail.get("failure")
-        verdict = failure.get("verdict") if isinstance(failure, dict) else None
+    verdict = detail.get("verdict") or (detail.get("failure") or {}).get("verdict") or {}
     return {
         "theorem": theorem,
         "entry": ctx.entry.text,
@@ -266,8 +249,8 @@ def _record(theorem, ctx, dropped, finding):
         "hypotheses": finding.hypotheses or {},
         "dropped": sorted(dropped),
         "outcome": finding.outcome,
-        "witness": verdict.get("witness") if isinstance(verdict, dict) else None,
-        "counterexample": verdict.get("counterexample") if isinstance(verdict, dict) else None,
+        "witness": verdict.get("witness"),
+        "counterexample": verdict.get("counterexample"),
         "detail": detail,
     }
 
@@ -389,16 +372,12 @@ def run_t2_5(ctx, dropped):
     need_reg = "s_regular" not in dropped
     candidates = [S for S in ctx.mcs_list() if not need_reg or not S.mask & ~ideal_lattice(R).regulars]
     localized = [(S, localize(R, S)) for S in candidates]
-    pushed_r = {}  # (absorbing idempotent, A.mask) -> whether A pushes forward to an r-ideal
 
     def checks(A):
         for S, loc in localized:
-            e = loc.absorbing_idempotent
-            if (e, A.mask) not in pushed_r:
-                # at e = 1 the natural map is an isomorphism onto the copy of R
-                v = ctx.r_verdict(A) if e == R.one else cl.is_r_ideal(ideal_pushforward(loc, A))
-                pushed_r[(e, A.mask)] = v.holds
-            if pushed_r[(e, A.mask)]:
+            # at e = 1 the natural map is an isomorphism onto the copy of R
+            at_one = loc.absorbing_idempotent == R.one
+            if (ctx.r_verdict(A) if at_one else cl.is_r_ideal(ideal_pushforward(loc, A))).holds:
                 v = ctx.s_r(A, S)
                 yield None if v.holds else _failure(v, R, mcs=S.label())
 
@@ -967,7 +946,7 @@ def run_dm(ctx, dropped):
     checked, failure = dedekind_mertens_sweep(ctx.ring, ctx.limits.dm_pairs, ctx.limits.dm_seed)
     detail = {"checked": checked}
     if failure:
-        detail["failure"] = [failure[0].text(), failure[1].text()]
+        detail["failure"] = {"w": failure[0].text(), "z": failure[1].text()}
     yield Finding(
         VIOLATION if failure else (VERIFIED if checked else VACUOUS),
         {"pairs": ctx.limits.dm_pairs, "seed": ctx.limits.dm_seed},

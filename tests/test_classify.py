@@ -1,10 +1,12 @@
 from collections import Counter
+from dataclasses import FrozenInstanceError
 from itertools import product
 
 import pytest
 
 from ringlab.classify import (
     DISJOINTNESS_VIOLATED,
+    GENERATOR_GATE,
     NOT_PROPER,
     NOT_REDUCED,
     has_ac,
@@ -150,6 +152,56 @@ def test_disjointness_gate(z12):
     S = mcs_generate(z12, [4])
     v = is_S_r_ideal(A, S)
     assert v.not_applicable and v.reason == DISJOINTNESS_VIOLATED
+
+
+# -- shared verdicts ----------------------------------------------------------------
+
+
+def test_disjoint_proper_ideals_share_one_s_r_verdict(z12):
+    """Past the gates the S-r verdict depends on S alone, so it is one object."""
+    S = mcs_generate(z12, [5])
+    A, B = ideal_generate(z12, [4]), ideal_generate(z12, [3])
+    assert A.mask != B.mask and not (A.mask | B.mask) & S.mask
+    v = is_S_r_ideal(A, S)
+    assert v.holds and v.witness == 1
+    assert is_S_r_ideal(B, S) is v
+
+
+def test_each_not_applicable_reason_is_one_object(z12, z6):
+    """Every predicate, on every ring, returns the same verdict for one reason."""
+    units12, units6 = mcs_generate(z12, []), mcs_generate(z6, [])
+    whole12, whole6 = ideal_generate(z12, [1]), ideal_generate(z6, [1])
+    by_reason = {
+        NOT_PROPER: [
+            is_r_ideal(whole12), is_pr_ideal(whole6), is_S_r_ideal(whole6, units6), is_S_prime(whole12, units12),
+        ],
+        DISJOINTNESS_VIOLATED: [
+            is_S_r_ideal(ideal_generate(z12, [2]), mcs_generate(z12, [4])),
+            is_S_prime(ideal_generate(z12, [4]), mcs_generate(z12, [4])),
+            is_S_z0_ideal(ideal_generate(z6, [2]), mcs_generate(z6, [2])),
+        ],
+        NOT_REDUCED: [
+            is_z0_ideal(ideal_generate(z12, [2])),
+            is_S_z0_ideal(ideal_generate(z12, [4]), mcs_generate(z12, [5])),
+            is_z0_ideal(ideal_generate(make_zn(4), [])),
+        ],
+        GENERATOR_GATE: [
+            s_idempotent_ideal_check(z12, mcs_generate(z12, [4]), [8]),
+            s_idempotent_ideal_check(z12, mcs_generate(z12, [4]), [2]),
+        ],
+    }
+    for reason, verdicts in by_reason.items():
+        assert verdicts[0].not_applicable and verdicts[0].reason == reason
+        assert all(v is verdicts[0] for v in verdicts), reason
+
+
+def test_a_verdict_cannot_be_changed(z12):
+    """Shared verdicts are safe only because no field can be assigned."""
+    v = is_S_r_ideal(ideal_generate(z12, [4]), mcs_generate(z12, [5]))
+    for field, value in (("outcome", "Fails"), ("witness", 5), ("reason", NOT_PROPER)):
+        with pytest.raises(FrozenInstanceError):
+            setattr(v, field, value)
+    assert v.holds and v.witness == 1
 
 
 # -- the witness mask against the per-candidate scan ------------------------------------

@@ -628,4 +628,4 @@ def test_dm_sweep_reports_a_faked_failure_like_the_loop(monkeypatch, where):
     corpus = CorpusSpec((parse_corpus_line("polyring(Z12)"),), replace(Limits.defaults(), dm_pairs=pairs))
     [record] = verify(("DM",), corpus)
     assert record["outcome"] == "VIOLATION"
-    assert record["detail"] == {"checked": at, "failure": list(got[1])}
+    assert record["detail"] == {"checked": at, "failure": dict(zip("wz", got[1]))}

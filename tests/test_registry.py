@@ -6,6 +6,7 @@ from itertools import combinations
 
 import pytest
 
+from ringlab import poly
 from ringlab.classify import FAILS, Verdict, has_fac
 from ringlab.corpus import CorpusSpec, Limits, default_corpus, parse_corpus_line
 from ringlab.dsl import parse_ring
@@ -206,6 +207,17 @@ def test_dm_with_no_pairs_is_vacuous():
     [record] = _dm_records(0)
     assert record["outcome"] == "VACUOUS"
     assert record["detail"] == {"checked": 0}
+
+
+def test_dm_failure_is_a_dict_of_both_polynomials(monkeypatch):
+    """A failed identity is recorded like every other failure: a dict, here with no verdict."""
+    monkeypatch.setattr(poly, "_dm_identity", lambda *key: False)
+    [record] = _dm_records(5)
+    assert record["outcome"] == "VIOLATION"
+    failure = record["detail"]["failure"]
+    assert isinstance(failure, dict) and set(failure) == {"w", "z"}
+    assert all(isinstance(failure[k], str) and failure[k] for k in "wz")
+    assert record["witness"] is None and record["counterexample"] is None
 
 
 def test_dm_refuses_a_negative_pair_count():
@@ -755,9 +767,16 @@ def test_every_declared_hypothesis_has_a_hunt_pin():
     assert declared == set(HUNT_PINS)
 
 
-@pytest.mark.parametrize("case_id,hypothesis", list(HUNT_PINS))
-def test_hunt_report_pin(hunt_corpus, case_id, hypothesis):
-    records = counterexample_search(case_id, hunt_corpus, (hypothesis,))
+# every hunt serially, and two on the process pool: T2.12 on the arith lane, and T2.5
+# past s_regular, where localizations at e != 1 are asked
+HUNT_RUNS = [pytest.param(c, h, 1, id=f"{c}-{h}") for c, h in HUNT_PINS] + [
+    pytest.param(c, h, 2, id=f"{c}-{h}-jobs2") for c, h in (("T2.12", "prime"), ("T2.5", "s_regular"))
+]
+
+
+@pytest.mark.parametrize("case_id,hypothesis,jobs", HUNT_RUNS)
+def test_hunt_report_pin(hunt_corpus, case_id, hypothesis, jobs):
+    records = counterexample_search(case_id, hunt_corpus, (hypothesis,), jobs=jobs)
     assert _report_sha256(records) == HUNT_PINS[case_id, hypothesis]
 
 
