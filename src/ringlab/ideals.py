@@ -87,11 +87,16 @@ def first_hit(matrix):
     return (int(hits[0][0]), int(hits[0][1])) if len(hits) else None
 
 
+def _unpack(masks, n: int):
+    """One boolean row over n elements per mask, decoded in one numpy call."""
+    width = (n + 7) // 8
+    packed = np.frombuffer(b"".join(m.to_bytes(width, "little") for m in masks), dtype=np.uint8)
+    return np.unpackbits(packed.reshape(len(masks), width), axis=1, count=n, bitorder="little").view(bool)
+
+
 def member_row(A: Ideal):
     """A's members as a boolean row over the ring's elements."""
-    n = A.ring.size
-    packed = np.frombuffer(A.mask.to_bytes((n + 7) // 8, "little"), dtype=np.uint8)
-    return np.unpackbits(packed, count=n, bitorder="little").view(bool)
+    return _unpack((A.mask,), A.ring.size)[0]
 
 
 def mask_of(xs) -> int:
@@ -129,14 +134,14 @@ class IdealLattice:
         self._colon_rows = {}  # A.mask -> ((A : x) for every element x)
 
     def intern(self, mask: int) -> Ideal:
-        """The one Ideal with these members, with greedy minimal-index generators."""
+        """The one Ideal with these members, with greedy minimal-index generators:
+        each is the least member outside the ideal the ones before it generate."""
         got = self._interned.get(mask)
         if got is None:
             gens, have = [], 1
-            for a in bits(mask):
-                if not have >> a & 1:
-                    gens.append(a)
-                    have = self.sum(have, self.principal[a])
+            while rest := mask & ~have:
+                gens.append((rest & -rest).bit_length() - 1)
+                have = self.sum(have, self.principal[gens[-1]])
             got = self._interned[mask] = Ideal(self.ring, mask, tuple(gens))
         return got
 
@@ -146,7 +151,7 @@ class IdealLattice:
         got = self._sums.get(key)
         if got is None:
             hit = np.zeros(self.ring.size, dtype=bool)
-            hit[self.ring.add[np.ix_(bits(xs), bits(ys))]] = True
+            hit[self.ring.add[np.ix_(*_unpack(key, self.ring.size))]] = True
             got = self._sums[key] = _pack(hit)[0]
         return got
 
@@ -224,7 +229,12 @@ class IdealLattice:
                 if grown not in seen:
                     seen.add(grown)
                     frontier.append(grown)
-        return tuple(self.intern(m) for _, _, m in sorted((m.bit_count(), bits(m), m) for m in seen))
+        # equal-size member tuples first differ at the least element in one set only,
+        # which is the highest differing bit of the masks written in reverse
+        def order(m):
+            return m.bit_count(), -int(f"{m:0{R.size}b}"[::-1], 2)
+
+        return tuple(self.intern(m) for m in sorted(seen, key=order))
 
     @cached_property
     def max_ideals(self) -> tuple:

@@ -14,6 +14,18 @@ Most runners state only their checks and return `_sweeps`: a finding per ideal
 or m.c.s., whose checks `_sweep` counts up to the first failure.  A failed check
 yields `_failure`'s dict, built with its labels only when the check fails:
 building them on every check made the finite corpus 14% slower.
+
+Verdict rows: a finite context asks each (ideal, catalogue m.c.s., flags) S-r
+question once, through `s_r`, and keeps the answers as one int per ideal and
+flags, bit j for the j-th m.c.s. (`s_r_row`), beside the bits of the m.c.s.
+the ideal misses (`disjoint_row`).  The runners that read an S-r verdict at a
+catalogue m.c.s. follow one rule, bulk count and ordered re-walk on failure
+(`_bulk`): an instance's checks are counted by popcounts over the rows, and
+only when an asked bit is missing from its row does the runner walk its loop
+through `s_r` in order, so the count stops at the first failure and the
+failure dict is the loop's own.  m.c.s. outside the catalogue (T2.7's S<reg>,
+P-jac's complements) and records that carry a verdict (P-zero's, P2.8's
+witness) ask `s_r` directly.
 """
 
 from __future__ import annotations
@@ -98,7 +110,8 @@ VIOLATION = "VIOLATION"
 
 
 class FiniteContext:
-    """Parsed entry plus its m.c.s. candidates; verdicts come from `classify`, which shares them."""
+    """Parsed entry plus its m.c.s. candidates; verdicts come from `classify`, which shares
+    them, and the verdict rows over the catalogue are kept for every runner of the entry."""
 
     kind = FINITE
 
@@ -110,6 +123,7 @@ class FiniteContext:
         self.recipe = self.ring.recipe
         self._pinned_ideal = parse_ideal(self.ring, entry.ideal_text) if entry.ideal_text else None
         self._pinned_mcs = parse_mcs(self.ring, entry.mcs_text) if entry.mcs_text else None
+        self._rows = {}  # (A.mask, flags) -> S-r row; (A.mask,) -> disjointness row
 
     def ideals(self):
         if self._pinned_ideal is not None:
@@ -146,6 +160,25 @@ class FiniteContext:
 
     def s_r(self, A, S, enforce_proper=True, enforce_disjoint=True):
         return cl.is_S_r_ideal(A, S, enforce_proper, enforce_disjoint)
+
+    def s_r_row(self, A, enforce_proper=True, enforce_disjoint=True) -> int:
+        """Bit j set iff ``self.s_r(A, self.mcs_list()[j], ...)`` holds: each (ideal,
+        m.c.s., flags) question is asked once per entry, through `s_r`."""
+        key = (A.mask, enforce_proper, enforce_disjoint)
+        row = self._rows.get(key)
+        if row is None:
+            flags = {"enforce_proper": enforce_proper, "enforce_disjoint": enforce_disjoint}
+            row = self._rows[key] = mask_of(j for j, S in enumerate(self.mcs_list()) if self.s_r(A, S, **flags).holds)
+        return row
+
+    def disjoint_row(self, A, enforce_disjoint=True) -> int:
+        """Bit j set iff A misses ``self.mcs_list()[j]``; every bit when that is not enforced."""
+        if not enforce_disjoint:
+            return (1 << len(self.mcs_list())) - 1
+        row = self._rows.get((A.mask,))
+        if row is None:
+            row = self._rows[(A.mask,)] = mask_of(j for j, S in enumerate(self.mcs_list()) if not A.mask & S.mask)
+        return row
 
     def r_verdict(self, A):
         return cl.is_r_ideal(A)
@@ -291,6 +324,28 @@ def _failure(v, ring, **where):
     return {**where, "verdict": v.to_json(ring)}
 
 
+def _bulk(bulk, walk):
+    """The checks of X from the verdict rows: ``bulk(X)`` of them passed at once, or,
+    when that is None (an asked bit is missing from its row), ``walk(X)``, the
+    runner's ordered loop through ``ctx.s_r``, which stops at the first failure."""
+
+    def checks(X):
+        passed = bulk(X)
+        yield from walk(X) if passed is None else (passed,)
+
+    return checks
+
+
+def _columns(asked, missing, mcs):
+    """Per m.c.s. mask of the catalogue ``mcs``: how many rows of ``asked`` have its bit,
+    or None where ``missing`` has it (an asked verdict there did not hold)."""
+    counts = [0] * len(mcs)
+    for row, n in Counter(asked).items():
+        for j in bits(row):
+            counts[j] += n
+    return {S.mask: None if missing >> j & 1 else counts[j] for j, S in enumerate(mcs)}
+
+
 def _distinct(candidates):
     """The first m.c.s. given per member set, ordered by (size, members)."""
     first = {}
@@ -347,15 +402,31 @@ def run_t2_3(ctx, dropped):
     principal = ideal_lattice(R).principal
     meets = {S.mask: mask_of(s for s, p in enumerate(principal) if p & S.mask) for S in mcs}
     inclusions = [
-        (S1, S2, not S2.mask & ~meets[S1.mask])
-        for S1 in mcs
-        for S2 in mcs
+        (i, k, not S2.mask & ~meets[S1.mask])
+        for i, S1 in enumerate(mcs)
+        for k, S2 in enumerate(mcs)
         if S1.mask != S2.mask and not S1.mask & ~S2.mask
     ]
+    above, below = [0] * len(mcs), [0] * len(mcs)  # supersets of S_i; subsets of S_k with the converse
+    for i, k, converse in inclusions:
+        above[i] |= 1 << k
+        below[k] |= converse << i
     enforce = "disjoint" not in dropped
 
-    def checks(A):
-        for S1, S2, converse in inclusions:
+    def bulk(A):
+        held = ctx.s_r_row(A)
+        lifted = ctx.s_r_row(A, enforce_disjoint=enforce)
+        free, passed = ctx.disjoint_row(A, enforce), 0
+        for j in bits(held):
+            forward, back = above[j] & free, below[j]
+            if forward & ~lifted or back & ~held:
+                return None
+            passed += forward.bit_count() + back.bit_count()
+        return passed
+
+    def walk(A):
+        for i, k, converse in inclusions:
+            S1, S2 = mcs[i], mcs[k]
             if ctx.s_r(A, S1).holds and (not S2.mask & A.mask or not enforce):
                 v = ctx.s_r(A, S2, enforce_disjoint=enforce)
                 yield None if v.holds else _failure(v, R, direction="forward", mcs1=S1.label(), mcs2=S2.label())
@@ -363,26 +434,36 @@ def run_t2_3(ctx, dropped):
                 v = ctx.s_r(A, S1)
                 yield None if v.holds else _failure(v, R, direction="converse", mcs1=S1.label(), mcs2=S2.label())
 
-    return _sweeps(ctx.proper_ideals(), "ideal", "implications_checked", checks)
+    return _sweeps(ctx.proper_ideals(), "ideal", "implications_checked", _bulk(bulk, walk))
 
 
 def run_t2_5(ctx, dropped):
     """r-ideal pushforward to the localization pulls back to S-r."""
     R = ctx.ring
     need_reg = "s_regular" not in dropped
-    candidates = [S for S in ctx.mcs_list() if not need_reg or not S.mask & ~ideal_lattice(R).regulars]
-    localized = [(S, localize(R, S)) for S in candidates]
+    localized = [
+        (j, S, localize(R, S))
+        for j, S in enumerate(ctx.mcs_list())
+        if not need_reg or not S.mask & ~ideal_lattice(R).regulars
+    ]
 
-    def checks(A):
-        for S, loc in localized:
-            # at e = 1 the natural map is an isomorphism onto the copy of R
-            at_one = loc.absorbing_idempotent == R.one
-            if (ctx.r_verdict(A) if at_one else cl.is_r_ideal(ideal_pushforward(loc, A))).holds:
+    def pushed_r(A, loc):
+        # at e = 1 the natural map is an isomorphism onto the copy of R
+        at_one = loc.absorbing_idempotent == R.one
+        return (ctx.r_verdict(A) if at_one else cl.is_r_ideal(ideal_pushforward(loc, A))).holds
+
+    def bulk(A):
+        asked = mask_of(j for j, _, loc in localized if pushed_r(A, loc))
+        return None if asked & ~ctx.s_r_row(A) else asked.bit_count()
+
+    def walk(A):
+        for _, S, loc in localized:
+            if pushed_r(A, loc):
                 v = ctx.s_r(A, S)
                 yield None if v.holds else _failure(v, R, mcs=S.label())
 
-    hypotheses = {"s_regular_candidates": bool(candidates)}
-    return _sweeps(ctx.proper_ideals(), "ideal", "implications_checked", checks, hypotheses)
+    hypotheses = {"s_regular_candidates": bool(localized)}
+    return _sweeps(ctx.proper_ideals(), "ideal", "implications_checked", _bulk(bulk, walk), hypotheses)
 
 
 def _t2_7_sides(A, regs, pre: int) -> dict:
@@ -442,14 +523,13 @@ def run_p2_8(ctx, dropped):
             power = R.m(power, s)
         return True
 
+    mcs = ctx.mcs_list()
+    candidates = mask_of(j for j, S in enumerate(mcs) if not need_reg or not S.mask & ~ideal_lattice(R).regulars)
+
     def checks(A):
-        for S in ctx.mcs_list():
-            if need_reg and S.mask & ~ideal_lattice(R).regulars:
-                continue
-            v = ctx.s_r(A, S)
-            if v.holds:
-                s = v.witness
-                yield None if stable(A, s) else {"mcs": S.label(), "witness": R.labels[s]}
+        for j in bits(ctx.s_r_row(A) & candidates):
+            s = ctx.s_r(A, mcs[j]).witness
+            yield None if stable(A, s) else {"mcs": mcs[j].label(), "witness": R.labels[s]}
 
     return _sweeps(ctx.proper_ideals(), "ideal", "witnesses_checked", checks)
 
@@ -461,22 +541,38 @@ def run_p2_10(ctx, dropped):
     enforce_reduced = "reduced" not in dropped
     enforce_disjoint = "disjoint" not in dropped
 
-    def checks(A):
+    def s_z0(A, S):
+        return ctx.s_z0(A, S, enforce_reduced=enforce_reduced, enforce_disjoint=enforce_disjoint).holds
+
+    def bulk(A):
+        asked = mask_of(j for j, S in enumerate(ctx.mcs_list()) if s_z0(A, S))
+        return None if asked & ~ctx.s_r_row(A, enforce_disjoint=enforce_disjoint) else asked.bit_count()
+
+    def walk(A):
         for S in ctx.mcs_list():
-            v0 = ctx.s_z0(A, S, enforce_reduced=enforce_reduced, enforce_disjoint=enforce_disjoint)
-            if v0.holds:
+            if s_z0(A, S):
                 v = ctx.s_r(A, S, enforce_disjoint=enforce_disjoint)
                 yield None if v.holds else _failure(v, R, mcs=S.label())
 
     met = reduced or not enforce_reduced
-    return _sweeps(ctx.proper_ideals(), "ideal", "implications_checked", checks, {"reduced": reduced}, met)
+    hypotheses = {"reduced": reduced}
+    return _sweeps(ctx.proper_ideals(), "ideal", "implications_checked", _bulk(bulk, walk), hypotheses, met)
 
 
 def run_t2_11(ctx, dropped):
     """Minimal primes over an S-r ideal are S-r when disjoint from S."""
     enforce = "disjoint" not in dropped
 
-    def checks(A):
+    def bulk(A):
+        held, passed = ctx.s_r_row(A), 0
+        for L in min_primes_over(A):
+            asked = held & ctx.disjoint_row(L, enforce)
+            if asked & ~ctx.s_r_row(L, enforce_disjoint=enforce):
+                return None
+            passed += asked.bit_count()
+        return passed
+
+    def walk(A):
         mins = min_primes_over(A)
         for S in ctx.mcs_list():
             if not ctx.s_r(A, S).holds:
@@ -487,7 +583,7 @@ def run_t2_11(ctx, dropped):
                 vL = ctx.s_r(L, S, enforce_disjoint=enforce)
                 yield None if vL.holds else _failure(vL, ctx.ring, mcs=S.label(), min_prime=L.label())
 
-    return _sweeps(ctx.proper_ideals(), "ideal", "lifts_checked", checks)
+    return _sweeps(ctx.proper_ideals(), "ideal", "lifts_checked", _bulk(bulk, walk))
 
 
 def run_t2_12(ctx, dropped):
@@ -496,7 +592,14 @@ def run_t2_12(ctx, dropped):
     need_prime = "prime" not in dropped
     enforce_disjoint = "disjoint" not in dropped
 
-    def checks(A):
+    def bulk(A):
+        # a proper ideal's verdict is NotApplicable only where it meets S and that is enforced
+        asked = ctx.disjoint_row(A, enforce_disjoint)
+        held = ctx.s_r_row(A, enforce_disjoint=enforce_disjoint)
+        in_zd = not A.mask & ideal_lattice(R).regulars
+        return None if asked & (~held if in_zd else held) else asked.bit_count()
+
+    def walk(A):
         in_zd = not A.mask & ideal_lattice(R).regulars
         for S in ctx.mcs_list():
             if enforce_disjoint and A.mask & S.mask:
@@ -505,6 +608,7 @@ def run_t2_12(ctx, dropped):
             if not v.not_applicable:
                 yield None if v.holds == in_zd else _failure(v, R, mcs=S.label(), s_r=v.holds, inside_zd=in_zd)
 
+    checks = _bulk(bulk, walk)
     for A in ctx.proper_ideals():
         prime = is_prime(A)
         outcome, detail = _sweep("equivalences_checked", checks(A), met=prime or not need_prime)
@@ -514,12 +618,16 @@ def run_t2_12(ctx, dropped):
 def run_c_zd(ctx, dropped):
     """S-r ideals consist of zero divisors."""
 
-    def checks(A):
+    def bulk(A):
+        held = ctx.s_r_row(A)
+        return None if held and A.mask & ideal_lattice(ctx.ring).regulars else held.bit_count()
+
+    def walk(A):
         for S in ctx.mcs_list():
             if ctx.s_r(A, S).holds:
                 yield None if not A.mask & ideal_lattice(ctx.ring).regulars else {"mcs": S.label()}
 
-    return _sweeps(ctx.proper_ideals(), "ideal", "checked", checks)
+    return _sweeps(ctx.proper_ideals(), "ideal", "checked", _bulk(bulk, walk))
 
 
 def run_p_jac(ctx, dropped):
@@ -549,9 +657,7 @@ def run_p_jac(ctx, dropped):
 def run_p_colon(ctx, dropped):
     """Colon ideals of an S-r ideal stay S-r; annihilators are always S-r.
 
-    Each S asks one verdict per distinct derived mask and counts the derived
-    ideals that pass in bulk; only a failing verdict re-walks them in order,
-    so that the count stops at the first failure.
+    The checks of A are counted once per distinct derived mask, from its rows.
     """
     R = ctx.ring
     L = ideal_lattice(R)
@@ -563,35 +669,36 @@ def run_p_colon(ctx, dropped):
     k_families = [(f"{{{R.labels[x]}}}", 1 << x, annihilator(R, (x,))) for x in singles]
     k_families += [(B.label(), B.mask, annihilator(R, B.sorted_members)) for B in ctx.ideals()]
 
-    def asked(d, S):
-        return not ((enforce and d.mask & S.mask) or d.mask == L.full)
-
-    def checks(A):
-        derived = [
+    def derived(A):
+        return [
             (k_label, kind, d)
             for k_label, ks, ann in k_families
             if ks & ~A.mask
             for kind, d in (("colon", L.colon(A, ks)), ("annihilator", ann))
         ]
-        distinct = [(L.intern(mask), n) for mask, n in Counter(d.mask for _, _, d in derived).items()]
+
+    def bulk(A):
+        held, passed = ctx.s_r_row(A), 0
+        if held:
+            for mask, n in Counter(d.mask for _, _, d in derived(A)).items():
+                d = L.intern(mask)
+                asked = 0 if mask == L.full else held & ctx.disjoint_row(d, enforce)
+                if asked & ~ctx.s_r_row(d, enforce_disjoint=enforce):
+                    return None
+                passed += n * asked.bit_count()
+        return passed
+
+    def walk(A):
+        ds = derived(A)
         for S in ctx.mcs_list():
             if not ctx.s_r(A, S).holds:
                 continue
-            passed = 0
-            for d, n in distinct:
-                if asked(d, S):
-                    if not ctx.s_r(d, S, enforce_disjoint=enforce).holds:
-                        break
-                    passed += n
-            else:
-                yield passed
-                continue
-            for k_label, kind, d in derived:
-                if asked(d, S):
+            for k_label, kind, d in ds:
+                if not ((enforce and d.mask & S.mask) or d.mask == L.full):
                     vd = ctx.s_r(d, S, enforce_disjoint=enforce)
                     yield None if vd.holds else _failure(vd, R, mcs=S.label(), K=k_label, kind=kind)
 
-    return _sweeps(ctx.proper_ideals(), "ideal", "derived_checked", checks)
+    return _sweeps(ctx.proper_ideals(), "ideal", "derived_checked", _bulk(bulk, walk))
 
 
 def run_p_annsum(ctx, dropped):
@@ -610,14 +717,28 @@ def run_p_annsum(ctx, dropped):
             if ts:
                 sums.append((K1, K2, ts, L.join(ann1, ann2)))
 
-    def checks(S):
+    mcs = ctx.mcs_list()
+    meeting = {}  # ts -> the positions j where S_j meets ts
+    asked, missing = [], 0
+    for _, _, ts, K in sums:
+        if K.mask == L.full:
+            continue
+        if ts not in meeting:
+            meeting[ts] = mask_of(j for j, S in enumerate(mcs) if ts & S.mask)
+        hit = meeting[ts] & ctx.disjoint_row(K, enforce)
+        if hit:
+            missing |= hit & ~ctx.s_r_row(K, enforce_disjoint=enforce)
+            asked.append(hit)
+    passed = _columns(asked, missing, mcs)
+
+    def walk(S):
         for K1, K2, ts, K in sums:
             if not ts & S.mask or (enforce and K.mask & S.mask) or K.mask == L.full:
                 continue
             v = ctx.s_r(K, S, enforce_disjoint=enforce)
             yield None if v.holds else _failure(v, R, K1=K1.label(), K2=K2.label())
 
-    return _sweeps(ctx.mcs_list(), "mcs", "sums_checked", checks)
+    return _sweeps(mcs, "mcs", "sums_checked", _bulk(lambda S: passed[S.mask], walk))
 
 
 def run_p_minidem(ctx, dropped):
@@ -629,17 +750,38 @@ def run_p_minidem(ctx, dropped):
     zero = ideal_generate(R, ())
     mins = min_primes_over(zero) if zero.is_proper() else ()
     idems = [(e, R.mul[e].tolist()) for e in R.idempotents()]
+    mcs = ctx.mcs_list()
+    bits_of = {S.mask: 1 << j for j, S in enumerate(mcs)}
     sums = {}  # (P.mask, se) -> P + Ann(se)
 
-    def checks(S):
+    def sum_of(P, se):
+        A = sums.get((P.mask, se))
+        if A is None:
+            A = sums[(P.mask, se)] = ideal_sum(P, annihilator(R, (se,)))
+        return A
+
+    def bulk(S):
+        bit = bits_of[S.mask]
+        # how often each se occurs as e runs over the idempotents and s over S
+        times = np.bincount(R.mul[np.ix_(R.idempotents(), S.sorted_members)].ravel(), minlength=R.size)
+        products = [(se, int(times[se])) for se in np.flatnonzero(times).tolist()]
+        passed = 0
+        for P in mins:
+            for se, n in products:
+                A = sum_of(P, se)
+                if not ctx.disjoint_row(A, enforce_disjoint) & bit or not A.is_proper():
+                    continue
+                if not ctx.s_r_row(A, enforce_disjoint=enforce_disjoint) & bit:
+                    return None
+                passed += n
+        return passed
+
+    def walk(S):
         members = S.sorted_members
         for P in mins:
             for e, times_e in idems:
                 for s in members:
-                    se = times_e[s]
-                    A = sums.get((P.mask, se))
-                    if A is None:
-                        A = sums[(P.mask, se)] = ideal_sum(P, annihilator(R, (se,)))
+                    A = sum_of(P, times_e[s])
                     if (enforce_disjoint and A.mask & S.mask) or not A.is_proper():
                         continue
                     v = ctx.s_r(A, S, enforce_disjoint=enforce_disjoint)
@@ -648,7 +790,7 @@ def run_p_minidem(ctx, dropped):
                     )
 
     met = reduced or not enforce_reduced
-    return _sweeps(ctx.mcs_list(), "mcs", "ideals_checked", checks, {"reduced": reduced}, met)
+    return _sweeps(mcs, "mcs", "ideals_checked", _bulk(bulk, walk), {"reduced": reduced}, met)
 
 
 def run_p_sidem(ctx, dropped):
@@ -657,29 +799,53 @@ def run_p_sidem(ctx, dropped):
     T is the elements that pass that gate, so each span goes straight to its verdict.
     """
     R = ctx.ring
+    mcs = ctx.mcs_list()
+    bits_of = {S.mask: 1 << j for j, S in enumerate(mcs)}
 
-    def checks(S):
+    def spans(S):
         T = tuple(np.flatnonzero(R.mul.diagonal() == R.mul[S.product()]).tolist())
         gen_sets = [(f"[{R.labels[a]}]", (a,)) for a in T]
         if len(T) > 1:
             gen_sets.append(("[all]", T))
-        for label, gens in gen_sets:
+        return gen_sets
+
+    def bulk(S):
+        bit, passed = bits_of[S.mask], 0
+        for _, gens in spans(S):
+            A = ideal_generate(R, gens)
+            if A.is_proper() and ctx.disjoint_row(A) & bit:  # else the verdict is NotApplicable
+                if not ctx.s_r_row(A) & bit:
+                    return None
+                passed += 1
+        return passed
+
+    def walk(S):
+        for label, gens in spans(S):
             v = ctx.s_r(ideal_generate(R, gens), S)
             if not v.not_applicable:
                 yield None if v.holds else _failure(v, R, generators=label)
 
-    return _sweeps(ctx.mcs_list(), "mcs", "ideals_checked", checks)
+    return _sweeps(mcs, "mcs", "ideals_checked", _bulk(bulk, walk))
 
 
 def run_p_suz(ctx, dropped):
     """All disjoint ideals S-r  <=>  the ring is an S-uz-ring."""
+    mcs = ctx.mcs_list()
+    asked, missing = [], 0
+    for A in ctx.proper_ideals():
+        hit = ctx.disjoint_row(A)
+        if hit:
+            missing |= hit & ~ctx.s_r_row(A)
+            asked.append(hit)
+    passed = _columns(asked, missing, mcs)
 
-    def checks(S):
+    def walk(S):
         for A in ctx.proper_ideals():
             if not A.mask & S.mask:
                 yield None if ctx.s_r(A, S).holds else {"failing_ideal": A.label()}
 
-    for S in ctx.mcs_list():
+    checks = _bulk(lambda S: passed[S.mask], walk)
+    for S in mcs:
         outcome, detail = _sweep("ideals_evaluated", checks(S))
         lhs = outcome != VIOLATION
         rhs = cl.is_S_uz_ring(ctx.ring, S).holds
@@ -692,7 +858,7 @@ def run_p_suzmax(ctx, dropped):
     R = ctx.ring
     maxes = max_ideals(R)
     enforce = "max_disjoint" not in dropped
-    for S in ctx.mcs_list():
+    for j, S in enumerate(ctx.mcs_list()):
         annotations = {"mcs": S.label()}
         hyp = all(not M.mask & S.mask for M in maxes)
         if enforce and not hyp:
@@ -700,11 +866,11 @@ def run_p_suzmax(ctx, dropped):
             continue
         a_side = cl.is_S_uz_ring(R, S).holds
         b_side = all(
-            ctx.s_r(P, S, enforce_disjoint=enforce).holds
+            ctx.s_r_row(P, enforce_disjoint=enforce) >> j & 1
             for P in prime_spectrum(R)
-            if not P.mask & S.mask or not enforce
+            if ctx.disjoint_row(P, enforce) >> j & 1
         )
-        c_side = all(ctx.s_r(M, S, enforce_disjoint=enforce).holds for M in maxes)
+        c_side = all(ctx.s_r_row(M, enforce_disjoint=enforce) >> j & 1 for M in maxes)
         yield Finding(
             VERIFIED if a_side == b_side == c_side else VIOLATION,
             annotations,

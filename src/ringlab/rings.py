@@ -105,7 +105,7 @@ class FiniteRing:
             raise InvalidConstruction("label count does not match ring size")
         self._validate()
         self.zero = 0
-        self.neg = tuple(int(np.where(add[a] == 0)[0][0]) for a in range(n))
+        self.neg = tuple(np.argmax(add == 0, axis=1).tolist())
         self._partition()
         self._lattice = None
         for t in (self.add, self.mul):

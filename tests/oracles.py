@@ -7,7 +7,9 @@ predicates (S-r, S-prime, S-z0), the element loops of uz and S-uz, the
 element-subset loop of f.a.c., the per-ideal scan of Property A, the
 per-ideal maximality scan, the power iteration of the pr test, the per-call
 column test of a colon, the set forms of T2.7's scaled sides, the per-entry
-loops of T2.3, T2.5, P-colon and P-annsum, the per-pair loop of the
+loops of the finite runners that read the verdict rows (T2.3, T2.5, P2.8,
+P2.10, T2.11, T2.12, C-zd, P-colon, P-annsum, P-minidem, P-sidem, P-suz and
+P-suzmax), each asking ctx.s_r once per check, the per-pair loop of the
 Dedekind-Mertens sweep, the full-degree content search over R/A, the fraction
 construction of a localization, an isomorphism search between finite rings,
 the submodule lattice of a finite module, the element-pair loops that built
@@ -16,7 +18,7 @@ pair grid of the arithmetic window, and the pair-by-pair loop over the amalgZ
 window.  It also holds the polynomial helpers only the tests call (sum, McCoy
 regularity, the one-pair Dedekind-Mertens check).  CAP_RINGS lists the cyclic
 factors of eight products of cyclic rings at the 256-element size cap, and
-CAP_EXPRS spells them.
+CAP_EXPRS spells them; CORPUS_RING_EXPRS spells the finite corpus rings.
 """
 
 import random
@@ -39,6 +41,7 @@ from ringlab.classify import (
     Verdict,
 )
 from ringlab.config import DM_MAX_DEGREE, size_limit
+from ringlab.corpus import FINITE, default_corpus
 from ringlab.errors import SizeLimitError, TypeMismatch
 from ringlab.extensions import AmalgOverZ, AmalgZReport, FiniteModule, TrivExtRing
 from ringlab.ideals import (
@@ -64,6 +67,8 @@ from ringlab.rings import FiniteRing, RingHom, _check_ideal_subset, idempotent_p
 
 CAP_RINGS = ((256,), (2,) * 8, (4,) * 4, (2, 128), (3, 5, 17), (2, 3, 5, 7), (64,), (128,))
 CAP_EXPRS = [" x ".join(f"Z{n}" for n in factors) for factors in CAP_RINGS]
+# the rings of the finite default-corpus entries, each once
+CORPUS_RING_EXPRS = sorted({e.expr for e in default_corpus().entries if e.kind == FINITE})
 
 
 def validate_ideal(A: Ideal) -> None:
@@ -411,16 +416,23 @@ def ref_p_annsum(ctx, dropped):
     return out
 
 
+def _ref_is_prime(P: Ideal) -> bool:
+    """Prime from the definition: proper, and xy in P puts x or y in P."""
+    R = P.ring
+    return P.is_proper() and all(
+        x in P.members or y in P.members for x in R.elements() for y in R.elements() if R.m(x, y) in P.members
+    )
+
+
+def _ref_inside_zd(A: Ideal) -> bool:
+    """Every member of A kills some nonzero element."""
+    R = A.ring
+    return all(any(R.m(a, z) == 0 for z in R.elements() if z != 0) for a in A.members)
+
+
 def _ref_min_primes(A: Ideal) -> list:
     """The primes minimal over A, in lattice order, each prime tested from the definition."""
-    R = A.ring
-
-    def prime(P):
-        return P.is_proper() and all(
-            x in P.members or y in P.members for x in R.elements() for y in R.elements() if R.m(x, y) in P.members
-        )
-
-    over = [P for P in all_ideals(R) if A.members <= P.members and prime(P)]
+    over = [P for P in all_ideals(A.ring) if A.members <= P.members and _ref_is_prime(P)]
     return [P for P in over if not any(Q.members < P.members for Q in over)]
 
 
@@ -525,6 +537,128 @@ def ref_p_sidem(ctx, dropped):
                 break
         outcome, detail = _outcome(checked, failure)
         out.append((S.label(), outcome, {"ideals_checked": checked, **detail}))
+    return out
+
+
+def ref_t2_12(ctx, dropped):
+    """T2.12 as (ideal label, outcome, detail) per proper ideal: primality from the
+    definition, and ctx.s_r asked once per m.c.s. whose verdict applies, compared
+    with A lying in the zero divisors, stopping at the first disagreement."""
+    R = ctx.ring
+    need_prime = "prime" not in dropped
+    enforce = "disjoint" not in dropped
+    out = []
+    for A in ctx.proper_ideals():
+        if need_prime and not _ref_is_prime(A):
+            out.append((A.label(), "VACUOUS", None))
+            continue
+        in_zd = _ref_inside_zd(A)
+        checked, failure = 0, None
+        for S in ctx.mcs_list():
+            if enforce and A.members & S.members:
+                continue
+            v = ctx.s_r(A, S, enforce_disjoint=enforce)
+            if v.not_applicable:
+                continue
+            checked += 1
+            if v.holds != in_zd:
+                failure = {"mcs": S.label(), "s_r": v.holds, "inside_zd": in_zd, "verdict": v.to_json(R)}
+                break
+        outcome, detail = _outcome(checked, failure)
+        out.append((A.label(), outcome, {"equivalences_checked": checked, **detail}))
+    return out
+
+
+def ref_c_zd(ctx, dropped):
+    """C-zd as (ideal label, outcome, detail) per proper ideal: ctx.s_r asked once
+    per m.c.s., and each S-r ideal tested to lie in the zero divisors, stopping at
+    the first that does not."""
+    out = []
+    for A in ctx.proper_ideals():
+        checked, failure = 0, None
+        for S in ctx.mcs_list():
+            if ctx.s_r(A, S).holds:
+                checked += 1
+                if not _ref_inside_zd(A):
+                    failure = {"mcs": S.label()}
+                    break
+        outcome, detail = _outcome(checked, failure)
+        out.append((A.label(), outcome, {"checked": checked, **detail}))
+    return out
+
+
+def ref_p2_8(ctx, dropped):
+    """P2.8 as (ideal label, outcome, detail) per proper ideal: for every m.c.s.
+    inside the regular elements (any m.c.s. when that is dropped) where ctx.s_r
+    holds, (A : s) equals (A : s^k) for each power of its witness s, by the
+    column test of a colon, stopping at the first that differs."""
+    R = ctx.ring
+    need_reg = "s_regular" not in dropped
+    out = []
+    for A in ctx.proper_ideals():
+        checked, failure = 0, None
+        for S in ctx.mcs_list():
+            if need_reg and not S.members <= R.regulars:
+                continue
+            v = ctx.s_r(A, S)
+            if not v.holds:
+                continue
+            checked += 1
+            s, powers = v.witness, []
+            while not powers or powers[-1] not in powers[:-1]:
+                powers.append(R.m(powers[-1], s) if powers else s)
+            if any(ref_colon_mask(A, 1 << p) != ref_colon_mask(A, 1 << s) for p in powers):
+                failure = {"mcs": S.label(), "witness": R.labels[s]}
+                break
+        outcome, detail = _outcome(checked, failure)
+        out.append((A.label(), outcome, {"witnesses_checked": checked, **detail}))
+    return out
+
+
+def ref_p_suz(ctx, dropped):
+    """P-suz as (m.c.s. label, outcome, detail) per m.c.s.: ctx.s_r asked once per
+    proper ideal disjoint from S, stopping at the first that fails, against S-uz
+    decided by the element loop."""
+    R = ctx.ring
+    out = []
+    for S in ctx.mcs_list():
+        detail = {"ideals_evaluated": 0}
+        for A in ctx.proper_ideals():
+            if A.members & S.members:
+                continue
+            detail["ideals_evaluated"] += 1
+            if not ctx.s_r(A, S).holds:
+                detail["failing_ideal"] = A.label()
+                break
+        lhs, rhs = "failing_ideal" not in detail, ref_is_S_uz_ring(R, S).holds
+        detail.update(all_disjoint_ideals_s_r=lhs, s_uz_ring=rhs)
+        out.append((S.label(), "VERIFIED" if lhs == rhs else "VIOLATION", detail))
+    return out
+
+
+def ref_p_suzmax(ctx, dropped):
+    """P-suzmax as (m.c.s. label, outcome, detail) per m.c.s.: S-uz by the element
+    loop, primes and maximal ideals found by their own scans, and ctx.s_r asked
+    once per prime and per maximal ideal."""
+    R = ctx.ring
+    enforce = "max_disjoint" not in dropped
+    maxes = ref_max_ideals(R)
+    primes = [P for P in all_ideals(R) if _ref_is_prime(P)]
+    out = []
+    for S in ctx.mcs_list():
+        if enforce and any(M.members & S.members for M in maxes):
+            out.append((S.label(), "VACUOUS", None))
+            continue
+        sides = {
+            "s_uz": ref_is_S_uz_ring(R, S).holds,
+            "primes": all(
+                ctx.s_r(P, S, enforce_disjoint=enforce).holds
+                for P in primes
+                if not P.members & S.members or not enforce
+            ),
+            "maximals": all(ctx.s_r(M, S, enforce_disjoint=enforce).holds for M in maxes),
+        }
+        out.append((S.label(), "VERIFIED" if len(set(sides.values())) == 1 else "VIOLATION", sides))
     return out
 
 

@@ -35,7 +35,7 @@ from ringlab.ideals import (
 )
 from ringlab.rings import make_product, make_quotient, make_zn
 
-from oracles import CAP_EXPRS, ref_colon_mask, ref_ideal_masks, ref_principal
+from oracles import CAP_EXPRS, CORPUS_RING_EXPRS, ref_colon_mask, ref_ideal_masks, ref_principal
 from test_poly import SEARCH_RINGS
 
 # -- frozenset reference ----------------------------------------------------------
@@ -271,6 +271,32 @@ def test_lattice_matches_the_closure_over_every_principal_ideal(expr):
     assert [A.generators for A in ideals] == [ref_canonical_generators(R, frozenset(bits(m))) for m in masks]
     for g in R.elements():
         assert frozenset(bits(lattice(R).principal[g])) == ref_principal(R, g)
+
+
+def _greedy_generators(L, mask):
+    """The generator loop that walks every member: each member outside the ideal
+    generated so far is the next generator."""
+    gens, have = [], 1
+    for a in bits(mask):
+        if not have >> a & 1:
+            gens.append(a)
+            have = L.sum(have, L.principal[a])
+    return tuple(gens)
+
+
+def test_lattice_order_generators_and_sums_on_the_corpus_rings():
+    """The bit-reversal sort, the lowest-missing-bit generators and the one-unpack
+    sums give the masks, order, generators and sums of the member-walking forms."""
+    for expr in CORPUS_RING_EXPRS + ["Z2 x Z2 x Z2 x Z2 x Z2 x Z2 x Z2 x Z2"]:
+        R = parse_ring(expr)
+        L = lattice(R)
+        masks = ref_ideal_masks(R)
+        assert [A.mask for A in all_ideals(R)] == list(masks), expr
+        assert [A.generators for A in all_ideals(R)] == [_greedy_generators(L, m) for m in masks], expr
+        rng = random.Random(expr)
+        for a, b in [rng.sample(masks, 2) for _ in range(8)] if len(masks) > 1 else []:
+            xs, ys = a | rng.getrandbits(R.size), b
+            assert L.sum(xs, ys) == mask_of(ref_sum_sets(R, bits(xs), bits(ys))), (expr, xs, ys)
 
 
 def _sums_of_smaller_principals(R):

@@ -6,9 +6,9 @@ from itertools import combinations
 
 import pytest
 
-from ringlab import poly
+from ringlab import classify as cl, poly
 from ringlab.classify import FAILS, Verdict, has_fac
-from ringlab.corpus import CorpusSpec, Limits, default_corpus, parse_corpus_line
+from ringlab.corpus import FINITE, CorpusSpec, Limits, default_corpus, parse_corpus_line
 from ringlab.dsl import parse_ring
 from ringlab.errors import ConfigError, UnknownHypothesis, UnknownTheorem
 from ringlab.ideals import all_ideals, ideal_pushforward, lattice, localize, mask_of, mcs_from_members
@@ -16,32 +16,43 @@ from ringlab.registry import (
     CASES,
     DEFAULT_IDS,
     FiniteContext,
+    _run_entry,
     _small_mcs,
     _t2_7_sides,
     build_context,
     counterexample_search,
+    run_c_zd,
+    run_p2_8,
     run_p2_10,
     run_p_annsum,
     run_degen,
     run_p_colon,
     run_p_minidem,
     run_p_sidem,
+    run_p_suz,
+    run_p_suzmax,
     run_t2_3,
     run_t2_5,
     run_t2_11,
+    run_t2_12,
     verify,
 )
 
 from oracles import (
+    ref_c_zd,
+    ref_p2_8,
     ref_p2_10,
     ref_p_annsum,
     ref_p_colon,
     ref_p_minidem,
     ref_p_sidem,
+    ref_p_suz,
+    ref_p_suzmax,
     ref_t2_3,
     ref_t2_5,
     ref_t2_7_sides,
     ref_t2_11,
+    ref_t2_12,
 )
 from test_poly import SEARCH_RINGS
 
@@ -459,7 +470,8 @@ def test_t2_7_mask_sides_match_the_set_forms():
 
 def _failing_on(ctx, mask, mcs_mask):
     """Let ctx.s_r report Fails wherever it would hold for the ideal with this
-    mask, at the m.c.s. with ``mcs_mask`` or, when that is None, at every one."""
+    mask, at the m.c.s. with ``mcs_mask`` or, when that is None, at every one.
+    The context's verdict rows are cleared, so they are asked again through it."""
 
     def s_r(A, S, **flags):
         v = FiniteContext.s_r(ctx, A, S, **flags)
@@ -468,6 +480,7 @@ def _failing_on(ctx, mask, mcs_mask):
         return v
 
     ctx.s_r = s_r
+    ctx._rows.clear()
 
 
 @pytest.mark.parametrize(
@@ -481,6 +494,8 @@ def _failing_on(ctx, mask, mcs_mask):
         (run_p2_10, ref_p2_10, "reduced"),
         (run_p_minidem, ref_p_minidem, "reduced"),
         (run_p_sidem, ref_p_sidem, None),
+        (run_p_suz, ref_p_suz, None),
+        (run_t2_12, ref_t2_12, "disjoint"),
     ],
 )
 def test_bulk_runner_failures_match_the_per_entry_loop(runner, reference, hypothesis):
@@ -499,6 +514,104 @@ def test_bulk_runner_failures_match_the_per_entry_loop(runner, reference, hypoth
                     assert got == reference(ctx, dropped), (line, dropped, mask, mcs_mask)
                     counts += [next(iter(detail.values())) for _, outcome, detail in got if outcome == "VIOLATION"]
     assert min(counts) == 1 and max(counts) > 1
+
+
+def test_t2_3_converse_failure_matches_the_per_entry_loop():
+    """The bulk test fails verdicts at the units or everywhere, which never fails
+    T2.3's converse: that needs S1 inside S2 with every s of S2 a unit when S1 is
+    S<>.  Failing (A, S<>) does."""
+    directions = set()
+    for line in ["Z12", "Z8", "Z4 x Z2", "Z2 x Z2 x Z2"]:
+        ctx = build_context(parse_corpus_line(line), Limits.defaults())
+        for dropped in [frozenset(), frozenset({"disjoint"})]:
+            for A in ctx.proper_ideals():
+                _failing_on(ctx, A.mask, 1 << ctx.ring.one)
+                got = [(f.annotations["ideal"], f.outcome, f.detail) for f in run_t2_3(ctx, dropped)]
+                assert got == ref_t2_3(ctx, dropped), (line, dropped, A.label())
+                directions.update(d["failure"]["direction"] for _, outcome, d in got if outcome == "VIOLATION")
+    assert directions == {"converse"}
+
+
+def test_c_zd_reports_an_ideal_with_a_faked_regular_member():
+    """In a finite ring every proper ideal lies in the zero divisors, so only a
+    faked regular element fails C-zd: 2 in Z12, on the fresh ring's lattice.  The
+    ideals holding 2 fail at their first S-r m.c.s., the others pass in bulk."""
+    ctx = build_context(parse_corpus_line("Z12"), Limits.defaults())
+    lattice(ctx.ring).regulars |= 1 << 2
+    for f in run_c_zd(ctx, frozenset()):
+        A = next(B for B in ctx.proper_ideals() if B.label() == f.annotations["ideal"])
+        held = [S for S in ctx.mcs_list() if ctx.s_r(A, S).holds]
+        if 2 in A:
+            assert (f.outcome, f.detail) == ("VIOLATION", {"checked": 1, "failure": {"mcs": held[0].label()}})
+        else:
+            assert (f.outcome, f.detail) == ("VERIFIED", {"checked": len(held)})
+
+
+@pytest.mark.parametrize(
+    "runner,reference,hypothesis",
+    [(run_c_zd, ref_c_zd, None), (run_p2_8, ref_p2_8, "s_regular"), (run_p_suzmax, ref_p_suzmax, "max_disjoint")],
+)
+def test_row_gated_runners_match_the_per_entry_loop(runner, reference, hypothesis):
+    """The runners whose rows only gate their checks, under the seeded failures of
+    the bulk test.  A failed S-r verdict withdraws a check of C-zd or P2.8 and
+    cannot fail one, and P-suzmax's detail holds booleans, not a count, so the
+    bulk test's count bounds do not apply; P-suzmax does reach VIOLATION here."""
+    outcomes = set()
+    for line in ["Z12", "Z8", "Z6", "Z4 x Z2", "Z2 x Z2 x Z2", "triv(Z2, free(1))"]:
+        ctx = build_context(parse_corpus_line(line), Limits.defaults())
+        for dropped in [frozenset()] + [frozenset({hypothesis})] * (hypothesis is not None):
+            for mask in [None] + [A.mask for A in all_ideals(ctx.ring)]:
+                for mcs_mask in (None, mcs_from_members(ctx.ring, ctx.ring.units).mask):
+                    _failing_on(ctx, mask, mcs_mask)
+                    got = [(next(iter(f.annotations.values())), f.outcome, f.detail) for f in runner(ctx, dropped)]
+                    assert got == reference(ctx, dropped), (line, dropped, mask, mcs_mask)
+                    outcomes.update(outcome for _, outcome, _ in got)
+    assert "VERIFIED" in outcomes and (runner is not run_p_suzmax or "VIOLATION" in outcomes)
+
+
+FINITE_LINES = [e.text for e in default_corpus().entries if e.kind == FINITE]
+FLAGS = [(proper, disjoint) for proper in (True, False) for disjoint in (True, False)]
+
+
+def test_verdict_rows_match_the_classifier():
+    """Every ideal, catalogue position and flag combination of the finite default
+    corpus entries of at most 32 elements: bit j of the S-r row is the classifier's
+    verdict at the j-th m.c.s., and bit j of the disjointness row says A misses it,
+    or is set when disjointness is not enforced."""
+    entries = 0
+    for line in FINITE_LINES:
+        ctx = build_context(parse_corpus_line(line), Limits.defaults())
+        if ctx.ring.size > 32:
+            continue
+        entries += 1
+        mcs = ctx.mcs_list()
+        for A in all_ideals(ctx.ring):
+            for proper, disjoint in FLAGS:
+                row = ctx.s_r_row(A, proper, disjoint)
+                assert [row >> j & 1 for j in range(len(mcs))] == [
+                    cl.is_S_r_ideal(A, S, proper, disjoint).holds for S in mcs
+                ], (line, A.label(), proper, disjoint)
+            for disjoint in (True, False):
+                row = ctx.disjoint_row(A, disjoint)
+                expected = [not (disjoint and A.mask & S.mask) for S in mcs]
+                assert [row >> j & 1 for j in range(len(mcs))] == expected, (line, A.label(), disjoint)
+    assert entries > 50
+
+
+@pytest.mark.parametrize("line", ["Z12", "Z4 x Z4"])
+def test_an_entry_asks_each_s_r_question_about_once(line, monkeypatch):
+    """A full run of the entry asks ctx.s_r at most twice per ideal and catalogue
+    m.c.s.: once for the verdict row, and once more for a record that carries the
+    verdict (P-zero's, P2.8's witness) or an m.c.s. outside the catalogue (T2.7's
+    S<reg>, P-jac's complements).  With every runner asking for itself it was
+    1,076 times on Z12 and 2,365 on Z4 x Z4."""
+    calls = []
+    s_r = FiniteContext.s_r
+    monkeypatch.setattr(FiniteContext, "s_r", lambda ctx, *args, **flags: calls.append(args) or s_r(ctx, *args, **flags))
+    entry = parse_corpus_line(line)
+    assert _run_entry(entry, DEFAULT_IDS, frozenset(), Limits.defaults())
+    ctx = build_context(entry, Limits.defaults())
+    assert 0 < len(calls) <= 2 * len(ctx.ideals()) * len(ctx.mcs_list())
 
 
 # -- CLI ---------------------------------------------------------------------------
