@@ -81,6 +81,17 @@ def bits(mask: int) -> list:
     return out
 
 
+def transpose(masks, width: int) -> list:
+    """The columns of the bit matrix whose rows are ``masks``: bit r of the j-th is bit j of masks[r]."""
+    columns = [0] * width
+    for r, mask in enumerate(masks):
+        while mask:
+            low = mask & -mask
+            columns[low.bit_length() - 1] |= 1 << r
+            mask ^= low
+    return columns
+
+
 def first_hit(matrix):
     """Lex-first (row, column) of a boolean matrix that is True, or None."""
     hits = np.argwhere(matrix)

@@ -19,20 +19,19 @@ Verdict rows: a finite context asks each (ideal, catalogue m.c.s., flags) S-r
 question once, through `s_r`, and keeps the answers as one int per ideal and
 flags, bit j for the j-th m.c.s. (`s_r_row`), beside the bits of the m.c.s.
 the ideal misses (`disjoint_row`).  The runners that read an S-r verdict at a
-catalogue m.c.s. follow one rule, bulk count and ordered re-walk on failure
-(`_bulk`): an instance's checks are counted by popcounts over the rows, and
-only when an asked bit is missing from its row does the runner walk its loop
-through `s_r` in order, so the count stops at the first failure and the
-failure dict is the loop's own.  m.c.s. outside the catalogue (T2.7's S<reg>,
-P-jac's complements) and records that carry a verdict (P-zero's, P2.8's
-witness) ask `s_r` directly.
+catalogue m.c.s. state each instance's checks once, as ``(asked, held)`` masks
+read from the rows in the order of the runner's loop (`_row_checks`): the count
+is a popcount up to the first asked bit that is not held, and only that failed
+check asks `s_r` again, for the verdict its dict carries.  m.c.s. outside the
+catalogue (T2.7's S<reg>, P-jac's complements) and records that carry a verdict
+(P-zero's, P2.8's witness) ask `s_r` directly.
 """
 
 from __future__ import annotations
 
 import random
 import time
-from collections import Counter, namedtuple
+from collections import namedtuple
 from dataclasses import dataclass, replace
 from functools import cached_property
 from math import gcd
@@ -80,6 +79,7 @@ from .ideals import (
     mcs_generate,
     min_primes_over,
     spec as prime_spectrum,
+    transpose,
 )
 from .poly import (
     NO_VIOLATION_UP_TO,
@@ -288,18 +288,14 @@ def _record(theorem, ctx, dropped, finding):
     }
 
 
-def _sweep(key, checks, met=True):
+def _sweep(key, checks):
     """Run per-instance checks up to the first failure.
 
     Each check yields None (it passed), a failure dict, or an int: that many
     checks passed at once.  Returns the outcome (VIOLATION at a failure,
-    VACUOUS when the hypothesis is not ``met`` or nothing was checked,
-    VERIFIED otherwise) and a detail payload counting the checks under `key`,
-    with the failure, if any, under "failure"; an unmet hypothesis runs no
-    check and has no payload.
+    VACUOUS when nothing was checked, VERIFIED otherwise) and a detail payload
+    counting the checks under `key`, with the failure, if any, under "failure".
     """
-    if not met:
-        return VACUOUS, None
     checked = 0
     for failure in checks:
         if isinstance(failure, int):
@@ -313,9 +309,10 @@ def _sweep(key, checks, met=True):
 
 def _sweeps(items, label, key, checks, hypotheses=None, met=True):
     """One finding per ideal or m.c.s. X of ``items``: `_sweep` over ``checks(X)``,
-    annotated ``{label: X.label()}`` and carrying ``hypotheses``."""
+    annotated ``{label: X.label()}`` and carrying ``hypotheses``; VACUOUS with no
+    payload, and no check run, when the hypothesis is not ``met``."""
     for X in items:
-        outcome, detail = _sweep(key, checks(X), met)
+        outcome, detail = _sweep(key, checks(X)) if met else (VACUOUS, None)
         yield Finding(outcome, {label: X.label()}, hypotheses, detail)
 
 
@@ -324,26 +321,34 @@ def _failure(v, ring, **where):
     return {**where, "verdict": v.to_json(ring)}
 
 
-def _bulk(bulk, walk):
-    """The checks of X from the verdict rows: ``bulk(X)`` of them passed at once, or,
-    when that is None (an asked bit is missing from its row), ``walk(X)``, the
-    runner's ordered loop through ``ctx.s_r``, which stops at the first failure."""
+def _row_checks(rows, fail, group=1):
+    """The checks of one instance for `_sweep`, stated as ``(asked, held)`` masks:
+    each asked bit is one check, which passes when ``held`` has the bit too.
 
-    def checks(X):
-        passed = bulk(X)
-        yield from walk(X) if passed is None else (passed,)
-
-    return checks
-
-
-def _columns(asked, missing, mcs):
-    """Per m.c.s. mask of the catalogue ``mcs``: how many rows of ``asked`` have its bit,
-    or None where ``missing`` has it (an asked verdict there did not hold)."""
-    counts = [0] * len(mcs)
-    for row, n in Counter(asked).items():
-        for j in bits(row):
-            counts[j] += n
-    return {S.mask: None if missing >> j & 1 else counts[j] for j, S in enumerate(mcs)}
+    The runner's loop reads ``rows`` ``group`` at a time (all at once when None),
+    bit by bit within a group and row by row within a bit.  Yields the count of
+    checks before the first asked bit that is not held, in that order, and then
+    ``fail(row, bit)``, the failed check's dict; or, when every asked bit is held,
+    the count of them all.
+    """
+    missing = checked = 0
+    for asked, held in rows:
+        missing |= asked & ~held
+        checked += asked.bit_count()
+    if not missing:
+        yield checked
+        return
+    checked, size = 0, group or len(rows)
+    for start in range(0, len(rows), size):
+        block = rows[start : start + size]
+        for bit in range(max(asked.bit_length() for asked, _ in block)):
+            for r, (asked, held) in enumerate(block):
+                if asked >> bit & 1:
+                    if not held >> bit & 1:
+                        yield checked
+                        yield fail(start + r, bit)
+                        return
+                    checked += 1
 
 
 def _distinct(candidates):
@@ -400,51 +405,40 @@ def run_t2_3(ctx, dropped):
     R = ctx.ring
     mcs = ctx.mcs_list()
     principal = ideal_lattice(R).principal
-    meets = {S.mask: mask_of(s for s, p in enumerate(principal) if p & S.mask) for S in mcs}
-    inclusions = [
-        (i, k, not S2.mask & ~meets[S1.mask])
-        for i, S1 in enumerate(mcs)
-        for k, S2 in enumerate(mcs)
-        if S1.mask != S2.mask and not S1.mask & ~S2.mask
-    ]
-    above, below = [0] * len(mcs), [0] * len(mcs)  # supersets of S_i; subsets of S_k with the converse
-    for i, k, converse in inclusions:
-        above[i] |= 1 << k
-        below[k] |= converse << i
+    above, converse = [], []  # per S_i: the S_k strictly above it; those of them with the converse
+    for S1 in mcs:
+        meets = mask_of(s for s, p in enumerate(principal) if p & S1.mask)
+        ks = [k for k, S2 in enumerate(mcs) if S1.mask != S2.mask and not S1.mask & ~S2.mask]
+        above.append(mask_of(ks))
+        converse.append(mask_of(k for k in ks if not mcs[k].mask & ~meets))
     enforce = "disjoint" not in dropped
 
-    def bulk(A):
+    def checks(A):
         held = ctx.s_r_row(A)
-        lifted = ctx.s_r_row(A, enforce_disjoint=enforce)
-        free, passed = ctx.disjoint_row(A, enforce), 0
-        for j in bits(held):
-            forward, back = above[j] & free, below[j]
-            if forward & ~lifted or back & ~held:
-                return None
-            passed += forward.bit_count() + back.bit_count()
-        return passed
+        lifted, free = ctx.s_r_row(A, enforce_disjoint=enforce), ctx.disjoint_row(A, enforce)
+        # per S_i, S_k by S_k: forward (A S_i-r, A misses S_k => S_k-r), converse (A S_k-r => S_i-r)
+        rows = []
+        for i, (up, down) in enumerate(zip(above, converse)):
+            at_i = -(held >> i & 1)  # every bit when A is S_i-r, else none
+            rows += ((up & free & at_i, lifted), (down & held, at_i))
 
-    def walk(A):
-        for i, k, converse in inclusions:
-            S1, S2 = mcs[i], mcs[k]
-            if ctx.s_r(A, S1).holds and (not S2.mask & A.mask or not enforce):
-                v = ctx.s_r(A, S2, enforce_disjoint=enforce)
-                yield None if v.holds else _failure(v, R, direction="forward", mcs1=S1.label(), mcs2=S2.label())
-            if converse and ctx.s_r(A, S2).holds:
-                v = ctx.s_r(A, S1)
-                yield None if v.holds else _failure(v, R, direction="converse", mcs1=S1.label(), mcs2=S2.label())
+        def fail(r, k):
+            S1, S2 = mcs[r // 2], mcs[k]
+            v = ctx.s_r(A, S1) if r % 2 else ctx.s_r(A, S2, enforce_disjoint=enforce)
+            return _failure(v, R, direction=("forward", "converse")[r % 2], mcs1=S1.label(), mcs2=S2.label())
 
-    return _sweeps(ctx.proper_ideals(), "ideal", "implications_checked", _bulk(bulk, walk))
+        return _row_checks(rows, fail, group=2)
+
+    return _sweeps(ctx.proper_ideals(), "ideal", "implications_checked", checks)
 
 
 def run_t2_5(ctx, dropped):
     """r-ideal pushforward to the localization pulls back to S-r."""
     R = ctx.ring
+    mcs = ctx.mcs_list()
     need_reg = "s_regular" not in dropped
     localized = [
-        (j, S, localize(R, S))
-        for j, S in enumerate(ctx.mcs_list())
-        if not need_reg or not S.mask & ~ideal_lattice(R).regulars
+        (j, localize(R, S)) for j, S in enumerate(mcs) if not need_reg or not S.mask & ~ideal_lattice(R).regulars
     ]
 
     def pushed_r(A, loc):
@@ -452,18 +446,12 @@ def run_t2_5(ctx, dropped):
         at_one = loc.absorbing_idempotent == R.one
         return (ctx.r_verdict(A) if at_one else cl.is_r_ideal(ideal_pushforward(loc, A))).holds
 
-    def bulk(A):
-        asked = mask_of(j for j, _, loc in localized if pushed_r(A, loc))
-        return None if asked & ~ctx.s_r_row(A) else asked.bit_count()
-
-    def walk(A):
-        for _, S, loc in localized:
-            if pushed_r(A, loc):
-                v = ctx.s_r(A, S)
-                yield None if v.holds else _failure(v, R, mcs=S.label())
+    def checks(A):
+        asked = mask_of(j for j, loc in localized if pushed_r(A, loc))
+        return _row_checks([(asked, ctx.s_r_row(A))], lambda _, j: _failure(ctx.s_r(A, mcs[j]), R, mcs=mcs[j].label()))
 
     hypotheses = {"s_regular_candidates": bool(localized)}
-    return _sweeps(ctx.proper_ideals(), "ideal", "implications_checked", _bulk(bulk, walk), hypotheses)
+    return _sweeps(ctx.proper_ideals(), "ideal", "implications_checked", checks, hypotheses)
 
 
 def _t2_7_sides(A, regs, pre: int) -> dict:
@@ -537,97 +525,78 @@ def run_p2_8(ctx, dropped):
 def run_p2_10(ctx, dropped):
     """S-z0 implies S-r over reduced rings."""
     R = ctx.ring
+    mcs = ctx.mcs_list()
     reduced = R.is_reduced()
     enforce_reduced = "reduced" not in dropped
     enforce_disjoint = "disjoint" not in dropped
 
-    def s_z0(A, S):
-        return ctx.s_z0(A, S, enforce_reduced=enforce_reduced, enforce_disjoint=enforce_disjoint).holds
+    flags = {"enforce_reduced": enforce_reduced, "enforce_disjoint": enforce_disjoint}
 
-    def bulk(A):
-        asked = mask_of(j for j, S in enumerate(ctx.mcs_list()) if s_z0(A, S))
-        return None if asked & ~ctx.s_r_row(A, enforce_disjoint=enforce_disjoint) else asked.bit_count()
+    def checks(A):
+        asked = mask_of(j for j, S in enumerate(mcs) if ctx.s_z0(A, S, **flags).holds)
 
-    def walk(A):
-        for S in ctx.mcs_list():
-            if s_z0(A, S):
-                v = ctx.s_r(A, S, enforce_disjoint=enforce_disjoint)
-                yield None if v.holds else _failure(v, R, mcs=S.label())
+        def fail(_, j):
+            return _failure(ctx.s_r(A, mcs[j], enforce_disjoint=enforce_disjoint), R, mcs=mcs[j].label())
+
+        return _row_checks([(asked, ctx.s_r_row(A, enforce_disjoint=enforce_disjoint))], fail)
 
     met = reduced or not enforce_reduced
     hypotheses = {"reduced": reduced}
-    return _sweeps(ctx.proper_ideals(), "ideal", "implications_checked", _bulk(bulk, walk), hypotheses, met)
+    return _sweeps(ctx.proper_ideals(), "ideal", "implications_checked", checks, hypotheses, met)
 
 
 def run_t2_11(ctx, dropped):
     """Minimal primes over an S-r ideal are S-r when disjoint from S."""
+    mcs = ctx.mcs_list()
     enforce = "disjoint" not in dropped
 
-    def bulk(A):
-        held, passed = ctx.s_r_row(A), 0
-        for L in min_primes_over(A):
-            asked = held & ctx.disjoint_row(L, enforce)
-            if asked & ~ctx.s_r_row(L, enforce_disjoint=enforce):
-                return None
-            passed += asked.bit_count()
-        return passed
+    def checks(A):
+        held, mins = ctx.s_r_row(A), min_primes_over(A)
+        rows = [(held & ctx.disjoint_row(L, enforce), ctx.s_r_row(L, enforce_disjoint=enforce)) for L in mins]
 
-    def walk(A):
-        mins = min_primes_over(A)
-        for S in ctx.mcs_list():
-            if not ctx.s_r(A, S).holds:
-                continue
-            for L in mins:
-                if enforce and L.mask & S.mask:
-                    continue
-                vL = ctx.s_r(L, S, enforce_disjoint=enforce)
-                yield None if vL.holds else _failure(vL, ctx.ring, mcs=S.label(), min_prime=L.label())
+        def fail(r, j):
+            vL = ctx.s_r(mins[r], mcs[j], enforce_disjoint=enforce)
+            return _failure(vL, ctx.ring, mcs=mcs[j].label(), min_prime=mins[r].label())
 
-    return _sweeps(ctx.proper_ideals(), "ideal", "lifts_checked", _bulk(bulk, walk))
+        return _row_checks(rows, fail, group=None)
+
+    return _sweeps(ctx.proper_ideals(), "ideal", "lifts_checked", checks)
 
 
 def run_t2_12(ctx, dropped):
     """For prime disjoint A: S-r iff A consists of zero divisors."""
     R = ctx.ring
+    mcs = ctx.mcs_list()
     need_prime = "prime" not in dropped
     enforce_disjoint = "disjoint" not in dropped
 
-    def bulk(A):
+    def checks(A):
         # a proper ideal's verdict is NotApplicable only where it meets S and that is enforced
-        asked = ctx.disjoint_row(A, enforce_disjoint)
         held = ctx.s_r_row(A, enforce_disjoint=enforce_disjoint)
         in_zd = not A.mask & ideal_lattice(R).regulars
-        return None if asked & (~held if in_zd else held) else asked.bit_count()
 
-    def walk(A):
-        in_zd = not A.mask & ideal_lattice(R).regulars
-        for S in ctx.mcs_list():
-            if enforce_disjoint and A.mask & S.mask:
-                continue
-            v = ctx.s_r(A, S, enforce_disjoint=enforce_disjoint)
-            if not v.not_applicable:
-                yield None if v.holds == in_zd else _failure(v, R, mcs=S.label(), s_r=v.holds, inside_zd=in_zd)
+        def fail(_, j):
+            v = ctx.s_r(A, mcs[j], enforce_disjoint=enforce_disjoint)
+            return _failure(v, R, mcs=mcs[j].label(), s_r=v.holds, inside_zd=in_zd)
 
-    checks = _bulk(bulk, walk)
+        return _row_checks([(ctx.disjoint_row(A, enforce_disjoint), held if in_zd else ~held)], fail)
+
     for A in ctx.proper_ideals():
         prime = is_prime(A)
-        outcome, detail = _sweep("equivalences_checked", checks(A), met=prime or not need_prime)
+        outcome, detail = _sweep("equivalences_checked", checks(A)) if prime or not need_prime else (VACUOUS, None)
         yield Finding(outcome, {"ideal": A.label()}, {"prime": prime}, detail)
 
 
 def run_c_zd(ctx, dropped):
     """S-r ideals consist of zero divisors."""
+    mcs = ctx.mcs_list()
 
-    def bulk(A):
+    def checks(A):
         held = ctx.s_r_row(A)
-        return None if held and A.mask & ideal_lattice(ctx.ring).regulars else held.bit_count()
+        in_zd = not A.mask & ideal_lattice(ctx.ring).regulars
+        return _row_checks([(held, held if in_zd else 0)], lambda _, j: {"mcs": mcs[j].label()})
 
-    def walk(A):
-        for S in ctx.mcs_list():
-            if ctx.s_r(A, S).holds:
-                yield None if not A.mask & ideal_lattice(ctx.ring).regulars else {"mcs": S.label()}
-
-    return _sweeps(ctx.proper_ideals(), "ideal", "checked", _bulk(bulk, walk))
+    return _sweeps(ctx.proper_ideals(), "ideal", "checked", checks)
 
 
 def run_p_jac(ctx, dropped):
@@ -655,56 +624,52 @@ def run_p_jac(ctx, dropped):
 
 
 def run_p_colon(ctx, dropped):
-    """Colon ideals of an S-r ideal stay S-r; annihilators are always S-r.
-
-    The checks of A are counted once per distinct derived mask, from its rows.
-    """
+    """Colon ideals of an S-r ideal stay S-r; annihilators are always S-r."""
     R = ctx.ring
     L = ideal_lattice(R)
+    mcs = ctx.mcs_list()
     enforce = "disjoint" not in dropped
     singles = list(R.elements())
     if R.size > 16:
         singles = singles[:: R.size // 16]
-    # K runs over the sampled singletons and every ideal; Ann(K) does not depend on A
+    # K runs over the sampled singletons and every ideal, each by the mask of its generators:
+    # K lies in A iff they do, and (A : K) is the meet over them; Ann(K) does not depend on A
     k_families = [(f"{{{R.labels[x]}}}", 1 << x, annihilator(R, (x,))) for x in singles]
-    k_families += [(B.label(), B.mask, annihilator(R, B.sorted_members)) for B in ctx.ideals()]
+    k_families += [(B.label(), mask_of(B.generators), annihilator(R, B.sorted_members)) for B in ctx.ideals()]
 
-    def derived(A):
-        return [
+    pairs = {}  # derived mask -> (the m.c.s. it misses, none when it is R; its S-r row)
+
+    def pair(d):
+        got = pairs.get(d.mask)
+        if got is None:
+            free = 0 if d.mask == L.full else ctx.disjoint_row(d, enforce)
+            got = pairs[d.mask] = free, ctx.s_r_row(d, enforce_disjoint=enforce)
+        return got
+
+    def checks(A):
+        held = ctx.s_r_row(A)
+        derived = [
             (k_label, kind, d)
-            for k_label, ks, ann in k_families
+            for k_label, ks, ann in (k_families if held else ())
             if ks & ~A.mask
             for kind, d in (("colon", L.colon(A, ks)), ("annihilator", ann))
         ]
+        rows = [(held & free, d_held) for free, d_held in (pair(d) for _, _, d in derived)]
 
-    def bulk(A):
-        held, passed = ctx.s_r_row(A), 0
-        if held:
-            for mask, n in Counter(d.mask for _, _, d in derived(A)).items():
-                d = L.intern(mask)
-                asked = 0 if mask == L.full else held & ctx.disjoint_row(d, enforce)
-                if asked & ~ctx.s_r_row(d, enforce_disjoint=enforce):
-                    return None
-                passed += n * asked.bit_count()
-        return passed
+        def fail(r, j):
+            k_label, kind, d = derived[r]
+            return _failure(ctx.s_r(d, mcs[j], enforce_disjoint=enforce), R, mcs=mcs[j].label(), K=k_label, kind=kind)
 
-    def walk(A):
-        ds = derived(A)
-        for S in ctx.mcs_list():
-            if not ctx.s_r(A, S).holds:
-                continue
-            for k_label, kind, d in ds:
-                if not ((enforce and d.mask & S.mask) or d.mask == L.full):
-                    vd = ctx.s_r(d, S, enforce_disjoint=enforce)
-                    yield None if vd.holds else _failure(vd, R, mcs=S.label(), K=k_label, kind=kind)
+        return _row_checks(rows, fail, group=None)
 
-    return _sweeps(ctx.proper_ideals(), "ideal", "derived_checked", _bulk(bulk, walk))
+    return _sweeps(ctx.proper_ideals(), "ideal", "derived_checked", checks)
 
 
 def run_p_annsum(ctx, dropped):
     """If K1 + K2 = Rt with t in S then Ann(K1) + Ann(K2) is S-r when disjoint."""
     R = ctx.ring
     L = ideal_lattice(R)
+    mcs = ctx.mcs_list()
     enforce = "disjoint" not in dropped
     generated_by = {}  # principal ideal mask -> the mask of the elements generating it
     for t, mask in enumerate(L.principal):
@@ -717,28 +682,24 @@ def run_p_annsum(ctx, dropped):
             if ts:
                 sums.append((K1, K2, ts, L.join(ann1, ann2)))
 
-    mcs = ctx.mcs_list()
     meeting = {}  # ts -> the positions j where S_j meets ts
-    asked, missing = [], 0
+    asked, failed = [], []  # per sum, the positions j where it is checked, and where it is not S_j-r then
     for _, _, ts, K in sums:
-        if K.mask == L.full:
-            continue
         if ts not in meeting:
             meeting[ts] = mask_of(j for j, S in enumerate(mcs) if ts & S.mask)
-        hit = meeting[ts] & ctx.disjoint_row(K, enforce)
-        if hit:
-            missing |= hit & ~ctx.s_r_row(K, enforce_disjoint=enforce)
-            asked.append(hit)
-    passed = _columns(asked, missing, mcs)
+        asked.append(0 if K.mask == L.full else meeting[ts] & ctx.disjoint_row(K, enforce))
+        failed.append(asked[-1] and asked[-1] & ~ctx.s_r_row(K, enforce_disjoint=enforce))
+    asked, failed = transpose(asked, len(mcs)), transpose(failed, len(mcs))  # per S_j, bit r for the r-th sum
+    at = {S.mask: j for j, S in enumerate(mcs)}
 
-    def walk(S):
-        for K1, K2, ts, K in sums:
-            if not ts & S.mask or (enforce and K.mask & S.mask) or K.mask == L.full:
-                continue
-            v = ctx.s_r(K, S, enforce_disjoint=enforce)
-            yield None if v.holds else _failure(v, R, K1=K1.label(), K2=K2.label())
+    def checks(S):
+        def fail(_, r):
+            K1, K2, _, K = sums[r]
+            return _failure(ctx.s_r(K, S, enforce_disjoint=enforce), R, K1=K1.label(), K2=K2.label())
 
-    return _sweeps(mcs, "mcs", "sums_checked", _bulk(lambda S: passed[S.mask], walk))
+        return _row_checks([(asked[at[S.mask]], ~failed[at[S.mask]])], fail)
+
+    return _sweeps(mcs, "mcs", "sums_checked", checks)
 
 
 def run_p_minidem(ctx, dropped):
@@ -749,9 +710,9 @@ def run_p_minidem(ctx, dropped):
     enforce_disjoint = "disjoint" not in dropped
     zero = ideal_generate(R, ())
     mins = min_primes_over(zero) if zero.is_proper() else ()
-    idems = [(e, R.mul[e].tolist()) for e in R.idempotents()]
+    idems = R.idempotents()
     mcs = ctx.mcs_list()
-    bits_of = {S.mask: 1 << j for j, S in enumerate(mcs)}
+    bit_of = {S.mask: 1 << j for j, S in enumerate(mcs)}
     sums = {}  # (P.mask, se) -> P + Ann(se)
 
     def sum_of(P, se):
@@ -760,37 +721,31 @@ def run_p_minidem(ctx, dropped):
             A = sums[(P.mask, se)] = ideal_sum(P, annihilator(R, (se,)))
         return A
 
-    def bulk(S):
-        bit = bits_of[S.mask]
-        # how often each se occurs as e runs over the idempotents and s over S
-        times = np.bincount(R.mul[np.ix_(R.idempotents(), S.sorted_members)].ravel(), minlength=R.size)
-        products = [(se, int(times[se])) for se in np.flatnonzero(times).tolist()]
-        passed = 0
+    def checks(S):
+        bit, members = bit_of[S.mask], S.sorted_members
+        where = {}  # se -> the positions p of the loop's (e, s) with that product
+        for p, se in enumerate(R.mul[np.ix_(idems, members)].ravel().tolist()):
+            where[se] = where.get(se, 0) | 1 << p
+        rows = []  # per minimal prime P, bit p for the p-th (e, s)
         for P in mins:
-            for se, n in products:
+            asked = held = 0
+            for se, at in where.items():
                 A = sum_of(P, se)
-                if not ctx.disjoint_row(A, enforce_disjoint) & bit or not A.is_proper():
-                    continue
-                if not ctx.s_r_row(A, enforce_disjoint=enforce_disjoint) & bit:
-                    return None
-                passed += n
-        return passed
+                if A.is_proper() and ctx.disjoint_row(A, enforce_disjoint) & bit:
+                    asked |= at
+                    if ctx.s_r_row(A, enforce_disjoint=enforce_disjoint) & bit:
+                        held |= at
+            rows.append((asked, held))
 
-    def walk(S):
-        members = S.sorted_members
-        for P in mins:
-            for e, times_e in idems:
-                for s in members:
-                    A = sum_of(P, times_e[s])
-                    if (enforce_disjoint and A.mask & S.mask) or not A.is_proper():
-                        continue
-                    v = ctx.s_r(A, S, enforce_disjoint=enforce_disjoint)
-                    yield None if v.holds else _failure(
-                        v, R, min_prime=P.label(), idempotent=R.labels[e], s=R.labels[s]
-                    )
+        def fail(r, p):
+            P, e, s = mins[r], idems[p // len(members)], members[p % len(members)]
+            v = ctx.s_r(sum_of(P, int(R.mul[e, s])), S, enforce_disjoint=enforce_disjoint)
+            return _failure(v, R, min_prime=P.label(), idempotent=R.labels[e], s=R.labels[s])
+
+        return _row_checks(rows, fail)
 
     met = reduced or not enforce_reduced
-    return _sweeps(mcs, "mcs", "ideals_checked", _bulk(bulk, walk), {"reduced": reduced}, met)
+    return _sweeps(mcs, "mcs", "ideals_checked", checks, {"reduced": reduced}, met)
 
 
 def run_p_sidem(ctx, dropped):
@@ -799,54 +754,35 @@ def run_p_sidem(ctx, dropped):
     T is the elements that pass that gate, so each span goes straight to its verdict.
     """
     R = ctx.ring
-    mcs = ctx.mcs_list()
-    bits_of = {S.mask: 1 << j for j, S in enumerate(mcs)}
+    bit_of = {S.mask: 1 << j for j, S in enumerate(ctx.mcs_list())}
 
-    def spans(S):
+    def checks(S):
+        bit = bit_of[S.mask]
         T = tuple(np.flatnonzero(R.mul.diagonal() == R.mul[S.product()]).tolist())
-        gen_sets = [(f"[{R.labels[a]}]", (a,)) for a in T]
+        spans = [(f"[{R.labels[a]}]", ideal_generate(R, (a,))) for a in T]
         if len(T) > 1:
-            gen_sets.append(("[all]", T))
-        return gen_sets
+            spans.append(("[all]", ideal_generate(R, T)))
+        asked = held = 0  # bit i for the i-th span; the verdict of any other is NotApplicable
+        for i, (_, A) in enumerate(spans):
+            if A.is_proper() and ctx.disjoint_row(A) & bit:
+                asked |= 1 << i
+                if ctx.s_r_row(A) & bit:
+                    held |= 1 << i
+        return _row_checks([(asked, held)], lambda _, i: _failure(ctx.s_r(spans[i][1], S), R, generators=spans[i][0]))
 
-    def bulk(S):
-        bit, passed = bits_of[S.mask], 0
-        for _, gens in spans(S):
-            A = ideal_generate(R, gens)
-            if A.is_proper() and ctx.disjoint_row(A) & bit:  # else the verdict is NotApplicable
-                if not ctx.s_r_row(A) & bit:
-                    return None
-                passed += 1
-        return passed
-
-    def walk(S):
-        for label, gens in spans(S):
-            v = ctx.s_r(ideal_generate(R, gens), S)
-            if not v.not_applicable:
-                yield None if v.holds else _failure(v, R, generators=label)
-
-    return _sweeps(mcs, "mcs", "ideals_checked", _bulk(bulk, walk))
+    return _sweeps(ctx.mcs_list(), "mcs", "ideals_checked", checks)
 
 
 def run_p_suz(ctx, dropped):
     """All disjoint ideals S-r  <=>  the ring is an S-uz-ring."""
     mcs = ctx.mcs_list()
-    asked, missing = [], 0
-    for A in ctx.proper_ideals():
-        hit = ctx.disjoint_row(A)
-        if hit:
-            missing |= hit & ~ctx.s_r_row(A)
-            asked.append(hit)
-    passed = _columns(asked, missing, mcs)
-
-    def walk(S):
-        for A in ctx.proper_ideals():
-            if not A.mask & S.mask:
-                yield None if ctx.s_r(A, S).holds else {"failing_ideal": A.label()}
-
-    checks = _bulk(lambda S: passed[S.mask], walk)
-    for S in mcs:
-        outcome, detail = _sweep("ideals_evaluated", checks(S))
+    ideals = ctx.proper_ideals()
+    asked = [ctx.disjoint_row(A) for A in ideals]
+    failed = transpose([hit and hit & ~ctx.s_r_row(A) for A, hit in zip(ideals, asked)], len(mcs))
+    asked = transpose(asked, len(mcs))  # per S_j, bit r for the r-th proper ideal
+    for j, S in enumerate(mcs):
+        checks = _row_checks([(asked[j], ~failed[j])], lambda _, r: {"failing_ideal": ideals[r].label()})
+        outcome, detail = _sweep("ideals_evaluated", checks)
         lhs = outcome != VIOLATION
         rhs = cl.is_S_uz_ring(ctx.ring, S).holds
         detail.update(detail.pop("failure", {}), all_disjoint_ideals_s_r=lhs, s_uz_ring=rhs)

@@ -5,17 +5,19 @@ from dataclasses import replace
 from itertools import combinations
 
 import pytest
+from hypothesis import example, given, strategies as st
 
 from ringlab import classify as cl, poly
 from ringlab.classify import FAILS, Verdict, has_fac
 from ringlab.corpus import FINITE, CorpusSpec, Limits, default_corpus, parse_corpus_line
 from ringlab.dsl import parse_ring
 from ringlab.errors import ConfigError, UnknownHypothesis, UnknownTheorem
-from ringlab.ideals import all_ideals, ideal_pushforward, lattice, localize, mask_of, mcs_from_members
+from ringlab.ideals import all_ideals, ideal_pushforward, lattice, localize, mask_of, mcs_from_members, transpose
 from ringlab.registry import (
     CASES,
     DEFAULT_IDS,
     FiniteContext,
+    _row_checks,
     _run_entry,
     _small_mcs,
     _t2_7_sides,
@@ -567,6 +569,79 @@ def test_row_gated_runners_match_the_per_entry_loop(runner, reference, hypothesi
                     assert got == reference(ctx, dropped), (line, dropped, mask, mcs_mask)
                     outcomes.update(outcome for _, outcome, _ in got)
     assert "VERIFIED" in outcomes and (runner is not run_p_suzmax or "VIOLATION" in outcomes)
+
+
+def _ordered_loop(rows, group):
+    """The checks of ``(asked, held)`` rows one at a time, ``group`` rows at a time (all
+    when None), bit by bit within a group and row by row within a bit: the count before
+    the first asked bit that is not held and its (row, bit), or the count and None."""
+    checked, size = 0, group or len(rows) or 1
+    for start in range(0, len(rows), size):
+        for bit in range(24):
+            for r in range(start, min(start + size, len(rows))):
+                asked, held = rows[r]
+                if asked >> bit & 1:
+                    if not held >> bit & 1:
+                        return checked, (r, bit)
+                    checked += 1
+    return checked, None
+
+
+ROWS = st.integers(0, 24).flatmap(
+    lambda width: st.lists(st.tuples(st.integers(0, 2**width - 1), st.integers(0, 2**width - 1)), max_size=8)
+)
+
+
+@given(rows=ROWS, group=st.sampled_from([1, 2, None]))
+@example(rows=[], group=1)
+@example(rows=[], group=None)
+@example(rows=[(0, 0), (0, 5)], group=None)
+@example(rows=[(0b1011, 0), (0b110, 0)], group=1)
+@example(rows=[(0b1011, 0), (0b110, 0)], group=None)
+@example(rows=[(0b11, 0b11), (0b10, 0b10), (0b10, 0)], group=1)
+@example(rows=[(0b11, 0b11), (0b11, 0b01)], group=None)
+@example(rows=[(0b11, 0b11), (0b01, 0b01), (0b11, 0b11), (0b10, 0)], group=2)
+def test_row_checks_match_the_ordered_loop(rows, group):
+    """`_row_checks` against the loop that asks each cell in order, in row order
+    (group 1), column order (None) and T2.3's pairs of rows (2); and each column
+    of the grid, read as the per-m.c.s. runners read it through `transpose`."""
+    checked, at = _ordered_loop(rows, group)
+    got = list(_row_checks(rows, lambda r, bit: {"at": (r, bit)}, group))
+    assert got == [checked] + [{"at": at}] * (at is not None)
+    asked = transpose([a for a, _ in rows], 24)
+    failed = transpose([a & ~h for a, h in rows], 24)
+    for j in range(24):
+        checked, at = _ordered_loop([(a & 1 << j, h) for a, h in rows], None)
+        got = list(_row_checks([(asked[j], ~failed[j])], lambda _, r: {"at": (r, j)}))
+        assert got == [checked] + [{"at": at}] * (at is not None)
+
+
+VERDICT_RUNNERS = [
+    run_t2_3, run_t2_5, run_p2_10, run_t2_11, run_t2_12, run_p_colon, run_p_annsum, run_p_minidem, run_p_sidem,
+]
+
+
+@pytest.mark.parametrize("line", ["Z12", "Z6", "Z2 x Z2 x Z2"])
+def test_a_failed_check_asks_s_r_only_for_its_verdict(line):
+    """Under the seeded failures at the units, a second run on the same context,
+    whose rows are all kept, asks ctx.s_r once per VIOLATION of a runner whose
+    failure dict carries the verdict, and never for C-zd and P-suz, whose dicts
+    carry none.  Z6 and Z2 x Z2 x Z2 are reduced, so P2.10 and P-minidem check."""
+    ctx = build_context(parse_corpus_line(line), Limits.defaults())
+    units = mcs_from_members(ctx.ring, ctx.ring.units).mask
+    violations = 0
+    for mask in [A.mask for A in all_ideals(ctx.ring)]:
+        _failing_on(ctx, mask, units)
+        seeded = ctx.s_r
+        for runner in [*VERDICT_RUNNERS, run_c_zd, run_p_suz]:
+            list(runner(ctx, frozenset()))
+            calls = []
+            ctx.s_r = lambda *args, **flags: calls.append(args) or seeded(*args, **flags)
+            found = sum(f.outcome == "VIOLATION" for f in runner(ctx, frozenset()))
+            ctx.s_r = seeded
+            assert len(calls) == (found if runner in VERDICT_RUNNERS else 0), (line, mask, runner.__name__)
+            violations += found
+    assert violations
 
 
 FINITE_LINES = [e.text for e in default_corpus().entries if e.kind == FINITE]
