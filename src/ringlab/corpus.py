@@ -122,12 +122,19 @@ def parse_corpus_line(line: str):
 
 
 def load_corpus(path, limits: Limits = None) -> CorpusSpec:
+    """Read a corpus file; one that cannot be read, or is not UTF-8, is a ConfigError naming it."""
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            lines = fh.readlines()
+    except OSError as exc:
+        raise ConfigError(f"cannot read corpus {path}: {exc.strerror}") from None
+    except UnicodeDecodeError as exc:
+        raise ConfigError(f"corpus {path} is not UTF-8: {exc.reason} at byte {exc.start}") from None
     entries = []
-    with open(path, "r", encoding="utf-8") as fh:
-        for line in fh:
-            entry = parse_corpus_line(line)
-            if entry is not None:
-                entries.append(entry)
+    for line in lines:
+        entry = parse_corpus_line(line)
+        if entry is not None:
+            entries.append(entry)
     return CorpusSpec(tuple(entries), limits or Limits.defaults())
 
 

@@ -10,7 +10,8 @@ class InvalidConstruction(RinglabError):
 
 
 class ConfigError(RinglabError):
-    """A run-wide setting, such as an environment override, has an invalid value."""
+    """A run-wide setting, such as an environment override, has an invalid value, or a
+    corpus or report file cannot be read or written."""
 
 
 class SizeLimitError(RinglabError):

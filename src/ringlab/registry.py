@@ -10,27 +10,27 @@ its entry, its case and the run limits, and can be replayed from them.
 Outcomes: VERIFIED (hypotheses met, statement checked non-vacuously),
 VACUOUS (hypotheses unmet or antecedent never fired), VIOLATION (the
 statement failed; unexpected unless hypotheses were deliberately dropped).
-Most runners state only their checks and return `_sweeps`: a finding per ideal
-or m.c.s., whose checks `_sweep` counts up to the first failure.  A failed check
-yields `_failure`'s dict, built with its labels only when the check fails:
-building them on every check made the finite corpus 14% slower.
+A runner states each instance's checks once and `_counted` turns their count
+and first failure into the outcome and the detail.  Most runners return
+`_sweeps`: a finding per ideal or m.c.s.  A failed check gives `_failure`'s
+dict, built with its labels only when the check fails: building them on every
+check made the finite corpus 14% slower.
 
-Verdict rows: a finite context asks each (ideal, catalogue m.c.s., flags) S-r
-question once, through `s_r`, and keeps the answers as one int per ideal and
-flags, bit j for the j-th m.c.s. (`s_r_row`), beside the bits of the m.c.s.
-the ideal misses (`disjoint_row`).  The runners that read an S-r verdict at a
-catalogue m.c.s. state each instance's checks once, as ``(asked, held)`` masks
-read from the rows in the order of the runner's loop (`_row_checks`): the count
-is a popcount up to the first asked bit that is not held, and only that failed
-check asks `s_r` again, for the verdict its dict carries.  m.c.s. outside the
-catalogue (T2.7's S<reg>, P-jac's complements) and records that carry a verdict
-(P-zero's, P2.8's witness) ask `s_r` directly.
+Verdict rows: a finite context asks each (ideal, catalogue m.c.s., disjointness
+flag) S-r question once, through `s_r`, and keeps the answers as one int per
+ideal and flag, bit j for the j-th m.c.s. (`s_r_row`), beside the bits of the
+m.c.s. the ideal misses (`disjoint_row`).  Every finite runner with a count
+states its checks as ``(asked, held)`` masks, read from the rows in the order
+of the runner's loop (`_row_checks`): the count is a popcount up to and
+including the first asked bit that is not held, and only that failed check asks
+`s_r` again, for the verdict its dict carries.  m.c.s. outside the catalogue
+(T2.7's S<reg>, P-jac's complements) and records that carry a verdict (P-zero's,
+P2.8's witness) ask `s_r` directly.
 """
 
 from __future__ import annotations
 
 import random
-import time
 from collections import namedtuple
 from dataclasses import dataclass, replace
 from functools import cached_property
@@ -123,7 +123,7 @@ class FiniteContext:
         self.recipe = self.ring.recipe
         self._pinned_ideal = parse_ideal(self.ring, entry.ideal_text) if entry.ideal_text else None
         self._pinned_mcs = parse_mcs(self.ring, entry.mcs_text) if entry.mcs_text else None
-        self._rows = {}  # (A.mask, flags) -> S-r row; (A.mask,) -> disjointness row
+        self._rows = {}  # (A.mask, enforce_disjoint) -> S-r row; (A.mask,) -> disjointness row
 
     def ideals(self):
         if self._pinned_ideal is not None:
@@ -161,14 +161,13 @@ class FiniteContext:
     def s_r(self, A, S, enforce_proper=True, enforce_disjoint=True):
         return cl.is_S_r_ideal(A, S, enforce_proper, enforce_disjoint)
 
-    def s_r_row(self, A, enforce_proper=True, enforce_disjoint=True) -> int:
-        """Bit j set iff ``self.s_r(A, self.mcs_list()[j], ...)`` holds: each (ideal,
-        m.c.s., flags) question is asked once per entry, through `s_r`."""
-        key = (A.mask, enforce_proper, enforce_disjoint)
-        row = self._rows.get(key)
+    def s_r_row(self, A, enforce_disjoint=True) -> int:
+        """Bit j set iff ``self.s_r(A, self.mcs_list()[j], enforce_disjoint=...)`` holds:
+        each (ideal, m.c.s., flag) question is asked once per entry, through `s_r`."""
+        row = self._rows.get((A.mask, enforce_disjoint))
         if row is None:
-            flags = {"enforce_proper": enforce_proper, "enforce_disjoint": enforce_disjoint}
-            row = self._rows[key] = mask_of(j for j, S in enumerate(self.mcs_list()) if self.s_r(A, S, **flags).holds)
+            held = (j for j, S in enumerate(self.mcs_list()) if self.s_r(A, S, enforce_disjoint=enforce_disjoint).holds)
+            row = self._rows[(A.mask, enforce_disjoint)] = mask_of(held)
         return row
 
     def disjoint_row(self, A, enforce_disjoint=True) -> int:
@@ -288,31 +287,21 @@ def _record(theorem, ctx, dropped, finding):
     }
 
 
-def _sweep(key, checks):
-    """Run per-instance checks up to the first failure.
-
-    Each check yields None (it passed), a failure dict, or an int: that many
-    checks passed at once.  Returns the outcome (VIOLATION at a failure,
-    VACUOUS when nothing was checked, VERIFIED otherwise) and a detail payload
-    counting the checks under `key`, with the failure, if any, under "failure".
-    """
-    checked = 0
-    for failure in checks:
-        if isinstance(failure, int):
-            checked += failure
-            continue
-        checked += 1
-        if failure is not None:
-            return VIOLATION, {key: checked, "failure": failure}
+def _counted(key, checked, failure):
+    """The outcome of ``checked`` checks, the last of them ``failure`` when that is not
+    None: VIOLATION at a failure, VACUOUS when nothing was checked, VERIFIED otherwise;
+    and the detail counting them under ``key``, with the failure, if any, under "failure"."""
+    if failure is not None:
+        return VIOLATION, {key: checked, "failure": failure}
     return (VERIFIED if checked else VACUOUS), {key: checked}
 
 
 def _sweeps(items, label, key, checks, hypotheses=None, met=True):
-    """One finding per ideal or m.c.s. X of ``items``: `_sweep` over ``checks(X)``,
+    """One finding per ideal or m.c.s. X of ``items``: `_counted` over ``checks(X)``,
     annotated ``{label: X.label()}`` and carrying ``hypotheses``; VACUOUS with no
     payload, and no check run, when the hypothesis is not ``met``."""
     for X in items:
-        outcome, detail = _sweep(key, checks(X)) if met else (VACUOUS, None)
+        outcome, detail = _counted(key, *checks(X)) if met else (VACUOUS, None)
         yield Finding(outcome, {label: X.label()}, hypotheses, detail)
 
 
@@ -322,33 +311,30 @@ def _failure(v, ring, **where):
 
 
 def _row_checks(rows, fail, group=1):
-    """The checks of one instance for `_sweep`, stated as ``(asked, held)`` masks:
-    each asked bit is one check, which passes when ``held`` has the bit too.
+    """The checks of one instance, stated as ``(asked, held)`` masks: each asked bit is
+    one check, which passes when ``held`` has the bit too.
 
     The runner's loop reads ``rows`` ``group`` at a time (all at once when None),
-    bit by bit within a group and row by row within a bit.  Yields the count of
-    checks before the first asked bit that is not held, in that order, and then
-    ``fail(row, bit)``, the failed check's dict; or, when every asked bit is held,
-    the count of them all.
+    bit by bit within a group and row by row within a bit.  Returns ``(checked,
+    failure)``: the count of checks in that order up to and including the first
+    asked bit that is not held, and ``fail(row, bit)``, the failed check's dict;
+    or, when every asked bit is held, the count of them all and None.
     """
     missing = checked = 0
     for asked, held in rows:
         missing |= asked & ~held
         checked += asked.bit_count()
     if not missing:
-        yield checked
-        return
+        return checked, None
     checked, size = 0, group or len(rows)
     for start in range(0, len(rows), size):
         block = rows[start : start + size]
         for bit in range(max(asked.bit_length() for asked, _ in block)):
             for r, (asked, held) in enumerate(block):
                 if asked >> bit & 1:
-                    if not held >> bit & 1:
-                        yield checked
-                        yield fail(start + r, bit)
-                        return
                     checked += 1
+                    if not held >> bit & 1:
+                        return checked, fail(start + r, bit)
 
 
 def _distinct(candidates):
@@ -373,14 +359,14 @@ def run_degen(ctx, dropped):
     R = ctx.ring
     uz = cl.is_uz_ring(R)
     regular_is_unit = mask_of(a for a, m in enumerate(ideal_lattice(R).ann) if m == 1) == mask_of(R.units)
+    ideals = ctx.proper_ideals()  # one check each: r, with nonzero annihilator
+    ok = [ctx.r_verdict(A).holds and not annihilator(R, A.generators).is_zero() for A in ideals]
+    held = mask_of(i for i, passed in enumerate(ok) if passed)
 
-    def checks():
-        for A in ctx.proper_ideals():
-            v = ctx.r_verdict(A)
-            ok = v.holds and not annihilator(R, A.generators).is_zero()
-            yield None if ok else _failure(v, R, failing_ideal=A.label())
+    def fail(_, i):
+        return _failure(ctx.r_verdict(ideals[i]), R, failing_ideal=ideals[i].label())
 
-    outcome, detail = _sweep("proper_ideals_checked", checks())
+    outcome, detail = _counted("proper_ideals_checked", *_row_checks([((1 << len(ideals)) - 1, held)], fail))
     detail.update(detail.pop("failure", {}), uz=uz.to_json(R))
     ok = uz.holds and regular_is_unit and outcome != VIOLATION
     yield Finding(VERIFIED if ok else VIOLATION, detail=detail)
@@ -515,9 +501,10 @@ def run_p2_8(ctx, dropped):
     candidates = mask_of(j for j, S in enumerate(mcs) if not need_reg or not S.mask & ~ideal_lattice(R).regulars)
 
     def checks(A):
-        for j in bits(ctx.s_r_row(A) & candidates):
-            s = ctx.s_r(A, mcs[j]).witness
-            yield None if stable(A, s) else {"mcs": mcs[j].label(), "witness": R.labels[s]}
+        asked = ctx.s_r_row(A) & candidates
+        witness = {j: ctx.s_r(A, mcs[j]).witness for j in bits(asked)}
+        held = mask_of(j for j, s in witness.items() if stable(A, s))
+        return _row_checks([(asked, held)], lambda _, j: {"mcs": mcs[j].label(), "witness": R.labels[witness[j]]})
 
     return _sweeps(ctx.proper_ideals(), "ideal", "witnesses_checked", checks)
 
@@ -583,7 +570,7 @@ def run_t2_12(ctx, dropped):
 
     for A in ctx.proper_ideals():
         prime = is_prime(A)
-        outcome, detail = _sweep("equivalences_checked", checks(A)) if prime or not need_prime else (VACUOUS, None)
+        outcome, detail = _counted("equivalences_checked", *checks(A)) if prime or not need_prime else (VACUOUS, None)
         yield Finding(outcome, {"ideal": A.label()}, {"prime": prime}, detail)
 
 
@@ -782,7 +769,7 @@ def run_p_suz(ctx, dropped):
     asked = transpose(asked, len(mcs))  # per S_j, bit r for the r-th proper ideal
     for j, S in enumerate(mcs):
         checks = _row_checks([(asked[j], ~failed[j])], lambda _, r: {"failing_ideal": ideals[r].label()})
-        outcome, detail = _sweep("ideals_evaluated", checks)
+        outcome, detail = _counted("ideals_evaluated", *checks)
         lhs = outcome != VIOLATION
         rhs = cl.is_S_uz_ring(ctx.ring, S).holds
         detail.update(detail.pop("failure", {}), all_disjoint_ideals_s_r=lhs, s_uz_ring=rhs)
@@ -1109,28 +1096,22 @@ CASES = {
 DEFAULT_IDS = tuple(CASES)
 
 
-def _run_entry(entry, ids, dropped, limits, timings=False):
+def _run_entry(entry, ids, dropped, limits):
     ctx = build_context(entry, limits)
     field = LANES[ctx.kind][1]
     records = []
-    mark = time.perf_counter()
     for tid in ids:
         case = CASES[tid]
         if ctx.kind not in case.scopes:
             continue
         for finding in getattr(case, field)(ctx, dropped):
-            rec = _record(tid, ctx, dropped, finding)
-            if timings:
-                now = time.perf_counter()
-                rec["millis"] = int((now - mark) * 1000)
-                mark = now
-            records.append(rec)
+            records.append(_record(tid, ctx, dropped, finding))
     return records
 
 
 def _worker(args):
-    index, entry, ids, dropped_t, limits, timings = args
-    return index, _run_entry(entry, ids, frozenset(dropped_t), limits, timings)
+    index, entry, ids, dropped_t, limits = args
+    return index, _run_entry(entry, ids, frozenset(dropped_t), limits)
 
 
 def _check_ids(ids, dropped):
@@ -1145,25 +1126,17 @@ def _check_ids(ids, dropped):
                 raise UnknownHypothesis(f"{tid} has no hypothesis {h!r}")
 
 
-def verify(
-    ids,
-    corpus: CorpusSpec,
-    jobs: int = 1,
-    dropped=frozenset(),
-    expected_violations=False,
-    timings=False,
-):
+def verify(ids, corpus: CorpusSpec, jobs: int = 1, dropped=frozenset()):
     """Run the registry over the corpus; yields records in corpus order.
 
-    Output order is deterministic regardless of parallelism; wall-time
-    fields are attached only on request since they break byte-identical
-    reruns.
+    A record holds no run time, so the report is byte-identical across reruns
+    and worker counts; the caller times the run.
     """
     ids = tuple(ids) if ids else DEFAULT_IDS
     dropped = frozenset(dropped)
     _check_ids(ids, dropped)
     tasks = [
-        (i, entry, ids, tuple(sorted(dropped)), corpus.limits, timings)
+        (i, entry, ids, tuple(sorted(dropped)), corpus.limits)
         for i, entry in enumerate(corpus.entries)
     ]
     if jobs > 1:
@@ -1173,29 +1146,21 @@ def verify(
             batches = [records for _, records in pool.map(_worker, tasks, chunksize=1)]
     else:
         batches = [
-            _run_entry(entry, ids, dropped, corpus.limits, timings)
+            _run_entry(entry, ids, dropped, corpus.limits)
             for entry in corpus.entries
         ]
     for batch in batches:
-        for rec in batch:
-            if expected_violations and rec["outcome"] == VIOLATION:
-                rec["expected"] = True
-            yield rec
+        yield from batch
 
 
-def counterexample_search(theorem_id: str, corpus: CorpusSpec, drop, jobs: int = 1, timings=False):
+def counterexample_search(theorem_id: str, corpus: CorpusSpec, drop, jobs: int = 1):
     """Re-run one statement with named hypotheses not enforced.
 
-    Violations found here are expected findings: they demonstrate that the
-    dropped hypothesis was load-bearing.
+    Violations found here are expected findings, marked ``expected``: they
+    demonstrate that the dropped hypothesis was load-bearing.  Unknown ids
+    and hypotheses raise here, before any entry runs.
     """
     drop = frozenset(drop)
     _check_ids((theorem_id,), drop)
-    return verify(
-        (theorem_id,),
-        corpus,
-        jobs=jobs,
-        dropped=drop,
-        expected_violations=True,
-        timings=timings,
-    )
+    records = verify((theorem_id,), corpus, jobs=jobs, dropped=drop)
+    return ({**rec, "expected": True} if rec["outcome"] == VIOLATION else rec for rec in records)

@@ -12,7 +12,16 @@ from ringlab.classify import FAILS, Verdict, has_fac
 from ringlab.corpus import FINITE, CorpusSpec, Limits, default_corpus, parse_corpus_line
 from ringlab.dsl import parse_ring
 from ringlab.errors import ConfigError, UnknownHypothesis, UnknownTheorem
-from ringlab.ideals import all_ideals, ideal_pushforward, lattice, localize, mask_of, mcs_from_members, transpose
+from ringlab.ideals import (
+    all_ideals,
+    annihilator,
+    ideal_pushforward,
+    lattice,
+    localize,
+    mask_of,
+    mcs_from_members,
+    transpose,
+)
 from ringlab.registry import (
     CASES,
     DEFAULT_IDS,
@@ -418,15 +427,34 @@ def test_degen_nonvacuous(mini_records):
     assert degen and all(r["outcome"] == "VERIFIED" for r in degen)
 
 
+def _degen_loop(ctx):
+    """DEGEN's checks one proper ideal at a time, in order: the count up to and
+    including the first ideal that is not r or has zero annihilator, and that
+    ideal's label and r verdict; or the count of them all and None, None."""
+    R = ctx.ring
+    for checked, A in enumerate(ctx.proper_ideals(), 1):
+        v = cl.is_r_ideal(A)
+        if not v.holds or annihilator(R, A.generators).is_zero():
+            return checked, A.label(), v.to_json(R)
+    return len(ctx.proper_ideals()), None, None
+
+
+def _degen_failure(finding):
+    return finding.detail["proper_ideals_checked"], finding.detail.get("failing_ideal"), finding.detail.get("verdict")
+
+
 @pytest.mark.parametrize("element, row", [(2, 0b0001), (3, 0b1001)])
 def test_degen_catches_a_faked_annihilator_row(element, row):
     """DEGEN reads both lemmas from the tables: a nonunit 2 with Ann = 0 (so the
-    proper ideal (2) has zero annihilator), or a unit 3 with Ann != 0, is a VIOLATION."""
+    proper ideal (2) has zero annihilator), or a unit 3 with Ann != 0, is a VIOLATION.
+    Only the first fails an ideal check; its count and failure are the ordered loop's."""
     ctx = build_context(parse_corpus_line("Z4"), Limits.defaults())
     lat = lattice(ctx.ring)  # the ring is fresh, so the faked row reaches no other test
     lat.ann = tuple(row if a == element else m for a, m in enumerate(lat.ann))
     [finding] = run_degen(ctx, frozenset())
     assert finding.outcome == "VIOLATION"
+    assert _degen_failure(finding) == _degen_loop(ctx)
+    assert finding.detail.get("failing_ideal") == {2: "(2)", 3: None}[element]
 
 
 def test_degen_catches_a_proper_ideal_with_zero_annihilator():
@@ -440,6 +468,8 @@ def test_degen_catches_a_proper_ideal_with_zero_annihilator():
     assert 1 not in (lat.ann[g], lat.ann[h])
     [finding] = run_degen(ctx, frozenset())
     assert finding.outcome == "VIOLATION"
+    assert _degen_failure(finding) == _degen_loop(ctx)
+    assert finding.detail["failing_ideal"] is not None
 
 
 # -- the bulk runners against their per-entry loops ------------------------------------------
@@ -573,17 +603,18 @@ def test_row_gated_runners_match_the_per_entry_loop(runner, reference, hypothesi
 
 def _ordered_loop(rows, group):
     """The checks of ``(asked, held)`` rows one at a time, ``group`` rows at a time (all
-    when None), bit by bit within a group and row by row within a bit: the count before
-    the first asked bit that is not held and its (row, bit), or the count and None."""
+    when None), bit by bit within a group and row by row within a bit: the count up to
+    and including the first asked bit that is not held and its (row, bit), or the count
+    and None."""
     checked, size = 0, group or len(rows) or 1
     for start in range(0, len(rows), size):
         for bit in range(24):
             for r in range(start, min(start + size, len(rows))):
                 asked, held = rows[r]
                 if asked >> bit & 1:
+                    checked += 1
                     if not held >> bit & 1:
                         return checked, (r, bit)
-                    checked += 1
     return checked, None
 
 
@@ -606,14 +637,14 @@ def test_row_checks_match_the_ordered_loop(rows, group):
     (group 1), column order (None) and T2.3's pairs of rows (2); and each column
     of the grid, read as the per-m.c.s. runners read it through `transpose`."""
     checked, at = _ordered_loop(rows, group)
-    got = list(_row_checks(rows, lambda r, bit: {"at": (r, bit)}, group))
-    assert got == [checked] + [{"at": at}] * (at is not None)
+    got = _row_checks(rows, lambda r, bit: {"at": (r, bit)}, group)
+    assert got == (checked, None if at is None else {"at": at})
     asked = transpose([a for a, _ in rows], 24)
     failed = transpose([a & ~h for a, h in rows], 24)
     for j in range(24):
         checked, at = _ordered_loop([(a & 1 << j, h) for a, h in rows], None)
-        got = list(_row_checks([(asked[j], ~failed[j])], lambda _, r: {"at": (r, j)}))
-        assert got == [checked] + [{"at": at}] * (at is not None)
+        got = _row_checks([(asked[j], ~failed[j])], lambda _, r: {"at": (r, j)})
+        assert got == (checked, None if at is None else {"at": at})
 
 
 VERDICT_RUNNERS = [
@@ -645,11 +676,10 @@ def test_a_failed_check_asks_s_r_only_for_its_verdict(line):
 
 
 FINITE_LINES = [e.text for e in default_corpus().entries if e.kind == FINITE]
-FLAGS = [(proper, disjoint) for proper in (True, False) for disjoint in (True, False)]
 
 
 def test_verdict_rows_match_the_classifier():
-    """Every ideal, catalogue position and flag combination of the finite default
+    """Every ideal, catalogue position and disjointness flag of the finite default
     corpus entries of at most 32 elements: bit j of the S-r row is the classifier's
     verdict at the j-th m.c.s., and bit j of the disjointness row says A misses it,
     or is set when disjointness is not enforced."""
@@ -661,12 +691,11 @@ def test_verdict_rows_match_the_classifier():
         entries += 1
         mcs = ctx.mcs_list()
         for A in all_ideals(ctx.ring):
-            for proper, disjoint in FLAGS:
-                row = ctx.s_r_row(A, proper, disjoint)
-                assert [row >> j & 1 for j in range(len(mcs))] == [
-                    cl.is_S_r_ideal(A, S, proper, disjoint).holds for S in mcs
-                ], (line, A.label(), proper, disjoint)
             for disjoint in (True, False):
+                row = ctx.s_r_row(A, disjoint)
+                assert [row >> j & 1 for j in range(len(mcs))] == [
+                    cl.is_S_r_ideal(A, S, enforce_disjoint=disjoint).holds for S in mcs
+                ], (line, A.label(), disjoint)
                 row = ctx.disjoint_row(A, disjoint)
                 expected = [not (disjoint and A.mask & S.mask) for S in mcs]
                 assert [row >> j & 1 for j in range(len(mcs))] == expected, (line, A.label(), disjoint)
@@ -921,16 +950,33 @@ def test_cli_rejects_a_worker_count_below_1(capsys, command, jobs):
     assert "--jobs" in capsys.readouterr().err
 
 
-def test_cli_verify_timings_adds_wall_time(tmp_path, capsys):
+@pytest.mark.parametrize(
+    "command", [["verify", "--theorems", "DEGEN"], ["hunt", "T2.12", "--drop", "prime"]], ids=["verify", "hunt"]
+)
+@pytest.mark.parametrize(
+    "case,message",
+    [
+        ("missing corpus", "cannot read corpus {path}: No such file or directory"),
+        ("corpus not UTF-8", "corpus {path} is not UTF-8: invalid start byte at byte 3"),
+        ("report in a missing directory", "cannot write report {path}: No such file or directory"),
+    ],
+    ids=["missing-corpus", "corpus-not-utf8", "report-in-missing-dir"],
+)
+def test_cli_unreadable_corpus_or_unwritable_report_exits_2(tmp_path, capsys, command, case, message):
+    """One error line naming the path, no traceback, and nothing run: the report
+    path is tried before the first entry."""
     from ringlab.cli import main
 
-    corpus = tmp_path / "tiny.corpus"
-    corpus.write_text("Z6\n", encoding="utf-8")
-    out_path = tmp_path / "report.jsonl"
-    code = main(["verify", "--corpus", str(corpus), "--json", str(out_path), "--timings"])
-    assert code == 0
-    recs = [json.loads(line) for line in out_path.read_text().strip().splitlines()]
-    assert all("millis" in r and r["millis"] >= 0 for r in recs)
+    corpus, report = tmp_path / "c.txt", tmp_path / "report.jsonl"
+    corpus.write_bytes(b"Z6\n\xff\n" if case == "corpus not UTF-8" else b"Z6\n")
+    if case == "missing corpus":
+        corpus = tmp_path / "missing" / "c.txt"
+    if case == "report in a missing directory":
+        report = tmp_path / "missing" / "report.jsonl"
+    path = report if case.startswith("report") else corpus
+    assert main([*command, "--corpus", str(corpus), "--json", str(report)]) == 2
+    captured = capsys.readouterr()
+    assert captured.err == "error: " + message.format(path=path) + "\n" and captured.out == ""
 
 
 # -- report pins -------------------------------------------------------------------
