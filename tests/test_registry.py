@@ -963,8 +963,8 @@ def test_cli_rejects_a_worker_count_below_1(capsys, command, jobs):
     ids=["missing-corpus", "corpus-not-utf8", "report-in-missing-dir"],
 )
 def test_cli_unreadable_corpus_or_unwritable_report_exits_2(tmp_path, capsys, command, case, message):
-    """One error line naming the path, no traceback, and nothing run: the report
-    path is tried before the first entry."""
+    """One error line naming the path, no traceback and no summary: a report path
+    that cannot be written is refused before the run, not after it."""
     from ringlab.cli import main
 
     corpus, report = tmp_path / "c.txt", tmp_path / "report.jsonl"
