@@ -205,17 +205,14 @@ def is_S_z0_ideal(
     """Uniform s with: w in A and Ann(w) = Ann(z) imply sz in A.
 
     With N the union of the annihilator classes that meet A, the good s
-    form (A : N).
+    form (A : N), which the ring's lattice keeps per ideal.
     """
     R = A.ring
     if enforce_reduced and not R.is_reduced():
         return _na(NOT_REDUCED)
     if enforce_disjoint and A.mask & S.mask:
         return _na(DISJOINTNESS_VIOLATED)
-    L = lattice(R)
-    in_a = {L.ann[w] for w in A.sorted_members}
-    reach = mask_of(z for z, m in enumerate(L.ann) if m in in_a)
-    return _uniform_witness(S, L.colon(A, reach).mask, lambda s: _z0_defeat(A, s))
+    return _uniform_witness(S, lattice(R).z0_colon(A), lambda s: _z0_defeat(A, s))
 
 
 # -- ring-level predicates ---------------------------------------------------------------

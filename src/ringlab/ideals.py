@@ -143,6 +143,7 @@ class IdealLattice:
         self.localizations = {}  # absorbing idempotent e -> LocalizationResult
         self._interned, self._generated, self._sums, self._colons, self._products = {}, {}, {}, {}, {}
         self._colon_rows = {}  # A.mask -> ((A : x) for every element x)
+        self._z0_colons = {}  # A.mask -> (A : N), N the union of the annihilator classes meeting A
 
     def intern(self, mask: int) -> Ideal:
         """The one Ideal with these members, with greedy minimal-index generators:
@@ -199,6 +200,20 @@ class IdealLattice:
         if got is None:
             rows = self.colon_rows(A)
             got = self._colons[(A.mask, ks)] = self.intern(reduce(and_, (rows[x] for x in bits(ks)), self.full))
+        return got
+
+    def principal_meets(self, masks) -> list:
+        """For each mask, the mask of the s whose principal ideal Rs meets it, in one boolean product."""
+        n = self.ring.size
+        return _pack(_unpack(masks, n) @ _unpack(self.principal, n).T)
+
+    def z0_colon(self, A: Ideal) -> int:
+        """The mask of (A : N), with N the union of the annihilator classes that meet A."""
+        got = self._z0_colons.get(A.mask)
+        if got is None:
+            in_a = {self.ann[w] for w in bits(A.mask)}
+            reach = mask_of(z for z, m in enumerate(self.ann) if m in in_a)
+            got = self._z0_colons[A.mask] = self.colon(A, reach).mask
         return got
 
     def product(self, A: Ideal, B: Ideal) -> Ideal:
@@ -312,7 +327,13 @@ def prime_violation(A: Ideal):
 
 
 def is_prime(A: Ideal) -> bool:
-    return A.is_proper() and prime_violation(A) is None
+    """Proper, and (A : x) = A for every x outside A: a w outside A with wx in A
+    lies in (A : x) and not in A, and such a pair (w, x) is what primality forbids."""
+    if not A.is_proper():
+        return False
+    L = lattice(A.ring)
+    rows = L.colon_rows(A)
+    return all(rows[x] == A.mask for x in bits(L.full & ~A.mask))
 
 
 def spec(R: FiniteRing):
@@ -380,10 +401,11 @@ def localize(R: FiniteRing, S: MulClosedSet) -> LocalizationResult:
     """S^{-1}R realized as the corner ring eR for the absorbing idempotent e.
 
     e is the eventual idempotent power of the product of all members of S;
-    the natural map sends a to ea, and the kernel is {a : ea = 0}.  One
-    result is built per e, named after the S that built it, and shared by
-    every S with the same e; each call asserts that S lands in the units of
-    eR.
+    the natural map sends a to ea, and the kernel is {a : ea = 0}.  At e = 1,
+    where S lies in the units, that is R itself with the identity map and
+    kernel (0).  Otherwise one result is built per e, named after the S that
+    built it, and shared by every S with the same e; each call asserts that
+    S lands in the units of eR.
     """
     if S.ring is not R:
         raise TypeMismatch("m.c.s. belongs to a different ring")
@@ -391,13 +413,16 @@ def localize(R: FiniteRing, S: MulClosedSet) -> LocalizationResult:
     L = lattice(R)
     result = L.localizations.get(e)
     if result is None:
-        carrier = np.unique(R.mul[e])  # eR, ascending
-        pos = np.zeros(R.size, dtype=np.int16)
-        pos[carrier] = np.arange(len(carrier))
-        tables = (pos[t[np.ix_(carrier, carrier)]] for t in (R.add, R.mul))
-        labels = tuple(R.labels[x] for x in carrier)
-        localized = FiniteRing(*tables, labels=labels, recipe=f"loc({operand(R)}, {S.label()})")
-        natural = check_hom(RingHom(R, localized, tuple(int(i) for i in pos[R.mul[e]])))
+        if e == R.one:
+            localized, natural = R, RingHom(R, R, tuple(range(R.size)))
+        else:
+            carrier = np.unique(R.mul[e])  # eR, ascending
+            pos = np.zeros(R.size, dtype=np.int16)
+            pos[carrier] = np.arange(len(carrier))
+            tables = (pos[t[np.ix_(carrier, carrier)]] for t in (R.add, R.mul))
+            labels = tuple(R.labels[x] for x in carrier)
+            localized = FiniteRing(*tables, labels=labels, recipe=f"loc({operand(R)}, {S.label()})")
+            natural = check_hom(RingHom(R, localized, tuple(int(i) for i in pos[R.mul[e]])))
         result = L.localizations[e] = LocalizationResult(localized, natural, annihilator(R, (e,)), e)
     units, image = result.localized.units, result.map.image
     if any(image[s] not in units for s in S.sorted_members):

@@ -390,26 +390,32 @@ def run_t2_3(ctx, dropped):
     of S2 has Rs meeting S1."""
     R = ctx.ring
     mcs = ctx.mcs_list()
-    principal = ideal_lattice(R).principal
-    above, converse = [], []  # per S_i: the S_k strictly above it; those of them with the converse
-    for S1 in mcs:
-        meets = mask_of(s for s, p in enumerate(principal) if p & S1.mask)
-        ks = [k for k, S2 in enumerate(mcs) if S1.mask != S2.mask and not S1.mask & ~S2.mask]
-        above.append(mask_of(ks))
-        converse.append(mask_of(k for k in ks if not mcs[k].mask & ~meets))
+    meets = ideal_lattice(R).principal_meets([S.mask for S in mcs])  # meets[i]: the s whose Rs meets S_i
+    above, converse = [0] * len(mcs), [0] * len(mcs)  # per S_i: the S_k strictly above it; those with the converse
+    for i, S1 in enumerate(mcs):
+        for k, S2 in enumerate(mcs):
+            if S1.mask != S2.mask and not S1.mask & ~S2.mask:
+                above[i] |= 1 << k
+                converse[i] |= (not S2.mask & ~meets[i]) << k
     enforce = "disjoint" not in dropped
 
     def checks(A):
         held = ctx.s_r_row(A)
         lifted, free = ctx.s_r_row(A, enforce_disjoint=enforce), ctx.disjoint_row(A, enforce)
-        # per S_i, S_k by S_k: forward (A S_i-r, A misses S_k => S_k-r), converse (A S_k-r => S_i-r)
-        rows = []
+        # per S_i, S_k by S_k: forward (A S_i-r, A misses S_k => S_k-r), converse (A S_k-r => S_i-r);
+        # only an S_i where A is S_i-r asks forward, and where it is not, every converse check fails
+        rows, at = [], []  # two rows per S_i that asks anything, and that i
         for i, (up, down) in enumerate(zip(above, converse)):
-            at_i = -(held >> i & 1)  # every bit when A is S_i-r, else none
-            rows += ((up & free & at_i, lifted), (down & held, at_i))
+            if held >> i & 1:
+                rows += ((up & free, lifted), (down & held, -1))
+            elif down & held:
+                rows += ((0, 0), (down & held, 0))
+            else:
+                continue
+            at.append(i)
 
         def fail(r, k):
-            S1, S2 = mcs[r // 2], mcs[k]
+            S1, S2 = mcs[at[r // 2]], mcs[k]
             v = ctx.s_r(A, S1) if r % 2 else ctx.s_r(A, S2, enforce_disjoint=enforce)
             return _failure(v, R, direction=("forward", "converse")[r % 2], mcs1=S1.label(), mcs2=S2.label())
 
@@ -423,17 +429,17 @@ def run_t2_5(ctx, dropped):
     R = ctx.ring
     mcs = ctx.mcs_list()
     need_reg = "s_regular" not in dropped
-    localized = [
-        (j, localize(R, S)) for j, S in enumerate(mcs) if not need_reg or not S.mask & ~ideal_lattice(R).regulars
-    ]
-
-    def pushed_r(A, loc):
-        # at e = 1 the natural map is an isomorphism onto the copy of R
-        at_one = loc.absorbing_idempotent == R.one
-        return (ctx.r_verdict(A) if at_one else cl.is_r_ideal(ideal_pushforward(loc, A))).holds
+    localized = {}  # absorbing idempotent -> [its localization, the positions j of the m.c.s. that reach it]
+    for j, S in enumerate(mcs):
+        if not need_reg or not S.mask & ~ideal_lattice(R).regulars:
+            loc = localize(R, S)
+            localized.setdefault(loc.absorbing_idempotent, [loc, 0])[1] |= 1 << j
 
     def checks(A):
-        asked = mask_of(j for j, loc in localized if pushed_r(A, loc))
+        asked = 0
+        for loc, js in localized.values():
+            if cl.is_r_ideal(ideal_pushforward(loc, A)).holds:
+                asked |= js
         return _row_checks([(asked, ctx.s_r_row(A))], lambda _, j: _failure(ctx.s_r(A, mcs[j]), R, mcs=mcs[j].label()))
 
     hypotheses = {"s_regular_candidates": bool(localized)}
@@ -450,7 +456,8 @@ def _t2_7_sides(A, regs, pre: int) -> dict:
     """
     L = ideal_lattice(A.ring)
     rows = L.colon_rows(A)
-    scaled = [(L.principal[r] & A.mask, L.colon_rows(L.product(L.intern(L.principal[r]), A))) for r in regs]
+    # per distinct Rr: (Rr meet A, the colon rows of rA)
+    scaled = [(p & A.mask, L.colon_rows(L.product(L.intern(p), A))) for p in dict.fromkeys(L.principal[r] for r in regs)]
     return {
         "scaled_intersections": any(all(not meet & ~r_rows[s] for meet, r_rows in scaled) for s in regs),
         "scaled_colons": any(all(not rows[r] & ~rows[s] for r in regs) for s in regs),
@@ -700,13 +707,15 @@ def run_p_minidem(ctx, dropped):
     idems = R.idempotents()
     mcs = ctx.mcs_list()
     bit_of = {S.mask: 1 << j for j, S in enumerate(mcs)}
-    sums = {}  # (P.mask, se) -> P + Ann(se)
+    cells = {}  # (P.mask, se) -> (P + Ann(se), the positions j where it is checked, those where it is S_j-r)
 
-    def sum_of(P, se):
-        A = sums.get((P.mask, se))
-        if A is None:
-            A = sums[(P.mask, se)] = ideal_sum(P, annihilator(R, (se,)))
-        return A
+    def cell(P, se):
+        got = cells.get((P.mask, se))
+        if got is None:
+            A = ideal_sum(P, annihilator(R, (se,)))
+            asked = ctx.disjoint_row(A, enforce_disjoint) if A.is_proper() else 0
+            got = cells[(P.mask, se)] = A, asked, asked & ctx.s_r_row(A, enforce_disjoint=enforce_disjoint)
+        return got
 
     def checks(S):
         bit, members = bit_of[S.mask], S.sorted_members
@@ -717,16 +726,16 @@ def run_p_minidem(ctx, dropped):
         for P in mins:
             asked = held = 0
             for se, at in where.items():
-                A = sum_of(P, se)
-                if A.is_proper() and ctx.disjoint_row(A, enforce_disjoint) & bit:
+                _, on, ok = cell(P, se)
+                if on & bit:
                     asked |= at
-                    if ctx.s_r_row(A, enforce_disjoint=enforce_disjoint) & bit:
-                        held |= at
+                if ok & bit:
+                    held |= at
             rows.append((asked, held))
 
         def fail(r, p):
             P, e, s = mins[r], idems[p // len(members)], members[p % len(members)]
-            v = ctx.s_r(sum_of(P, int(R.mul[e, s])), S, enforce_disjoint=enforce_disjoint)
+            v = ctx.s_r(cell(P, int(R.mul[e, s]))[0], S, enforce_disjoint=enforce_disjoint)
             return _failure(v, R, min_prime=P.label(), idempotent=R.labels[e], s=R.labels[s])
 
         return _row_checks(rows, fail)
@@ -739,16 +748,20 @@ def run_p_sidem(ctx, dropped):
     """Ideals spanned by elements with a^2 = sa (s the product of S) are S-r.
 
     T is the elements that pass that gate, so each span goes straight to its verdict.
+    The spans depend on S only through s, and are built once per s.
     """
     R = ctx.ring
     bit_of = {S.mask: 1 << j for j, S in enumerate(ctx.mcs_list())}
+    spans_at = {}  # s -> the (label, span) pairs of the elements a with a^2 = sa
 
     def checks(S):
-        bit = bit_of[S.mask]
-        T = tuple(np.flatnonzero(R.mul.diagonal() == R.mul[S.product()]).tolist())
-        spans = [(f"[{R.labels[a]}]", ideal_generate(R, (a,))) for a in T]
-        if len(T) > 1:
-            spans.append(("[all]", ideal_generate(R, T)))
+        bit, s = bit_of[S.mask], S.product()
+        spans = spans_at.get(s)
+        if spans is None:
+            T = tuple(np.flatnonzero(R.mul.diagonal() == R.mul[s]).tolist())
+            spans = spans_at[s] = [(f"[{R.labels[a]}]", ideal_generate(R, (a,))) for a in T]
+            if len(T) > 1:
+                spans.append(("[all]", ideal_generate(R, T)))
         asked = held = 0  # bit i for the i-th span; the verdict of any other is NotApplicable
         for i, (_, A) in enumerate(spans):
             if A.is_proper() and ctx.disjoint_row(A) & bit:

@@ -23,6 +23,7 @@ from ringlab.classify import (
     s_idempotent_ideal_check,
 )
 from ringlab.ideals import (
+    Ideal,
     all_ideals,
     annihilator,
     colon,
@@ -313,6 +314,32 @@ def test_regular_unit_lemma_matches_the_references_over_the_corpus():
                 assert v == ref_is_S_r_ideal(A, S, False, False), (entry.text, A.label(), S.label())
                 s_r_verdicts += 1
     assert (rings, s_r_verdicts) == (135, 16807)
+
+
+def test_s_z0_colon_memo_matches_the_scan_over_the_corpus():
+    """S-z0 reads (A : N) from the lattice, built once per ideal.  On every finite
+    default-corpus ring of at most 16 elements, each ideal is asked under every
+    catalogue m.c.s. with both gates on and off, against the per-s scan.  Then
+    each ideal is asked again with every other ideal's generators as its label: the
+    generators only label an ideal, so the verdict is that of its members."""
+    spec = default_corpus()
+    asked = relabelled_apart = 0
+    for entry in spec.entries:
+        ctx = build_context(entry, spec.limits)
+        if entry.kind != FINITE or ctx.ring.size > 16:
+            continue
+        R, mcs = ctx.ring, ctx.mcs_list()
+        for A in ctx.ideals():
+            for S, flags in product(mcs, ((True, True), (False, False))):
+                assert is_S_z0_ideal(A, S, *flags) == ref_is_S_z0_ideal(A, S, *flags), (entry.text, A.label(), S.label())
+                asked += 1
+        for A, B in product(ctx.ideals(), repeat=2):
+            relabelled = Ideal(R, A.mask, B.generators)
+            for S in mcs:
+                v = is_S_z0_ideal(relabelled, S, False, False)
+                assert v == ref_is_S_z0_ideal(A, S, False, False), (entry.text, A.label(), B.label(), S.label())
+                relabelled_apart += v != is_S_z0_ideal(B, S, False, False)
+    assert asked == 3396 and relabelled_apart > 0
 
 
 @pytest.mark.parametrize("predicate", [is_S_r_ideal, is_S_prime, is_S_z0_ideal])

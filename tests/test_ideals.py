@@ -2,9 +2,10 @@ import random
 from itertools import combinations, product
 from math import prod
 
+import numpy as np
 import pytest
 
-from ringlab.corpus import Limits, parse_corpus_line
+from ringlab.corpus import FINITE, Limits, default_corpus, parse_corpus_line
 from ringlab.dsl import parse_ring
 from ringlab.errors import NotProperError, TypeMismatch
 from ringlab.ideals import (
@@ -31,10 +32,19 @@ from ringlab.ideals import (
     prime_violation,
     spec,
 )
-from ringlab.registry import build_context
-from ringlab.rings import make_product, make_zn
+from ringlab.registry import CASES, build_context
+from ringlab.rings import FiniteRing, make_product, make_zn
 
-from oracles import CAP_EXPRS, CAP_RINGS, find_isomorphism, localize_oracle, ref_mcs_closure, s_units, validate_ideal
+from oracles import (
+    CAP_EXPRS,
+    CAP_RINGS,
+    _ref_is_prime,
+    find_isomorphism,
+    localize_oracle,
+    ref_mcs_closure,
+    s_units,
+    validate_ideal,
+)
 from test_poly import SEARCH_RINGS
 
 
@@ -158,6 +168,45 @@ def test_prime_and_maximal_z12(z12):
     assert {A.members for A in max_ideals(z12)} == {A.members for A in spec(z12)}
 
 
+def _finite_corpus_contexts():
+    spec = default_corpus()
+    return [build_context(e, spec.limits) for e in spec.entries if e.kind == FINITE]
+
+
+def test_is_prime_matches_the_definition_over_the_corpus():
+    """Primality read from the colon rows, against the definition and the pair
+    scan, on every ideal of every finite default-corpus ring."""
+    ideals = primes = 0
+    for ctx in _finite_corpus_contexts():
+        for A in all_ideals(ctx.ring):
+            prime = _ref_is_prime(A)
+            assert is_prime(A) == prime == (A.is_proper() and prime_violation(A) is None), (ctx.recipe, A.label())
+            ideals, primes = ideals + 1, primes + prime
+    assert (ideals, primes) == (846, 264)
+
+
+def _moved_last(R, x):
+    """The copy of R with element x at the last index and the others in order."""
+    order = [y for y in R.elements() if y != x] + [x]
+    at = np.argsort(order)  # at[y]: the index of y in the copy
+    tables = (at[t[np.ix_(order, order)]] for t in (R.add, R.mul))
+    return FiniteRing(*tables, labels=[R.labels[y] for y in order], recipe=R.recipe)
+
+
+def test_is_prime_does_not_depend_on_the_order_of_the_elements():
+    """Each nonzero element of each finite corpus ring of at most 8 elements moved
+    to the last index: on Z4 with 2 last, 2 is the one x outside (0) with
+    (0 : x) larger than (0), so every x outside the ideal must be read."""
+    copies = 0
+    for ctx in _finite_corpus_contexts():
+        R = ctx.ring
+        for x in range(1, R.size if R.size <= 8 else 1):
+            for A in all_ideals(_moved_last(R, x)):
+                assert is_prime(A) == _ref_is_prime(A), (ctx.recipe, R.labels[x], A.label())
+            copies += 1
+    assert copies == 107
+
+
 def test_field_zero_ideal_prime():
     R = make_zn(7)
     assert is_prime(ideal_generate(R, []))
@@ -236,6 +285,29 @@ def test_localize_z6_at_3(z6):
     assert result.localized.size == 2
     assert result.kernel.members == {0, 2, 4}
     assert find_isomorphism(result.localized, make_zn(2)) is not None
+
+
+def test_localize_at_the_units_is_the_ring_itself():
+    """S^{-1}R is R when S lies in the units.  On every finite default-corpus ring,
+    localizing at the units gives R itself, the identity map and kernel (0); and
+    after T2.5 (with and without its s_regular hypothesis) and T2.7 have localized
+    at every catalogue m.c.s. and at the regular elements, the lattice holds R at
+    e = 1 and the corner ring eR, smaller than R, at every other e."""
+    corners = 0
+    for ctx in _finite_corpus_contexts():
+        R = ctx.ring
+        result = localize(R, mcs_from_members(R, R.units))
+        assert result.localized is R and result.absorbing_idempotent == R.one, ctx.recipe
+        assert result.map.domain is result.map.codomain is R and result.map.image == tuple(R.elements())
+        assert result.kernel.is_zero()
+        for dropped in (frozenset(), frozenset({"s_regular"})):
+            list(CASES["T2.5"].runner(ctx, dropped))
+        list(CASES["T2.7"].runner(ctx, frozenset()))
+        for e, loc in lattice(R).localizations.items():
+            assert (loc.localized is R) == (e == R.one), (ctx.recipe, R.labels[e])
+            assert loc.localized.size == len(set(R.mul[e].tolist())), (ctx.recipe, R.labels[e])
+            corners += e != R.one
+    assert corners == 488
 
 
 def test_localize_at_existing_unit(z12):

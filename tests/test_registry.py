@@ -778,6 +778,16 @@ def test_cli_localize(capsys):
     assert "size 2" in out
 
 
+def test_cli_localize_at_a_unit_gives_the_ring_itself(capsys):
+    """5 is a unit of Z6, so S<5> lies in the units, e = 1 and the localization is Z6."""
+    from ringlab.cli import main
+
+    assert main(["localize", "Z6", "--mcs", "5"]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert "localized Z6 (size 6)" in lines and "idempotent 1" in lines
+    assert parse_ring("loc(Z6, S<5>)").recipe == "Z6"
+
+
 CLASSIFY_Z12_4_MCS_3 = """\
 ring        Z12
 size        12
