@@ -140,15 +140,6 @@ class ArithMCS:
             elif d[0] not in ("units", "all"):
                 raise InvalidConstruction(f"unknown m.c.s. descriptor {d}")
 
-    def factor_contains(self, i, c) -> bool:
-        n = self.ring.factors[i]
-        d = self.descs[i]
-        if d[0] == "all":
-            return True
-        if d[0] == "units":
-            return gcd(c, n) == 1  # gcd(c, 0) = |c|: the units of Z are +-1
-        return _mod(c, n) in {_mod(x, n) for x in d[1]}
-
     def label(self):
         parts = ("{" + ",".join(str(x) for x in sorted(d[1])) + "}" if d[0] == "fin" else d[0] for d in self.descs)
         return "(" + ",".join(parts) + ")"
@@ -214,19 +205,12 @@ def arith_is_r_ideal(A: ArithIdeal) -> Verdict:
 
 
 def arith_disjoint(A: ArithIdeal, S: ArithMCS) -> bool:
-    """S and A are disjoint iff some factor has empty intersection: the units
-    meet dZ_n only when d = 1, the whole factor always, a finite set when
-    one of its members is a multiple of d."""
-    for d, sd in zip(A.descs, S.descs):
-        if sd[0] == "units":
-            hit = d == 1
-        elif sd[0] == "all":
-            hit = True
-        else:
-            hit = any(_divides(d, x) for x in sd[1])
-        if not hit:
-            return True
-    return False
+    """S and A are disjoint iff some factor of S misses A's factor ideal dZ_n.
+    The bound-0 candidates decide it: they are the whole factor set, except on
+    an `all` factor of Z, where they are 0 alone, which lies in every dZ."""
+    return any(
+        not any(_divides(d, c) for c in _factor_candidates(S, i, 0)) for i, d in enumerate(A.descs)
+    )
 
 
 def arith_is_S_r_ideal(A: ArithIdeal, S: ArithMCS) -> Verdict:

@@ -76,6 +76,11 @@ def _verdict_text(v, ring):
     return "  ".join(bits)
 
 
+def _members(X):
+    """An ideal's or m.c.s.'s members by label, ascending: {a,b,...}."""
+    return "{" + ",".join(X.ring.labels[m] for m in X.sorted_members) + "}"
+
+
 def cmd_classify(args):
     ring = parse_ring(args.ring)
     rows = []
@@ -84,7 +89,7 @@ def cmd_classify(args):
     S = parse_mcs(ring, args.mcs) if args.mcs is not None else None
     if args.ideal is not None:
         A = parse_ideal(ring, args.ideal)
-        rows.append(("ideal", A.label() + " = {" + ",".join(ring.labels[m] for m in A.sorted_members) + "}"))
+        rows.append(("ideal", f"{A.label()} = {_members(A)}"))
         rows.append(("r-ideal", _verdict_text(cl.is_r_ideal(A), ring)))
         rows.append(("pr-ideal", _verdict_text(cl.is_pr_ideal(A), ring)))
         pv = prime_violation(A)
@@ -94,7 +99,7 @@ def cmd_classify(args):
         if args.all_predicates:
             rows.append(("z0-ideal", _verdict_text(cl.is_z0_ideal(A), ring)))
         if S is not None:
-            rows.append(("mcs", S.label() + " = {" + ",".join(ring.labels[m] for m in S.sorted_members) + "}"))
+            rows.append(("mcs", f"{S.label()} = {_members(S)}"))
             rows.append(("S-r-ideal", _verdict_text(cl.is_S_r_ideal(A, S), ring)))
             rows.append(("S-prime", _verdict_text(cl.is_S_prime(A, S), ring)))
             if args.all_predicates:
@@ -118,10 +123,9 @@ def cmd_ideals(args):
     tables = (("prime", {P.mask for P in spec(ring)}), ("maximal", {M.mask for M in max_ideals(ring)}))
     print(f"{ring.recipe}: {len(lattice)} ideals")
     for A in lattice:
-        members = ",".join(ring.labels[m] for m in A.sorted_members)
         tags = [name for name, masks in tables if A.mask in masks] if A.is_proper() else ["improper"]
         tag = f"  [{' '.join(tags)}]" if tags else ""
-        print(f"  {A.label():<12} {{{members}}}{tag}")
+        print(f"  {A.label():<12} {_members(A)}{tag}")
     return 0
 
 
@@ -205,10 +209,10 @@ def cmd_localize(args):
     result = localize(ring, S)
     loc = result.localized
     print(f"ring      {ring.recipe} (size {ring.size})")
-    print(f"mcs       {S.label()} = {{{','.join(ring.labels[m] for m in S.sorted_members)}}}")
+    print(f"mcs       {S.label()} = {_members(S)}")
     print(f"localized {loc.recipe} (size {loc.size})")
     print(f"idempotent {ring.labels[result.absorbing_idempotent]}")
-    print(f"kernel    {result.kernel.label()} = {{{','.join(ring.labels[m] for m in result.kernel.sorted_members)}}}")
+    print(f"kernel    {result.kernel.label()} = {_members(result.kernel)}")
     return 0
 
 

@@ -66,7 +66,7 @@ class Limits:
 class CorpusEntry:
     text: str
     kind: str
-    expr: str
+    expr: str  # the ring expression; a poly entry's is its base ring
     ideal_text: str = None
     mcs_text: str = None
 
@@ -103,7 +103,7 @@ def parse_corpus_line(line: str):
     stripped = "".join(expr.split())
     if stripped.startswith("polyring(") and stripped.endswith(")"):
         kind = POLY
-        expr_canon = stripped
+        expr_canon = stripped[len("polyring(") : -1]  # the base ring
     elif stripped.startswith("amalgZ(") and stripped.endswith(")"):
         kind = AMALGZ
         expr_canon = "amalgZ({},{})".format(*int_args(stripped, "amalgZ", 2))
@@ -113,7 +113,7 @@ def parse_corpus_line(line: str):
     else:
         kind = FINITE
         expr_canon = expr
-    text = expr_canon
+    text = stripped if kind == POLY else expr_canon
     if ideal_text:
         text += f" ; ideal={ideal_text}"
     if mcs_text:

@@ -15,7 +15,7 @@ from math import gcd
 
 import numpy as np
 
-from .arith import INT, ArithIdeal, ArithMCS, ArithRing, _factor_candidates, _products_in, arith_is_S_r_ideal
+from .arith import INT, ArithIdeal, ArithMCS, ArithRing, _factor_candidates, _products_in, arith_disjoint, arith_is_S_r_ideal
 from .classify import Verdict, is_S_r_ideal
 from .errors import (
     InvalidConstruction,
@@ -185,31 +185,12 @@ def lift_mcs_triv(T: TrivExtRing, S: MulClosedSet, mode: str) -> MulClosedSet:
     return mcs_from_members(T.ring, T.pair_index(np.array(bits(S.mask), dtype=np.intp)[:, None], ms).ravel())
 
 
-@dataclass(frozen=True)
-class TrivEquivalenceReport:
-    hypotheses: dict
-    pattern: tuple
-    verdicts: tuple
-
-    @property
-    def hypotheses_met(self) -> bool:
-        return (
-            self.hypotheses["disjoint"]
-            and self.hypotheses["torsion_free"]
-            and self.hypotheses["zd_union_in_ann"]
-        )
-
-    @property
-    def consistent(self) -> bool:
-        return len(set(self.pattern)) == 1
-
-
-def triv_equivalence_check(T: TrivExtRing, A: Ideal, S: MulClosedSet) -> TrivEquivalenceReport:
+def triv_equivalence_check(T: TrivExtRing, A: Ideal, S: MulClosedSet):
     """Evaluate the three transfer statements independently.
 
     1) A is S-r in the base; 2) A (x) M is (S (x) 0)-r; 3) A (x) M is
-    (S (x) M)-r.  Under the recorded hypotheses the three verdicts must
-    agree; hypothesis failures are reported, never raised.
+    (S (x) M)-r.  Returns (hypotheses, pattern): the hypotheses under which
+    the three verdicts must agree, and whether each of them holds.
     """
     hyps = {
         "disjoint": not A.mask & S.mask,
@@ -217,15 +198,9 @@ def triv_equivalence_check(T: TrivExtRing, A: Ideal, S: MulClosedSet) -> TrivEqu
         "zd_union_in_ann": zd_union_inside_module_ann(T.module),
         "zd_union_in_ann_literal": zd_union_inside_module_ann(T.module, include_zero=True),
     }
-    v1 = is_S_r_ideal(A, S)
     big = triv_ideal(T, A, range(T.module.size))
-    v2 = is_S_r_ideal(big, lift_mcs_triv(T, S, S_ZERO))
-    v3 = is_S_r_ideal(big, lift_mcs_triv(T, S, S_FULL))
-    return TrivEquivalenceReport(
-        hypotheses=hyps,
-        pattern=(v1.holds, v2.holds, v3.holds),
-        verdicts=(v1, v2, v3),
-    )
+    lifted = [is_S_r_ideal(big, lift_mcs_triv(T, S, mode)).holds for mode in (S_ZERO, S_FULL)]
+    return hyps, (is_S_r_ideal(A, S).holds, *lifted)
 
 
 # -- amalgamation ---------------------------------------------------------------------
@@ -300,45 +275,24 @@ FORWARD = "FORWARD"
 BACKWARD = "BACKWARD"
 
 
-@dataclass(frozen=True)
-class AmalgTransferReport:
-    direction: str
-    hypotheses: dict
-    base_verdict: Verdict
-    ext_verdict: Verdict
+def amalg_transfer_check(am: AmalgRing, A: Ideal, S: MulClosedSet):
+    """The S-r property of A in H1 and of its image in the amalgamation.
 
-    @property
-    def hypotheses_met(self) -> bool:
-        return all(v for k, v in self.hypotheses.items())
-
-    @property
-    def implication_ok(self) -> bool:
-        if self.direction == FORWARD:
-            return (not self.base_verdict.holds) or self.ext_verdict.holds
-        return (not self.ext_verdict.holds) or self.base_verdict.holds
-
-
-def amalg_transfer_check(am: AmalgRing, A: Ideal, S: MulClosedSet, direction: str) -> AmalgTransferReport:
-    """Transfer of the S-r property across the amalgamation, one direction.
-
+    Returns (hypotheses, (base, extension)): the hypotheses of each
+    direction, keyed FORWARD and BACKWARD, and the two S-r verdicts.
     FORWARD (base to extension) needs f surjective, H1 a domain and J inside
     zd(H2); J = 0 counts as satisfying the last condition.  BACKWARD needs f
     to be an isomorphism.
     """
-    if direction not in (FORWARD, BACKWARD):
-        raise InvalidConstruction(f"unknown direction {direction}")
-    surjective = sorted(set(am.f.image)) == list(range(am.h2.size))
-    if direction == FORWARD:
-        hyps = {
-            "epimorphism": surjective,
+    hyps = {
+        FORWARD: {
+            "epimorphism": sorted(set(am.f.image)) == list(range(am.h2.size)),
             "h1_domain": is_domain(am.h1),
             "j_in_zd": am.j.is_zero() or not am.j.mask & lattice(am.h2).regulars,
-        }
-    else:
-        hyps = {"isomorphism": is_isomorphism(am.f)}
-    base = is_S_r_ideal(A, S)
-    ext = is_S_r_ideal(amalg_ideal(am, A), amalg_mcs(am, S))
-    return AmalgTransferReport(direction, hyps, base, ext)
+        },
+        BACKWARD: {"isomorphism": is_isomorphism(am.f)},
+    }
+    return hyps, (is_S_r_ideal(A, S), is_S_r_ideal(amalg_ideal(am, A), amalg_mcs(am, S)))
 
 
 # -- the Z-amalgamation family ---------------------------------------------------------
@@ -399,7 +353,7 @@ def amalgz_zero_transfer_check(az: AmalgOverZ, S_desc, bound: int) -> AmalgZRepo
         "j_in_zd": all(
             k == 0 or gcd(k, az.n) > 1 for k in az.j_members()
         ),
-        "disjoint": not S.factor_contains(0, 0),
+        "disjoint": arith_disjoint(zero, S),
     }
     s_candidates = _factor_candidates(S, 0, bound)
     s0 = s_candidates[0]

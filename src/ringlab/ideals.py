@@ -117,6 +117,14 @@ def mask_of(xs) -> int:
     return mask
 
 
+def member_order(mask: int, n: int) -> tuple:
+    """Sort key of a set of elements of an n-element ring: (size, sorted members).
+
+    Equal-size member tuples first differ at the least element in one set only,
+    which is the highest differing bit of the masks written in reverse."""
+    return mask.bit_count(), -int(f"{mask:0{n}b}"[::-1], 2)
+
+
 def _elements(R: FiniteRing, xs, what: str = "generator") -> tuple:
     """xs as ints, each checked to be an element of R."""
     xs = tuple(int(x) for x in xs)
@@ -228,7 +236,7 @@ class IdealLattice:
 
     @cached_property
     def ideals(self) -> tuple:
-        """Every ideal once, sorted by (cardinality, member tuple).
+        """Every ideal once, sorted by `member_order`: (cardinality, member tuple).
 
         Every ideal is a sum of principal ideals; a principal ideal that is the
         sum of those strictly inside it adds nothing, so the closure of (0) under
@@ -255,12 +263,7 @@ class IdealLattice:
                 if grown not in seen:
                     seen.add(grown)
                     frontier.append(grown)
-        # equal-size member tuples first differ at the least element in one set only,
-        # which is the highest differing bit of the masks written in reverse
-        def order(m):
-            return m.bit_count(), -int(f"{m:0{R.size}b}"[::-1], 2)
-
-        return tuple(self.intern(m) for m in sorted(seen, key=order))
+        return tuple(self.intern(m) for m in sorted(seen, key=lambda m: member_order(m, R.size)))
 
     @cached_property
     def max_ideals(self) -> tuple:
@@ -375,9 +378,9 @@ def mcs_generate(R: FiniteRing, gens) -> MulClosedSet:
     return MulClosedSet(R, mask, gens)
 
 
-def mcs_from_members(R: FiniteRing, members, generators=None) -> MulClosedSet:
+def mcs_from_members(R: FiniteRing, members) -> MulClosedSet:
     mask = mask_of(_elements(R, members, "member"))
-    S = MulClosedSet(R, mask, tuple(bits(mask) if generators is None else generators))
+    S = MulClosedSet(R, mask, tuple(bits(mask)))
     if R.one not in S:
         raise InvalidConstruction("a multiplicatively closed set must contain 1")
     ordered = S.sorted_members

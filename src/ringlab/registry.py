@@ -32,7 +32,7 @@ from __future__ import annotations
 
 import random
 from collections import namedtuple
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from functools import cached_property
 from math import gcd
 
@@ -77,6 +77,7 @@ from .ideals import (
     max_ideals,
     mcs_from_members,
     mcs_generate,
+    member_order,
     min_primes_over,
     spec as prime_spectrum,
     transpose,
@@ -210,10 +211,6 @@ class PolyContext(FiniteContext):
     kind = POLY
     subsampled = False  # its runners read only the constant candidates
 
-    def __init__(self, entry: CorpusEntry, limits: Limits):
-        super().__init__(replace(entry, expr=entry.expr[len("polyring(") : -1]), limits)
-        self.entry = entry
-
     def poly_mcs_list(self):
         """Constant m.c.s. candidates: trivial, units, and unit-generated."""
         if self._pinned_mcs is not None:
@@ -342,7 +339,7 @@ def _distinct(candidates):
     first = {}
     for S in candidates:
         first.setdefault(S.mask, S)
-    return sorted(first.values(), key=lambda S: (S.mask.bit_count(), S.sorted_members))
+    return sorted(first.values(), key=lambda S: member_order(S.mask, S.ring.size))
 
 
 def _small_mcs(ring, keep=None):
@@ -841,7 +838,9 @@ def run_l3_1(ctx, dropped):
 
 
 def run_p3_2(ctx, dropped):
-    """S-r transfer across amalgamations, both directions."""
+    """S-r transfer across amalgamations, both directions: FORWARD reads "base S-r implies
+    extension S-r", BACKWARD the converse; a direction whose hypotheses are met (or
+    dropped) and whose implication fails is a VIOLATION, and the record names it."""
     am = ctx.structure
     if not isinstance(am, AmalgRing):
         return
@@ -852,24 +851,21 @@ def run_p3_2(ctx, dropped):
         for S in h1_mcs:
             if A.mask & S.mask:
                 continue
-            results = {}
-            hyps = {}
-            bad = None
-            for direction in (FORWARD, BACKWARD):
-                rep = amalg_transfer_check(am, A, S, direction)
-                met = all(v for k, v in rep.hypotheses.items() if k not in dropped)
-                results[direction] = {
-                    "hypotheses": rep.hypotheses,
-                    "met": met,
-                    "base": rep.base_verdict.outcome,
-                    "extension": rep.ext_verdict.outcome,
-                }
-                hyps.update({f"{direction.lower()}_{k}": v for k, v in rep.hypotheses.items()})
-                if met and not rep.implication_ok:
+            hypotheses, (base, ext) = amalg_transfer_check(am, A, S)
+            implied = {FORWARD: ext.holds or not base.holds, BACKWARD: base.holds or not ext.holds}
+            results, hyps, bad = {}, {}, None
+            for direction, dh in hypotheses.items():
+                met = all(v for k, v in dh.items() if k not in dropped)
+                results[direction] = {"hypotheses": dh, "met": met, "base": base.outcome, "extension": ext.outcome}
+                hyps.update({f"{direction.lower()}_{k}": v for k, v in dh.items()})
+                if met and not implied[direction]:
                     bad = direction
-            evaluated = any(r["met"] for r in results.values())
-            outcome = VIOLATION if bad else (VERIFIED if evaluated else VACUOUS)
-            yield Finding(outcome, {"ideal": A.label(), "mcs": S.label()}, hyps, {"directions": results})
+            detail = {"directions": results}
+            if bad:
+                outcome, detail["violated"] = VIOLATION, bad
+            else:
+                outcome = VERIFIED if any(r["met"] for r in results.values()) else VACUOUS
+            yield Finding(outcome, {"ideal": A.label(), "mcs": S.label()}, hyps, detail)
 
 
 def run_amalgz_p3_2(ctx, dropped):
@@ -911,13 +907,11 @@ def run_p3_3(ctx, dropped):
         if not A.is_proper():
             continue
         for S in base_mcs:
-            rep = triv_equivalence_check(T, A, S)
-            hyps = dict(rep.hypotheses)
-            enforced = (k for k in hyps if k in _P3_3_DROPS and _P3_3_DROPS[k] not in dropped)
-            met = all(hyps[k] for k in enforced)
-            outcome = VACUOUS if not met else (VERIFIED if rep.consistent else VIOLATION)
-            pattern = "".join("1" if b else "0" for b in rep.pattern)
-            yield Finding(outcome, {"ideal": A.label(), "mcs": S.label()}, hyps, {"pattern": pattern})
+            hyps, pattern = triv_equivalence_check(T, A, S)
+            met = all(hyps[k] for k, drop in _P3_3_DROPS.items() if drop not in dropped)
+            outcome = VACUOUS if not met else (VERIFIED if len(set(pattern)) == 1 else VIOLATION)
+            text = "".join("1" if b else "0" for b in pattern)
+            yield Finding(outcome, {"ideal": A.label(), "mcs": S.label()}, hyps, {"pattern": text})
 
 
 # -- arithmetic-lane runners -----------------------------------------------------------------

@@ -282,9 +282,6 @@ class RingHom:
     codomain: FiniteRing
     image: tuple
 
-    def __call__(self, x):
-        return self.image[x]
-
 
 def check_hom(h: RingHom) -> RingHom:
     """Validate the homomorphism laws exhaustively; return h unchanged.

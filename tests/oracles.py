@@ -1015,7 +1015,7 @@ def ref_amalgz_zero_transfer_check(az: AmalgOverZ, S_desc, bound: int) -> AmalgZ
         "epimorphism": True,
         "h1_domain": True,
         "j_in_zd": all(k == 0 or gcd(k, az.n) > 1 for k in az.j_members()),
-        "disjoint": not S.factor_contains(0, 0),
+        "disjoint": S_desc[0] == "units" or (S_desc[0] == "fin" and 0 not in S_desc[1]),  # 0 is no unit of Z
     }
     witness = az.element(_factor_candidates(S, 0, bound)[0], 0)
     checked = 0

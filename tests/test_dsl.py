@@ -127,8 +127,9 @@ def test_corpus_line_parsing():
     assert parse_corpus_line("# comment") is None
     arith = parse_corpus_line("Z x Z ; ideal=(0,2) ; mcs=(units,all)")
     assert arith.kind == "arith"
-    poly = parse_corpus_line("polyring(Z6)")
+    poly = parse_corpus_line("polyring( Z2 x Z3 ) ; mcs=5")
     assert poly.kind == "poly"
+    assert poly.expr == "Z2xZ3" and poly.text == "polyring(Z2xZ3) ; mcs=5"
     az = parse_corpus_line("amalgZ(4, 2) ; mcs=(units)")
     assert az.kind == "amalgz"
     with pytest.raises(ParseError):

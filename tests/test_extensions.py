@@ -169,26 +169,31 @@ def test_lift_disjointness_mirrors_base(z4):
             assert bool(S.members & A.members) == bool(lifted.members & big.members)
 
 
+def _triv_hypotheses_met(hyps):
+    """The three hypotheses P3.3 enforces; the literal zd-union reading is only reported."""
+    return hyps["disjoint"] and hyps["torsion_free"] and hyps["zd_union_in_ann"]
+
+
 def test_triv_equivalence_field_base(z2):
     T = make_trivial_extension(z2, make_module_free(z2, 1))
-    rep = triv_equivalence_check(T, ideal_generate(z2, []), mcs_generate(z2, []))
-    assert rep.hypotheses_met
-    assert rep.pattern == (True, True, True)
+    hyps, pattern = triv_equivalence_check(T, ideal_generate(z2, []), mcs_generate(z2, []))
+    assert _triv_hypotheses_met(hyps)
+    assert pattern == (True, True, True)
 
 
 def test_triv_equivalence_rank_two():
     z3 = make_zn(3)
     T = make_trivial_extension(z3, make_module_free(z3, 2))
-    rep = triv_equivalence_check(T, ideal_generate(z3, []), mcs_generate(z3, [2]))
-    assert rep.hypotheses_met
-    assert rep.pattern == (True, True, True)
+    hyps, pattern = triv_equivalence_check(T, ideal_generate(z3, []), mcs_generate(z3, [2]))
+    assert _triv_hypotheses_met(hyps)
+    assert pattern == (True, True, True)
 
 
 def test_triv_equivalence_hypothesis_gate(z4):
     T = make_trivial_extension(z4, make_module_free(z4, 1))
-    rep = triv_equivalence_check(T, ideal_generate(z4, [2]), mcs_generate(z4, []))
-    assert not rep.hypotheses["torsion_free"]
-    assert not rep.hypotheses_met
+    hyps, _ = triv_equivalence_check(T, ideal_generate(z4, [2]), mcs_generate(z4, []))
+    assert not hyps["torsion_free"]
+    assert not _triv_hypotheses_met(hyps)
 
 
 def test_amalgamation_along_zero(z4):
@@ -212,19 +217,19 @@ def test_amalgamation_carrier_size_is_product():
 
 def test_amalg_transfer_backward(z4):
     am = make_amalgamation(z4, z4, identity_hom(z4), ideal_generate(z4, [2]))
-    rep = amalg_transfer_check(am, ideal_generate(z4, [2]), mcs_generate(z4, []), BACKWARD)
-    assert rep.hypotheses == {"isomorphism": True}
-    assert rep.base_verdict.holds and rep.ext_verdict.holds
-    assert rep.implication_ok
+    hyps, (base, ext) = amalg_transfer_check(am, ideal_generate(z4, [2]), mcs_generate(z4, []))
+    assert hyps[BACKWARD] == {"isomorphism": True}
+    assert base.holds and ext.holds
+    assert base.holds or not ext.holds  # extension S-r implies base S-r
 
 
 def test_amalg_transfer_forward_gate(z4, z2):
     am = make_amalgamation(z4, z4, identity_hom(z4), ideal_generate(z4, [2]))
-    rep = amalg_transfer_check(am, ideal_generate(z4, [2]), mcs_generate(z4, []), FORWARD)
-    assert not rep.hypotheses["h1_domain"]
+    hyps, _ = amalg_transfer_check(am, ideal_generate(z4, [2]), mcs_generate(z4, []))
+    assert not hyps[FORWARD]["h1_domain"]
     am2 = make_amalgamation(z2, z2, identity_hom(z2), ideal_generate(z2, []))
-    rep2 = amalg_transfer_check(am2, ideal_generate(z2, []), mcs_generate(z2, []), FORWARD)
-    assert rep2.hypotheses_met and rep2.implication_ok
+    hyps2, (base2, ext2) = amalg_transfer_check(am2, ideal_generate(z2, []), mcs_generate(z2, []))
+    assert all(hyps2[FORWARD].values()) and (ext2.holds or not base2.holds)
 
 
 def test_amalg_ideal_and_mcs_embed(z4):

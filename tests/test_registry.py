@@ -7,11 +7,12 @@ from itertools import combinations
 import pytest
 from hypothesis import example, given, strategies as st
 
-from ringlab import classify as cl, poly
-from ringlab.classify import FAILS, Verdict, has_fac
+from ringlab import classify as cl, poly, registry
+from ringlab.classify import FAILS, HOLDS, Verdict, has_fac
 from ringlab.corpus import FINITE, CorpusSpec, Limits, default_corpus, parse_corpus_line
 from ringlab.dsl import parse_ring
 from ringlab.errors import ConfigError, UnknownHypothesis, UnknownTheorem
+from ringlab.extensions import BACKWARD, FORWARD
 from ringlab.ideals import (
     all_ideals,
     annihilator,
@@ -20,6 +21,7 @@ from ringlab.ideals import (
     localize,
     mask_of,
     mcs_from_members,
+    member_order,
     transpose,
 )
 from ringlab.registry import (
@@ -32,6 +34,9 @@ from ringlab.registry import (
     _t2_7_sides,
     build_context,
     counterexample_search,
+    VACUOUS,
+    VERIFIED,
+    VIOLATION,
     run_c_zd,
     run_p2_8,
     run_p2_10,
@@ -42,6 +47,8 @@ from ringlab.registry import (
     run_p_sidem,
     run_p_suz,
     run_p_suzmax,
+    run_p3_2,
+    run_p3_3,
     run_t2_3,
     run_t2_5,
     run_t2_11,
@@ -218,6 +225,82 @@ def test_mcs_catalogue_labels():
         "S<>", "S<0>", "S<4>", "S<5>", "S<7>", "S<9>",
     ]
     assert _labels(ctx("Z9", mcs_cap=4).mcs_list()) == ["S<>", "S<0>", "S<2>", "S<0,1,2,3,4,5,6,7,8>"]
+
+
+def test_catalogue_and_lattice_are_in_member_order():
+    """The shared key orders every ideal and catalogue m.c.s. of the finite corpus rings
+    by (size, sorted members), the order the catalogue cut at mcs_cap keeps."""
+    spec = default_corpus()
+    for entry in spec.entries:
+        if entry.kind != FINITE:
+            continue
+        ctx = build_context(entry, spec.limits)
+        for sets in (all_ideals(ctx.ring), ctx.mcs_list()):
+            keys = [(len(X.sorted_members), X.sorted_members) for X in sets]
+            assert keys == sorted(keys) and len(set(keys)) == len(keys), entry.text
+            orders = [member_order(X.mask, ctx.ring.size) for X in sets]
+            assert orders == sorted(orders) and len(set(orders)) == len(orders), entry.text
+
+
+def _fake_amalg_check(forward_met, backward_met, base_holds, ext_holds):
+    def check(am, A, S):
+        hyps = {
+            FORWARD: {"epimorphism": True, "h1_domain": forward_met, "j_in_zd": True},
+            BACKWARD: {"isomorphism": backward_met},
+        }
+        return hyps, tuple(Verdict(HOLDS if h else FAILS) for h in (base_holds, ext_holds))
+    return check
+
+
+@pytest.mark.parametrize("dropped", [(), ("h1_domain",), ("isomorphism",)])
+@pytest.mark.parametrize("forward_met,backward_met", [(True, True), (True, False), (False, True), (False, False)])
+@pytest.mark.parametrize("base_holds,ext_holds", [(True, False), (False, True), (True, True), (False, False)])
+def test_p3_2_violation_needs_the_failing_direction_met_or_dropped(
+    monkeypatch, dropped, forward_met, backward_met, base_holds, ext_holds
+):
+    """FORWARD fails when the base is S-r and the extension is not, BACKWARD the other way
+    round; either is a VIOLATION, naming that direction, only when its hypotheses are met
+    or dropped.  Otherwise the record is VERIFIED when some direction's hypotheses are met."""
+    monkeypatch.setattr(registry, "amalg_transfer_check", _fake_amalg_check(forward_met, backward_met, base_holds, ext_holds))
+    ctx = build_context(parse_corpus_line("amalg(Z4, Z4, id, (2))"), Limits.defaults())
+    findings = list(run_p3_2(ctx, dropped))
+    assert findings
+    forward = forward_met or "h1_domain" in dropped
+    backward = backward_met or "isomorphism" in dropped
+    if base_holds and not ext_holds and forward:
+        expected, violated = VIOLATION, FORWARD
+    elif ext_holds and not base_holds and backward:
+        expected, violated = VIOLATION, BACKWARD
+    else:
+        expected, violated = (VERIFIED if forward or backward else VACUOUS), None
+    for f in findings:
+        assert f.outcome == expected
+        assert f.detail.get("violated") == violated
+        assert {d: r["met"] for d, r in f.detail["directions"].items()} == {FORWARD: forward, BACKWARD: backward}
+
+
+@pytest.mark.parametrize("dropped", [(), ("torsion_free",), ("zd_union",), ("disjoint",)])
+@pytest.mark.parametrize("unmet", [None, "torsion_free", "zd_union_in_ann", "disjoint", "zd_union_in_ann_literal"])
+@pytest.mark.parametrize("pattern", [(True, True, True), (False, False, False), (True, False, True), (False, False, True)])
+def test_p3_3_violation_needs_an_inconsistent_pattern_under_met_or_dropped_hypotheses(
+    monkeypatch, dropped, unmet, pattern
+):
+    """An inconsistent pattern is a VIOLATION only when every enforced hypothesis is met
+    or dropped; the literal zd-union reading is reported, never enforced."""
+    def check(T, A, S):
+        keys = ("disjoint", "torsion_free", "zd_union_in_ann", "zd_union_in_ann_literal")
+        return {k: k != unmet for k in keys}, pattern
+
+    monkeypatch.setattr(registry, "triv_equivalence_check", check)
+    ctx = build_context(parse_corpus_line("triv(Z2, free(1))"), Limits.defaults())
+    findings = list(run_p3_3(ctx, dropped))
+    assert findings
+    drops = {"torsion_free": "torsion_free", "zd_union_in_ann": "zd_union", "disjoint": "disjoint"}
+    met = unmet not in drops or drops[unmet] in dropped
+    expected = VACUOUS if not met else (VERIFIED if len(set(pattern)) == 1 else VIOLATION)
+    for f in findings:
+        assert f.outcome == expected
+        assert f.detail == {"pattern": "".join("1" if b else "0" for b in pattern)}
 
 
 def _dm_records(dm_pairs):
