@@ -22,12 +22,13 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import product as iproduct
-from math import gcd, isqrt
+from math import gcd, isqrt, prod
 
 import numpy as np
 
 from .classify import DISJOINTNESS_VIOLATED, Verdict, FAILS, HOLDS, NOT_APPLICABLE
-from .errors import InvalidConstruction, NotProperError, TypeMismatch
+from .config import ORACLE_WINDOW_CAP
+from .errors import InvalidConstruction, NotProperError, SizeLimitError, TypeMismatch
 
 INT = 0
 
@@ -292,11 +293,21 @@ def _products_in(descs, xs, ys, reduce):
     return np.concatenate(chunks)
 
 
+def window_rows(axis_lengths) -> int:
+    """The rows of a window with these axis lengths, refused past ORACLE_WINDOW_CAP:
+    every window is sized here before any of its arrays is built."""
+    rows = prod(axis_lengths)
+    if rows > ORACLE_WINDOW_CAP:
+        raise SizeLimitError(f"an oracle window of {rows} rows exceeds the cap {ORACLE_WINDOW_CAP}")
+    return rows
+
+
 def _sent(R: ArithRing, descs, bound):
     """The window elements z, as rows of an array, that some window w with
     Ann(w) = 0 sends into the ideal (wz in A); built once per (ideal, bound)."""
     key = (R.factors, descs, bound)
     if key not in _oracle_cache:
+        window_rows(len(_axis(n, bound)) for n in R.factors)
         axes = [np.array(_axis(n, bound)) for n in R.factors]
         window = np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1).reshape(-1, R.width)
         mods = np.array(R.factors, dtype=np.int64)

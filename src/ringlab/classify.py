@@ -69,13 +69,13 @@ class Verdict:
     def not_applicable(self) -> bool:
         return self.outcome == NOT_APPLICABLE
 
-    def to_json(self, ring=None) -> dict:
+    def to_json(self, ring) -> dict:
         def lab(x):
             if x is None:
                 return None
             if isinstance(x, tuple):
                 return [lab(v) for v in x]
-            return ring.labels[int(x)] if ring is not None else int(x)
+            return ring.labels[int(x)]
 
         return {"outcome": self.outcome, "witness": lab(self.witness),
                 "counterexample": lab(self.counterexample), "reason": self.reason}

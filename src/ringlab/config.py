@@ -18,6 +18,10 @@ SIZE_LIMIT_CEILING = 4096
 # Polynomial searches: default working degree and a hard cap.
 DEFAULT_DEGREE = 3
 MAX_DEGREE = 8
+# Coefficient tuples one enumerating search may examine; it is refused past them, since
+# each degree costs |R| times the last.  The 16^4 - 1 tuples of degree <= 3 over Z16 fit:
+# on a 2-core Xeon with Python 3.11 that s-unit search takes about 1 s, and 11 s at degree 4.
+POLY_SEARCH_BUDGET = 1 << 16
 
 # Finite-annihilator-condition sweep: subsets of size <= this cap.  A set past
 # size 2 can never fail first (classify.has_fac), so sizes 3.. only confirm.
@@ -30,6 +34,11 @@ DM_MAX_DEGREE = 4
 
 # Truncated-window oracle for arithmetic rings.
 ARITH_ORACLE_BOUND = 10
+# Rows of one oracle window, checked before any array is built.  Its scans pair every row
+# with every row, and on a one-factor window of N rows a coordinate's table is N x N: two
+# int64 temporaries and a boolean, 17N^2 bytes, 68 MiB at 2,048 rows.  The default corpus's
+# largest window has 441 rows.
+ORACLE_WINDOW_CAP = 2048
 
 # Per-ring cap on (ideal, m.c.s.) annotation combinations; beyond it the
 # verifier subsamples deterministically with the recorded seed.

@@ -15,7 +15,7 @@ class ConfigError(RinglabError):
 
 
 class SizeLimitError(RinglabError):
-    """A construction would exceed the configured element-count cap."""
+    """A construction would exceed the configured element-count cap, or an oracle window its row cap."""
 
 
 class TypeMismatch(RinglabError):

@@ -10,12 +10,12 @@ confirmable on a truncated window.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 from itertools import product as iproduct
-from math import gcd
 
 import numpy as np
 
-from .arith import INT, ArithIdeal, ArithMCS, ArithRing, _factor_candidates, _products_in, arith_disjoint, arith_is_S_r_ideal
+from .arith import INT, ArithIdeal, ArithMCS, ArithRing, _factor_candidates, _products_in, arith_disjoint, arith_is_S_r_ideal, window_rows
 from .classify import Verdict, is_S_r_ideal
 from .errors import (
     InvalidConstruction,
@@ -136,6 +136,17 @@ class TrivExtRing:
     module: FiniteModule
     ring: FiniteRing
 
+    @cached_property
+    def hypotheses(self) -> dict:
+        """P3.3's facts about M, the same for every (A, S): M is torsion-free, and the
+        union of Ann(a) lies inside Ann(M) over nonzero a and, reported only, over every a."""
+        M = self.module
+        return {
+            "torsion_free": module_is_torsion_free(M),
+            "zd_union_in_ann": zd_union_inside_module_ann(M),
+            "zd_union_in_ann_literal": zd_union_inside_module_ann(M, include_zero=True),
+        }
+
     def pair_index(self, r, m):
         """The code of (r, m); arrays of r and m broadcast to the array of codes."""
         return r * self.module.size + m
@@ -189,21 +200,24 @@ def triv_equivalence_check(T: TrivExtRing, A: Ideal, S: MulClosedSet):
     """Evaluate the three transfer statements independently.
 
     1) A is S-r in the base; 2) A (x) M is (S (x) 0)-r; 3) A (x) M is
-    (S (x) M)-r.  Returns (hypotheses, pattern): the hypotheses under which
-    the three verdicts must agree, and whether each of them holds.
+    (S (x) M)-r.  Returns the pattern of the three verdicts, which must agree
+    when A misses S and the module facts `T.hypotheses` hold.
     """
-    hyps = {
-        "disjoint": not A.mask & S.mask,
-        "torsion_free": module_is_torsion_free(T.module),
-        "zd_union_in_ann": zd_union_inside_module_ann(T.module),
-        "zd_union_in_ann_literal": zd_union_inside_module_ann(T.module, include_zero=True),
-    }
     big = triv_ideal(T, A, range(T.module.size))
     lifted = [is_S_r_ideal(big, lift_mcs_triv(T, S, mode)).holds for mode in (S_ZERO, S_FULL)]
-    return hyps, (is_S_r_ideal(A, S).holds, *lifted)
+    return (is_S_r_ideal(A, S).holds, *lifted)
 
 
 # -- amalgamation ---------------------------------------------------------------------
+
+
+def is_domain(R: FiniteRing) -> bool:
+    """No nonzero zero divisors; the one-element ring does not count."""
+    return R.size > 1 and R.zero_divisors == frozenset({0})
+
+
+FORWARD = "FORWARD"
+BACKWARD = "BACKWARD"
 
 
 @dataclass(frozen=True)
@@ -214,6 +228,20 @@ class AmalgRing:
     j: Ideal
     ring: FiniteRing
     pos: np.ndarray = field(compare=False, repr=False)  # w * |H2| + y -> index of (w, y), -1 off the carrier
+
+    @cached_property
+    def hypotheses(self) -> dict:
+        """P3.2's hypotheses per direction.  FORWARD (base S-r implies extension S-r) needs
+        f surjective, H1 a domain and J inside zd(H2), which J = 0 counts as; BACKWARD (the
+        converse) needs f to be an isomorphism."""
+        return {
+            FORWARD: {
+                "epimorphism": sorted(set(self.f.image)) == list(range(self.h2.size)),
+                "h1_domain": is_domain(self.h1),
+                "j_in_zd": self.j.is_zero() or not self.j.mask & lattice(self.h2).regulars,
+            },
+            BACKWARD: {"isomorphism": is_isomorphism(self.f)},
+        }
 
     def index_of(self, w, y):
         """The index of (w, y); arrays of w and y broadcast to the array of indices."""
@@ -266,33 +294,10 @@ def amalg_mcs(am: AmalgRing, S: MulClosedSet) -> MulClosedSet:
     return mcs_from_members(am.ring, am.index_of(s[:, None], _joined(am.f, am.j, s)).ravel())
 
 
-def is_domain(R: FiniteRing) -> bool:
-    """No nonzero zero divisors; the one-element ring does not count."""
-    return R.size > 1 and R.zero_divisors == frozenset({0})
-
-
-FORWARD = "FORWARD"
-BACKWARD = "BACKWARD"
-
-
 def amalg_transfer_check(am: AmalgRing, A: Ideal, S: MulClosedSet):
-    """The S-r property of A in H1 and of its image in the amalgamation.
-
-    Returns (hypotheses, (base, extension)): the hypotheses of each
-    direction, keyed FORWARD and BACKWARD, and the two S-r verdicts.
-    FORWARD (base to extension) needs f surjective, H1 a domain and J inside
-    zd(H2); J = 0 counts as satisfying the last condition.  BACKWARD needs f
-    to be an isomorphism.
-    """
-    hyps = {
-        FORWARD: {
-            "epimorphism": sorted(set(am.f.image)) == list(range(am.h2.size)),
-            "h1_domain": is_domain(am.h1),
-            "j_in_zd": am.j.is_zero() or not am.j.mask & lattice(am.h2).regulars,
-        },
-        BACKWARD: {"isomorphism": is_isomorphism(am.f)},
-    }
-    return hyps, (is_S_r_ideal(A, S), is_S_r_ideal(amalg_ideal(am, A), amalg_mcs(am, S)))
+    """The S-r verdicts of A in H1 and of its image in the amalgamation: (base,
+    extension).  Each direction's hypotheses are `am.hypotheses`."""
+    return is_S_r_ideal(A, S), is_S_r_ideal(amalg_ideal(am, A), amalg_mcs(am, S))
 
 
 # -- the Z-amalgamation family ---------------------------------------------------------
@@ -350,9 +355,7 @@ def amalgz_zero_transfer_check(az: AmalgOverZ, S_desc, bound: int) -> AmalgZRepo
     hyps = {
         "epimorphism": True,  # canonical surjection Z -> Z_n
         "h1_domain": True,
-        "j_in_zd": all(
-            k == 0 or gcd(k, az.n) > 1 for k in az.j_members()
-        ),
+        "j_in_zd": True,  # d >= 2 divides n, so d divides gcd(j, n) for every j in J
         "disjoint": arith_disjoint(zero, S),
     }
     s_candidates = _factor_candidates(S, 0, bound)
@@ -362,6 +365,7 @@ def amalgz_zero_transfer_check(az: AmalgOverZ, S_desc, bound: int) -> AmalgZRepo
     checked = 0
     confirms = True
     if ext_holds:
+        window_rows((2 * bound + 1, az.n // az.d))
         descs = (0, az.d)
         ws, js = np.meshgrid(np.arange(-bound, bound + 1), az.j_members(), indexing="ij")
         window = np.stack([ws.ravel(), (ws + js).ravel() % az.n], axis=1)

@@ -22,8 +22,8 @@ from itertools import product as iproduct
 
 import numpy as np
 
-from .classify import Verdict, has_fac, is_S_r_ideal
-from .config import DEFAULT_DEGREE, DM_MAX_DEGREE, MAX_DEGREE
+from .classify import has_fac, is_S_r_ideal
+from .config import DEFAULT_DEGREE, DM_MAX_DEGREE, MAX_DEGREE, POLY_SEARCH_BUDGET
 from .errors import DegreeLimitError, NotApplicableError, TypeMismatch
 from .ideals import (
     Ideal,
@@ -226,16 +226,6 @@ class PolyIdealSpec:
     def base(self) -> FiniteRing:
         return self.ideal.ring
 
-    def contains(self, f: Poly) -> bool:
-        if self.kind == CONTENT:
-            return all(c in self.ideal for c in content_set(f))
-        return poly_eval(f, self.point) in self.ideal
-
-    def label(self) -> str:
-        if self.kind == CONTENT:
-            return f"content{self.ideal.label()}"
-        return f"kernel({self.base.labels[self.point]}, {self.ideal.label()})"
-
 
 # -- verdicts ---------------------------------------------------------------------------
 
@@ -251,17 +241,24 @@ GATE_PROPERTY_A = "property_a"
 class PolyVerdict:
     outcome: str
     gate: str = None
-    base_verdict: Verdict = None
     pair: tuple = None  # (w, z) defeating every s
     witness_degree: int = None
     bound: int = None
 
 
 def _poly_tuples(size: int, max_degree: int):
-    """Nonzero coefficient tuples by degree, leading coefficient most significant."""
+    """Nonzero coefficient tuples by degree, leading coefficient most significant; asking
+    for one past the first POLY_SEARCH_BUDGET raises DegreeLimitError."""
+    examined = 0
     for d in range(max_degree + 1):
         for lead in range(1, size):
             for rest in iproduct(range(size), repeat=d):
+                if examined == POLY_SEARCH_BUDGET:
+                    raise DegreeLimitError(
+                        f"search budget spent: {examined} of the {size ** (max_degree + 1) - 1} polynomials "
+                        f"of degree <= {max_degree} over {size} elements examined without an answer"
+                    )
+                examined += 1
                 yield rest[::-1] + (lead,)
 
 
@@ -338,7 +335,7 @@ def decide_content_S_r(A: Ideal, S: MulClosedSet, max_degree: int = None, fac_ca
     else:
         return bounded_S_r_search(PolyIdealSpec.content(A), S, D)
     base = is_S_r_ideal(A, S)
-    return PolyVerdict(YES_BY_THEOREM if base.holds else NO_VIOLATION_UP_TO, gate=gate, base_verdict=base, bound=D)
+    return PolyVerdict(YES_BY_THEOREM if base.holds else NO_VIOLATION_UP_TO, gate=gate, bound=D)
 
 
 # -- S-units in the polynomial ring -------------------------------------------------------

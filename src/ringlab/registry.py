@@ -50,7 +50,7 @@ from .dsl import (
     parse_mcs,
     parse_ring_structure,
 )
-from .errors import ConfigError, NotApplicableError, ParseError, UnknownHypothesis, UnknownTheorem
+from .errors import ConfigError, ParseError, UnknownHypothesis, UnknownTheorem
 from .extensions import (
     BACKWARD,
     FORWARD,
@@ -827,45 +827,42 @@ def run_l3_1(ctx, dropped):
             if n % a == 0 and gcd(a, n // a) == 1 and a < n // a:
                 isos.append((f"crt({a},{n // a})", crt_hom(n, a, n // a)))
     for name, hom in isos:
-        try:
-            bad = ann_pushforward_check(hom)
-        except NotApplicableError:
-            continue
+        bad = ann_pushforward_check(hom)
         detail = {"elements_checked": R.size}
         if bad is not None:
             detail["failing_element"] = R.labels[bad]
         yield Finding(VERIFIED if bad is None else VIOLATION, {"isomorphism": name}, detail=detail)
 
 
+def _base_pairs(R):
+    """Section 3's (ideal, m.c.s.) pairs of a base ring: each proper ideal with each of
+    the six smallest m.c.s."""
+    mcs = _small_mcs(R, 6)
+    return [(A, S) for A in all_ideals(R) if A.is_proper() for S in mcs]
+
+
 def run_p3_2(ctx, dropped):
     """S-r transfer across amalgamations, both directions: FORWARD reads "base S-r implies
-    extension S-r", BACKWARD the converse; a direction whose hypotheses are met (or
-    dropped) and whose implication fails is a VIOLATION, and the record names it."""
+    extension S-r", BACKWARD the converse, so at most one of them fails on a pair, the one
+    whose premise alone holds; if its hypotheses are met (or dropped), that is a VIOLATION,
+    and the record names the direction."""
     am = ctx.structure
     if not isinstance(am, AmalgRing):
         return
-    h1_mcs = _small_mcs(am.h1, 6)
-    for A in all_ideals(am.h1):
-        if not A.is_proper():
+    met = {d: all(v for k, v in dh.items() if k not in dropped) for d, dh in am.hypotheses.items()}
+    hyps = {f"{d.lower()}_{k}": v for d, dh in am.hypotheses.items() for k, v in dh.items()}
+    for A, S in _base_pairs(am.h1):
+        if A.mask & S.mask:
             continue
-        for S in h1_mcs:
-            if A.mask & S.mask:
-                continue
-            hypotheses, (base, ext) = amalg_transfer_check(am, A, S)
-            implied = {FORWARD: ext.holds or not base.holds, BACKWARD: base.holds or not ext.holds}
-            results, hyps, bad = {}, {}, None
-            for direction, dh in hypotheses.items():
-                met = all(v for k, v in dh.items() if k not in dropped)
-                results[direction] = {"hypotheses": dh, "met": met, "base": base.outcome, "extension": ext.outcome}
-                hyps.update({f"{direction.lower()}_{k}": v for k, v in dh.items()})
-                if met and not implied[direction]:
-                    bad = direction
-            detail = {"directions": results}
-            if bad:
-                outcome, detail["violated"] = VIOLATION, bad
-            else:
-                outcome = VERIFIED if any(r["met"] for r in results.values()) else VACUOUS
-            yield Finding(outcome, {"ideal": A.label(), "mcs": S.label()}, hyps, detail)
+        base, ext = amalg_transfer_check(am, A, S)
+        failed = (FORWARD if base.holds else BACKWARD) if base.holds != ext.holds else None
+        detail = {"directions": {d: {"hypotheses": dh, "met": met[d], "base": base.outcome, "extension": ext.outcome}
+                                 for d, dh in am.hypotheses.items()}}
+        if failed and met[failed]:
+            outcome, detail["violated"] = VIOLATION, failed
+        else:
+            outcome = VERIFIED if any(met.values()) else VACUOUS
+        yield Finding(outcome, {"ideal": A.label(), "mcs": S.label()}, hyps, detail)
 
 
 def run_amalgz_p3_2(ctx, dropped):
@@ -888,10 +885,9 @@ def run_amalgz_p3_2(ctx, dropped):
     )
 
 
-# P3.3 hypothesis -> the name that drops it; the literal zd-union variant is
+# P3.3's module facts -> the names that drop them; the literal zd-union variant is
 # reported but never enforced
 _P3_3_DROPS = {
-    "disjoint": "disjoint",
     "torsion_free": "torsion_free",
     "zd_union_in_ann": "zd_union",
 }
@@ -902,16 +898,14 @@ def run_p3_3(ctx, dropped):
     T = ctx.structure
     if not isinstance(T, TrivExtRing):
         return
-    base_mcs = _small_mcs(T.base, 6)
-    for A in all_ideals(T.base):
-        if not A.is_proper():
-            continue
-        for S in base_mcs:
-            hyps, pattern = triv_equivalence_check(T, A, S)
-            met = all(hyps[k] for k, drop in _P3_3_DROPS.items() if drop not in dropped)
-            outcome = VACUOUS if not met else (VERIFIED if len(set(pattern)) == 1 else VIOLATION)
-            text = "".join("1" if b else "0" for b in pattern)
-            yield Finding(outcome, {"ideal": A.label(), "mcs": S.label()}, hyps, {"pattern": text})
+    facts_met = all(T.hypotheses[k] or drop in dropped for k, drop in _P3_3_DROPS.items())
+    for A, S in _base_pairs(T.base):
+        hyps = {"disjoint": not A.mask & S.mask, **T.hypotheses}
+        pattern = triv_equivalence_check(T, A, S)
+        met = facts_met and (hyps["disjoint"] or "disjoint" in dropped)
+        outcome = VACUOUS if not met else (VERIFIED if len(set(pattern)) == 1 else VIOLATION)
+        text = "".join("1" if b else "0" for b in pattern)
+        yield Finding(outcome, {"ideal": A.label(), "mcs": S.label()}, hyps, {"pattern": text})
 
 
 # -- arithmetic-lane runners -----------------------------------------------------------------

@@ -25,7 +25,8 @@ from ringlab.arith import (
     mod_factor,
 )
 from ringlab.classify import FAILS, HOLDS, Verdict, is_r_ideal, is_S_r_ideal
-from ringlab.errors import InvalidConstruction, NotProperError
+from ringlab.errors import InvalidConstruction, NotProperError, SizeLimitError
+from ringlab.extensions import AmalgOverZ, amalgz_zero_transfer_check
 from ringlab.ideals import ideal_generate, is_prime, mcs_from_members
 from ringlab.rings import make_product, make_zn
 
@@ -105,6 +106,23 @@ def test_zero_ideal_always_s_r(z):
         assert v.holds and v.witness == (1,)
     v = arith_is_S_r_ideal(zero, ArithMCS(z, (("all",),)))
     assert v.not_applicable  # 0 sits in S
+
+
+def test_oracle_window_at_the_cap_runs_and_one_row_more_is_refused(monkeypatch):
+    """Both window lanes size their window with `window_rows` before building it: here
+    21 rows pass a cap of 21, and 23 (arith) or 27 (amalgZ) rows do not."""
+    monkeypatch.setattr(ar, "ORACLE_WINDOW_CAP", 21)
+    monkeypatch.setattr(ar, "_oracle_cache", {})
+    assert ar.window_rows((3, 7)) == 21
+    with pytest.raises(SizeLimitError, match="an oracle window of 22 rows exceeds the cap 21"):
+        ar.window_rows((22,))
+    A = ArithIdeal(ArithRing((INT,)), (3,))
+    assert arith_oracle_check(A, None, 10)
+    with pytest.raises(SizeLimitError, match="23 rows"):
+        arith_oracle_check(A, None, 11)
+    assert amalgz_zero_transfer_check(AmalgOverZ(6, 2), ("units",), 3).window_confirms  # 7 x 3 rows
+    with pytest.raises(SizeLimitError, match="27 rows"):
+        amalgz_zero_transfer_check(AmalgOverZ(6, 2), ("units",), 4)
 
 
 def test_oracle_window_precondition(z):

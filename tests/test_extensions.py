@@ -169,31 +169,34 @@ def test_lift_disjointness_mirrors_base(z4):
             assert bool(S.members & A.members) == bool(lifted.members & big.members)
 
 
-def _triv_hypotheses_met(hyps):
+def _triv_hypotheses_met(T, A, S):
     """The three hypotheses P3.3 enforces; the literal zd-union reading is only reported."""
-    return hyps["disjoint"] and hyps["torsion_free"] and hyps["zd_union_in_ann"]
+    return not A.mask & S.mask and T.hypotheses["torsion_free"] and T.hypotheses["zd_union_in_ann"]
 
 
 def test_triv_equivalence_field_base(z2):
     T = make_trivial_extension(z2, make_module_free(z2, 1))
-    hyps, pattern = triv_equivalence_check(T, ideal_generate(z2, []), mcs_generate(z2, []))
-    assert _triv_hypotheses_met(hyps)
+    A, S = ideal_generate(z2, []), mcs_generate(z2, [])
+    pattern = triv_equivalence_check(T, A, S)
+    assert _triv_hypotheses_met(T, A, S)
     assert pattern == (True, True, True)
 
 
 def test_triv_equivalence_rank_two():
     z3 = make_zn(3)
     T = make_trivial_extension(z3, make_module_free(z3, 2))
-    hyps, pattern = triv_equivalence_check(T, ideal_generate(z3, []), mcs_generate(z3, [2]))
-    assert _triv_hypotheses_met(hyps)
+    A, S = ideal_generate(z3, []), mcs_generate(z3, [2])
+    pattern = triv_equivalence_check(T, A, S)
+    assert _triv_hypotheses_met(T, A, S)
     assert pattern == (True, True, True)
 
 
 def test_triv_equivalence_hypothesis_gate(z4):
     T = make_trivial_extension(z4, make_module_free(z4, 1))
-    hyps, _ = triv_equivalence_check(T, ideal_generate(z4, [2]), mcs_generate(z4, []))
-    assert not hyps["torsion_free"]
-    assert not _triv_hypotheses_met(hyps)
+    A, S = ideal_generate(z4, [2]), mcs_generate(z4, [])
+    triv_equivalence_check(T, A, S)
+    assert not T.hypotheses["torsion_free"]
+    assert not _triv_hypotheses_met(T, A, S)
 
 
 def test_amalgamation_along_zero(z4):
@@ -217,19 +220,19 @@ def test_amalgamation_carrier_size_is_product():
 
 def test_amalg_transfer_backward(z4):
     am = make_amalgamation(z4, z4, identity_hom(z4), ideal_generate(z4, [2]))
-    hyps, (base, ext) = amalg_transfer_check(am, ideal_generate(z4, [2]), mcs_generate(z4, []))
-    assert hyps[BACKWARD] == {"isomorphism": True}
+    base, ext = amalg_transfer_check(am, ideal_generate(z4, [2]), mcs_generate(z4, []))
+    assert am.hypotheses[BACKWARD] == {"isomorphism": True}
     assert base.holds and ext.holds
     assert base.holds or not ext.holds  # extension S-r implies base S-r
 
 
 def test_amalg_transfer_forward_gate(z4, z2):
     am = make_amalgamation(z4, z4, identity_hom(z4), ideal_generate(z4, [2]))
-    hyps, _ = amalg_transfer_check(am, ideal_generate(z4, [2]), mcs_generate(z4, []))
-    assert not hyps[FORWARD]["h1_domain"]
+    amalg_transfer_check(am, ideal_generate(z4, [2]), mcs_generate(z4, []))
+    assert not am.hypotheses[FORWARD]["h1_domain"]
     am2 = make_amalgamation(z2, z2, identity_hom(z2), ideal_generate(z2, []))
-    hyps2, (base2, ext2) = amalg_transfer_check(am2, ideal_generate(z2, []), mcs_generate(z2, []))
-    assert all(hyps2[FORWARD].values()) and (ext2.holds or not base2.holds)
+    base2, ext2 = amalg_transfer_check(am2, ideal_generate(z2, []), mcs_generate(z2, []))
+    assert all(am2.hypotheses[FORWARD].values()) and (ext2.holds or not base2.holds)
 
 
 def test_amalg_ideal_and_mcs_embed(z4):

@@ -440,6 +440,25 @@ def test_negative_degree_is_refused():
             bounded_S_r_search(spec, S, -1)
 
 
+def test_search_budget_counts_every_examined_tuple(monkeypatch, z2, z3):
+    """(1+x)g is never a nonzero constant over Z2, so the s-unit search at degree 2 walks
+    all 2^3 - 1 tuples: a budget of 7 lets it finish and one of 6 refuses it.  The Z3
+    kernel search finds its pair at the fifth tuple, so a budget of 5 still returns it."""
+    f, S = Poly.make(z2, [1, 1]), mcs_generate(z2, [])
+    kernel = PolyIdealSpec.eval_kernel(1, ideal_generate(z3, []))
+    S3 = mcs_generate(z3, [1, 2])
+    monkeypatch.setattr(poly, "POLY_SEARCH_BUDGET", 7)
+    assert poly_s_unit_check(f, S, 2).kind == S_UNIT_NO_UP_TO
+    monkeypatch.setattr(poly, "POLY_SEARCH_BUDGET", 6)
+    with pytest.raises(DegreeLimitError, match="search budget spent: 6 of the 7 polynomials of degree <= 2"):
+        poly_s_unit_check(f, S, 2)
+    monkeypatch.setattr(poly, "POLY_SEARCH_BUDGET", 5)
+    assert bounded_S_r_search(kernel, S3, 3).pair[0].coeffs == (2, 1)
+    monkeypatch.setattr(poly, "POLY_SEARCH_BUDGET", 4)
+    with pytest.raises(DegreeLimitError, match="search budget spent: 4 of the 80"):
+        bounded_S_r_search(kernel, S3, 3)
+
+
 # -- content search against the loop reference --------------------------------------------
 #
 # The reference (`oracles.ref_content_search`) is the full-degree scan over R/A;

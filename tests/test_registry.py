@@ -1,18 +1,20 @@
 import hashlib
 import json
 import random
+from collections import Counter
 from dataclasses import replace
 from itertools import combinations
 
 import pytest
 from hypothesis import example, given, strategies as st
 
-from ringlab import classify as cl, poly, registry
+from ringlab import classify as cl, extensions, poly, registry
 from ringlab.classify import FAILS, HOLDS, Verdict, has_fac
+from ringlab.config import ORACLE_WINDOW_CAP, POLY_SEARCH_BUDGET
 from ringlab.corpus import FINITE, CorpusSpec, Limits, default_corpus, parse_corpus_line
 from ringlab.dsl import parse_ring
 from ringlab.errors import ConfigError, UnknownHypothesis, UnknownTheorem
-from ringlab.extensions import BACKWARD, FORWARD
+from ringlab.extensions import BACKWARD, FORWARD, AmalgRing, TrivExtRing
 from ringlab.ideals import (
     all_ideals,
     annihilator,
@@ -242,14 +244,15 @@ def test_catalogue_and_lattice_are_in_member_order():
             assert orders == sorted(orders) and len(set(orders)) == len(orders), entry.text
 
 
-def _fake_amalg_check(forward_met, backward_met, base_holds, ext_holds):
-    def check(am, A, S):
-        hyps = {
-            FORWARD: {"epimorphism": True, "h1_domain": forward_met, "j_in_zd": True},
-            BACKWARD: {"isomorphism": backward_met},
-        }
-        return hyps, tuple(Verdict(HOLDS if h else FAILS) for h in (base_holds, ext_holds))
-    return check
+def _fake_amalg(monkeypatch, forward_met, backward_met, base_holds, ext_holds):
+    """Every amalgamation reports these hypotheses, and every check these verdicts."""
+    hyps = {
+        FORWARD: {"epimorphism": True, "h1_domain": forward_met, "j_in_zd": True},
+        BACKWARD: {"isomorphism": backward_met},
+    }
+    verdicts = tuple(Verdict(HOLDS if h else FAILS) for h in (base_holds, ext_holds))
+    monkeypatch.setattr(AmalgRing, "hypotheses", property(lambda am: hyps))
+    monkeypatch.setattr(registry, "amalg_transfer_check", lambda am, A, S: verdicts)
 
 
 @pytest.mark.parametrize("dropped", [(), ("h1_domain",), ("isomorphism",)])
@@ -261,7 +264,7 @@ def test_p3_2_violation_needs_the_failing_direction_met_or_dropped(
     """FORWARD fails when the base is S-r and the extension is not, BACKWARD the other way
     round; either is a VIOLATION, naming that direction, only when its hypotheses are met
     or dropped.  Otherwise the record is VERIFIED when some direction's hypotheses are met."""
-    monkeypatch.setattr(registry, "amalg_transfer_check", _fake_amalg_check(forward_met, backward_met, base_holds, ext_holds))
+    _fake_amalg(monkeypatch, forward_met, backward_met, base_holds, ext_holds)
     ctx = build_context(parse_corpus_line("amalg(Z4, Z4, id, (2))"), Limits.defaults())
     findings = list(run_p3_2(ctx, dropped))
     assert findings
@@ -286,21 +289,50 @@ def test_p3_3_violation_needs_an_inconsistent_pattern_under_met_or_dropped_hypot
     monkeypatch, dropped, unmet, pattern
 ):
     """An inconsistent pattern is a VIOLATION only when every enforced hypothesis is met
-    or dropped; the literal zd-union reading is reported, never enforced."""
-    def check(T, A, S):
-        keys = ("disjoint", "torsion_free", "zd_union_in_ann", "zd_union_in_ann_literal")
-        return {k: k != unmet for k in keys}, pattern
-
-    monkeypatch.setattr(registry, "triv_equivalence_check", check)
+    or dropped; the literal zd-union reading is reported, never enforced.  The module
+    facts are faked on the structure; disjointness is the pair's own, and over Z2 the
+    pair with S<> is disjoint and the one with S<0> is not."""
+    facts = {k: k != unmet for k in ("torsion_free", "zd_union_in_ann", "zd_union_in_ann_literal")}
+    monkeypatch.setattr(TrivExtRing, "hypotheses", property(lambda T: facts))
+    monkeypatch.setattr(registry, "triv_equivalence_check", lambda T, A, S: pattern)
     ctx = build_context(parse_corpus_line("triv(Z2, free(1))"), Limits.defaults())
     findings = list(run_p3_3(ctx, dropped))
-    assert findings
+    assert [(f.annotations["mcs"], f.hypotheses["disjoint"]) for f in findings] == [("S<>", True), ("S<0>", False)]
     drops = {"torsion_free": "torsion_free", "zd_union_in_ann": "zd_union", "disjoint": "disjoint"}
-    met = unmet not in drops or drops[unmet] in dropped
-    expected = VACUOUS if not met else (VERIFIED if len(set(pattern)) == 1 else VIOLATION)
     for f in findings:
+        assert f.hypotheses == {"disjoint": f.hypotheses["disjoint"], **facts}
+        unmet_here = {k for k, v in f.hypotheses.items() if not v}
+        met = all(drops[k] in dropped for k in unmet_here if k in drops)
+        expected = VACUOUS if not met else (VERIFIED if len(set(pattern)) == 1 else VIOLATION)
         assert f.outcome == expected
         assert f.detail == {"pattern": "".join("1" if b else "0" for b in pattern)}
+
+
+def test_section_3_facts_are_decided_once_per_structure(monkeypatch):
+    """P3.2 and P3.3 sweep many (A, S) pairs per structure of the finite corpus but decide
+    its hypotheses once: one `is_isomorphism` call per amalgamation and one
+    `module_is_torsion_free` call per trivial extension."""
+    calls = Counter()
+
+    def counted(name, fn):
+        def wrapper(*args):
+            calls[name] += 1
+            return fn(*args)
+        return wrapper
+
+    for name in ("is_isomorphism", "module_is_torsion_free"):
+        monkeypatch.setattr(extensions, name, counted(name, getattr(extensions, name)))
+    spec = default_corpus()
+    structures, findings = Counter(), 0
+    for entry in spec.entries:
+        if entry.kind == FINITE:
+            ctx = build_context(entry, spec.limits)
+            if isinstance(ctx.structure, (AmalgRing, TrivExtRing)):
+                structures[type(ctx.structure)] += 1
+                findings += len(list(run_p3_2(ctx, ()))) + len(list(run_p3_3(ctx, ())))
+    assert structures[AmalgRing] and structures[TrivExtRing]
+    assert findings > 2 * sum(structures.values())
+    assert calls == {"is_isomorphism": structures[AmalgRing], "module_is_torsion_free": structures[TrivExtRing]}
 
 
 def _dm_records(dm_pairs):
@@ -1016,6 +1048,45 @@ def test_cli_verify_refuses_an_empty_or_repeated_annotation(tmp_path, capsys, li
     assert main(["verify", "--corpus", str(corpus)]) == 2
     captured = capsys.readouterr()
     assert captured.err == f"error: {message}\n" and captured.out == ""
+
+
+@pytest.mark.parametrize(
+    "line,rows",
+    [
+        ("Z ; ideal=(1000000) ; mcs=(units)", 4_000_001),
+        ("Z x Z1000000 ; ideal=(0,1) ; mcs=(units,units)", 21_000_000),
+        ("amalgZ(1000000, 2) ; mcs=(units)", 10_500_000),
+    ],
+)
+def test_cli_verify_refuses_an_oversized_oracle_window(tmp_path, monkeypatch, capsys, line, rows):
+    """The window oracle and the amalgZ window are sized before any array is built, so
+    the membership kernel is never called; the run exits 2 with one error line."""
+    from ringlab import arith, extensions
+    from ringlab.cli import main
+
+    def unreachable(*args):
+        raise AssertionError("the window was built")
+
+    for mod in (arith, extensions):
+        monkeypatch.setattr(mod, "_products_in", unreachable)
+    corpus = tmp_path / "big.corpus"
+    corpus.write_text(line + "\n", encoding="utf-8")
+    assert main(["verify", "--corpus", str(corpus), "--theorems", "ARITH-oracle,P3.2"]) == 2
+    captured = capsys.readouterr()
+    assert captured.err == f"error: an oracle window of {rows} rows exceeds the cap {ORACLE_WINDOW_CAP}\n"
+
+
+def test_cli_poly_search_past_its_budget_exits_2(capsys):
+    """2g is never 1 over Z16, so the s-unit search has no answer; it stops at its budget."""
+    from ringlab.cli import main
+
+    assert main(["poly", "Z16", "content", "2", "--s-unit-check", "2", "--degree", "8"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "NO_VIOLATION_UP_TO degree 8\n"
+    assert captured.err == (
+        f"error: search budget spent: {POLY_SEARCH_BUDGET} of the {16**9 - 1} polynomials "
+        "of degree <= 8 over 16 elements examined without an answer\n"
+    )
 
 
 def test_cli_verify_refuses_a_repeated_theorem_id(capsys):
