@@ -27,7 +27,7 @@ from math import gcd, isqrt, prod
 import numpy as np
 
 from .classify import DISJOINTNESS_VIOLATED, Verdict, FAILS, HOLDS, NOT_APPLICABLE
-from .config import ORACLE_WINDOW_CAP
+from .config import ORACLE_AXIS_CAP, ORACLE_WINDOW_CAP
 from .errors import InvalidConstruction, NotProperError, SizeLimitError, TypeMismatch
 
 INT = 0
@@ -293,13 +293,14 @@ def _products_in(descs, xs, ys, reduce):
     return np.concatenate(chunks)
 
 
-def window_rows(axis_lengths) -> int:
-    """The rows of a window with these axis lengths, refused past ORACLE_WINDOW_CAP:
-    every window is sized here before any of its arrays is built."""
-    rows = prod(axis_lengths)
+def size_window(rows: int, values: int) -> None:
+    """Refuse a window of this many rows whose coordinates take at most this many values
+    each, past ORACLE_WINDOW_CAP rows or ORACLE_AXIS_CAP values: every window is sized
+    here before any of its arrays is built."""
     if rows > ORACLE_WINDOW_CAP:
         raise SizeLimitError(f"an oracle window of {rows} rows exceeds the cap {ORACLE_WINDOW_CAP}")
-    return rows
+    if values > ORACLE_AXIS_CAP:
+        raise SizeLimitError(f"an oracle window coordinate of {values} values exceeds the cap {ORACLE_AXIS_CAP}")
 
 
 def _sent(R: ArithRing, descs, bound):
@@ -307,7 +308,8 @@ def _sent(R: ArithRing, descs, bound):
     Ann(w) = 0 sends into the ideal (wz in A); built once per (ideal, bound)."""
     key = (R.factors, descs, bound)
     if key not in _oracle_cache:
-        window_rows(len(_axis(n, bound)) for n in R.factors)
+        lengths = [len(_axis(n, bound)) for n in R.factors]
+        size_window(prod(lengths), max(lengths))
         axes = [np.array(_axis(n, bound)) for n in R.factors]
         window = np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1).reshape(-1, R.width)
         mods = np.array(R.factors, dtype=np.int64)

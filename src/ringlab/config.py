@@ -19,9 +19,8 @@ SIZE_LIMIT_CEILING = 4096
 DEFAULT_DEGREE = 3
 MAX_DEGREE = 8
 # Coefficient tuples one enumerating search may examine; it is refused past them, since
-# each degree costs |R| times the last.  The 16^4 - 1 tuples of degree <= 3 over Z16 fit:
-# on a 2-core Xeon with Python 3.11 that s-unit search takes about 1 s, and 11 s at degree 4.
-POLY_SEARCH_BUDGET = 1 << 16
+# each degree costs |R| times the last.  The 16^5 - 1 tuples of degree <= 4 over Z16 fit.
+POLY_SEARCH_BUDGET = 1 << 20
 
 # Finite-annihilator-condition sweep: subsets of size <= this cap.  A set past
 # size 2 can never fail first (classify.has_fac), so sizes 3.. only confirm.
@@ -34,11 +33,16 @@ DM_MAX_DEGREE = 4
 
 # Truncated-window oracle for arithmetic rings.
 ARITH_ORACLE_BOUND = 10
-# Rows of one oracle window, checked before any array is built.  Its scans pair every row
-# with every row, and on a one-factor window of N rows a coordinate's table is N x N: two
-# int64 temporaries and a boolean, 17N^2 bytes, 68 MiB at 2,048 rows.  The default corpus's
-# largest window has 441 rows.
-ORACLE_WINDOW_CAP = 2048
+# The two caps of one oracle window, both checked before any of its arrays is built.  The
+# default corpus's largest window has 441 rows and at most 25 values per coordinate.
+# Rows: the scans pair every row with every row.  On a 2-core Xeon with Python 3.11,
+# Z x Z x Z takes 0.1 s at bound 10 (9,261 rows), 3.7 s at bound 15 (29,791 rows) and
+# 27 s at bound 20 (68,921 rows, refused).
+ORACLE_WINDOW_CAP = 1 << 15
+# Values per coordinate: a coordinate of L values gets an L x L membership table from two
+# int64 temporaries, 17L^2 bytes, 68 MiB at 2,048 values, and keeps an L x N boolean table
+# over the N rows, 64 MiB at both caps.
+ORACLE_AXIS_CAP = 2048
 
 # Per-ring cap on (ideal, m.c.s.) annotation combinations; beyond it the
 # verifier subsamples deterministically with the recorded seed.

@@ -15,7 +15,7 @@ class ConfigError(RinglabError):
 
 
 class SizeLimitError(RinglabError):
-    """A construction would exceed the configured element-count cap, or an oracle window its row cap."""
+    """A construction would exceed the configured element-count cap, or an oracle window one of its caps."""
 
 
 class TypeMismatch(RinglabError):

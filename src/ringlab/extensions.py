@@ -10,12 +10,11 @@ confirmable on a truncated window.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import cached_property
 from itertools import product as iproduct
 
 import numpy as np
 
-from .arith import INT, ArithIdeal, ArithMCS, ArithRing, _factor_candidates, _products_in, arith_disjoint, arith_is_S_r_ideal, window_rows
+from .arith import INT, ArithIdeal, ArithMCS, ArithRing, _factor_candidates, _products_in, arith_disjoint, arith_is_S_r_ideal, size_window
 from .classify import Verdict, is_S_r_ideal
 from .errors import (
     InvalidConstruction,
@@ -136,17 +135,6 @@ class TrivExtRing:
     module: FiniteModule
     ring: FiniteRing
 
-    @cached_property
-    def hypotheses(self) -> dict:
-        """P3.3's facts about M, the same for every (A, S): M is torsion-free, and the
-        union of Ann(a) lies inside Ann(M) over nonzero a and, reported only, over every a."""
-        M = self.module
-        return {
-            "torsion_free": module_is_torsion_free(M),
-            "zd_union_in_ann": zd_union_inside_module_ann(M),
-            "zd_union_in_ann_literal": zd_union_inside_module_ann(M, include_zero=True),
-        }
-
     def pair_index(self, r, m):
         """The code of (r, m); arrays of r and m broadcast to the array of codes."""
         return r * self.module.size + m
@@ -196,12 +184,23 @@ def lift_mcs_triv(T: TrivExtRing, S: MulClosedSet, mode: str) -> MulClosedSet:
     return mcs_from_members(T.ring, T.pair_index(np.array(bits(S.mask), dtype=np.intp)[:, None], ms).ravel())
 
 
+def triv_module_facts(T: TrivExtRing) -> dict:
+    """P3.3's facts about M, the same for every (A, S): M is torsion-free, and the union
+    of Ann(a) lies inside Ann(M) over nonzero a and, reported only, over every a."""
+    M = T.module
+    return {
+        "torsion_free": module_is_torsion_free(M),
+        "zd_union_in_ann": zd_union_inside_module_ann(M),
+        "zd_union_in_ann_literal": zd_union_inside_module_ann(M, include_zero=True),
+    }
+
+
 def triv_equivalence_check(T: TrivExtRing, A: Ideal, S: MulClosedSet):
     """Evaluate the three transfer statements independently.
 
     1) A is S-r in the base; 2) A (x) M is (S (x) 0)-r; 3) A (x) M is
     (S (x) M)-r.  Returns the pattern of the three verdicts, which must agree
-    when A misses S and the module facts `T.hypotheses` hold.
+    when A misses S and `triv_module_facts(T)` hold.
     """
     big = triv_ideal(T, A, range(T.module.size))
     lifted = [is_S_r_ideal(big, lift_mcs_triv(T, S, mode)).holds for mode in (S_ZERO, S_FULL)]
@@ -229,23 +228,23 @@ class AmalgRing:
     ring: FiniteRing
     pos: np.ndarray = field(compare=False, repr=False)  # w * |H2| + y -> index of (w, y), -1 off the carrier
 
-    @cached_property
-    def hypotheses(self) -> dict:
-        """P3.2's hypotheses per direction.  FORWARD (base S-r implies extension S-r) needs
-        f surjective, H1 a domain and J inside zd(H2), which J = 0 counts as; BACKWARD (the
-        converse) needs f to be an isomorphism."""
-        return {
-            FORWARD: {
-                "epimorphism": sorted(set(self.f.image)) == list(range(self.h2.size)),
-                "h1_domain": is_domain(self.h1),
-                "j_in_zd": self.j.is_zero() or not self.j.mask & lattice(self.h2).regulars,
-            },
-            BACKWARD: {"isomorphism": is_isomorphism(self.f)},
-        }
-
     def index_of(self, w, y):
         """The index of (w, y); arrays of w and y broadcast to the array of indices."""
         return self.pos[np.multiply(w, self.h2.size, dtype=np.intp) + y]
+
+
+def amalg_hypotheses(am: AmalgRing) -> dict:
+    """P3.2's hypotheses per direction, the same for every (A, S).  FORWARD (base S-r
+    implies extension S-r) needs f surjective, H1 a domain and J inside zd(H2), which
+    J = 0 counts as; BACKWARD (the converse) needs f to be an isomorphism."""
+    return {
+        FORWARD: {
+            "epimorphism": sorted(set(am.f.image)) == list(range(am.h2.size)),
+            "h1_domain": is_domain(am.h1),
+            "j_in_zd": am.j.is_zero() or not am.j.mask & lattice(am.h2).regulars,
+        },
+        BACKWARD: {"isomorphism": is_isomorphism(am.f)},
+    }
 
 
 def make_amalgamation(H1: FiniteRing, H2: FiniteRing, f: RingHom, J: Ideal, hom_text: str = "hom") -> AmalgRing:
@@ -296,7 +295,7 @@ def amalg_mcs(am: AmalgRing, S: MulClosedSet) -> MulClosedSet:
 
 def amalg_transfer_check(am: AmalgRing, A: Ideal, S: MulClosedSet):
     """The S-r verdicts of A in H1 and of its image in the amalgamation: (base,
-    extension).  Each direction's hypotheses are `am.hypotheses`."""
+    extension).  Each direction's hypotheses are `amalg_hypotheses(am)`."""
     return is_S_r_ideal(A, S), is_S_r_ideal(amalg_ideal(am, A), amalg_mcs(am, S))
 
 
@@ -365,12 +364,12 @@ def amalgz_zero_transfer_check(az: AmalgOverZ, S_desc, bound: int) -> AmalgZRepo
     checked = 0
     confirms = True
     if ext_holds:
-        window_rows((2 * bound + 1, az.n // az.d))
+        size_window((2 * bound + 1) * (az.n // az.d), max(2 * bound + 1, az.n))
         descs = (0, az.d)
         ws, js = np.meshgrid(np.arange(-bound, bound + 1), az.j_members(), indexing="ij")
         window = np.stack([ws.ravel(), (ws + js).ravel() % az.n], axis=1)
-        kills = window[:, 1:] * np.arange(az.d, az.n, az.d) % az.n == 0
-        regs = window[(window[:, 0] != 0) & ~kills.any(axis=1)]
+        killed = (np.arange(az.n)[:, None] * np.arange(az.d, az.n, az.d) % az.n == 0).any(axis=1)  # per y in Z_n
+        regs = window[(window[:, 0] != 0) & ~killed[window[:, 1]]]
         sends = _products_in(descs, window, regs, np.sum)  # regular e1 with e1 e2 in 0 x J, per e2
         checked = int(sends.sum())
         confirms = bool(_products_in(descs, np.array([witness]), window[sends > 0], np.all)[0])

@@ -57,9 +57,11 @@ from .extensions import (
     AmalgOverZ,
     AmalgRing,
     TrivExtRing,
+    amalg_hypotheses,
     amalg_transfer_check,
     amalgz_zero_transfer_check,
     triv_equivalence_check,
+    triv_module_facts,
 )
 from .ideals import (
     all_ideals,
@@ -849,15 +851,16 @@ def run_p3_2(ctx, dropped):
     am = ctx.structure
     if not isinstance(am, AmalgRing):
         return
-    met = {d: all(v for k, v in dh.items() if k not in dropped) for d, dh in am.hypotheses.items()}
-    hyps = {f"{d.lower()}_{k}": v for d, dh in am.hypotheses.items() for k, v in dh.items()}
+    hypotheses = amalg_hypotheses(am)
+    met = {d: all(v for k, v in dh.items() if k not in dropped) for d, dh in hypotheses.items()}
+    hyps = {f"{d.lower()}_{k}": v for d, dh in hypotheses.items() for k, v in dh.items()}
     for A, S in _base_pairs(am.h1):
         if A.mask & S.mask:
             continue
         base, ext = amalg_transfer_check(am, A, S)
         failed = (FORWARD if base.holds else BACKWARD) if base.holds != ext.holds else None
         detail = {"directions": {d: {"hypotheses": dh, "met": met[d], "base": base.outcome, "extension": ext.outcome}
-                                 for d, dh in am.hypotheses.items()}}
+                                 for d, dh in hypotheses.items()}}
         if failed and met[failed]:
             outcome, detail["violated"] = VIOLATION, failed
         else:
@@ -885,22 +888,17 @@ def run_amalgz_p3_2(ctx, dropped):
     )
 
 
-# P3.3's module facts -> the names that drop them; the literal zd-union variant is
-# reported but never enforced
-_P3_3_DROPS = {
-    "torsion_free": "torsion_free",
-    "zd_union_in_ann": "zd_union",
-}
-
-
 def run_p3_3(ctx, dropped):
-    """Trivial-extension equivalence of the three S-r statements."""
+    """Trivial-extension equivalence of the three S-r statements.  The module facts are
+    enforced unless dropped (`zd_union` drops `zd_union_in_ann`); the literal zd-union
+    reading is reported, never enforced."""
     T = ctx.structure
     if not isinstance(T, TrivExtRing):
         return
-    facts_met = all(T.hypotheses[k] or drop in dropped for k, drop in _P3_3_DROPS.items())
+    facts = triv_module_facts(T)
+    facts_met = (facts["torsion_free"] or "torsion_free" in dropped) and (facts["zd_union_in_ann"] or "zd_union" in dropped)
     for A, S in _base_pairs(T.base):
-        hyps = {"disjoint": not A.mask & S.mask, **T.hypotheses}
+        hyps = {"disjoint": not A.mask & S.mask, **facts}
         pattern = triv_equivalence_check(T, A, S)
         met = facts_met and (hyps["disjoint"] or "disjoint" in dropped)
         outcome = VACUOUS if not met else (VERIFIED if len(set(pattern)) == 1 else VIOLATION)

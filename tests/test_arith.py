@@ -108,21 +108,34 @@ def test_zero_ideal_always_s_r(z):
     assert v.not_applicable  # 0 sits in S
 
 
-def test_oracle_window_at_the_cap_runs_and_one_row_more_is_refused(monkeypatch):
-    """Both window lanes size their window with `window_rows` before building it: here
-    21 rows pass a cap of 21, and 23 (arith) or 27 (amalgZ) rows do not."""
+def test_oracle_window_at_its_caps_runs_and_one_more_is_refused(monkeypatch):
+    """Both window lanes size their window with `size_window` before building it: in each
+    lane a window at the row cap and at the cap on a coordinate's values runs, and one
+    row or one value more is refused."""
     monkeypatch.setattr(ar, "ORACLE_WINDOW_CAP", 21)
+    monkeypatch.setattr(ar, "ORACLE_AXIS_CAP", 21)
     monkeypatch.setattr(ar, "_oracle_cache", {})
-    assert ar.window_rows((3, 7)) == 21
+    ar.size_window(21, 21)
     with pytest.raises(SizeLimitError, match="an oracle window of 22 rows exceeds the cap 21"):
-        ar.window_rows((22,))
+        ar.size_window(22, 1)
+    with pytest.raises(SizeLimitError, match="an oracle window coordinate of 22 values exceeds the cap 21"):
+        ar.size_window(1, 22)
     A = ArithIdeal(ArithRing((INT,)), (3,))
     assert arith_oracle_check(A, None, 10)
     with pytest.raises(SizeLimitError, match="23 rows"):
         arith_oracle_check(A, None, 11)
-    assert amalgz_zero_transfer_check(AmalgOverZ(6, 2), ("units",), 3).window_confirms  # 7 x 3 rows
+    B = ArithIdeal(ArithRing((INT, 22)), (2, 1))
+    monkeypatch.setattr(ar, "ORACLE_WINDOW_CAP", 21 * 22)
+    with pytest.raises(SizeLimitError, match="22 values"):
+        arith_oracle_check(B, None, 10)
+    monkeypatch.setattr(ar, "ORACLE_WINDOW_CAP", 21)
+    assert amalgz_zero_transfer_check(AmalgOverZ(6, 2), ("units",), 3).window_confirms  # 7 x 3 rows, 7 w values
     with pytest.raises(SizeLimitError, match="27 rows"):
         amalgz_zero_transfer_check(AmalgOverZ(6, 2), ("units",), 4)
+    monkeypatch.setattr(ar, "ORACLE_AXIS_CAP", 6)
+    with pytest.raises(SizeLimitError, match="7 values"):
+        amalgz_zero_transfer_check(AmalgOverZ(6, 2), ("units",), 3)
+    assert amalgz_zero_transfer_check(AmalgOverZ(6, 2), ("units",), 2).window_confirms  # y takes the 6 values of Z6
 
 
 def test_oracle_window_precondition(z):

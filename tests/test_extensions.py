@@ -11,6 +11,7 @@ from ringlab.extensions import (
     S_FULL,
     S_ZERO,
     AmalgOverZ,
+    amalg_hypotheses,
     amalg_ideal,
     amalg_mcs,
     amalg_transfer_check,
@@ -25,6 +26,7 @@ from ringlab.extensions import (
     module_is_torsion_free,
     triv_equivalence_check,
     triv_ideal,
+    triv_module_facts,
     zd_union_inside_module_ann,
 )
 from ringlab.ideals import all_ideals, ideal_generate, mcs_generate
@@ -171,7 +173,7 @@ def test_lift_disjointness_mirrors_base(z4):
 
 def _triv_hypotheses_met(T, A, S):
     """The three hypotheses P3.3 enforces; the literal zd-union reading is only reported."""
-    return not A.mask & S.mask and T.hypotheses["torsion_free"] and T.hypotheses["zd_union_in_ann"]
+    return not A.mask & S.mask and all(triv_module_facts(T)[k] for k in ("torsion_free", "zd_union_in_ann"))
 
 
 def test_triv_equivalence_field_base(z2):
@@ -195,7 +197,7 @@ def test_triv_equivalence_hypothesis_gate(z4):
     T = make_trivial_extension(z4, make_module_free(z4, 1))
     A, S = ideal_generate(z4, [2]), mcs_generate(z4, [])
     triv_equivalence_check(T, A, S)
-    assert not T.hypotheses["torsion_free"]
+    assert not triv_module_facts(T)["torsion_free"]
     assert not _triv_hypotheses_met(T, A, S)
 
 
@@ -221,7 +223,7 @@ def test_amalgamation_carrier_size_is_product():
 def test_amalg_transfer_backward(z4):
     am = make_amalgamation(z4, z4, identity_hom(z4), ideal_generate(z4, [2]))
     base, ext = amalg_transfer_check(am, ideal_generate(z4, [2]), mcs_generate(z4, []))
-    assert am.hypotheses[BACKWARD] == {"isomorphism": True}
+    assert amalg_hypotheses(am)[BACKWARD] == {"isomorphism": True}
     assert base.holds and ext.holds
     assert base.holds or not ext.holds  # extension S-r implies base S-r
 
@@ -229,10 +231,10 @@ def test_amalg_transfer_backward(z4):
 def test_amalg_transfer_forward_gate(z4, z2):
     am = make_amalgamation(z4, z4, identity_hom(z4), ideal_generate(z4, [2]))
     amalg_transfer_check(am, ideal_generate(z4, [2]), mcs_generate(z4, []))
-    assert not am.hypotheses[FORWARD]["h1_domain"]
+    assert not amalg_hypotheses(am)[FORWARD]["h1_domain"]
     am2 = make_amalgamation(z2, z2, identity_hom(z2), ideal_generate(z2, []))
     base2, ext2 = amalg_transfer_check(am2, ideal_generate(z2, []), mcs_generate(z2, []))
-    assert all(am2.hypotheses[FORWARD].values()) and (ext2.holds or not base2.holds)
+    assert all(amalg_hypotheses(am2)[FORWARD].values()) and (ext2.holds or not base2.holds)
 
 
 def test_amalg_ideal_and_mcs_embed(z4):

@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from ringlab import poly
-from ringlab.config import DM_MAX_DEGREE, DM_PAIRS, DM_SEED
+from ringlab.config import DM_MAX_DEGREE, DM_PAIRS, DM_SEED, POLY_SEARCH_BUDGET
 from ringlab.corpus import CorpusSpec, Limits, parse_corpus_line
 from ringlab.dsl import parse_ring
 from ringlab.errors import DegreeLimitError, NotApplicableError
@@ -458,6 +458,17 @@ def test_search_budget_counts_every_examined_tuple(monkeypatch, z2, z3):
     with pytest.raises(DegreeLimitError, match="search budget spent: 4 of the 80"):
         bounded_S_r_search(kernel, S3, 3)
 
+
+
+@pytest.mark.parametrize(
+    "size,degree,fits",
+    [(16, 4, True), (4, 8, True), (5, 6, True), (6, 6, True), (8, 5, True), (18, 4, False), (16, 5, False)],
+)
+def test_search_budget_fits_the_searches_that_end_within_seconds(size, degree, fits):
+    """A search with no answer walks all size^(degree + 1) - 1 tuples.  Those up to degree
+    4 over Z16 (about 7 s for the s-unit check) fit the budget; Z18 at degree 4 and Z16 at
+    degree 5 are refused once it is spent."""
+    assert (size ** (degree + 1) - 1 <= POLY_SEARCH_BUDGET) == fits
 
 # -- content search against the loop reference --------------------------------------------
 #

@@ -10,7 +10,7 @@ from hypothesis import example, given, strategies as st
 
 from ringlab import classify as cl, extensions, poly, registry
 from ringlab.classify import FAILS, HOLDS, Verdict, has_fac
-from ringlab.config import ORACLE_WINDOW_CAP, POLY_SEARCH_BUDGET
+from ringlab.config import ORACLE_AXIS_CAP, ORACLE_WINDOW_CAP, POLY_SEARCH_BUDGET
 from ringlab.corpus import FINITE, CorpusSpec, Limits, default_corpus, parse_corpus_line
 from ringlab.dsl import parse_ring
 from ringlab.errors import ConfigError, UnknownHypothesis, UnknownTheorem
@@ -251,7 +251,7 @@ def _fake_amalg(monkeypatch, forward_met, backward_met, base_holds, ext_holds):
         BACKWARD: {"isomorphism": backward_met},
     }
     verdicts = tuple(Verdict(HOLDS if h else FAILS) for h in (base_holds, ext_holds))
-    monkeypatch.setattr(AmalgRing, "hypotheses", property(lambda am: hyps))
+    monkeypatch.setattr(registry, "amalg_hypotheses", lambda am: hyps)
     monkeypatch.setattr(registry, "amalg_transfer_check", lambda am, A, S: verdicts)
 
 
@@ -293,7 +293,7 @@ def test_p3_3_violation_needs_an_inconsistent_pattern_under_met_or_dropped_hypot
     facts are faked on the structure; disjointness is the pair's own, and over Z2 the
     pair with S<> is disjoint and the one with S<0> is not."""
     facts = {k: k != unmet for k in ("torsion_free", "zd_union_in_ann", "zd_union_in_ann_literal")}
-    monkeypatch.setattr(TrivExtRing, "hypotheses", property(lambda T: facts))
+    monkeypatch.setattr(registry, "triv_module_facts", lambda T: facts)
     monkeypatch.setattr(registry, "triv_equivalence_check", lambda T, A, S: pattern)
     ctx = build_context(parse_corpus_line("triv(Z2, free(1))"), Limits.defaults())
     findings = list(run_p3_3(ctx, dropped))
@@ -1051,14 +1051,16 @@ def test_cli_verify_refuses_an_empty_or_repeated_annotation(tmp_path, capsys, li
 
 
 @pytest.mark.parametrize(
-    "line,rows",
+    "line,message",
     [
-        ("Z ; ideal=(1000000) ; mcs=(units)", 4_000_001),
-        ("Z x Z1000000 ; ideal=(0,1) ; mcs=(units,units)", 21_000_000),
-        ("amalgZ(1000000, 2) ; mcs=(units)", 10_500_000),
+        ("Z ; ideal=(1000000) ; mcs=(units)", f"of 4000001 rows exceeds the cap {ORACLE_WINDOW_CAP}"),
+        ("Z x Z1000000 ; ideal=(0,1) ; mcs=(units,units)", f"of 21000000 rows exceeds the cap {ORACLE_WINDOW_CAP}"),
+        ("amalgZ(1000000, 2) ; mcs=(units)", f"of 10500000 rows exceeds the cap {ORACLE_WINDOW_CAP}"),
+        ("Z ; ideal=(512) ; mcs=(units)", f"coordinate of 2049 values exceeds the cap {ORACLE_AXIS_CAP}"),
+        ("amalgZ(4096, 2048) ; mcs=(units)", f"coordinate of 4096 values exceeds the cap {ORACLE_AXIS_CAP}"),
     ],
 )
-def test_cli_verify_refuses_an_oversized_oracle_window(tmp_path, monkeypatch, capsys, line, rows):
+def test_cli_verify_refuses_an_oversized_oracle_window(tmp_path, monkeypatch, capsys, line, message):
     """The window oracle and the amalgZ window are sized before any array is built, so
     the membership kernel is never called; the run exits 2 with one error line."""
     from ringlab import arith, extensions
@@ -1073,7 +1075,26 @@ def test_cli_verify_refuses_an_oversized_oracle_window(tmp_path, monkeypatch, ca
     corpus.write_text(line + "\n", encoding="utf-8")
     assert main(["verify", "--corpus", str(corpus), "--theorems", "ARITH-oracle,P3.2"]) == 2
     captured = capsys.readouterr()
-    assert captured.err == f"error: an oracle window of {rows} rows exceeds the cap {ORACLE_WINDOW_CAP}\n"
+    assert captured.err == f"error: an oracle window {message}\n"
+
+
+@pytest.mark.parametrize(
+    "line",
+    [
+        "Z x Z x Z ; ideal=(2,2,2) ; mcs=(units,units,units)",  # 21^3 = 9,261 rows
+        "Z x Z100 ; ideal=(2,1) ; mcs=(units,units)",  # 2,100 rows, 100 values on Z100
+        "Z ; ideal=(511) ; mcs=(units)",  # 2,045 rows and values, the most one factor may have
+    ],
+)
+def test_cli_verify_runs_a_window_under_both_caps(tmp_path, capsys, line):
+    """Windows under both caps, with several factors or one long coordinate, still verify."""
+    from ringlab.cli import main
+
+    corpus = tmp_path / "window.corpus"
+    corpus.write_text(line + "\n", encoding="utf-8")
+    assert main(["verify", "--corpus", str(corpus), "--theorems", "ARITH-oracle"]) == 0
+    captured = capsys.readouterr()
+    assert captured.err == "" and "VERIFIED" in captured.out
 
 
 def test_cli_poly_search_past_its_budget_exits_2(capsys):
