@@ -21,7 +21,6 @@ Descriptors:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import product as iproduct
 from math import gcd, isqrt, prod
 
 import numpy as np
@@ -183,6 +182,18 @@ def _factor_candidates(S: ArithMCS, i, bound):
     return sorted(pool, key=_abs_key)
 
 
+def _closed_candidates(S: ArithMCS, i):
+    """What the closed forms read of the i-th factor set: a `fin` set in key order, and of
+    an `all` or a `units` factor its key-least member alone, 0 or 1 mod n.  They ask of a
+    factor only whether some member, and which key-least member, lies in dZ_n, and these
+    answer both without listing Z_n: 0 lies in every ideal, and a unit lies in dZ_n iff
+    d = 1, as 1 mod n does."""
+    d = S.descs[i]
+    if d[0] == "fin":
+        return _factor_candidates(S, i, 0)
+    return [0 if d[0] == "all" else _mod(1, S.ring.factors[i])]
+
+
 # -- r- and S-r verdicts -------------------------------------------------------------
 
 
@@ -206,12 +217,8 @@ def arith_is_r_ideal(A: ArithIdeal) -> Verdict:
 
 
 def arith_disjoint(A: ArithIdeal, S: ArithMCS) -> bool:
-    """S and A are disjoint iff some factor of S misses A's factor ideal dZ_n.
-    The bound-0 candidates decide it: they are the whole factor set, except on
-    an `all` factor of Z, where they are 0 alone, which lies in every dZ."""
-    return any(
-        not any(_divides(d, c) for c in _factor_candidates(S, i, 0)) for i, d in enumerate(A.descs)
-    )
+    """S and A are disjoint iff some factor of S misses A's factor ideal dZ_n."""
+    return any(not any(_divides(d, c) for c in _closed_candidates(S, i)) for i, d in enumerate(A.descs))
 
 
 def arith_is_S_r_ideal(A: ArithIdeal, S: ArithMCS) -> Verdict:
@@ -231,9 +238,9 @@ def arith_is_S_r_ideal(A: ArithIdeal, S: ArithMCS) -> Verdict:
         return Verdict(NOT_APPLICABLE, reason=DISJOINTNESS_VIOLATED)
     witness = []
     for i, (n, d) in enumerate(zip(R.factors, A.descs)):
-        ok = next((c for c in _factor_candidates(S, i, 0) if not _obstructs(n, d) or c % d == 0), None)
+        ok = next((c for c in _closed_candidates(S, i) if not _obstructs(n, d) or c % d == 0), None)
         if ok is None:
-            default = tuple(_factor_candidates(S, j, 0)[0] for j in range(R.width))
+            default = tuple(_closed_candidates(S, j)[0] for j in range(R.width))
             return Verdict(FAILS, counterexample=_violating_pair(A, i), last_candidate=R.reduce(default))
         witness.append(ok)
     return Verdict(HOLDS, witness=R.reduce(tuple(witness)))
@@ -266,29 +273,35 @@ def _in_factor_ideal(d, cs):
     return cs == 0 if d == 0 else cs % d == 0
 
 
+def _grid(axes):
+    """The coded rows of the grid of these per-coordinate value lists, in lexicographic order.
+
+    A coded row set is (axes, codes): per coordinate i an array of values axes[i], and per
+    row the index codes[row, i] of its i-th value there.  A window is the grid of its axes,
+    and a subset of its rows keeps its axes and a subset of its codes."""
+    axes = [np.asarray(a, dtype=np.int64) for a in axes]
+    return axes, np.indices([len(a) for a in axes]).reshape(len(axes), -1).T
+
+
 def _products_in(descs, xs, ys, reduce):
-    """For each row x of xs, reduce (np.any, np.all or np.sum) of "xy is in the ideal" over
-    the rows y of ys.
+    """For each row x of the coded rows xs, reduce (np.any, np.all or np.sum) of "xy is in
+    the ideal" over the coded rows y of ys.
 
     This relies on a componentwise product and an ideal that is a product of per-factor
     ideals: xy lies in A iff x_i y_i lies in d_i Z_{n_i} at every coordinate i.  So each
-    coordinate gets one boolean table, a row per distinct value of xs and a column per row
-    of ys, built from the real products of the distinct values; the pair grid is then an AND
-    of table rows gathered by index, in blocks of about _CHUNK pairs, with no multiplication
+    coordinate gets one boolean table, a row per axis value of xs and a column per row of
+    ys, built from the real products of the axis values; the pair grid is then an AND of
+    table rows gathered by code, in blocks of about _CHUNK pairs, with no multiplication
     or modulo inside it.  A product that is not componentwise needs its own product step.
     """
-    tables = []
-    for i, d in enumerate(descs):
-        xv, xi = np.unique(xs[:, i], return_inverse=True)
-        yv, yi = np.unique(ys[:, i], return_inverse=True)
-        # row a, column j: is (a-th distinct x value) * ys[j, i] in the ideal at factor i
-        tables.append((_in_factor_ideal(d, xv[:, None] * yv)[:, yi], xi))
-    step = max(1, _CHUNK // max(1, len(ys)))
+    (xaxes, xcodes), (yaxes, ycodes) = xs, ys
+    tables = [_in_factor_ideal(d, xv[:, None] * yv)[:, yc] for d, xv, yv, yc in zip(descs, xaxes, yaxes, ycodes.T)]
+    step = max(1, _CHUNK // max(1, len(ycodes)))
     chunks = []
-    for s in range(0, len(xs), step):
-        grid = np.ones((len(xs[s : s + step]), len(ys)), dtype=bool)
-        for table, xi in tables:
-            grid &= table[xi[s : s + step]]
+    for s in range(0, len(xcodes), step):
+        grid = np.ones((len(xcodes[s : s + step]), len(ycodes)), dtype=bool)
+        for table, xc in zip(tables, xcodes.T):
+            grid &= table[xc[s : s + step]]
         chunks.append(reduce(grid, axis=1))
     return np.concatenate(chunks)
 
@@ -304,17 +317,20 @@ def size_window(rows: int, values: int) -> None:
 
 
 def _sent(R: ArithRing, descs, bound):
-    """The window elements z, as rows of an array, that some window w with
-    Ann(w) = 0 sends into the ideal (wz in A); built once per (ideal, bound)."""
+    """The window elements z, as coded rows, that some window w with Ann(w) = 0 sends into
+    the ideal (wz in A); built once per (ideal, bound).  The regular window elements are the
+    grid of each coordinate's regular values, so z is sent iff every z_i has a regular w_i
+    with w_i z_i in d_i Z_{n_i}: the sent rows are the grid of each coordinate's sent values."""
     key = (R.factors, descs, bound)
     if key not in _oracle_cache:
         lengths = [len(_axis(n, bound)) for n in R.factors]
         size_window(prod(lengths), max(lengths))
-        axes = [np.array(_axis(n, bound)) for n in R.factors]
-        window = np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1).reshape(-1, R.width)
-        mods = np.array(R.factors, dtype=np.int64)
-        regs = window[np.where(mods == 0, window != 0, np.gcd(window, mods) == 1).all(axis=1)]
-        _oracle_cache[key] = window[_products_in(descs, window, regs, np.any)]
+        sent = []
+        for n, d in zip(R.factors, descs):
+            axis = np.array(_axis(n, bound))
+            regs = np.array([c for c in _axis(n, bound) if _regular(c, n)], dtype=np.int64)
+            sent.append(axis[_in_factor_ideal(d, axis[:, None] * regs).any(axis=1)])
+        _oracle_cache[key] = _grid(sent)
     return _oracle_cache[key]
 
 
@@ -336,11 +352,11 @@ def _oracle_check(A: ArithIdeal, S, bound: int) -> bool:
     sent = _sent(R, A.descs, bound)
     if verdict.holds:
         # no sent z may escape the witness (the r-ideal verdict has none: z itself must stay in A)
-        s = np.array([verdict.witness or (1,) * R.width])
+        s = _grid([[c] for c in verdict.witness or (1,) * R.width])
         return bool(_products_in(A.descs, s, sent, np.all).all())
     # every window s must have a sent z that escapes it
     axes = [[1]] * R.width if S is None else [_factor_candidates(S, i, bound) for i in range(R.width)]
-    return not _products_in(A.descs, np.array(list(iproduct(*axes))), sent, np.all).any()
+    return not _products_in(A.descs, _grid(axes), sent, np.all).any()
 
 
 # -- ideal arithmetic in closed form ---------------------------------------------------

@@ -14,7 +14,7 @@ from itertools import product as iproduct
 
 import numpy as np
 
-from .arith import INT, ArithIdeal, ArithMCS, ArithRing, _factor_candidates, _products_in, arith_disjoint, arith_is_S_r_ideal, size_window
+from .arith import INT, ArithIdeal, ArithMCS, ArithRing, _factor_candidates, _grid, _products_in, arith_disjoint, arith_is_S_r_ideal, size_window
 from .classify import Verdict, is_S_r_ideal
 from .errors import (
     InvalidConstruction,
@@ -366,11 +366,13 @@ def amalgz_zero_transfer_check(az: AmalgOverZ, S_desc, bound: int) -> AmalgZRepo
     if ext_holds:
         size_window((2 * bound + 1) * (az.n // az.d), max(2 * bound + 1, az.n))
         descs = (0, az.d)
-        ws, js = np.meshgrid(np.arange(-bound, bound + 1), az.j_members(), indexing="ij")
-        window = np.stack([ws.ravel(), (ws + js).ravel() % az.n], axis=1)
-        killed = (np.arange(az.n)[:, None] * np.arange(az.d, az.n, az.d) % az.n == 0).any(axis=1)  # per y in Z_n
-        regs = window[(window[:, 0] != 0) & ~killed[window[:, 1]]]
-        sends = _products_in(descs, window, regs, np.sum)  # regular e1 with e1 e2 in 0 x J, per e2
+        # coded rows over the axes [-bound, bound] and Z_n, where a value of Z_n is its own code
+        axes = [np.arange(-bound, bound + 1), np.arange(az.n)]
+        ws, js = np.meshgrid(np.arange(2 * bound + 1), az.j_members(), indexing="ij")
+        codes = np.stack([ws.ravel(), (ws - bound + js).ravel() % az.n], axis=1)
+        killed = (axes[1][:, None] * np.arange(az.d, az.n, az.d) % az.n == 0).any(axis=1)  # per y in Z_n
+        regs = codes[(axes[0][codes[:, 0]] != 0) & ~killed[codes[:, 1]]]
+        sends = _products_in(descs, (axes, codes), (axes, regs), np.sum)  # regular e1 with e1 e2 in 0 x J, per e2
         checked = int(sends.sum())
-        confirms = bool(_products_in(descs, np.array([witness]), window[sends > 0], np.all)[0])
+        confirms = bool(_products_in(descs, _grid([[c] for c in witness]), (axes, codes[sends > 0]), np.all)[0])
     return AmalgZReport(hyps, base, ext_holds, witness, checked, confirms)

@@ -180,6 +180,18 @@ def _dm_table(R: FiniteRing, pairs: int, seed: int, max_degree: int) -> _DMTable
     return _DMTable(w, z, np.column_stack((cw, cz, cwz, np.maximum(dw, 0))), over)
 
 
+def _group_keys(keys):
+    """The distinct rows of a non-negative integer array and each row's index among them, as
+    np.unique(keys, axis=0, return_inverse=True) gives them, from one int64 per row: the
+    row read in the mixed radix of each column's largest entry plus one.  The DM keys fit
+    while the ring has fewer than 2^19 ideals."""
+    packed = np.zeros(len(keys), dtype=np.int64)
+    for column, radix in zip(keys.T, keys.max(axis=0, initial=0) + 1):
+        packed = packed * radix + column
+    _, first, inverse = np.unique(packed, return_index=True, return_inverse=True)
+    return keys[first], inverse
+
+
 def dedekind_mertens_sweep(R: FiniteRing, pairs: int, seed: int, max_degree: int = DM_MAX_DEGREE):
     """Seeded random product-content sweep; returns (checked, first_failure).
 
@@ -190,9 +202,9 @@ def dedekind_mertens_sweep(R: FiniteRing, pairs: int, seed: int, max_degree: int
     """
     t = _dm_table(R, pairs, seed, max_degree)
     ideals = lattice(R).ideals
-    distinct, inverse = np.unique(t.keys, axis=0, return_inverse=True)
+    distinct, inverse = _group_keys(t.keys)
     holds = np.array([_dm_identity(ideals[a], ideals[b], ideals[c], m) for a, b, c, m in distinct.tolist()], dtype=bool)
-    bad = np.flatnonzero(~holds[inverse.reshape(-1)] | t.over)
+    bad = np.flatnonzero(~holds[inverse] | t.over)
     if not bad.size:
         return len(t.keys), None
     first = int(bad[0])

@@ -993,6 +993,31 @@ def ref_products_in(descs, xs, ys, reduce):
     ])
 
 
+def ref_sent(R, descs, bound):
+    """The window rows z, in lexicographic order, that some regular window row w sends into
+    the ideal (wz in A), by the all-pairs scan: every z against every regular w, each pair
+    an AND over the coordinates of a membership table built from the products of the
+    distinct values, in blocks of about 2^22 pairs."""
+    axes = [np.arange(-bound, bound + 1) if n == INT else np.arange(n) for n in R.factors]
+    window = np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1).reshape(-1, R.width)
+    mods = np.array(R.factors, dtype=np.int64)
+    regs = window[np.where(mods == 0, window != 0, np.gcd(window, mods) == 1).all(axis=1)]
+    tables = []
+    for i, d in enumerate(descs):
+        zv, zi = np.unique(window[:, i], return_inverse=True)
+        wv, wi = np.unique(regs[:, i], return_inverse=True)
+        products = zv[:, None] * wv
+        tables.append((((products == 0) if d == 0 else (products % d == 0))[:, wi], zi))
+    step = max(1, (1 << 22) // max(1, len(regs)))
+    sent = np.zeros(len(window), dtype=bool)
+    for s in range(0, len(window), step):
+        grid = np.ones((len(window[s : s + step]), len(regs)), dtype=bool)
+        for table, zi in tables:
+            grid &= table[zi[s : s + step]]
+        sent[s : s + step] = grid.any(axis=1)
+    return window[sent]
+
+
 # The amalgZ window walked pair by pair: every regular e1 and every e2 of
 # Z joined to Z_n along J = dZ_n, with integer coordinates in [-bound, bound].
 

@@ -1,4 +1,5 @@
 from itertools import combinations, product as iproduct
+from math import gcd
 
 import numpy as np
 import pytest
@@ -30,7 +31,7 @@ from ringlab.extensions import AmalgOverZ, amalgz_zero_transfer_check
 from ringlab.ideals import ideal_generate, is_prime, mcs_from_members
 from ringlab.rings import make_product, make_zn
 
-from oracles import ref_products_in
+from oracles import ref_products_in, ref_sent
 
 
 @pytest.fixture(scope="module")
@@ -106,6 +107,24 @@ def test_zero_ideal_always_s_r(z):
         assert v.holds and v.witness == (1,)
     v = arith_is_S_r_ideal(zero, ArithMCS(z, (("all",),)))
     assert v.not_applicable  # 0 sits in S
+
+
+@pytest.mark.parametrize("ideal", [(0, 1), (0, 2)])
+def test_closed_forms_read_units_without_listing_z_n(tmp_path, monkeypatch, capsys, ideal):
+    """A `units` factor of Z_1000000 is decided in closed form, not by testing its residues
+    one by one: the S-r verdict calls gcd a constant number of times, and so does the CLI
+    run, which the window cap ends with exit 2 and one error line."""
+    from ringlab.cli import main
+
+    calls = []
+    monkeypatch.setattr(ar, "gcd", lambda a, b: calls.append((a, b)) or gcd(a, b))
+    R = ArithRing((INT, 1000000))
+    v = arith_is_S_r_ideal(ArithIdeal(R, ideal), ArithMCS(R, (("units",), ("units",))))
+    assert v.holds and v.witness == (1, 1) and len(calls) <= 2
+    corpus = tmp_path / "units.corpus"
+    corpus.write_text(f"Z x Z1000000 ; ideal=({ideal[0]},{ideal[1]}) ; mcs=(units,units)\n", encoding="utf-8")
+    assert main(["verify", "--corpus", str(corpus)]) == 2 and len(calls) <= 2
+    assert capsys.readouterr().err == "error: an oracle window of 21000000 rows exceeds the cap 32768\n"
 
 
 def test_oracle_window_at_its_caps_runs_and_one_more_is_refused(monkeypatch):
@@ -451,36 +470,90 @@ def test_oracle_matches_tuple_loop_reference(case):
 # -- the pair-grid kernel against the broadcast reference ----------------------------
 
 
+def _plain(rows):
+    """Plain rows as coded rows: each coordinate's axis is its column, so a row's code is its index."""
+    return list(rows.T), np.repeat(np.arange(len(rows))[:, None], rows.shape[1], axis=1)
+
+
+def _values(coded):
+    """Coded rows as plain rows."""
+    axes, codes = coded
+    return np.stack([axis[c] for axis, c in zip(axes, codes.T)], axis=1)
+
+
 def _kernel_case(descs, nx, ny, seed, reduce):
-    """Rows with every coordinate in [-12, 12]: negative and unreduced values included."""
+    """Plain rows with every coordinate in [-12, 12]: negative and unreduced values included."""
     rng = np.random.default_rng(seed)
-    return descs, rng.integers(-12, 13, (nx, len(descs))), rng.integers(-12, 13, (ny, len(descs))), reduce
+    return descs, _plain(rng.integers(-12, 13, (nx, len(descs)))), _plain(rng.integers(-12, 13, (ny, len(descs)))), reduce
+
+
+def _grid_case(descs, lengths, seed, reduce, swap):
+    """A window, the grid of per-coordinate axes of distinct values in [-12, 12], against a
+    random subset of its rows (possibly empty), in either order."""
+    rng = np.random.default_rng(seed)
+    window = ar._grid([rng.choice(np.arange(-12, 13), k, replace=False) for k in lengths])
+    subset = (window[0], window[1][rng.random(len(window[1])) < 0.5])
+    xs, ys = (subset, window) if swap and len(subset[1]) else (window, subset)
+    return descs, xs, ys, reduce
 
 
 @st.composite
-def kernel_cases(draw):
-    """(descs, xs, ys, reduce) over Z and Z_n factors, n <= 12, with descriptors 0 (Z
-    only), 1, a proper divisor and n."""
-    factors = draw(st.lists(st.sampled_from([INT, *range(1, 13)]), min_size=1, max_size=3))
+def factors_and_descs(draw):
+    """One to three factors from Z, Z1, ..., Z12, and an ideal descriptor on each: 0 to 3
+    on Z, and on Z_n a divisor of n, 1 and n included."""
+    factors = tuple(draw(st.lists(st.sampled_from([INT, *range(1, 13)]), min_size=1, max_size=3)))
     descs = tuple(
         draw(st.sampled_from([0, 1, 2, 3] if n == INT else [d for d in range(1, n + 1) if n % d == 0]))
         for n in factors
     )
+    return factors, descs
+
+
+@st.composite
+def kernel_cases(draw):
+    """(descs, xs, ys, reduce) over factors_and_descs; plain rows, or a window and a subset
+    of it, coded."""
+    factors, descs = draw(factors_and_descs())
+    seed, reduce = draw(st.integers(0, 2**16)), draw(st.sampled_from([np.any, np.all, np.sum]))
+    if draw(st.booleans()):
+        lengths = [draw(st.integers(1, 8)) for _ in factors]
+        return _grid_case(descs, lengths, seed, reduce, draw(st.booleans()))
     sizes = st.integers(0, 30)
-    return _kernel_case(
-        descs, draw(sizes.filter(bool)), draw(sizes), draw(st.integers(0, 2**16)),
-        draw(st.sampled_from([np.any, np.all, np.sum])),
-    )
+    return _kernel_case(descs, draw(sizes.filter(bool)), draw(sizes), seed, reduce)
 
 
-# descriptors (2, 3) of Z x Z6: 120,000 pairs over several chunks, and an empty ys
+# descriptors (2, 3) of Z x Z6: 120,000 pairs over several chunks, and an empty ys; a
+# 25 x 25 window and a subset of it over several chunks
 @example(_kernel_case((2, 3), 300, 400, 1, np.sum))
 @example(_kernel_case((2, 3), 5, 0, 2, np.all))
+@example(_grid_case((2, 3), (25, 25), 3, np.sum, False))
+@example(_grid_case((0, 2), (25, 25), 4, np.any, True))
 @settings(max_examples=100, derandomize=True, deadline=None, suppress_health_check=[HealthCheck.too_slow])
 @given(kernel_cases())
 def test_products_in_matches_broadcast_reference(case):
-    got, want = ar._products_in(*case), ref_products_in(*case)
+    descs, xs, ys, reduce = case
+    got, want = ar._products_in(descs, xs, ys, reduce), ref_products_in(descs, _values(xs), _values(ys), reduce)
     assert got.dtype == want.dtype and np.array_equal(got, want)
+
+
+# -- the sent set against the all-pairs scan ------------------------------------------
+
+
+@st.composite
+def sent_cases(draw):
+    """(R, descs, bound) over factors_and_descs and bounds up to 8."""
+    factors, descs = draw(factors_and_descs())
+    return ArithRing(factors), descs, draw(st.integers(0, 8))
+
+
+@example((ArithRing((INT, INT, INT)), (2, 2, 2), 15))  # 29,791 rows, 27,000 regular
+@example((ArithRing((INT, INT, INT)), (0, 3, 2), 8))
+@example((ArithRing((INT, 12, INT)), (0, 4, 0), 8))
+@settings(max_examples=80, derandomize=True, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(sent_cases())
+def test_sent_matches_all_pairs_reference(case):
+    R, descs, bound = case
+    assert np.array_equal(_values(ar._sent(R, descs, bound)), ref_sent(R, descs, bound))
 
 
 # -- every closed form against the window -------------------------------------------

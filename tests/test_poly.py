@@ -26,6 +26,7 @@ from ringlab.poly import (
     Poly,
     PolyIdealSpec,
     _dm_table,
+    _group_keys,
     _randrange_block,
     _poly_tuples,
     bounded_S_r_search,
@@ -627,6 +628,22 @@ def test_dm_table_keys_match_per_pair_contents(expr, max_degree):
         gaps += ideal_product(ideals[cw], ideals[cz]).mask != ideals[cwz].mask
     assert not t.over.any()
     assert (gaps > 0) == (expr not in CORPUS_BASES)
+
+
+@pytest.mark.parametrize("expr", ["Z2 x Z2 x Z2 x Z2", "Z12"])
+def test_dm_packed_keys_group_the_pairs_as_unique_rows_does(expr):
+    """The sweep groups its pairs by one packed integer per key: the distinct keys, their
+    order and each pair's group are those of np.unique(axis=0), on a base of 16 ideals at
+    degree 4 and on a corpus base, and on every key of a small grid, where a radix one too
+    small in any column after the first merges two keys.  The drawn keys alone would not
+    show that: on both bases no column after the first reaches 0 in them."""
+    R = parse_ring(expr)
+    assert len(lattice(R).ideals) == (16 if expr.startswith("Z2") else 6)
+    grid = np.indices((3, 2, 3, 5)).reshape(4, -1).T
+    for keys in (_dm_table(R, DM_PAIRS, DM_SEED, 4).keys, grid, grid[::-1]):
+        distinct, inverse = _group_keys(keys)
+        want_distinct, want_inverse = np.unique(keys, axis=0, return_inverse=True)
+        assert np.array_equal(distinct, want_distinct) and np.array_equal(inverse, want_inverse.reshape(-1))
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 12, 16, 17, 255, 256])

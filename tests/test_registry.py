@@ -1062,7 +1062,8 @@ def test_cli_verify_refuses_an_empty_or_repeated_annotation(tmp_path, capsys, li
 )
 def test_cli_verify_refuses_an_oversized_oracle_window(tmp_path, monkeypatch, capsys, line, message):
     """The window oracle and the amalgZ window are sized before any array is built, so
-    the membership kernel is never called; the run exits 2 with one error line."""
+    neither the builder of a window's rows nor the membership kernel is called; the run
+    exits 2 with one error line."""
     from ringlab import arith, extensions
     from ringlab.cli import main
 
@@ -1070,6 +1071,7 @@ def test_cli_verify_refuses_an_oversized_oracle_window(tmp_path, monkeypatch, ca
         raise AssertionError("the window was built")
 
     for mod in (arith, extensions):
+        monkeypatch.setattr(mod, "_grid", unreachable)
         monkeypatch.setattr(mod, "_products_in", unreachable)
     corpus = tmp_path / "big.corpus"
     corpus.write_text(line + "\n", encoding="utf-8")
