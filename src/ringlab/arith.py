@@ -343,12 +343,9 @@ def _oracle_check(A: ArithIdeal, S, bound: int) -> bool:
     R = A.ring
     if bound < window_floor(A):
         raise InvalidConstruction("window must cover twice the largest descriptor")
-    if S is None:
-        verdict = arith_is_r_ideal(A)
-    else:
-        verdict = arith_is_S_r_ideal(A, S)
-        if verdict.not_applicable:
-            return True
+    verdict = arith_is_r_ideal(A) if S is None else arith_is_S_r_ideal(A, S)
+    if verdict.not_applicable:
+        return True
     sent = _sent(R, A.descs, bound)
     if verdict.holds:
         # no sent z may escape the witness (the r-ideal verdict has none: z itself must stay in A)

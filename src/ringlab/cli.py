@@ -1,7 +1,7 @@
 """Command-line interface.
 
 Exit codes: 0 success (no unexpected violations), 1 unexpected violations,
-2 argument or parse errors.
+2 argument or parse errors and refused limits, each with one `error:` line.
 """
 
 from __future__ import annotations
@@ -13,6 +13,7 @@ import time
 from collections import Counter
 
 from . import classify as cl
+from .config import DEFAULT_DEGREE
 from .corpus import Limits, default_corpus, load_corpus
 from .dsl import parse_element, parse_ideal, parse_mcs, parse_ring, split_top
 from .errors import ConfigError, RinglabError
@@ -258,7 +259,7 @@ def build_parser():
     q.add_argument("kind", choices=("content", "kernel"))
     q.add_argument("args", nargs="*", help="content: ideal generators; kernel: point then ideal generators")
     q.add_argument("--mcs", help="constants generating S")
-    q.add_argument("--degree", type=int, default=3)
+    q.add_argument("--degree", type=int, default=DEFAULT_DEGREE)
     q.add_argument("--s-unit-check", help="comma-separated coefficients (constant first)")
     q.set_defaults(func=cmd_poly)
 

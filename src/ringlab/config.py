@@ -18,8 +18,10 @@ SIZE_LIMIT_CEILING = 4096
 # Polynomial searches: default working degree and a hard cap.
 DEFAULT_DEGREE = 3
 MAX_DEGREE = 8
-# Coefficient tuples one enumerating search may examine; it is refused past them, since
-# each degree costs |R| times the last.  The 16^5 - 1 tuples of degree <= 4 over Z16 fit.
+# Coefficient tuples one enumeration may walk: the s-unit check, and the walk of degree
+# <= 1 that finds the evaluation-kernel pair (the kernel verdict is a closed form).  A walk
+# of |R|^(D+1) - 1 tuples past it is refused before its first tuple; the 16^5 - 1 tuples
+# of degree <= 4 over Z16 fit.
 POLY_SEARCH_BUDGET = 1 << 20
 
 # Finite-annihilator-condition sweep: subsets of size <= this cap.  A set past

@@ -7,7 +7,8 @@ content-product identity (Dedekind-Mertens), whose seeded sweep keys every
 pair by its content triple in one table step and decides the identity once
 per distinct key, and the S-r story over the polynomial ring is decided
 either through the base-ring gates (finite annihilator condition /
-annihilator-of-zero-divisor-ideals) or by a bounded two-sided search.
+annihilator-of-zero-divisor-ideals) or in closed form.  Every bounded
+computation is sized before it starts and refused past its limit.
 
 Polynomial ideal membership is restricted to two decidable shapes: content
 ideals (all coefficients in A) and evaluation kernels (f(a) in B).
@@ -125,10 +126,9 @@ def _dm_identity(cw: Ideal, cz: Ideal, cwz: Ideal, m: int) -> bool:
     return ideal_product(ideal_product(zm, cz), cw).mask == ideal_product(zm, cwz).mask
 
 
-# The sweep's table, one row per drawn pair: the coefficient rows of w and z, the key
-# (c(w), c(z), c(wz) as indices into lattice(R).ideals, then deg w floored at 0), and
-# whether poly_mul refuses the product (degree past MAX_DEGREE, both factors nonzero).
-_DMTable = namedtuple("_DMTable", "w z keys over")
+# The sweep's table, one row per drawn pair: the coefficient rows of w and z, and the key
+# (c(w), c(z), c(wz) as indices into lattice(R).ideals, then deg w floored at 0).
+_DMTable = namedtuple("_DMTable", "w z keys")
 
 
 def _degrees(F):
@@ -175,9 +175,7 @@ def _dm_table(R: FiniteRing, pairs: int, seed: int, max_degree: int) -> _DMTable
     outside = ~np.array([member_row(A) for A in lattice(R).ideals])
     escapes = present.reshape(-1, R.size).astype(np.float32) @ outside.T.astype(np.float32)
     cw, cz, cwz = (escapes == 0).argmax(axis=1).reshape(3, count)
-    dw, dz = _degrees(w), _degrees(z)
-    over = (dw + dz > MAX_DEGREE) & (dw >= 0) & (dz >= 0)
-    return _DMTable(w, z, np.column_stack((cw, cz, cwz, np.maximum(dw, 0))), over)
+    return _DMTable(w, z, np.column_stack((cw, cz, cwz, np.maximum(_degrees(w), 0))))
 
 
 def _group_keys(keys):
@@ -195,23 +193,23 @@ def _group_keys(keys):
 def dedekind_mertens_sweep(R: FiniteRing, pairs: int, seed: int, max_degree: int = DM_MAX_DEGREE):
     """Seeded random product-content sweep; returns (checked, first_failure).
 
-    The identity is decided once per distinct key (c(w), c(z), c(wz), deg w),
-    and the answer is the first pair in draw order that fails it or whose
-    product poly_mul refuses; the latter raises DegreeLimitError there, as
-    checking the pairs one by one would.
+    A degree whose products could pass MAX_DEGREE is refused before any pair is
+    drawn.  The identity is decided once per distinct key (c(w), c(z), c(wz),
+    deg w), and the answer is the first pair in draw order that fails it.
     """
+    if 2 * max_degree > MAX_DEGREE:
+        raise DegreeLimitError(
+            f"a sweep of degree {max_degree} takes products of degree up to {2 * max_degree}, past the cap {MAX_DEGREE}"
+        )
     t = _dm_table(R, pairs, seed, max_degree)
     ideals = lattice(R).ideals
     distinct, inverse = _group_keys(t.keys)
     holds = np.array([_dm_identity(ideals[a], ideals[b], ideals[c], m) for a, b, c, m in distinct.tolist()], dtype=bool)
-    bad = np.flatnonzero(~holds[inverse] | t.over)
+    bad = np.flatnonzero(~holds[inverse])
     if not bad.size:
         return len(t.keys), None
     first = int(bad[0])
-    w, z = Poly.make(R, t.w[first]), Poly.make(R, t.z[first])
-    if t.over[first]:
-        poly_mul(w, z)  # raises DegreeLimitError
-    return first, (w, z)
+    return first, (Poly.make(R, t.w[first]), Poly.make(R, t.z[first]))
 
 
 # -- polynomial ideal specifications -----------------------------------------------------
@@ -259,19 +257,20 @@ class PolyVerdict:
 
 
 def _poly_tuples(size: int, max_degree: int):
-    """Nonzero coefficient tuples by degree, leading coefficient most significant; asking
-    for one past the first POLY_SEARCH_BUDGET raises DegreeLimitError."""
-    examined = 0
-    for d in range(max_degree + 1):
-        for lead in range(1, size):
-            for rest in iproduct(range(size), repeat=d):
-                if examined == POLY_SEARCH_BUDGET:
-                    raise DegreeLimitError(
-                        f"search budget spent: {examined} of the {size ** (max_degree + 1) - 1} polynomials "
-                        f"of degree <= {max_degree} over {size} elements examined without an answer"
-                    )
-                examined += 1
-                yield rest[::-1] + (lead,)
+    """Nonzero coefficient tuples by degree, leading coefficient most significant.  A walk
+    of more than POLY_SEARCH_BUDGET tuples is refused here, before its first tuple."""
+    count = size ** (max_degree + 1) - 1
+    if count > POLY_SEARCH_BUDGET:
+        raise DegreeLimitError(
+            f"a search of the {count} polynomials of degree <= {max_degree} over {size} elements "
+            f"exceeds the budget {POLY_SEARCH_BUDGET}"
+        )
+    return (
+        rest[::-1] + (lead,)
+        for d in range(max_degree + 1)
+        for lead in range(1, size)
+        for rest in iproduct(range(size), repeat=d)
+    )
 
 
 def _tuple_regular(R: FiniteRing, coeffs, masks) -> bool:
@@ -289,39 +288,36 @@ def _check_degree(max_degree: int) -> None:
 
 
 def bounded_S_r_search(spec: PolyIdealSpec, S_const: MulClosedSet, max_degree: int) -> PolyVerdict:
-    """Search degree <= max_degree for a pair defeating every constant s.
+    """Is there a pair of degree <= max_degree defeating every constant s?
 
     A pair (w, z) is a violation when wz lies in the spec, w is regular in
-    the full polynomial ring, and sz escapes the spec for every s in S.  For
-    evaluation kernels everything factors through values at the point, so
-    the enumeration gives the verdict of the plain all-pairs scan.
+    the full polynomial ring, and sz escapes the spec for every s in S.  Both
+    kinds of spec are decided in closed form, before any enumeration.
 
     Over a finite base the content branch never returns NO: a regular w has
     Ann(c(w)) = 0 (McCoy, Amer. Math. Monthly 49, 1942), so c(w) = R, since
     only R has zero annihilator (see `classify`).  Then w stays regular over
     R/A, and wz in A[x] forces z in A[x].
+
+    An evaluation kernel (f(a) in B) gets NO iff max_degree >= 1 and S misses
+    B.  An s in B sends every z into the kernel.  Otherwise z = 1 escapes every
+    s, and w = x - a has content R, so it is regular, with w(a) = 0.  At
+    degree 0 a regular w is a unit, so wz in the kernel puts z there too.
+    The pair reported is the enumeration's first by degree, which lies among
+    the tuples of degree <= 1, so only those are walked to find it.
     """
     R = spec.base
     if S_const.ring is not R:
         raise TypeMismatch("constant set belongs to a different ring")
     _check_degree(max_degree)
-    if spec.kind == CONTENT:
+    a, B = spec.point, spec.ideal
+    if spec.kind == CONTENT or max_degree == 0 or B.mask & S_const.mask:
         return PolyVerdict(NO_VIOLATION_UP_TO, bound=max_degree)
     masks = lattice(R).ann
-    a, B = spec.point, spec.ideal
     vbad = [v for v in R.elements() if all(R.m(s, v) not in B for s in S_const.sorted_members)]
-    if vbad:
-        for coeffs in _poly_tuples(R.size, max_degree):
-            if not _tuple_regular(R, coeffs, masks):
-                continue
-            w = Poly(R, coeffs)
-            u = poly_eval(w, a)
-            for v in vbad:
-                if R.m(u, v) in B:
-                    z = constant(R, v)
-                    deg = max(w.degree, z.degree, 0)
-                    return PolyVerdict(NO, pair=(w, z), witness_degree=deg, bound=max_degree)
-    return PolyVerdict(NO_VIOLATION_UP_TO, bound=max_degree)
+    regular = (Poly(R, c) for c in _poly_tuples(R.size, 1) if _tuple_regular(R, c, masks))
+    w, v = next((w, v) for w in regular for v in vbad if R.m(poly_eval(w, a), v) in B)
+    return PolyVerdict(NO, pair=(w, constant(R, v)), witness_degree=w.degree, bound=max_degree)
 
 
 def decide_content_S_r(A: Ideal, S: MulClosedSet, max_degree: int = None, fac_cap: int = None) -> PolyVerdict:

@@ -10,7 +10,8 @@ column test of a colon, the set forms of T2.7's scaled sides, the per-entry
 loops of the finite runners that read the verdict rows (T2.3, T2.5, P2.8,
 P2.10, T2.11, T2.12, C-zd, P-colon, P-annsum, P-minidem, P-sidem, P-suz and
 P-suzmax), each asking ctx.s_r once per check, the per-pair loop of the
-Dedekind-Mertens sweep, the full-degree content search over R/A, the fraction
+Dedekind-Mertens sweep, the full-degree content search over R/A, the
+enumerating evaluation-kernel search, the fraction
 construction of a localization, an isomorphism search between finite rings,
 the submodule lattice of a finite module, the element-pair loops that built
 quotients, free modules, trivial extensions and amalgamations, the broadcast
@@ -62,7 +63,7 @@ from ringlab.ideals import (
     member_row,
 )
 from ringlab import poly
-from ringlab.poly import NO, NO_VIOLATION_UP_TO, Poly, PolyVerdict, content_ideal, content_set, poly_mul
+from ringlab.poly import NO, NO_VIOLATION_UP_TO, Poly, PolyVerdict, content_ideal, content_set, poly_eval, poly_mul
 from ringlab.rings import FiniteRing, RingHom, _check_ideal_subset, idempotent_power, make_quotient, operand
 
 CAP_RINGS = ((256,), (2,) * 8, (4,) * 4, (2, 128), (3, 5, 17), (2, 3, 5, 7), (64,), (128,))
@@ -793,6 +794,25 @@ def ref_content_search(A, S_const, max_degree):
                 w = Poly.make(R, found)
                 z = Poly.make(R, ref_min_lift(R, p, zt))
                 return PolyVerdict(NO, pair=(w, z), witness_degree=max(w.degree, z.degree, 0), bound=max_degree)
+    return PolyVerdict(NO_VIOLATION_UP_TO, bound=max_degree)
+
+
+def ref_kernel_search(spec, S_const, max_degree):
+    """The evaluation-kernel search as an enumeration, with no budget: every regular w of
+    degree <= max_degree in `ref_poly_tuples` order, against every constant v, in order,
+    that escapes the kernel under every s; the first w with w(a) v in B gives the pair."""
+    R, a, B = spec.base, spec.point, spec.ideal
+    vbad = [v for v in R.elements() if all(R.m(s, v) not in B for s in S_const.sorted_members)]
+    if vbad:
+        for coeffs in ref_poly_tuples(R.size, max_degree):
+            w = Poly(R, coeffs)
+            if not mccoy_regular(w):
+                continue
+            u = poly_eval(w, a)
+            for v in vbad:
+                if R.m(u, v) in B:
+                    z = Poly.make(R, [v])
+                    return PolyVerdict(NO, pair=(w, z), witness_degree=max(w.degree, z.degree, 0), bound=max_degree)
     return PolyVerdict(NO_VIOLATION_UP_TO, bound=max_degree)
 
 

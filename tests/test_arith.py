@@ -346,14 +346,10 @@ def ref_oracle_check(A, S, bound):
     maxdesc = max((d for f, d in zip(R.factors, A.descs) if f == INT), default=0)
     if bound < 2 * maxdesc:
         raise InvalidConstruction("window must cover twice the largest descriptor")
-    if S is None:
-        verdict = ar.arith_is_r_ideal(A)
-        cands = [None]
-    else:
-        verdict = ar.arith_is_S_r_ideal(A, S)
-        if verdict.not_applicable:
-            return True
-        cands = ref_window_mcs(R, S, bound)
+    verdict = ar.arith_is_r_ideal(A) if S is None else ar.arith_is_S_r_ideal(A, S)
+    if verdict.not_applicable:
+        return True
+    cands = [None] if S is None else ref_window_mcs(R, S, bound)
     regs = [w for w in ref_window_elements(R, bound) if arith_ann_is_zero(R, w)]
     window = list(ref_window_elements(R, bound))
     mul = R.mul

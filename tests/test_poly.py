@@ -48,6 +48,7 @@ from oracles import (
     poly_add,
     ref_content_search,
     ref_dedekind_mertens_sweep,
+    ref_kernel_search,
     ref_poly_tuples,
 )
 
@@ -442,21 +443,32 @@ def test_negative_degree_is_refused():
 
 
 def test_search_budget_counts_every_examined_tuple(monkeypatch, z2, z3):
-    """(1+x)g is never a nonzero constant over Z2, so the s-unit search at degree 2 walks
-    all 2^3 - 1 tuples: a budget of 7 lets it finish and one of 6 refuses it.  The Z3
-    kernel search finds its pair at the fifth tuple, so a budget of 5 still returns it."""
+    """A walk is sized by its tuple count before its first tuple.  The s-unit search at
+    degree 2 over Z2 has 2^3 - 1 = 7 tuples: a budget of 7 lets it run, and one of 6
+    refuses it with no product taken.  The kernel search walks the 3^2 - 1 = 8 tuples of
+    degree <= 1 over Z3 whatever its degree: a budget of 8 lets it run at degree 3 and 8,
+    and one of 7 refuses it."""
     f, S = Poly.make(z2, [1, 1]), mcs_generate(z2, [])
     kernel = PolyIdealSpec.eval_kernel(1, ideal_generate(z3, []))
     S3 = mcs_generate(z3, [1, 2])
+    products = []
+    real = poly._product
+    monkeypatch.setattr(poly, "_product", lambda *fg: products.append(fg) or real(*fg))
     monkeypatch.setattr(poly, "POLY_SEARCH_BUDGET", 7)
     assert poly_s_unit_check(f, S, 2).kind == S_UNIT_NO_UP_TO
+    assert len(products) == 7
     monkeypatch.setattr(poly, "POLY_SEARCH_BUDGET", 6)
-    with pytest.raises(DegreeLimitError, match="search budget spent: 6 of the 7 polynomials of degree <= 2"):
+    refusal = "a search of the 7 polynomials of degree <= 2 over 2 elements exceeds the budget 6"
+    with pytest.raises(DegreeLimitError, match=refusal):
+        _poly_tuples(2, 2)
+    with pytest.raises(DegreeLimitError, match=refusal):
         poly_s_unit_check(f, S, 2)
-    monkeypatch.setattr(poly, "POLY_SEARCH_BUDGET", 5)
-    assert bounded_S_r_search(kernel, S3, 3).pair[0].coeffs == (2, 1)
-    monkeypatch.setattr(poly, "POLY_SEARCH_BUDGET", 4)
-    with pytest.raises(DegreeLimitError, match="search budget spent: 4 of the 80"):
+    assert len(products) == 7
+    monkeypatch.setattr(poly, "POLY_SEARCH_BUDGET", 8)
+    for degree in (3, 8):
+        assert bounded_S_r_search(kernel, S3, degree).pair[0].coeffs == (2, 1)
+    monkeypatch.setattr(poly, "POLY_SEARCH_BUDGET", 7)
+    with pytest.raises(DegreeLimitError, match="a search of the 8 polynomials of degree <= 1 over 3 elements"):
         bounded_S_r_search(kernel, S3, 3)
 
 
@@ -466,9 +478,9 @@ def test_search_budget_counts_every_examined_tuple(monkeypatch, z2, z3):
     [(16, 4, True), (4, 8, True), (5, 6, True), (6, 6, True), (8, 5, True), (18, 4, False), (16, 5, False)],
 )
 def test_search_budget_fits_the_searches_that_end_within_seconds(size, degree, fits):
-    """A search with no answer walks all size^(degree + 1) - 1 tuples.  Those up to degree
-    4 over Z16 (about 7 s for the s-unit check) fit the budget; Z18 at degree 4 and Z16 at
-    degree 5 are refused once it is spent."""
+    """A search walks at most size^(degree + 1) - 1 tuples.  Those up to degree 4 over Z16
+    (about 7 s for an s-unit check with no answer) fit the budget; Z18 at degree 4 and Z16
+    at degree 5 are refused before their first tuple."""
     assert (size ** (degree + 1) - 1 <= POLY_SEARCH_BUDGET) == fits
 
 # -- content search against the loop reference --------------------------------------------
@@ -507,6 +519,25 @@ def _reference_scans(expr):
 def test_content_search_matches_loop_reference(expr):
     for A, S, degree, ref in _reference_scans(expr):
         assert bounded_S_r_search(PolyIdealSpec.content(A), S, degree) == ref, (A, S, degree)
+
+
+KERNEL_RINGS = SEARCH_RINGS + ["Z2 x Z2 x Z2"]
+
+
+def test_kernel_search_matches_the_enumeration():
+    """The kernel verdict is a closed form (NO iff the degree is at least 1 and S misses
+    B) and its pair comes from a walk of degree <= 1 only; the enumeration over every
+    degree up to D gives the same whole verdict, pair included, for every ideal B, point
+    a and monogenic S of each ring at D <= 2."""
+    cases = 0
+    for expr in KERNEL_RINGS:
+        R = parse_ring(expr)
+        monogenic = {S.mask: S for S in (mcs_generate(R, [g]) for g in R.elements())}.values()
+        for B, a, S, degree in iproduct(all_ideals(R), R.elements(), monogenic, range(3)):
+            spec = PolyIdealSpec.eval_kernel(a, B)
+            assert bounded_S_r_search(spec, S, degree) == ref_kernel_search(spec, S, degree), (expr, B, a, S, degree)
+            cases += 1
+    assert cases >= 6990, cases
 
 
 def _faked_mask_case(data):
@@ -587,24 +618,16 @@ def test_dm_sweep_matches_per_pair_loop(expr):
             assert got == _dm_outcome(ref_dedekind_mertens_sweep, R, pairs, seed, max_degree) == (pairs, None)
 
 
-def _refuses(sweep, R, pairs, seed, max_degree):
-    """The DegreeLimitError message the sweep raises, or None."""
-    try:
-        sweep(R, pairs, seed, max_degree)
-    except DegreeLimitError as err:
-        return str(err)
-    return None
-
-
 @pytest.mark.parametrize("expr", DM_RINGS)
-def test_dm_sweep_refuses_the_same_pair_past_the_degree_cap(expr):
+def test_dm_sweep_refuses_the_same_pair_past_the_degree_cap(monkeypatch, expr):
+    """At degree 5 two factors can multiply to degree 10, past the cap of 8, so every sweep
+    is refused before `_dm_table` draws a pair, whatever its pair count and seed.  At
+    degrees 0-4 the per-pair loop stays the sweep's reference."""
     R = parse_ring(expr)
-    for seed in DM_SEEDS:
-        first = next(k for k in range(DM_PAIRS) if _refuses(ref_dedekind_mertens_sweep, R, k + 1, seed, 5))
-        assert dedekind_mertens_sweep(R, first, seed, 5) == (first, None)
-        message = _refuses(ref_dedekind_mertens_sweep, R, DM_PAIRS, seed, 5)
-        assert _refuses(dedekind_mertens_sweep, R, first + 1, seed, 5) == message
-        assert _refuses(dedekind_mertens_sweep, R, DM_PAIRS, seed, 5) == message
+    monkeypatch.setattr(poly, "_dm_table", lambda *args: pytest.fail("_dm_table called"))
+    for pairs, seed in iproduct((0, 1, 7, DM_PAIRS), DM_SEEDS):
+        with pytest.raises(DegreeLimitError, match="^a sweep of degree 5 takes products of degree up to 10, past the cap 8$"):
+            dedekind_mertens_sweep(R, pairs, seed, 5)
 
 
 # triv(Z4, free(1)) is Z4[e]/(e^2), which is not Gaussian: at degree 1 some drawn
@@ -626,7 +649,6 @@ def test_dm_table_keys_match_per_pair_contents(expr, max_degree):
         assert ideals[cwz].mask == content_ideal(poly_mul(w, z)).mask
         assert m == max(w.degree, 0)
         gaps += ideal_product(ideals[cw], ideals[cz]).mask != ideals[cwz].mask
-    assert not t.over.any()
     assert (gaps > 0) == (expr not in CORPUS_BASES)
 
 

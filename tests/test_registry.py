@@ -1099,16 +1099,31 @@ def test_cli_verify_runs_a_window_under_both_caps(tmp_path, capsys, line):
     assert captured.err == "" and "VERIFIED" in captured.out
 
 
+def test_cli_verify_the_whole_ring_without_a_violation(tmp_path, capsys):
+    """The whole ring is no proper ideal, so the r and S-r closed forms are NotApplicable,
+    and the window oracle has nothing to confirm for either question."""
+    from ringlab.cli import main
+
+    corpus = tmp_path / "whole.corpus"
+    corpus.write_text("Z ; ideal=(1) ; mcs=(units)\nZ x Z4 ; ideal=(1,1) ; mcs=(units,units)\n", encoding="utf-8")
+    assert main(["verify", "--corpus", str(corpus)]) == 0
+    captured = capsys.readouterr()
+    assert captured.err == ""
+    assert "ARITH-oracle  VERIFIED=2      VACUOUS=0      VIOLATION=0\n" in captured.out
+    assert "total: 10 records, 4 verified, 6 vacuous, 0 violations\n" in captured.out
+
+
 def test_cli_poly_search_past_its_budget_exits_2(capsys):
-    """2g is never 1 over Z16, so the s-unit search has no answer; it stops at its budget."""
+    """The s-unit search of degree 8 over Z16 would walk 16^9 - 1 tuples; it is refused
+    before its first one, after the content verdict is printed."""
     from ringlab.cli import main
 
     assert main(["poly", "Z16", "content", "2", "--s-unit-check", "2", "--degree", "8"]) == 2
     captured = capsys.readouterr()
     assert captured.out == "NO_VIOLATION_UP_TO degree 8\n"
     assert captured.err == (
-        f"error: search budget spent: {POLY_SEARCH_BUDGET} of the {16**9 - 1} polynomials "
-        "of degree <= 8 over 16 elements examined without an answer\n"
+        f"error: a search of the {16**9 - 1} polynomials of degree <= 8 over 16 elements "
+        f"exceeds the budget {POLY_SEARCH_BUDGET}\n"
     )
 
 
