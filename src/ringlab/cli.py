@@ -16,7 +16,7 @@ from . import classify as cl
 from .config import DEFAULT_DEGREE
 from .corpus import Limits, default_corpus, load_corpus
 from .dsl import parse_element, parse_ideal, parse_mcs, parse_ring, split_top
-from .errors import ConfigError, RinglabError
+from .errors import ConfigError, ParseError, RinglabError
 from .ideals import all_ideals, is_maximal, is_prime, localize, max_ideals, prime_violation, spec
 from .poly import (
     NO,
@@ -182,8 +182,7 @@ def cmd_poly(args):
         spec = PolyIdealSpec.content(parse_ideal(base, ",".join(args.args)))
     else:
         if not args.args:
-            print("kernel needs an evaluation point", file=sys.stderr)
-            return 2
+            raise ParseError("kernel needs an evaluation point")
         point = parse_element(base, args.args[0])
         spec = PolyIdealSpec.eval_kernel(point, parse_ideal(base, ",".join(args.args[1:])))
     verdict = bounded_S_r_search(spec, S, args.degree)

@@ -24,8 +24,8 @@ MAX_DEGREE = 8
 # of degree <= 4 over Z16 fit.
 POLY_SEARCH_BUDGET = 1 << 20
 
-# Finite-annihilator-condition sweep: subsets of size <= this cap.  A set past
-# size 2 can never fail first (classify.has_fac), so sizes 3.. only confirm.
+# Finite-annihilator-condition sweep: subsets of size <= this cap.  The first failing
+# set is always a pair (classify.has_fac), so every cap >= 2 tests pairs only.
 FAC_SUBSET_CAP = 3
 
 # Seeded content-identity sweeps (documented fixed seed for reproducibility).

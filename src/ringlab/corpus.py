@@ -19,7 +19,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from . import config
-from .dsl import int_args, is_arith_expression, split_top
+from .dsl import int_args, split_top
 from .errors import ConfigError, ParseError
 
 FINITE = "finite"
@@ -76,13 +76,6 @@ class CorpusSpec:
     entries: tuple
     limits: Limits
 
-    def validate(self) -> None:
-        """Parse every expression and type-check every annotation."""
-        from .registry import build_context
-
-        for entry in self.entries:
-            build_context(entry, self.limits)
-
 
 def parse_corpus_line(line: str):
     body = line.split("#", 1)[0].strip()
@@ -107,7 +100,7 @@ def parse_corpus_line(line: str):
     elif stripped.startswith("amalgZ(") and stripped.endswith(")"):
         kind = AMALGZ
         expr_canon = "amalgZ({},{})".format(*int_args(stripped, "amalgZ", 2))
-    elif is_arith_expression(expr):
+    elif "Z" in split_top(stripped, "x"):
         kind = ARITH
         expr_canon = " x ".join(split_top(stripped, "x"))
     else:

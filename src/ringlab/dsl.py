@@ -26,7 +26,7 @@ from .arith import INT, ArithIdeal, ArithMCS, ArithRing, mod_factor
 from .errors import ParseError
 from .extensions import make_module_free, make_module_quotient, make_trivial_extension, make_amalgamation
 from .ideals import Ideal, MulClosedSet, ideal_generate, localize, mcs_generate
-from .rings import FiniteRing, RingHom, check_hom, make_product, make_quotient, make_zn
+from .rings import FiniteRing, RingHom, make_product, make_quotient, make_zn
 
 _OPEN = "({[<"
 _CLOSE = ")}]>"
@@ -250,7 +250,7 @@ def _parse_atom(text: str):
                 raise ParseError("amalg with id needs identical component expressions")
             h1 = parse_ring(e1)
             h2 = h1
-            hom = check_hom(RingHom(h1, h2, tuple(range(h1.size))))
+            hom = RingHom(h1, h2, tuple(range(h1.size)))  # make_amalgamation checks it
         elif spec == "proj":
             pieces = split_top(e2, "/")
             if len(pieces) != 2 or _strip(pieces[0]) != e1:
@@ -271,10 +271,3 @@ def _parse_atom(text: str):
         base = parse_ring(args[0])
         return localize(base, parse_mcs(base, args[1])).localized, None
     raise ParseError(f"cannot parse ring expression {text!r}")
-
-
-def is_arith_expression(text: str) -> bool:
-    try:
-        return any(f == "Z" for f in split_top(_strip(text), "x"))
-    except ParseError:
-        return False

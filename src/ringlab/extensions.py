@@ -278,19 +278,21 @@ def _joined(f: RingHom, J: Ideal, w):
     return f.codomain.add[np.asarray(f.image)[w]][:, bits(J.mask)]
 
 
+def _amalg_members(am: AmalgRing, X, what: str):
+    """The indices of {(x, f(x)+j) : x in X, j in J} for an ideal or m.c.s. X of H1."""
+    if X.ring is not am.h1:
+        raise TypeMismatch(f"{what} belongs to a different ring")
+    x = np.array(bits(X.mask), dtype=np.intp)
+    return am.index_of(x[:, None], _joined(am.f, am.j, x)).ravel()
+
+
 def amalg_ideal(am: AmalgRing, A: Ideal) -> Ideal:
     """A joined along J: {(a, f(a)+j) : a in A, j in J} as an ideal."""
-    if A.ring is not am.h1:
-        raise TypeMismatch("ideal belongs to a different ring")
-    a = np.array(bits(A.mask), dtype=np.intp)
-    return ideal_from_members(am.ring, am.index_of(a[:, None], _joined(am.f, am.j, a)).ravel())
+    return ideal_from_members(am.ring, _amalg_members(am, A, "ideal"))
 
 
 def amalg_mcs(am: AmalgRing, S: MulClosedSet) -> MulClosedSet:
-    if S.ring is not am.h1:
-        raise TypeMismatch("m.c.s. belongs to a different ring")
-    s = np.array(bits(S.mask), dtype=np.intp)
-    return mcs_from_members(am.ring, am.index_of(s[:, None], _joined(am.f, am.j, s)).ravel())
+    return mcs_from_members(am.ring, _amalg_members(am, S, "m.c.s."))
 
 
 def amalg_transfer_check(am: AmalgRing, A: Ideal, S: MulClosedSet):
@@ -331,7 +333,6 @@ class AmalgZReport:
     hypotheses: dict
     base_verdict: Verdict
     ext_holds: bool
-    witness: tuple
     window_pairs_checked: int
     window_confirms: bool
 
@@ -370,9 +371,10 @@ def amalgz_zero_transfer_check(az: AmalgOverZ, S_desc, bound: int) -> AmalgZRepo
         axes = [np.arange(-bound, bound + 1), np.arange(az.n)]
         ws, js = np.meshgrid(np.arange(2 * bound + 1), az.j_members(), indexing="ij")
         codes = np.stack([ws.ravel(), (ws - bound + js).ravel() % az.n], axis=1)
-        killed = (axes[1][:, None] * np.arange(az.d, az.n, az.d) % az.n == 0).any(axis=1)  # per y in Z_n
-        regs = codes[(axes[0][codes[:, 0]] != 0) & ~killed[codes[:, 1]]]
-        sends = _products_in(descs, (axes, codes), (axes, regs), np.sum)  # regular e1 with e1 e2 in 0 x J, per e2
+        live = np.flatnonzero((axes[1][:, None] * np.arange(az.d, az.n, az.d) % az.n != 0).all(axis=1))  # y no j in J kills
+        regs = codes[(axes[0][codes[:, 0]] != 0) & np.isin(codes[:, 1], live)]
+        regs[:, 1] = np.searchsorted(live, regs[:, 1])  # the regular rows, coded over live
+        sends = _products_in(descs, (axes, codes), ([axes[0], live], regs), np.sum)  # regular e1 with e1 e2 in 0 x J, per e2
         checked = int(sends.sum())
         confirms = bool(_products_in(descs, _grid([[c] for c in witness]), (axes, codes[sends > 0]), np.all)[0])
-    return AmalgZReport(hyps, base, ext_holds, witness, checked, confirms)
+    return AmalgZReport(hyps, base, ext_holds, checked, confirms)

@@ -239,7 +239,8 @@ class AmalgZContext:
         if entry.ideal_text:  # the lane decides only the zero ideal
             raise ParseError(f"amalgZ takes no ideal= annotation: {entry.text}")
         self.az = AmalgOverZ(*int_args(entry.expr, "amalgZ", 2))
-        self.s_desc = parse_arith_mcs(parse_arith_ring("Z"), entry.mcs_text or "(units)").descs[0]
+        self.mcs_text = entry.mcs_text or "(units)"
+        self.s_desc = parse_arith_mcs(parse_arith_ring("Z"), self.mcs_text).descs[0]
 
 
 # entry kind -> (its context, the TheoremCase field that holds its runner)
@@ -876,7 +877,7 @@ def run_amalgz_p3_2(ctx, dropped):
     outcome = VACUOUS if not all(hyps.values()) else (VERIFIED if ok else VIOLATION)
     yield Finding(
         outcome,
-        {"ideal": "(0)", "mcs": str(ctx.entry.mcs_text or "(units)")},
+        {"ideal": "(0)", "mcs": ctx.mcs_text},
         hyps,
         {
             "direction": "FORWARD",

@@ -72,8 +72,6 @@ class FiniteRing:
         "size",
         "add",
         "mul",
-        "neg",
-        "zero",
         "one",
         "labels",
         "recipe",
@@ -104,8 +102,6 @@ class FiniteRing:
         if len(self.labels) != n:
             raise InvalidConstruction("label count does not match ring size")
         self._validate()
-        self.zero = 0
-        self.neg = tuple(np.argmax(add == 0, axis=1).tolist())
         self._partition()
         self._lattice = None
         for t in (self.add, self.mul):

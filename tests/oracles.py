@@ -833,7 +833,7 @@ def localize_oracle(R: FiniteRing, S: MulClosedSet):
     m = len(pairs)
     av = np.fromiter((p[0] for p in pairs), dtype=np.intp)
     sv = np.fromiter((p[1] for p in pairs), dtype=np.intp)
-    neg = np.fromiter(R.neg, dtype=np.intp)
+    neg = np.argmax(R.add == 0, axis=1)
     # diff[i, j] = u_j * a_i - s_i * b_j
     ua = R.mul[av[:, None], sv[None, :]]  # a_i * u_j
     sb = R.mul[sv[:, None], av[None, :]]  # s_i * b_j
@@ -1080,7 +1080,7 @@ def ref_amalgz_zero_transfer_check(az: AmalgOverZ, S_desc, bound: int) -> AmalgZ
                         checked += 1
                         if not _amalgz_in_zero_ideal(az, (witness[0] * e2[0], witness[1] * e2[1] % az.n)):
                             confirms = False
-    return AmalgZReport(hyps, base, hyps["disjoint"], witness, checked, confirms)
+    return AmalgZReport(hyps, base, hyps["disjoint"], checked, confirms)
 
 
 # The derived-ring constructors, built one element pair at a time.

@@ -3,7 +3,6 @@ import pytest
 from ringlab.arith import INT, mod_factor
 from ringlab.corpus import parse_corpus_line
 from ringlab.dsl import (
-    is_arith_expression,
     parse_arith_ideal,
     parse_arith_mcs,
     parse_arith_ring,
@@ -91,11 +90,10 @@ def test_parse_mcs_literal():
 
 
 def test_arith_detection():
-    assert is_arith_expression("Z")
-    assert is_arith_expression("Z x Z")
-    assert is_arith_expression("Z x Z4")
-    assert not is_arith_expression("Z2 x Z4")
-    assert not is_arith_expression("triv(Z2, free(1))")
+    for line in ("Z", "Z x Z", "Z x Z4"):
+        assert parse_corpus_line(line).kind == "arith", line
+    for line in ("Z2 x Z4", "triv(Z2, free(1))"):
+        assert parse_corpus_line(line).kind == "finite", line
 
 
 def test_parse_arith_ring():

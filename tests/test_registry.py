@@ -3,7 +3,7 @@ import json
 import random
 from collections import Counter
 from dataclasses import replace
-from itertools import combinations
+from itertools import combinations, product
 
 import pytest
 from hypothesis import example, given, strategies as st
@@ -13,7 +13,7 @@ from ringlab.classify import FAILS, HOLDS, Verdict, has_fac
 from ringlab.config import ORACLE_AXIS_CAP, ORACLE_WINDOW_CAP, POLY_SEARCH_BUDGET
 from ringlab.corpus import FINITE, CorpusSpec, Limits, default_corpus, parse_corpus_line
 from ringlab.dsl import parse_ring
-from ringlab.errors import ConfigError, UnknownHypothesis, UnknownTheorem
+from ringlab.errors import ConfigError, RinglabError, UnknownHypothesis, UnknownTheorem
 from ringlab.extensions import BACKWARD, FORWARD, AmalgRing, TrivExtRing
 from ringlab.ideals import (
     all_ideals,
@@ -167,7 +167,8 @@ def test_default_corpus_contents():
 
 
 def test_mini_corpus_validates(mini):
-    mini.validate()
+    for entry in mini.entries:
+        build_context(entry, mini.limits)
 
 
 def test_unknown_theorem(mini):
@@ -948,6 +949,14 @@ def test_cli_poly_bad_element_exits_2(capsys, argv):
     assert captured.out == "" and "neither a label nor an index" in captured.err
 
 
+def test_cli_poly_kernel_without_a_point_exits_2(capsys):
+    from ringlab.cli import main
+
+    assert main(["poly", "Z3", "kernel"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err == "error: kernel needs an evaluation point\n"
+
+
 @pytest.mark.parametrize("kind_args", [["content", "2"], ["kernel", "1", "2"]])
 def test_cli_poly_negative_degree_exits_2(capsys, kind_args):
     from ringlab.cli import main
@@ -1111,6 +1120,57 @@ def test_cli_verify_the_whole_ring_without_a_violation(tmp_path, capsys):
     assert captured.err == ""
     assert "ARITH-oracle  VERIFIED=2      VACUOUS=0      VIOLATION=0\n" in captured.out
     assert "total: 10 records, 4 verified, 6 vacuous, 0 violations\n" in captured.out
+
+
+def _generated_lines():
+    """Generated corpus lines: (arithmetic and amalgZ lines, finite and polynomial lines).
+
+    Arithmetic: Z, Z x Z and Z x Z_n for n in {2, 4, 6, 9}, with every ideal descriptor
+    0..4 on Z and every divisor of n on Z_n, and each of three m.c.s. descriptors per
+    factor; amalgZ(n, d) for 2 <= d <= n <= 12, so a d that does not divide n is refused.
+    Finite, for n <= 8: Z_n/(g), triv(Z_n, free(k)) for k <= 2, triv(Z_n, quot(g)),
+    amalg(Z_n, Z_n, id, (g)) for every g in Z_n, polyring(Z_n), Z1 x Z_n and Z_n with
+    the m.c.s. generated by 0.  The families hold the edge shapes the grammar allows: the zero ring,
+    Z1 factors, free(0), quot(0), whole-ring ideals and an `all` m.c.s. that holds 0.
+    """
+    mcs = ("units", "all", "{1,-1}")
+    arith = []
+    for ring in ["Z", "Z x Z"] + [f"Z x Z{n}" for n in (2, 4, 6, 9)]:
+        factors = [0 if f == "Z" else int(f[1:]) for f in ring.split(" x ")]
+        descs = [range(5) if n == 0 else [d for d in range(1, n + 1) if n % d == 0] for n in factors]
+        for ideal, S in product(product(*descs), product(mcs, repeat=len(factors))):
+            arith.append(f"{ring} ; ideal=({','.join(map(str, ideal))}) ; mcs=({','.join(S)})")
+    arith += [f"amalgZ({n}, {d}) ; mcs=({s})" for n in range(2, 13) for d in range(2, n + 1) for s in mcs]
+    finite = []
+    for n in range(1, 9):
+        finite += [f"Z{n}/({g})" for g in range(n)] + [f"triv(Z{n}, free({k}))" for k in range(3)]
+        finite += [f"triv(Z{n}, quot({g}))" for g in range(n)] + [f"amalg(Z{n}, Z{n}, id, ({g}))" for g in range(n)]
+        finite += [f"polyring(Z{n})", f"Z1 x Z{n}", f"Z{n} ; mcs=(0)"]
+    return arith, finite
+
+
+def test_generated_lines_verify_or_are_refused():
+    """Every generated line runs with no VIOLATION or is refused by a RinglabError; the
+    counts per family are printed and pinned.  The arithmetic refusals are the amalgZ
+    lines whose d does not divide n; the finite ones are triv(Z7, free(2)) and
+    triv(Z8, free(2)), past the size cap.  About 1.5 s in all."""
+    outcomes = []
+    for lines in _generated_lines():
+        counts = Counter()
+        for line in lines:
+            try:
+                records = list(verify(None, CorpusSpec((parse_corpus_line(line),), Limits.defaults())))
+            except RinglabError as exc:
+                counts[type(exc).__name__] += 1
+                continue
+            counts["run"] += 1
+            assert not [r for r in records if r["outcome"] == VIOLATION], line
+        print(f"{len(lines)} lines: {dict(counts)}")
+        outcomes.append((len(lines), dict(counts)))
+    assert outcomes == [
+        (978, {"run": 849, "InvalidConstruction": 129}),
+        (156, {"run": 154, "SizeLimitError": 2}),
+    ]
 
 
 def test_cli_poly_search_past_its_budget_exits_2(capsys):
