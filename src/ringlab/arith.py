@@ -21,12 +21,12 @@ Descriptors:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import gcd, isqrt, prod
+from math import gcd, isqrt
 
 import numpy as np
 
 from .classify import DISJOINTNESS_VIOLATED, Verdict, FAILS, HOLDS, NOT_APPLICABLE
-from .config import ORACLE_AXIS_CAP, ORACLE_WINDOW_CAP
+from .config import ORACLE_AXIS_CAP
 from .errors import InvalidConstruction, NotProperError, SizeLimitError, TypeMismatch
 
 INT = 0
@@ -248,18 +248,16 @@ def arith_is_S_r_ideal(A: ArithIdeal, S: ArithMCS) -> Verdict:
 
 # -- window oracle -------------------------------------------------------------------
 
-# Verdicts by (factors, descs, S descs, bound); sent window elements by (factors, descs, bound).
+# Verdicts by (factors, descs, S descs, bound); sent values per coordinate by (factors, descs, bound).
 _oracle_cache = {}
-_CHUNK = 1 << 15  # elements per temporary in the window scans
 
 
 def arith_oracle_check(A: ArithIdeal, S: ArithMCS, bound: int) -> bool:
     """Truncated brute force over the coordinate window [-bound, bound].
 
-    Confirms the closed-form verdict: a Holds witness is re-verified against
-    every window pair, and a Fails verdict requires a concrete violating
-    pair for every window member of S.  S = None checks the plain r-ideal
-    verdict the same way.
+    Confirms the closed-form verdict: a Holds witness must send every sent window element
+    into A, and a Fails verdict requires a concrete violating pair for every window member
+    of S.  S = None checks the plain r-ideal verdict the same way.
     """
     R = A.ring
     key = (R.factors, A.descs, S.descs if S is not None else None, bound)
@@ -273,64 +271,27 @@ def _in_factor_ideal(d, cs):
     return cs == 0 if d == 0 else cs % d == 0
 
 
-def _grid(axes):
-    """The coded rows of the grid of these per-coordinate value lists, in lexicographic order.
-
-    A coded row set is (axes, codes): per coordinate i an array of values axes[i], and per
-    row the index codes[row, i] of its i-th value there.  A window is the grid of its axes,
-    and a subset of its rows keeps its axes and a subset of its codes."""
-    axes = [np.asarray(a, dtype=np.int64) for a in axes]
-    return axes, np.indices([len(a) for a in axes]).reshape(len(axes), -1).T
-
-
-def _products_in(descs, xs, ys, reduce):
-    """For each row x of the coded rows xs, reduce (np.any, np.all or np.sum) of "xy is in
-    the ideal" over the coded rows y of ys.
-
-    This relies on a componentwise product and an ideal that is a product of per-factor
-    ideals: xy lies in A iff x_i y_i lies in d_i Z_{n_i} at every coordinate i.  So each
-    coordinate gets one boolean table, a row per axis value of xs and a column per row of
-    ys, built from the real products of the axis values; the pair grid is then an AND of
-    table rows gathered by code, in blocks of about _CHUNK pairs, with no multiplication
-    or modulo inside it.  A product that is not componentwise needs its own product step.
-    """
-    (xaxes, xcodes), (yaxes, ycodes) = xs, ys
-    tables = [_in_factor_ideal(d, xv[:, None] * yv)[:, yc] for d, xv, yv, yc in zip(descs, xaxes, yaxes, ycodes.T)]
-    step = max(1, _CHUNK // max(1, len(ycodes)))
-    chunks = []
-    for s in range(0, len(xcodes), step):
-        grid = np.ones((len(xcodes[s : s + step]), len(ycodes)), dtype=bool)
-        for table, xc in zip(tables, xcodes.T):
-            grid &= table[xc[s : s + step]]
-        chunks.append(reduce(grid, axis=1))
-    return np.concatenate(chunks)
-
-
-def size_window(rows: int, values: int) -> None:
-    """Refuse a window of this many rows whose coordinates take at most this many values
-    each, past ORACLE_WINDOW_CAP rows or ORACLE_AXIS_CAP values: every window is sized
-    here before any of its arrays is built."""
-    if rows > ORACLE_WINDOW_CAP:
-        raise SizeLimitError(f"an oracle window of {rows} rows exceeds the cap {ORACLE_WINDOW_CAP}")
+def size_window(values: int) -> None:
+    """Refuse a window whose coordinates take more than ORACLE_AXIS_CAP values; every
+    window is sized here before any of its arrays is built."""
     if values > ORACLE_AXIS_CAP:
         raise SizeLimitError(f"an oracle window coordinate of {values} values exceeds the cap {ORACLE_AXIS_CAP}")
 
 
 def _sent(R: ArithRing, descs, bound):
-    """The window elements z, as coded rows, that some window w with Ann(w) = 0 sends into
-    the ideal (wz in A); built once per (ideal, bound).  The regular window elements are the
-    grid of each coordinate's regular values, so z is sent iff every z_i has a regular w_i
-    with w_i z_i in d_i Z_{n_i}: the sent rows are the grid of each coordinate's sent values."""
+    """Per coordinate, the window values z_i that some regular w_i sends into d_i Z_{n_i};
+    built once per (ideal, bound).  The regular window elements are the product of each
+    coordinate's regular values, so a window z is sent into A by some regular w (wz in A)
+    iff every z_i is sent: the sent elements are the product of these value lists."""
     key = (R.factors, descs, bound)
     if key not in _oracle_cache:
-        lengths = [len(_axis(n, bound)) for n in R.factors]
-        size_window(prod(lengths), max(lengths))
+        size_window(max(len(_axis(n, bound)) for n in R.factors))
         sent = []
         for n, d in zip(R.factors, descs):
             axis = np.array(_axis(n, bound))
             regs = np.array([c for c in _axis(n, bound) if _regular(c, n)], dtype=np.int64)
             sent.append(axis[_in_factor_ideal(d, axis[:, None] * regs).any(axis=1)])
-        _oracle_cache[key] = _grid(sent)
+        _oracle_cache[key] = sent
     return _oracle_cache[key]
 
 
@@ -340,6 +301,10 @@ def window_floor(A: ArithIdeal) -> int:
 
 
 def _oracle_check(A: ArithIdeal, S, bound: int) -> bool:
+    """The product is componentwise, and A, the window members of S and the sent elements
+    are products over the coordinates, so "some s sends every sent z into A" holds iff every
+    coordinate has an s_i that sends every sent z_i into d_i Z_{n_i}.  A Holds verdict asks
+    it of the witness alone, and a Fails verdict needs it false for every s."""
     R = A.ring
     if bound < window_floor(A):
         raise InvalidConstruction("window must cover twice the largest descriptor")
@@ -348,12 +313,15 @@ def _oracle_check(A: ArithIdeal, S, bound: int) -> bool:
         return True
     sent = _sent(R, A.descs, bound)
     if verdict.holds:
-        # no sent z may escape the witness (the r-ideal verdict has none: z itself must stay in A)
-        s = _grid([[c] for c in verdict.witness or (1,) * R.width])
-        return bool(_products_in(A.descs, s, sent, np.all).all())
-    # every window s must have a sent z that escapes it
-    axes = [[1]] * R.width if S is None else [_factor_candidates(S, i, bound) for i in range(R.width)]
-    return not _products_in(A.descs, _grid(axes), sent, np.all).any()
+        # the r-ideal verdict has no witness: z itself must stay in A
+        axes = [[c] for c in verdict.witness or (1,) * R.width]
+    else:
+        axes = [[1]] * R.width if S is None else [_factor_candidates(S, i, bound) for i in range(R.width)]
+    # at bound 0 every coordinate passes: a Z one has no sent value, and a Z_n one's lie in d Z_n
+    covered = all(
+        _in_factor_ideal(d, np.array(ss)[:, None] * zs).all(axis=1).any() for d, ss, zs in zip(A.descs, axes, sent)
+    )
+    return covered == verdict.holds
 
 
 # -- ideal arithmetic in closed form ---------------------------------------------------

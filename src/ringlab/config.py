@@ -35,19 +35,11 @@ DM_MAX_DEGREE = 4
 
 # Truncated-window oracle for arithmetic rings.
 ARITH_ORACLE_BOUND = 10
-# The two caps of one oracle window, both checked before any of its arrays is built.  The
-# default corpus's largest window has 441 rows and at most 25 values per coordinate.
-# Rows: the sent rows are found one coordinate at a time, and the scans pair them, at most
-# N of a window's N rows, with the witness (a Holds verdict) or with the window members of
-# S (a Fails verdict).  Those members are at most 2N/21 rows at a bound of 10 or more, since
-# a Fails verdict has an obstructing Z coordinate where S holds at most 1 and -1.  On a
-# 2-core Xeon with Python 3.11 the Fails scan of Z x Z1560 ; ideal=(2,1) ; mcs=(units,all)
-# (32,760 rows, 3,120 x 32,760 pairs) takes 0.66 s at 83 MB peak RSS, and that of
-# Z x Z x Z ; ideal=(2,2,2) ; mcs=(units,all,all) at bound 15 (1,922 x 29,791 pairs) 0.19 s.
-ORACLE_WINDOW_CAP = 1 << 15
-# Values per coordinate: a coordinate of L values gets an L x L membership table from two
-# int64 temporaries, 17L^2 bytes, 68 MiB at 2,048 values, and keeps an L x N boolean table
-# over the N rows, 64 MiB at both caps.
+# Values per coordinate of one oracle window, checked before any of its arrays is built.
+# The default corpus's largest window has at most 25 values per coordinate.  The window is
+# decided one coordinate at a time, so a coordinate of L values gets L x L membership tables
+# (its regular values, and then the members of S, against its values) from two int64
+# temporaries, 17L^2 bytes, 68 MiB at 2,048 values; no table spans the window's rows.
 ORACLE_AXIS_CAP = 2048
 
 # Per-ring cap on (ideal, m.c.s.) annotation combinations; beyond it the

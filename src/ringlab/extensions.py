@@ -14,7 +14,7 @@ from itertools import product as iproduct
 
 import numpy as np
 
-from .arith import INT, ArithIdeal, ArithMCS, ArithRing, _factor_candidates, _grid, _products_in, arith_disjoint, arith_is_S_r_ideal, size_window
+from .arith import INT, ArithIdeal, ArithMCS, ArithRing, arith_disjoint, arith_is_S_r_ideal, arith_oracle_check, size_window
 from .classify import Verdict, is_S_r_ideal
 from .errors import (
     InvalidConstruction,
@@ -324,9 +324,6 @@ class AmalgOverZ:
     def j_members(self):
         return tuple(range(0, self.n, self.d))
 
-    def element(self, w, j):
-        return (w, (w + j) % self.n)
-
 
 @dataclass(frozen=True)
 class AmalgZReport:
@@ -343,10 +340,12 @@ def amalgz_zero_transfer_check(az: AmalgOverZ, S_desc, bound: int) -> AmalgZRepo
     S_desc is a one-factor m.c.s. descriptor over Z.  The extension side
     0 x J is an (S join J)-r-ideal whenever disjointness holds: a product
     landing in 0 x J with regular first element forces the second element's
-    integer coordinate to zero, after which any candidate works.  arith's
-    membership kernel re-verifies that reasoning on the window rows
-    (w, (w + j) mod n) of Z x Z_n, |w| <= bound, where 0 x J has descriptors
-    (0, d) and (w, y) is regular iff w != 0 and no nonzero j in J kills y.
+    integer coordinate to zero, after which any candidate works.  The window
+    rows are (w, (w + j) mod n), |w| <= bound; (w, y) is regular iff w != 0 and
+    no nonzero j in J kills y, that is iff gcd(y, n/d) = 1, as some 0 < k < n/d
+    has yk = 0 mod n/d iff that gcd exceeds 1.  A regular (w, y) sends (z, y')
+    into 0 x J iff z = 0, and then y y' lies in J anyway, so each regular row
+    makes |J| pairs.  The S-r verdict of (0) in Z is confirmed by arith's oracle.
     """
     zring = ArithRing((INT,))
     S = ArithMCS(zring, (S_desc,))
@@ -358,23 +357,13 @@ def amalgz_zero_transfer_check(az: AmalgOverZ, S_desc, bound: int) -> AmalgZRepo
         "j_in_zd": True,  # d >= 2 divides n, so d divides gcd(j, n) for every j in J
         "disjoint": arith_disjoint(zero, S),
     }
-    s_candidates = _factor_candidates(S, 0, bound)
-    s0 = s_candidates[0]
-    witness = az.element(s0, 0)
     ext_holds = hyps["disjoint"]
     checked = 0
-    confirms = True
     if ext_holds:
-        size_window((2 * bound + 1) * (az.n // az.d), max(2 * bound + 1, az.n))
-        descs = (0, az.d)
-        # coded rows over the axes [-bound, bound] and Z_n, where a value of Z_n is its own code
-        axes = [np.arange(-bound, bound + 1), np.arange(az.n)]
-        ws, js = np.meshgrid(np.arange(2 * bound + 1), az.j_members(), indexing="ij")
-        codes = np.stack([ws.ravel(), (ws - bound + js).ravel() % az.n], axis=1)
-        live = np.flatnonzero((axes[1][:, None] * np.arange(az.d, az.n, az.d) % az.n != 0).all(axis=1))  # y no j in J kills
-        regs = codes[(axes[0][codes[:, 0]] != 0) & np.isin(codes[:, 1], live)]
-        regs[:, 1] = np.searchsorted(live, regs[:, 1])  # the regular rows, coded over live
-        sends = _products_in(descs, (axes, codes), ([axes[0], live], regs), np.sum)  # regular e1 with e1 e2 in 0 x J, per e2
-        checked = int(sends.sum())
-        confirms = bool(_products_in(descs, _grid([[c] for c in witness]), (axes, codes[sends > 0]), np.all)[0])
-    return AmalgZReport(hyps, base, ext_holds, checked, confirms)
+        size_window(max(2 * bound + 1, az.n))
+        m = az.n // az.d
+        # the regular values y of Z_n per residue mod d, since the rows of w are its |J| values y = w mod d
+        per_residue = (np.gcd(np.arange(az.n), m) == 1).reshape(m, az.d).sum(axis=0)
+        ws = np.arange(-bound, bound + 1)
+        checked = m * int(per_residue[ws[ws != 0] % az.d].sum())
+    return AmalgZReport(hyps, base, ext_holds, checked, arith_oracle_check(zero, S, bound))

@@ -30,7 +30,7 @@ from operator import and_
 
 import numpy as np
 
-from ringlab.arith import _CHUNK, INT, ArithIdeal, ArithMCS, ArithRing, _factor_candidates, arith_is_S_r_ideal
+from ringlab.arith import INT, ArithIdeal, ArithMCS, ArithRing, _factor_candidates, arith_is_S_r_ideal
 
 from ringlab.classify import (
     DISJOINTNESS_VIOLATED,
@@ -997,22 +997,6 @@ def submodules(M: FiniteModule):
     return tuple(sorted(seen, key=lambda s: (len(s), tuple(sorted(s)))))
 
 
-def ref_products_in(descs, xs, ys, reduce):
-    """The window's pair grid by broadcast: for each row x of xs, reduce (np.any, np.all or
-    np.sum) of "xy is in the ideal" over the rows y of ys, each product x * y taken as an
-    int64 row and every coordinate tested modulo its descriptor; temporaries hold about
-    _CHUNK elements."""
-    d = np.array(descs, dtype=np.int64)
-
-    def in_ideal(rows):
-        return np.where(d == 0, rows == 0, rows % np.maximum(d, 1) == 0).all(axis=-1)
-
-    step = max(1, _CHUNK // max(1, ys.size))
-    return np.concatenate([
-        reduce(in_ideal(xs[i : i + step, None] * ys[None]), axis=1) for i in range(0, len(xs), step)
-    ])
-
-
 def ref_sent(R, descs, bound):
     """The window rows z, in lexicographic order, that some regular window row w sends into
     the ideal (wz in A), by the all-pairs scan: every z against every regular w, each pair
@@ -1048,6 +1032,10 @@ def ref_amalgz_is_regular(az: AmalgOverZ, el) -> bool:
     return w != 0 and all((k * y) % az.n != 0 for k in az.j_members() if k != 0)
 
 
+def _amalgz_element(az: AmalgOverZ, w, j):
+    return (w, (w + j) % az.n)
+
+
 def _amalgz_in_zero_ideal(az: AmalgOverZ, el) -> bool:
     w, y = el
     return w == 0 and y % az.d == 0
@@ -1062,19 +1050,19 @@ def ref_amalgz_zero_transfer_check(az: AmalgOverZ, S_desc, bound: int) -> AmalgZ
         "j_in_zd": all(k == 0 or gcd(k, az.n) > 1 for k in az.j_members()),
         "disjoint": S_desc[0] == "units" or (S_desc[0] == "fin" and 0 not in S_desc[1]),  # 0 is no unit of Z
     }
-    witness = az.element(_factor_candidates(S, 0, bound)[0], 0)
+    witness = _amalgz_element(az, _factor_candidates(S, 0, bound)[0], 0)
     checked = 0
     confirms = True
     if hyps["disjoint"]:
         js = az.j_members()
         for w in range(-bound, bound + 1):
             for j1 in js:
-                e1 = az.element(w, j1)
+                e1 = _amalgz_element(az, w, j1)
                 if not ref_amalgz_is_regular(az, e1):
                     continue
                 for z in range(-bound, bound + 1):
                     for j2 in js:
-                        e2 = az.element(z, j2)
+                        e2 = _amalgz_element(az, z, j2)
                         if not _amalgz_in_zero_ideal(az, (e1[0] * e2[0], e1[1] * e2[1] % az.n)):
                             continue
                         checked += 1

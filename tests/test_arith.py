@@ -31,7 +31,7 @@ from ringlab.extensions import AmalgOverZ, amalgz_zero_transfer_check
 from ringlab.ideals import ideal_generate, is_prime, mcs_from_members
 from ringlab.rings import make_product, make_zn
 
-from oracles import ref_products_in, ref_sent
+from oracles import ref_sent
 
 
 @pytest.fixture(scope="module")
@@ -113,7 +113,7 @@ def test_zero_ideal_always_s_r(z):
 def test_closed_forms_read_units_without_listing_z_n(tmp_path, monkeypatch, capsys, ideal):
     """A `units` factor of Z_1000000 is decided in closed form, not by testing its residues
     one by one: the S-r verdict calls gcd a constant number of times, and so does the CLI
-    run, which the window cap ends with exit 2 and one error line."""
+    run, which the value cap ends with exit 2 and one error line."""
     from ringlab.cli import main
 
     calls = []
@@ -124,33 +124,23 @@ def test_closed_forms_read_units_without_listing_z_n(tmp_path, monkeypatch, caps
     corpus = tmp_path / "units.corpus"
     corpus.write_text(f"Z x Z1000000 ; ideal=({ideal[0]},{ideal[1]}) ; mcs=(units,units)\n", encoding="utf-8")
     assert main(["verify", "--corpus", str(corpus)]) == 2 and len(calls) <= 2
-    assert capsys.readouterr().err == "error: an oracle window of 21000000 rows exceeds the cap 32768\n"
+    assert capsys.readouterr().err == "error: an oracle window coordinate of 1000000 values exceeds the cap 2048\n"
 
 
 def test_oracle_window_at_its_caps_runs_and_one_more_is_refused(monkeypatch):
     """Both window lanes size their window with `size_window` before building it: in each
-    lane a window at the row cap and at the cap on a coordinate's values runs, and one
-    row or one value more is refused."""
-    monkeypatch.setattr(ar, "ORACLE_WINDOW_CAP", 21)
+    lane a window at the cap on a coordinate's values runs, and one value more is refused."""
     monkeypatch.setattr(ar, "ORACLE_AXIS_CAP", 21)
     monkeypatch.setattr(ar, "_oracle_cache", {})
-    ar.size_window(21, 21)
-    with pytest.raises(SizeLimitError, match="an oracle window of 22 rows exceeds the cap 21"):
-        ar.size_window(22, 1)
+    ar.size_window(21)
     with pytest.raises(SizeLimitError, match="an oracle window coordinate of 22 values exceeds the cap 21"):
-        ar.size_window(1, 22)
+        ar.size_window(22)
     A = ArithIdeal(ArithRing((INT,)), (3,))
     assert arith_oracle_check(A, None, 10)
-    with pytest.raises(SizeLimitError, match="23 rows"):
+    with pytest.raises(SizeLimitError, match="23 values"):
         arith_oracle_check(A, None, 11)
-    B = ArithIdeal(ArithRing((INT, 22)), (2, 1))
-    monkeypatch.setattr(ar, "ORACLE_WINDOW_CAP", 21 * 22)
     with pytest.raises(SizeLimitError, match="22 values"):
-        arith_oracle_check(B, None, 10)
-    monkeypatch.setattr(ar, "ORACLE_WINDOW_CAP", 21)
-    assert amalgz_zero_transfer_check(AmalgOverZ(6, 2), ("units",), 3).window_confirms  # 7 x 3 rows, 7 w values
-    with pytest.raises(SizeLimitError, match="27 rows"):
-        amalgz_zero_transfer_check(AmalgOverZ(6, 2), ("units",), 4)
+        arith_oracle_check(ArithIdeal(ArithRing((INT, 22)), (2, 1)), None, 10)
     monkeypatch.setattr(ar, "ORACLE_AXIS_CAP", 6)
     with pytest.raises(SizeLimitError, match="7 values"):
         amalgz_zero_transfer_check(AmalgOverZ(6, 2), ("units",), 3)
@@ -445,6 +435,7 @@ def oracle_cases(draw, pair=False):
 
 _ZZ = ArithRing((INT, INT))
 _ZZ4 = ArithRing((INT, mod_factor(4)))
+_ZZZ8 = ArithRing((INT, INT, mod_factor(8)))
 
 
 # 0 x 2Z is S-r for S = units x Z, with witness (1, 0); a claimed Fails is
@@ -452,6 +443,9 @@ _ZZ4 = ArithRing((INT, mod_factor(4)))
 # violating pair (an any/all swap there passes these two and nothing else).
 @example((ArithIdeal(_ZZ, (0, 2)), ArithMCS(_ZZ, (("units",), ("all",))), 4, True))
 @example((ArithIdeal(_ZZ4, (2, 2)), ArithMCS(_ZZ4, (("all",), ("units",))), 4, True))
+# three factors, which the draw never has: flipped, the Holds verdict with witness
+# (1, 0, 1) becomes a Fails that the window must refute
+@example((ArithIdeal(_ZZZ8, (1, 2, 4)), ArithMCS(_ZZZ8, (("units",), ("all",), ("units",))), 4, True))
 @settings(max_examples=60, derandomize=True, deadline=None, suppress_health_check=[HealthCheck.too_slow])
 @given(oracle_cases())
 def test_oracle_matches_tuple_loop_reference(case):
@@ -463,34 +457,15 @@ def test_oracle_matches_tuple_loop_reference(case):
         assert ar._oracle_check(A, S, bound) == ref_oracle_check(A, S, bound)
 
 
-# -- the pair-grid kernel against the broadcast reference ----------------------------
+def test_amalgz_confirmation_objects_to_a_flipped_closed_form(monkeypatch):
+    """The amalgZ window confirms the S-r verdict of (0) in Z through arith's oracle, so a
+    closed form with Holds and Fails swapped is not confirmed."""
+    monkeypatch.setattr(ar, "_oracle_cache", {})
+    monkeypatch.setattr(ar, "arith_is_S_r_ideal", _flipped(arith_is_S_r_ideal))
+    assert not amalgz_zero_transfer_check(AmalgOverZ(4, 2), ("units",), 10).window_confirms
 
 
-def _plain(rows):
-    """Plain rows as coded rows: each coordinate's axis is its column, so a row's code is its index."""
-    return list(rows.T), np.repeat(np.arange(len(rows))[:, None], rows.shape[1], axis=1)
-
-
-def _values(coded):
-    """Coded rows as plain rows."""
-    axes, codes = coded
-    return np.stack([axis[c] for axis, c in zip(axes, codes.T)], axis=1)
-
-
-def _kernel_case(descs, nx, ny, seed, reduce):
-    """Plain rows with every coordinate in [-12, 12]: negative and unreduced values included."""
-    rng = np.random.default_rng(seed)
-    return descs, _plain(rng.integers(-12, 13, (nx, len(descs)))), _plain(rng.integers(-12, 13, (ny, len(descs)))), reduce
-
-
-def _grid_case(descs, lengths, seed, reduce, swap):
-    """A window, the grid of per-coordinate axes of distinct values in [-12, 12], against a
-    random subset of its rows (possibly empty), in either order."""
-    rng = np.random.default_rng(seed)
-    window = ar._grid([rng.choice(np.arange(-12, 13), k, replace=False) for k in lengths])
-    subset = (window[0], window[1][rng.random(len(window[1])) < 0.5])
-    xs, ys = (subset, window) if swap and len(subset[1]) else (window, subset)
-    return descs, xs, ys, reduce
+# -- the sent set against the all-pairs scan ------------------------------------------
 
 
 @st.composite
@@ -503,36 +478,6 @@ def factors_and_descs(draw):
         for n in factors
     )
     return factors, descs
-
-
-@st.composite
-def kernel_cases(draw):
-    """(descs, xs, ys, reduce) over factors_and_descs; plain rows, or a window and a subset
-    of it, coded."""
-    factors, descs = draw(factors_and_descs())
-    seed, reduce = draw(st.integers(0, 2**16)), draw(st.sampled_from([np.any, np.all, np.sum]))
-    if draw(st.booleans()):
-        lengths = [draw(st.integers(1, 8)) for _ in factors]
-        return _grid_case(descs, lengths, seed, reduce, draw(st.booleans()))
-    sizes = st.integers(0, 30)
-    return _kernel_case(descs, draw(sizes.filter(bool)), draw(sizes), seed, reduce)
-
-
-# descriptors (2, 3) of Z x Z6: 120,000 pairs over several chunks, and an empty ys; a
-# 25 x 25 window and a subset of it over several chunks
-@example(_kernel_case((2, 3), 300, 400, 1, np.sum))
-@example(_kernel_case((2, 3), 5, 0, 2, np.all))
-@example(_grid_case((2, 3), (25, 25), 3, np.sum, False))
-@example(_grid_case((0, 2), (25, 25), 4, np.any, True))
-@settings(max_examples=100, derandomize=True, deadline=None, suppress_health_check=[HealthCheck.too_slow])
-@given(kernel_cases())
-def test_products_in_matches_broadcast_reference(case):
-    descs, xs, ys, reduce = case
-    got, want = ar._products_in(descs, xs, ys, reduce), ref_products_in(descs, _values(xs), _values(ys), reduce)
-    assert got.dtype == want.dtype and np.array_equal(got, want)
-
-
-# -- the sent set against the all-pairs scan ------------------------------------------
 
 
 @st.composite
@@ -549,7 +494,8 @@ def sent_cases(draw):
 @given(sent_cases())
 def test_sent_matches_all_pairs_reference(case):
     R, descs, bound = case
-    assert np.array_equal(_values(ar._sent(R, descs, bound)), ref_sent(R, descs, bound))
+    sent = np.array(list(iproduct(*ar._sent(R, descs, bound))), dtype=np.int64).reshape(-1, R.width)
+    assert np.array_equal(sent, ref_sent(R, descs, bound))
 
 
 # -- every closed form against the window -------------------------------------------

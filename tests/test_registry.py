@@ -10,7 +10,7 @@ from hypothesis import example, given, strategies as st
 
 from ringlab import classify as cl, extensions, poly, registry
 from ringlab.classify import FAILS, HOLDS, Verdict, has_fac
-from ringlab.config import ORACLE_AXIS_CAP, ORACLE_WINDOW_CAP, POLY_SEARCH_BUDGET
+from ringlab.config import ORACLE_AXIS_CAP, POLY_SEARCH_BUDGET
 from ringlab.corpus import FINITE, CorpusSpec, Limits, default_corpus, parse_corpus_line
 from ringlab.dsl import parse_ring
 from ringlab.errors import ConfigError, RinglabError, UnknownHypothesis, UnknownTheorem
@@ -1062,26 +1062,23 @@ def test_cli_verify_refuses_an_empty_or_repeated_annotation(tmp_path, capsys, li
 @pytest.mark.parametrize(
     "line,message",
     [
-        ("Z ; ideal=(1000000) ; mcs=(units)", f"of 4000001 rows exceeds the cap {ORACLE_WINDOW_CAP}"),
-        ("Z x Z1000000 ; ideal=(0,1) ; mcs=(units,units)", f"of 21000000 rows exceeds the cap {ORACLE_WINDOW_CAP}"),
-        ("amalgZ(1000000, 2) ; mcs=(units)", f"of 10500000 rows exceeds the cap {ORACLE_WINDOW_CAP}"),
+        ("Z ; ideal=(1000000) ; mcs=(units)", f"coordinate of 4000001 values exceeds the cap {ORACLE_AXIS_CAP}"),
+        ("Z x Z1000000 ; ideal=(0,1) ; mcs=(units,units)", f"coordinate of 1000000 values exceeds the cap {ORACLE_AXIS_CAP}"),
+        ("amalgZ(1000000, 2) ; mcs=(units)", f"coordinate of 1000000 values exceeds the cap {ORACLE_AXIS_CAP}"),
         ("Z ; ideal=(512) ; mcs=(units)", f"coordinate of 2049 values exceeds the cap {ORACLE_AXIS_CAP}"),
         ("amalgZ(4096, 2048) ; mcs=(units)", f"coordinate of 4096 values exceeds the cap {ORACLE_AXIS_CAP}"),
     ],
 )
 def test_cli_verify_refuses_an_oversized_oracle_window(tmp_path, monkeypatch, capsys, line, message):
-    """The window oracle and the amalgZ window are sized before any array is built, so
-    neither the builder of a window's rows nor the membership kernel is called; the run
-    exits 2 with one error line."""
-    from ringlab import arith, extensions
+    """The window oracle and the amalgZ window are sized before any array is built, so the
+    per-coordinate membership test is never called; the run exits 2 with one error line."""
+    from ringlab import arith
     from ringlab.cli import main
 
     def unreachable(*args):
         raise AssertionError("the window was built")
 
-    for mod in (arith, extensions):
-        monkeypatch.setattr(mod, "_grid", unreachable)
-        monkeypatch.setattr(mod, "_products_in", unreachable)
+    monkeypatch.setattr(arith, "_in_factor_ideal", unreachable)
     corpus = tmp_path / "big.corpus"
     corpus.write_text(line + "\n", encoding="utf-8")
     assert main(["verify", "--corpus", str(corpus), "--theorems", "ARITH-oracle,P3.2"]) == 2
@@ -1095,10 +1092,12 @@ def test_cli_verify_refuses_an_oversized_oracle_window(tmp_path, monkeypatch, ca
         "Z x Z x Z ; ideal=(2,2,2) ; mcs=(units,units,units)",  # 21^3 = 9,261 rows
         "Z x Z100 ; ideal=(2,1) ; mcs=(units,units)",  # 2,100 rows, 100 values on Z100
         "Z ; ideal=(511) ; mcs=(units)",  # 2,045 rows and values, the most one factor may have
+        "Z x Z x Z ; ideal=(10,2,2) ; mcs=(units,all,all)",  # 41^3 = 68,921 rows
     ],
 )
 def test_cli_verify_runs_a_window_under_both_caps(tmp_path, capsys, line):
-    """Windows under both caps, with several factors or one long coordinate, still verify."""
+    """Windows under the cap on a coordinate's values, with several factors or one long
+    coordinate, still verify, whatever their number of rows."""
     from ringlab.cli import main
 
     corpus = tmp_path / "window.corpus"
@@ -1149,11 +1148,15 @@ def _generated_lines():
     return arith, finite
 
 
-def test_generated_lines_verify_or_are_refused():
-    """Every generated line runs with no VIOLATION or is refused by a RinglabError; the
-    counts per family are printed and pinned.  The arithmetic refusals are the amalgZ
-    lines whose d does not divide n; the finite ones are triv(Z7, free(2)) and
-    triv(Z8, free(2)), past the size cap.  About 1.5 s in all."""
+def test_generated_lines_verify_or_are_refused(tmp_path, capsys):
+    """Every generated line runs with no VIOLATION or is refused by a RinglabError, and
+    through the CLI with exit 2, no output and one error line; the counts per family are
+    printed and pinned.  The arithmetic refusals are the amalgZ lines whose d does not
+    divide n; the finite ones are triv(Z7, free(2)) and triv(Z8, free(2)), past the size
+    cap.  About 1.5 s in all."""
+    from ringlab.cli import main
+
+    corpus = tmp_path / "refused.corpus"
     outcomes = []
     for lines in _generated_lines():
         counts = Counter()
@@ -1162,11 +1165,16 @@ def test_generated_lines_verify_or_are_refused():
                 records = list(verify(None, CorpusSpec((parse_corpus_line(line),), Limits.defaults())))
             except RinglabError as exc:
                 counts[type(exc).__name__] += 1
+                corpus.write_text(line + "\n", encoding="utf-8")
+                assert main(["verify", "--corpus", str(corpus)]) == 2, line
+                out, err = capsys.readouterr()
+                assert out == "" and err.startswith("error: ") and err.count("\n") == 1, line
                 continue
             counts["run"] += 1
             assert not [r for r in records if r["outcome"] == VIOLATION], line
-        print(f"{len(lines)} lines: {dict(counts)}")
         outcomes.append((len(lines), dict(counts)))
+    for n, counts in outcomes:  # after the CLI runs, whose output the test reads
+        print(f"{n} lines: {counts}")
     assert outcomes == [
         (978, {"run": 849, "InvalidConstruction": 129}),
         (156, {"run": 154, "SizeLimitError": 2}),
