@@ -48,11 +48,8 @@ from .poly import (
     PolyIdealSpec,
     PolyVerdict,
     bounded_S_r_search,
-    content_ideal,
-    content_set,
     decide_content_S_r,
     poly_eval,
-    poly_mul,
     poly_s_unit_check,
 )
 from .registry import counterexample_search, verify

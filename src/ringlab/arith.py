@@ -221,20 +221,22 @@ def arith_disjoint(A: ArithIdeal, S: ArithMCS) -> bool:
     return any(not any(_divides(d, c) for c in _closed_candidates(S, i)) for i, d in enumerate(A.descs))
 
 
-def arith_is_S_r_ideal(A: ArithIdeal, S: ArithMCS) -> Verdict:
+def arith_is_S_r_ideal(A: ArithIdeal, S: ArithMCS, enforce_disjoint: bool = True) -> Verdict:
     """Closed form: some s in S must have every obstructing modulus dividing
     the matching coordinate; all other factors impose no condition.
 
     The witness takes the key-minimal admissible coordinate per factor
     (minimal absolute value, positive before negative).  On an `all` factor
     that coordinate is 0, which passes every divisibility test, so only 0 is read there.
+    Without the disjointness gate the same form decides: where S meets A, every
+    factor has a candidate in d_i Z_{n_i}, which passes, so the verdict holds.
     """
     R = A.ring
     if S.ring is not R and S.ring != R:
         raise TypeMismatch("m.c.s. belongs to a different ring")
     if not A.is_proper():
         return Verdict(NOT_APPLICABLE, reason="NOT_PROPER")
-    if not arith_disjoint(A, S):
+    if enforce_disjoint and not arith_disjoint(A, S):
         return Verdict(NOT_APPLICABLE, reason=DISJOINTNESS_VIOLATED)
     witness = []
     for i, (n, d) in enumerate(zip(R.factors, A.descs)):
@@ -248,21 +250,22 @@ def arith_is_S_r_ideal(A: ArithIdeal, S: ArithMCS) -> Verdict:
 
 # -- window oracle -------------------------------------------------------------------
 
-# Verdicts by (factors, descs, S descs, bound); sent values per coordinate by (factors, descs, bound).
+# Verdicts by (factors, descs, S descs, bound, gate flag); sent values per coordinate by (factors, descs, bound).
 _oracle_cache = {}
 
 
-def arith_oracle_check(A: ArithIdeal, S: ArithMCS, bound: int) -> bool:
+def arith_oracle_check(A: ArithIdeal, S: ArithMCS, bound: int, enforce_disjoint: bool = True) -> bool:
     """Truncated brute force over the coordinate window [-bound, bound].
 
-    Confirms the closed-form verdict: a Holds witness must send every sent window element
-    into A, and a Fails verdict requires a concrete violating pair for every window member
-    of S.  S = None checks the plain r-ideal verdict the same way.
+    Confirms the closed-form verdict, with or without its disjointness gate: a Holds
+    witness must send every sent window element into A, and a Fails verdict requires a
+    concrete violating pair for every window member of S.  S = None checks the plain
+    r-ideal verdict the same way.
     """
     R = A.ring
-    key = (R.factors, A.descs, S.descs if S is not None else None, bound)
+    key = (R.factors, A.descs, S.descs if S is not None else None, bound, enforce_disjoint)
     if key not in _oracle_cache:
-        _oracle_cache[key] = _oracle_check(A, S, bound)
+        _oracle_cache[key] = _oracle_check(A, S, bound, enforce_disjoint)
     return _oracle_cache[key]
 
 
@@ -300,7 +303,7 @@ def window_floor(A: ArithIdeal) -> int:
     return 2 * max((d for n, d in zip(A.ring.factors, A.descs) if n == 0), default=0)
 
 
-def _oracle_check(A: ArithIdeal, S, bound: int) -> bool:
+def _oracle_check(A: ArithIdeal, S, bound: int, enforce_disjoint: bool = True) -> bool:
     """The product is componentwise, and A, the window members of S and the sent elements
     are products over the coordinates, so "some s sends every sent z into A" holds iff every
     coordinate has an s_i that sends every sent z_i into d_i Z_{n_i}.  A Holds verdict asks
@@ -308,7 +311,7 @@ def _oracle_check(A: ArithIdeal, S, bound: int) -> bool:
     R = A.ring
     if bound < window_floor(A):
         raise InvalidConstruction("window must cover twice the largest descriptor")
-    verdict = arith_is_r_ideal(A) if S is None else arith_is_S_r_ideal(A, S)
+    verdict = arith_is_r_ideal(A) if S is None else arith_is_S_r_ideal(A, S, enforce_disjoint)
     if verdict.not_applicable:
         return True
     sent = _sent(R, A.descs, bound)

@@ -321,9 +321,6 @@ class AmalgOverZ:
         if self.n < 2 or self.d < 2 or self.n % self.d != 0:
             raise InvalidConstruction("need n >= 2 and a divisor d >= 2")
 
-    def j_members(self):
-        return tuple(range(0, self.n, self.d))
-
 
 @dataclass(frozen=True)
 class AmalgZReport:

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property, reduce
+from itertools import combinations
 from operator import and_
 
 import numpy as np
@@ -264,6 +265,26 @@ class IdealLattice:
                     seen.add(grown)
                     frontier.append(grown)
         return tuple(self.intern(m) for m in sorted(seen, key=lambda m: member_order(m, R.size)))
+
+    @cached_property
+    def join_table(self):
+        """Entry (c, a) is the index of ideals[c] + Ra: the first ideal, in size order, that
+        holds ideal c and element a.  Each ideal, from the largest down, writes its index over
+        the cells of the ideals inside it and its members, so the last writer of a cell is the
+        first ideal holding both, and nothing larger than the table is built."""
+        ideals = self.ideals
+        table = np.empty((len(ideals), self.ring.size), dtype=np.intp)
+        for d in range(len(ideals) - 1, -1, -1):
+            D = ideals[d].mask
+            table[np.ix_([c for c in range(d + 1) if not ideals[c].mask & ~D], bits(D))] = d
+        return table
+
+    @cached_property
+    def chain_break(self):
+        """The lex-first pair of annihilator-class representatives (each class's first member)
+        whose annihilators are incomparable; None when the annihilators form a chain."""
+        ann, reps = self.ann, [cls[0] for cls in self.ann_classes]
+        return next(((a, b) for a, b in combinations(reps, 2) if ann[a] & ann[b] not in (ann[a], ann[b])), None)
 
     @cached_property
     def max_ideals(self) -> tuple:

@@ -26,15 +26,7 @@ import numpy as np
 from .classify import has_fac, is_S_r_ideal
 from .config import DEFAULT_DEGREE, DM_MAX_DEGREE, MAX_DEGREE, POLY_SEARCH_BUDGET
 from .errors import DegreeLimitError, NotApplicableError, TypeMismatch
-from .ideals import (
-    Ideal,
-    MulClosedSet,
-    ideal_generate,
-    ideal_power,
-    ideal_product,
-    lattice,
-    member_row,
-)
+from .ideals import Ideal, MulClosedSet, ideal_power, ideal_product, lattice
 from .rings import FiniteRing
 
 
@@ -79,15 +71,8 @@ class Poly:
         return "+".join(terms)
 
 
-def poly_mul(f: Poly, g: Poly) -> Poly:
-    deg = f.degree + g.degree
-    if deg > MAX_DEGREE and not (f.is_zero() or g.is_zero()):
-        raise DegreeLimitError(f"product degree {deg} beyond the cap {MAX_DEGREE}")
-    return _product(f, g)
-
-
 def _product(f: Poly, g: Poly) -> Poly:
-    """The product without the degree cap (bounded searches run past it)."""
+    """The product, with no degree cap: the s-unit search runs past it."""
     R = f.base
     if f.is_zero() or g.is_zero():
         return Poly(R, ())
@@ -112,14 +97,6 @@ def constant(base: FiniteRing, c) -> Poly:
     return Poly.make(base, (c,))
 
 
-def content_set(f: Poly) -> frozenset:
-    return frozenset(f.coeffs) if f.coeffs else frozenset({0})
-
-
-def content_ideal(f: Poly) -> Ideal:
-    return ideal_generate(f.base, sorted(content_set(f)))
-
-
 def _dm_identity(cw: Ideal, cz: Ideal, cwz: Ideal, m: int) -> bool:
     """c(z)^(m+1) c(w) == c(z)^m c(wz), from the three content ideals."""
     zm = ideal_power(cz, m)
@@ -129,11 +106,6 @@ def _dm_identity(cw: Ideal, cz: Ideal, cwz: Ideal, m: int) -> bool:
 # The sweep's table, one row per drawn pair: the coefficient rows of w and z, and the key
 # (c(w), c(z), c(wz) as indices into lattice(R).ideals, then deg w floored at 0).
 _DMTable = namedtuple("_DMTable", "w z keys")
-
-
-def _degrees(F):
-    """The last nonzero index of each row, -1 for a zero row."""
-    return ((F != 0) * np.arange(1, F.shape[1] + 1)).max(axis=1, initial=0) - 1
 
 
 def _randrange_block(rng: random.Random, n: int, count: int) -> np.ndarray:
@@ -157,25 +129,27 @@ def _randrange_block(rng: random.Random, n: int, count: int) -> np.ndarray:
 def _dm_table(R: FiniteRing, pairs: int, seed: int, max_degree: int) -> _DMTable:
     """Draw the pairs as the per-pair loop does (w's coefficients, then z's) and key each.
 
-    Every product wz is taken at once, one vector step per index pair (i, j).
-    c(f) is the first ideal in size order that holds f's coefficients (0 lies
-    in every ideal, so the zero polynomial gets {0}), found for every row in
-    one matrix step: the count of coefficients outside each ideal.
+    Every term w_i z_j of every pair comes from one gather on the flattened multiplication
+    table, and wz adds them up in one vector step per i.  c(f) is the first ideal in size
+    order that holds f's coefficients (0 lies in every ideal, so the zero polynomial gets
+    (0)); the rows of w, z and wz, zero-padded to one width, are folded together from (0)
+    through the lattice's join table, one coefficient column per step.
     """
-    count, width = max(pairs, 0), max(max_degree + 1, 0)
-    draws = _randrange_block(random.Random(seed), R.size, 2 * width * count)
+    n, count, width = R.size, max(pairs, 0), max(max_degree + 1, 0)
+    draws = _randrange_block(random.Random(seed), n, 2 * width * count)
     w, z = draws.reshape(count, 2, width).transpose(1, 0, 2)
-    wz = np.zeros((count, max(2 * width - 1, 0)), dtype=R.add.dtype)
+    terms = R.mul.reshape(-1).take(w.T[:, None, :] * n + z.T)  # terms[i, j, p] = w_i z_j of pair p
+    cols = np.zeros((max(2 * width - 1, 0), 3, count), dtype=np.intp)  # coefficient k of w, z and wz
+    cols[:width, 0], cols[:width, 1] = w.T, z.T
+    wz, add = cols[:, 2], R.add.reshape(-1)
     for i in range(width):
-        for j in range(width):
-            wz[:, i + j] = R.add[wz[:, i + j], R.mul[w[:, i], z[:, j]]]
-    present = np.zeros((3, count, R.size), dtype=bool)
-    for k, F in enumerate((w, z, wz)):
-        present[k, np.arange(count)[:, None], F] = True
-    outside = ~np.array([member_row(A) for A in lattice(R).ideals])
-    escapes = present.reshape(-1, R.size).astype(np.float32) @ outside.T.astype(np.float32)
-    cw, cz, cwz = (escapes == 0).argmax(axis=1).reshape(3, count)
-    return _DMTable(w, z, np.column_stack((cw, cz, cwz, np.maximum(_degrees(w), 0))))
+        wz[i : i + width] = add.take(wz[i : i + width] * n + terms[i])
+    join, content = lattice(R).join_table.reshape(-1), np.zeros(3 * count, dtype=np.intp)
+    for column in cols.reshape(len(cols), 3 * count):
+        content = join.take(content * n + column)
+    cw, cz, cwz = content.reshape(3, count)
+    degree = ((w != 0) * np.arange(width)).max(axis=1, initial=0)  # of w, floored at 0
+    return _DMTable(w, z, np.column_stack((cw, cz, cwz, degree)))
 
 
 def _group_keys(keys):

@@ -215,8 +215,11 @@ class PolyContext(FiniteContext):
 
     def poly_mcs_list(self):
         """Constant m.c.s. candidates: trivial, units, and unit-generated."""
-        if self._pinned_mcs is not None:
-            return (self._pinned_mcs,)
+        return (self._pinned_mcs,) if self._pinned_mcs is not None else self._poly_catalogue
+
+    @cached_property
+    def _poly_catalogue(self):
+        """The unpinned candidates, built once for every runner of the entry."""
         R = self.ring
         singles = sorted(R.units) + sorted(set(R.elements()) - R.units)[:2]
         found = [mcs_generate(R, ()), mcs_from_members(R, R.units)] + [mcs_generate(R, (g,)) for g in singles]
@@ -913,14 +916,17 @@ def run_p3_3(ctx, dropped):
 def run_arith_t2_12(ctx, dropped):
     A, v = ctx.ideal, ctx.verdict
     prime = A.is_proper() and ar.arith_is_prime(A)
+    disjoint = not v.not_applicable
+    if not disjoint and "disjoint" in dropped:  # decided without the gate, as on the finite lane
+        v = ar.arith_is_S_r_ideal(A, ctx.mcs, enforce_disjoint=False)
     if "prime" not in dropped and not prime:
         yield Finding(VACUOUS, ctx.annotations, {"prime": prime})
-    elif v.not_applicable and "disjoint" not in dropped:
+    elif not disjoint and "disjoint" not in dropped:
         yield Finding(VACUOUS, ctx.annotations, {"prime": prime, "disjoint": False})
     else:
         yield Finding(
             VERIFIED if v.holds == ctx.in_zd else VIOLATION, ctx.annotations,
-            {"prime": prime, "disjoint": not v.not_applicable},
+            {"prime": prime, "disjoint": disjoint},
             {"s_r": v.holds, "inside_zd": ctx.in_zd, "oracle_bound": ctx.limits.oracle_bound},
         )
 
@@ -936,11 +942,12 @@ def run_arith_c_zd(ctx, dropped):
 def run_arith_p_zero(ctx, dropped):
     zero = ar.zero_ideal(ctx.ring)
     annotations = {**ctx.annotations, "ideal": "(0)"}
-    v = ar.arith_is_S_r_ideal(zero, ctx.mcs)
+    enforce = "disjoint" not in dropped
+    v = ar.arith_is_S_r_ideal(zero, ctx.mcs, enforce)
     if v.not_applicable:
         yield Finding(VACUOUS, annotations)
         return
-    oracle = ar.arith_oracle_check(zero, ctx.mcs, ctx.limits.oracle_bound)
+    oracle = ar.arith_oracle_check(zero, ctx.mcs, ctx.limits.oracle_bound, enforce)
     yield Finding(
         VERIFIED if v.holds and oracle else VIOLATION, annotations,
         detail={"witness": list(v.witness) if v.witness else None, "oracle": oracle},

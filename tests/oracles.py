@@ -16,10 +16,12 @@ construction of a localization, an isomorphism search between finite rings,
 the submodule lattice of a finite module, the element-pair loops that built
 quotients, free modules, trivial extensions and amalgamations, the broadcast
 pair grid of the arithmetic window, and the pair-by-pair loop over the amalgZ
-window.  It also holds the polynomial helpers only the tests call (sum, McCoy
-regularity, the one-pair Dedekind-Mertens check).  CAP_RINGS lists the cyclic
-factors of eight products of cyclic rings at the 256-element size cap, and
-CAP_EXPRS spells them; CORPUS_RING_EXPRS spells the finite corpus rings.
+window.  It also holds the polynomial helpers only the tests call (product
+with the degree cap, content set and content ideal, sum, McCoy regularity,
+the one-pair Dedekind-Mertens check) and the members of an amalgZ's J.
+CAP_RINGS lists the cyclic factors of eight products of cyclic rings at the
+256-element size cap, and CAP_EXPRS spells them; CORPUS_RING_EXPRS spells
+the finite corpus rings.
 """
 
 import random
@@ -41,9 +43,9 @@ from ringlab.classify import (
     NOT_REDUCED,
     Verdict,
 )
-from ringlab.config import DM_MAX_DEGREE, size_limit
+from ringlab.config import DM_MAX_DEGREE, MAX_DEGREE, size_limit
 from ringlab.corpus import FINITE, default_corpus
-from ringlab.errors import SizeLimitError, TypeMismatch
+from ringlab.errors import DegreeLimitError, SizeLimitError, TypeMismatch
 from ringlab.extensions import AmalgOverZ, AmalgZReport, FiniteModule, TrivExtRing
 from ringlab.ideals import (
     Ideal,
@@ -63,7 +65,7 @@ from ringlab.ideals import (
     member_row,
 )
 from ringlab import poly
-from ringlab.poly import NO, NO_VIOLATION_UP_TO, Poly, PolyVerdict, content_ideal, content_set, poly_eval, poly_mul
+from ringlab.poly import NO, NO_VIOLATION_UP_TO, Poly, PolyVerdict, poly_eval
 from ringlab.rings import FiniteRing, RingHom, _check_ideal_subset, idempotent_power, make_quotient, operand
 
 CAP_RINGS = ((256,), (2,) * 8, (4,) * 4, (2, 128), (3, 5, 17), (2, 3, 5, 7), (64,), (128,))
@@ -685,6 +687,23 @@ def ref_t2_5(ctx, dropped):
     return out
 
 
+def poly_mul(f: Poly, g: Poly) -> Poly:
+    """The product, refused past the degree cap, as the per-pair DM loop needs it."""
+    deg = f.degree + g.degree
+    if deg > MAX_DEGREE and not (f.is_zero() or g.is_zero()):
+        raise DegreeLimitError(f"product degree {deg} beyond the cap {MAX_DEGREE}")
+    return poly._product(f, g)
+
+
+def content_set(f: Poly) -> frozenset:
+    return frozenset(f.coeffs) if f.coeffs else frozenset({0})
+
+
+def content_ideal(f: Poly) -> Ideal:
+    """The ideal of f's coefficients, generated from them."""
+    return ideal_generate(f.base, sorted(content_set(f)))
+
+
 def poly_add(f: Poly, g: Poly) -> Poly:
     R = f.base
     n = max(len(f.coeffs), len(g.coeffs))
@@ -1026,10 +1045,15 @@ def ref_sent(R, descs, bound):
 # Z joined to Z_n along J = dZ_n, with integer coordinates in [-bound, bound].
 
 
+def j_members(az: AmalgOverZ) -> tuple:
+    """The members of J = dZ_n, ascending."""
+    return tuple(range(0, az.n, az.d))
+
+
 def ref_amalgz_is_regular(az: AmalgOverZ, el) -> bool:
     """(w, y) is regular iff w != 0 and no nonzero member of J kills y."""
     w, y = el
-    return w != 0 and all((k * y) % az.n != 0 for k in az.j_members() if k != 0)
+    return w != 0 and all((k * y) % az.n != 0 for k in j_members(az) if k != 0)
 
 
 def _amalgz_element(az: AmalgOverZ, w, j):
@@ -1047,14 +1071,14 @@ def ref_amalgz_zero_transfer_check(az: AmalgOverZ, S_desc, bound: int) -> AmalgZ
     hyps = {
         "epimorphism": True,
         "h1_domain": True,
-        "j_in_zd": all(k == 0 or gcd(k, az.n) > 1 for k in az.j_members()),
+        "j_in_zd": all(k == 0 or gcd(k, az.n) > 1 for k in j_members(az)),
         "disjoint": S_desc[0] == "units" or (S_desc[0] == "fin" and 0 not in S_desc[1]),  # 0 is no unit of Z
     }
     witness = _amalgz_element(az, _factor_candidates(S, 0, bound)[0], 0)
     checked = 0
     confirms = True
     if hyps["disjoint"]:
-        js = az.j_members()
+        js = j_members(az)
         for w in range(-bound, bound + 1):
             for j1 in js:
                 e1 = _amalgz_element(az, w, j1)

@@ -147,6 +147,23 @@ def test_oracle_window_at_its_caps_runs_and_one_more_is_refused(monkeypatch):
     assert amalgz_zero_transfer_check(AmalgOverZ(6, 2), ("units",), 2).window_confirms  # y takes the 6 values of Z6
 
 
+def test_ungated_verdict_is_confirmed_under_its_own_oracle_key(monkeypatch):
+    """Without the disjointness gate the closed form decides where S meets A: in Z with
+    S = Z, s = 0 lies in every ideal, so (0) and 2Z are S-r with witness 0, and the
+    oracle confirms each.  The gated and ungated questions are cached apart."""
+    monkeypatch.setattr(ar, "_oracle_cache", {})
+    flags, real = [], ar._oracle_check
+    monkeypatch.setattr(ar, "_oracle_check", lambda *args: flags.append(args[3]) or real(*args))
+    Z = ArithRing((INT,))
+    S = ArithMCS(Z, (("all",),))
+    for d in (0, 2):
+        A = ArithIdeal(Z, (d,))
+        assert arith_is_S_r_ideal(A, S).reason == "DISJOINTNESS_VIOLATED"
+        assert arith_is_S_r_ideal(A, S, enforce_disjoint=False).witness == (0,)
+        assert all(arith_oracle_check(A, S, 10, flag) for flag in (True, False, True, False))
+    assert flags == [True, False] * 2
+
+
 def test_oracle_window_precondition(z):
     with pytest.raises(InvalidConstruction):
         arith_oracle_check(ArithIdeal(z, (6,)), None, 10)

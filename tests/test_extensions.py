@@ -34,6 +34,7 @@ from ringlab.rings import identity_hom, make_product, make_quotient, make_zn
 
 from oracles import (
     find_isomorphism,
+    j_members,
     ref_amalgz_is_regular,
     ref_amalgz_zero_transfer_check,
     ref_make_amalgamation,
@@ -297,7 +298,7 @@ def test_is_domain(z2, z4):
 
 def test_amalgz_regularity():
     az = AmalgOverZ(4, 2)
-    assert az.j_members() == (0, 2)
+    assert j_members(az) == (0, 2)
     assert ref_amalgz_is_regular(az, (1, 3))  # 2*3 = 6 = 2 mod 4, nonzero
     assert not ref_amalgz_is_regular(az, (1, 2))  # 2*2 = 0 mod 4
     assert not ref_amalgz_is_regular(az, (0, 2))
@@ -321,9 +322,10 @@ _AMALGZ_DESCS = [("units",), ("all",), ("fin", frozenset({1, -1})), ("fin", froz
 
 
 def test_amalgz_window_matches_the_pair_loop():
-    """The window on arith's kernel against the four-deep loop: n <= 18, every
-    divisor d >= 2 of n, four m.c.s. descriptors and five bounds (800 cases);
-    bound 0 leaves no regular window element."""
+    """The closed-form pair count, and arith's oracle confirming the S-r verdict of (0),
+    against the four-deep loop over the window: n <= 18, every divisor d >= 2 of n,
+    four m.c.s. descriptors and five bounds (800 cases); bound 0 leaves no regular
+    window element."""
     cases = [
         (AmalgOverZ(n, d), s, bound)
         for n in range(2, 19) for d in range(2, n + 1) if n % d == 0

@@ -1,5 +1,6 @@
 import functools
 import random
+import tracemalloc
 from dataclasses import replace
 from itertools import product as iproduct
 from math import gcd
@@ -13,7 +14,16 @@ from ringlab.config import DM_MAX_DEGREE, DM_PAIRS, DM_SEED, POLY_SEARCH_BUDGET
 from ringlab.corpus import CorpusSpec, Limits, parse_corpus_line
 from ringlab.dsl import parse_ring
 from ringlab.errors import DegreeLimitError, NotApplicableError
-from ringlab.ideals import all_ideals, annihilator, ideal_generate, ideal_product, lattice, mcs_from_members, mcs_generate
+from ringlab.ideals import (
+    all_ideals,
+    annihilator,
+    ideal_generate,
+    ideal_product,
+    ideal_sum,
+    lattice,
+    mcs_from_members,
+    mcs_generate,
+)
 from ringlab.poly import (
     GATE_FAC,
     GATE_PROPERTY_A,
@@ -31,21 +41,21 @@ from ringlab.poly import (
     _poly_tuples,
     bounded_S_r_search,
     constant,
-    content_ideal,
-    content_set,
     decide_content_S_r,
     dedekind_mertens_sweep,
     poly_eval,
-    poly_mul,
     poly_s_unit_check,
 )
 from ringlab.registry import verify
 from ringlab.rings import make_product, make_zn
 
 from oracles import (
+    content_ideal,
+    content_set,
     dedekind_mertens_check,
     mccoy_regular,
     poly_add,
+    poly_mul,
     ref_content_search,
     ref_dedekind_mertens_sweep,
     ref_kernel_search,
@@ -616,6 +626,44 @@ def test_dm_sweep_matches_per_pair_loop(expr):
         for pairs in (0, 1, 7) + ((DM_PAIRS,) if (seed, max_degree) in full else ()):
             got = _dm_outcome(dedekind_mertens_sweep, R, pairs, seed, max_degree)
             assert got == _dm_outcome(ref_dedekind_mertens_sweep, R, pairs, seed, max_degree) == (pairs, None)
+
+
+@pytest.mark.parametrize("seed", DM_SEEDS)
+def test_dm_sweep_matches_per_pair_loop_on_64_ideals(seed):
+    """A base whose join table is 64 ideals wide, at degree 4."""
+    R = parse_ring(" x ".join(["Z2"] * 6))
+    assert len(lattice(R).ideals) == 64
+    got = _dm_outcome(dedekind_mertens_sweep, R, 7, seed, 4)
+    assert got == _dm_outcome(ref_dedekind_mertens_sweep, R, 7, seed, 4) == (7, None)
+
+
+@pytest.mark.parametrize("expr", DM_RINGS + ["triv(Z4, free(1))"])
+def test_join_table_entries_are_ideal_sums(expr):
+    R = parse_ring(expr)
+    ideals = lattice(R).ideals
+    index = {A.mask: i for i, A in enumerate(ideals)}
+    table = lattice(R).join_table
+    assert table.shape == (len(ideals), R.size)
+    for c, A in enumerate(ideals):
+        for a in R.elements():
+            assert table[c, a] == index[ideal_sum(A, ideal_generate(R, (a,))).mask]
+
+
+def test_join_table_of_256_ideals_stays_within_a_few_mb():
+    """The table of Z2^8 is 256 x 256 entries, 0.5 MB; an ideals^2 x n boolean
+    temporary alone would be 16 MB."""
+    L = lattice(parse_ring(" x ".join(["Z2"] * 8)))
+    assert len(L.ideals) == 256
+    L.__dict__.pop("join_table", None)
+    tracemalloc.start()
+    try:
+        table = L.join_table
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 3 * 2**20
+    index = {A.mask: i for i, A in enumerate(L.ideals)}
+    assert table[0].tolist() == [index[L.principal[a]] for a in range(256)]  # (0) + Ra = Ra
 
 
 @pytest.mark.parametrize("expr", DM_RINGS)

@@ -1095,9 +1095,9 @@ def test_cli_verify_refuses_an_oversized_oracle_window(tmp_path, monkeypatch, ca
         "Z x Z x Z ; ideal=(10,2,2) ; mcs=(units,all,all)",  # 41^3 = 68,921 rows
     ],
 )
-def test_cli_verify_runs_a_window_under_both_caps(tmp_path, capsys, line):
+def test_cli_verify_runs_a_window_under_the_axis_cap(tmp_path, capsys, line):
     """Windows under the cap on a coordinate's values, with several factors or one long
-    coordinate, still verify, whatever their number of rows."""
+    coordinate, verify, whatever their number of rows: no cap applies to the rows."""
     from ringlab.cli import main
 
     corpus = tmp_path / "window.corpus"
@@ -1105,6 +1105,23 @@ def test_cli_verify_runs_a_window_under_both_caps(tmp_path, capsys, line):
     assert main(["verify", "--corpus", str(corpus), "--theorems", "ARITH-oracle"]) == 0
     captured = capsys.readouterr()
     assert captured.err == "" and "VERIFIED" in captured.out
+
+
+def test_cli_hunt_drop_disjoint_decides_the_arith_lane_without_the_gate(tmp_path, capsys):
+    """Dropping `disjoint` evaluates S-r without the gate on the arith lane, as on the finite
+    one.  With S = Z, s = 0 lies in S and in A and sends every z into A, so A is S-r.  (0)
+    lies in zd(Z), so T2.12 holds there; 2 is regular, so the prime ideal 2Z is the one
+    violation.  Without the gate P-zero's (0) is decided, and the window confirms it."""
+    from ringlab.cli import main
+
+    corpus, report = tmp_path / "gate.corpus", tmp_path / "hunt.jsonl"
+    corpus.write_text("Z ; ideal=(0) ; mcs=(all)\nZ ; ideal=(2) ; mcs=(all)\n", encoding="utf-8")
+    for theorem, outcomes in (("T2.12", ["VERIFIED", "VIOLATION"]), ("P-zero", ["VERIFIED", "VERIFIED"])):
+        assert main(["hunt", theorem, "--drop", "disjoint", "--corpus", str(corpus), "--json", str(report)]) == 0
+        records = [json.loads(line) for line in report.read_text(encoding="utf-8").splitlines()]
+        assert [r["outcome"] for r in records] == outcomes
+    assert capsys.readouterr().err == ""
+    assert [r["detail"] for r in records] == [{"oracle": True, "witness": [0]}] * 2
 
 
 def test_cli_verify_the_whole_ring_without_a_violation(tmp_path, capsys):
@@ -1260,6 +1277,17 @@ def _report_sha256(records):
 @pytest.fixture(scope="module")
 def hunt_corpus():
     return CorpusSpec(tuple(parse_corpus_line(line) for line in HUNT_LINES), Limits.defaults())
+
+
+def test_verify_builds_the_poly_mcs_list_once(monkeypatch):
+    """T4.1 and T4.2 read one m.c.s. list per entry: the empty set and one per single
+    generator, |units| + 2 of them, go through mcs_generate once each."""
+    calls = []
+    real = registry.mcs_generate
+    monkeypatch.setattr(registry, "mcs_generate", lambda R, gens: calls.append(gens) or real(R, gens))
+    corpus = CorpusSpec((parse_corpus_line("polyring(Z12)"),), Limits.defaults())
+    assert len(list(verify(None, corpus))) > 2
+    assert 0 < len(calls) <= len(parse_ring("Z12").units) + 3
 
 
 def test_verify_report_pin(hunt_corpus):
