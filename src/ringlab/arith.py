@@ -21,6 +21,7 @@ Descriptors:
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cache
 from math import gcd, isqrt
 
 import numpy as np
@@ -250,23 +251,17 @@ def arith_is_S_r_ideal(A: ArithIdeal, S: ArithMCS, enforce_disjoint: bool = True
 
 # -- window oracle -------------------------------------------------------------------
 
-# Verdicts by (factors, descs, S descs, bound, gate flag); sent values per coordinate by (factors, descs, bound).
-_oracle_cache = {}
-
-
+@cache
 def arith_oracle_check(A: ArithIdeal, S: ArithMCS, bound: int, enforce_disjoint: bool = True) -> bool:
     """Truncated brute force over the coordinate window [-bound, bound].
 
     Confirms the closed-form verdict, with or without its disjointness gate: a Holds
     witness must send every sent window element into A, and a Fails verdict requires a
     concrete violating pair for every window member of S.  S = None checks the plain
-    r-ideal verdict the same way.
+    r-ideal verdict the same way.  Memoised process-wide by its arguments as passed, so
+    every caller gives the gate flag positionally.
     """
-    R = A.ring
-    key = (R.factors, A.descs, S.descs if S is not None else None, bound, enforce_disjoint)
-    if key not in _oracle_cache:
-        _oracle_cache[key] = _oracle_check(A, S, bound, enforce_disjoint)
-    return _oracle_cache[key]
+    return _oracle_check(A, S, bound, enforce_disjoint)
 
 
 def _in_factor_ideal(d, cs):
@@ -281,21 +276,19 @@ def size_window(values: int) -> None:
         raise SizeLimitError(f"an oracle window coordinate of {values} values exceeds the cap {ORACLE_AXIS_CAP}")
 
 
+@cache
 def _sent(R: ArithRing, descs, bound):
     """Per coordinate, the window values z_i that some regular w_i sends into d_i Z_{n_i};
     built once per (ideal, bound).  The regular window elements are the product of each
     coordinate's regular values, so a window z is sent into A by some regular w (wz in A)
     iff every z_i is sent: the sent elements are the product of these value lists."""
-    key = (R.factors, descs, bound)
-    if key not in _oracle_cache:
-        size_window(max(len(_axis(n, bound)) for n in R.factors))
-        sent = []
-        for n, d in zip(R.factors, descs):
-            axis = np.array(_axis(n, bound))
-            regs = np.array([c for c in _axis(n, bound) if _regular(c, n)], dtype=np.int64)
-            sent.append(axis[_in_factor_ideal(d, axis[:, None] * regs).any(axis=1)])
-        _oracle_cache[key] = sent
-    return _oracle_cache[key]
+    size_window(max(len(_axis(n, bound)) for n in R.factors))
+    sent = []
+    for n, d in zip(R.factors, descs):
+        axis = np.array(_axis(n, bound))
+        regs = np.array([c for c in _axis(n, bound) if _regular(c, n)], dtype=np.int64)
+        sent.append(axis[_in_factor_ideal(d, axis[:, None] * regs).any(axis=1)])
+    return sent
 
 
 def window_floor(A: ArithIdeal) -> int:

@@ -241,8 +241,8 @@ def has_ac(R) -> Verdict:
     return _holds()
 
 
-def has_fac(R, cap: int = None) -> Verdict:
-    """Finite annihilator condition on subsets of size <= cap (default 3).
+def has_fac(R, cap: int = FAC_SUBSET_CAP) -> Verdict:
+    """Finite annihilator condition on subsets of size <= cap.
 
     For every nonempty T of bounded size some w in T must satisfy
     Ann(T) = Ann(w).  The cap is a documented sweep bound, not part of the
@@ -259,7 +259,7 @@ def has_fac(R, cap: int = None) -> Verdict:
     the chain on Holds, once per ring: the lattice keeps the first failing
     pair (`IdealLattice.chain_break`).
     """
-    if (FAC_SUBSET_CAP if cap is None else cap) < 2:
+    if cap < 2:
         return _holds()
     pair = lattice(R).chain_break
     return _fails(pair) if pair else _holds()

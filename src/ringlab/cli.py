@@ -14,7 +14,7 @@ from collections import Counter
 
 from . import classify as cl
 from .config import DEFAULT_DEGREE
-from .corpus import Limits, default_corpus, load_corpus
+from .corpus import default_corpus, load_corpus
 from .dsl import parse_element, parse_ideal, parse_mcs, parse_ring, split_top
 from .errors import ConfigError, ParseError, RinglabError
 from .ideals import all_ideals, is_maximal, is_prime, localize, max_ideals, prime_violation, spec
@@ -133,8 +133,7 @@ def cmd_ideals(args):
 def _corpus_from_args(args):
     """The corpus, once the report file is known to be writable: opening it for append
     before the run creates it but keeps what it holds until the report is written."""
-    limits = Limits.defaults()
-    corpus = load_corpus(args.corpus, limits) if args.corpus else default_corpus(limits)
+    corpus = load_corpus(args.corpus) if args.corpus else default_corpus()
     if args.json:
         _open_report(args.json, "a").close()
     return corpus
@@ -152,7 +151,7 @@ def cmd_verify(args):
     corpus = _corpus_from_args(args)
     ids = tuple(args.theorems.split(",")) if args.theorems else None
     t0 = time.perf_counter()
-    records = list(verify(ids, corpus, jobs=args.jobs))
+    records = verify(ids, corpus, jobs=args.jobs)
     elapsed = time.perf_counter() - t0
     _emit(records, args.json)
     _summarize(records)
@@ -162,7 +161,7 @@ def cmd_verify(args):
 
 def cmd_hunt(args):
     corpus = _corpus_from_args(args)
-    records = list(counterexample_search(args.theorem, corpus, tuple(args.drop or ()), jobs=args.jobs))
+    records = counterexample_search(args.theorem, corpus, tuple(args.drop or ()), jobs=args.jobs)
     _emit(records, args.json)
     _summarize(records)
     found = [r for r in records if r["outcome"] == VIOLATION]

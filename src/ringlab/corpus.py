@@ -30,14 +30,14 @@ AMALGZ = "amalgz"
 
 @dataclass(frozen=True)
 class Limits:
-    degree: int
-    fac_cap: int
-    dm_pairs: int
-    dm_seed: int
-    oracle_bound: int
-    annotation_cap: int
-    mcs_cap: int
-    subsample_seed: int
+    degree: int = config.DEFAULT_DEGREE
+    fac_cap: int = config.FAC_SUBSET_CAP
+    dm_pairs: int = config.DM_PAIRS
+    dm_seed: int = config.DM_SEED
+    oracle_bound: int = config.ARITH_ORACLE_BOUND
+    annotation_cap: int = config.ANNOTATION_CAP
+    mcs_cap: int = config.MCS_CANDIDATE_CAP
+    subsample_seed: int = config.SUBSAMPLE_SEED
 
     def __post_init__(self):
         """Refuse a negative degree, cap, bound or pair count, and an m.c.s. cap below the
@@ -50,16 +50,7 @@ class Limits:
 
     @staticmethod
     def defaults() -> "Limits":
-        return Limits(
-            degree=config.DEFAULT_DEGREE,
-            fac_cap=config.FAC_SUBSET_CAP,
-            dm_pairs=config.DM_PAIRS,
-            dm_seed=config.DM_SEED,
-            oracle_bound=config.ARITH_ORACLE_BOUND,
-            annotation_cap=config.ANNOTATION_CAP,
-            mcs_cap=config.MCS_CANDIDATE_CAP,
-            subsample_seed=config.SUBSAMPLE_SEED,
-        )
+        return Limits()
 
 
 @dataclass(frozen=True)
@@ -114,7 +105,7 @@ def parse_corpus_line(line: str):
     return CorpusEntry(text=text, kind=kind, expr=expr_canon, ideal_text=ideal_text, mcs_text=mcs_text)
 
 
-def load_corpus(path, limits: Limits = None) -> CorpusSpec:
+def load_corpus(path, limits: Limits = Limits()) -> CorpusSpec:
     """Read a corpus file; one that cannot be read, or is not UTF-8, is a ConfigError naming it."""
     try:
         with open(path, "r", encoding="utf-8") as fh:
@@ -128,10 +119,10 @@ def load_corpus(path, limits: Limits = None) -> CorpusSpec:
         entry = parse_corpus_line(line)
         if entry is not None:
             entries.append(entry)
-    return CorpusSpec(tuple(entries), limits or Limits.defaults())
+    return CorpusSpec(tuple(entries), limits)
 
 
-def default_corpus(limits: Limits = None) -> CorpusSpec:
+def default_corpus(limits: Limits = Limits()) -> CorpusSpec:
     """The standard verification corpus.
 
     Finite part: Z_n for n <= 30, products Z_a x Z_b with ab <= 64 (taken
@@ -184,4 +175,4 @@ def default_corpus(limits: Limits = None) -> CorpusSpec:
         "polyring(Z12)",
     ]
     entries = tuple(parse_corpus_line(line) for line in lines)
-    return CorpusSpec(entries, limits or Limits.defaults())
+    return CorpusSpec(entries, limits)

@@ -363,4 +363,4 @@ def amalgz_zero_transfer_check(az: AmalgOverZ, S_desc, bound: int) -> AmalgZRepo
         per_residue = (np.gcd(np.arange(az.n), m) == 1).reshape(m, az.d).sum(axis=0)
         ws = np.arange(-bound, bound + 1)
         checked = m * int(per_residue[ws[ws != 0] % az.d].sum())
-    return AmalgZReport(hyps, base, ext_holds, checked, arith_oracle_check(zero, S, bound))
+    return AmalgZReport(hyps, base, ext_holds, checked, arith_oracle_check(zero, S, bound, True))

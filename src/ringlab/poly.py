@@ -24,7 +24,7 @@ from itertools import product as iproduct
 import numpy as np
 
 from .classify import has_fac, is_S_r_ideal
-from .config import DEFAULT_DEGREE, DM_MAX_DEGREE, MAX_DEGREE, POLY_SEARCH_BUDGET
+from .config import DEFAULT_DEGREE, DM_MAX_DEGREE, FAC_SUBSET_CAP, MAX_DEGREE, POLY_SEARCH_BUDGET
 from .errors import DegreeLimitError, NotApplicableError, TypeMismatch
 from .ideals import Ideal, MulClosedSet, ideal_power, ideal_product, lattice
 from .rings import FiniteRing
@@ -294,7 +294,7 @@ def bounded_S_r_search(spec: PolyIdealSpec, S_const: MulClosedSet, max_degree: i
     return PolyVerdict(NO, pair=(w, constant(R, v)), witness_degree=w.degree, bound=max_degree)
 
 
-def decide_content_S_r(A: Ideal, S: MulClosedSet, max_degree: int = None, fac_cap: int = None) -> PolyVerdict:
+def decide_content_S_r(A: Ideal, S: MulClosedSet, max_degree: int = DEFAULT_DEGREE, fac_cap: int = FAC_SUBSET_CAP) -> PolyVerdict:
     """Is the content ideal A[x] S-r over the polynomial ring?
 
     Gate order: the finite annihilator condition settles it for any S;
@@ -303,21 +303,20 @@ def decide_content_S_r(A: Ideal, S: MulClosedSet, max_degree: int = None, fac_ca
     configured degree.
     Once a gate fires the base verdict decides, and over a finite base ring
     it never fails (regular = unit, see `classify`).  The f.a.c. gate sweeps
-    subsets up to ``fac_cap`` (default the config cap); a caller that gates
-    on its own Limits passes the same cap.
+    subsets up to ``fac_cap``; a caller that gates on its own Limits passes
+    the same cap.
     """
     R = A.ring
     if A.mask & S.mask:
         raise NotApplicableError("DISJOINTNESS_VIOLATED")
-    D = DEFAULT_DEGREE if max_degree is None else max_degree
     if has_fac(R, fac_cap).holds:
         gate = GATE_FAC
     elif not S.mask & ~lattice(R).regulars:
         gate = GATE_PROPERTY_A
     else:
-        return bounded_S_r_search(PolyIdealSpec.content(A), S, D)
+        return bounded_S_r_search(PolyIdealSpec.content(A), S, max_degree)
     base = is_S_r_ideal(A, S)
-    return PolyVerdict(YES_BY_THEOREM if base.holds else NO_VIOLATION_UP_TO, gate=gate, bound=D)
+    return PolyVerdict(YES_BY_THEOREM if base.holds else NO_VIOLATION_UP_TO, gate=gate, bound=max_degree)
 
 
 # -- S-units in the polynomial ring -------------------------------------------------------

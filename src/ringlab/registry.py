@@ -981,8 +981,8 @@ def run_arith_r_oracle(ctx, dropped):
     """Window confirmation of the closed-form r/S-r verdicts (oracle agreement)."""
     A, S = ctx.ideal, ctx.mcs
     bound = max(ctx.limits.oracle_bound, ar.window_floor(A))
-    ok_r = ar.arith_oracle_check(A, None, bound)
-    ok_s = ar.arith_oracle_check(A, S, bound)
+    ok_r = ar.arith_oracle_check(A, None, bound, True)
+    ok_s = ar.arith_oracle_check(A, S, bound, True)
     yield Finding(
         VERIFIED if (ok_r and ok_s) else VIOLATION, ctx.annotations,
         detail={"r_confirmed": ok_r, "s_r_confirmed": ok_s, "bound": bound},
@@ -1121,7 +1121,15 @@ def _worker(args):
     return index, _run_entry(entry, ids, frozenset(dropped_t), limits)
 
 
-def _check_ids(ids, dropped):
+def verify(ids, corpus: CorpusSpec, jobs: int = 1, dropped=frozenset()):
+    """Run the registry over the corpus; returns its records in corpus order.
+
+    Unknown or repeated ids and unknown hypotheses raise here, before any entry
+    runs.  A record holds no run time, so the report is byte-identical across
+    reruns and worker counts; the caller times the run.
+    """
+    ids = tuple(ids) if ids else DEFAULT_IDS
+    dropped = frozenset(dropped)
     repeated = [tid for i, tid in enumerate(ids) if tid in ids[:i]]
     if repeated:
         raise ConfigError(f"theorem id {repeated[0]!r} given more than once")
@@ -1131,17 +1139,6 @@ def _check_ids(ids, dropped):
         for h in dropped:
             if h not in CASES[tid].hypotheses:
                 raise UnknownHypothesis(f"{tid} has no hypothesis {h!r}")
-
-
-def verify(ids, corpus: CorpusSpec, jobs: int = 1, dropped=frozenset()):
-    """Run the registry over the corpus; yields records in corpus order.
-
-    A record holds no run time, so the report is byte-identical across reruns
-    and worker counts; the caller times the run.
-    """
-    ids = tuple(ids) if ids else DEFAULT_IDS
-    dropped = frozenset(dropped)
-    _check_ids(ids, dropped)
     tasks = [
         (i, entry, ids, tuple(sorted(dropped)), corpus.limits)
         for i, entry in enumerate(corpus.entries)
@@ -1156,8 +1153,7 @@ def verify(ids, corpus: CorpusSpec, jobs: int = 1, dropped=frozenset()):
             _run_entry(entry, ids, dropped, corpus.limits)
             for entry in corpus.entries
         ]
-    for batch in batches:
-        yield from batch
+    return [rec for batch in batches for rec in batch]
 
 
 def counterexample_search(theorem_id: str, corpus: CorpusSpec, drop, jobs: int = 1):
@@ -1165,9 +1161,7 @@ def counterexample_search(theorem_id: str, corpus: CorpusSpec, drop, jobs: int =
 
     Violations found here are expected findings, marked ``expected``: they
     demonstrate that the dropped hypothesis was load-bearing.  Unknown ids
-    and hypotheses raise here, before any entry runs.
+    and hypotheses raise in `verify`, before any entry runs.
     """
-    drop = frozenset(drop)
-    _check_ids((theorem_id,), drop)
     records = verify((theorem_id,), corpus, jobs=jobs, dropped=drop)
-    return ({**rec, "expected": True} if rec["outcome"] == VIOLATION else rec for rec in records)
+    return [{**rec, "expected": True} if rec["outcome"] == VIOLATION else rec for rec in records]

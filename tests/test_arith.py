@@ -6,6 +6,7 @@ import pytest
 from hypothesis import HealthCheck, example, given, settings, strategies as st
 
 import ringlab.arith as ar
+from ringlab import extensions
 from ringlab.arith import (
     INT,
     ArithIdeal,
@@ -26,9 +27,11 @@ from ringlab.arith import (
     mod_factor,
 )
 from ringlab.classify import FAILS, HOLDS, Verdict, is_r_ideal, is_S_r_ideal
+from ringlab.corpus import FINITE, CorpusSpec, default_corpus
 from ringlab.errors import InvalidConstruction, NotProperError, SizeLimitError
 from ringlab.extensions import AmalgOverZ, amalgz_zero_transfer_check
 from ringlab.ideals import ideal_generate, is_prime, mcs_from_members
+from ringlab.registry import verify
 from ringlab.rings import make_product, make_zn
 
 from oracles import ref_sent
@@ -42,6 +45,18 @@ def zz():
 @pytest.fixture(scope="module")
 def z():
     return ArithRing((INT,))
+
+
+@pytest.fixture
+def fresh_oracle():
+    """Empty the oracle's two process-wide memos before and after the test: before, so the
+    test's patches are seen, and after, so no verdict reached under them outlives the test."""
+    memos = (ar.arith_oracle_check, ar._sent)  # taken before the test patches either name
+    for memo in memos:
+        memo.cache_clear()
+    yield
+    for memo in memos:
+        memo.cache_clear()
 
 
 def test_ann_is_zero(z, zz):
@@ -127,11 +142,10 @@ def test_closed_forms_read_units_without_listing_z_n(tmp_path, monkeypatch, caps
     assert capsys.readouterr().err == "error: an oracle window coordinate of 1000000 values exceeds the cap 2048\n"
 
 
-def test_oracle_window_at_its_caps_runs_and_one_more_is_refused(monkeypatch):
+def test_oracle_window_at_its_caps_runs_and_one_more_is_refused(monkeypatch, fresh_oracle):
     """Both window lanes size their window with `size_window` before building it: in each
     lane a window at the cap on a coordinate's values runs, and one value more is refused."""
     monkeypatch.setattr(ar, "ORACLE_AXIS_CAP", 21)
-    monkeypatch.setattr(ar, "_oracle_cache", {})
     ar.size_window(21)
     with pytest.raises(SizeLimitError, match="an oracle window coordinate of 22 values exceeds the cap 21"):
         ar.size_window(22)
@@ -147,11 +161,10 @@ def test_oracle_window_at_its_caps_runs_and_one_more_is_refused(monkeypatch):
     assert amalgz_zero_transfer_check(AmalgOverZ(6, 2), ("units",), 2).window_confirms  # y takes the 6 values of Z6
 
 
-def test_ungated_verdict_is_confirmed_under_its_own_oracle_key(monkeypatch):
+def test_ungated_verdict_is_confirmed_under_its_own_oracle_key(monkeypatch, fresh_oracle):
     """Without the disjointness gate the closed form decides where S meets A: in Z with
     S = Z, s = 0 lies in every ideal, so (0) and 2Z are S-r with witness 0, and the
     oracle confirms each.  The gated and ungated questions are cached apart."""
-    monkeypatch.setattr(ar, "_oracle_cache", {})
     flags, real = [], ar._oracle_check
     monkeypatch.setattr(ar, "_oracle_check", lambda *args: flags.append(args[3]) or real(*args))
     Z = ArithRing((INT,))
@@ -162,6 +175,20 @@ def test_ungated_verdict_is_confirmed_under_its_own_oracle_key(monkeypatch):
         assert arith_is_S_r_ideal(A, S, enforce_disjoint=False).witness == (0,)
         assert all(arith_oracle_check(A, S, 10, flag) for flag in (True, False, True, False))
     assert flags == [True, False] * 2
+
+
+def test_a_verify_pass_asks_each_oracle_question_once(monkeypatch, fresh_oracle):
+    """Over the default corpus's 19 non-finite entries `verify` asks the window oracle 36
+    questions, 24 of them distinct.  The memo is keyed by the arguments as passed, so a call
+    site that named the gate flag or left it to its default would make more misses."""
+    calls, misses, cached, check = [], [], ar.arith_oracle_check, ar._oracle_check
+    counted = lambda *args, **kwargs: calls.append(args) or cached(*args, **kwargs)
+    monkeypatch.setattr(ar, "arith_oracle_check", counted)
+    monkeypatch.setattr(extensions, "arith_oracle_check", counted)
+    monkeypatch.setattr(ar, "_oracle_check", lambda *args: misses.append(args) or check(*args))
+    corpus = default_corpus()
+    verify(None, CorpusSpec(tuple(e for e in corpus.entries if e.kind != FINITE), corpus.limits))
+    assert (len(calls), len(misses)) == (36, 24)
 
 
 def test_oracle_window_precondition(z):
@@ -474,10 +501,9 @@ def test_oracle_matches_tuple_loop_reference(case):
         assert ar._oracle_check(A, S, bound) == ref_oracle_check(A, S, bound)
 
 
-def test_amalgz_confirmation_objects_to_a_flipped_closed_form(monkeypatch):
+def test_amalgz_confirmation_objects_to_a_flipped_closed_form(monkeypatch, fresh_oracle):
     """The amalgZ window confirms the S-r verdict of (0) in Z through arith's oracle, so a
     closed form with Holds and Fails swapped is not confirmed."""
-    monkeypatch.setattr(ar, "_oracle_cache", {})
     monkeypatch.setattr(ar, "arith_is_S_r_ideal", _flipped(arith_is_S_r_ideal))
     assert not amalgz_zero_transfer_check(AmalgOverZ(4, 2), ("units",), 10).window_confirms
 

@@ -10,7 +10,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from ringlab import poly
-from ringlab.config import DM_MAX_DEGREE, DM_PAIRS, DM_SEED, POLY_SEARCH_BUDGET
+from ringlab.classify import has_fac
+from ringlab.config import DEFAULT_DEGREE, DM_MAX_DEGREE, DM_PAIRS, DM_SEED, FAC_SUBSET_CAP, POLY_SEARCH_BUDGET
 from ringlab.corpus import CorpusSpec, Limits, parse_corpus_line
 from ringlab.dsl import parse_ring
 from ringlab.errors import DegreeLimitError, NotApplicableError
@@ -395,6 +396,16 @@ def test_decide_falls_back_to_search(z12):
     v = decide_content_S_r(A, S)
     assert v.gate is None
     assert v.outcome == NO_VIOLATION_UP_TO
+
+
+def test_content_decision_defaults_are_the_config_caps():
+    for expr in ("Z4", "Z6", "Z2 x Z2", "Z8"):
+        R = parse_ring(expr)
+        assert has_fac(R) == has_fac(R, FAC_SUBSET_CAP)
+        for A in all_ideals(R):
+            for S in (mcs_generate(R, []), *(mcs_generate(R, [x]) for x in range(R.size))):
+                if A.is_proper() and not A.mask & S.mask:
+                    assert decide_content_S_r(A, S) == decide_content_S_r(A, S, DEFAULT_DEGREE, FAC_SUBSET_CAP)
 
 
 def test_decide_disjointness_error(z12):

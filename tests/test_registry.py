@@ -1,13 +1,18 @@
 import hashlib
 import json
+import os
 import random
+import subprocess
+import sys
 from collections import Counter
-from dataclasses import replace
+from dataclasses import asdict, replace
 from itertools import combinations, product
+from pathlib import Path
 
 import pytest
 from hypothesis import example, given, strategies as st
 
+import ringlab
 from ringlab import classify as cl, extensions, poly, registry
 from ringlab.classify import FAILS, HOLDS, Verdict, has_fac
 from ringlab.config import ORACLE_AXIS_CAP, POLY_SEARCH_BUDGET
@@ -417,6 +422,22 @@ def test_limits_take_any_seed():
     assert (limits.dm_seed, limits.subsample_seed) == (-5, -1)
 
 
+def test_limits_default_to_the_config_constants():
+    from ringlab import config
+
+    assert Limits() == Limits.defaults()
+    assert asdict(Limits()) == {
+        "degree": config.DEFAULT_DEGREE,
+        "fac_cap": config.FAC_SUBSET_CAP,
+        "dm_pairs": config.DM_PAIRS,
+        "dm_seed": config.DM_SEED,
+        "oracle_bound": config.ARITH_ORACLE_BOUND,
+        "annotation_cap": config.ANNOTATION_CAP,
+        "mcs_cap": config.MCS_CANDIDATE_CAP,
+        "subsample_seed": config.SUBSAMPLE_SEED,
+    }
+
+
 @pytest.mark.parametrize("fac_cap", [1, 2])
 def test_t4_2_and_the_content_decision_gate_on_the_same_fac_cap(fac_cap):
     # Z6 fails f.a.c. on pairs, so only the cap-1 sweep (no subsets at all)
@@ -498,6 +519,23 @@ def test_size_limit_env_override(monkeypatch):
     assert config.size_limit() == config.SIZE_LIMIT_CEILING
     monkeypatch.delenv(config.SIZE_LIMIT_ENV)
     assert config.size_limit() == config.DEFAULT_SIZE_LIMIT
+
+
+@pytest.mark.skipif(not os.path.isdir("/proc/self/task"), reason="threads are counted in /proc/self/task")
+@pytest.mark.parametrize("preset", [None, "4"])
+def test_import_starts_no_blas_worker_thread(preset):
+    """ringlab makes no BLAS call, so a fresh interpreter that imports it runs one thread;
+    an OPENBLAS_NUM_THREADS already set is left as it is."""
+    env = {k: v for k, v in os.environ.items() if k != "OPENBLAS_NUM_THREADS"}
+    env["PYTHONPATH"] = str(Path(ringlab.__file__).parents[1])
+    if preset:
+        env["OPENBLAS_NUM_THREADS"] = preset
+    code = "import os, ringlab; print(len(os.listdir('/proc/self/task')), os.environ['OPENBLAS_NUM_THREADS'])"
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True).stdout
+    threads, value = out.split()
+    assert value == (preset or "1")
+    if preset is None:
+        assert threads == "1"
 
 
 @pytest.mark.parametrize("raw", ["junk", "", "2.5", "0", "-3", "4097", "32768", "1000000"])
