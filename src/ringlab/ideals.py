@@ -5,7 +5,7 @@ deterministic ordering (ascending index) so reports are reproducible.
 
 Each ring carries one IdealLattice, built on first use: a set of elements
 is an int bitmask (bit i = element i), each ideal is interned once per mask
-with its canonical generators, and sums, colons and products are memoised.
+with its canonical generators, and sums, colons and generated ideals are memoised.
 """
 
 from __future__ import annotations
@@ -150,7 +150,7 @@ class IdealLattice:
         inside[np.arange(R.size)[:, None], R.mul] = True
         self.principal = tuple(_pack(inside))  # principal[a]: Ra
         self.localizations = {}  # absorbing idempotent e -> LocalizationResult
-        self._interned, self._generated, self._sums, self._colons, self._products = {}, {}, {}, {}, {}
+        self._interned, self._generated, self._sums, self._colons = {}, {}, {}, {}
         self._colon_rows = {}  # A.mask -> ((A : x) for every element x)
         self._z0_colons = {}  # A.mask -> (A : N), N the union of the annihilator classes meeting A
 
@@ -226,14 +226,10 @@ class IdealLattice:
         return got
 
     def product(self, A: Ideal, B: Ideal) -> Ideal:
-        """Ideal generated by pairwise products of generators."""
-        got = self._products.get((A.mask, B.mask))
-        if got is None:
-            mul = self.ring.mul
-            prods = {int(mul[x, y]) for x in A.generators or (0,) for y in B.generators or (0,)}
-            got = self.generate(tuple(sorted(prods)))
-            self._products[(A.mask, B.mask)] = self._products[(B.mask, A.mask)] = got
-        return got
+        """Ideal generated by pairwise products of generators; `generate` keeps the answer."""
+        mul = self.ring.mul
+        prods = {int(mul[x, y]) for x in A.generators or (0,) for y in B.generators or (0,)}
+        return self.generate(tuple(sorted(prods)))
 
     @cached_property
     def ideals(self) -> tuple:

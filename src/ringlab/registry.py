@@ -17,15 +17,16 @@ dict, built with its labels only when the check fails: building them on every
 check made the finite corpus 14% slower.
 
 Verdict rows: a finite context asks each (ideal, catalogue m.c.s., disjointness
-flag) S-r question once, through `s_r`, and keeps the answers as one int per
-ideal and flag, bit j for the j-th m.c.s. (`s_r_row`), beside the bits of the
-m.c.s. the ideal misses (`disjoint_row`).  Every finite runner with a count
-states its checks as ``(asked, held)`` masks, read from the rows in the order
-of the runner's loop (`_row_checks`): the count is a popcount up to and
-including the first asked bit that is not held, and only that failed check asks
-`s_r` again, for the verdict its dict carries.  m.c.s. outside the catalogue
-(T2.7's S<reg>, P-jac's complements) and records that carry a verdict (P-zero's,
-P2.8's witness) ask `s_r` directly.
+flag) S-r question once, through `s_r`, and keeps one pair of ints per ideal and
+flag (`rows`), bit j for the j-th m.c.s.: the gates (the ideal is proper and,
+where that is enforced, misses it) and the answers.  Properness is never
+dropped.  Every finite runner with a count states its checks as
+``(asked, held)`` masks, read from the rows in the order of the runner's loop
+(`_row_checks`): the count is a popcount up to and including the first asked bit
+that is not held, and only that failed check asks `s_r` again, for the verdict
+its dict carries.  m.c.s. outside the catalogue (T2.7's S<reg>, P-jac's
+complements) and records that carry a verdict (P-zero's, P2.8's witness) ask
+`s_r` directly.
 """
 
 from __future__ import annotations
@@ -126,7 +127,7 @@ class FiniteContext:
         self.recipe = self.ring.recipe
         self._pinned_ideal = parse_ideal(self.ring, entry.ideal_text) if entry.ideal_text else None
         self._pinned_mcs = parse_mcs(self.ring, entry.mcs_text) if entry.mcs_text else None
-        self._rows = {}  # (A.mask, enforce_disjoint) -> S-r row; (A.mask,) -> disjointness row
+        self._rows = {}  # (A.mask, enforce_disjoint) -> (gates, held)
 
     def ideals(self):
         if self._pinned_ideal is not None:
@@ -161,26 +162,20 @@ class FiniteContext:
         take = max(0, self.limits.annotation_cap // len(self.ideals()) - len(kept))
         return tuple(_distinct(kept + random.Random(self.limits.subsample_seed).sample(rest, take))), True
 
-    def s_r(self, A, S, enforce_proper=True, enforce_disjoint=True):
-        return cl.is_S_r_ideal(A, S, enforce_proper, enforce_disjoint)
+    def s_r(self, A, S, enforce_disjoint=True):
+        return cl.is_S_r_ideal(A, S, True, enforce_disjoint)
 
-    def s_r_row(self, A, enforce_disjoint=True) -> int:
-        """Bit j set iff ``self.s_r(A, self.mcs_list()[j], enforce_disjoint=...)`` holds:
-        each (ideal, m.c.s., flag) question is asked once per entry, through `s_r`."""
-        row = self._rows.get((A.mask, enforce_disjoint))
-        if row is None:
-            held = (j for j, S in enumerate(self.mcs_list()) if self.s_r(A, S, enforce_disjoint=enforce_disjoint).holds)
-            row = self._rows[(A.mask, enforce_disjoint)] = mask_of(held)
-        return row
-
-    def disjoint_row(self, A, enforce_disjoint=True) -> int:
-        """Bit j set iff A misses ``self.mcs_list()[j]``; every bit when that is not enforced."""
-        if not enforce_disjoint:
-            return (1 << len(self.mcs_list())) - 1
-        row = self._rows.get((A.mask,))
-        if row is None:
-            row = self._rows[(A.mask,)] = mask_of(j for j, S in enumerate(self.mcs_list()) if not A.mask & S.mask)
-        return row
+    def rows(self, A, enforce_disjoint=True):
+        """(gates, held), bit j for S_j = ``self.mcs_list()[j]``: gates where A is proper
+        and, when that is enforced, misses S_j; held where ``self.s_r(A, S_j, enforce_disjoint)``
+        holds.  Each (ideal, m.c.s., flag) question is asked once per entry, through `s_r`."""
+        got = self._rows.get((A.mask, enforce_disjoint))
+        if got is None:
+            mcs = self.mcs_list()
+            gates = mask_of(j for j, S in enumerate(mcs) if A.is_proper() and not (enforce_disjoint and A.mask & S.mask))
+            held = mask_of(j for j, S in enumerate(mcs) if self.s_r(A, S, enforce_disjoint=enforce_disjoint).holds)
+            got = self._rows[(A.mask, enforce_disjoint)] = gates, held
+        return got
 
     def r_verdict(self, A):
         return cl.is_r_ideal(A)
@@ -379,7 +374,7 @@ def run_p_zero(ctx, dropped):
     zero = ideal_generate(ctx.ring, ())
     enforce = "disjoint" not in dropped
     for S in ctx.mcs_list():
-        v = ctx.s_r(zero, S, enforce_proper=enforce, enforce_disjoint=enforce)
+        v = ctx.s_r(zero, S, enforce_disjoint=enforce)
         if v.not_applicable:
             outcome = VACUOUS
         else:
@@ -403,8 +398,8 @@ def run_t2_3(ctx, dropped):
     enforce = "disjoint" not in dropped
 
     def checks(A):
-        held = ctx.s_r_row(A)
-        lifted, free = ctx.s_r_row(A, enforce_disjoint=enforce), ctx.disjoint_row(A, enforce)
+        _, held = ctx.rows(A)
+        free, lifted = ctx.rows(A, enforce)
         # per S_i, S_k by S_k: forward (A S_i-r, A misses S_k => S_k-r), converse (A S_k-r => S_i-r);
         # only an S_i where A is S_i-r asks forward, and where it is not, every converse check fails
         rows, at = [], []  # two rows per S_i that asks anything, and that i
@@ -443,7 +438,7 @@ def run_t2_5(ctx, dropped):
         for loc, js in localized.values():
             if cl.is_r_ideal(ideal_pushforward(loc, A)).holds:
                 asked |= js
-        return _row_checks([(asked, ctx.s_r_row(A))], lambda _, j: _failure(ctx.s_r(A, mcs[j]), R, mcs=mcs[j].label()))
+        return _row_checks([(asked, ctx.rows(A)[1])], lambda _, j: _failure(ctx.s_r(A, mcs[j]), R, mcs=mcs[j].label()))
 
     hypotheses = {"s_regular_candidates": bool(localized)}
     return _sweeps(ctx.proper_ideals(), "ideal", "implications_checked", checks, hypotheses)
@@ -477,11 +472,11 @@ def run_t2_7(ctx, dropped):
     # the pushforward of A is eA, and ex lies in eA iff ex lies in A, so the
     # preimage of the pushforward is the colon row (A : e)
     e = localize(R, S).absorbing_idempotent
-    for A in ctx.ideals():
-        if enforce and (not A.is_proper() or A.mask & S.mask):
+    for A in ctx.proper_ideals():
+        if enforce and A.mask & S.mask:
             continue
         sides = {
-            "s_r": ctx.s_r(A, S, enforce_proper=enforce, enforce_disjoint=enforce).holds,
+            "s_r": ctx.s_r(A, S, enforce_disjoint=enforce).holds,
             **_t2_7_sides(A, regs, ideal_lattice(R).colon_rows(A)[e]),
         }
         yield Finding(
@@ -511,7 +506,7 @@ def run_p2_8(ctx, dropped):
     candidates = mask_of(j for j, S in enumerate(mcs) if not need_reg or not S.mask & ~ideal_lattice(R).regulars)
 
     def checks(A):
-        asked = ctx.s_r_row(A) & candidates
+        asked = ctx.rows(A)[1] & candidates
         witness = {j: ctx.s_r(A, mcs[j]).witness for j in bits(asked)}
         held = mask_of(j for j, s in witness.items() if stable(A, s))
         return _row_checks([(asked, held)], lambda _, j: {"mcs": mcs[j].label(), "witness": R.labels[witness[j]]})
@@ -535,7 +530,7 @@ def run_p2_10(ctx, dropped):
         def fail(_, j):
             return _failure(ctx.s_r(A, mcs[j], enforce_disjoint=enforce_disjoint), R, mcs=mcs[j].label())
 
-        return _row_checks([(asked, ctx.s_r_row(A, enforce_disjoint=enforce_disjoint))], fail)
+        return _row_checks([(asked, ctx.rows(A, enforce_disjoint)[1])], fail)
 
     met = reduced or not enforce_reduced
     hypotheses = {"reduced": reduced}
@@ -548,8 +543,8 @@ def run_t2_11(ctx, dropped):
     enforce = "disjoint" not in dropped
 
     def checks(A):
-        held, mins = ctx.s_r_row(A), min_primes_over(A)
-        rows = [(held & ctx.disjoint_row(L, enforce), ctx.s_r_row(L, enforce_disjoint=enforce)) for L in mins]
+        held, mins = ctx.rows(A)[1], min_primes_over(A)
+        rows = [(held & gates, lifted) for gates, lifted in (ctx.rows(L, enforce) for L in mins)]
 
         def fail(r, j):
             vL = ctx.s_r(mins[r], mcs[j], enforce_disjoint=enforce)
@@ -569,14 +564,14 @@ def run_t2_12(ctx, dropped):
 
     def checks(A):
         # a proper ideal's verdict is NotApplicable only where it meets S and that is enforced
-        held = ctx.s_r_row(A, enforce_disjoint=enforce_disjoint)
+        gates, held = ctx.rows(A, enforce_disjoint)
         in_zd = not A.mask & ideal_lattice(R).regulars
 
         def fail(_, j):
             v = ctx.s_r(A, mcs[j], enforce_disjoint=enforce_disjoint)
             return _failure(v, R, mcs=mcs[j].label(), s_r=v.holds, inside_zd=in_zd)
 
-        return _row_checks([(ctx.disjoint_row(A, enforce_disjoint), held if in_zd else ~held)], fail)
+        return _row_checks([(gates, held if in_zd else ~held)], fail)
 
     for A in ctx.proper_ideals():
         prime = is_prime(A)
@@ -589,7 +584,7 @@ def run_c_zd(ctx, dropped):
     mcs = ctx.mcs_list()
 
     def checks(A):
-        held = ctx.s_r_row(A)
+        held = ctx.rows(A)[1]
         in_zd = not A.mask & ideal_lattice(ctx.ring).regulars
         return _row_checks([(held, held if in_zd else 0)], lambda _, j: {"mcs": mcs[j].label()})
 
@@ -634,24 +629,15 @@ def run_p_colon(ctx, dropped):
     k_families = [(f"{{{R.labels[x]}}}", 1 << x, annihilator(R, (x,))) for x in singles]
     k_families += [(B.label(), mask_of(B.generators), annihilator(R, B.sorted_members)) for B in ctx.ideals()]
 
-    pairs = {}  # derived mask -> (the m.c.s. it misses, none when it is R; its S-r row)
-
-    def pair(d):
-        got = pairs.get(d.mask)
-        if got is None:
-            free = 0 if d.mask == L.full else ctx.disjoint_row(d, enforce)
-            got = pairs[d.mask] = free, ctx.s_r_row(d, enforce_disjoint=enforce)
-        return got
-
     def checks(A):
-        held = ctx.s_r_row(A)
+        held = ctx.rows(A)[1]
         derived = [
             (k_label, kind, d)
             for k_label, ks, ann in (k_families if held else ())
             if ks & ~A.mask
             for kind, d in (("colon", L.colon(A, ks)), ("annihilator", ann))
         ]
-        rows = [(held & free, d_held) for free, d_held in (pair(d) for _, _, d in derived)]
+        rows = [(held & gates, d_held) for gates, d_held in (ctx.rows(d, enforce) for _, _, d in derived)]
 
         def fail(r, j):
             k_label, kind, d = derived[r]
@@ -684,8 +670,9 @@ def run_p_annsum(ctx, dropped):
     for _, _, ts, K in sums:
         if ts not in meeting:
             meeting[ts] = mask_of(j for j, S in enumerate(mcs) if ts & S.mask)
-        asked.append(0 if K.mask == L.full else meeting[ts] & ctx.disjoint_row(K, enforce))
-        failed.append(asked[-1] and asked[-1] & ~ctx.s_r_row(K, enforce_disjoint=enforce))
+        gates, held = ctx.rows(K, enforce)
+        asked.append(meeting[ts] & gates)
+        failed.append(asked[-1] & ~held)
     asked, failed = transpose(asked, len(mcs)), transpose(failed, len(mcs))  # per S_j, bit r for the r-th sum
     at = {S.mask: j for j, S in enumerate(mcs)}
 
@@ -716,8 +703,7 @@ def run_p_minidem(ctx, dropped):
         got = cells.get((P.mask, se))
         if got is None:
             A = ideal_sum(P, annihilator(R, (se,)))
-            asked = ctx.disjoint_row(A, enforce_disjoint) if A.is_proper() else 0
-            got = cells[(P.mask, se)] = A, asked, asked & ctx.s_r_row(A, enforce_disjoint=enforce_disjoint)
+            got = cells[(P.mask, se)] = A, *ctx.rows(A, enforce_disjoint)
         return got
 
     def checks(S):
@@ -767,9 +753,10 @@ def run_p_sidem(ctx, dropped):
                 spans.append(("[all]", ideal_generate(R, T)))
         asked = held = 0  # bit i for the i-th span; the verdict of any other is NotApplicable
         for i, (_, A) in enumerate(spans):
-            if A.is_proper() and ctx.disjoint_row(A) & bit:
+            gates, ok = ctx.rows(A)
+            if gates & bit:
                 asked |= 1 << i
-                if ctx.s_r_row(A) & bit:
+                if ok & bit:
                     held |= 1 << i
         return _row_checks([(asked, held)], lambda _, i: _failure(ctx.s_r(spans[i][1], S), R, generators=spans[i][0]))
 
@@ -780,9 +767,9 @@ def run_p_suz(ctx, dropped):
     """All disjoint ideals S-r  <=>  the ring is an S-uz-ring."""
     mcs = ctx.mcs_list()
     ideals = ctx.proper_ideals()
-    asked = [ctx.disjoint_row(A) for A in ideals]
-    failed = transpose([hit and hit & ~ctx.s_r_row(A) for A, hit in zip(ideals, asked)], len(mcs))
-    asked = transpose(asked, len(mcs))  # per S_j, bit r for the r-th proper ideal
+    rows = [ctx.rows(A) for A in ideals]
+    failed = transpose([gates & ~held for gates, held in rows], len(mcs))
+    asked = transpose([gates for gates, _ in rows], len(mcs))  # per S_j, bit r for the r-th proper ideal
     for j, S in enumerate(mcs):
         checks = _row_checks([(asked[j], ~failed[j])], lambda _, r: {"failing_ideal": ideals[r].label()})
         outcome, detail = _counted("ideals_evaluated", *checks)
@@ -805,11 +792,11 @@ def run_p_suzmax(ctx, dropped):
             continue
         a_side = cl.is_S_uz_ring(R, S).holds
         b_side = all(
-            ctx.s_r_row(P, enforce_disjoint=enforce) >> j & 1
-            for P in prime_spectrum(R)
-            if ctx.disjoint_row(P, enforce) >> j & 1
+            held >> j & 1
+            for gates, held in (ctx.rows(P, enforce) for P in prime_spectrum(R))
+            if gates >> j & 1
         )
-        c_side = all(ctx.s_r_row(M, enforce_disjoint=enforce) >> j & 1 for M in maxes)
+        c_side = all(ctx.rows(M, enforce)[1] >> j & 1 for M in maxes)
         yield Finding(
             VERIFIED if a_side == b_side == c_side else VIOLATION,
             annotations,

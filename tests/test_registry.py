@@ -112,7 +112,7 @@ VERIFY_PIN = "56121aa8fa0b246abec916d63693a08cbd0e0e84aecac0fb6058dfa507096517"
 HUNT_PINS = {
     ("T2.3", "disjoint"): "5a8cfda00de7b50498e6f3830038a40f550f3ce7d5b48b1cc341682db73ff5e7",
     ("T2.5", "s_regular"): "3cfc2342e0463fcfcaf96edb460efa003a9be716adad019b86804e189f8e54ad",
-    ("T2.7", "disjoint"): "13c4464e8cd82abbaa3a274caf7878508a3ab16e2ed674786d95f914bcc17427",
+    ("T2.7", "disjoint"): "4c68a52563158075e0146f852c2da94c05d7ecce485c2affa64d5e0ba326393a",
     ("P2.8", "s_regular"): "448bb70855b8b312108d1645d3cec08375328ee5973ea657e79e260685672ef4",
     ("P2.10", "reduced"): "2e09e0d36d033e1f93d5f981631a4e6e3919cae5953ae3422072346b4c3293e5",
     ("P2.10", "disjoint"): "80c459383631772ff5f9546289487cc7aab571544223fac0d26cebfcd4483302",
@@ -833,10 +833,10 @@ FINITE_LINES = [e.text for e in default_corpus().entries if e.kind == FINITE]
 
 
 def test_verdict_rows_match_the_classifier():
-    """Every ideal, catalogue position and disjointness flag of the finite default
-    corpus entries of at most 32 elements: bit j of the S-r row is the classifier's
-    verdict at the j-th m.c.s., and bit j of the disjointness row says A misses it,
-    or is set when disjointness is not enforced."""
+    """Every ideal, the whole ring included, catalogue position and disjointness flag
+    of the finite default corpus entries of at most 32 elements: bit j of the gates
+    row says A is proper and, when disjointness is enforced, misses the j-th m.c.s.;
+    bit j of the held row is the classifier's verdict there, which needs the gates."""
     entries = 0
     for line in FINITE_LINES:
         ctx = build_context(parse_corpus_line(line), Limits.defaults())
@@ -846,13 +846,13 @@ def test_verdict_rows_match_the_classifier():
         mcs = ctx.mcs_list()
         for A in all_ideals(ctx.ring):
             for disjoint in (True, False):
-                row = ctx.s_r_row(A, disjoint)
-                assert [row >> j & 1 for j in range(len(mcs))] == [
+                gates, held = ctx.rows(A, disjoint)
+                assert [held >> j & 1 for j in range(len(mcs))] == [
                     cl.is_S_r_ideal(A, S, enforce_disjoint=disjoint).holds for S in mcs
                 ], (line, A.label(), disjoint)
-                row = ctx.disjoint_row(A, disjoint)
-                expected = [not (disjoint and A.mask & S.mask) for S in mcs]
-                assert [row >> j & 1 for j in range(len(mcs))] == expected, (line, A.label(), disjoint)
+                expected = [A.is_proper() and not (disjoint and A.mask & S.mask) for S in mcs]
+                assert [gates >> j & 1 for j in range(len(mcs))] == expected, (line, A.label(), disjoint)
+                assert held & ~gates == 0, (line, A.label(), disjoint)
     assert entries > 50
 
 
@@ -1162,6 +1162,25 @@ def test_cli_hunt_drop_disjoint_decides_the_arith_lane_without_the_gate(tmp_path
     assert [r["detail"] for r in records] == [{"oracle": True, "witness": [0]}] * 2
 
 
+def test_cli_hunt_drop_disjoint_keeps_the_properness_gate(tmp_path, capsys):
+    """Dropping `disjoint` drops that gate alone: an S-r ideal is proper.  So T2.7 writes
+    no record about the whole ring, and P-zero's (0) of Z1, which is the whole ring, is
+    VACUOUS as NOT_PROPER rather than VERIFIED."""
+    from ringlab.cli import main
+
+    corpus, report = tmp_path / "proper.corpus", tmp_path / "hunt.jsonl"
+    corpus.write_text("Z1\nZ6\n", encoding="utf-8")
+
+    def hunt(theorem):
+        assert main(["hunt", theorem, "--drop", "disjoint", "--corpus", str(corpus), "--json", str(report)]) == 0
+        return [json.loads(line) for line in report.read_text(encoding="utf-8").splitlines()]
+
+    assert [(r["entry"], r["annotations"]["ideal"]) for r in hunt("T2.7")] == [("Z6", "(0)"), ("Z6", "(3)"), ("Z6", "(2)")]
+    z1 = [r for r in hunt("P-zero") if r["entry"] == "Z1"]
+    assert [(r["outcome"], r["detail"]["verdict"]["reason"]) for r in z1] == [("VACUOUS", "NOT_PROPER")]
+    assert capsys.readouterr().err == ""
+
+
 def test_cli_verify_the_whole_ring_without_a_violation(tmp_path, capsys):
     """The whole ring is no proper ideal, so the r and S-r closed forms are NotApplicable,
     and the window oracle has nothing to confirm for either question."""
@@ -1348,6 +1367,45 @@ HUNT_RUNS = [pytest.param(c, h, 1, id=f"{c}-{h}") for c, h in HUNT_PINS] + [
 def test_hunt_report_pin(hunt_corpus, case_id, hypothesis, jobs):
     records = counterexample_search(case_id, hunt_corpus, (hypothesis,), jobs=jobs)
     assert _report_sha256(records) == HUNT_PINS[case_id, hypothesis]
+
+
+# a declared hypothesis -> its key in a record's hypotheses (P3.2's finite records
+# prefix it with the direction); a gate -> the NotApplicable reason it gives
+RECORD_KEYS = {
+    "in_jacobson": "inside_jacobson",
+    "max_disjoint": "maximal_disjoint",
+    "zd_union": "zd_union_in_ann",
+    "s_regular": "s_regular_candidates",
+}
+GATE_REASONS = {"disjoint": cl.DISJOINTNESS_VIOLATED, "reduced": cl.NOT_REDUCED}
+
+
+def _vacuous_because_of(record, hypothesis):
+    """Whether nothing but the dropped hypothesis explains a VACUOUS record: no zero count
+    in its detail, no other hypothesis False (a `_literal` key is reported only), and no
+    NotApplicable reason other than the dropped gate's."""
+    key = RECORD_KEYS.get(hypothesis, hypothesis)
+    dropped_keys = {key, f"forward_{key}", f"backward_{key}"}
+    detail = record["detail"]
+    reason = detail.get("reason") or (detail.get("verdict") or {}).get("reason")
+    return not (
+        any(type(v) is int and v == 0 for v in detail.values())
+        or any(v is False and k not in dropped_keys and not k.endswith("_literal") for k, v in record["hypotheses"].items())
+        or reason not in (None, GATE_REASONS.get(hypothesis))
+    )
+
+
+def test_no_hunt_record_is_vacuous_because_of_the_dropped_hypothesis(hunt_corpus):
+    """A hunt drops a hypothesis so that the instances it gated are checked: each VACUOUS
+    record left must have another reason (a zero count, another hypothesis unmet, or
+    another gate, such as properness)."""
+    vacuous = 0
+    for case_id, hypothesis in HUNT_PINS:
+        for record in counterexample_search(case_id, hunt_corpus, (hypothesis,)):
+            if record["outcome"] == VACUOUS:
+                vacuous += 1
+                assert not _vacuous_because_of(record, hypothesis), (case_id, hypothesis, record)
+    assert vacuous > 100
 
 
 # -- entry structure -----------------------------------------------------------------
