@@ -8,11 +8,6 @@ polynomial-ring layer, and a registry that machine-checks the whole
 proposition catalogue over a ring corpus.
 """
 
-import os
-
-# ringlab makes no BLAS call, so an idle OpenBLAS worker thread only adds CPU time; a preset value wins.
-os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
-
 from .classify import (
     Verdict,
     has_ac,

@@ -24,8 +24,6 @@ from dataclasses import dataclass
 from functools import cache
 from math import gcd, isqrt
 
-import numpy as np
-
 from .classify import DISJOINTNESS_VIOLATED, Verdict, FAILS, HOLDS, NOT_APPLICABLE
 from .config import ORACLE_AXIS_CAP
 from .errors import InvalidConstruction, NotProperError, SizeLimitError, TypeMismatch
@@ -264,9 +262,9 @@ def arith_oracle_check(A: ArithIdeal, S: ArithMCS, bound: int, enforce_disjoint:
     return _oracle_check(A, S, bound, enforce_disjoint)
 
 
-def _in_factor_ideal(d, cs):
-    """Which entries of cs lie in dZ_n; a Z_n descriptor divides n, so cs need no reducing."""
-    return cs == 0 if d == 0 else cs % d == 0
+def _in_factor_ideal(d, c) -> bool:
+    """Whether the window value c lies in dZ_n; a Z_n descriptor divides n, so c needs no reducing."""
+    return _divides(d, c)
 
 
 def size_window(values: int) -> None:
@@ -285,9 +283,16 @@ def _sent(R: ArithRing, descs, bound):
     size_window(max(len(_axis(n, bound)) for n in R.factors))
     sent = []
     for n, d in zip(R.factors, descs):
-        axis = np.array(_axis(n, bound))
-        regs = np.array([c for c in _axis(n, bound) if _regular(c, n)], dtype=np.int64)
-        sent.append(axis[_in_factor_ideal(d, axis[:, None] * regs).any(axis=1)])
+        axis = _axis(n, bound)
+        regs = [r for r in axis if _regular(r, n)]
+        # d divides cr iff d / gcd(c, d) divides r, so gcd(c, d) decides whether c is sent;
+        # at d = 0 (a Z factor, whose regular values are nonzero) c == 0 decides
+        sends = {}
+        for c in axis:
+            key = gcd(c, d) if d else c == 0
+            if key not in sends:
+                sends[key] = any(_in_factor_ideal(d, c * r) for r in regs)
+        sent.append(tuple(c for c in axis if sends[gcd(c, d) if d else c == 0]))
     return sent
 
 
@@ -313,10 +318,9 @@ def _oracle_check(A: ArithIdeal, S, bound: int, enforce_disjoint: bool = True) -
         axes = [[c] for c in verdict.witness or (1,) * R.width]
     else:
         axes = [[1]] * R.width if S is None else [_factor_candidates(S, i, bound) for i in range(R.width)]
-    # at bound 0 every coordinate passes: a Z one has no sent value, and a Z_n one's lie in d Z_n
-    covered = all(
-        _in_factor_ideal(d, np.array(ss)[:, None] * zs).all(axis=1).any() for d, ss, zs in zip(A.descs, axes, sent)
-    )
+    # at bound 0 every coordinate passes: a Z one has no sent value, and a Z_n one's lie in d Z_n.
+    # d divides sz for every sent z iff it divides s times their gcd (0 when there are none).
+    covered = all(any(_in_factor_ideal(d, s * gcd(*zs)) for s in ss) for d, ss, zs in zip(A.descs, axes, sent))
     return covered == verdict.holds
 
 

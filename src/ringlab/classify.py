@@ -32,10 +32,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import cache
 
-import numpy as np
-
 from .config import FAC_SUBSET_CAP
-from .ideals import Ideal, MulClosedSet, all_ideals, annihilator, first_hit, ideal_generate, lattice, mask_of, member_row
+from .ideals import Ideal, MulClosedSet, all_ideals, annihilator, bits, ideal_generate, lattice, mask_of
 
 HOLDS = "Holds"
 FAILS = "Fails"
@@ -148,26 +146,24 @@ def is_S_prime(
 ) -> Verdict:
     """Some uniform s in S with: wz in A implies sw in A or sz in A.
 
-    With out[x, s] true when sx is not in A, s is defeated by a pair with wz
-    in A, out[w, s] and out[z, s].  For P the pairs with wz in A, (P @ out)
-    finds a z for every (w, s) at once, so one boolean matrix product over
-    the members of S gives the good s.
+    With out(s) the mask of the x whose sx is not in A, s is defeated by a w in
+    out(s) whose colon row (A : w) meets out(s); s with one out(s) share the answer.
     """
-    R = A.ring
     if enforce_proper and not A.is_proper():
         return _na(NOT_PROPER)
     if enforce_disjoint and A.mask & S.mask:
         return _na(DISJOINTNESS_VIOLATED)
-    inside = member_row(A)
-    prod_in = inside[R.mul]
-    members = np.array(S.sorted_members, dtype=np.intp)
-    out = ~prod_in[:, members]
-    good = mask_of(members[~((prod_in @ out) & out).any(axis=0)])
+    L = lattice(A.ring)
+    rows = L.colon_rows(A)  # rows[x]: the w with wx in A
+
+    def out(s):
+        return L.full & ~rows[s]
 
     def defeat(s):
-        s_in = inside[R.mul[s, :]]
-        return first_hit(prod_in & ~s_in[:, None] & ~s_in[None, :])
+        return next(((w, (hit & -hit).bit_length() - 1) for w in bits(out(s)) if (hit := rows[w] & out(s))), None)
 
+    beaten = {o: any(rows[w] & o for w in bits(o)) for o in {out(s) for s in S.sorted_members}}
+    good = mask_of(s for s in S.sorted_members if not beaten[out(s)])
     return _uniform_witness(S, good, defeat)
 
 

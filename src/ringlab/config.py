@@ -10,10 +10,9 @@ from .errors import ConfigError
 
 SIZE_LIMIT_ENV = "RINGLAB_SIZE_LIMIT"
 DEFAULT_SIZE_LIMIT = 256
-# The add and mul tables are int16, so n elements take 2 * 2n^2 = 4n^2 bytes:
-# 64 MiB at 4,096 elements, and 4.3 GB at 32,767, where int16 indices would
-# wrap.  Each mask kernel call adds an n^2-byte boolean table on top.
-SIZE_LIMIT_CEILING = 4096
+# Each element is one byte in the rows of the add and mul tables, so a ring has
+# at most 256 elements; the two tables then take 2n^2 bytes, 128 KiB at the ceiling.
+SIZE_LIMIT_CEILING = 256
 
 # Polynomial searches: default working degree and a hard cap.
 DEFAULT_DEGREE = 3
@@ -35,11 +34,11 @@ DM_MAX_DEGREE = 4
 
 # Truncated-window oracle for arithmetic rings.
 ARITH_ORACLE_BOUND = 10
-# Values per coordinate of one oracle window, checked before any of its arrays is built.
+# Values per coordinate of one oracle window, checked before any of its lists is built.
 # The default corpus's largest window has at most 25 values per coordinate.  The window is
-# decided one coordinate at a time, so a coordinate of L values gets L x L membership tables
-# (its regular values, and then the members of S, against its values) from two int64
-# temporaries, 17L^2 bytes, 68 MiB at 2,048 values; no table spans the window's rows.
+# decided one coordinate at a time: a coordinate of L values tests each value against its
+# regular values once per distinct gcd with the descriptor, and each candidate s of S
+# against the gcd of the sent values, so no table spans the window's rows or its L x L pairs.
 ORACLE_AXIS_CAP = 2048
 
 # Per-ring cap on (ideal, m.c.s.) annotation combinations; beyond it the
@@ -64,8 +63,7 @@ def size_limit() -> int:
         value = None
     if value is None or not 1 <= value <= SIZE_LIMIT_CEILING:
         raise ConfigError(
-            f"{SIZE_LIMIT_ENV}={raw!r}: expected an integer from 1 to {SIZE_LIMIT_CEILING}; the two "
-            f"int16 tables of an n-element ring take 4n^2 bytes ({4 * SIZE_LIMIT_CEILING**2 >> 20} MiB "
-            "at the ceiling, 4.3 GB at the int16 limit 32767) and each mask kernel call adds n^2 bytes"
+            f"{SIZE_LIMIT_ENV}={raw!r}: expected an integer from 1 to {SIZE_LIMIT_CEILING}; "
+            "a ring's tables hold each element in one byte"
         )
     return value

@@ -10,9 +10,9 @@ confirmable on a truncated window.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from itertools import product as iproduct
-
-import numpy as np
+from itertools import product as iproduct, repeat
+from math import gcd
+from operator import getitem, ne
 
 from .arith import INT, ArithIdeal, ArithMCS, ArithRing, arith_disjoint, arith_is_S_r_ideal, arith_oracle_check, size_window
 from .classify import Verdict, is_S_r_ideal
@@ -22,7 +22,21 @@ from .errors import (
     TypeMismatch,
 )
 from .ideals import Ideal, MulClosedSet, _elements, bits, ideal_from_members, lattice, mcs_from_members
-from .rings import FiniteRing, RingHom, abelian_generators, check_hom, check_size, is_isomorphism, make_quotient, pair_table
+from .rings import (
+    ELEMENTS,
+    FiniteRing,
+    RingHom,
+    abelian_generators,
+    byte_rows,
+    check_hom,
+    check_size,
+    columns,
+    flags,
+    is_isomorphism,
+    make_quotient,
+    pad,
+    pair_table,
+)
 
 
 # -- finite modules ------------------------------------------------------------------
@@ -35,44 +49,45 @@ class FiniteModule:
 
     def __init__(self, ring, add, action, labels=None, recipe="?"):
         self.ring = ring
-        self.add = np.asarray(add, dtype=np.int16)
-        self.action = np.asarray(action, dtype=np.int16)
-        self.size = self.add.shape[0]
+        self.add = byte_rows(add, "module addition")
+        self.action = byte_rows(action, "scalar action")
+        self.size = len(self.add)
         self.labels = tuple(labels) if labels is not None else tuple(str(i) for i in range(self.size))
         self.recipe = recipe
         self._validate()
 
     def _validate(self):
         n = self.size
-        idx = np.arange(n, dtype=np.int16)
         t = self.add
-        if t.shape != (n, n) or t.min() < 0 or t.max() >= n:
+        if n < 1 or any(len(row) != n for row in t) or max(map(max, t)) >= n:
             raise InvalidConstruction("module addition table is not total")
-        if not np.array_equal(t, t.T):
+        if t != columns(t):
             raise InvalidConstruction("module addition is not an abelian group")
-        if not np.array_equal(t[0], idx) or not (t == 0).any(axis=1).all():
+        if t[0] != ELEMENTS[:n] or not all(0 in row for row in t):
             raise InvalidConstruction("module addition lacks zero or inverses")
         gens = abelian_generators(t, "module addition is not an abelian group")
         act = self.action
         R = self.ring
-        if act.shape != (R.size, n) or act.min() < 0 or act.max() >= n:
+        if len(act) != R.size or any(len(row) != n for row in act) or max(map(max, act)) >= n:
             raise InvalidConstruction("scalar action table is not total")
-        if not np.array_equal(act[R.one], idx):
+        if act[R.one] != ELEMENTS[:n]:
             raise InvalidConstruction("1 does not act as identity")
         # Each law below is checked on the generators g of (M, +) only: given
         # the laws checked before it, the m that satisfy it for all r, s are
         # closed under +, so it then holds for every m.
+        padded, pact = tuple(map(pad, t)), tuple(map(pad, act))
         for g in gens:
-            # r(m+g) = rm + rg
-            if not np.array_equal(act[:, t[:, g]], t[act, act[:, g, None]]):
+            # r(m+g) = rm + rg, row r over m: row g+m read through row r, and row r read through row rg
+            if any(map(ne, map(t[g].translate, pact), (row.translate(padded[row[g]]) for row in act))):
                 raise InvalidConstruction("action does not distribute over module addition")
+        flat = b"".join(act)
         for g in gens:
-            col = act[:, g]
-            # (rs)g = r(sg)
-            if not np.array_equal(col[R.mul], act[:, col]):
+            col = flat[g::n]  # rg over r
+            # (rs)g = r(sg), row r over s: row rs read through col, and col read through row r
+            if any(map(ne, map(bytes.translate, R.mul, repeat(pad(col))), map(col.translate, pact))):
                 raise InvalidConstruction("scalar action is not associative")
-            # (r+s)g = rg + sg
-            if not np.array_equal(col[R.add], t[col[:, None], col[None, :]]):
+            # (r+s)g = rg + sg, row r over s: row r+s read through col, and col read through row rg
+            if any(map(ne, map(bytes.translate, R.add, repeat(pad(col))), map(col.translate, map(padded.__getitem__, col)))):
                 raise InvalidConstruction("action does not distribute over ring addition")
 
     def __repr__(self):
@@ -84,11 +99,10 @@ def make_module_free(R: FiniteRing, k: int) -> FiniteModule:
     if k < 0:
         raise InvalidConstruction("rank must be >= 0")
     check_size(R.size**k)
-    add = np.zeros((1, 1), dtype=np.int16)
-    act = np.zeros((R.size, 1), dtype=np.int16)
-    for _ in range(k):  # R^k as R^(k-1) x R
+    add, act, wide = (b"\0",), (b"\0",) * R.size, ELEMENTS * 2
+    for _ in range(k):  # R^k as R^(k-1) x R: r(m, x) = (rm, rx), coded rm * |R| + rx
         add = pair_table(add, R.add)
-        act = (act[:, :, None] * R.size + R.mul[:, None, :]).reshape(R.size, -1)
+        act = tuple(b"".join(row.translate(wide[c * R.size : c * R.size + 256]) for c in old) for old, row in zip(act, R.mul))
     tuples = list(iproduct(range(R.size), repeat=k))
     if k == 1:
         labels = tuple(R.labels[t[0]] for t in tuples)
@@ -100,17 +114,17 @@ def make_module_free(R: FiniteRing, k: int) -> FiniteModule:
 def make_module_quotient(R: FiniteRing, J: Ideal) -> FiniteModule:
     """R/J as a module over R with the induced action."""
     Q, proj = make_quotient(R, J)
-    return FiniteModule(R, Q.add, Q.mul[list(proj.image)], labels=Q.labels, recipe=f"quot{J.label()}")
+    return FiniteModule(R, Q.add, [Q.mul[q] for q in proj.image], labels=Q.labels, recipe=f"quot{J.label()}")
 
 
 def module_is_torsion_free(M: FiniteModule) -> bool:
     """rm = 0 forces r = 0 or m = 0."""
-    return not (M.action[1:, 1:] == 0).any()
+    return not any(0 in row[1:] for row in M.action[1:])
 
 
 def module_ann(M: FiniteModule) -> Ideal:
     """{r : rM = 0}."""
-    return ideal_from_members(M.ring, np.flatnonzero((M.action == 0).all(axis=1)))
+    return ideal_from_members(M.ring, (r for r, row in enumerate(M.action) if not any(row)))
 
 
 def zd_union_inside_module_ann(M: FiniteModule, include_zero: bool = False):
@@ -136,7 +150,7 @@ class TrivExtRing:
     ring: FiniteRing
 
     def pair_index(self, r, m):
-        """The code of (r, m); arrays of r and m broadcast to the array of codes."""
+        """The code of (r, m)."""
         return r * self.module.size + m
 
 
@@ -146,13 +160,18 @@ def make_trivial_extension(R: FiniteRing, M: FiniteModule) -> TrivExtRing:
         raise TypeMismatch("module is over a different ring")
     n = R.size * M.size
     check_size(n)
-    ms = M.size
-    r, m = np.divmod(np.arange(n), ms)
-    # (r1, m1)(r2, m2) = (r1 r2, r1 m2 + r2 m1)
-    mul = R.mul[r[:, None], r] * ms + M.add[M.action[r[:, None], m], M.action[r, m[:, None]]]
-    labels = tuple(f"({R.labels[i]},{M.labels[j]})" for i, j in zip(r.tolist(), m.tolist()))
+    ms, wide = M.size, ELEMENTS * 2
+    # (r1, m1)(r2, m2) = (r1 r2, r1 m2 + r2 m1): over m2, row r1 of the action read through
+    # row r2 m1 of module addition, shifted by r1 r2 * |M|
+    shifted = [[pad(row.translate(wide[c * ms : c * ms + 256])) for c in range(R.size)] for row in M.add]
+    mul = tuple(
+        b"".join(M.action[r1].translate(shifted[M.action[r2][m1]][R.mul[r1][r2]]) for r2 in R.elements())
+        for r1 in R.elements()
+        for m1 in range(ms)
+    )
+    labels = tuple(f"({R.labels[i]},{M.labels[j]})" for i in R.elements() for j in range(ms))
     ring = FiniteRing(pair_table(R.add, M.add), mul, labels=labels, recipe=f"triv({R.recipe}, {M.recipe})")
-    if np.diagonal(ring.mul)[:ms].any():  # (0, m) is coded m
+    if any(ring.mul[m][m] for m in range(ms)):  # (0, m) is coded m
         raise InvalidConstruction("(0, m) failed to square to zero")
     return TrivExtRing(R, M, ring)
 
@@ -161,13 +180,13 @@ def triv_ideal(T: TrivExtRing, A: Ideal, N) -> Ideal:
     """A (x) N as an ideal of the extension; requires N inside the module and AM inside N."""
     if A.ring is not T.base:
         raise TypeMismatch("ideal belongs to a different ring")
-    a = np.array(bits(A.mask))
-    N = list(_elements(T.module, N, "module element"))
-    escapes = np.argwhere(~np.isin(T.module.action[a], N))
-    if escapes.size:
-        i, m = escapes[0]
-        raise NotAnIdealError("A*M escapes N", witness=(int(a[i]), int(m)))
-    return ideal_from_members(T.ring, T.pair_index(a[:, None], N).ravel())
+    N = _elements(T.module, N, "module element")
+    inside = flags(bytes(N))
+    for a in bits(A.mask):
+        m = T.module.action[a].translate(inside).find(b"0")
+        if m >= 0:
+            raise NotAnIdealError("A*M escapes N", witness=(a, m))
+    return ideal_from_members(T.ring, (T.pair_index(a, m) for a in bits(A.mask) for m in N))
 
 
 S_ZERO = "S_ZERO"
@@ -181,7 +200,7 @@ def lift_mcs_triv(T: TrivExtRing, S: MulClosedSet, mode: str) -> MulClosedSet:
     if mode not in (S_ZERO, S_FULL):
         raise InvalidConstruction(f"unknown lift mode {mode}")
     ms = range(T.module.size if mode == S_FULL else 1)
-    return mcs_from_members(T.ring, T.pair_index(np.array(bits(S.mask), dtype=np.intp)[:, None], ms).ravel())
+    return mcs_from_members(T.ring, (T.pair_index(s, m) for s in bits(S.mask) for m in ms))
 
 
 def triv_module_facts(T: TrivExtRing) -> dict:
@@ -226,11 +245,11 @@ class AmalgRing:
     f: RingHom
     j: Ideal
     ring: FiniteRing
-    pos: np.ndarray = field(compare=False, repr=False)  # w * |H2| + y -> index of (w, y), -1 off the carrier
+    pos: tuple = field(compare=False, repr=False)  # w * |H2| + y -> index of (w, y), -1 off the carrier
 
     def index_of(self, w, y):
-        """The index of (w, y); arrays of w and y broadcast to the array of indices."""
-        return self.pos[np.multiply(w, self.h2.size, dtype=np.intp) + y]
+        """The index of (w, y)."""
+        return self.pos[w * self.h2.size + y]
 
 
 def amalg_hypotheses(am: AmalgRing) -> dict:
@@ -256,34 +275,35 @@ def make_amalgamation(H1: FiniteRing, H2: FiniteRing, f: RingHom, J: Ideal, hom_
     check_hom(f)
     n = H1.size * J.mask.bit_count()
     check_size(n)
-    ws = np.arange(H1.size, dtype=np.intp)
-    on_carrier = np.zeros(H1.size * H2.size, dtype=bool)
-    on_carrier[ws[:, None] * H2.size + _joined(f, J, ws)] = True
-    codes = np.flatnonzero(on_carrier)  # the carrier, sorted by (w, y)
-    if codes.size != n:
+    pairs = sorted({(w, y) for w in H1.elements() for y in _joined(f, J, w)})  # the carrier
+    if len(pairs) != n:
         raise InvalidConstruction("amalgamation carrier size must be |H1| * |J|")
-    pos = np.full(H1.size * H2.size, -1, dtype=np.intp)
-    pos[codes] = np.arange(n)
-    w, y = np.divmod(codes, H2.size)
-    ops = ((H1.add, H2.add), (H1.mul, H2.mul))
-    add, mul = (pos[t1[w[:, None], w].astype(np.intp) * H2.size + t2[y[:, None], y]] for t1, t2 in ops)
-    labels = tuple(f"({H1.labels[a]},{H2.labels[b]})" for a, b in zip(w.tolist(), y.tolist()))
+    pos = [-1] * (H1.size * H2.size)
+    for i, (w, y) in enumerate(pairs):
+        pos[w * H2.size + y] = i
+    w, y = (bytes(c) for c in zip(*pairs))
+    # [a][b] -> the index of (a, b) on the carrier; rows of (w, y) pairs gathered per table
+    at = [pos[a * H2.size : (a + 1) * H2.size] for a in H1.elements()]
+    add, mul = (
+        tuple(bytes(map(getitem, map(at.__getitem__, w.translate(pad(t1[a]))), y.translate(pad(t2[b])))) for a, b in pairs)
+        for t1, t2 in ((H1.add, H2.add), (H1.mul, H2.mul))
+    )
+    labels = tuple(f"({H1.labels[a]},{H2.labels[b]})" for a, b in pairs)
     recipe = f"amalg({H1.recipe}, {H2.recipe}, {hom_text}, {J.label()})"
     ring = FiniteRing(add, mul, labels=labels, recipe=recipe)
-    return AmalgRing(H1, H2, f, J, ring, pos)
+    return AmalgRing(H1, H2, f, J, ring, tuple(pos))
 
 
-def _joined(f: RingHom, J: Ideal, w):
-    """f(w) + j for each w (rows) and each j in J (columns)."""
-    return f.codomain.add[np.asarray(f.image)[w]][:, bits(J.mask)]
+def _joined(f: RingHom, J: Ideal, w: int) -> bytes:
+    """f(w) + j for each j in J."""
+    return bytes(bits(J.mask)).translate(pad(f.codomain.add[f.image[w]]))
 
 
 def _amalg_members(am: AmalgRing, X, what: str):
     """The indices of {(x, f(x)+j) : x in X, j in J} for an ideal or m.c.s. X of H1."""
     if X.ring is not am.h1:
         raise TypeMismatch(f"{what} belongs to a different ring")
-    x = np.array(bits(X.mask), dtype=np.intp)
-    return am.index_of(x[:, None], _joined(am.f, am.j, x)).ravel()
+    return [am.index_of(x, y) for x in bits(X.mask) for y in _joined(am.f, am.j, x)]
 
 
 def amalg_ideal(am: AmalgRing, A: Ideal) -> Ideal:
@@ -360,7 +380,8 @@ def amalgz_zero_transfer_check(az: AmalgOverZ, S_desc, bound: int) -> AmalgZRepo
         size_window(max(2 * bound + 1, az.n))
         m = az.n // az.d
         # the regular values y of Z_n per residue mod d, since the rows of w are its |J| values y = w mod d
-        per_residue = (np.gcd(np.arange(az.n), m) == 1).reshape(m, az.d).sum(axis=0)
-        ws = np.arange(-bound, bound + 1)
-        checked = m * int(per_residue[ws[ws != 0] % az.d].sum())
+        per_residue = [0] * az.d
+        for y in range(az.n):
+            per_residue[y % az.d] += gcd(y, m) == 1
+        checked = m * sum(per_residue[w % az.d] for w in range(-bound, bound + 1) if w)
     return AmalgZReport(hyps, base, ext_holds, checked, arith_oracle_check(zero, S, bound, True))

@@ -6,6 +6,9 @@ deterministic ordering (ascending index) so reports are reproducible.
 Each ring carries one IdealLattice, built on first use: a set of elements
 is an int bitmask (bit i = element i), each ideal is interned once per mask
 with its canonical generators, and sums, colons and generated ideals are memoised.
+A mask meets a table row through ``bytes.translate``: the row read through a
+mask's member table gives one b"0"/b"1" flag per entry, and a list of elements
+becomes a mask through the table ``rings.flags`` builds from it.
 """
 
 from __future__ import annotations
@@ -15,10 +18,21 @@ from functools import cached_property, reduce
 from itertools import combinations
 from operator import and_
 
-import numpy as np
-
 from .errors import ConstructionBug, InvalidConstruction, NotProperError, TypeMismatch
-from .rings import FiniteRing, RingHom, check_hom, check_size, idempotent_power, operand
+from .rings import (
+    ELEMENTS,
+    IS_ZERO,
+    FiniteRing,
+    RingHom,
+    check_hom,
+    check_size,
+    flags,
+    idempotent_power,
+    member_table,
+    operand,
+    pack,
+    pad,
+)
 
 
 @dataclass(frozen=True)
@@ -66,12 +80,6 @@ class Ideal(_ElementSet):
         return f"({gens})" if self.generators else "(0)"
 
 
-def _pack(rows) -> list:
-    """The bitmask of each boolean row."""
-    packed = np.packbits(np.atleast_2d(rows), axis=1, bitorder="little")
-    return [int.from_bytes(row.tobytes(), "little") for row in packed]
-
-
 def bits(mask: int) -> list:
     """The elements of a mask, ascending."""
     out = []
@@ -91,24 +99,6 @@ def transpose(masks, width: int) -> list:
             columns[low.bit_length() - 1] |= 1 << r
             mask ^= low
     return columns
-
-
-def first_hit(matrix):
-    """Lex-first (row, column) of a boolean matrix that is True, or None."""
-    hits = np.argwhere(matrix)
-    return (int(hits[0][0]), int(hits[0][1])) if len(hits) else None
-
-
-def _unpack(masks, n: int):
-    """One boolean row over n elements per mask, decoded in one numpy call."""
-    width = (n + 7) // 8
-    packed = np.frombuffer(b"".join(m.to_bytes(width, "little") for m in masks), dtype=np.uint8)
-    return np.unpackbits(packed.reshape(len(masks), width), axis=1, count=n, bitorder="little").view(bool)
-
-
-def member_row(A: Ideal):
-    """A's members as a boolean row over the ring's elements."""
-    return _unpack((A.mask,), A.ring.size)[0]
 
 
 def mask_of(xs) -> int:
@@ -145,10 +135,9 @@ class IdealLattice:
         self.ring = R
         self.full = (1 << R.size) - 1
         self.regulars = mask_of(R.regulars)  # S is inside reg(R) iff not S.mask & ~regulars
-        self.ann = tuple(_pack(R.mul == 0))  # ann[a]: bit y set iff ya = 0
-        inside = np.zeros((R.size, R.size), dtype=bool)
-        inside[np.arange(R.size)[:, None], R.mul] = True
-        self.principal = tuple(_pack(inside))  # principal[a]: Ra
+        self.ann = tuple(pack(row.translate(IS_ZERO)) for row in R.mul)  # ann[a]: bit y set iff ya = 0
+        self.principal = tuple(pack(flags(row)) for row in R.mul)  # principal[a]: Ra
+        self.add_tables = tuple(map(pad, R.add))  # add_tables[x] translates y to x + y
         self.localizations = {}  # absorbing idempotent e -> LocalizationResult
         self._interned, self._generated, self._sums, self._colons = {}, {}, {}, {}
         self._colon_rows = {}  # A.mask -> ((A : x) for every element x)
@@ -167,13 +156,12 @@ class IdealLattice:
         return got
 
     def sum(self, xs: int, ys: int) -> int:
-        """{x + y : x in xs, y in ys} via the addition table."""
+        """{x + y : x in xs, y in ys}: ys gathered from the addition row of each x."""
         key = (xs, ys) if xs <= ys else (ys, xs)
         got = self._sums.get(key)
         if got is None:
-            hit = np.zeros(self.ring.size, dtype=bool)
-            hit[self.ring.add[np.ix_(*_unpack(key, self.ring.size))]] = True
-            got = self._sums[key] = _pack(hit)[0]
+            ys_row = bytes(bits(key[1]))
+            got = self._sums[key] = pack(flags(b"".join(ys_row.translate(self.add_tables[x]) for x in bits(key[0]))))
         return got
 
     def generate(self, gens: tuple) -> Ideal:
@@ -197,10 +185,11 @@ class IdealLattice:
         return next(J for J in self.ideals if not both & ~J.mask)
 
     def colon_rows(self, A: Ideal) -> list:
-        """The mask of (A : x) = {w : wx in A} for every element x, built in one step."""
+        """The mask of (A : x) = {w : wx in A} for every element x: row x of * read through A."""
         got = self._colon_rows.get(A.mask)
         if got is None:
-            got = self._colon_rows[A.mask] = _pack(member_row(A)[self.ring.mul].T)
+            inside = member_table(A.mask)
+            got = self._colon_rows[A.mask] = [pack(row.translate(inside)) for row in self.ring.mul]
         return got
 
     def colon(self, A: Ideal, ks: int) -> Ideal:
@@ -212,9 +201,8 @@ class IdealLattice:
         return got
 
     def principal_meets(self, masks) -> list:
-        """For each mask, the mask of the s whose principal ideal Rs meets it, in one boolean product."""
-        n = self.ring.size
-        return _pack(_unpack(masks, n) @ _unpack(self.principal, n).T)
+        """For each mask, the mask of the s whose principal ideal Rs meets it."""
+        return [mask_of(s for s, p in enumerate(self.principal) if p & mask) for mask in masks]
 
     def z0_colon(self, A: Ideal) -> int:
         """The mask of (A : N), with N the union of the annihilator classes that meet A."""
@@ -228,7 +216,7 @@ class IdealLattice:
     def product(self, A: Ideal, B: Ideal) -> Ideal:
         """Ideal generated by pairwise products of generators; `generate` keeps the answer."""
         mul = self.ring.mul
-        prods = {int(mul[x, y]) for x in A.generators or (0,) for y in B.generators or (0,)}
+        prods = {mul[x][y] for x in A.generators or (0,) for y in B.generators or (0,)}
         return self.generate(tuple(sorted(prods)))
 
     @cached_property
@@ -238,8 +226,8 @@ class IdealLattice:
         Every ideal is a sum of principal ideals; a principal ideal that is the
         sum of those strictly inside it adds nothing, so the closure of (0) under
         joins with the join-irreducible principal ideals is every ideal.  base +
-        Ra is the union of the cosets of base that meet Ra, so each base is
-        joined with all of those in one vectorised step.
+        Ra is the union of the cosets of base that meet Ra: the elements whose
+        least coset member is that of some member of Ra.
         """
         R = self.ring
         check_size(R.size)
@@ -250,30 +238,49 @@ class IdealLattice:
                 irreducible.append(p)
         if not irreducible:  # the zero ring: (0) is its only ideal
             return (self.intern(1),)
-        rows, cols = np.array([(i, a) for i, p in enumerate(irreducible) for a in bits(p)]).T
+        irreducible = [bytes(bits(p)) for p in irreducible]
         seen, frontier = {1}, [1]
         while frontier:
-            coset = R.add[:, bits(frontier.pop())].min(axis=1)  # least element of x + base
-            hit = np.zeros((len(irreducible), R.size), dtype=bool)
-            hit[rows, coset[cols]] = True
-            for grown in _pack(hit[:, coset]):
+            least = self.least_in_coset(frontier.pop())
+            through = pad(least)
+            for p in irreducible:
+                grown = pack(least.translate(flags(p.translate(through))))
                 if grown not in seen:
                     seen.add(grown)
                     frontier.append(grown)
         return tuple(self.intern(m) for m in sorted(seen, key=lambda m: member_order(m, R.size)))
 
+    def least_in_coset(self, base: int) -> bytes:
+        """Entry x is the least element of x + base, for base a subgroup of (R, +).  The least
+        element outside the cosets found so far is the least of its own coset, and one
+        translate table sends every member of every coset to its least element."""
+        members, full = bytes(bits(base)), self.full
+        cosets, leasts, covered = [], [], 0
+        while covered != full:
+            x = (~covered & (covered + 1)).bit_length() - 1
+            cosets.append(members.translate(self.add_tables[x]))
+            leasts.append(bytes((x,)) * len(members))
+            covered |= pack(flags(cosets[-1]))
+        return bytes.maketrans(b"".join(cosets), b"".join(leasts))[: self.ring.size]
+
     @cached_property
-    def join_table(self):
-        """Entry (c, a) is the index of ideals[c] + Ra: the first ideal, in size order, that
-        holds ideal c and element a.  Each ideal, from the largest down, writes its index over
-        the cells of the ideals inside it and its members, so the last writer of a cell is the
-        first ideal holding both, and nothing larger than the table is built."""
-        ideals = self.ideals
-        table = np.empty((len(ideals), self.ring.size), dtype=np.intp)
-        for d in range(len(ideals) - 1, -1, -1):
-            D = ideals[d].mask
-            table[np.ix_([c for c in range(d + 1) if not ideals[c].mask & ~D], bits(D))] = d
-        return table
+    def join_table(self) -> tuple:
+        """Entry [c][a] is the index of ideals[c] + Ra: the first ideal, in size order, that
+        holds ideal c and element a, as any ideal holding both holds that sum.  Row c walks
+        the ideals from c up, each one naming the elements it is the first to hold."""
+        ideals, table = self.ideals, []
+        for c, C in enumerate(ideals):
+            row, left, C = [0] * self.ring.size, self.full, C.mask
+            for d in range(c, len(ideals)):
+                D = ideals[d].mask
+                if not C & ~D and D & left:
+                    for a in bits(D & left):
+                        row[a] = d
+                    left &= ~D
+                    if not left:
+                        break
+            table.append(tuple(row))
+        return tuple(table)
 
     @cached_property
     def chain_break(self):
@@ -342,8 +349,9 @@ def prime_violation(A: Ideal):
     """Lex-first pair (w, z) with wz in A but neither factor in A, or None."""
     if not A.is_proper():
         return None
-    in_a = member_row(A)
-    return first_hit(in_a[A.ring.mul] & ~in_a[:, None] & ~in_a[None, :])
+    L = lattice(A.ring)
+    rows, out = L.colon_rows(A), L.full & ~A.mask
+    return next(((w, (hit & -hit).bit_length() - 1) for w in bits(out) if (hit := rows[w] & out)), None)
 
 
 def is_prime(A: Ideal) -> bool:
@@ -384,7 +392,7 @@ def mcs_generate(R: FiniteRing, gens) -> MulClosedSet:
     """Multiplicative closure of gens together with 1.  May contain 0."""
     gens = _elements(R, gens)
     # multiplying by one generator at a time reaches every product: 1, g, g^2, ...
-    rows = [R.mul[g].tolist() for g in gens]
+    rows = [R.mul[g] for g in gens]
     mask, frontier = 1 << R.one, [R.one]
     while frontier:
         x = frontier.pop()
@@ -400,8 +408,9 @@ def mcs_from_members(R: FiniteRing, members) -> MulClosedSet:
     S = MulClosedSet(R, mask, tuple(bits(mask)))
     if R.one not in S:
         raise InvalidConstruction("a multiplicatively closed set must contain 1")
-    ordered = S.sorted_members
-    if not member_row(S)[R.mul[np.ix_(ordered, ordered)]].all():
+    ordered = bytes(S.sorted_members)
+    inside = flags(ordered)
+    if any(b"0" in ordered.translate(pad(R.mul[s])).translate(inside) for s in ordered):
         raise InvalidConstruction("set is not multiplicatively closed")
     return S
 
@@ -436,13 +445,12 @@ def localize(R: FiniteRing, S: MulClosedSet) -> LocalizationResult:
         if e == R.one:
             localized, natural = R, RingHom(R, R, tuple(range(R.size)))
         else:
-            carrier = np.unique(R.mul[e])  # eR, ascending
-            pos = np.zeros(R.size, dtype=np.int16)
-            pos[carrier] = np.arange(len(carrier))
-            tables = (pos[t[np.ix_(carrier, carrier)]] for t in (R.add, R.mul))
+            carrier = bytes(sorted(set(R.mul[e])))  # eR, ascending
+            pos = bytes.maketrans(carrier, ELEMENTS[: len(carrier)])  # a member of eR to its index there
+            tables = (tuple(carrier.translate(pad(t[x])).translate(pos) for x in carrier) for t in (R.add, R.mul))
             labels = tuple(R.labels[x] for x in carrier)
             localized = FiniteRing(*tables, labels=labels, recipe=f"loc({operand(R)}, {S.label()})")
-            natural = check_hom(RingHom(R, localized, tuple(int(i) for i in pos[R.mul[e]])))
+            natural = check_hom(RingHom(R, localized, tuple(R.mul[e].translate(pos))))
         result = L.localizations[e] = LocalizationResult(localized, natural, annihilator(R, (e,)), e)
     units, image = result.localized.units, result.map.image
     if any(image[s] not in units for s in S.sorted_members):

@@ -4,8 +4,7 @@ Regularity in the full polynomial ring is decided exactly through constant
 annihilators (a polynomial is a zero divisor iff a nonzero ring element
 kills every coefficient), content ideals support the classical
 content-product identity (Dedekind-Mertens), whose seeded sweep keys every
-pair by its content triple in one table step and decides the identity once
-per distinct key, and the S-r story over the polynomial ring is decided
+pair by its content triple and decides the identity once per distinct key, and the S-r story over the polynomial ring is decided
 either through the base-ring gates (finite annihilator condition /
 annihilator-of-zero-divisor-ideals) or in closed form.  Every bounded
 computation is sized before it starts and refused past its limit.
@@ -19,14 +18,13 @@ from __future__ import annotations
 import random
 from collections import namedtuple
 from dataclasses import dataclass
-from itertools import product as iproduct
-
-import numpy as np
+from functools import cache
+from itertools import compress, product as iproduct
 
 from .classify import has_fac, is_S_r_ideal
 from .config import DEFAULT_DEGREE, DM_MAX_DEGREE, FAC_SUBSET_CAP, MAX_DEGREE, POLY_SEARCH_BUDGET
 from .errors import DegreeLimitError, NotApplicableError, TypeMismatch
-from .ideals import Ideal, MulClosedSet, ideal_power, ideal_product, lattice
+from .ideals import Ideal, MulClosedSet, ideal_generate, ideal_product, lattice
 from .rings import FiniteRing
 
 
@@ -97,71 +95,142 @@ def constant(base: FiniteRing, c) -> Poly:
     return Poly.make(base, (c,))
 
 
-def _dm_identity(cw: Ideal, cz: Ideal, cwz: Ideal, m: int) -> bool:
-    """c(z)^(m+1) c(w) == c(z)^m c(wz), from the three content ideals."""
-    zm = ideal_power(cz, m)
-    return ideal_product(ideal_product(zm, cz), cw).mask == ideal_product(zm, cwz).mask
+def _dm_identity(cw: Ideal, cz: Ideal, cwz: Ideal, m: int, product=ideal_product) -> bool:
+    """c(z)^(m+1) c(w) == c(z)^m c(wz), from the three content ideals; ``product`` is
+    ideal_product or a memo of it."""
+    zm = ideal_generate(cz.ring, (cz.ring.one,))
+    for _ in range(m):
+        zm = product(zm, cz)
+    return product(product(zm, cz), cw).mask == product(zm, cwz).mask
 
 
-# The sweep's table, one row per drawn pair: the coefficient rows of w and z, and the key
-# (c(w), c(z), c(wz) as indices into lattice(R).ideals, then deg w floored at 0).
+# The sweep's table, one row per drawn pair: the coefficients of w and z as bytes, and the
+# key (c(w), c(z), c(wz) as indices into lattice(R).ideals, then deg w floored at 0).
 _DMTable = namedtuple("_DMTable", "w z keys")
 
 
-def _randrange_block(rng: random.Random, n: int, count: int) -> np.ndarray:
-    """The values of [rng.randrange(n) for _ in range(count)], drawn in blocks of words.
+@cache
+def _top_bits(n: int) -> tuple:
+    """The translate table and the delete set that turn the top byte of a 32-bit word into
+    randrange(n)'s value, n < 256: its top n.bit_length() bits, deleted when n or more."""
+    shift = bytes(v >> (8 - n.bit_length()) for v in range(256))
+    return shift, bytes(v for v in range(256) if shift[v] >= n)
+
+
+TOP_BIT_CLEAR = bytes(v < 128 for v in range(256))
+
+
+def _randrange_block(rng: random.Random, n: int, count: int) -> bytes:
+    """The values of [rng.randrange(n) for _ in range(count)], 1 <= n <= 256, drawn in
+    blocks of words.
 
     randrange(n) keeps the top k = n.bit_length() bits of one 32-bit word and draws again
     while the value is n or more; getrandbits(32 m) returns m such words, the first in the
-    low bits.  Each block is sized for the values still missing and is topped up when
-    rejections leave it short.  rng ends past where the loop would stop.
+    low bits, so byte 4i + 3 of its little-endian bytes is the top byte of word i.  Below
+    n = 256, k <= 8 and the top byte alone gives the value.  At n = 256, k = 9: a word is
+    kept iff its top bit is clear, and its value is then its top byte after the words are
+    shifted left by one bit.  Each block is sized for the values still missing and is
+    topped up when rejections leave it short.  rng ends past where the loop would stop.
     """
-    k = n.bit_length()
-    assert 1 <= k <= 32, n
-    out = np.empty(0, dtype=np.intp)
+    assert 1 <= n <= 256, n
+    out = b""
     while len(out) < count:
-        m = ((count - len(out)) << k) // n + 16
-        words = np.frombuffer(rng.getrandbits(32 * m).to_bytes(4 * m, "little"), dtype="<u4") >> (32 - k)
-        out = np.concatenate((out, words[words < n]))
+        m = ((count - len(out)) << n.bit_length()) // n + 16
+        words = rng.getrandbits(32 * m)
+        top = words.to_bytes(4 * m, "little")[3::4]
+        if n < 256:
+            out += top.translate(*_top_bits(n))
+        else:
+            out += bytes(compress((words << 1).to_bytes(4 * m + 1, "little")[3::4], top.translate(TOP_BIT_CLEAR)))
     return out[:count]
 
 
 def _dm_table(R: FiniteRing, pairs: int, seed: int, max_degree: int) -> _DMTable:
     """Draw the pairs as the per-pair loop does (w's coefficients, then z's) and key each.
 
-    Every term w_i z_j of every pair comes from one gather on the flattened multiplication
-    table, and wz adds them up in one vector step per i.  c(f) is the first ideal in size
-    order that holds f's coefficients (0 lies in every ideal, so the zero polynomial gets
-    (0)); the rows of w, z and wz, zero-padded to one width, are folded together from (0)
-    through the lattice's join table, one coefficient column per step.
+    c(f) is the first ideal in size order that holds f's coefficients (0 lies in every
+    ideal, so the zero polynomial gets (0)): the coefficients folded together from (0)
+    through the lattice's join table.  A ring of at most 16 elements and 16 ideals keys
+    every pair at once, one coefficient column at a time; any other ring, pair by pair.
     """
-    n, count, width = R.size, max(pairs, 0), max(max_degree + 1, 0)
-    draws = _randrange_block(random.Random(seed), n, 2 * width * count)
-    w, z = draws.reshape(count, 2, width).transpose(1, 0, 2)
-    terms = R.mul.reshape(-1).take(w.T[:, None, :] * n + z.T)  # terms[i, j, p] = w_i z_j of pair p
-    cols = np.zeros((max(2 * width - 1, 0), 3, count), dtype=np.intp)  # coefficient k of w, z and wz
-    cols[:width, 0], cols[:width, 1] = w.T, z.T
-    wz, add = cols[:, 2], R.add.reshape(-1)
+    count, width = max(pairs, 0), max(max_degree + 1, 0)
+    draws = _randrange_block(random.Random(seed), R.size, 2 * width * count)
+    w = [draws[p * 2 * width : p * 2 * width + width] for p in range(count)]
+    z = [draws[p * 2 * width + width : (p + 1) * 2 * width] for p in range(count)]
+    if R.size <= 16 and len(lattice(R).ideals) <= 16:
+        keys = _dm_keys_by_columns(R, draws, width, count)
+    else:
+        keys = _dm_keys_by_pairs(R, w, z)
+    return _DMTable(w, z, keys)
+
+
+def _dm_keys_by_pairs(R: FiniteRing, w, z) -> list:
+    """The key of each pair (w, z): wz by the schoolbook product, each content by folding."""
+    join, add, mul = lattice(R).join_table, R.add, R.mul
+
+    def content(coeffs):
+        c = 0
+        for a in coeffs:
+            c = join[c][a]
+        return c
+
+    keys = []
+    for wp, zp in zip(w, z):
+        wz = [0] * max(len(wp) + len(zp) - 1, 0)
+        for i, a in enumerate(wp):
+            for j, b in enumerate(zp):
+                wz[i + j] = add[wz[i + j]][mul[a][b]]
+        degree = max((i for i, a in enumerate(wp) if a), default=0)
+        keys.append((content(wp), content(zp), content(wz), degree))
+    return keys
+
+
+def _nibble_table(op) -> bytes:
+    """The translate table of a binary operation on values below 16: code x * 16 + y -> op(x, y)."""
+    return bytes(op(x, y) for x in range(16) for y in range(16))
+
+
+def _dm_keys_by_columns(R: FiniteRing, draws: bytes, width: int, count: int) -> list:
+    """The keys of every pair at once, for a ring of at most 16 elements and 16 ideals.
+
+    Column i of w holds w_i of every pair (every (2 width)-th draw), and likewise for z.
+    Every value is below 16, so the codes x * 16 + y of two columns are one big-integer
+    shift and or, and one translate applies *, + or the join table to a whole column.
+    """
+    n, join = R.size, lattice(R).join_table
+
+    def at(t):
+        return lambda x, y: t[x][y] if x < len(t) and y < n else 0
+
+    mul, add, joined = (_nibble_table(at(t)) for t in (R.mul, R.add, join))
+
+    def apply(table, xs, ys):
+        return ((int.from_bytes(xs, "big") << 4 | int.from_bytes(ys, "big")).to_bytes(count, "big")).translate(table)
+
+    w = [draws[i :: 2 * width] for i in range(width)]
+    z = [draws[width + j :: 2 * width] for j in range(width)]
+    wz = [bytes(count)] * max(2 * width - 1, 0)
     for i in range(width):
-        wz[i : i + width] = add.take(wz[i : i + width] * n + terms[i])
-    join, content = lattice(R).join_table.reshape(-1), np.zeros(3 * count, dtype=np.intp)
-    for column in cols.reshape(len(cols), 3 * count):
-        content = join.take(content * n + column)
-    cw, cz, cwz = content.reshape(3, count)
-    degree = ((w != 0) * np.arange(width)).max(axis=1, initial=0)  # of w, floored at 0
-    return _DMTable(w, z, np.column_stack((cw, cz, cwz, degree)))
+        for j in range(width):
+            wz[i + j] = apply(add, wz[i + j], apply(mul, w[i], z[j]))
+    contents = []
+    for coeffs in (w, z, wz):
+        c = bytes(count)
+        for column in coeffs:
+            c = apply(joined, c, column)
+        contents.append(c)
+    degree = bytes(count)  # of w, floored at 0: the last i with w_i != 0
+    for i in range(1, width):
+        degree = apply(_nibble_table(lambda d, v, i=i: i if v else d), degree, w[i])
+    return list(zip(*contents, degree))
 
 
 def _group_keys(keys):
-    """The distinct rows of a non-negative integer array and each row's index among them, as
-    np.unique(keys, axis=0, return_inverse=True) gives them, from one int64 per row: the
-    row read in the mixed radix of each column's largest entry plus one.  The DM keys fit
-    while the ring has fewer than 2^19 ideals."""
-    packed = np.zeros(len(keys), dtype=np.int64)
-    for column, radix in zip(keys.T, keys.max(axis=0, initial=0) + 1):
-        packed = packed * radix + column
-    _, first, inverse = np.unique(packed, return_index=True, return_inverse=True)
-    return keys[first], inverse
+    """The distinct keys in ascending order, and each key's position among them."""
+    keys = [tuple(k) for k in keys]
+    distinct = sorted(set(keys))
+    at = {k: i for i, k in enumerate(distinct)}
+    return distinct, [at[k] for k in keys]
 
 
 def dedekind_mertens_sweep(R: FiniteRing, pairs: int, seed: int, max_degree: int = DM_MAX_DEGREE):
@@ -169,20 +238,31 @@ def dedekind_mertens_sweep(R: FiniteRing, pairs: int, seed: int, max_degree: int
 
     A degree whose products could pass MAX_DEGREE is refused before any pair is
     drawn.  The identity is decided once per distinct key (c(w), c(z), c(wz),
-    deg w), and the answer is the first pair in draw order that fails it.
+    deg w), each product of two proper ideals once per sweep, and the answer is the
+    first pair in draw order that fails it.
     """
     if 2 * max_degree > MAX_DEGREE:
         raise DegreeLimitError(
             f"a sweep of degree {max_degree} takes products of degree up to {2 * max_degree}, past the cap {MAX_DEGREE}"
         )
     t = _dm_table(R, pairs, seed, max_degree)
-    ideals = lattice(R).ideals
+    L = lattice(R)
     distinct, inverse = _group_keys(t.keys)
-    holds = np.array([_dm_identity(ideals[a], ideals[b], ideals[c], m) for a, b, c, m in distinct.tolist()], dtype=bool)
-    bad = np.flatnonzero(~holds[inverse])
-    if not bad.size:
+    products = {}
+
+    def product(A, B):  # the identity compares masks only, and (1)B is B
+        if A.mask == L.full or B.mask == L.full:
+            return B if A.mask == L.full else A
+        key = (A.mask, B.mask)
+        if key not in products:
+            products[key] = ideal_product(A, B)
+        return products[key]
+
+    ideals = L.ideals
+    holds = [_dm_identity(ideals[a], ideals[b], ideals[c], m, product) for a, b, c, m in distinct]
+    first = next((p for p, k in enumerate(inverse) if not holds[k]), None)
+    if first is None:
         return len(t.keys), None
-    first = int(bad[0])
     return first, (Poly.make(R, t.w[first]), Poly.make(R, t.z[first]))
 
 

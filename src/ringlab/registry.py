@@ -37,8 +37,6 @@ from dataclasses import dataclass
 from functools import cached_property
 from math import gcd
 
-import numpy as np
-
 from . import arith as ar
 from . import classify as cl
 from .corpus import AMALGZ, ARITH, FINITE, POLY, CorpusEntry, CorpusSpec, Limits
@@ -100,6 +98,7 @@ from .rings import (
     crt_hom,
     identity_hom,
     make_product,
+    pad,
 )
 
 VERIFIED = "VERIFIED"
@@ -709,7 +708,7 @@ def run_p_minidem(ctx, dropped):
     def checks(S):
         bit, members = bit_of[S.mask], S.sorted_members
         where = {}  # se -> the positions p of the loop's (e, s) with that product
-        for p, se in enumerate(R.mul[np.ix_(idems, members)].ravel().tolist()):
+        for p, se in enumerate(b"".join(bytes(members).translate(pad(R.mul[e])) for e in idems)):
             where[se] = where.get(se, 0) | 1 << p
         rows = []  # per minimal prime P, bit p for the p-th (e, s)
         for P in mins:
@@ -724,7 +723,7 @@ def run_p_minidem(ctx, dropped):
 
         def fail(r, p):
             P, e, s = mins[r], idems[p // len(members)], members[p % len(members)]
-            v = ctx.s_r(cell(P, int(R.mul[e, s]))[0], S, enforce_disjoint=enforce_disjoint)
+            v = ctx.s_r(cell(P, R.mul[e][s])[0], S, enforce_disjoint=enforce_disjoint)
             return _failure(v, R, min_prime=P.label(), idempotent=R.labels[e], s=R.labels[s])
 
         return _row_checks(rows, fail)
@@ -747,7 +746,7 @@ def run_p_sidem(ctx, dropped):
         bit, s = bit_of[S.mask], S.product()
         spans = spans_at.get(s)
         if spans is None:
-            T = tuple(np.flatnonzero(R.mul.diagonal() == R.mul[s]).tolist())
+            T = tuple(a for a, row in enumerate(R.mul) if row[a] == R.mul[s][a])
             spans = spans_at[s] = [(f"[{R.labels[a]}]", ideal_generate(R, (a,))) for a in T]
             if len(T) > 1:
                 spans.append(("[all]", ideal_generate(R, T)))

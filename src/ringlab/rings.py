@@ -1,6 +1,9 @@
 """Finite commutative rings with exhaustively validated operation tables.
 
 Elements are the indices 0..N-1; index 0 is always the additive identity.
+Each table is a tuple of N ``bytes`` rows, so N is at most 256, and a row
+doubles as a ``bytes.translate`` table once padded to 256 bytes: composing
+two rows, or gathering a row at a list of elements, is one C-level call.
 Every constructor proves the ring axioms before returning, so holding a
 FiniteRing object is evidence that its tables really describe a commutative
 ring with identity.  Totality, commutativity, the zero and additive inverses
@@ -15,8 +18,8 @@ memory instead of O(N^3) for both.
 from __future__ import annotations
 
 from dataclasses import dataclass
-
-import numpy as np
+from itertools import repeat
+from operator import ne
 
 from .config import size_limit
 from .errors import (
@@ -28,6 +31,49 @@ from .errors import (
     TypeMismatch,
 )
 
+ELEMENTS = bytes(range(256))  # the identity translate table; ELEMENTS[:n] lists an n-element ring
+ZEROS = b"0" * 256
+IS_ZERO = b"1" + ZEROS[1:]  # translates a row to b"1" where its entry is 0 and b"0" elsewhere
+
+
+def pad(row: bytes) -> bytes:
+    """The row as a translate table: entry v for v < len(row), 0 past it."""
+    return row + bytes(256 - len(row))
+
+
+def flags(xs: bytes) -> bytes:
+    """The translate table sending each element of xs to b"1" and every other to b"0".
+    maketrans writes its pairs in order, so the later pairs of xs win over ZEROS."""
+    return bytes.maketrans(ELEMENTS + xs, ZEROS + b"1" * len(xs))
+
+
+def member_table(mask: int) -> bytes:
+    """The translate table sending each element of the mask to b"1" and every other to b"0"."""
+    return f"{mask:0256b}"[::-1].encode()
+
+
+def pack(row: bytes) -> int:
+    """The mask of a row of b"0"/b"1" flags: bit i set iff row[i] is b"1"."""
+    return int(row[::-1], 2)
+
+
+def columns(rows) -> tuple:
+    """The columns of a square table of bytes rows, as bytes rows."""
+    flat, n = b"".join(rows), len(rows)
+    return tuple(flat[j::n] for j in range(n))
+
+
+def byte_rows(table, name: str) -> tuple:
+    """A table as a tuple of bytes rows.  A bytes row is kept; any other row (a list, a
+    tuple, an array row) is read entry by entry as ints, so a row of int16 entries gives
+    its values and not the bytes of its buffer."""
+    try:
+        return tuple(row if type(row) is bytes else bytes(map(int, row)) for row in table)
+    except TypeError:  # a row that is not a sequence
+        raise InvalidConstruction(f"{name} table is not {len(table)}x{len(table)}") from None
+    except ValueError:  # an entry outside 0..255
+        raise InvalidConstruction(f"{name} table is not total") from None
+
 
 def abelian_generators(add, message: str) -> tuple:
     """Generators G of the abelian group (0..n-1, add), after proving it one.
@@ -35,33 +81,35 @@ def abelian_generators(add, message: str) -> tuple:
     The caller has checked that ``add`` is total and commutative, that 0 is
     its identity and that every element has an inverse; this proves
     associativity or raises ``InvalidConstruction(message)``.  G grows from
-    the empty set: each new generator is the least element outside the
-    closure of {0} and G under +.  In a group that closure is the subgroup G
-    spans, so each generator at least doubles it and more than floor(log2 n)
-    generators mean + is not associative.  Light's test
-    ``(x+g)+y == x+(g+y)`` for all x, y then settles associativity: the z
-    passing it for all x, y include 0 and G and are closed under +, so they
-    are every element.
+    the empty set: each new generator g is the least element outside the
+    closure C of {0} and the generators before it, and it must pass Light's
+    test ``(x+g)+y == x+(g+y)`` for all x, y.  The z passing that test include
+    0 and are closed under +, so + is associative on the closure of {0} and G,
+    which is then C + <g>: the images of C under x -> x+g and its powers, found
+    by doubling once x -> x+g is shown one-to-one.  So C is a subgroup, each
+    generator at least doubles it, and more than floor(log2 n) generators mean
+    + is not associative.  Once C is every element, every z passes the test.
     """
-    n = add.shape[0]
-    inside = np.zeros(n, dtype=bool)
-    inside[0] = True
-    gens = []
-    while not inside.all():
+    n = len(add)
+    padded = tuple(map(pad, add))
+    full, inside, gens = (1 << n) - 1, 1, []
+    while inside != full:
         if len(gens) == n.bit_length() - 1:
             raise InvalidConstruction(message)
-        gens.append(int(np.argmin(inside)))
-        # + is commutative, so adding each new element to every element
-        # reached so far closes the set under +
-        frontier = np.array(gens[-1:])
-        while frontier.size:
-            inside[frontier] = True
-            reached = np.zeros(n, dtype=bool)
-            reached[add[frontier[:, None], inside]] = True
-            frontier = np.flatnonzero(reached & ~inside)
-    for g in gens:
-        if not np.array_equal(add[add[:, g]], add[:, add[g]]):
+        g = (~inside & (inside + 1)).bit_length() - 1
+        gens.append(g)
+        # row x over y: (x+g)+y is row x+g = g+x, and x+(g+y) is row g read through row x
+        if any(map(ne, map(add.__getitem__, add[g]), map(add[g].translate, padded))):
             raise InvalidConstruction(message)
+        back = add[add[g].index(0)]  # x -> x-g
+        if add[g].translate(pad(back)) != ELEMENTS[:n]:  # x -> x+g is one-to-one, undone by back
+            raise InvalidConstruction(message)
+        undo = back  # undoes x -> x + 2^k g, doubling k each round
+        while True:
+            inside |= pack(undo.translate(member_table(inside)))  # C and C + 2^k g
+            if not pack(back.translate(member_table(inside))) & ~inside:  # closed under x -> x+g
+                break
+            undo = undo.translate(pad(undo))
     return tuple(gens)
 
 
@@ -87,9 +135,8 @@ class FiniteRing:
     )
 
     def __init__(self, add, mul, labels=None, recipe="?", parts=None):
-        add = np.asarray(add, dtype=np.int16)
-        mul = np.asarray(mul, dtype=np.int16)
-        n = add.shape[0]
+        add, mul = byte_rows(add, "add"), byte_rows(mul, "mul")
+        n = len(add)
         if n < 1:
             raise InvalidConstruction("a ring needs at least one element")
         check_size(n)
@@ -104,65 +151,59 @@ class FiniteRing:
         self._validate()
         self._partition()
         self._lattice = None
-        for t in (self.add, self.mul):
-            t.setflags(write=False)
 
     # -- construction-time checks -------------------------------------------------
 
     def _validate(self):
         n = self.size
-        idx = np.arange(n, dtype=np.int16)
         add, mul = self.add, self.mul
         for name, t in (("add", add), ("mul", mul)):
-            if t.shape != (n, n):
+            if len(t) != n or any(len(row) != n for row in t):
                 raise InvalidConstruction(f"{name} table is not {n}x{n}")
-            if t.min() < 0 or t.max() >= n:
+            if max(map(max, t)) >= n:
                 raise InvalidConstruction(f"{name} table is not total")
-            if not np.array_equal(t, t.T):
+            if t != columns(t):
                 raise InvalidConstruction(f"{name} is not commutative")
-        if not np.array_equal(add[0], idx):
+        if add[0] != ELEMENTS[:n]:
             raise InvalidConstruction("element 0 is not the additive identity")
-        if not (add == 0).any(axis=1).all():
+        if not all(0 in row for row in add):
             raise InvalidConstruction("some element has no additive inverse")
         self.add_gens = abelian_generators(add, "add is not associative")
-        # x(y+g) == xy + xg.  With + associative, the z that distribute for
-        # all x, y are closed under +, so the generators cover every z.
+        padd, pmul = tuple(map(pad, add)), tuple(map(pad, mul))
+        # x(y+g) == xy + xg, row x over y: row g+y read through row x, and row x read
+        # through row xg.  With + associative, the z that distribute for all x, y are
+        # closed under +, so the generators cover every z.
         for g in self.add_gens:
-            if not np.array_equal(mul[:, add[:, g]], add[mul, mul[:, g, None]]):
+            if any(map(ne, map(add[g].translate, pmul), map(bytes.translate, mul, map(padd.__getitem__, mul[g])))):
                 raise InvalidConstruction("multiplication does not distribute over addition")
-        # (xy)g == x(yg).  Only now that mul distributes are the z with
+        # (xy)g == x(yg), row x over y.  Only now that mul distributes are the z with
         # (xy)z == x(yz) for all x, y closed under +.
         for g in self.add_gens:
-            if not np.array_equal(mul[mul, g], mul[:, mul[:, g]]):
+            if any(map(ne, map(bytes.translate, mul, repeat(pmul[g])), map(mul[g].translate, pmul))):
                 raise InvalidConstruction("mul is not associative")
-        ones = np.where((mul == idx[None, :]).all(axis=1))[0]
-        if len(ones) == 0:
+        if ELEMENTS[:n] not in mul:
             raise InvalidConstruction("no multiplicative identity")
-        self.one = int(ones[0])
+        self.one = mul.index(ELEMENTS[:n])
 
     def _partition(self):
-        n = self.size
-        m = self.mul
-        units = np.where((m == self.one).any(axis=1))[0]
-        # ya = 0 for some y != 0  <=>  column a of mul[1:] contains 0
-        zd_mask = (m[1:, :] == 0).any(axis=0) if n > 1 else np.zeros(1, dtype=bool)
-        self.units = frozenset(int(a) for a in units)
-        self.zero_divisors = frozenset(int(a) for a in np.where(zd_mask)[0])
+        n, m, one = self.size, self.mul, self.one
+        self.units = frozenset(a for a, row in enumerate(m) if one in row)
+        # ya = 0 for some y != 0  <=>  row a past its first entry holds a 0
+        self.zero_divisors = frozenset(a for a, row in enumerate(m) if row.find(0, 1) >= 0)
         self.regulars = frozenset(range(n)) - self.zero_divisors
         if self.regulars != self.units:
             raise ConstructionBug("regular elements differ from units in a finite ring")
-        ar = np.arange(n)
-        sq = m[ar, ar]
-        self._reduced = bool((sq[1:] != 0).all())
-        self._idempotents = tuple(int(a) for a in np.where(sq == ar)[0])
+        sq = b"".join(m)[:: n + 1]
+        self._reduced = 0 not in sq[1:]
+        self._idempotents = tuple(a for a in range(n) if sq[a] == a)
 
     # -- scalar helpers ------------------------------------------------------------
 
     def a(self, x, y):
-        return int(self.add[x, y])
+        return self.add[x][y]
 
     def m(self, x, y):
-        return int(self.mul[x, y])
+        return self.mul[x][y]
 
     def elements(self):
         return range(self.size)
@@ -200,13 +241,14 @@ def check_size(n: int) -> None:
 
 
 def make_zn(n: int) -> FiniteRing:
-    """The ring of integers modulo n."""
+    """The ring of integers modulo n: row x of + is a window on two turns of 0..n-1,
+    and row x of * takes every x-th entry of n turns."""
     if n < 1:
         raise InvalidConstruction("Z_n needs n >= 1")
     check_size(n)
-    idx = np.arange(n)
-    add = np.mod(np.add.outer(idx, idx), n)
-    mul = np.mod(np.multiply.outer(idx, idx), n)
+    turns = ELEMENTS[:n] * n
+    add = tuple(turns[x : x + n] for x in range(n))
+    mul = tuple(turns[: n * x : x] if x else bytes(n) for x in range(n))
     return FiniteRing(add, mul, recipe=f"Z{n}")
 
 
@@ -215,12 +257,13 @@ def operand(R: FiniteRing) -> str:
     return f"({R.recipe})" if " x " in R.recipe else R.recipe
 
 
-def pair_table(t1, t2):
+def pair_table(t1, t2) -> tuple:
     """The table of pairs from one table per coordinate: entry ((i, j), (k, l)) is
-    t1[i, k] * len(t2) + t2[j, l], each pair coded i * len(t2) + j."""
-    n1, n2 = len(t1), len(t2)
-    codes = t1.astype(np.int32)[:, None, :, None] * n2 + t2.astype(np.int32)[None, :, None, :]
-    return codes.reshape(n1 * n2, n1 * n2)
+    t1[i][k] * len(t2) + t2[j][l], each pair coded i * len(t2) + j, every code below 256.
+    Row (i, j) joins, for each k, row j of t2 shifted by t1[i][k] * len(t2)."""
+    n2, wide = len(t2), ELEMENTS * 2
+    shifted = [[row.translate(wide[c * n2 : c * n2 + 256]) for c in range(len(t1))] for row in t2]
+    return tuple(b"".join(map(blocks.__getitem__, r1)) for r1 in t1 for blocks in shifted)
 
 
 def make_product(R1: FiniteRing, R2: FiniteRing) -> FiniteRing:
@@ -233,14 +276,13 @@ def make_product(R1: FiniteRing, R2: FiniteRing) -> FiniteRing:
 
 
 def _check_ideal_subset(R: FiniteRing, members) -> None:
-    mem = np.fromiter(members, dtype=np.intp)
-    inside = np.zeros(R.size, dtype=bool)
-    inside[mem] = True
-    if not inside[0]:
+    mem = bytes(sorted(members))
+    inside = flags(mem)
+    if inside[0] != ord("1"):
         raise TypeMismatch("not an ideal: 0 missing")
-    if not inside[R.add[np.ix_(mem, mem)]].all():
+    if any(b"0" in mem.translate(pad(R.add[a])).translate(inside) for a in mem):
         raise TypeMismatch("not an ideal: not closed under addition")
-    if not inside[R.mul[:, mem]].all():
+    if any(b"0" in R.mul[a].translate(inside) for a in mem):
         raise TypeMismatch("not an ideal: not closed under ring multiplication")
 
 
@@ -254,17 +296,17 @@ def make_quotient(R: FiniteRing, ideal):
     if ideal.ring is not R:
         raise TypeMismatch("ideal belongs to a different ring")
     _check_ideal_subset(R, ideal.members)
-    least = R.add[:, list(ideal.sorted_members)].min(axis=1)  # least member of each coset a + I
-    reps = np.flatnonzero(least == np.arange(R.size))  # the elements least in their own coset
-    rank = np.zeros(R.size, dtype=np.intp)
-    rank[reps] = np.arange(reps.size)
-    coset_of = rank[least]
+    mem = bytes(ideal.sorted_members)
+    least = bytes(min(mem.translate(pad(row))) for row in R.add)  # least member of each coset a + I
+    reps = bytes(a for a in R.elements() if least[a] == a)  # the elements least in their own coset
+    coset_of = least.translate(bytes.maketrans(reps, ELEMENTS[: len(reps)]))
+    to_coset = pad(coset_of)
     name = ideal.label()
     labels = tuple(f"{R.labels[r]}+{name}" for r in reps)
-    add, mul = (coset_of[t[np.ix_(reps, reps)]] for t in (R.add, R.mul))
+    add, mul = (tuple(reps.translate(pad(t[r])).translate(to_coset) for r in reps) for t in (R.add, R.mul))
     quotient = FiniteRing(add, mul, labels=labels, recipe=f"{operand(R)}/{name}")
-    proj = check_hom(RingHom(R, quotient, tuple(coset_of.tolist())))
-    if not np.array_equal(np.flatnonzero(coset_of == 0), ideal.sorted_members):
+    proj = check_hom(RingHom(R, quotient, tuple(coset_of)))
+    if tuple(a for a in R.elements() if coset_of[a] == 0) != ideal.sorted_members:
         raise ConstructionBug("projection kernel differs from the quotient ideal")
     return quotient, proj
 
@@ -289,18 +331,23 @@ def check_hom(h: RingHom) -> RingHom:
     """
     if len(h.image) != h.domain.size:
         raise NotAHomomorphism("one", (len(h.image), h.domain.size))
-    img = np.asarray(h.image, dtype=np.int32)
-    if img.min() < 0 or img.max() >= h.codomain.size:
-        raise NotAHomomorphism("one", (int(img.min()), int(img.max())))
-    if int(img[h.domain.one]) != h.codomain.one:
-        raise NotAHomomorphism("one", (h.domain.one, int(img[h.domain.one])))
-    gens = np.asarray(h.domain.add_gens, dtype=np.intp)
+    low, high = min(h.image), max(h.image)
+    if low < 0 or high >= h.codomain.size:
+        raise NotAHomomorphism("one", (int(low), int(high)))
+    img = bytes(h.image)
+    if img[h.domain.one] != h.codomain.one:
+        raise NotAHomomorphism("one", (h.domain.one, img[h.domain.one]))
+    through = pad(img)
     for law, t1, t2 in (("add", h.domain.add, h.codomain.add), ("mul", h.domain.mul, h.codomain.mul)):
-        lhs = img[t1[:, gens]]
-        rhs = t2[img[:, None], img[gens][None, :]]
-        if not np.array_equal(lhs, rhs):
-            x, j = np.argwhere(lhs != rhs)[0]
-            raise NotAHomomorphism(law, (int(x), int(gens[j])))
+        first = None  # the least x failing on some generator, with the first such generator
+        for g in h.domain.add_gens:
+            lhs, rhs = t1[g].translate(through), img.translate(pad(t2[img[g]]))  # over x
+            if lhs != rhs:
+                x = next(x for x, (u, v) in enumerate(zip(lhs, rhs)) if u != v)
+                if first is None or x < first[0]:
+                    first = (x, g)
+        if first is not None:
+            raise NotAHomomorphism(law, first)
     return h
 
 
@@ -331,7 +378,8 @@ def ann_pushforward_check(h: RingHom):
     that holds iff yw = 0 exactly when h(y)h(w) = 0: one table comparison for every w."""
     if not is_isomorphism(h):
         raise NotApplicableError("annihilator transport needs an isomorphism")
-    img = np.asarray(h.image, dtype=np.intp)
-    moved = (h.domain.mul == 0) != (h.codomain.mul[img[:, None], img[None, :]] == 0)
-    bad = np.flatnonzero(moved.any(axis=0))
-    return int(bad[0]) if bad.size else None
+    img, dom, cod = bytes(h.image), h.domain, h.codomain
+    return next(
+        (w for w in dom.elements() if dom.mul[w].translate(IS_ZERO) != img.translate(pad(cod.mul[img[w]])).translate(IS_ZERO)),
+        None,
+    )

@@ -50,19 +50,16 @@ from ringlab.extensions import AmalgOverZ, AmalgZReport, FiniteModule, TrivExtRi
 from ringlab.ideals import (
     Ideal,
     MulClosedSet,
-    _pack,
     all_ideals,
     annihilator,
     bits,
     colon,
-    first_hit,
     ideal_generate,
     ideal_pushforward,
     ideal_sum,
     lattice,
     localize,
     mask_of,
-    member_row,
 )
 from ringlab import poly
 from ringlab.poly import NO, NO_VIOLATION_UP_TO, Poly, PolyVerdict, poly_eval
@@ -74,6 +71,31 @@ CAP_EXPRS = [" x ".join(f"Z{n}" for n in factors) for factors in CAP_RINGS]
 CORPUS_RING_EXPRS = sorted({e.expr for e in default_corpus().entries if e.kind == FINITE})
 
 
+def as_int16(rows):
+    """Byte rows as an int16 array, one array row per row: a ring's or a module's tables,
+    or the rows and keys of the DM sweep.  One bytes object gives a 1-D array."""
+    if isinstance(rows, bytes):
+        return np.frombuffer(rows, dtype=np.uint8).astype(np.int16)
+    return np.array([list(row) for row in rows], dtype=np.int16).reshape(len(rows), -1)
+
+
+def _pack(rows) -> list:
+    """The bitmask of each boolean row."""
+    packed = np.packbits(np.atleast_2d(rows), axis=1, bitorder="little")
+    return [int.from_bytes(row.tobytes(), "little") for row in packed]
+
+
+def first_hit(matrix):
+    """Lex-first (row, column) of a boolean matrix that is True, or None."""
+    hits = np.argwhere(matrix)
+    return (int(hits[0][0]), int(hits[0][1])) if len(hits) else None
+
+
+def member_row(A):
+    """The members of an ideal or m.c.s. as a boolean row over the ring's elements."""
+    return np.array([x in A for x in A.ring.elements()], dtype=bool)
+
+
 def validate_ideal(A: Ideal) -> None:
     """Closure checks; raises on violation."""
     _check_ideal_subset(A.ring, A.members)
@@ -83,7 +105,7 @@ def validate_ideal(A: Ideal) -> None:
 
 def ref_principal(R: FiniteRing, g: int) -> frozenset:
     """The principal ideal Rg, read off the multiplication table."""
-    return frozenset(int(v) for v in np.unique(R.mul[:, g]))
+    return frozenset(int(v) for v in np.unique(as_int16(R.mul)[:, g]))
 
 
 def ref_ideal_masks(R: FiniteRing) -> tuple:
@@ -97,7 +119,7 @@ def ref_ideal_masks(R: FiniteRing) -> tuple:
     rows, cols = np.array([(i, a) for i, p in enumerate(principals) for a in bits(p)]).T
     seen, frontier = {1}, [1]
     while frontier:
-        coset = R.add[:, bits(frontier.pop())].min(axis=1)  # least element of x + base
+        coset = as_int16(R.add)[:, bits(frontier.pop())].min(axis=1)  # least element of x + base
         hit = np.zeros((len(principals), R.size), dtype=bool)
         hit[rows, coset[cols]] = True
         for grown in _pack(hit[:, coset]):
@@ -150,7 +172,8 @@ def ref_is_S_uz_ring(R: FiniteRing, S: MulClosedSet) -> Verdict:
 def ref_has_fac(R: FiniteRing, cap: int) -> Verdict:
     """f.a.c. by the element-subset loop: the first T of size 2..cap, by size
     then lexicographically, whose joint annihilator is no member's own."""
-    ann = [mask_of(np.flatnonzero(R.mul[:, a] == 0)) for a in R.elements()]
+    mul = as_int16(R.mul)
+    ann = [mask_of(np.flatnonzero(mul[:, a] == 0)) for a in R.elements()]
     for size in range(2, cap + 1):
         for T in combinations(R.elements(), size):
             masks = [ann[t] for t in T]
@@ -199,12 +222,12 @@ def ref_is_S_r_ideal(A: Ideal, S: MulClosedSet, enforce_proper=True, enforce_dis
         return Verdict(NOT_APPLICABLE, reason=NOT_PROPER)
     if enforce_disjoint and S.members & A.members:
         return Verdict(NOT_APPLICABLE, reason=DISJOINTNESS_VIOLATED)
-    inside = member_row(A)
+    inside, mul = member_row(A), as_int16(R.mul)
     regs = np.fromiter(sorted(R.regulars), dtype=np.intp)
-    prod_in = inside[R.mul[regs, :]]
+    prod_in = inside[mul[regs, :]]
 
     def defeat(s):
-        hit = first_hit(prod_in & ~inside[R.mul[s, :]][None, :])
+        hit = first_hit(prod_in & ~inside[mul[s, :]][None, :])
         return None if hit is None else (int(regs[hit[0]]), hit[1])
 
     return _uniform_scan(S, defeat)
@@ -237,7 +260,7 @@ def ref_is_pr_ideal(A: Ideal) -> Verdict:
     R = A.ring
     reaches = np.array([_power_reaches(R, A, z) for z in R.elements()])
     regs = np.fromiter(sorted(R.regulars), dtype=np.intp)
-    hit = first_hit(member_row(A)[R.mul[regs, :]] & ~reaches[None, :])
+    hit = first_hit(member_row(A)[as_int16(R.mul)[regs, :]] & ~reaches[None, :])
     return Verdict(FAILS, counterexample=(int(regs[hit[0]]), hit[1])) if hit else Verdict(HOLDS)
 
 
@@ -248,11 +271,11 @@ def ref_is_S_prime(A: Ideal, S: MulClosedSet, enforce_proper=True, enforce_disjo
         return Verdict(NOT_APPLICABLE, reason=NOT_PROPER)
     if enforce_disjoint and S.members & A.members:
         return Verdict(NOT_APPLICABLE, reason=DISJOINTNESS_VIOLATED)
-    inside = member_row(A)
-    prod_in = inside[R.mul]
+    inside, mul = member_row(A), as_int16(R.mul)
+    prod_in = inside[mul]
 
     def defeat(s):
-        s_in = inside[R.mul[s, :]]
+        s_in = inside[mul[s, :]]
         return first_hit(prod_in & ~s_in[:, None] & ~s_in[None, :])
 
     return _uniform_scan(S, defeat)
@@ -293,7 +316,7 @@ def ref_colon_mask(A: Ideal, ks: int) -> int:
     R = A.ring
     if not ks:
         return (1 << R.size) - 1
-    return mask_of(np.flatnonzero(member_row(A)[R.mul[:, bits(ks)]].all(axis=1)))
+    return mask_of(np.flatnonzero(member_row(A)[as_int16(R.mul)[:, bits(ks)]].all(axis=1)))
 
 
 def ref_t2_7_sides(A: Ideal, regs, pre) -> dict:
@@ -769,10 +792,11 @@ def ref_poly_tuples(size, max_degree):
 def ref_annihilating_vectors(Q, zt, vecs):
     width = vecs.shape[1]
     out = np.zeros((len(vecs), width + len(zt) - 1), dtype=np.intp)
+    add, mul = as_int16(Q.add), as_int16(Q.mul)
     for j, b in enumerate(zt):
         if b == 0:
             continue
-        out[:, j : j + width] = Q.add[out[:, j : j + width], Q.mul[vecs, b]]
+        out[:, j : j + width] = add[out[:, j : j + width], mul[vecs, b]]
     return [tuple(int(c) for c in v) for v in vecs[(out == 0).all(axis=1)]]
 
 
@@ -804,8 +828,9 @@ def ref_content_search(A, S_const, max_degree):
     p = proj.image
     sbar = sorted({int(p[s]) for s in S_const.sorted_members})
     vecs = np.array(list(iproduct(range(quotient.size), repeat=max_degree + 1)), dtype=np.intp)
+    qmul = as_int16(quotient.mul)
     for zt in ref_poly_tuples(quotient.size, max_degree):
-        if not all(any(int(quotient.mul[s, c]) != 0 for c in zt) for s in sbar):
+        if not all(any(int(qmul[s, c]) != 0 for c in zt) for s in sbar):
             continue
         for wt in ref_annihilating_vectors(quotient, zt, vecs):
             found = ref_regular_lift(R, p, wt, masks)
@@ -852,12 +877,13 @@ def localize_oracle(R: FiniteRing, S: MulClosedSet):
     m = len(pairs)
     av = np.fromiter((p[0] for p in pairs), dtype=np.intp)
     sv = np.fromiter((p[1] for p in pairs), dtype=np.intp)
-    neg = np.argmax(R.add == 0, axis=1)
+    add, mul = as_int16(R.add), as_int16(R.mul)
+    neg = np.argmax(add == 0, axis=1)
     # diff[i, j] = u_j * a_i - s_i * b_j
-    ua = R.mul[av[:, None], sv[None, :]]  # a_i * u_j
-    sb = R.mul[sv[:, None], av[None, :]]  # s_i * b_j
-    diff = R.add[ua, neg[sb]]
-    kill = (R.mul[np.ix_(np.fromiter(dens, dtype=np.intp), np.arange(R.size))] == 0).any(axis=0)
+    ua = mul[av[:, None], sv[None, :]]  # a_i * u_j
+    sb = mul[sv[:, None], av[None, :]]  # s_i * b_j
+    diff = add[ua, neg[sb]]
+    kill = (mul[np.ix_(np.fromiter(dens, dtype=np.intp), np.arange(R.size))] == 0).any(axis=0)
     eq = kill[diff]
     # classes are the connected components of eq: spread the least index
     # through each component until nothing changes
@@ -901,7 +927,7 @@ def _additive_order(R: FiniteRing, a: int) -> int:
 
 def element_invariant(R: FiniteRing, a: int):
     """Cheap iso-invariant fingerprint of a single element."""
-    col = R.mul[:, a]
+    col = as_int16(R.mul)[:, a]
     ann = int((col == 0).sum())
     sq = R.m(a, a)
     e, k = idempotent_power(R, a)
@@ -987,16 +1013,18 @@ def find_isomorphism(R1: FiniteRing, R2: FiniteRing):
 
 def submodules(M: FiniteModule):
     """Every submodule, sorted by (cardinality, member tuple)."""
+    add, act = as_int16(M.add), as_int16(M.action)
+
     def orbit_plus(base, x):
         grown = set(base)
-        grown |= {int(v) for v in M.action[:, x]}
+        grown |= {int(v) for v in act[:, x]}
         # additive closure
         changed = True
         while changed:
             changed = False
             for a in list(grown):
                 for b in list(grown):
-                    c = int(M.add[a, b])
+                    c = int(add[a, b])
                     if c not in grown:
                         grown.add(c)
                         changed = True
@@ -1150,12 +1178,13 @@ def ref_make_trivial_extension(R: FiniteRing, M: FiniteModule) -> TrivExtRing:
     ms = M.size
     add = np.zeros((n, n), dtype=np.int16)
     mul = np.zeros((n, n), dtype=np.int16)
+    madd, act = as_int16(M.add), as_int16(M.action)
     for i in range(n):
         r1, m1 = divmod(i, ms)
         for j in range(n):
             r2, m2 = divmod(j, ms)
-            add[i, j] = R.a(r1, r2) * ms + M.add[m1, m2]
-            mul[i, j] = R.m(r1, r2) * ms + M.add[M.action[r1, m2], M.action[r2, m1]]
+            add[i, j] = R.a(r1, r2) * ms + madd[m1, m2]
+            mul[i, j] = R.m(r1, r2) * ms + madd[act[r1, m2], act[r2, m1]]
     labels = tuple(f"({R.labels[i // ms]},{M.labels[i % ms]})" for i in range(n))
     return TrivExtRing(R, M, FiniteRing(add, mul, labels=labels, recipe=f"triv({R.recipe}, {M.recipe})"))
 

@@ -35,14 +35,15 @@ from ringlab.ideals import (
 )
 from ringlab.rings import make_product, make_quotient, make_zn
 
-from oracles import CAP_EXPRS, CORPUS_RING_EXPRS, ref_colon_mask, ref_ideal_masks, ref_principal
+from oracles import CAP_EXPRS, CORPUS_RING_EXPRS, ref_colon_mask, ref_ideal_masks, ref_principal, as_int16
 from test_poly import SEARCH_RINGS
 
 # -- frozenset reference ----------------------------------------------------------
 
 
 def ref_sum_sets(R, xs, ys):
-    return frozenset(int(R.add[x, y]) for x in xs for y in ys)
+    add = as_int16(R.add)
+    return frozenset(int(add[x, y]) for x in xs for y in ys)
 
 
 def ref_generate(R, gens):
@@ -80,7 +81,7 @@ def ref_all_ideals(R):
 def ref_annihilator(R, T):
     mask = np.ones(R.size, dtype=bool)
     for t in T:
-        mask &= R.mul[:, t] == 0
+        mask &= as_int16(R.mul)[:, t] == 0
     return frozenset(int(v) for v in np.where(mask)[0])
 
 
@@ -88,12 +89,13 @@ def ref_colon(R, members, K):
     in_a = np.zeros(R.size, dtype=bool)
     in_a[list(members)] = True
     ks = np.fromiter(K, dtype=np.intp)
-    mask = in_a[R.mul[:, ks]].all(axis=1) if len(ks) else np.ones(R.size, dtype=bool)
+    mask = in_a[as_int16(R.mul)[:, ks]].all(axis=1) if len(ks) else np.ones(R.size, dtype=bool)
     return frozenset(int(v) for v in np.where(mask)[0])
 
 
 def ref_product(R, xs, ys):
-    return ref_generate(R, {int(R.mul[x, y]) for x in xs for y in ys})
+    mul = as_int16(R.mul)
+    return ref_generate(R, {int(mul[x, y]) for x in xs for y in ys})
 
 
 # -- small rings from the grammar ---------------------------------------------------

@@ -59,6 +59,7 @@ from oracles import (
     poly_mul,
     ref_content_search,
     ref_dedekind_mertens_sweep,
+    as_int16,
     ref_kernel_search,
     ref_poly_tuples,
 )
@@ -162,11 +163,12 @@ def _brute_has_annihilator(R, coeffs, gdeg):
     """Direct numpy-batched scan for nonzero g of degree <= gdeg with f*g = 0."""
     gs = np.array(list(iproduct(range(R.size), repeat=gdeg + 1)), dtype=np.intp)
     out = np.zeros((len(gs), len(coeffs) + gdeg), dtype=np.intp)
+    add, mul = as_int16(R.add), as_int16(R.mul)
     for i, a in enumerate(coeffs):
         if a == 0:
             continue
-        prod = R.mul[a, gs]
-        out[:, i : i + gdeg + 1] = R.add[out[:, i : i + gdeg + 1], prod]
+        prod = mul[a, gs]
+        out[:, i : i + gdeg + 1] = add[out[:, i : i + gdeg + 1], prod]
     zero_rows = (out == 0).all(axis=1)
     zero_rows[0] = False  # skip g = 0
     return bool(zero_rows.any())
@@ -653,7 +655,7 @@ def test_join_table_entries_are_ideal_sums(expr):
     R = parse_ring(expr)
     ideals = lattice(R).ideals
     index = {A.mask: i for i, A in enumerate(ideals)}
-    table = lattice(R).join_table
+    table = as_int16(lattice(R).join_table)
     assert table.shape == (len(ideals), R.size)
     for c, A in enumerate(ideals):
         for a in R.elements():
@@ -674,7 +676,7 @@ def test_join_table_of_256_ideals_stays_within_a_few_mb():
         tracemalloc.stop()
     assert peak < 3 * 2**20
     index = {A.mask: i for i, A in enumerate(L.ideals)}
-    assert table[0].tolist() == [index[L.principal[a]] for a in range(256)]  # (0) + Ra = Ra
+    assert as_int16(table)[0].tolist() == [index[L.principal[a]] for a in range(256)]  # (0) + Ra = Ra
 
 
 @pytest.mark.parametrize("expr", DM_RINGS)
@@ -699,7 +701,7 @@ def test_dm_table_keys_match_per_pair_contents(expr, max_degree):
     ideals = lattice(R).ideals
     rng = random.Random(DM_SEED)
     gaps = 0
-    for wc, zc, (cw, cz, cwz, m) in zip(t.w.tolist(), t.z.tolist(), t.keys.tolist()):
+    for wc, zc, (cw, cz, cwz, m) in zip(as_int16(t.w).tolist(), as_int16(t.z).tolist(), as_int16(t.keys).tolist()):
         assert wc == [rng.randrange(R.size) for _ in range(max_degree + 1)]
         assert zc == [rng.randrange(R.size) for _ in range(max_degree + 1)]
         w, z = Poly.make(R, wc), Poly.make(R, zc)
@@ -732,7 +734,7 @@ def test_randrange_block_matches_the_randrange_loop(n):
     for count in (0, 1, 7, 10_000):
         for seed in (DM_SEED, 0, 1):
             rng = random.Random(seed)
-            assert _randrange_block(random.Random(seed), n, count).tolist() == [rng.randrange(n) for _ in range(count)]
+            assert as_int16(_randrange_block(random.Random(seed), n, count)).tolist() == [rng.randrange(n) for _ in range(count)]
 
 
 @pytest.mark.parametrize("where", ["first", "middle", "last"])
@@ -741,7 +743,7 @@ def test_dm_sweep_reports_a_faked_failure_like_the_loop(monkeypatch, where):
     or last of the sweep: sweep, loop and DM record agree on the failing pair."""
     R = parse_ring("Z12")
     t = _dm_table(R, DM_PAIRS, DM_SEED, DM_MAX_DEGREE)
-    keys = [tuple(k) for k in t.keys.tolist()]
+    keys = [tuple(k) for k in as_int16(t.keys).tolist()]
     late = max(keys.index(k) for k in set(keys))  # the key seen last for the first time
     at, pairs = {"first": (0, DM_PAIRS), "middle": (late, 2 * late + 1), "last": (late, late + 1)}[where]
     ideals = lattice(R).ideals

@@ -517,6 +517,8 @@ def test_size_limit_env_override(monkeypatch):
     assert config.size_limit() == 64
     monkeypatch.setenv(config.SIZE_LIMIT_ENV, str(config.SIZE_LIMIT_CEILING))
     assert config.size_limit() == config.SIZE_LIMIT_CEILING
+    monkeypatch.setenv(config.SIZE_LIMIT_ENV, "256")
+    assert config.size_limit() == 256
     monkeypatch.delenv(config.SIZE_LIMIT_ENV)
     assert config.size_limit() == config.DEFAULT_SIZE_LIMIT
 
@@ -524,21 +526,38 @@ def test_size_limit_env_override(monkeypatch):
 @pytest.mark.skipif(not os.path.isdir("/proc/self/task"), reason="threads are counted in /proc/self/task")
 @pytest.mark.parametrize("preset", [None, "4"])
 def test_import_starts_no_blas_worker_thread(preset):
-    """ringlab makes no BLAS call, so a fresh interpreter that imports it runs one thread;
-    an OPENBLAS_NUM_THREADS already set is left as it is."""
+    """ringlab loads no BLAS, so a fresh interpreter that imports it runs one thread; it
+    neither sets OPENBLAS_NUM_THREADS nor changes a value already set."""
     env = {k: v for k, v in os.environ.items() if k != "OPENBLAS_NUM_THREADS"}
     env["PYTHONPATH"] = str(Path(ringlab.__file__).parents[1])
     if preset:
         env["OPENBLAS_NUM_THREADS"] = preset
-    code = "import os, ringlab; print(len(os.listdir('/proc/self/task')), os.environ['OPENBLAS_NUM_THREADS'])"
+    code = "import os, ringlab; print(len(os.listdir('/proc/self/task')), os.environ.get('OPENBLAS_NUM_THREADS', '-'))"
     out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True).stdout
     threads, value = out.split()
-    assert value == (preset or "1")
+    assert value == (preset or "-")
     if preset is None:
         assert threads == "1"
 
 
-@pytest.mark.parametrize("raw", ["junk", "", "2.5", "0", "-3", "4097", "32768", "1000000"])
+def test_import_and_verify_load_no_numpy():
+    """Importing ringlab and its CLI, then verifying one finite, one arithmetic, one amalgZ
+    and one polynomial entry serially, leaves numpy out of sys.modules."""
+    code = """if True:
+        import sys, ringlab, ringlab.cli
+        from ringlab.corpus import CorpusSpec, Limits, parse_corpus_line
+        from ringlab.registry import verify
+        lines = ("Z12", "Z x Z ; ideal=(0,2) ; mcs=(units,all)", "amalgZ(6, 3) ; mcs=(units)", "polyring(Z6)")
+        records = verify(None, CorpusSpec(tuple(map(parse_corpus_line, lines)), Limits.defaults()))
+        print(len(records), "numpy" in sys.modules)
+    """
+    env = {**os.environ, "PYTHONPATH": str(Path(ringlab.__file__).parents[1])}
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True).stdout
+    count, loaded = out.split()
+    assert int(count) > 0 and loaded == "False"
+
+
+@pytest.mark.parametrize("raw", ["junk", "", "2.5", "0", "-3", "257", "4097", "32768", "1000000"])
 def test_size_limit_rejects_bad_values(monkeypatch, raw):
     from ringlab import config
     from ringlab.rings import make_zn

@@ -29,7 +29,7 @@ from ringlab.rings import (
     make_zn,
 )
 
-from oracles import element_partition, find_isomorphism, fingerprint
+from oracles import as_int16, element_partition, find_isomorphism, fingerprint
 
 
 def brute_regulars(n):
@@ -62,10 +62,19 @@ def test_zn_rejects_zero():
 
 def test_bad_tables_rejected():
     R = make_zn(3)
-    mul = np.array(R.mul)
+    mul = as_int16(R.mul)
     mul[1, 2] = 0  # breaks commutativity against mul[2, 1]
     with pytest.raises(InvalidConstruction):
-        FiniteRing(np.array(R.add), mul)
+        FiniteRing(as_int16(R.add), mul)
+
+
+def test_int16_tables_are_read_as_values():
+    """An int16 row is read entry by entry, as the tables the oracles build are: read
+    through its buffer it would give a row of 2n bytes."""
+    for R in (make_zn(6), make_product(make_zn(2), make_zn(4))):
+        built = FiniteRing(as_int16(R.add), as_int16(R.mul))
+        assert (built.add, built.mul, built.one) == (R.add, R.mul, R.one)
+        assert all(len(row) == R.size for row in built.add + built.mul)
 
 
 def test_product_orthogonal_idempotents():
@@ -317,7 +326,7 @@ def test_every_symmetric_three_element_table_against_z3_matches_the_n3_scan(whic
     z3 = make_zn(3)
     verdicts = []
     for t in all_tables(3, symmetric=True):
-        add, mul = (t, np.array(z3.mul)) if which == "add" else (np.array(z3.add), t)
+        add, mul = (t, as_int16(z3.mul)) if which == "add" else (as_int16(z3.add), t)
         verdicts.append((accepts(add, mul), n3_ring_axioms(add, mul)))
     assert all(mine == ref for mine, ref in verdicts)
     assert any(ref for _, ref in verdicts) and not all(ref for _, ref in verdicts)
@@ -358,7 +367,7 @@ def perturbed_tables(draw):
     """A small ring's tables after 1-2 symmetric entry edits, maybe relabelled."""
     R = parse_ring(draw(st.sampled_from(SMALL_RECIPES)))
     n = R.size
-    tables = [np.array(R.add), np.array(R.mul)]
+    tables = [as_int16(R.add), as_int16(R.mul)]
     for _ in range(draw(st.integers(1, 2))):
         t = tables[draw(st.integers(0, 1))]
         i, j = draw(st.integers(0, n - 1)), draw(st.integers(0, n - 1))
@@ -451,12 +460,12 @@ def identity_first(tables):
     return relabel(add, perm), relabel(mul, perm)
 
 
-Z2_Z4_ADD = np.array(make_product(make_zn(2), make_zn(4)).add)
+Z2_Z4_ADD = as_int16(make_product(make_zn(2), make_zn(4)).add)
 
 # Each law holds on the first additive generator and fails on a later one.
 LATE_FAILURES = {
     # generators (1, 2): (x+1)+y == x+(1+y) everywhere, (1+2)+3 = 0 but 1+(2+3) = 1
-    "add is not associative": ([[0, 1, 2, 3], [1, 0, 2, 3], [2, 2, 3, 0], [3, 3, 0, 0]], make_zn(4).mul),
+    "add is not associative": ([[0, 1, 2, 3], [1, 0, 2, 3], [2, 2, 3, 0], [3, 3, 0, 0]], as_int16(make_zn(4).mul)),
     # Z2 x Z4 (generators (0,1), (1,0)) where (1,0)(1,0) = (0,1) has additive order 4
     "multiplication does not distribute over addition": (
         Z2_Z4_ADD,
@@ -511,7 +520,7 @@ def test_nonassociative_addition_is_rejected_by_the_generator_bound_without_n3_a
     n = 256
     add = np.zeros((n, n), dtype=np.int16)
     add[0] = add[:, 0] = np.arange(n)
-    mul = np.array(make_zn(n).mul)
+    mul = as_int16(make_zn(n).mul)
     tracemalloc.start()
     try:
         with pytest.raises(InvalidConstruction, match="^add is not associative$"):
@@ -529,7 +538,7 @@ def n2_is_hom(h) -> bool:
         return False
     return all(
         np.array_equal(img[t1], t2[img[:, None], img[None, :]])
-        for t1, t2 in ((h.domain.add, h.codomain.add), (h.domain.mul, h.codomain.mul))
+        for t1, t2 in ((as_int16(h.domain.add), as_int16(h.codomain.add)), (as_int16(h.domain.mul), as_int16(h.codomain.mul)))
     )
 
 
@@ -548,7 +557,7 @@ def test_check_hom_matches_the_pairwise_laws_on_every_map(pair):
                 x, g = err.pair
                 table1, table2 = (R1.add, R2.add) if err.law == "add" else (R1.mul, R2.mul)
                 assert g in R1.add_gens
-                assert image[table1[x, g]] != table2[image[x], image[g]]
+                assert image[as_int16(table1)[x, g]] != as_int16(table2)[image[x], image[g]]
         verdicts.append(mine)
         assert mine == n2_is_hom(h)
     assert any(verdicts)
