@@ -59,7 +59,7 @@ class FiniteModule:
     def _validate(self):
         n = self.size
         t = self.add
-        if n < 1 or any(len(row) != n for row in t) or max(map(max, t)) >= n:
+        if n < 1 or any(len(row) != n for row in t) or b"".join(t).translate(None, ELEMENTS[:n]):
             raise InvalidConstruction("module addition table is not total")
         if t != columns(t):
             raise InvalidConstruction("module addition is not an abelian group")
@@ -68,7 +68,7 @@ class FiniteModule:
         gens = abelian_generators(t, "module addition is not an abelian group")
         act = self.action
         R = self.ring
-        if len(act) != R.size or any(len(row) != n for row in act) or max(map(max, act)) >= n:
+        if len(act) != R.size or any(len(row) != n for row in act) or b"".join(act).translate(None, ELEMENTS[:n]):
             raise InvalidConstruction("scalar action table is not total")
         if act[R.one] != ELEMENTS[:n]:
             raise InvalidConstruction("1 does not act as identity")

@@ -252,16 +252,18 @@ class IdealLattice:
 
     def least_in_coset(self, base: int) -> bytes:
         """Entry x is the least element of x + base, for base a subgroup of (R, +).  The least
-        element outside the cosets found so far is the least of its own coset, and one
-        translate table sends every member of every coset to its least element."""
-        members, full = bytes(bits(base)), self.full
-        cosets, leasts, covered = [], [], 0
-        while covered != full:
-            x = (~covered & (covered + 1)).bit_length() - 1
-            cosets.append(members.translate(self.add_tables[x]))
-            leasts.append(bytes((x,)) * len(members))
-            covered |= pack(flags(cosets[-1]))
-        return bytes.maketrans(b"".join(cosets), b"".join(leasts))[: self.ring.size]
+        element of no coset found so far is the least of its own.  Past (0), where each
+        element is its own coset, a coset's least element is below 255, the mark of an
+        element not yet reached."""
+        n = self.ring.size
+        if base == 1:
+            return ELEMENTS[:n]
+        members, least, x = bytes(bits(base)), bytearray(b"\xff" * n), 0
+        while x >= 0:
+            for y in members.translate(self.add_tables[x]):
+                least[y] = x
+            x = least.find(255, x + 1)
+        return bytes(least)
 
     @cached_property
     def join_table(self) -> tuple:

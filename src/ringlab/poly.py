@@ -185,9 +185,16 @@ def _dm_keys_by_pairs(R: FiniteRing, w, z) -> list:
     return keys
 
 
-def _nibble_table(op) -> bytes:
-    """The translate table of a binary operation on values below 16: code x * 16 + y -> op(x, y)."""
-    return bytes(op(x, y) for x in range(16) for y in range(16))
+def _nibble_rows(rows) -> bytes:
+    """The translate table of codes x * 16 + y -> rows[x][y], for at most 16 rows of at most
+    16 entries, each below 256."""
+    return b"".join(bytes(row).ljust(16, b"\0") for row in rows).ljust(256, b"\0")
+
+
+@cache
+def _last_nonzero(i: int) -> bytes:
+    """The translate table of codes d * 16 + v -> i if v else d."""
+    return bytes(i if v else d for d in range(16) for v in range(16))
 
 
 def _dm_keys_by_columns(R: FiniteRing, draws: bytes, width: int, count: int) -> list:
@@ -197,12 +204,7 @@ def _dm_keys_by_columns(R: FiniteRing, draws: bytes, width: int, count: int) -> 
     Every value is below 16, so the codes x * 16 + y of two columns are one big-integer
     shift and or, and one translate applies *, + or the join table to a whole column.
     """
-    n, join = R.size, lattice(R).join_table
-
-    def at(t):
-        return lambda x, y: t[x][y] if x < len(t) and y < n else 0
-
-    mul, add, joined = (_nibble_table(at(t)) for t in (R.mul, R.add, join))
+    mul, add, joined = (_nibble_rows(t) for t in (R.mul, R.add, lattice(R).join_table))
 
     def apply(table, xs, ys):
         return ((int.from_bytes(xs, "big") << 4 | int.from_bytes(ys, "big")).to_bytes(count, "big")).translate(table)
@@ -221,7 +223,7 @@ def _dm_keys_by_columns(R: FiniteRing, draws: bytes, width: int, count: int) -> 
         contents.append(c)
     degree = bytes(count)  # of w, floored at 0: the last i with w_i != 0
     for i in range(1, width):
-        degree = apply(_nibble_table(lambda d, v, i=i: i if v else d), degree, w[i])
+        degree = apply(_last_nonzero(i), degree, w[i])
     return list(zip(*contents, degree))
 
 

@@ -160,7 +160,7 @@ class FiniteRing:
         for name, t in (("add", add), ("mul", mul)):
             if len(t) != n or any(len(row) != n for row in t):
                 raise InvalidConstruction(f"{name} table is not {n}x{n}")
-            if max(map(max, t)) >= n:
+            if b"".join(t).translate(None, ELEMENTS[:n]):  # some entry is not an element
                 raise InvalidConstruction(f"{name} table is not total")
             if t != columns(t):
                 raise InvalidConstruction(f"{name} is not commutative")
