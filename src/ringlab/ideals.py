@@ -482,11 +482,3 @@ def ideal_product(A: Ideal, B: Ideal) -> Ideal:
     if A.ring is not B.ring:
         raise TypeMismatch("ideals belong to different rings")
     return lattice(A.ring).product(A, B)
-
-
-def ideal_power(A: Ideal, k: int) -> Ideal:
-    R = A.ring
-    out = ideal_generate(R, (R.one,))
-    for _ in range(k):
-        out = ideal_product(out, A)
-    return out

@@ -76,6 +76,8 @@ def as_int16(rows):
     or the rows and keys of the DM sweep.  One bytes object gives a 1-D array."""
     if isinstance(rows, bytes):
         return np.frombuffer(rows, dtype=np.uint8).astype(np.int16)
+    if rows and all(type(row) is bytes for row in rows):
+        return np.frombuffer(b"".join(rows), dtype=np.uint8).reshape(len(rows), -1).astype(np.int16)
     return np.array([list(row) for row in rows], dtype=np.int16).reshape(len(rows), -1)
 
 
@@ -117,9 +119,9 @@ def ref_ideal_masks(R: FiniteRing) -> tuple:
     """
     principals = sorted({mask_of(ref_principal(R, a)) for a in R.elements()})
     rows, cols = np.array([(i, a) for i, p in enumerate(principals) for a in bits(p)]).T
-    seen, frontier = {1}, [1]
+    seen, frontier, add = {1}, [1], as_int16(R.add)
     while frontier:
-        coset = as_int16(R.add)[:, bits(frontier.pop())].min(axis=1)  # least element of x + base
+        coset = add[:, bits(frontier.pop())].min(axis=1)  # least element of x + base
         hit = np.zeros((len(principals), R.size), dtype=bool)
         hit[rows, coset[cols]] = True
         for grown in _pack(hit[:, coset]):

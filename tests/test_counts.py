@@ -18,7 +18,6 @@ import ringlab
 
 COUNT_SCRIPT = r"""
 import json, sys
-import ringlab
 from ringlab import arith, ideals, poly, registry, rings
 from ringlab.corpus import default_corpus
 
@@ -108,4 +107,8 @@ def _counts(hash_seed):
 
 @pytest.mark.parametrize("hash_seed", ["1", "12345"])
 def test_default_corpus_work_counts(hash_seed):
-    assert _counts(hash_seed) == COUNTS
+    got = _counts(hash_seed)
+    print(f"\nwork counts, PYTHONHASHSEED={hash_seed}:")
+    for name, count in got.items():
+        print(f"  {name:<20} {count:>7}")
+    assert got == COUNTS

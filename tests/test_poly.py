@@ -715,11 +715,10 @@ def test_dm_table_keys_match_per_pair_contents(expr, max_degree):
 
 @pytest.mark.parametrize("expr", ["Z2 x Z2 x Z2 x Z2", "Z12"])
 def test_dm_packed_keys_group_the_pairs_as_unique_rows_does(expr):
-    """The sweep groups its pairs by one packed integer per key: the distinct keys, their
-    order and each pair's group are those of np.unique(axis=0), on a base of 16 ideals at
-    degree 4 and on a corpus base, and on every key of a small grid, where a radix one too
-    small in any column after the first merges two keys.  The drawn keys alone would not
-    show that: on both bases no column after the first reaches 0 in them."""
+    """The sweep groups its pairs by key: the distinct keys, their order and each pair's
+    group are those of np.unique(axis=0), on a base of 16 ideals at degree 4 and on a
+    corpus base, and on every key of a small grid, which holds keys the drawn ones do not:
+    on both bases no column after the first reaches 0 in them."""
     R = parse_ring(expr)
     assert len(lattice(R).ideals) == (16 if expr.startswith("Z2") else 6)
     grid = np.indices((3, 2, 3, 5)).reshape(4, -1).T
