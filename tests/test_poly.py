@@ -713,6 +713,17 @@ def test_dm_table_keys_match_per_pair_contents(expr, max_degree):
     assert (gaps > 0) == (expr not in CORPUS_BASES)
 
 
+@pytest.mark.parametrize("expr", CORPUS_BASES + ["Z2 x Z2 x Z2 x Z2", "Z16", "Z4 x Z4"])
+def test_dm_column_keys_match_the_pair_by_pair_keys(expr):
+    """Every ring of at most 16 elements and 16 ideals is keyed a column at a time; each
+    pair gets the key the pair-by-pair path gives it."""
+    R = parse_ring(expr)
+    assert R.size <= 16 and len(lattice(R).ideals) <= 16
+    for max_degree in (0, 1, DM_MAX_DEGREE):
+        t = _dm_table(R, DM_PAIRS, DM_SEED, max_degree)
+        assert t.keys == poly._dm_keys_by_pairs(R, t.w, t.z)
+
+
 @pytest.mark.parametrize("expr", ["Z2 x Z2 x Z2 x Z2", "Z12"])
 def test_dm_packed_keys_group_the_pairs_as_unique_rows_does(expr):
     """The sweep groups its pairs by key: the distinct keys, their order and each pair's
