@@ -4,15 +4,10 @@ All caps are deliberate: operations refuse oversized constructions instead
 of degrading, and every bounded search records the bound it ran with.
 """
 
-import os
-
-from .errors import ConfigError
-
-SIZE_LIMIT_ENV = "RINGLAB_SIZE_LIMIT"
-DEFAULT_SIZE_LIMIT = 256
-# Each element is one byte in the rows of the add and mul tables, so a ring has
-# at most 256 elements; the two tables then take 2n^2 bytes, 128 KiB at the ceiling.
-SIZE_LIMIT_CEILING = 256
+# Element-count cap for ring constructions.  Each element is one byte in the rows of the
+# add and mul tables, so a ring has at most 256 elements; the two tables then take 2n^2
+# bytes, 128 KiB at the cap.
+SIZE_LIMIT = 256
 
 # Polynomial searches: default working degree and a hard cap.
 DEFAULT_DEGREE = 3
@@ -46,24 +41,3 @@ ORACLE_AXIS_CAP = 2048
 ANNOTATION_CAP = 4096
 SUBSAMPLE_SEED = 49374
 MCS_CANDIDATE_CAP = 24
-
-
-def size_limit() -> int:
-    """Element-count cap for ring constructions; env override allowed.
-
-    The override must be an integer from 1 to SIZE_LIMIT_CEILING; anything
-    else raises ConfigError naming the variable instead of being ignored.
-    """
-    raw = os.environ.get(SIZE_LIMIT_ENV)
-    if raw is None:
-        return DEFAULT_SIZE_LIMIT
-    try:
-        value = int(raw)
-    except ValueError:
-        value = None
-    if value is None or not 1 <= value <= SIZE_LIMIT_CEILING:
-        raise ConfigError(
-            f"{SIZE_LIMIT_ENV}={raw!r}: expected an integer from 1 to {SIZE_LIMIT_CEILING}; "
-            "a ring's tables hold each element in one byte"
-        )
-    return value

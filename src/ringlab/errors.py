@@ -10,12 +10,12 @@ class InvalidConstruction(RinglabError):
 
 
 class ConfigError(RinglabError):
-    """A run-wide setting, such as an environment override, has an invalid value, or a
-    corpus or report file cannot be read or written."""
+    """A run-wide setting, such as a corpus limit, has an invalid value, or a corpus or
+    report file cannot be read or written."""
 
 
 class SizeLimitError(RinglabError):
-    """A construction would exceed the configured element-count cap, or an oracle window coordinate its value cap."""
+    """A construction would exceed the element-count cap, or an oracle window coordinate its value cap."""
 
 
 class TypeMismatch(RinglabError):

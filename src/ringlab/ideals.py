@@ -25,7 +25,6 @@ from .rings import (
     FiniteRing,
     RingHom,
     check_hom,
-    check_size,
     flags,
     idempotent_power,
     member_table,
@@ -230,7 +229,6 @@ class IdealLattice:
         least coset member is that of some member of Ra.
         """
         R = self.ring
-        check_size(R.size)
         irreducible = []  # by induction on size, the kept ones inside p span all those inside p
         for p in sorted(set(self.principal), key=int.bit_count):
             below = reduce(self.sum, (q for q in irreducible if not q & ~p), 1)

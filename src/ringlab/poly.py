@@ -20,6 +20,7 @@ from collections import namedtuple
 from dataclasses import dataclass
 from functools import cache
 from itertools import compress, product as iproduct
+from operator import getitem
 
 from .classify import has_fac, is_S_r_ideal
 from .config import DEFAULT_DEGREE, DM_MAX_DEGREE, FAC_SUBSET_CAP, MAX_DEGREE, POLY_SEARCH_BUDGET
@@ -145,86 +146,60 @@ def _randrange_block(rng: random.Random, n: int, count: int) -> bytes:
     return out[:count]
 
 
-def _dm_table(R: FiniteRing, pairs: int, seed: int, max_degree: int) -> _DMTable:
-    """Draw the pairs as the per-pair loop does (w's coefficients, then z's) and key each.
-
-    c(f) is the first ideal in size order that holds f's coefficients (0 lies in every
-    ideal, so the zero polynomial gets (0)): the coefficients folded together from (0)
-    through the lattice's join table.  A ring of at most 16 elements and 16 ideals keys
-    every pair at once, one coefficient column at a time; any other ring, pair by pair.
-    """
-    count, width = max(pairs, 0), max(max_degree + 1, 0)
-    draws = _randrange_block(random.Random(seed), R.size, 2 * width * count)
-    w = [draws[p * 2 * width : p * 2 * width + width] for p in range(count)]
-    z = [draws[p * 2 * width + width : (p + 1) * 2 * width] for p in range(count)]
-    if R.size <= 16 and len(lattice(R).ideals) <= 16:
-        keys = _dm_keys_by_columns(R, draws, width, count)
-    else:
-        keys = _dm_keys_by_pairs(R, w, z)
-    return _DMTable(w, z, keys)
-
-
-def _dm_keys_by_pairs(R: FiniteRing, w, z) -> list:
-    """The key of each pair (w, z): wz by the schoolbook product, each content by folding."""
-    join, add, mul = lattice(R).join_table, R.add, R.mul
-
-    def content(coeffs):
-        c = 0
-        for a in coeffs:
-            c = join[c][a]
-        return c
-
-    keys = []
-    for wp, zp in zip(w, z):
-        wz = [0] * max(len(wp) + len(zp) - 1, 0)
-        for i, a in enumerate(wp):
-            for j, b in enumerate(zp):
-                wz[i + j] = add[wz[i + j]][mul[a][b]]
-        degree = max((i for i, a in enumerate(wp) if a), default=0)
-        keys.append((content(wp), content(zp), content(wz), degree))
-    return keys
-
-
 def _nibble_rows(rows) -> bytes:
     """The translate table of codes x * 16 + y -> rows[x][y], for at most 16 rows of at most
     16 entries, each below 256."""
     return b"".join(bytes(row).ljust(16, b"\0") for row in rows).ljust(256, b"\0")
 
 
-@cache
-def _last_nonzero(i: int) -> bytes:
-    """The translate table of codes d * 16 + v -> i if v else d."""
-    return bytes(i if v else d for d in range(16) for v in range(16))
+def _dm_table(R: FiniteRing, pairs: int, seed: int, max_degree: int) -> _DMTable:
+    """Draw the pairs as the per-pair loop does (w's coefficients, then z's) and key each.
 
-
-def _dm_keys_by_columns(R: FiniteRing, draws: bytes, width: int, count: int) -> list:
-    """The keys of every pair at once, for a ring of at most 16 elements and 16 ideals.
-
-    Column i of w holds w_i of every pair (every (2 width)-th draw), and likewise for z.
-    Every value is below 16, so the codes x * 16 + y of two columns are one big-integer
-    shift and or, and one translate applies *, + or the join table to a whole column.
+    c(f) is the first ideal in size order that holds f's coefficients (0 lies in every
+    ideal, so the zero polynomial gets (0)): the coefficients folded together from (0)
+    through the lattice's join table.  Every pair is keyed at once, one coefficient column
+    at a time: column i of w holds w_i of every pair (every (2 width)-th draw), and likewise
+    for z, and one step applies a table of rows (*, +, the join table or a degree table) to
+    two columns.  On a ring of at most 16 elements and 16 ideals every value is below 16,
+    so the codes x * 16 + y of two columns are one big-integer shift and or, and the step
+    is one translate.  On any other ring the step is a gather into a tuple of ints, as a
+    ring of at most 256 elements can have more than 256 ideals.
     """
-    mul, add, joined = (_nibble_rows(t) for t in (R.mul, R.add, lattice(R).join_table))
+    count, width = max(pairs, 0), max(max_degree + 1, 0)
+    draws = _randrange_block(random.Random(seed), R.size, 2 * width * count)
+    w = [draws[p * 2 * width : p * 2 * width + width] for p in range(count)]
+    z = [draws[p * 2 * width + width : (p + 1) * 2 * width] for p in range(count)]
+    L = lattice(R)
+    # deg w floored at 0 is the last i with w_i != 0: column i sends d to i if w_i else d
+    last = (tuple(bytes(i if v else d for v in range(R.size)) for d in range(width)) for i in range(width))
+    tables = (R.mul, R.add, L.join_table, *last)
+    if R.size <= 16 and len(L.ideals) <= 16:
+        tables = tuple(map(_nibble_rows, tables))
 
-    def apply(table, xs, ys):
-        return ((int.from_bytes(xs, "big") << 4 | int.from_bytes(ys, "big")).to_bytes(count, "big")).translate(table)
+        def apply(table, xs, ys):
+            return ((int.from_bytes(xs, "big") << 4 | int.from_bytes(ys, "big")).to_bytes(count, "big")).translate(table)
 
-    w = [draws[i :: 2 * width] for i in range(width)]
-    z = [draws[width + j :: 2 * width] for j in range(width)]
+    else:
+        def apply(rows, xs, ys):
+            return tuple(map(getitem, map(rows.__getitem__, xs), ys))
+
+    mul, add, join, *last = tables
+    wcols = [draws[i :: 2 * width] for i in range(width)]
+    zcols = [draws[width + j :: 2 * width] for j in range(width)]
     wz = [bytes(count)] * max(2 * width - 1, 0)
     for i in range(width):
         for j in range(width):
-            wz[i + j] = apply(add, wz[i + j], apply(mul, w[i], z[j]))
+            wz[i + j] = apply(add, wz[i + j], apply(mul, wcols[i], zcols[j]))
     contents = []
-    for coeffs in (w, z, wz):
+    for cols in (wcols, zcols, wz):
         c = bytes(count)
-        for column in coeffs:
-            c = apply(joined, c, column)
+        for column in cols:
+            c = apply(join, c, column)
         contents.append(c)
-    degree = bytes(count)  # of w, floored at 0: the last i with w_i != 0
+    degree = bytes(count)
     for i in range(1, width):
-        degree = apply(_last_nonzero(i), degree, w[i])
-    return list(zip(*contents, degree))
+        degree = apply(last[i], degree, wcols[i])
+    return _DMTable(w, z, list(zip(*contents, degree)))
 
 
 def _group_keys(keys):

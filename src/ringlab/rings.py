@@ -21,7 +21,7 @@ from dataclasses import dataclass
 from itertools import repeat
 from operator import ne
 
-from .config import size_limit
+from .config import SIZE_LIMIT
 from .errors import (
     ConstructionBug,
     InvalidConstruction,
@@ -236,8 +236,8 @@ def idempotent_power(R: FiniteRing, t: int):
 
 def check_size(n: int) -> None:
     """Raise SizeLimitError for n elements over the cap; constructors call it before building any table."""
-    if n > size_limit():
-        raise SizeLimitError(f"{n} elements exceeds the cap {size_limit()}")
+    if n > SIZE_LIMIT:
+        raise SizeLimitError(f"{n} elements exceeds the cap {SIZE_LIMIT}")
 
 
 def make_zn(n: int) -> FiniteRing:

@@ -43,7 +43,7 @@ from ringlab.classify import (
     NOT_REDUCED,
     Verdict,
 )
-from ringlab.config import DM_MAX_DEGREE, MAX_DEGREE, size_limit
+from ringlab.config import DM_MAX_DEGREE, MAX_DEGREE, SIZE_LIMIT
 from ringlab.corpus import FINITE, default_corpus
 from ringlab.errors import DegreeLimitError, SizeLimitError, TypeMismatch
 from ringlab.extensions import AmalgOverZ, AmalgZReport, FiniteModule, TrivExtRing
@@ -871,7 +871,7 @@ def localize_oracle(R: FiniteRing, S: MulClosedSet):
     """
     if S.ring is not R:
         raise TypeMismatch("m.c.s. belongs to a different ring")
-    if R.size * len(S.members) > size_limit() ** 2:
+    if R.size * len(S.members) > SIZE_LIMIT**2:
         raise SizeLimitError("fraction table beyond the size cap")
     dens = sorted(S.members)
     pairs = [(a, s) for a in R.elements() for s in dens]

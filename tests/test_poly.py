@@ -642,10 +642,12 @@ def test_dm_sweep_matches_per_pair_loop(expr):
 
 
 @pytest.mark.parametrize("seed", DM_SEEDS)
-def test_dm_sweep_matches_per_pair_loop_on_64_ideals(seed):
-    """A base whose join table is 64 ideals wide, at degree 4."""
-    R = parse_ring(" x ".join(["Z2"] * 6))
-    assert len(lattice(R).ideals) == 64
+@pytest.mark.parametrize("expr, ideals", [(" x ".join(["Z2"] * 6), 64), ("triv(Z2, free(5))", 375)])
+def test_dm_sweep_matches_per_pair_loop_on_64_ideals(expr, ideals, seed):
+    """Bases whose join tables are 64 and 375 ideals wide, at degree 4: past 256 ideals a
+    content index no longer fits in a byte."""
+    R = parse_ring(expr)
+    assert len(lattice(R).ideals) == ideals
     got = _dm_outcome(dedekind_mertens_sweep, R, 7, seed, 4)
     assert got == _dm_outcome(ref_dedekind_mertens_sweep, R, 7, seed, 4) == (7, None)
 
@@ -692,9 +694,15 @@ def test_dm_sweep_refuses_the_same_pair_past_the_degree_cap(monkeypatch, expr):
 
 
 # triv(Z4, free(1)) is Z4[e]/(e^2), which is not Gaussian: at degree 1 some drawn
-# pairs have c(wz) strictly inside c(w)c(z).  Every corpus base is a product of
-# chain rings, where the two are always equal.
-@pytest.mark.parametrize("expr, max_degree", [(e, DM_MAX_DEGREE) for e in CORPUS_BASES] + [("triv(Z4, free(1))", 1)])
+# pairs have c(wz) strictly inside c(w)c(z).  On every other base here no drawn pair
+# has.  The bases of at most 16 elements and 16 ideals are keyed by translates, the
+# rest by gathers: triv(Z2, free(3)) has 16 elements and 17 ideals, Z2^5 32 elements.
+DM_KEY_BASES = CORPUS_BASES + ["Z2 x Z2 x Z2 x Z2", "Z16", "Z4 x Z4", "triv(Z2, free(3))", "Z2 x Z2 x Z2 x Z2 x Z2"]
+
+
+@pytest.mark.parametrize(
+    "expr, max_degree", [(e, d) for e in DM_KEY_BASES for d in (0, 1, DM_MAX_DEGREE)] + [("triv(Z4, free(1))", 1)]
+)
 def test_dm_table_keys_match_per_pair_contents(expr, max_degree):
     R = parse_ring(expr)
     t = _dm_table(R, DM_PAIRS, DM_SEED, max_degree)
@@ -710,22 +718,11 @@ def test_dm_table_keys_match_per_pair_contents(expr, max_degree):
         assert ideals[cwz].mask == content_ideal(poly_mul(w, z)).mask
         assert m == max(w.degree, 0)
         gaps += ideal_product(ideals[cw], ideals[cz]).mask != ideals[cwz].mask
-    assert (gaps > 0) == (expr not in CORPUS_BASES)
-
-
-@pytest.mark.parametrize("expr", CORPUS_BASES + ["Z2 x Z2 x Z2 x Z2", "Z16", "Z4 x Z4"])
-def test_dm_column_keys_match_the_pair_by_pair_keys(expr):
-    """Every ring of at most 16 elements and 16 ideals is keyed a column at a time; each
-    pair gets the key the pair-by-pair path gives it."""
-    R = parse_ring(expr)
-    assert R.size <= 16 and len(lattice(R).ideals) <= 16
-    for max_degree in (0, 1, DM_MAX_DEGREE):
-        t = _dm_table(R, DM_PAIRS, DM_SEED, max_degree)
-        assert t.keys == poly._dm_keys_by_pairs(R, t.w, t.z)
+    assert (gaps > 0) == (expr == "triv(Z4, free(1))")
 
 
 @pytest.mark.parametrize("expr", ["Z2 x Z2 x Z2 x Z2", "Z12"])
-def test_dm_packed_keys_group_the_pairs_as_unique_rows_does(expr):
+def test_dm_key_groups_match_unique_rows(expr):
     """The sweep groups its pairs by key: the distinct keys, their order and each pair's
     group are those of np.unique(axis=0), on a base of 16 ideals at degree 4 and on a
     corpus base, and on every key of a small grid, which holds keys the drawn ones do not:

@@ -510,19 +510,6 @@ def test_exit_code_contract():
     assert exit_code_for(clean + [{"outcome": "VIOLATION", "expected": True}]) == 0
 
 
-def test_size_limit_env_override(monkeypatch):
-    from ringlab import config
-
-    monkeypatch.setenv(config.SIZE_LIMIT_ENV, "64")
-    assert config.size_limit() == 64
-    monkeypatch.setenv(config.SIZE_LIMIT_ENV, str(config.SIZE_LIMIT_CEILING))
-    assert config.size_limit() == config.SIZE_LIMIT_CEILING
-    monkeypatch.setenv(config.SIZE_LIMIT_ENV, "256")
-    assert config.size_limit() == 256
-    monkeypatch.delenv(config.SIZE_LIMIT_ENV)
-    assert config.size_limit() == config.DEFAULT_SIZE_LIMIT
-
-
 @pytest.mark.skipif(not os.path.isdir("/proc/self/task"), reason="threads are counted in /proc/self/task")
 @pytest.mark.parametrize("preset", [None, "4"])
 def test_import_starts_no_blas_worker_thread(preset):
@@ -555,18 +542,6 @@ def test_import_and_verify_load_no_numpy():
     out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True).stdout
     count, loaded = out.split()
     assert int(count) > 0 and loaded == "False"
-
-
-@pytest.mark.parametrize("raw", ["junk", "", "2.5", "0", "-3", "257", "4097", "32768", "1000000"])
-def test_size_limit_rejects_bad_values(monkeypatch, raw):
-    from ringlab import config
-    from ringlab.rings import make_zn
-
-    monkeypatch.setenv(config.SIZE_LIMIT_ENV, raw)
-    with pytest.raises(ConfigError, match=config.SIZE_LIMIT_ENV):
-        config.size_limit()
-    with pytest.raises(ConfigError, match=config.SIZE_LIMIT_ENV):
-        make_zn(2)  # every construction reads the cap, so a bad value fails loudly
 
 
 def test_hunt_drop_reduced_terminates(mini):

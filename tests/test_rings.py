@@ -101,10 +101,15 @@ def test_product_size_limit():
         make_product(make_zn(17), make_zn(17))
 
 
-def test_zn_size_limit_before_tables():
-    """Z99999's tables would need tens of GiB, so the cap must be checked first."""
-    with pytest.raises(SizeLimitError, match="99999 elements exceeds the cap"):
-        parse_ring("Z99999")
+@pytest.mark.parametrize("expr, refusal", [("Z99999", "99999"), ("Z257", "257"), ("Z256", None)])
+def test_zn_size_limit_before_tables(expr, refusal):
+    """Z99999's tables would need tens of GiB, so the cap must be checked first; Z256 is at
+    the cap and builds."""
+    if refusal is None:
+        assert parse_ring(expr).size == 256
+    else:
+        with pytest.raises(SizeLimitError, match=f"^{refusal} elements exceeds the cap 256$"):
+            parse_ring(expr)
 
 
 def test_element_partition_z12():
