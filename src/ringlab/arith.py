@@ -269,7 +269,7 @@ def _in_factor_ideal(d, c) -> bool:
 
 def size_window(values: int) -> None:
     """Refuse a window whose coordinates take more than ORACLE_AXIS_CAP values; every
-    window is sized here before any of its arrays is built."""
+    window is sized here before any of its value lists is built."""
     if values > ORACLE_AXIS_CAP:
         raise SizeLimitError(f"an oracle window coordinate of {values} values exceeds the cap {ORACLE_AXIS_CAP}")
 

@@ -225,8 +225,10 @@ class IdealLattice:
         Every ideal is a sum of principal ideals; a principal ideal that is the
         sum of those strictly inside it adds nothing, so the closure of (0) under
         joins with the join-irreducible principal ideals is every ideal.  base +
-        Ra is the union of the cosets of base that meet Ra: the elements whose
-        least coset member is that of some member of Ra.
+        Ra is the union of the cosets of Ra that meet base: the elements whose
+        least coset member is that of some member of base.  So each irreducible
+        Ra has one table of least coset members, read for every base; an Ra
+        inside base adds nothing, and a base inside Ra gives Ra.
         """
         R = self.ring
         irreducible = []  # by induction on size, the kept ones inside p span all those inside p
@@ -234,28 +236,27 @@ class IdealLattice:
             below = reduce(self.sum, (q for q in irreducible if not q & ~p), 1)
             if below != p:
                 irreducible.append(p)
-        if not irreducible:  # the zero ring: (0) is its only ideal
-            return (self.intern(1),)
-        irreducible = [bytes(bits(p)) for p in irreducible]
+        tables = [(p, least, pad(least)) for p, least in zip(irreducible, map(self.least_in_coset, irreducible))]
         seen, frontier = {1}, [1]
         while frontier:
-            least = self.least_in_coset(frontier.pop())
-            through = pad(least)
-            for p in irreducible:
-                grown = pack(least.translate(flags(p.translate(through))))
+            base = frontier.pop()
+            members = bytes(bits(base))
+            for p, least, through in tables:
+                if not p & ~base:  # p inside base adds nothing
+                    continue
+                # base inside p gives p; else base + p is the cosets of p that meet base
+                grown = p if not base & ~p else pack(least.translate(flags(members.translate(through))))
                 if grown not in seen:
                     seen.add(grown)
                     frontier.append(grown)
         return tuple(self.intern(m) for m in sorted(seen, key=lambda m: member_order(m, R.size)))
 
     def least_in_coset(self, base: int) -> bytes:
-        """Entry x is the least element of x + base, for base a subgroup of (R, +).  The least
-        element of no coset found so far is the least of its own.  Past (0), where each
-        element is its own coset, a coset's least element is below 255, the mark of an
-        element not yet reached."""
+        """Entry x is the least element of x + base, for base a nonzero subgroup of (R, +).
+        The least element of no coset found so far is the least of its own.  Each coset
+        has two or more elements, so its least is below 255, the mark of an element not
+        yet reached."""
         n = self.ring.size
-        if base == 1:
-            return ELEMENTS[:n]
         members, least, x = bytes(bits(base)), bytearray(b"\xff" * n), 0
         while x >= 0:
             for y in members.translate(self.add_tables[x]):

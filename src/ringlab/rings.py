@@ -260,10 +260,15 @@ def operand(R: FiniteRing) -> str:
 def pair_table(t1, t2) -> tuple:
     """The table of pairs from one table per coordinate: entry ((i, j), (k, l)) is
     t1[i][k] * len(t2) + t2[j][l], each pair coded i * len(t2) + j, every code below 256.
-    Row (i, j) joins, for each k, row j of t2 shifted by t1[i][k] * len(t2)."""
-    n2, wide = len(t2), ELEMENTS * 2
-    shifted = [[row.translate(wide[c * n2 : c * n2 + 256]) for c in range(len(t1))] for row in t2]
-    return tuple(b"".join(map(blocks.__getitem__, r1)) for r1 in t1 for blocks in shifted)
+    Row (i, j) is one sum of big integers, a byte per entry: row i of t1 gathered at the
+    first coordinates and scaled by len(t2), plus row j of t2 gathered at the second.
+    No byte of the sum reaches 256, so none carries into the next."""
+    n2, n = len(t2), len(t1) * len(t2)
+    firsts, seconds = b"".join(bytes((i,)) * n2 for i in range(len(t1))), ELEMENTS[:n2] * len(t1)
+    scale = pad(bytes(range(0, n, n2)))  # v -> v * len(t2)
+    highs = [int.from_bytes(firsts.translate(pad(row.translate(scale))), "big") for row in t1]
+    lows = [int.from_bytes(seconds.translate(pad(row)), "big") for row in t2]
+    return tuple((high + low).to_bytes(n, "big") for high in highs for low in lows)
 
 
 def make_product(R1: FiniteRing, R2: FiniteRing) -> FiniteRing:

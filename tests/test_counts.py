@@ -47,6 +47,7 @@ for cls, attr, name in (
     (ideals.IdealLattice, "colon", "lattice_colon"),
     (ideals.IdealLattice, "product", "lattice_product"),
     (ideals.IdealLattice, "generate", "lattice_generate"),
+    (ideals.IdealLattice, "least_in_coset", "coset_tables"),
     (registry.FiniteContext, "s_r", "context_s_r"),
 ):
     setattr(cls, attr, counted(name, getattr(cls, attr)))
@@ -84,6 +85,7 @@ print(json.dumps(counts, sort_keys=True))
 # The default corpus, verified serially in a fresh interpreter.
 COUNTS = {
     "context_s_r": 24848,
+    "coset_tables": 383,
     "dm_identity_calls": 46,
     "dm_lattice_product": 8,
     "ideals_interned": 893,

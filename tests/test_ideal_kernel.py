@@ -259,7 +259,7 @@ LATTICE_RINGS = (
     + ["Z4 x Z4 x Z2", "Z2 x Z2 x Z8", "Z3 x Z9"]
     + CAP_EXPRS
     + ["amalg(Z4, Z4, id, (2))", "amalg(Z2 x Z2, Z2 x Z2, id, ((1,0)))", "triv(Z2, free(3))", "Z16/(8)",
-       "loc(Z12, S<3>)"]
+       "loc(Z12, S<3>)", "triv(Z2, free(5))", "Z128 x Z2"]
 )
 
 

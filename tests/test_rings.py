@@ -14,6 +14,7 @@ from ringlab.errors import (
     SizeLimitError,
     TypeMismatch,
 )
+from ringlab.extensions import make_module_free, make_trivial_extension
 from ringlab.ideals import ideal_generate
 from ringlab.rings import (
     FiniteRing,
@@ -27,6 +28,7 @@ from ringlab.rings import (
     make_product,
     make_quotient,
     make_zn,
+    pair_table,
 )
 
 from oracles import as_int16, element_partition, find_isomorphism, fingerprint
@@ -94,6 +96,28 @@ def test_product_unit_count():
     R = make_product(make_zn(5), make_zn(4))
     assert R.size == 20
     assert len(R.units) == 4 * 2
+
+
+def assert_pair_table(table, t1, t2):
+    """Entry (i * n2 + j, k * n2 + l) is t1[i][k] * n2 + t2[j][l], read entry by entry."""
+    n1, n2 = len(t1), len(t2)
+    assert len(table) == n1 * n2 and all(len(row) == n1 * n2 for row in table)
+    for i, j, k, l in itertools.product(range(n1), range(n2), range(n1), range(n2)):
+        assert table[i * n2 + j][k * n2 + l] == t1[i][k] * n2 + t2[j][l], (i, j, k, l)
+
+
+@pytest.mark.parametrize("n1, n2", [(1, 5), (5, 1), (2, 128), (128, 2), (16, 16), (15, 17)])
+def test_pair_table_matches_its_definition(n1, n2):
+    R1, R2 = make_zn(n1), make_zn(n2)
+    for t1, t2 in ((R1.add, R2.add), (R1.mul, R2.mul)):
+        assert_pair_table(pair_table(t1, t2), t1, t2)
+
+
+def test_pair_table_builds_free_modules_and_trivial_extensions():
+    z4, z3 = make_zn(4), make_zn(3)
+    assert_pair_table(make_module_free(z4, 2).add, z4.add, z4.add)
+    M = make_module_free(z3, 1)
+    assert_pair_table(make_trivial_extension(z3, M).ring.add, z3.add, M.add)
 
 
 def test_product_size_limit():
