@@ -4,10 +4,12 @@ Regularity in the full polynomial ring is decided exactly through constant
 annihilators (a polynomial is a zero divisor iff a nonzero ring element
 kills every coefficient), content ideals support the classical
 content-product identity (Dedekind-Mertens), whose seeded sweep keys every
-pair by its content triple and decides the identity once per distinct key, and the S-r story over the polynomial ring is decided
-either through the base-ring gates (finite annihilator condition /
-annihilator-of-zero-divisor-ideals) or in closed form.  Every bounded
-computation is sized before it starts and refused past its limit.
+pair by columns (c(w), c(z), c(wz), deg w) and decides the identity once per
+distinct key, reading a failing pair back from the draws only when a key fails,
+and the S-r story over the polynomial ring is decided either through the
+base-ring gates (finite annihilator condition / annihilator-of-zero-divisor
+ideals) or in closed form.  Every bounded computation is sized before it
+starts and refused past its limit.
 
 Polynomial ideal membership is restricted to two decidable shapes: content
 ideals (all coefficients in A) and evaluation kernels (f(a) in B).
@@ -16,9 +18,8 @@ ideals (all coefficients in A) and evaluation kernels (f(a) in B).
 from __future__ import annotations
 
 import random
-from collections import namedtuple
 from dataclasses import dataclass
-from functools import cache
+from functools import cache, partial, reduce
 from itertools import compress, product as iproduct
 from operator import getitem
 
@@ -105,11 +106,6 @@ def _dm_identity(cw: Ideal, cz: Ideal, cwz: Ideal, m: int, product=ideal_product
     return product(product(zm, cz), cw).mask == product(zm, cwz).mask
 
 
-# The sweep's table, one row per drawn pair: the coefficients of w and z as bytes, and the
-# key (c(w), c(z), c(wz) as indices into lattice(R).ideals, then deg w floored at 0).
-_DMTable = namedtuple("_DMTable", "w z keys")
-
-
 @cache
 def _top_bits(n: int) -> tuple:
     """The translate table and the delete set that turn the top byte of a 32-bit word into
@@ -152,8 +148,11 @@ def _nibble_rows(rows) -> bytes:
     return b"".join(bytes(row).ljust(16, b"\0") for row in rows).ljust(256, b"\0")
 
 
-def _dm_table(R: FiniteRing, pairs: int, seed: int, max_degree: int) -> _DMTable:
-    """Draw the pairs as the per-pair loop does (w's coefficients, then z's) and key each.
+def _dm_table(R: FiniteRing, pairs: int, seed: int, max_degree: int):
+    """The draws, as the per-pair loop makes them (w's coefficients, then z's), and the four
+    key columns: c(w), c(z), c(wz) as indices into lattice(R).ideals, and deg w floored at 0.
+    Pair p's w and z are the 2 width draws from p * 2 width on, and its key is entry p of
+    each column.
 
     c(f) is the first ideal in size order that holds f's coefficients (0 lies in every
     ideal, so the zero polynomial gets (0)): the coefficients folded together from (0)
@@ -161,53 +160,43 @@ def _dm_table(R: FiniteRing, pairs: int, seed: int, max_degree: int) -> _DMTable
     at a time: column i of w holds w_i of every pair (every (2 width)-th draw), and likewise
     for z, and one step applies a table of rows (*, +, the join table or a degree table) to
     two columns.  On a ring of at most 16 elements and 16 ideals every value is below 16,
-    so the codes x * 16 + y of two columns are one big-integer shift and or, and the step
-    is one translate.  On any other ring the step is a gather into a tuple of ints, as a
-    ring of at most 256 elements can have more than 256 ideals.
+    so a column is lifted once to a big int, a byte per pair, the codes x * 16 + y of two
+    columns are one shift and or, and the step is one translate.  On any other ring the
+    step is a gather into a tuple of ints, as a ring of at most 256 elements can have more
+    than 256 ideals.
     """
     count, width = max(pairs, 0), max(max_degree + 1, 0)
     draws = _randrange_block(random.Random(seed), R.size, 2 * width * count)
-    w = [draws[p * 2 * width : p * 2 * width + width] for p in range(count)]
-    z = [draws[p * 2 * width + width : (p + 1) * 2 * width] for p in range(count)]
     L = lattice(R)
     # deg w floored at 0 is the last i with w_i != 0: column i sends d to i if w_i else d
     last = (tuple(bytes(i if v else d for v in range(R.size)) for d in range(width)) for i in range(width))
     tables = (R.mul, R.add, L.join_table, *last)
     if R.size <= 16 and len(L.ideals) <= 16:
         tables = tuple(map(_nibble_rows, tables))
+        lift, lower = partial(int.from_bytes, byteorder="big"), partial(int.to_bytes, length=count, byteorder="big")
 
-        def apply(table, xs, ys):
-            return ((int.from_bytes(xs, "big") << 4 | int.from_bytes(ys, "big")).to_bytes(count, "big")).translate(table)
+        def apply(table, x, y):
+            return lift(lower(x << 4 | y).translate(table))
 
     else:
+        lift = lower = tuple
+
         def apply(rows, xs, ys):
             return tuple(map(getitem, map(rows.__getitem__, xs), ys))
 
     mul, add, join, *last = tables
-    wcols = [draws[i :: 2 * width] for i in range(width)]
-    zcols = [draws[width + j :: 2 * width] for j in range(width)]
-    wz = [bytes(count)] * max(2 * width - 1, 0)
-    for i in range(width):
-        for j in range(width):
-            wz[i + j] = apply(add, wz[i + j], apply(mul, wcols[i], zcols[j]))
-    contents = []
-    for cols in (wcols, zcols, wz):
-        c = bytes(count)
-        for column in cols:
-            c = apply(join, c, column)
-        contents.append(c)
-    degree = bytes(count)
+    wcols = [lift(draws[i :: 2 * width]) for i in range(width)]
+    zcols = [lift(draws[width + j :: 2 * width]) for j in range(width)]
+    wz = {}  # the first product of a coefficient is stored as it is
+    for i, j in iproduct(range(width), repeat=2):
+        xy = apply(mul, wcols[i], zcols[j])
+        wz[i + j] = apply(add, wz[i + j], xy) if i + j in wz else xy
+    zero = lift(bytes(count))
+    contents = (reduce(partial(apply, join), cols, zero) for cols in (wcols, zcols, wz.values()))
+    degree = zero
     for i in range(1, width):
         degree = apply(last[i], degree, wcols[i])
-    return _DMTable(w, z, list(zip(*contents, degree)))
-
-
-def _group_keys(keys):
-    """The distinct keys in ascending order, and each key's position among them."""
-    keys = [tuple(k) for k in keys]
-    distinct = sorted(set(keys))
-    at = {k: i for i, k in enumerate(distinct)}
-    return distinct, [at[k] for k in keys]
+    return draws, tuple(map(lower, (*contents, degree)))
 
 
 def dedekind_mertens_sweep(R: FiniteRing, pairs: int, seed: int, max_degree: int = DM_MAX_DEGREE):
@@ -215,16 +204,16 @@ def dedekind_mertens_sweep(R: FiniteRing, pairs: int, seed: int, max_degree: int
 
     A degree whose products could pass MAX_DEGREE is refused before any pair is
     drawn.  The identity is decided once per distinct key (c(w), c(z), c(wz),
-    deg w), each product of two proper ideals once per sweep, and the answer is the
-    first pair in draw order that fails it.
+    deg w), in ascending key order, and each product of two proper ideals once per
+    sweep.  Only when some key fails are the columns walked for the first pair in
+    draw order whose key fails, and its w and z sliced out of the draws.
     """
     if 2 * max_degree > MAX_DEGREE:
         raise DegreeLimitError(
             f"a sweep of degree {max_degree} takes products of degree up to {2 * max_degree}, past the cap {MAX_DEGREE}"
         )
-    t = _dm_table(R, pairs, seed, max_degree)
+    draws, columns = _dm_table(R, pairs, seed, max_degree)
     L = lattice(R)
-    distinct, inverse = _group_keys(t.keys)
     products = {}
 
     def product(A, B):  # the identity compares masks only, and (1)B is B
@@ -236,11 +225,14 @@ def dedekind_mertens_sweep(R: FiniteRing, pairs: int, seed: int, max_degree: int
         return products[key]
 
     ideals = L.ideals
-    holds = [_dm_identity(ideals[a], ideals[b], ideals[c], m, product) for a, b, c, m in distinct]
-    first = next((p for p, k in enumerate(inverse) if not holds[k]), None)
-    if first is None:
-        return len(t.keys), None
-    return first, (Poly.make(R, t.w[first]), Poly.make(R, t.z[first]))
+    keys = sorted(set(zip(*columns)))
+    holds = {(a, b, c, m): _dm_identity(ideals[a], ideals[b], ideals[c], m, product) for a, b, c, m in keys}
+    if all(holds.values()):
+        return max(pairs, 0), None
+    first = next(p for p, key in enumerate(zip(*columns)) if not holds[key])
+    width = max(max_degree + 1, 0)
+    at = first * 2 * width
+    return first, (Poly.make(R, draws[at : at + width]), Poly.make(R, draws[at + width : at + 2 * width]))
 
 
 # -- polynomial ideal specifications -----------------------------------------------------

@@ -37,7 +37,6 @@ from ringlab.poly import (
     Poly,
     PolyIdealSpec,
     _dm_table,
-    _group_keys,
     _randrange_block,
     _poly_tuples,
     bounded_S_r_search,
@@ -652,6 +651,16 @@ def test_dm_sweep_matches_per_pair_loop_on_64_ideals(expr, ideals, seed):
     assert got == _dm_outcome(ref_dedekind_mertens_sweep, R, 7, seed, 4) == (7, None)
 
 
+@pytest.mark.parametrize("seed", DM_SEEDS)
+@pytest.mark.parametrize("expr", ["Z2 x Z2 x Z2 x Z2 x Z2", "triv(Z4, free(1))"])
+def test_dm_sweep_matches_per_pair_loop_off_the_corpus_at_full_size(expr, seed):
+    """1,000 pairs at degree 4 on a base keyed by gathers (32 elements and 32 ideals) and on
+    a base that is not Gaussian; the loop takes about 0.1 s per sweep on each."""
+    R = parse_ring(expr)
+    got = _dm_outcome(dedekind_mertens_sweep, R, DM_PAIRS, seed, 4)
+    assert got == _dm_outcome(ref_dedekind_mertens_sweep, R, DM_PAIRS, seed, 4) == (DM_PAIRS, None)
+
+
 @pytest.mark.parametrize("expr", DM_RINGS + ["triv(Z4, free(1))"])
 def test_join_table_entries_are_ideal_sums(expr):
     R = parse_ring(expr)
@@ -704,12 +713,15 @@ DM_KEY_BASES = CORPUS_BASES + ["Z2 x Z2 x Z2 x Z2", "Z16", "Z4 x Z4", "triv(Z2, 
     "expr, max_degree", [(e, d) for e in DM_KEY_BASES for d in (0, 1, DM_MAX_DEGREE)] + [("triv(Z4, free(1))", 1)]
 )
 def test_dm_table_keys_match_per_pair_contents(expr, max_degree):
+    """Pair p's w and z are read from the draws, and its key is entry p of the four columns."""
     R = parse_ring(expr)
-    t = _dm_table(R, DM_PAIRS, DM_SEED, max_degree)
+    draws, columns = _dm_table(R, DM_PAIRS, DM_SEED, max_degree)
     ideals = lattice(R).ideals
     rng = random.Random(DM_SEED)
     gaps = 0
-    for wc, zc, (cw, cz, cwz, m) in zip(as_int16(t.w).tolist(), as_int16(t.z).tolist(), as_int16(t.keys).tolist()):
+    pairs = as_int16(draws).reshape(DM_PAIRS, 2, max_degree + 1).tolist()
+    assert len(columns) == 4
+    for (wc, zc), (cw, cz, cwz, m) in zip(pairs, as_int16(columns).T.tolist(), strict=True):
         assert wc == [rng.randrange(R.size) for _ in range(max_degree + 1)]
         assert zc == [rng.randrange(R.size) for _ in range(max_degree + 1)]
         w, z = Poly.make(R, wc), Poly.make(R, zc)
@@ -721,19 +733,23 @@ def test_dm_table_keys_match_per_pair_contents(expr, max_degree):
     assert (gaps > 0) == (expr == "triv(Z4, free(1))")
 
 
-@pytest.mark.parametrize("expr", ["Z2 x Z2 x Z2 x Z2", "Z12"])
-def test_dm_key_groups_match_unique_rows(expr):
-    """The sweep groups its pairs by key: the distinct keys, their order and each pair's
-    group are those of np.unique(axis=0), on a base of 16 ideals at degree 4 and on a
-    corpus base, and on every key of a small grid, which holds keys the drawn ones do not:
-    on both bases no column after the first reaches 0 in them."""
+@pytest.mark.parametrize("expr", ["Z2 x Z2 x Z2 x Z2", "Z12", "Z2 x Z2 x Z2 x Z2 x Z2", "triv(Z4, free(1))"])
+def test_dm_sweep_decides_the_unique_key_rows_in_order(monkeypatch, expr):
+    """The sweep decides the identity once per distinct key, in ascending order: its keys are
+    the rows of np.unique(keys, axis=0), on a base of 16 ideals, a corpus base, a base keyed
+    by gathers and a base that is not Gaussian, at degree 4."""
     R = parse_ring(expr)
-    assert len(lattice(R).ideals) == (16 if expr.startswith("Z2") else 6)
-    grid = np.indices((3, 2, 3, 5)).reshape(4, -1).T
-    for keys in (_dm_table(R, DM_PAIRS, DM_SEED, 4).keys, grid, grid[::-1]):
-        distinct, inverse = _group_keys(keys)
-        want_distinct, want_inverse = np.unique(keys, axis=0, return_inverse=True)
-        assert np.array_equal(distinct, want_distinct) and np.array_equal(inverse, want_inverse.reshape(-1))
+    index = {A.mask: i for i, A in enumerate(lattice(R).ideals)}
+    real, decided = poly._dm_identity, []
+
+    def identity(cw, cz, cwz, m, product):
+        decided.append([index[cw.mask], index[cz.mask], index[cwz.mask], m])
+        return real(cw, cz, cwz, m, product)
+
+    monkeypatch.setattr(poly, "_dm_identity", identity)
+    assert dedekind_mertens_sweep(R, DM_PAIRS, DM_SEED, 4) == (DM_PAIRS, None)
+    keys = as_int16(_dm_table(R, DM_PAIRS, DM_SEED, 4)[1]).T
+    assert decided == np.unique(keys, axis=0).tolist()
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 12, 16, 17, 255, 256])
@@ -745,12 +761,14 @@ def test_randrange_block_matches_the_randrange_loop(n):
 
 
 @pytest.mark.parametrize("where", ["first", "middle", "last"])
-def test_dm_sweep_reports_a_faked_failure_like_the_loop(monkeypatch, where):
+@pytest.mark.parametrize("expr", ["Z12", "Z2 x Z2 x Z2 x Z2 x Z2", "triv(Z4, free(1))"])
+def test_dm_sweep_reports_a_faked_failure_like_the_loop(monkeypatch, expr, where):
     """Fail the identity on one key, whose first pair sits first, in the middle
-    or last of the sweep: sweep, loop and DM record agree on the failing pair."""
-    R = parse_ring("Z12")
-    t = _dm_table(R, DM_PAIRS, DM_SEED, DM_MAX_DEGREE)
-    keys = [tuple(k) for k in as_int16(t.keys).tolist()]
+    or last of the sweep: sweep, loop and DM record agree on the failing pair, on a
+    corpus base, a base keyed by gathers and a base that is not Gaussian."""
+    R = parse_ring(expr)
+    draws, columns = _dm_table(R, DM_PAIRS, DM_SEED, DM_MAX_DEGREE)
+    keys = [tuple(k) for k in as_int16(columns).T.tolist()]
     late = max(keys.index(k) for k in set(keys))  # the key seen last for the first time
     at, pairs = {"first": (0, DM_PAIRS), "middle": (late, 2 * late + 1), "last": (late, late + 1)}[where]
     ideals = lattice(R).ideals
@@ -761,8 +779,9 @@ def test_dm_sweep_reports_a_faked_failure_like_the_loop(monkeypatch, where):
 
     got = _dm_outcome(dedekind_mertens_sweep, R, pairs, DM_SEED, DM_MAX_DEGREE)
     assert got == _dm_outcome(ref_dedekind_mertens_sweep, R, pairs, DM_SEED, DM_MAX_DEGREE)
-    assert got[0] == at and got[1] == (Poly.make(R, t.w[at]).text(), Poly.make(R, t.z[at]).text())
-    corpus = CorpusSpec((parse_corpus_line("polyring(Z12)"),), replace(Limits.defaults(), dm_pairs=pairs))
+    w, z = as_int16(draws).reshape(DM_PAIRS, 2, -1)[at].tolist()
+    assert got[0] == at and got[1] == (Poly.make(R, w).text(), Poly.make(R, z).text())
+    corpus = CorpusSpec((parse_corpus_line(f"polyring({expr})"),), replace(Limits.defaults(), dm_pairs=pairs))
     [record] = verify(("DM",), corpus)
     assert record["outcome"] == "VIOLATION"
     assert record["detail"] == {"checked": at, "failure": dict(zip("wz", got[1]))}
