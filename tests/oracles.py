@@ -73,7 +73,7 @@ CORPUS_RING_EXPRS = sorted({e.expr for e in default_corpus().entries if e.kind =
 
 def as_int16(rows):
     """Byte rows as an int16 array, one array row per row: a ring's or a module's tables,
-    or the rows and keys of the DM sweep.  One bytes object gives a 1-D array."""
+    or the key columns of the DM sweep.  One bytes object gives a 1-D array."""
     if isinstance(rows, bytes):
         return np.frombuffer(rows, dtype=np.uint8).astype(np.int16)
     if rows and all(type(row) is bytes for row in rows):
