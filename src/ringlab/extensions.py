@@ -21,7 +21,7 @@ from .errors import (
     NotAnIdealError,
     TypeMismatch,
 )
-from .ideals import Ideal, MulClosedSet, _elements, bits, ideal_from_members, lattice, mcs_from_members
+from .ideals import Ideal, MulClosedSet, _elements, bits, ideal_from_members, lattice, mcs_from_members, members
 from .rings import (
     ELEMENTS,
     FiniteRing,
@@ -65,7 +65,8 @@ class FiniteModule:
             raise InvalidConstruction("module addition is not an abelian group")
         if t[0] != ELEMENTS[:n] or not all(0 in row for row in t):
             raise InvalidConstruction("module addition lacks zero or inverses")
-        gens = abelian_generators(t, "module addition is not an abelian group")
+        padded = tuple(map(pad, t))
+        gens = abelian_generators(t, padded, "module addition is not an abelian group")
         act = self.action
         R = self.ring
         if len(act) != R.size or any(len(row) != n for row in act) or b"".join(act).translate(None, ELEMENTS[:n]):
@@ -75,7 +76,7 @@ class FiniteModule:
         # Each law below is checked on the generators g of (M, +) only: given
         # the laws checked before it, the m that satisfy it for all r, s are
         # closed under +, so it then holds for every m.
-        padded, pact = tuple(map(pad, t)), tuple(map(pad, act))
+        pact = tuple(map(pad, act))
         for g in gens:
             # r(m+g) = rm + rg, row r over m: row g+m read through row r, and row r read through row rg
             if any(map(ne, map(t[g].translate, pact), (row.translate(padded[row[g]]) for row in act))):
@@ -285,8 +286,8 @@ def make_amalgamation(H1: FiniteRing, H2: FiniteRing, f: RingHom, J: Ideal, hom_
     # [a][b] -> the index of (a, b) on the carrier; rows of (w, y) pairs gathered per table
     at = [pos[a * H2.size : (a + 1) * H2.size] for a in H1.elements()]
     add, mul = (
-        tuple(bytes(map(getitem, map(at.__getitem__, w.translate(pad(t1[a]))), y.translate(pad(t2[b])))) for a, b in pairs)
-        for t1, t2 in ((H1.add, H2.add), (H1.mul, H2.mul))
+        tuple(bytes(map(getitem, map(at.__getitem__, w.translate(t1[a])), y.translate(t2[b]))) for a, b in pairs)
+        for t1, t2 in ((H1.padd, H2.padd), (H1.pmul, H2.pmul))
     )
     labels = tuple(f"({H1.labels[a]},{H2.labels[b]})" for a, b in pairs)
     recipe = f"amalg({H1.recipe}, {H2.recipe}, {hom_text}, {J.label()})"
@@ -296,7 +297,7 @@ def make_amalgamation(H1: FiniteRing, H2: FiniteRing, f: RingHom, J: Ideal, hom_
 
 def _joined(f: RingHom, J: Ideal, w: int) -> bytes:
     """f(w) + j for each j in J."""
-    return bytes(bits(J.mask)).translate(pad(f.codomain.add[f.image[w]]))
+    return members(J.mask).translate(f.codomain.padd[f.image[w]])
 
 
 def _amalg_members(am: AmalgRing, X, what: str):

@@ -8,18 +8,20 @@ is an int bitmask (bit i = element i), each ideal is interned once per mask
 with its canonical generators, and sums, colons and generated ideals are memoised.
 A mask meets a table row through ``bytes.translate``: the row read through a
 mask's member table gives one b"0"/b"1" flag per entry, and a list of elements
-becomes a mask through the table ``rings.flags`` builds from it.
+becomes a mask through the table ``rings.flags`` builds from it.  A mask's binary
+digits, lowest first, select its elements from ``rings.ELEMENTS`` in C.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property, reduce
-from itertools import combinations
+from itertools import combinations, compress
 from operator import and_
 
 from .errors import ConstructionBug, InvalidConstruction, NotProperError, TypeMismatch
 from .rings import (
+    DIGITS,
     ELEMENTS,
     IS_ZERO,
     FiniteRing,
@@ -46,7 +48,7 @@ class _ElementSet:
 
     @cached_property
     def sorted_members(self) -> tuple:
-        return tuple(bits(self.mask))
+        return tuple(members(self.mask))
 
     def __contains__(self, x) -> bool:
         return int(x) >= 0 and self.mask >> int(x) & 1 == 1
@@ -79,24 +81,22 @@ class Ideal(_ElementSet):
         return f"({gens})" if self.generators else "(0)"
 
 
+def members(mask: int) -> bytes:
+    """The elements of a mask, ascending, as bytes: its digits, lowest first, as 0/1 selectors."""
+    return bytes(compress(ELEMENTS, f"{mask:b}"[::-1].encode().translate(DIGITS)))
+
+
 def bits(mask: int) -> list:
     """The elements of a mask, ascending."""
-    out = []
-    while mask:
-        low = mask & -mask
-        out.append(low.bit_length() - 1)
-        mask ^= low
-    return out
+    return list(members(mask))
 
 
 def transpose(masks, width: int) -> list:
     """The columns of the bit matrix whose rows are ``masks``: bit r of the j-th is bit j of masks[r]."""
     columns = [0] * width
     for r, mask in enumerate(masks):
-        while mask:
-            low = mask & -mask
-            columns[low.bit_length() - 1] |= 1 << r
-            mask ^= low
+        for j in members(mask):
+            columns[j] |= 1 << r
     return columns
 
 
@@ -136,7 +136,6 @@ class IdealLattice:
         self.regulars = mask_of(R.regulars)  # S is inside reg(R) iff not S.mask & ~regulars
         self.ann = tuple(pack(row.translate(IS_ZERO)) for row in R.mul)  # ann[a]: bit y set iff ya = 0
         self.principal = tuple(pack(flags(row)) for row in R.mul)  # principal[a]: Ra
-        self.add_tables = tuple(map(pad, R.add))  # add_tables[x] translates y to x + y
         self.localizations = {}  # absorbing idempotent e -> LocalizationResult
         self._interned, self._generated, self._sums, self._colons = {}, {}, {}, {}
         self._colon_rows = {}  # A.mask -> ((A : x) for every element x)
@@ -159,8 +158,8 @@ class IdealLattice:
         key = (xs, ys) if xs <= ys else (ys, xs)
         got = self._sums.get(key)
         if got is None:
-            ys_row = bytes(bits(key[1]))
-            got = self._sums[key] = pack(flags(b"".join(ys_row.translate(self.add_tables[x]) for x in bits(key[0]))))
+            rows = map(self.ring.padd.__getitem__, members(key[0]))
+            got = self._sums[key] = pack(flags(b"".join(map(members(key[1]).translate, rows))))
         return got
 
     def generate(self, gens: tuple) -> Ideal:
@@ -240,12 +239,12 @@ class IdealLattice:
         seen, frontier = {1}, [1]
         while frontier:
             base = frontier.pop()
-            members = bytes(bits(base))
+            inside = members(base)
             for p, least, through in tables:
                 if not p & ~base:  # p inside base adds nothing
                     continue
                 # base inside p gives p; else base + p is the cosets of p that meet base
-                grown = p if not base & ~p else pack(least.translate(flags(members.translate(through))))
+                grown = p if not base & ~p else pack(least.translate(flags(inside.translate(through))))
                 if grown not in seen:
                     seen.add(grown)
                     frontier.append(grown)
@@ -256,10 +255,10 @@ class IdealLattice:
         The least element of no coset found so far is the least of its own.  Each coset
         has two or more elements, so its least is below 255, the mark of an element not
         yet reached."""
-        n = self.ring.size
-        members, least, x = bytes(bits(base)), bytearray(b"\xff" * n), 0
+        R = self.ring
+        inside, least, x = members(base), bytearray(b"\xff" * R.size), 0
         while x >= 0:
-            for y in members.translate(self.add_tables[x]):
+            for y in inside.translate(R.padd[x]):
                 least[y] = x
             x = least.find(255, x + 1)
         return bytes(least)
@@ -411,7 +410,7 @@ def mcs_from_members(R: FiniteRing, members) -> MulClosedSet:
         raise InvalidConstruction("a multiplicatively closed set must contain 1")
     ordered = bytes(S.sorted_members)
     inside = flags(ordered)
-    if any(b"0" in ordered.translate(pad(R.mul[s])).translate(inside) for s in ordered):
+    if any(b"0" in ordered.translate(R.pmul[s]).translate(inside) for s in ordered):
         raise InvalidConstruction("set is not multiplicatively closed")
     return S
 
@@ -448,7 +447,7 @@ def localize(R: FiniteRing, S: MulClosedSet) -> LocalizationResult:
         else:
             carrier = bytes(sorted(set(R.mul[e])))  # eR, ascending
             pos = bytes.maketrans(carrier, ELEMENTS[: len(carrier)])  # a member of eR to its index there
-            tables = (tuple(carrier.translate(pad(t[x])).translate(pos) for x in carrier) for t in (R.add, R.mul))
+            tables = (tuple(carrier.translate(t[x]).translate(pos) for x in carrier) for t in (R.padd, R.pmul))
             labels = tuple(R.labels[x] for x in carrier)
             localized = FiniteRing(*tables, labels=labels, recipe=f"loc({operand(R)}, {S.label()})")
             natural = check_hom(RingHom(R, localized, tuple(R.mul[e].translate(pos))))

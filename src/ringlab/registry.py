@@ -98,7 +98,6 @@ from .rings import (
     crt_hom,
     identity_hom,
     make_product,
-    pad,
 )
 
 VERIFIED = "VERIFIED"
@@ -708,7 +707,7 @@ def run_p_minidem(ctx, dropped):
     def checks(S):
         bit, members = bit_of[S.mask], S.sorted_members
         where = {}  # se -> the positions p of the loop's (e, s) with that product
-        for p, se in enumerate(b"".join(bytes(members).translate(pad(R.mul[e])) for e in idems)):
+        for p, se in enumerate(b"".join(bytes(members).translate(R.pmul[e]) for e in idems)):
             where[se] = where.get(se, 0) | 1 << p
         rows = []  # per minimal prime P, bit p for the p-th (e, s)
         for P in mins:

@@ -4,6 +4,7 @@ Elements are the indices 0..N-1; index 0 is always the additive identity.
 Each table is a tuple of N ``bytes`` rows, so N is at most 256, and a row
 doubles as a ``bytes.translate`` table once padded to 256 bytes: composing
 two rows, or gathering a row at a list of elements, is one C-level call.
+Each ring pads its rows once, to ``padd`` and ``pmul``, for every reader.
 Every constructor proves the ring axioms before returning, so holding a
 FiniteRing object is evidence that its tables really describe a commutative
 ring with identity.  Totality, commutativity, the zero and additive inverses
@@ -11,14 +12,16 @@ are checked on all pairs.  Associativity and distributivity are checked on
 all pairs (x, y) against each g of a greedy generating set G of (R, +), of at
 most log2(N) elements: the z that satisfy such a law for all x, y form a
 set closed under + (Light's associativity test for + itself), so passing on
-G is passing on every triple.  The scan costs O(N^2 log N) time and O(N^2)
+G is passing on every triple.  For * and a generator g that is two whole-table
+reads: at i*N + j, the flat table read through row g holds (ij)g = (ji)g and
+the rows of * at the entries of row g, joined, hold j(ig), so the two agree iff
+(xy)g = x(yg) for all x, y.  The scan costs O(N^2 log N) time and O(N^2)
 memory instead of O(N^3) for both.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import repeat
 from operator import ne
 
 from .config import SIZE_LIMIT
@@ -33,6 +36,7 @@ from .errors import (
 
 ELEMENTS = bytes(range(256))  # the identity translate table; ELEMENTS[:n] lists an n-element ring
 ZEROS = b"0" * 256
+DIGITS = bytes.maketrans(b"01", b"\0\1")  # a binary digit to the byte 0 or 1
 IS_ZERO = b"1" + ZEROS[1:]  # translates a row to b"1" where its entry is 0 and b"0" elsewhere
 
 
@@ -75,7 +79,7 @@ def byte_rows(table, name: str) -> tuple:
         raise InvalidConstruction(f"{name} table is not total") from None
 
 
-def abelian_generators(add, message: str) -> tuple:
+def abelian_generators(add, padded, message: str) -> tuple:
     """Generators G of the abelian group (0..n-1, add), after proving it one.
 
     The caller has checked that ``add`` is total and commutative, that 0 is
@@ -91,7 +95,6 @@ def abelian_generators(add, message: str) -> tuple:
     + is not associative.  Once C is every element, every z passes the test.
     """
     n = len(add)
-    padded = tuple(map(pad, add))
     full, inside, gens = (1 << n) - 1, 1, []
     while inside != full:
         if len(gens) == n.bit_length() - 1:
@@ -101,15 +104,15 @@ def abelian_generators(add, message: str) -> tuple:
         # row x over y: (x+g)+y is row x+g = g+x, and x+(g+y) is row g read through row x
         if any(map(ne, map(add.__getitem__, add[g]), map(add[g].translate, padded))):
             raise InvalidConstruction(message)
-        back = add[add[g].index(0)]  # x -> x-g
-        if add[g].translate(pad(back)) != ELEMENTS[:n]:  # x -> x+g is one-to-one, undone by back
+        neg = add[g].index(0)  # row neg is x -> x-g
+        if add[g].translate(padded[neg]) != ELEMENTS[:n]:  # x -> x+g is one-to-one, undone by x -> x-g
             raise InvalidConstruction(message)
-        undo = back  # undoes x -> x + 2^k g, doubling k each round
+        undo = padded[neg]  # on 0..n-1, undoes x -> x + 2^k g, doubling k each round
         while True:
-            inside |= pack(undo.translate(member_table(inside)))  # C and C + 2^k g
-            if not pack(back.translate(member_table(inside))) & ~inside:  # closed under x -> x+g
+            inside |= pack(undo[:n].translate(member_table(inside)))  # C and C + 2^k g
+            if not pack(add[neg].translate(member_table(inside))) & ~inside:  # closed under x -> x+g
                 break
-            undo = undo.translate(pad(undo))
+            undo = undo.translate(undo)
     return tuple(gens)
 
 
@@ -120,6 +123,8 @@ class FiniteRing:
         "size",
         "add",
         "mul",
+        "padd",  # add and mul, each row padded to a translate table
+        "pmul",
         "one",
         "labels",
         "recipe",
@@ -168,18 +173,19 @@ class FiniteRing:
             raise InvalidConstruction("element 0 is not the additive identity")
         if not all(0 in row for row in add):
             raise InvalidConstruction("some element has no additive inverse")
-        self.add_gens = abelian_generators(add, "add is not associative")
-        padd, pmul = tuple(map(pad, add)), tuple(map(pad, mul))
+        self.padd, self.pmul = padd, pmul = tuple(map(pad, add)), tuple(map(pad, mul))
+        self.add_gens = abelian_generators(add, padd, "add is not associative")
         # x(y+g) == xy + xg, row x over y: row g+y read through row x, and row x read
         # through row xg.  With + associative, the z that distribute for all x, y are
         # closed under +, so the generators cover every z.
         for g in self.add_gens:
             if any(map(ne, map(add[g].translate, pmul), map(bytes.translate, mul, map(padd.__getitem__, mul[g])))):
                 raise InvalidConstruction("multiplication does not distribute over addition")
-        # (xy)g == x(yg), row x over y.  Only now that mul distributes are the z with
-        # (xy)z == x(yz) for all x, y closed under +.
+        # (xy)g == x(yg), two whole-table reads.  Only now that mul distributes are the z
+        # with (xy)z == x(yz) for all x, y closed under +.
+        flat = b"".join(mul)
         for g in self.add_gens:
-            if any(map(ne, map(bytes.translate, mul, repeat(pmul[g])), map(mul[g].translate, pmul))):
+            if flat.translate(pmul[g]) != b"".join(map(mul.__getitem__, mul[g])):
                 raise InvalidConstruction("mul is not associative")
         if ELEMENTS[:n] not in mul:
             raise InvalidConstruction("no multiplicative identity")
@@ -285,7 +291,7 @@ def _check_ideal_subset(R: FiniteRing, members) -> None:
     inside = flags(mem)
     if inside[0] != ord("1"):
         raise TypeMismatch("not an ideal: 0 missing")
-    if any(b"0" in mem.translate(pad(R.add[a])).translate(inside) for a in mem):
+    if any(b"0" in mem.translate(R.padd[a]).translate(inside) for a in mem):
         raise TypeMismatch("not an ideal: not closed under addition")
     if any(b"0" in R.mul[a].translate(inside) for a in mem):
         raise TypeMismatch("not an ideal: not closed under ring multiplication")
@@ -302,13 +308,13 @@ def make_quotient(R: FiniteRing, ideal):
         raise TypeMismatch("ideal belongs to a different ring")
     _check_ideal_subset(R, ideal.members)
     mem = bytes(ideal.sorted_members)
-    least = bytes(min(mem.translate(pad(row))) for row in R.add)  # least member of each coset a + I
+    least = bytes(map(min, map(mem.translate, R.padd)))  # least member of each coset a + I
     reps = bytes(a for a in R.elements() if least[a] == a)  # the elements least in their own coset
     coset_of = least.translate(bytes.maketrans(reps, ELEMENTS[: len(reps)]))
     to_coset = pad(coset_of)
     name = ideal.label()
     labels = tuple(f"{R.labels[r]}+{name}" for r in reps)
-    add, mul = (tuple(reps.translate(pad(t[r])).translate(to_coset) for r in reps) for t in (R.add, R.mul))
+    add, mul = (tuple(reps.translate(t[r]).translate(to_coset) for r in reps) for t in (R.padd, R.pmul))
     quotient = FiniteRing(add, mul, labels=labels, recipe=f"{operand(R)}/{name}")
     proj = check_hom(RingHom(R, quotient, tuple(coset_of)))
     if tuple(a for a in R.elements() if coset_of[a] == 0) != ideal.sorted_members:
@@ -343,10 +349,10 @@ def check_hom(h: RingHom) -> RingHom:
     if img[h.domain.one] != h.codomain.one:
         raise NotAHomomorphism("one", (h.domain.one, img[h.domain.one]))
     through = pad(img)
-    for law, t1, t2 in (("add", h.domain.add, h.codomain.add), ("mul", h.domain.mul, h.codomain.mul)):
+    for law, t1, t2 in (("add", h.domain.add, h.codomain.padd), ("mul", h.domain.mul, h.codomain.pmul)):
         first = None  # the least x failing on some generator, with the first such generator
         for g in h.domain.add_gens:
-            lhs, rhs = t1[g].translate(through), img.translate(pad(t2[img[g]]))  # over x
+            lhs, rhs = t1[g].translate(through), img.translate(t2[img[g]])  # over x
             if lhs != rhs:
                 x = next(x for x, (u, v) in enumerate(zip(lhs, rhs)) if u != v)
                 if first is None or x < first[0]:
@@ -385,6 +391,6 @@ def ann_pushforward_check(h: RingHom):
         raise NotApplicableError("annihilator transport needs an isomorphism")
     img, dom, cod = bytes(h.image), h.domain, h.codomain
     return next(
-        (w for w in dom.elements() if dom.mul[w].translate(IS_ZERO) != img.translate(pad(cod.mul[img[w]])).translate(IS_ZERO)),
+        (w for w in dom.elements() if dom.mul[w].translate(IS_ZERO) != img.translate(cod.pmul[img[w]]).translate(IS_ZERO)),
         None,
     )

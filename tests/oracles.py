@@ -1,6 +1,7 @@
 """Brute-force references and helpers that only the tests use.
 
-Each one checks the package from outside: an ideal's closure, principal
+Each one checks the package from outside: a mask's elements one set bit at
+a time, an ideal's closure, principal
 ideals, the lattice closure over every principal ideal, S-units, the
 pairwise closure of an m.c.s., the per-candidate scans of the uniform-witness
 predicates (S-r, S-prime, S-z0), the element loops of uz and S-uz, the
@@ -79,6 +80,16 @@ def as_int16(rows):
     if rows and all(type(row) is bytes for row in rows):
         return np.frombuffer(b"".join(rows), dtype=np.uint8).reshape(len(rows), -1).astype(np.int16)
     return np.array([list(row) for row in rows], dtype=np.int16).reshape(len(rows), -1)
+
+
+def ref_bits(mask: int) -> list:
+    """The elements of a mask, ascending, taking off its lowest set bit per step."""
+    out = []
+    while mask:
+        low = mask & -mask
+        out.append(low.bit_length() - 1)
+        mask ^= low
+    return out
 
 
 def _pack(rows) -> list:

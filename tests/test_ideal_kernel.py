@@ -32,11 +32,24 @@ from ringlab.ideals import (
     ideal_sum,
     lattice,
     mask_of,
+    members,
 )
 from ringlab.rings import make_product, make_quotient, make_zn
 
-from oracles import CAP_EXPRS, CORPUS_RING_EXPRS, ref_colon_mask, ref_ideal_masks, ref_principal, as_int16
+from oracles import CAP_EXPRS, CORPUS_RING_EXPRS, ref_bits, ref_colon_mask, ref_ideal_masks, ref_principal, as_int16
 from test_poly import SEARCH_RINGS
+
+def test_mask_decoders_match_the_per_bit_loop():
+    """bits and members against the loop that takes off one set bit per step: at the
+    ends of the 256-bit range, and on four seeded masks of every width from 1 to 256."""
+    rng = random.Random(51)
+    masks = [0, 1, 1 << 255, (1 << 256) - 1]
+    masks += [rng.getrandbits(width) | 1 << (width - 1) for width in range(1, 257) for _ in range(4)]
+    for mask in masks:
+        want = ref_bits(mask)
+        assert bits(mask) == want, mask
+        assert members(mask) == bytes(want), mask
+
 
 # -- frozenset reference ----------------------------------------------------------
 

@@ -18,6 +18,7 @@ from ringlab.extensions import make_module_free, make_trivial_extension
 from ringlab.ideals import ideal_generate
 from ringlab.rings import (
     FiniteRing,
+    byte_rows,
     RingHom,
     ann_pushforward_check,
     check_hom,
@@ -470,6 +471,18 @@ def test_each_axiom_failure_is_reported_by_name(message):
     with pytest.raises(InvalidConstruction, match=f"^{message}$"):
         FiniteRing(add, mul)
     assert not n3_ring_axioms(np.asarray(add), np.asarray(mul))
+
+
+def test_mul_associativity_is_checked_at_the_cap():
+    """The non-associative F2 algebra times Z32: 256 elements, commutative, distributive
+    and unital, where (aa)b = 0 but a(ab) = a fails on the generator (b, 0) and nowhere
+    in the products with 0.  The same product from Z2 x Z2 x Z2 is a ring."""
+    add, mul = nonassociative_f2_algebra()
+    z32 = make_zn(32)
+    with pytest.raises(InvalidConstruction, match="^mul is not associative$"):
+        FiniteRing(pair_table(byte_rows(add, "add"), z32.add), pair_table(byte_rows(mul, "mul"), z32.mul))
+    F = parse_ring("Z2 x Z2 x Z2")
+    assert FiniteRing(pair_table(F.add, z32.add), pair_table(F.mul, z32.mul)).size == 256
 
 
 def test_light_test_catches_nonassociative_addition_within_the_generator_bound():
