@@ -12,11 +12,25 @@ import sys
 import time
 from collections import Counter
 
+from . import arith as ar
 from . import classify as cl
 from .config import DEFAULT_DEGREE
 from .corpus import default_corpus, load_corpus
-from .dsl import parse_element, parse_ideal, parse_mcs, parse_ring, split_top
-from .errors import ConfigError, ParseError, RinglabError
+from .dsl import (
+    ARITH,
+    arith_ring,
+    lane,
+    parse,
+    parse_arith_ideal,
+    parse_arith_mcs,
+    parse_element,
+    parse_ideal,
+    parse_mcs,
+    parse_ring,
+    show,
+    split_top,
+)
+from .errors import ConfigError, NotApplicableError, ParseError, RinglabError
 from .ideals import all_ideals, is_maximal, is_prime, localize, max_ideals, prime_violation, spec
 from .poly import (
     NO,
@@ -66,15 +80,21 @@ def _summarize(records):
 
 
 def _verdict_text(v, ring):
-    data = v.to_json(ring)
-    bits = [data["outcome"]]
-    if data["witness"] is not None:
-        bits.append(f"witness={data['witness']}")
-    if data["counterexample"] is not None:
-        bits.append(f"counterexample=({','.join(data['counterexample'])})")
-    if data["reason"]:
-        bits.append(f"reason={data['reason']}")
+    """A verdict's outcome, then its witness, counterexample and reason where it has them;
+    elements by label, or by coordinates on a ring with a Z factor."""
+    lab = _coords if isinstance(ring, ar.ArithRing) else ring.labels.__getitem__
+    bits = [v.outcome]
+    if v.witness is not None:
+        bits.append(f"witness={lab(v.witness)}")
+    if v.counterexample is not None:
+        bits.append(f"counterexample=({','.join(map(lab, v.counterexample))})")
+    if v.reason:
+        bits.append(f"reason={v.reason}")
     return "  ".join(bits)
+
+
+def _coords(w):
+    return "(" + ",".join(map(str, w)) + ")"
 
 
 def _members(X):
@@ -83,7 +103,10 @@ def _members(X):
 
 
 def cmd_classify(args):
-    ring = parse_ring(args.ring)
+    tree = parse(args.ring)
+    if lane(tree) == ARITH:
+        return _classify_arith(arith_ring(tree), args)
+    ring = parse_ring(tree)
     rows = []
     rows.append(("ring", ring.recipe))
     rows.append(("size", str(ring.size)))
@@ -112,6 +135,27 @@ def cmd_classify(args):
         rows.append(("f.a.c.", _verdict_text(cl.has_fac(ring), ring)))
         if S is not None:
             rows.append(("S-uz-ring", _verdict_text(cl.is_S_uz_ring(ring, S), ring)))
+    return _print_rows(rows)
+
+
+def _classify_arith(ring, args):
+    """The arithmetic lane's closed forms for a ring with a Z factor: r, prime and S-r."""
+    if args.all_predicates:
+        raise NotApplicableError(f"--all-predicates needs a finite ring, and {ring.label()!r} has a Z factor")
+    rows = [("ring", ring.label())]
+    S = parse_arith_mcs(ring, args.mcs) if args.mcs is not None else None
+    if args.ideal is not None:
+        A = parse_arith_ideal(ring, args.ideal)
+        rows.append(("ideal", A.label()))
+        rows.append(("r-ideal", _verdict_text(ar.arith_is_r_ideal(A), ring)))
+        rows.append(("prime", ("yes" if ar.arith_is_prime(A) else "no") if A.is_proper() else "no (improper)"))
+        if S is not None:
+            rows.append(("mcs", S.label()))
+            rows.append(("S-r-ideal", _verdict_text(ar.arith_is_S_r_ideal(A, S), ring)))
+    return _print_rows(rows)
+
+
+def _print_rows(rows):
     width = max(len(k) for k, _ in rows)
     for k, v in rows:
         print(f"{k:<{width}}  {v}")
@@ -119,7 +163,10 @@ def cmd_classify(args):
 
 
 def cmd_ideals(args):
-    ring = parse_ring(args.ring)
+    tree = parse(args.ring)
+    if lane(tree) == ARITH:
+        raise NotApplicableError(f"the ideal lattice of a ring with a Z factor is not listed: {show(tree)!r}")
+    ring = parse_ring(tree)
     lattice = all_ideals(ring)
     tables = (("prime", {P.mask for P in spec(ring)}), ("maximal", {M.mask for M in max_ideals(ring)}))
     print(f"{ring.recipe}: {len(lattice)} ideals")

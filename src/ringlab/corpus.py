@@ -4,28 +4,19 @@ A corpus file holds one entry per line:
 
     <ring-expr> [; ideal=<gens-or-descriptors>] [; mcs=<gens-or-descriptors>]
 
-Blank lines and lines starting with # are skipped.  Entry kinds are
-inferred from the expression: a bare ``Z`` factor selects the arithmetic
-lane, ``polyring(<expr>)`` marks a polynomial-ring entry over the given
-finite base, and ``amalgZ(n, d)`` names the infinite amalgamation family
-(Z joined to Z_n along dZ_n).  Everything else is a finite ring.
-
-Reading a line only classifies and canonicalises it; the entry's ring is
-built, and its expression fully checked, by ``registry.build_context``.
+Blank lines and lines starting with # are skipped.  Reading a line parses
+its expression once (`dsl.parse`), and the entry keeps the tree and its
+kind, the lane `dsl.lane` reads from the tree; the entry's ring is built
+from the tree by ``registry.build_context``.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from . import config
-from .dsl import int_args, split_top
+from . import config, dsl
+from .dsl import AMALGZ, ARITH, FINITE, POLY, split_top
 from .errors import ConfigError, ParseError
-
-FINITE = "finite"
-ARITH = "arith"
-POLY = "poly"
-AMALGZ = "amalgz"
 
 
 @dataclass(frozen=True)
@@ -58,6 +49,7 @@ class CorpusEntry:
     text: str
     kind: str
     expr: str  # the ring expression; a poly entry's is its base ring
+    tree: tuple  # the expression's `dsl.parse` tree
     ideal_text: str = None
     mcs_text: str = None
 
@@ -83,26 +75,13 @@ def parse_corpus_line(line: str):
         if key in notes or not value.strip():
             raise ParseError(f"{'repeated' if key in notes else 'empty'} annotation {extra!r}")
         notes[key] = value.strip()
-    ideal_text, mcs_text = notes.get("ideal"), notes.get("mcs")
-    stripped = "".join(expr.split())
-    if stripped.startswith("polyring(") and stripped.endswith(")"):
-        kind = POLY
-        expr_canon = stripped[len("polyring(") : -1]  # the base ring
-    elif stripped.startswith("amalgZ(") and stripped.endswith(")"):
-        kind = AMALGZ
-        expr_canon = "amalgZ({},{})".format(*int_args(stripped, "amalgZ", 2))
-    elif "Z" in split_top(stripped, "x"):
-        kind = ARITH
-        expr_canon = " x ".join(split_top(stripped, "x"))
-    else:
-        kind = FINITE
-        expr_canon = expr
-    text = stripped if kind == POLY else expr_canon
-    if ideal_text:
-        text += f" ; ideal={ideal_text}"
-    if mcs_text:
-        text += f" ; mcs={mcs_text}"
-    return CorpusEntry(text=text, kind=kind, expr=expr_canon, ideal_text=ideal_text, mcs_text=mcs_text)
+    tree = dsl.parse(expr)
+    kind = dsl.lane(tree)
+    if kind != FINITE:  # a finite entry keeps its expression as written; a poly entry's is its base, without spaces
+        expr = dsl.show(tree[1]).replace(" ", "") if kind == POLY else dsl.show(tree)
+    text = f"polyring({expr})" if kind == POLY else expr
+    text += "".join(f" ; {key}={notes[key]}" for key in ("ideal", "mcs") if key in notes)
+    return CorpusEntry(text=text, kind=kind, expr=expr, tree=tree, ideal_text=notes.get("ideal"), mcs_text=notes.get("mcs"))
 
 
 def load_corpus(path, limits: Limits = Limits()) -> CorpusSpec:

@@ -1,26 +1,27 @@
-"""Ring-expression grammar shared by corpus files and the CLI.
+"""Ring-expression grammar shared by corpus files and the CLI: `parse` reads an
+expression once, whitespace ignored, into a tree of plain tuples, where
+parentheses leave no node and generator and m.c.s. lists stay text:
 
-Whitespace-insensitive.  Shapes:
+    Z                          ("Z",)                  the integers
+    Z{n}                       ("Z", n)                integers mod n
+    {expr} x {expr} x ...      ("x", e1, e2, ...)      componentwise product (left associative)
+    {expr}/({gens})            ("/", e, gens)          quotient by the ideal the generators span
+    triv({expr}, free(k)|quot(gens))   ("triv", e, ("free", k)|("quot", gens))   trivial extension by a module
+    amalg({e1},{e2},id|proj,({gens}))   ("amalg", e1, e2, "id"|"proj", "(gens)")   along an ideal of e2
+    loc({expr}, S<{gens}>)     ("loc", e, "S<gens>")   localization at a generated m.c.s.
+    polyring({expr})           ("polyring", e)         the polynomial ring over a finite ring
+    amalgZ(n, d)               ("amalgZ", n, d)        Z joined to Z_n along dZ_n
 
-    Z{n}                       integers mod n
-    {expr} x {expr}            componentwise product (left associative)
-    {expr}/({gens})            quotient by the ideal the generators span
-    triv({expr}, free(k))      trivial extension by a free module
-    triv({expr}, quot(gens))   trivial extension by a cyclic quotient module
-    amalg({e1},{e2},id|proj,({gens}))   amalgamation along an ideal of e2
-    loc({expr}, S<{gens}>)     localization at a generated m.c.s.
-
-A bare ``Z`` factor switches the expression to the arithmetic lane: the
-whole expression must then be a product of ``Z`` and ``Z{n}`` atoms, and
-ideals / m.c.s. are given by per-factor descriptors instead of generators
-(``(0,2)``; ``(units,all)``; ``({1,-1},all)``).
-
+`lane` reads from the tree which lane builds it: `build_ring` a finite ring,
+`arith_ring` a product with a ``Z`` factor, whose ideals and m.c.s. are
+per-factor descriptors (``(0,2)``; ``(units,all)``; ``({1,-1},all)``).
 Generator tokens are element labels first (so ``(1,0)`` names the obvious
-element of a product ring) with bare integers falling back to element
-indices.
+element of a product ring) with bare integers falling back to element indices.
 """
 
 from __future__ import annotations
+
+from functools import reduce
 
 from .arith import INT, ArithIdeal, ArithMCS, ArithRing, mod_factor
 from .errors import ParseError
@@ -28,8 +29,16 @@ from .extensions import make_module_free, make_module_quotient, make_trivial_ext
 from .ideals import Ideal, MulClosedSet, ideal_generate, localize, mcs_generate
 from .rings import FiniteRing, RingHom, make_product, make_quotient, make_zn
 
+FINITE = "finite"
+ARITH = "arith"
+POLY = "poly"
+AMALGZ = "amalgz"
+
 _OPEN = "({[<"
 _CLOSE = ")}]>"
+_ALONE = {"polyring": POLY, "amalgZ": AMALGZ}
+_LANE_RULE = "Z stands only in a product of Z and Z<n> atoms, and polyring and amalgZ only alone"
+_SIGNATURES = {"triv": "(ring, module)", "amalg": "(ring1, ring2, id|proj, (gens))", "loc": "(ring, S<gens>)", "polyring": "(ring)"}
 
 
 def _strip(text: str) -> str:
@@ -38,45 +47,129 @@ def _strip(text: str) -> str:
 
 def split_top(text: str, sep: str):
     """Split on a separator character at bracket depth zero."""
-    parts = []
-    depth = 0
-    cur = []
-    for ch in text:
-        if ch in _OPEN:
-            depth += 1
-        elif ch in _CLOSE:
-            depth -= 1
-            if depth < 0:
-                raise ParseError(f"unbalanced brackets in {text!r}")
+    parts, depth, start = [], 0, 0
+    for i, ch in enumerate(text):
+        depth += (ch in _OPEN) - (ch in _CLOSE)
+        if depth < 0:
+            raise ParseError(f"unbalanced brackets in {text!r}")
         if ch == sep and depth == 0:
-            parts.append("".join(cur))
-            cur = []
-        else:
-            cur.append(ch)
+            parts.append(text[start:i])
+            start = i + 1
     if depth != 0:
         raise ParseError(f"unbalanced brackets in {text!r}")
-    parts.append("".join(cur))
-    return parts
+    return parts + [text[start:]]
 
 
-def _call_args(text: str, name: str):
-    body = text[len(name) + 1 : -1]
-    return split_top(body, ",")
+def _parenthesized(text: str) -> bool:
+    """Whether ``text`` is ``(...)``, its first bracket closed by its last character."""
+    depth = 0
+    for i, ch in enumerate(text):
+        depth += (ch in _OPEN) - (ch in _CLOSE)
+        if depth == 0:
+            return i == len(text) - 1 and text[0] == "(" and ch == ")"
+    return False
 
 
-def _is_call(text: str, name: str) -> bool:
-    return text.startswith(name + "(") and text.endswith(")")
+def parse(text: str):
+    """The tree of a ring expression (see the module docstring)."""
+    return _expr(_strip(text))
 
 
-_COUNTS = {1: "one integer", 2: "two integers"}
+def _expr(text):
+    if not text:
+        raise ParseError("empty ring expression")
+    factors = split_top(text, "x")
+    if len(factors) > 1:
+        return ("x", *map(_expr, factors))
+    pieces = split_top(text, "/")
+    tree = _atom(pieces[0])
+    for q in pieces[1:]:
+        if not _parenthesized(q):
+            raise ParseError(f"quotient needs parenthesized generators, got {q!r}")
+        tree = ("/", tree, q[1:-1])
+    return tree
 
 
-def int_args(text: str, name: str, count: int):
-    """The integer arguments of ``name(i1, ..., i_count)``, e.g. ``free(k)`` or ``amalgZ(n, d)``."""
-    args = _call_args(_strip(text), name)
+def _call(text):
+    """(name, arguments) of a call ``name(a, b, ...)``, or (None, None)."""
+    name, paren, rest = text.partition("(")
+    return (name, split_top(rest[:-1], ",")) if _parenthesized(paren + rest) else (None, None)
+
+
+def _ints(text, count):
+    """The integer arguments of a call such as ``free(k)`` or ``amalgZ(n, d)``."""
+    name, args = _call(text)
     if len(args) != count or not all(a.removeprefix("-").isdecimal() for a in args):
-        raise ParseError(f"{name} needs {_COUNTS[count]}, got {text!r}")
-    return tuple(int(a) for a in args)
+        raise ParseError(f"{name} needs {('one integer', 'two integers')[count - 1]}, got {text!r}")
+    return tuple(map(int, args))
+
+
+def _atom(text):
+    if _parenthesized(text):
+        return _expr(text[1:-1])
+    if text == "Z" or text.startswith("Z") and text[1:].isdecimal():
+        return ("Z", int(text[1:])) if text[1:] else ("Z",)
+    name, args = _call(text)
+    if name == "amalgZ":
+        return (name, *_ints(text, 2))
+    if name not in _SIGNATURES:
+        raise ParseError(f"cannot parse ring expression {text!r}")
+    if len(args) != _SIGNATURES[name].count(",") + 1:
+        raise ParseError(f"{name} needs {_SIGNATURES[name]}")
+    base = _expr(args[0])
+    if name == "triv":
+        kind, margs = _call(args[1])
+        if kind not in ("free", "quot"):
+            raise ParseError(f"module expression must be free(k) or quot(gens), got {args[1]!r}")
+        return (name, base, (kind, *_ints(args[1], 1)) if kind == "free" else (kind, ",".join(margs)))
+    if name == "amalg":
+        e2, spec, gens = _expr(args[1]), args[2], args[3]
+        if spec not in ("id", "proj"):
+            raise ParseError(f"hom spec must be id or proj, got {spec!r}")
+        if e2 != (base if spec == "id" else ("/", base, e2[-1])):
+            raise ParseError(f"amalg with {spec} needs ring2 = {'ring1' if spec == 'id' else 'ring1/(gens)'}")
+        if not _parenthesized(gens):
+            raise ParseError("amalg generators must be parenthesized")
+        return (name, base, e2, spec, gens)
+    return (name, base, *args[1:])
+
+
+def show(tree) -> str:
+    """An expression's text from its tree: `` x `` between factors, no other space."""
+    tag, *args = tree
+    if tag == "Z":
+        return "Z" + "".join(map(str, args))
+    if tag == "x":
+        return " x ".join(map(_grouped, args))
+    if tag == "/":
+        return f"{_grouped(args[0])}/({args[1]})"
+    return f"{tag}({','.join(show(a) if isinstance(a, tuple) else str(a) for a in args)})"
+
+
+def _grouped(tree):
+    return f"({show(tree)})" if tree[0] == "x" else show(tree)
+
+
+def _edges(tree):
+    """(node, child) for every ring subexpression below ``tree``, parents first."""
+    tag = tree[0]
+    for sub in tree[1:] if tag == "x" else tree[1:3] if tag == "amalg" else () if tag in ("Z", "amalgZ") else tree[1:2]:
+        yield tree, sub
+        yield from _edges(sub)
+
+
+def lane(tree) -> str:
+    """The lane that builds an expression, read from its tree: a top-level ``polyring(base)``
+    is POLY, over a FINITE base; a top-level ``amalgZ(n, d)`` is AMALGZ; any other expression
+    that holds a ``Z`` atom is ARITH, and must be a product of ``Z`` and ``Z{n}`` atoms,
+    parentheses allowed; anything else is FINITE.  A mix no lane builds, such as ``Z`` inside
+    triv, loc or polyring, or polyring inside a product, is a ParseError naming the subtree
+    and the node it stands in."""
+    kind = _ALONE.get(tree[0]) or (ARITH if ("Z",) in (tree, *(sub for _, sub in _edges(tree))) else FINITE)
+    for node, sub in _edges(tree):
+        if sub[0] in _ALONE or (kind == ARITH and not (node[0] == "x" and sub[0] in ("x", "Z"))) or (kind == POLY and lane(sub) != FINITE):
+            raise ParseError(f"{show(sub)!r} cannot stand inside {show(node)!r}: {_LANE_RULE}")
+    return kind
 
 
 def parse_element(R: FiniteRing, token: str) -> int:
@@ -120,19 +213,6 @@ def parse_mcs(R: FiniteRing, text: str) -> MulClosedSet:
     return mcs_generate(R, parse_gens(R, text))
 
 
-def parse_arith_ring(text: str) -> ArithRing:
-    factors = []
-    for f in split_top(_strip(text), "x"):
-        f = _strip(f)
-        if f == "Z":
-            factors.append(INT)
-        elif f.startswith("Z") and f[1:].isdigit():
-            factors.append(mod_factor(int(f[1:])))
-        else:
-            raise ParseError(f"arithmetic factors must be Z or Z<n>, got {f!r}")
-    return ArithRing(tuple(factors))
-
-
 def _descriptors(R: ArithRing, text: str, what: str):
     """The per-factor descriptor texts of an annotation such as ``(0,2)``, one per factor of R."""
     text = _strip(text)
@@ -153,10 +233,8 @@ def parse_arith_ideal(R: ArithRing, text: str) -> ArithIdeal:
 def parse_arith_mcs(R: ArithRing, text: str) -> ArithMCS:
     descs = []
     for p in _descriptors(R, text, "m.c.s."):
-        if p == "units":
-            descs.append(("units",))
-        elif p == "all":
-            descs.append(("all",))
+        if p in ("units", "all"):
+            descs.append((p,))
         elif p.startswith("{") and p.endswith("}"):
             try:
                 members = frozenset(int(v) for v in split_top(p[1:-1], ","))
@@ -168,106 +246,48 @@ def parse_arith_mcs(R: ArithRing, text: str) -> ArithMCS:
     return ArithMCS(R, tuple(descs))
 
 
-def parse_ring(text: str) -> FiniteRing:
-    """Parse a finite-ring expression."""
-    return parse_ring_structure(text)[0]
+def arith_ring(tree) -> ArithRing:
+    """The ring of a product of ``Z`` and ``Z{n}`` atoms, given as its tree."""
+    if tree[0] == "x":
+        return ArithRing(tuple(n for f in tree[1:] for n in arith_ring(f).factors))
+    if tree[0] != "Z":
+        raise ParseError(f"arithmetic factors must be Z or Z<n>, got {show(tree)!r}")
+    return ArithRing((INT if tree == ("Z",) else mod_factor(tree[1]),))
 
 
-def parse_ring_structure(text: str):
-    """Parse a finite-ring expression into (ring, structure).
-
-    ``structure`` is the ``TrivExtRing`` or ``AmalgRing`` the whole
-    expression denotes (parentheses aside), or None when its top level is a
-    product, a quotient or any other atom.
-    """
-    text = _strip(text)
-    if not text:
-        raise ParseError("empty ring expression")
-    factors = split_top(text, "x")
-    if len(factors) > 1:
-        ring = parse_ring(factors[0])
-        for f in factors[1:]:
-            ring = make_product(ring, parse_ring(f))
-        return ring, None
-    pieces = split_top(factors[0], "/")
-    ring, structure = _parse_atom(pieces[0])
-    for q in pieces[1:]:
-        ring, _ = _quotient(ring, q)
-        structure = None
-    return ring, structure
+def parse_arith_ring(text: str) -> ArithRing:
+    return arith_ring(parse(text))
 
 
-def _quotient(R: FiniteRing, text: str):
-    """R/(gens) and its projection, for the text ``(gens)`` after a ``/``."""
-    text = _strip(text)
-    if not _parenthesized(text):
-        raise ParseError(f"quotient needs parenthesized generators, got {text!r}")
-    return make_quotient(R, parse_ideal(R, text[1:-1]))
+def parse_ring(expr) -> FiniteRing:
+    """The finite ring of an expression, given as its text or its tree."""
+    return build_ring(parse(expr) if isinstance(expr, str) else expr)[0]
 
 
-def _parenthesized(text: str) -> bool:
-    if not (text.startswith("(") and text.endswith(")")):
-        return False
-    depth = 0
-    for i, ch in enumerate(text):
-        if ch in _OPEN:
-            depth += 1
-        elif ch in _CLOSE:
-            depth -= 1
-            if depth == 0 and i < len(text) - 1:
-                return False
-    return depth == 0
-
-
-def _parse_atom(text: str):
-    text = _strip(text)
-    if _parenthesized(text):
-        return parse_ring_structure(text[1:-1])
-    if text.startswith("Z") and text[1:].isdigit():
-        return make_zn(int(text[1:])), None
-    if _is_call(text, "triv"):
-        args = _call_args(text, "triv")
-        if len(args) != 2:
-            raise ParseError("triv needs (ring, module)")
-        base = parse_ring(args[0])
-        mod = _strip(args[1])
-        if _is_call(mod, "free"):
-            module = make_module_free(base, *int_args(mod, "free", 1))
-        elif _is_call(mod, "quot"):
-            gens = ",".join(_call_args(mod, "quot"))
-            module = make_module_quotient(base, parse_ideal(base, gens))
+def build_ring(tree):
+    """(ring, structure) of a finite-ring expression's tree: ``structure`` is the
+    ``TrivExtRing`` or ``AmalgRing`` the whole expression denotes, else None.  Product
+    factors and the bases of triv, amalg and loc are built through `parse_ring`."""
+    if lane(tree) != FINITE:
+        raise ParseError(f"{show(tree)!r} is not a finite ring")
+    tag = tree[0]
+    if tag == "Z":
+        return make_zn(tree[1]), None
+    if tag == "x":
+        return reduce(make_product, map(parse_ring, tree[1:])), None
+    if tag == "/":
+        base = build_ring(tree[1])[0]
+        return make_quotient(base, parse_ideal(base, tree[2]))[0], None
+    base = parse_ring(tree[1])
+    if tag == "loc":
+        return localize(base, parse_mcs(base, tree[2])).localized, None
+    if tag == "amalg":
+        if tree[3] == "id":
+            h2, hom = base, RingHom(base, base, tuple(range(base.size)))  # make_amalgamation checks it
         else:
-            raise ParseError(f"module expression must be free(k) or quot(gens), got {mod!r}")
-        T = make_trivial_extension(base, module)
-        return T.ring, T
-    if _is_call(text, "amalg"):
-        args = _call_args(text, "amalg")
-        if len(args) != 4:
-            raise ParseError("amalg needs (ring1, ring2, id|proj, (gens))")
-        e1, e2, spec, gens = (_strip(a) for a in args)
-        if spec == "id":
-            if e1 != e2:
-                raise ParseError("amalg with id needs identical component expressions")
-            h1 = parse_ring(e1)
-            h2 = h1
-            hom = RingHom(h1, h2, tuple(range(h1.size)))  # make_amalgamation checks it
-        elif spec == "proj":
-            pieces = split_top(e2, "/")
-            if len(pieces) != 2 or _strip(pieces[0]) != e1:
-                raise ParseError("amalg with proj needs ring2 = ring1/(gens)")
-            h1 = parse_ring(e1)
-            h2, hom = _quotient(h1, pieces[1])
-        else:
-            raise ParseError(f"hom spec must be id or proj, got {spec!r}")
-        if not _parenthesized(gens):
-            raise ParseError("amalg generators must be parenthesized")
-        J = parse_ideal(h2, gens[1:-1])
-        am = make_amalgamation(h1, h2, hom, J, hom_text=spec)
+            h2, hom = make_quotient(base, parse_ideal(base, tree[2][2]))
+        am = make_amalgamation(base, h2, hom, parse_ideal(h2, tree[4][1:-1]), hom_text=tree[3])
         return am.ring, am
-    if _is_call(text, "loc"):
-        args = _call_args(text, "loc")
-        if len(args) != 2:
-            raise ParseError("loc needs (ring, S<gens>)")
-        base = parse_ring(args[0])
-        return localize(base, parse_mcs(base, args[1])).localized, None
-    raise ParseError(f"cannot parse ring expression {text!r}")
+    kind, arg = tree[2]
+    T = make_trivial_extension(base, make_module_free(base, arg) if kind == "free" else make_module_quotient(base, parse_ideal(base, arg)))
+    return T.ring, T

@@ -41,13 +41,12 @@ from . import arith as ar
 from . import classify as cl
 from .corpus import AMALGZ, ARITH, FINITE, POLY, CorpusEntry, CorpusSpec, Limits
 from .dsl import (
-    int_args,
+    arith_ring,
+    build_ring,
     parse_arith_ideal,
     parse_arith_mcs,
-    parse_arith_ring,
     parse_ideal,
     parse_mcs,
-    parse_ring_structure,
 )
 from .errors import ConfigError, ParseError, UnknownHypothesis, UnknownTheorem
 from .extensions import (
@@ -121,7 +120,7 @@ class FiniteContext:
         self.entry = entry
         self.limits = limits
         # the TrivExtRing / AmalgRing the whole expression denotes, if any
-        self.ring, self.structure = parse_ring_structure(entry.expr)
+        self.ring, self.structure = build_ring(entry.tree[1] if entry.kind == POLY else entry.tree)
         self.recipe = self.ring.recipe
         self._pinned_ideal = parse_ideal(self.ring, entry.ideal_text) if entry.ideal_text else None
         self._pinned_mcs = parse_mcs(self.ring, entry.mcs_text) if entry.mcs_text else None
@@ -191,7 +190,7 @@ class ArithContext:
     def __init__(self, entry: CorpusEntry, limits: Limits):
         self.entry = entry
         self.limits = limits
-        self.ring = parse_arith_ring(entry.expr)
+        self.ring = arith_ring(entry.tree)
         self.recipe = self.ring.label()
         if not entry.ideal_text or not entry.mcs_text:
             raise ParseError(f"arith entry needs ideal= and mcs= annotations: {entry.text}")
@@ -234,9 +233,9 @@ class AmalgZContext:
         self.recipe = entry.expr
         if entry.ideal_text:  # the lane decides only the zero ideal
             raise ParseError(f"amalgZ takes no ideal= annotation: {entry.text}")
-        self.az = AmalgOverZ(*int_args(entry.expr, "amalgZ", 2))
+        self.az = AmalgOverZ(*entry.tree[1:])
         self.mcs_text = entry.mcs_text or "(units)"
-        self.s_desc = parse_arith_mcs(parse_arith_ring("Z"), self.mcs_text).descs[0]
+        self.s_desc = parse_arith_mcs(ar.ArithRing((ar.INT,)), self.mcs_text).descs[0]
 
 
 # entry kind -> (its context, the TheoremCase field that holds its runner)
@@ -249,7 +248,7 @@ LANES = {
 
 
 def build_context(entry: CorpusEntry, limits: Limits):
-    """Build the entry's ring and annotations: the one place an entry is parsed."""
+    """Build the entry's ring and annotations from its tree, by the context of its lane."""
     if entry.kind not in LANES:
         raise ParseError(f"unknown entry kind {entry.kind}")
     return LANES[entry.kind][0](entry, limits)
