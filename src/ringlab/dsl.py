@@ -38,7 +38,7 @@ _OPEN = "({[<"
 _CLOSE = ")}]>"
 _ALONE = {"polyring": POLY, "amalgZ": AMALGZ}
 _LANE_RULE = "Z stands only in a product of Z and Z<n> atoms, and polyring and amalgZ only alone"
-_SIGNATURES = {"triv": "(ring, module)", "amalg": "(ring1, ring2, id|proj, (gens))", "loc": "(ring, S<gens>)", "polyring": "(ring)"}
+_SIGNATURES = {"triv": (2, "(ring, module)"), "amalg": (4, "(ring1, ring2, id|proj, (gens))"), "loc": (2, "(ring, S<gens>)"), "polyring": (1, "(ring)")}
 
 
 def _strip(text: str) -> str:
@@ -114,8 +114,8 @@ def _atom(text):
         return (name, *_ints(text, 2))
     if name not in _SIGNATURES:
         raise ParseError(f"cannot parse ring expression {text!r}")
-    if len(args) != _SIGNATURES[name].count(",") + 1:
-        raise ParseError(f"{name} needs {_SIGNATURES[name]}")
+    if len(args) != _SIGNATURES[name][0]:
+        raise ParseError(f"{name} needs {_SIGNATURES[name][1]}")
     base = _expr(args[0])
     if name == "triv":
         kind, margs = _call(args[1])
