@@ -15,7 +15,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from . import config, dsl
-from .dsl import AMALGZ, ARITH, FINITE, POLY, split_top
+from .dsl import AMALGZ, ARITH, FINITE, POLY, split_top  # the lane names, which entry kinds use
 from .errors import ConfigError, ParseError
 
 
